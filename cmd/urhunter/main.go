@@ -135,7 +135,7 @@ func main() {
 			if torn := journal.TornSegments(); torn > 0 {
 				fmt.Printf(" (%d torn segment tails discarded)", torn)
 			}
-			fmt.Println()
+			fmt.Printf(" [%s]\n", journal.ReplayStats())
 		} else {
 			fmt.Printf("checkpointing sweep into %s\n", dir)
 		}

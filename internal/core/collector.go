@@ -215,18 +215,13 @@ type Collector struct {
 	// expensive web fetch; nil when the config carries no web world.
 	probeFn func(src, dst netip.Addr) websim.ProbeResult
 
-	// journal is the optional checkpoint store; skip marks every probe the
-	// journal replayed so workers never re-query it. Each sweep's replay
-	// builds its slice of the map single-threaded at that sweep's start, but
-	// the overlapped pipeline runs the correct sweep concurrently with the
-	// fused nameserver sweep, so skipMu covers the build/lookup overlap.
+	// journal is the optional checkpoint store. Opened over a prior run's
+	// directory it also carries the replay index sweep workers consult before
+	// querying a probe; see sweepJob.probe.
 	journal *Journal
-	skipMu  sync.RWMutex
-	skip    map[probeKey]struct{}
-	// hasSkip publishes "the skip set is non-empty" without a lock, so the
-	// per-probe replayed() check on a fresh (non-resumed) journaled run is a
-	// single atomic load. Set under skipMu by replaySweep.
-	hasSkip atomic.Bool
+
+	// canary is cfg.CanaryName(), formatted once.
+	canary dns.Name
 
 	// in interns UR identity strings (rdata) so a sweep holds one canonical
 	// instance of each distinct value; see intern.go.
@@ -240,11 +235,6 @@ type Collector struct {
 
 	// wd is the stall watchdog; nil when the transport cannot stall.
 	wd *watchdog
-
-	// nsInfo lazily indexes nameserver metadata by address so journal
-	// replay can restore full NameserverInfo from the stored probe keys.
-	nsInfoOnce sync.Once
-	nsInfo     map[netip.Addr]NameserverInfo
 }
 
 // transportKind normalizes the configured kind; unknown values surface as
@@ -280,7 +270,7 @@ func NewCollector(cfg *Config) *Collector {
 	// Backoff jitter follows the config seed so two runs over the same world
 	// book identical virtual wall-clock even under chaos.
 	client.Backoff.JitterSeed = uint64(cfg.Seed)
-	c := &Collector{cfg: cfg, client: client, journal: cfg.Journal, in: newInterner()}
+	c := &Collector{cfg: cfg, client: client, journal: cfg.Journal, canary: cfg.CanaryName(), in: newInterner()}
 	for i := range c.perServer {
 		c.perServer[i].n = make(map[netip.Addr]int64)
 	}
@@ -341,100 +331,166 @@ func (c *Collector) releaseSegment(seg *segmentWriter) {
 	}
 }
 
-// nsInfoFor restores full nameserver metadata for a journaled probe key.
-// Open resolvers carry address-only info, same as the live sweep builds.
-func (c *Collector) nsInfoFor(addr netip.Addr) NameserverInfo {
-	c.nsInfoOnce.Do(func() {
-		c.nsInfo = make(map[netip.Addr]NameserverInfo, len(c.cfg.Nameservers))
-		for _, ns := range c.cfg.Nameservers {
-			c.nsInfo[ns.Addr] = ns
-		}
-	})
-	if ns, ok := c.nsInfo[addr]; ok {
-		return ns
-	}
-	return NameserverInfo{Addr: addr}
+// sweepWorker is what one pool goroutine owns for a whole sweep: its journal
+// segment and watchdog slot, and — on a resumed run — the replay index plus a
+// scratch message the journaled answers are decoded into.
+type sweepWorker struct {
+	slot   *stallSlot
+	seg    *segmentWriter
+	replay *replayIndex
+	msg    dns.Message
 }
 
-// replayed reports whether the journal already holds this probe's outcome.
-// The hasSkip fast path keeps fresh journaled runs (nothing to resume, the
-// common case) from paying a per-probe RLock: a sweep's own replaySweep
-// completes — and publishes hasSkip — before that sweep's workers launch, so
-// a false load can only be observed when this sweep replayed nothing.
-func (c *Collector) replayed(kind sweepKind, server netip.Addr, domain dns.Name, qt dns.Type) bool {
-	if !c.hasSkip.Load() {
-		return false
-	}
-	c.skipMu.RLock()
-	defer c.skipMu.RUnlock()
-	_, ok := c.skip[probeKey{sweep: kind, server: server, domain: domain, qtype: qt}]
-	return ok
+// sweepJob is a worker's pass over one server unit. Its counters and failure
+// list are booked once, when the job ends.
+type sweepJob struct {
+	c      *Collector
+	w      *sweepWorker
+	ns     NameserverInfo
+	server netip.AddrPort
+	// base is the unit's first replay id, -1 when nothing can be replayed.
+	base int
+
+	issued, attempted, answered, recovered int64
+	fails                                  []probeFailure
 }
 
-// replaySweep folds one sweep's journaled outcomes back into the books
-// before the live pass: answered probes re-enter through onAnswer — the
-// same fold the live path uses, so a resumed report is byte-identical —
-// failures are refiled for the re-queue pass, and every replayed key is
-// marked so workers skip it. Runs single-threaded at sweep start.
-func (c *Collector) replaySweep(kind sweepKind, onAnswer func(ns NameserverInfo, domain dns.Name, qt dns.Type, resp *dns.Message)) {
-	if c.journal == nil || c.journal.rs == nil {
-		return
+// startJob opens the job for one server unit; kind picks the unit's side of
+// the plan (sweepCorrect: open resolver, otherwise nameserver).
+func (c *Collector) startJob(w *sweepWorker, kind sweepKind, ns NameserverInfo) sweepJob {
+	j := sweepJob{c: c, w: w, ns: ns, server: netip.AddrPortFrom(ns.Addr, dnsio.DNSPort), base: -1}
+	if w.replay != nil {
+		j.base = w.replay.unitBase(kind, ns.Addr)
 	}
-	rs := c.journal.rs
-	c.skipMu.Lock()
-	defer c.skipMu.Unlock()
-	if c.skip == nil {
-		c.skip = make(map[probeKey]struct{}, len(rs.answered)+len(rs.failed))
-	}
-	type tally struct{ att, ans, rec int64 }
-	per := make(map[netip.Addr]*tally)
-	bump := func(addr netip.Addr) *tally {
-		t := per[addr]
-		if t == nil {
-			t = &tally{}
-			per[addr] = t
+	return j
+}
+
+// book files the job's query count, coverage tallies and failures.
+func (j *sweepJob) book() {
+	j.c.addQueries(j.ns.Addr, j.issued)
+	j.c.bookSweep(j.ns.Addr, j.attempted, j.answered, j.recovered, j.fails)
+}
+
+// fail files one failed probe on the job's list.
+func (j *sweepJob) fail(kind sweepKind, name dns.Name, qt dns.Type, class dnsio.FailClass) {
+	j.fails = append(j.fails, probeFailure{ns: j.ns, domain: name, qtype: qt, class: class, sweep: kind})
+}
+
+// probe settles one planned probe — target position t (the canary's is
+// len(Targets)), query-type position qi — and returns its response, or nil
+// when it failed and now sits on j.fails. A non-nil error is fatal to the
+// sweep (cancellation, journal write failure).
+//
+// On a resumed run the journal is asked first. An answered probe is decoded
+// into the worker's scratch message and takes the caller's live-answer path;
+// one that had also failed books a recovery. A failed probe is filed as the
+// live failure was, without journaling it again. A CRC-clean answer that does
+// not decode is neither trusted nor skipped: the probe is queried again. The
+// returned message is only valid until the worker's next probe.
+func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Name, qi int, qt dns.Type) (*dns.Message, error) {
+	w := j.w
+	if j.base >= 0 {
+		id := w.replay.probeID(j.base, t, qi)
+		class, failed := w.replay.failed(id)
+		if wire := w.replay.wire(id); wire != nil {
+			if w.msg.UnpackFrom(wire) == nil {
+				j.attempted++
+				j.answered++
+				if failed {
+					j.recovered++
+				}
+				return &w.msg, nil
+			}
+		} else if failed {
+			j.attempted++
+			j.fail(kind, name, qt, class)
+			return nil, nil
 		}
-		return t
 	}
-	for key, raw := range rs.answered {
-		if key.sweep != kind {
-			continue
-		}
-		resp, err := dns.Unpack(raw)
-		if err != nil {
-			// CRC-clean but undecodable: do not trust it, do not skip it —
-			// the probe is simply re-queried by the live pass.
-			continue
-		}
-		c.skip[key] = struct{}{}
-		t := bump(key.server)
-		t.att++
-		t.ans++
-		if _, hadFailed := rs.failed[key]; hadFailed {
-			t.rec++
-		}
-		onAnswer(c.nsInfoFor(key.server), key.domain, key.qtype, resp)
+	// Cancellation is checked where it costs nothing next to the exchange: a
+	// replayed probe is a sub-microsecond memory read, and the two overlapped
+	// pools would otherwise contend on the shared context's lock per probe.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	for key, class := range rs.failed {
-		if key.sweep != kind {
-			continue
+	j.attempted++
+	j.issued++
+	resp, wire, class, err := j.c.probeQuery(ctx, w.slot, w.seg, j.server, name, qt)
+	if err != nil {
+		j.fail(kind, name, qt, class)
+		if w.seg != nil {
+			return nil, w.seg.failure(kind, j.ns.Addr, name, qt, class)
 		}
-		if _, ok := rs.answered[key]; ok {
-			continue // recovered: handled above
+		return nil, nil
+	}
+	j.answered++
+	if w.seg != nil {
+		if jerr := w.seg.answered(kind, j.ns.Addr, name, qt, wire); jerr != nil {
+			return nil, jerr
 		}
-		c.skip[key] = struct{}{}
-		bump(key.server).att++
-		c.refile(probeFailure{
-			ns: c.nsInfoFor(key.server), domain: key.domain, qtype: key.qtype,
-			class: class, sweep: kind,
-		})
 	}
-	for addr, t := range per {
-		c.bookReplay(addr, t.att, t.ans, t.rec)
+	return resp, nil
+}
+
+// sweepPool runs job once per server on the collection worker pool and
+// returns the first error: a worker's, else the context's — a cancellation
+// that lands between jobs starves the pool without any worker seeing it, and
+// the sweep is still incomplete. Worker i arms watchdog slot slotBase+i.
+// kinds names the sweep kinds this pool covers, for the journal to release
+// its replay state once the last of them is through.
+func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKind, servers []NameserverInfo, job func(w *sweepWorker, ns NameserverInfo) error) error {
+	replay, err := c.journal.replayFor(c.cfg)
+	if err != nil {
+		return err
 	}
-	if len(c.skip) > 0 {
-		c.hasSkip.Store(true)
+	defer c.journal.replayDone(kinds...)
+
+	jobs := make(chan NameserverInfo)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var firstErr error
+	var stop atomic.Bool
+
+	for i := 0; i < c.cfg.parallelism(); i++ {
+		wg.Add(1)
+		go func(slot *stallSlot) {
+			defer wg.Done()
+			w := &sweepWorker{slot: slot, replay: replay}
+			var localErr error
+			if w.seg, localErr = c.newSegment(); w.seg != nil {
+				defer c.releaseSegment(w.seg)
+			}
+			if localErr != nil {
+				stop.Store(true)
+			}
+			for ns := range jobs {
+				if localErr != nil {
+					continue // keep draining so the feeder never blocks
+				}
+				if skip := c.cfg.SkipServer; skip != nil && skip(ns.Addr) {
+					continue
+				}
+				if localErr = job(w, ns); localErr != nil {
+					stop.Store(true)
+				} else if done := c.cfg.ServerDone; done != nil {
+					done(ns.Addr)
+				}
+			}
+			if localErr != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = localErr
+				}
+				mu.Unlock()
+			}
+		}(c.wd.slot(slotBase + i))
 	}
+	feed(ctx, jobs, &stop, servers)
+	wg.Wait()
+	if firstErr == nil {
+		firstErr = ctx.Err()
+	}
+	return firstErr
 }
 
 // probeQuery issues one probe under the stall watchdog (when active). The
@@ -544,7 +600,7 @@ func (c *Collector) PoliteScanEstimate() time.Duration {
 // or a worker flags a fatal error. Selecting on ctx.Done() keeps
 // cancellation prompt: the producer must stop feeding, not queue every
 // remaining server at a drained pool.
-func feed[T any](ctx context.Context, jobs chan<- T, stop *atomic.Bool, items []T) {
+func feed(ctx context.Context, jobs chan<- NameserverInfo, stop *atomic.Bool, items []NameserverInfo) {
 	defer close(jobs)
 	done := ctx.Done()
 	for _, item := range items {
@@ -563,75 +619,29 @@ func feed[T any](ctx context.Context, jobs chan<- T, stop *atomic.Bool, items []
 // where the target is exactly delegated to the nameserver, and returns the
 // undelegated records extracted from NOERROR responses.
 //
-// Workers accumulate into private slices and merge once when the job channel
-// drains; journal-replayed records land in the same merge set before the
-// workers start. The merged set is then put into a canonical order, so the
-// output is byte-identical at any Parallelism setting — resumed or not.
+// Jobs merge their records into one set — replayed and live alike, since a
+// resumed run's journaled answers are folded inside the same jobs — which is
+// then put into a canonical order, so the output is byte-identical at any
+// Parallelism setting, resumed or not.
 func (c *Collector) CollectURs(ctx context.Context) ([]*UR, error) {
-	var out []*UR
-	c.replaySweep(sweepURs, func(ns NameserverInfo, domain dns.Name, qt dns.Type, resp *dns.Message) {
-		out = c.ursFromResponse(ns, domain, qt, resp, out)
-	})
 	c.wd.start()
 	defer c.wd.stop()
-
-	jobs := make(chan NameserverInfo)
-	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var firstErr error
-	var stop atomic.Bool
-
-	workers := c.cfg.parallelism()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot *stallSlot) {
-			defer wg.Done()
-			var local []*UR
-			seg, localErr := c.newSegment()
-			if seg != nil {
-				defer c.releaseSegment(seg)
-			}
-			if localErr != nil {
-				stop.Store(true)
-			}
-			for ns := range jobs {
-				if localErr != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				if skip := c.cfg.SkipServer; skip != nil && skip(ns.Addr) {
-					continue
-				}
-				urs, err := c.collectFromNS(ctx, ns, seg, slot)
-				local = append(local, urs...)
-				if err != nil {
-					localErr = err
-					stop.Store(true)
-				} else if done := c.cfg.ServerDone; done != nil {
-					done(ns.Addr)
-				}
-			}
-			mu.Lock()
-			out = append(out, local...)
-			if localErr != nil && firstErr == nil {
-				firstErr = localErr
-			}
-			mu.Unlock()
-		}(c.wd.slot(w))
-	}
-	feed(ctx, jobs, &stop, c.cfg.Nameservers)
-	wg.Wait()
-	if firstErr == nil {
-		// A cancellation that lands between jobs starves the pool without any
-		// worker seeing an error; the sweep is still incomplete.
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	var out []*UR
+	err := c.sweepPool(ctx, 0, []sweepKind{sweepURs}, c.cfg.Nameservers, func(w *sweepWorker, ns NameserverInfo) error {
+		urs, err := c.collectFromNS(ctx, w, ns)
+		mu.Lock()
+		out = append(out, urs...)
+		mu.Unlock()
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	// End-of-sweep re-queue: probes that failed while a server was flapping,
 	// lossy, or breaker-blocked get one more chance now that the sweep
 	// pressure is off and breakers may have recovered.
-	err := c.requeue(ctx, sweepURs, func(f probeFailure, resp *dns.Message) {
+	err = c.requeue(ctx, sweepURs, func(f probeFailure, resp *dns.Message) {
 		out = c.ursFromResponse(f.ns, f.domain, f.qtype, resp, out)
 	})
 	if err != nil {
@@ -745,51 +755,30 @@ func sortURs(urs []*UR) {
 // collectFromNS queries one nameserver for every target and type. Every
 // failed probe lands in the failure book for the re-queue pass instead of
 // being silently skipped.
-func (c *Collector) collectFromNS(ctx context.Context, ns NameserverInfo, seg *segmentWriter, slot *stallSlot) ([]*UR, error) {
-	var out []*UR
-	server := netip.AddrPortFrom(ns.Addr, dnsio.DNSPort)
-	var issued, attempted, answered int64
-	var fails []probeFailure
-	defer func() {
-		c.addQueries(ns.Addr, issued)
-		c.bookSweep(ns.Addr, attempted, answered, 0, fails)
-	}()
+func (c *Collector) collectFromNS(ctx context.Context, w *sweepWorker, ns NameserverInfo) ([]*UR, error) {
+	j := c.startJob(w, sweepURs, ns)
+	defer j.book()
+	return c.sweepTargets(ctx, &j, nil)
+}
+
+// sweepTargets is a nameserver job's UR phase: every non-delegated target,
+// every query type, appended to out.
+func (c *Collector) sweepTargets(ctx context.Context, j *sweepJob, out []*UR) ([]*UR, error) {
 	// Ethics appendix: queries are issued in randomized order, never
 	// walking the target list top-down against any single server.
-	order := c.shuffledTargets(ns.Addr)
-	for _, target := range order {
-		if c.isExactlyDelegated(target, ns) {
+	for _, t := range c.shuffledTargets(j.ns.Addr) {
+		target := c.cfg.Targets[t]
+		if c.isExactlyDelegated(target, j.ns) {
 			continue
 		}
-		for _, qt := range c.cfg.queryTypes() {
-			if err := ctx.Err(); err != nil {
+		for qi, qt := range c.cfg.queryTypes() {
+			resp, err := j.probe(ctx, sweepURs, int(t), target, qi, qt)
+			if err != nil {
 				return out, err
 			}
-			if c.replayed(sweepURs, ns.Addr, target, qt) {
-				continue
+			if resp != nil {
+				out = c.ursFromResponse(j.ns, target, qt, resp, out)
 			}
-			issued++
-			attempted++
-			resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, target, qt)
-			if err != nil {
-				fails = append(fails, probeFailure{
-					ns: ns, domain: target, qtype: qt,
-					class: class, sweep: sweepURs,
-				})
-				if seg != nil {
-					if jerr := seg.failure(sweepURs, ns.Addr, target, qt, class); jerr != nil {
-						return out, jerr
-					}
-				}
-				continue
-			}
-			answered++
-			if seg != nil {
-				if jerr := seg.answered(sweepURs, ns.Addr, target, qt, wire); jerr != nil {
-					return out, jerr
-				}
-			}
-			out = c.ursFromResponse(ns, target, qt, resp, out)
 		}
 	}
 	return out, nil
@@ -819,14 +808,17 @@ func (c *Collector) ursFromResponse(ns NameserverInfo, domain dns.Name, qt dns.T
 	return out
 }
 
-// shuffledTargets returns the target list in a server-specific pseudo-random
-// order, deterministic in the server address. The shuffle is an inline
-// splitmix64 Fisher-Yates: math/rand's lagged-Fibonacci source initializes
-// ~5 KiB of state per Seed call, which profiles as several percent of a
-// clean sweep when paid once per server.
-func (c *Collector) shuffledTargets(server netip.Addr) []dns.Name {
-	out := make([]dns.Name, len(c.cfg.Targets))
-	copy(out, c.cfg.Targets)
+// shuffledTargets returns the target list — as positions into cfg.Targets,
+// which is what the replay index is addressed by — in a server-specific
+// pseudo-random order, deterministic in the server address. The shuffle is an
+// inline splitmix64 Fisher-Yates: math/rand's lagged-Fibonacci source
+// initializes ~5 KiB of state per Seed call, which profiles as several
+// percent of a clean sweep when paid once per server.
+func (c *Collector) shuffledTargets(server netip.Addr) []int32 {
+	out := make([]int32, len(c.cfg.Targets))
+	for i := range out {
+		out[i] = int32(i)
+	}
 	x := uint64(0)
 	for _, b := range server.AsSlice() {
 		x = x*131 + uint64(b)
@@ -936,62 +928,19 @@ func (c *Collector) probe(addr netip.Addr) websim.ProbeResult {
 // the geo-distributed correct-record collection of §4.1(2).
 func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	db := NewCorrectDB()
-	c.replaySweep(sweepCorrect, func(_ NameserverInfo, domain dns.Name, _ dns.Type, resp *dns.Message) {
-		c.addCorrectAnswers(db, domain, resp)
-	})
 	c.wd.start()
 	defer c.wd.stop()
-
-	jobs := make(chan netip.Addr)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var stop atomic.Bool
-
-	workers := c.cfg.parallelism()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot *stallSlot) {
-			defer wg.Done()
-			seg, localErr := c.newSegment()
-			if seg != nil {
-				defer c.releaseSegment(seg)
-			}
-			if localErr != nil {
-				stop.Store(true)
-			}
-			for resolver := range jobs {
-				if localErr != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				if skip := c.cfg.SkipServer; skip != nil && skip(resolver) {
-					continue
-				}
-				if err := c.collectCorrectVia(ctx, db, resolver, seg, slot); err != nil {
-					localErr = err
-					stop.Store(true)
-				} else if done := c.cfg.ServerDone; done != nil {
-					done(resolver)
-				}
-			}
-			if localErr != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = localErr
-				}
-				mu.Unlock()
-			}
-		}(c.wd.slot(w))
+	resolvers := make([]NameserverInfo, len(c.cfg.OpenResolvers))
+	for i, r := range c.cfg.OpenResolvers {
+		resolvers[i] = NameserverInfo{Addr: r}
 	}
-	feed(ctx, jobs, &stop, c.cfg.OpenResolvers)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
+	err := c.sweepPool(ctx, 0, []sweepKind{sweepCorrect}, resolvers, func(w *sweepWorker, resolver NameserverInfo) error {
+		return c.collectCorrectVia(ctx, w, db, resolver)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	err := c.requeue(ctx, sweepCorrect, func(f probeFailure, resp *dns.Message) {
+	err = c.requeue(ctx, sweepCorrect, func(f probeFailure, resp *dns.Message) {
 		c.addCorrectAnswers(db, f.domain, resp)
 	})
 	if err != nil {
@@ -1000,45 +949,19 @@ func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	return db, nil
 }
 
-func (c *Collector) collectCorrectVia(ctx context.Context, db *CorrectDB, resolver netip.Addr, seg *segmentWriter, slot *stallSlot) error {
-	server := netip.AddrPortFrom(resolver, dnsio.DNSPort)
-	ns := NameserverInfo{Addr: resolver}
-	var issued, attempted, answered int64
-	var fails []probeFailure
-	defer func() {
-		c.addQueries(resolver, issued)
-		c.bookSweep(resolver, attempted, answered, 0, fails)
-	}()
-	for _, target := range c.shuffledTargets(resolver) {
-		for _, qt := range c.cfg.queryTypes() {
-			if err := ctx.Err(); err != nil {
+func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, db *CorrectDB, resolver NameserverInfo) error {
+	j := c.startJob(w, sweepCorrect, resolver)
+	defer j.book()
+	for _, t := range c.shuffledTargets(resolver.Addr) {
+		target := c.cfg.Targets[t]
+		for qi, qt := range c.cfg.queryTypes() {
+			resp, err := j.probe(ctx, sweepCorrect, int(t), target, qi, qt)
+			if err != nil {
 				return err
 			}
-			if c.replayed(sweepCorrect, resolver, target, qt) {
-				continue
+			if resp != nil {
+				c.addCorrectAnswers(db, target, resp)
 			}
-			issued++
-			attempted++
-			resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, target, qt)
-			if err != nil {
-				fails = append(fails, probeFailure{
-					ns: ns, domain: target, qtype: qt,
-					class: class, sweep: sweepCorrect,
-				})
-				if seg != nil {
-					if jerr := seg.failure(sweepCorrect, resolver, target, qt, class); jerr != nil {
-						return jerr
-					}
-				}
-				continue
-			}
-			answered++
-			if seg != nil {
-				if jerr := seg.answered(sweepCorrect, resolver, target, qt, wire); jerr != nil {
-					return jerr
-				}
-			}
-			c.addCorrectAnswers(db, target, resp)
 		}
 	}
 	return nil
@@ -1088,63 +1011,17 @@ func (c *Config) CanaryName() dns.Name {
 // land in a deterministic final state.
 func (c *Collector) CollectProtective(ctx context.Context) (*ProtectiveDB, error) {
 	db := NewProtectiveDB()
-	canary := c.cfg.CanaryName()
-	c.replaySweep(sweepProtective, func(ns NameserverInfo, _ dns.Name, qt dns.Type, resp *dns.Message) {
-		addProtectiveAnswers(db, ns.Addr, qt, resp)
-	})
 	c.wd.start()
 	defer c.wd.stop()
-
-	jobs := make(chan NameserverInfo)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var stop atomic.Bool
-
-	workers := c.cfg.parallelism()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot *stallSlot) {
-			defer wg.Done()
-			seg, localErr := c.newSegment()
-			if seg != nil {
-				defer c.releaseSegment(seg)
-			}
-			if localErr != nil {
-				stop.Store(true)
-			}
-			for ns := range jobs {
-				if localErr != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				if skip := c.cfg.SkipServer; skip != nil && skip(ns.Addr) {
-					continue
-				}
-				if err := c.collectProtectiveFrom(ctx, db, ns, canary, seg, slot); err != nil {
-					localErr = err
-					stop.Store(true)
-				} else if done := c.cfg.ServerDone; done != nil {
-					done(ns.Addr)
-				}
-			}
-			if localErr != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = localErr
-				}
-				mu.Unlock()
-			}
-		}(c.wd.slot(w))
+	err := c.sweepPool(ctx, 0, []sweepKind{sweepProtective}, c.cfg.Nameservers, func(w *sweepWorker, ns NameserverInfo) error {
+		j := c.startJob(w, sweepProtective, ns)
+		defer j.book()
+		return c.sweepCanary(ctx, &j, db)
+	})
+	if err != nil {
+		return nil, err
 	}
-	feed(ctx, jobs, &stop, c.cfg.Nameservers)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	err := c.requeue(ctx, sweepProtective, func(f probeFailure, resp *dns.Message) {
+	err = c.requeue(ctx, sweepProtective, func(f probeFailure, resp *dns.Message) {
 		addProtectiveAnswers(db, f.ns.Addr, f.qtype, resp)
 	})
 	if err != nil {
@@ -1153,43 +1030,17 @@ func (c *Collector) CollectProtective(ctx context.Context) (*ProtectiveDB, error
 	return db, nil
 }
 
-func (c *Collector) collectProtectiveFrom(ctx context.Context, db *ProtectiveDB, ns NameserverInfo, canary dns.Name, seg *segmentWriter, slot *stallSlot) error {
-	server := netip.AddrPortFrom(ns.Addr, dnsio.DNSPort)
-	var issued, attempted, answered int64
-	var fails []probeFailure
-	defer func() {
-		c.addQueries(ns.Addr, issued)
-		c.bookSweep(ns.Addr, attempted, answered, 0, fails)
-	}()
-	for _, qt := range c.cfg.queryTypes() {
-		if err := ctx.Err(); err != nil {
+// sweepCanary is a nameserver job's protective phase: the canary under every
+// query type.
+func (c *Collector) sweepCanary(ctx context.Context, j *sweepJob, db *ProtectiveDB) error {
+	for qi, qt := range c.cfg.queryTypes() {
+		resp, err := j.probe(ctx, sweepProtective, len(c.cfg.Targets), c.canary, qi, qt)
+		if err != nil {
 			return err
 		}
-		if c.replayed(sweepProtective, ns.Addr, canary, qt) {
-			continue
+		if resp != nil {
+			addProtectiveAnswers(db, j.ns.Addr, qt, resp)
 		}
-		issued++
-		attempted++
-		resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, canary, qt)
-		if err != nil {
-			fails = append(fails, probeFailure{
-				ns: ns, domain: canary, qtype: qt,
-				class: class, sweep: sweepProtective,
-			})
-			if seg != nil {
-				if jerr := seg.failure(sweepProtective, ns.Addr, canary, qt, class); jerr != nil {
-					return jerr
-				}
-			}
-			continue
-		}
-		answered++
-		if seg != nil {
-			if jerr := seg.answered(sweepProtective, ns.Addr, canary, qt, wire); jerr != nil {
-				return jerr
-			}
-		}
-		addProtectiveAnswers(db, ns.Addr, qt, resp)
 	}
 	return nil
 }

@@ -107,8 +107,9 @@ func (c *Collector) covShardOf(addr netip.Addr) *covShard {
 
 // bookSweep books one server's batch of probe outcomes: counts once per
 // (server, sweep) batch, failure records appended for the re-queue pass.
-// recovered counts probes that failed and then answered on an in-job retry
-// (the fused sweep's canary retry); such probes are attempted once.
+// recovered counts probes that failed and then answered inside the job — the
+// fused sweep's canary retry, or a journaled failure followed by a journaled
+// answer on a resumed run; such probes are attempted once.
 func (c *Collector) bookSweep(server netip.Addr, attempted, answered, recovered int64, fails []probeFailure) {
 	if attempted == 0 && len(fails) == 0 {
 		return
@@ -124,27 +125,6 @@ func (c *Collector) bookSweep(server netip.Addr, attempted, answered, recovered 
 	sc.answered += answered
 	sc.recovered += recovered
 	s.failures = append(s.failures, fails...)
-	s.mu.Unlock()
-}
-
-// bookReplay books one server's journal-replayed tallies at resume. Replayed
-// probes were attempted (and possibly answered or recovered) in the
-// interrupted run; they re-enter the books exactly once here so a resumed
-// run's coverage accounts the full plan without double-counting.
-func (c *Collector) bookReplay(server netip.Addr, attempted, answered, recovered int64) {
-	if attempted == 0 {
-		return
-	}
-	s := c.covShardOf(server)
-	s.mu.Lock()
-	sc := s.per[server]
-	if sc == nil {
-		sc = &serverCov{}
-		s.per[server] = sc
-	}
-	sc.attempted += attempted
-	sc.answered += answered
-	sc.recovered += recovered
 	s.mu.Unlock()
 }
 

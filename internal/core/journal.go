@@ -5,10 +5,10 @@
 // journal gives the collector training-run durability: workers append
 // answered probes and failure-book entries to per-worker segment files as
 // they happen, flushing to the OS at checkpoint boundaries, and a resumed
-// run replays the journal before touching the network — already-answered
-// probes are folded back through the exact same code path the live sweep
-// uses, so the resumed report is byte-identical to an uninterrupted run at
-// any parallelism.
+// run indexes the journal before touching the network — each worker folds a
+// server's already-answered probes back through the exact same code path its
+// live answers take, so the resumed report is byte-identical to an
+// uninterrupted run at any parallelism.
 //
 // Durability tiers: records buffer in memory between checkpoints (lost if
 // the process dies mid-interval); a checkpoint write()s them to the kernel,
@@ -44,6 +44,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -54,10 +55,13 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/dns"
 	"repro/internal/dnsio"
@@ -100,24 +104,133 @@ const (
 // polynomial's carry-less-multiply path never amortises its setup.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// probeKey identifies one (sweep, server, domain, qtype) probe — the unit of
-// skip-on-resume.
-type probeKey struct {
-	sweep  sweepKind
-	server netip.Addr
-	domain dns.Name
-	qtype  dns.Type
+// wireLoc locates one answered record's response bytes: segment buffer seg,
+// byte offset off. off is never zero for a real record (a frame header and a
+// key precede it), so the zero value means "not answered"; the length is the
+// u32 the writer put right before the bytes.
+type wireLoc struct{ seg, off uint32 }
+
+// maxSegmentBytes is the largest segment wireLoc can address.
+const maxSegmentBytes = 1<<32 - 1
+
+// replayIndex is the journal's replay state, dense over the plan: every
+// probe the config can issue has an integer id — server units in PlanUnits
+// order (open resolvers, then nameservers), then target position (the canary
+// sits after the last target), then query-type position — so "what does the
+// journal hold for this probe" is two array reads, with no hashing and
+// nothing for the collector to scan. A resolver unit spans targets×qtypes
+// ids (its correct-record probes); a nameserver unit spans
+// (targets+1)×qtypes (its UR probes, then its protective canary probes).
+//
+// OpenJournal fills it in one sequential pass over the segments and it is
+// read-only from then on: sweep workers share it without locks.
+type replayIndex struct {
+	targets     map[dns.Name]int32   // target → position in Config.Targets
+	nTargets    int                  // len(Config.Targets)
+	canary      dns.Name             // the protective probe's only valid name
+	qtypes      []dns.Type           // Config.queryTypes()
+	resolvers   map[netip.Addr]int32 // open resolver → position
+	nameservers map[netip.Addr]int32 // nameserver → position
+	nsBase      int                  // first nameserver id
+
+	loc  []wireLoc // per probe id: where the first answered record's bytes are
+	fail []uint8   // per probe id: 0, or 1 + the last failure record's class
+	segs [][]byte  // whole segment files, indexed by wireLoc.seg
 }
 
-// replayState is the decoded journal: every answered probe with its packed
-// response, and every probe that was on the failure book when the run died.
-// A key present in both recovered via the re-queue pass (or failed first and
-// answered on resume); answered wins.
-type replayState struct {
-	answered map[probeKey][]byte
-	failed   map[probeKey]dnsio.FailClass
-	segments int
-	torn     int
+func newReplayIndex(cfg *Config) *replayIndex {
+	ri := &replayIndex{
+		targets:     make(map[dns.Name]int32, len(cfg.Targets)),
+		nTargets:    len(cfg.Targets),
+		canary:      cfg.CanaryName(),
+		qtypes:      cfg.queryTypes(),
+		resolvers:   make(map[netip.Addr]int32, len(cfg.OpenResolvers)),
+		nameservers: make(map[netip.Addr]int32, len(cfg.Nameservers)),
+	}
+	// Records carry names and addresses, not positions, so a listing that
+	// repeats keeps its first position: a repeated target's later positions
+	// read as never probed and are queried live; a repeated server's jobs all
+	// look the address up and share the first listing's unit.
+	for i, t := range cfg.Targets {
+		if _, dup := ri.targets[t]; !dup {
+			ri.targets[t] = int32(i)
+		}
+	}
+	for i, r := range cfg.OpenResolvers {
+		if _, dup := ri.resolvers[r]; !dup {
+			ri.resolvers[r] = int32(i)
+		}
+	}
+	for i, ns := range cfg.Nameservers {
+		if _, dup := ri.nameservers[ns.Addr]; !dup {
+			ri.nameservers[ns.Addr] = int32(i)
+		}
+	}
+	ri.nsBase = len(cfg.OpenResolvers) * ri.resolverSpan()
+	n := ri.nsBase + len(cfg.Nameservers)*ri.nameserverSpan()
+	ri.loc = make([]wireLoc, n)
+	ri.fail = make([]uint8, n)
+	return ri
+}
+
+func (ri *replayIndex) resolverSpan() int   { return ri.nTargets * len(ri.qtypes) }
+func (ri *replayIndex) nameserverSpan() int { return (ri.nTargets + 1) * len(ri.qtypes) }
+
+// unitBase returns the first probe id of one server's unit, or -1 when the
+// address is not a server of that sweep kind in the plan.
+func (ri *replayIndex) unitBase(kind sweepKind, server netip.Addr) int {
+	if kind == sweepCorrect {
+		if u, ok := ri.resolvers[server]; ok {
+			return int(u) * ri.resolverSpan()
+		}
+		return -1
+	}
+	if u, ok := ri.nameservers[server]; ok {
+		return ri.nsBase + int(u)*ri.nameserverSpan()
+	}
+	return -1
+}
+
+// probeID is the id of (target position, query-type position) inside a unit;
+// the canary's target position is len(Config.Targets).
+func (ri *replayIndex) probeID(base, target, qtype int) int {
+	return base + target*len(ri.qtypes) + qtype
+}
+
+// wire returns the journaled response of an answered probe, nil otherwise.
+func (ri *replayIndex) wire(id int) []byte {
+	l := ri.loc[id]
+	if l.off == 0 {
+		return nil
+	}
+	buf := ri.segs[l.seg]
+	n := binary.LittleEndian.Uint32(buf[l.off-4:])
+	return buf[l.off : l.off+n : l.off+n]
+}
+
+// failed reports whether the journal holds a failure record for the probe,
+// and the last one's class.
+func (ri *replayIndex) failed(id int) (dnsio.FailClass, bool) {
+	f := ri.fail[id]
+	return dnsio.FailClass(f - 1), f != 0
+}
+
+// ReplayStats says where a resume went: what OpenJournal read and what it
+// made of it.
+type ReplayStats struct {
+	Segments   int           // segment files found
+	Frames     int           // CRC-clean frames decoded
+	Bytes      int64         // segment bytes read
+	Records    int           // answered and failure records decoded
+	Duplicates int           // answered records dropped by the first-wins rule
+	OutOfPlan  int           // records whose probe is not in this plan, ignored
+	Torn       int           // segments cut short at a torn or corrupt frame
+	Open       time.Duration // wall-clock of the read-and-index pass
+}
+
+func (s ReplayStats) String() string {
+	return fmt.Sprintf("%d segments, %d frames, %.1f MB, %d records (%d duplicate, %d out of plan), %d torn, indexed in %s",
+		s.Segments, s.Frames, float64(s.Bytes)/(1<<20), s.Records, s.Duplicates, s.OutOfPlan, s.Torn, s.Open.Round(time.Millisecond))
 }
 
 // JournalOptions tunes a journal.
@@ -154,7 +267,16 @@ type Journal struct {
 	nextSeg int
 	idle    []*segmentWriter // released writers parked for the next sweep
 
-	rs *replayState // nil on a fresh journal
+	// Replay state, set by OpenJournal over a directory that already held a
+	// journal. The counters are final when OpenJournal returns; the index
+	// itself (and the segment bytes it points into) lives only until every
+	// sweep kind has replayed, or Close — see replayDone.
+	resumed          bool
+	stats            ReplayStats
+	replayedAnswered int
+	replayedFailures int
+	replay           *replayIndex // guarded by mu
+	kindsDone        uint8        // bit per finished sweepKind, guarded by mu
 
 	appended atomic.Int64
 
@@ -277,10 +399,10 @@ type journalIdentity struct {
 // whole sweep plan. If the directory already holds a journal, its manifest
 // must match the config's plan hash — resuming someone else's sweep would
 // silently skip the wrong probes — and every readable segment record is
-// replayed into memory; torn tails are detected and discarded.
+// indexed against cfg's plan; torn tails are detected and discarded.
 func OpenJournal(dir string, cfg *Config, opts JournalOptions) (*Journal, error) {
 	full := cfg.PlanHash()
-	return openJournal(dir, journalIdentity{
+	return openJournal(dir, cfg, journalIdentity{
 		plan: full, full: full, seed: cfg.Seed,
 		transport: normTransport(cfg.TransportKind),
 	}, opts)
@@ -301,7 +423,7 @@ func OpenShardJournal(dir string, cfg *Config, fullPlan uint64, sd ShardDesc, op
 		return nil, fmt.Errorf("journal: shard config has %d units, %s spans %d", got, sd, sd.Hi-sd.Lo)
 	}
 	desc := sd
-	return openJournal(dir, journalIdentity{
+	return openJournal(dir, cfg, journalIdentity{
 		plan:      ShardPlanHash(fullPlan, sd),
 		full:      fullPlan,
 		shard:     &desc,
@@ -311,8 +433,9 @@ func OpenShardJournal(dir string, cfg *Config, fullPlan uint64, sd ShardDesc, op
 }
 
 // openJournal is the shared open path: create-or-validate the manifest
-// against the caller's identity, then replay any existing segments.
-func openJournal(dir string, id journalIdentity, opts JournalOptions) (*Journal, error) {
+// against the caller's identity, then index any existing segments against
+// cfg's plan (for a shard journal, the shard's sliced config).
+func openJournal(dir string, cfg *Config, id journalIdentity, opts JournalOptions) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create dir: %w", err)
 	}
@@ -328,7 +451,7 @@ func openJournal(dir string, id journalIdentity, opts JournalOptions) (*Journal,
 		if err := matchManifest(dir, m, id); err != nil {
 			return nil, err
 		}
-		if err := j.replayDir(); err != nil {
+		if err := j.replayDir(cfg); err != nil {
 			return nil, err
 		}
 	case os.IsNotExist(err):
@@ -427,12 +550,12 @@ func writeManifest(path string, id journalIdentity) error {
 	return nil
 }
 
-// replayDir decodes every segment in index order into the replay state and
-// positions the segment counter after the highest existing index.
-func (j *Journal) replayDir() error {
-	entries, err := os.ReadDir(j.dir)
+// segmentNames lists a journal directory's segment files in replay order
+// (sorted by name) and the highest segment number among them, -1 if none.
+func segmentNames(dir string) ([]string, int, error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("journal: scan dir: %w", err)
+		return nil, -1, err
 	}
 	var segs []string
 	maxIdx := -1
@@ -442,62 +565,101 @@ func (j *Journal) replayDir() error {
 			continue
 		}
 		segs = append(segs, name)
-		var idx int
-		if _, err := fmt.Sscanf(name, segmentPrefix+"%05d"+segmentSuffix, &idx); err == nil && idx > maxIdx {
+		num := name[len(segmentPrefix) : len(name)-len(segmentSuffix)]
+		if idx, err := strconv.Atoi(num); err == nil && idx > maxIdx {
 			maxIdx = idx
 		}
 	}
 	sort.Strings(segs)
-	j.nextSeg = maxIdx + 1
-	rs := &replayState{
-		answered: make(map[probeKey][]byte),
-		failed:   make(map[probeKey]dnsio.FailClass),
+	return segs, maxIdx, nil
+}
+
+// replayDir reads every segment in name order into the replay index and
+// positions the segment counter after the highest existing number.
+func (j *Journal) replayDir(cfg *Config) error {
+	t0 := time.Now()
+	segs, maxIdx, err := segmentNames(j.dir)
+	if err != nil {
+		return fmt.Errorf("journal: scan dir: %w", err)
 	}
+	j.nextSeg = maxIdx + 1
+	j.resumed = true
+	ri := newReplayIndex(cfg)
+	ix := indexer{ri: ri, st: &j.stats}
 	for _, name := range segs {
-		if err := readSegment(filepath.Join(j.dir, name), rs); err != nil {
+		data, ok, err := readSegment(filepath.Join(j.dir, name))
+		if err != nil {
 			return err
 		}
-		rs.segments++
+		j.stats.Segments++
+		j.stats.Bytes += int64(len(data))
+		ri.segs = append(ri.segs, data)
+		if !ok || !ix.segment(uint32(len(ri.segs)-1), data) {
+			j.stats.Torn++
+		}
 	}
-	j.rs = rs
+	j.replayedAnswered, j.replayedFailures = ix.answered, ix.failedOnly
+	if ix.answered+ix.failedOnly > 0 {
+		j.replay = ri
+	}
+	j.stats.Open = time.Since(t0)
 	return nil
 }
 
+// replayFor hands a sweep the replay index, nil when there is nothing (left)
+// to replay. The index is positional, so a collector whose plan has a
+// different shape than the one the journal was opened with is refused.
+func (j *Journal) replayFor(cfg *Config) (*replayIndex, error) {
+	if j == nil {
+		return nil, nil
+	}
+	j.mu.Lock()
+	ri := j.replay
+	j.mu.Unlock()
+	if ri == nil {
+		return nil, nil
+	}
+	if len(cfg.Targets) != ri.nTargets || len(cfg.queryTypes()) != len(ri.qtypes) || cfg.CanaryName() != ri.canary {
+		return nil, errors.New("journal: opened for a different plan than the sweep's config")
+	}
+	return ri, nil
+}
+
+// replayDone records that one sweep kind has replayed what it needed. Once
+// all three have, nothing will read the index again and it is released —
+// a daemon that keeps its Journal must not keep the last sweep's bytes.
+func (j *Journal) replayDone(kinds ...sweepKind) {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	for _, k := range kinds {
+		j.kindsDone |= 1 << k
+	}
+	if j.kindsDone == 1<<sweepURs|1<<sweepCorrect|1<<sweepProtective {
+		j.replay = nil
+	}
+	j.mu.Unlock()
+}
+
 // Resumed reports whether the journal carried prior state when opened.
-func (j *Journal) Resumed() bool { return j.rs != nil }
+func (j *Journal) Resumed() bool { return j.resumed }
 
 // ReplayedAnswered returns how many distinct answered probes were restored
 // from the journal.
-func (j *Journal) ReplayedAnswered() int {
-	if j.rs == nil {
-		return 0
-	}
-	return len(j.rs.answered)
-}
+func (j *Journal) ReplayedAnswered() int { return j.replayedAnswered }
 
 // ReplayedFailures returns how many distinct probes were restored onto the
 // failure book (answered probes with an older failure record not counted).
-func (j *Journal) ReplayedFailures() int {
-	if j.rs == nil {
-		return 0
-	}
-	n := 0
-	for k := range j.rs.failed {
-		if _, ok := j.rs.answered[k]; !ok {
-			n++
-		}
-	}
-	return n
-}
+func (j *Journal) ReplayedFailures() int { return j.replayedFailures }
 
 // TornSegments returns how many segments ended in a torn or corrupt tail
 // that replay discarded.
-func (j *Journal) TornSegments() int {
-	if j.rs == nil {
-		return 0
-	}
-	return j.rs.torn
-}
+func (j *Journal) TornSegments() int { return j.stats.Torn }
+
+// ReplayStats returns what OpenJournal read from the directory; zero on a
+// fresh journal.
+func (j *Journal) ReplayStats() ReplayStats { return j.stats }
 
 // Appended returns how many data records this process has appended.
 func (j *Journal) Appended() int64 { return j.appended.Load() }
@@ -509,6 +671,7 @@ func (j *Journal) Close() error {
 	j.mu.Lock()
 	idle := j.idle
 	j.idle = nil
+	j.replay = nil
 	j.mu.Unlock()
 	var firstErr error
 	for _, s := range idle {
@@ -696,128 +859,198 @@ func (s *segmentWriter) failure(kind sweepKind, server netip.Addr, domain dns.Na
 	return s.appendData()
 }
 
-// errTornTail marks the first undecodable frame of a segment; replay treats
-// everything from there on as a torn write and discards it.
-var errTornTail = errors.New("journal: torn segment tail")
-
-// readSegment folds one segment's records into the replay state. Corruption
-// — a short frame, a CRC mismatch, a record that fails to decode, or a
-// checkpoint marker whose count disagrees — truncates the replay at that
-// point: the tail is counted torn and ignored, never trusted.
-func readSegment(path string, rs *replayState) error {
+// readSegment reads one whole segment file into a buffer of exactly its
+// size. ok is false for a segment too large to index, or whose size changes
+// under the reader (someone is still appending, or truncated it): nothing in
+// it is trusted, the caller counts it torn and its probes re-query.
+func readSegment(path string) (data []byte, ok bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("journal: open segment: %w", err)
+		return nil, false, fmt.Errorf("journal: open segment: %w", err)
 	}
 	defer f.Close()
-	data, err := io.ReadAll(f)
+	info, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("journal: read segment: %w", err)
+		return nil, false, fmt.Errorf("journal: stat segment: %w", err)
 	}
-	var count uint64
-	off := 0
-	torn := func() {
-		rs.torn++
+	if info.Size() > maxSegmentBytes {
+		return nil, false, nil
 	}
-	for off < len(data) {
-		if len(data)-off < frameHeader {
-			torn()
-			return nil
-		}
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > maxJournalFrame || len(data)-off-frameHeader < int(length) {
-			torn()
-			return nil
-		}
-		payload := data[off+frameHeader : off+frameHeader+int(length)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			torn()
-			return nil
-		}
-		off += frameHeader + int(length)
-		if err := decodeFrame(payload, rs, &count); err != nil {
-			torn()
-			return nil
-		}
+	data = make([]byte, info.Size())
+	if _, err := io.ReadFull(f, data); err == io.ErrUnexpectedEOF || err == io.EOF {
+		return nil, false, nil
+	} else if err != nil {
+		return nil, false, fmt.Errorf("journal: read segment: %w", err)
 	}
-	return nil
+	var one [1]byte
+	if n, _ := f.Read(one[:]); n > 0 {
+		return nil, false, nil
+	}
+	return data, true, nil
 }
 
-// decodeFrame folds one CRC-verified frame's records into the replay state.
-// A frame carries a whole checkpoint interval: data records back to back,
-// then the checkpoint marker whose cumulative count must agree with the
-// records decoded so far — a cheap structural check on top of the CRC.
-func decodeFrame(p []byte, rs *replayState, count *uint64) error {
-	for len(p) > 0 {
-		switch p[0] {
-		case recCheckpoint:
-			if len(p) < 9 {
-				return errTornTail
+// indexer is the state of OpenJournal's one pass over the segments.
+type indexer struct {
+	ri *replayIndex
+	st *ReplayStats
+
+	answered   int // distinct answered probes
+	failedOnly int // distinct probes with a failure record and no answer
+
+	// One server's records sit together in a segment (a worker owns a
+	// server for a whole job), so the address→unit lookup is cached on the
+	// previous record's kind and address bytes.
+	lastKind sweepKind
+	lastAddr []byte
+	lastBase int
+}
+
+// segment folds one segment's records into the index and reports whether the
+// segment was clean. Corruption — a short frame, a CRC mismatch, a record
+// that fails to decode, or a checkpoint marker whose count disagrees —
+// truncates the replay at that point: the tail is ignored, never trusted.
+func (ix *indexer) segment(seg uint32, data []byte) bool {
+	var count uint64
+	for off := 0; off < len(data); {
+		if len(data)-off < frameHeader {
+			return false
+		}
+		length := int(binary.LittleEndian.Uint32(data[off:]))
+		sum := binary.LittleEndian.Uint32(data[off+4:])
+		off += frameHeader
+		if length > maxJournalFrame || len(data)-off < length {
+			return false
+		}
+		if crc32.Checksum(data[off:off+length], crcTable) != sum {
+			return false
+		}
+		if !ix.frame(seg, data, off, off+length, &count) {
+			return false
+		}
+		ix.st.Frames++
+		off += length
+	}
+	return true
+}
+
+// frame folds one CRC-verified frame, data[off:end], into the index. A frame
+// carries a whole checkpoint interval: data records back to back, then the
+// checkpoint marker whose cumulative count must agree with the records
+// decoded so far — a cheap structural check on top of the CRC.
+//
+// Replay rules: the first answered record of a probe, in segment order, wins;
+// a failure record never displaces an answer, whichever came first; a record
+// whose probe is not in the plan (foreign server, unknown name, query type or
+// sweep kind — a hostile or mis-merged directory) is counted and ignored.
+func (ix *indexer) frame(seg uint32, data []byte, off, end int, count *uint64) bool {
+	ri := ix.ri
+	for off < end {
+		rec := data[off]
+		if rec == recCheckpoint {
+			if end-off < 9 || binary.LittleEndian.Uint64(data[off+1:]) != *count {
+				return false
 			}
-			if binary.LittleEndian.Uint64(p[1:9]) != *count {
-				return errTornTail
+			off += 9
+			continue
+		}
+		if rec != recAnswered && rec != recFailure || end-off < 3 {
+			return false
+		}
+		kind, alen := sweepKind(data[off+1]), int(data[off+2])
+		off += 3
+		if alen != 4 && alen != 16 || end-off < alen+2 {
+			return false
+		}
+		addr := data[off : off+alen]
+		off += alen
+		dlen := int(binary.LittleEndian.Uint16(data[off:]))
+		off += 2
+		if end-off < dlen+2 {
+			return false
+		}
+		name := data[off : off+dlen]
+		qt := dns.Type(binary.LittleEndian.Uint16(data[off+dlen:]))
+		off += dlen + 2
+		var class uint8
+		var wireOff, wireLen int
+		if rec == recFailure {
+			if end-off < 1 {
+				return false
 			}
-			p = p[9:]
-		case recAnswered, recFailure:
-			rec := p[0]
-			p = p[1:]
-			if len(p) < 2 {
-				return errTornTail
+			class = data[off]
+			off++
+		} else {
+			if end-off < 4 {
+				return false
 			}
-			kind := sweepKind(p[0])
-			alen := int(p[1])
-			p = p[2:]
-			if alen != 4 && alen != 16 || len(p) < alen {
-				return errTornTail
+			wireLen = int(binary.LittleEndian.Uint32(data[off:]))
+			wireOff = off + 4
+			if end-wireOff < wireLen {
+				return false
 			}
-			addr, ok := netip.AddrFromSlice(p[:alen])
-			if !ok {
-				return errTornTail
+			off = wireOff + wireLen
+		}
+		*count++
+		ix.st.Records++
+
+		id := ix.probeID(kind, addr, name, qt)
+		switch {
+		case id < 0:
+			ix.st.OutOfPlan++
+		case rec == recFailure:
+			if ri.fail[id] == 0 && ri.loc[id].off == 0 {
+				ix.failedOnly++
 			}
-			p = p[alen:]
-			if len(p) < 2 {
-				return errTornTail
-			}
-			dlen := int(binary.LittleEndian.Uint16(p[0:2]))
-			p = p[2:]
-			if len(p) < dlen+2 {
-				return errTornTail
-			}
-			domain := dns.Name(p[:dlen])
-			p = p[dlen:]
-			qt := dns.Type(binary.LittleEndian.Uint16(p[0:2]))
-			p = p[2:]
-			key := probeKey{sweep: kind, server: addr, domain: domain, qtype: qt}
-			if rec == recFailure {
-				if len(p) < 1 {
-					return errTornTail
-				}
-				rs.failed[key] = dnsio.FailClass(p[0])
-				p = p[1:]
-				*count++
-				continue
-			}
-			if len(p) < 4 {
-				return errTornTail
-			}
-			rlen := int(binary.LittleEndian.Uint32(p[0:4]))
-			p = p[4:]
-			if rlen < 0 || len(p) < rlen {
-				return errTornTail
-			}
-			if _, have := rs.answered[key]; !have {
-				resp := make([]byte, rlen)
-				copy(resp, p[:rlen])
-				rs.answered[key] = resp
-			}
-			p = p[rlen:]
-			*count++
+			// Classes past the last named one all read "other"; folding them
+			// keeps class+1 inside the byte.
+			ri.fail[id] = 1 + min(class, uint8(dnsio.FailOther))
+		case ri.loc[id].off != 0:
+			ix.st.Duplicates++
 		default:
-			return errTornTail
+			ri.loc[id] = wireLoc{seg: seg, off: uint32(wireOff)}
+			ix.answered++
+			if ri.fail[id] != 0 {
+				ix.failedOnly--
+			}
 		}
 	}
-	return nil
+	return true
+}
+
+// probeID maps a record's key, as raw segment bytes, onto its plan id, or -1
+// when the plan has no such probe. Nothing here allocates: the name lookup
+// is a map read keyed by a converted byte slice.
+func (ix *indexer) probeID(kind sweepKind, addr, name []byte, qt dns.Type) int {
+	ri := ix.ri
+	if kind > sweepProtective {
+		return -1
+	}
+	unitKind := kind
+	if kind == sweepProtective {
+		unitKind = sweepURs // both live in the nameserver units
+	}
+	if unitKind != ix.lastKind || !bytes.Equal(addr, ix.lastAddr) {
+		a, _ := netip.AddrFromSlice(addr)
+		ix.lastKind, ix.lastAddr, ix.lastBase = unitKind, addr, ri.unitBase(unitKind, a)
+	}
+	if ix.lastBase < 0 {
+		return -1
+	}
+	q := slices.Index(ri.qtypes, qt)
+	if q < 0 {
+		return -1
+	}
+	if kind == sweepProtective {
+		if dns.Name(name) != ri.canary {
+			return -1
+		}
+		return ri.probeID(ix.lastBase, ri.nTargets, q)
+	}
+	t, ok := ri.targets[dns.Name(name)]
+	if !ok {
+		return -1
+	}
+	return ri.probeID(ix.lastBase, int(t), q)
 }
 
 // MergeStats summarises a shard-journal merge.
@@ -922,18 +1155,10 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 	// deterministic response bytes.
 	next := 0
 	for _, src := range srcDirs {
-		entries, err := os.ReadDir(src)
+		segs, _, err := segmentNames(src)
 		if err != nil {
 			return st, fmt.Errorf("journal: merge: scan %s: %w", src, err)
 		}
-		var segs []string
-		for _, e := range entries {
-			name := e.Name()
-			if strings.HasPrefix(name, segmentPrefix) && strings.HasSuffix(name, segmentSuffix) {
-				segs = append(segs, name)
-			}
-		}
-		sort.Strings(segs)
 		for _, name := range segs {
 			data, err := os.ReadFile(filepath.Join(src, name))
 			if err != nil {

@@ -14,7 +14,7 @@ import (
 func journalTestConfig(seed int64) *Config {
 	return &Config{
 		Seed:    seed,
-		Targets: []dns.Name{"a.example", "b.example"},
+		Targets: []dns.Name{"a.example", "b.example", "c.example", "d.example", "e.example"},
 		Nameservers: []NameserverInfo{
 			{Addr: netip.MustParseAddr("10.9.0.1"), Host: "ns1.test", Provider: "P0"},
 		},
@@ -60,8 +60,8 @@ func TestJournalRoundtrip(t *testing.T) {
 	if err := seg.failure(sweepURs, server, "b.example", dns.TypeTXT, dnsio.FailTimeout); err != nil {
 		t.Fatal(err)
 	}
-	if err := seg.answered(sweepProtective, server, "canary.test", dns.TypeA,
-		testResponse("canary.test", dns.TypeA, "203.0.113.9")); err != nil {
+	if err := seg.answered(sweepProtective, server, cfg.CanaryName(), dns.TypeA,
+		testResponse(cfg.CanaryName(), dns.TypeA, "203.0.113.9")); err != nil {
 		t.Fatal(err)
 	}
 	if err := seg.Close(); err != nil {
@@ -90,9 +90,8 @@ func TestJournalRoundtrip(t *testing.T) {
 	if got := j2.TornSegments(); got != 0 {
 		t.Errorf("TornSegments = %d, want 0", got)
 	}
-	key := probeKey{sweep: sweepURs, server: server, domain: "a.example", qtype: dns.TypeA}
-	raw, ok := j2.rs.answered[key]
-	if !ok {
+	raw, _, _ := j2.replay.lookup(sweepURs, server, "a.example", dns.TypeA)
+	if raw == nil {
 		t.Fatal("answered record missing after replay")
 	}
 	dec, err := dns.Unpack(raw)
@@ -102,8 +101,7 @@ func TestJournalRoundtrip(t *testing.T) {
 	if len(dec.Answers) != 1 || dec.Answers[0].Data.String() != "203.0.113.1" {
 		t.Errorf("replayed response corrupted: %+v", dec.Answers)
 	}
-	fkey := probeKey{sweep: sweepURs, server: server, domain: "b.example", qtype: dns.TypeTXT}
-	if class, ok := j2.rs.failed[fkey]; !ok || class != dnsio.FailTimeout {
+	if _, class, ok := j2.replay.lookup(sweepURs, server, "b.example", dns.TypeTXT); !ok || class != dnsio.FailTimeout {
 		t.Errorf("failure record = (%v, %v), want (timeout, true)", class, ok)
 	}
 	// New segments must number past the replayed ones.
@@ -261,12 +259,28 @@ func TestJournalAnsweredFirstWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := probeKey{sweep: sweepURs, server: server, domain: "a.example", qtype: dns.TypeA}
-	resp, err := dns.Unpack(j2.rs.answered[key])
+	raw, _, _ := j2.replay.lookup(sweepURs, server, "a.example", dns.TypeA)
+	resp, err := dns.Unpack(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := resp.Answers[0].Data.String(); got != "203.0.113.1" {
 		t.Errorf("duplicate key resolved to %q, want the first segment's record", got)
 	}
+}
+
+// lookup reads the index by probe key, the way the segment records name a
+// probe: wire is the winning answer (nil if none), class/failed the last
+// failure record. A key outside the plan has neither.
+func (ri *replayIndex) lookup(kind sweepKind, server netip.Addr, name dns.Name, qt dns.Type) (wire []byte, class dnsio.FailClass, failed bool) {
+	if ri == nil {
+		return nil, 0, false
+	}
+	ix := indexer{ri: ri}
+	id := ix.probeID(kind, server.AsSlice(), []byte(name), qt)
+	if id < 0 {
+		return nil, 0, false
+	}
+	class, failed = ri.failed(id)
+	return ri.wire(id), class, failed
 }

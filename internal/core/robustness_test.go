@@ -175,7 +175,7 @@ func TestEthicsAccounting(t *testing.T) {
 	// they may coincide, so only check the multiset is preserved.
 	seen := map[dns.Name]bool{}
 	for _, d := range o2 {
-		seen[d] = true
+		seen[fx.cfg.Targets[d]] = true
 	}
 	if len(seen) != len(fx.cfg.Targets) {
 		t.Error("shuffle lost targets")

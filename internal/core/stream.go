@@ -18,12 +18,8 @@ package core
 import (
 	"context"
 	"errors"
-	"net/netip"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dns"
-	"repro/internal/dnsio"
 )
 
 // streamBacklog bounds the UR batch channel between the fused sweep and the
@@ -63,80 +59,28 @@ func pickErr(errs ...error) error {
 // (sweepProtective / sweepURs), so coverage accounting, the failure book,
 // and journal resume are indistinguishable from the serial sweeps'.
 func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, emit func([]*UR)) error {
-	canary := c.cfg.CanaryName()
-	c.replaySweep(sweepProtective, func(ns NameserverInfo, _ dns.Name, qt dns.Type, resp *dns.Message) {
-		addProtectiveAnswers(db, ns.Addr, qt, resp)
-	})
-	var replayed []*UR
-	c.replaySweep(sweepURs, func(ns NameserverInfo, domain dns.Name, qt dns.Type, resp *dns.Message) {
-		replayed = c.ursFromResponse(ns, domain, qt, resp, replayed)
-	})
-	emit(replayed)
-
 	c.wd.start()
 	defer c.wd.stop()
 
-	jobs := make(chan NameserverInfo)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var stop atomic.Bool
-
+	// The fused pool gets the watchdog slot range [workers, 2*workers),
+	// leaving [0, workers) to the concurrently running correct sweep.
 	workers := c.cfg.parallelism()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// The fused pool gets the watchdog slot range [workers, 2*workers),
-		// leaving [0, workers) to the concurrently running correct sweep.
-		go func(slot *stallSlot) {
-			defer wg.Done()
-			seg, localErr := c.newSegment()
-			if seg != nil {
-				defer c.releaseSegment(seg)
-			}
-			if localErr != nil {
-				stop.Store(true)
-			}
-			for ns := range jobs {
-				if localErr != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				if skip := c.cfg.SkipServer; skip != nil && skip(ns.Addr) {
-					continue
-				}
-				urs, err := c.collectNSFused(ctx, ns, canary, db, seg, slot)
-				if err != nil {
-					localErr = err
-					stop.Store(true)
-					continue
-				}
-				if done := c.cfg.ServerDone; done != nil {
-					done(ns.Addr)
-				}
-				emit(urs)
-			}
-			if localErr != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = localErr
-				}
-				mu.Unlock()
-			}
-		}(c.wd.slot(workers + w))
-	}
-	feed(ctx, jobs, &stop, c.cfg.Nameservers)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return firstErr
+	err := c.sweepPool(ctx, workers, []sweepKind{sweepProtective, sweepURs}, c.cfg.Nameservers, func(w *sweepWorker, ns NameserverInfo) error {
+		urs, err := c.collectNSFused(ctx, w, ns, db)
+		if err == nil {
+			emit(urs)
+		}
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	// End-of-sweep re-queue of the failed UR probes (canary probes had their
 	// in-job retry). Every NS job is done, so these retries are the only
 	// remaining traffic to the nameserver endpoints and their per-endpoint
 	// order — canonical, single goroutine — is deterministic.
 	var recovered []*UR
-	err := c.requeueOn(ctx, sweepURs, c.wd.slot(2*workers+1), func(f probeFailure, resp *dns.Message) {
+	err = c.requeueOn(ctx, sweepURs, c.wd.slot(2*workers+1), func(f probeFailure, resp *dns.Message) {
 		recovered = c.ursFromResponse(f.ns, f.domain, f.qtype, resp, recovered)
 	})
 	if err != nil {
@@ -149,86 +93,28 @@ func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, em
 // collectNSFused runs one nameserver's fused job. The exchange order to this
 // endpoint — canary, targets, canary retry — is a pure function of the
 // configuration, which is what keeps chaos runs reproducible (see the
-// package comment above).
-func (c *Collector) collectNSFused(ctx context.Context, ns NameserverInfo, canary dns.Name, db *ProtectiveDB, seg *segmentWriter, slot *stallSlot) ([]*UR, error) {
-	server := netip.AddrPortFrom(ns.Addr, dnsio.DNSPort)
-	var issued, attempted, answered, recovered int64
-	var fails []probeFailure       // UR failures, for the end-of-sweep re-queue
+// package comment above). On a resumed run the journaled probes of the job
+// are folded in the same order and simply never reach the endpoint.
+func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, ns NameserverInfo, db *ProtectiveDB) ([]*UR, error) {
+	j := c.startJob(w, sweepURs, ns)
 	var canaryFails []probeFailure // protective failures, retried in-job
 	defer func() {
-		c.addQueries(ns.Addr, issued)
-		c.bookSweep(ns.Addr, attempted, answered, recovered, append(fails, canaryFails...))
+		j.fails = append(j.fails, canaryFails...)
+		j.book()
 	}()
 
 	// Phase 1: protective canary probes — the endpoint's first exchanges,
 	// exactly as the serial CollectProtective sweep issues them.
-	for _, qt := range c.cfg.queryTypes() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if c.replayed(sweepProtective, ns.Addr, canary, qt) {
-			continue
-		}
-		issued++
-		attempted++
-		resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, canary, qt)
-		if err != nil {
-			canaryFails = append(canaryFails, probeFailure{
-				ns: ns, domain: canary, qtype: qt,
-				class: class, sweep: sweepProtective,
-			})
-			if seg != nil {
-				if jerr := seg.failure(sweepProtective, ns.Addr, canary, qt, class); jerr != nil {
-					return nil, jerr
-				}
-			}
-			continue
-		}
-		answered++
-		if seg != nil {
-			if jerr := seg.answered(sweepProtective, ns.Addr, canary, qt, wire); jerr != nil {
-				return nil, jerr
-			}
-		}
-		addProtectiveAnswers(db, ns.Addr, qt, resp)
+	err := c.sweepCanary(ctx, &j, db)
+	canaryFails, j.fails = j.fails, nil
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 2: the UR sweep over this server's shuffled targets.
-	var out []*UR
-	for _, target := range c.shuffledTargets(ns.Addr) {
-		if c.isExactlyDelegated(target, ns) {
-			continue
-		}
-		for _, qt := range c.cfg.queryTypes() {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			if c.replayed(sweepURs, ns.Addr, target, qt) {
-				continue
-			}
-			issued++
-			attempted++
-			resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, target, qt)
-			if err != nil {
-				fails = append(fails, probeFailure{
-					ns: ns, domain: target, qtype: qt,
-					class: class, sweep: sweepURs,
-				})
-				if seg != nil {
-					if jerr := seg.failure(sweepURs, ns.Addr, target, qt, class); jerr != nil {
-						return out, jerr
-					}
-				}
-				continue
-			}
-			answered++
-			if seg != nil {
-				if jerr := seg.answered(sweepURs, ns.Addr, target, qt, wire); jerr != nil {
-					return out, jerr
-				}
-			}
-			out = c.ursFromResponse(ns, target, qt, resp, out)
-		}
+	out, err := c.sweepTargets(ctx, &j, nil)
+	if err != nil {
+		return out, err
 	}
 
 	// Phase 3: one in-job retry of this job's failed canary probes. The UR
@@ -238,37 +124,35 @@ func (c *Collector) collectNSFused(ctx context.Context, ns NameserverInfo, canar
 	// goroutine interleave on this endpoint. A server's protective set is
 	// therefore final when its job ends, which is what lets the caller emit
 	// the job's URs for immediate classification.
-	if len(canaryFails) > 0 {
-		var remaining []probeFailure
-		for i, f := range canaryFails {
-			if err := ctx.Err(); err != nil {
-				canaryFails = append(remaining, canaryFails[i:]...)
-				return out, err
-			}
-			issued++
-			resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, f.domain, f.qtype)
-			if err != nil {
-				f.class = class
-				remaining = append(remaining, f)
-				if seg != nil {
-					if jerr := seg.failure(sweepProtective, ns.Addr, f.domain, f.qtype, class); jerr != nil {
-						canaryFails = append(remaining, canaryFails[i+1:]...)
-						return out, jerr
-					}
-				}
-				continue
-			}
-			answered++
-			recovered++
-			if seg != nil {
-				if jerr := seg.answered(sweepProtective, ns.Addr, f.domain, f.qtype, wire); jerr != nil {
+	remaining := canaryFails[:0]
+	for i, f := range canaryFails {
+		if err := ctx.Err(); err != nil {
+			canaryFails = append(remaining, canaryFails[i:]...)
+			return out, err
+		}
+		j.issued++
+		resp, wire, class, err := c.probeQuery(ctx, w.slot, w.seg, j.server, f.domain, f.qtype)
+		if err != nil {
+			f.class = class
+			remaining = append(remaining, f)
+			if w.seg != nil {
+				if jerr := w.seg.failure(sweepProtective, ns.Addr, f.domain, f.qtype, class); jerr != nil {
 					canaryFails = append(remaining, canaryFails[i+1:]...)
 					return out, jerr
 				}
 			}
-			addProtectiveAnswers(db, ns.Addr, f.qtype, resp)
+			continue
 		}
-		canaryFails = remaining
+		j.answered++
+		j.recovered++
+		if w.seg != nil {
+			if jerr := w.seg.answered(sweepProtective, ns.Addr, f.domain, f.qtype, wire); jerr != nil {
+				canaryFails = append(remaining, canaryFails[i+1:]...)
+				return out, jerr
+			}
+		}
+		addProtectiveAnswers(db, ns.Addr, f.qtype, resp)
 	}
+	canaryFails = remaining
 	return out, nil
 }

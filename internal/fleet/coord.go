@@ -630,7 +630,7 @@ func (co *Coordinator) Finish(ctx context.Context) (*core.Result, error) {
 	if runErr != nil {
 		return res, runErr
 	}
-	co.logf("fleet: merge ok (%d shard dirs, %d segments, %d bytes; %d answered replayed)",
-		st.Dirs, st.Segments, st.Bytes, j.ReplayedAnswered())
+	co.logf("fleet: merge ok (%d shard dirs, %d segments, %d bytes; %d answered replayed) [%s]",
+		st.Dirs, st.Segments, st.Bytes, j.ReplayedAnswered(), j.ReplayStats())
 	return res, nil
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/netip"
 	"strings"
 	"sync"
@@ -158,6 +159,11 @@ func fleetRun(t *testing.T, seed int64, chaos bool, dir string, co *Coordinator,
 	if err := co.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
+	// The fixture's shards sweep in about a millisecond, so without a gate the
+	// first worker to connect can finish the whole plan before the next one
+	// has dialed (which then finds the listener closed, or no shard left to
+	// die in). Hand out no work until every worker is connected.
+	co.ln = &gatedListener{Listener: co.ln, hold: len(workers)}
 	ctx := context.Background()
 	runErr := make(chan error, 1)
 	go func() { runErr <- co.Run(ctx) }()
@@ -184,6 +190,30 @@ func fleetRun(t *testing.T, seed int64, chaos bool, dir string, co *Coordinator,
 		t.Fatalf("finish: %v", err)
 	}
 	return res, errs
+}
+
+// gatedListener holds back its first Accept until hold connections have
+// arrived, then hands them out in arrival order.
+type gatedListener struct {
+	net.Listener
+	hold  int
+	ready []net.Conn
+}
+
+func (g *gatedListener) Accept() (net.Conn, error) {
+	for ; g.hold > 0; g.hold-- {
+		c, err := g.Listener.Accept()
+		if err != nil {
+			return nil, err
+		}
+		g.ready = append(g.ready, c)
+	}
+	if len(g.ready) > 0 {
+		c := g.ready[0]
+		g.ready = g.ready[1:]
+		return c, nil
+	}
+	return g.Listener.Accept()
 }
 
 // waitForLog polls the captured log until substr appears.
