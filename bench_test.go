@@ -270,7 +270,7 @@ func BenchmarkServeVerdicts(b *testing.B) {
 		b.Fatal("empty generation")
 	}
 	const apex = dns.Name("feed.test")
-	zr := &urwatch.ZoneResponder{Apex: apex, Store: store, Cache: urwatch.NewResponseCache(0)}
+	zr := &urwatch.ZoneResponder{Apex: apex, Store: store}
 
 	var listedDomain dns.Name
 	var listedIP netip.Addr

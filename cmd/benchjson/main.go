@@ -545,7 +545,7 @@ func main() {
 		store := urwatch.NewStore()
 		store.Publish(urwatch.SnapshotFromResult(res, 1, time.Unix(0, 0)))
 		const apex = dns.Name("feed.test")
-		zr := &urwatch.ZoneResponder{Apex: apex, Store: store, Cache: urwatch.NewResponseCache(0)}
+		zr := &urwatch.ZoneResponder{Apex: apex, Store: store}
 		var listedDomain dns.Name
 		var listedIP netip.Addr
 		for _, u := range res.URs {

@@ -4,6 +4,7 @@
 //
 //   - an HTTP/JSON API (lookup by domain/IP/provider, event tail, coverage
 //     and health) on -http, and
+//
 //   - a DNSBL-style DNS zone on -dns, queryable with stock tools:
 //
 //     dig @127.0.0.1 -p 5354 ibm.com.urwatch.feed.urwatch.test TXT
@@ -11,7 +12,7 @@
 //
 //   - the same zone over RFC 8484 DoH at /dns-query on the -http listener
 //     (POST application/dns-message or GET ?dns=), sharing the UDP/TCP
-//     front-end's cache and metrics; per-transport counters appear on
+//     front-end's rate limiter and metrics; per-transport counters appear on
 //     /metrics as urwatch_dns_queries_total{transport="..."}.
 //
 // Between generations the differ appends ur_appeared / ur_removed /
@@ -115,7 +116,7 @@ func main() {
 	flag.StringVar(&cfg.apexStr, "apex", "feed.urwatch.test", "DNSBL zone apex")
 	flag.Float64Var(&cfg.rate, "rate", 0, "per-client queries/sec (0 = unlimited)")
 	flag.Float64Var(&cfg.burst, "burst", 0, "per-client burst (0 = 2x rate)")
-	flag.IntVar(&cfg.cacheCap, "cache", urwatch.DefaultCacheCap, "response cache entries per front-end")
+	flag.IntVar(&cfg.cacheCap, "cache", urwatch.DefaultCacheCap, "HTTP API lookup-body cache entries (the DNS front-ends render every answer and cache nothing)")
 	flag.StringVar(&cfg.journalDir, "journal", "", "checkpoint sweeps into this directory (incremental sweeps)")
 	flag.StringVar(&cfg.snapshotDir, "snapshot-dir", "", "persist generation snapshots here and cold-start from the newest on restart")
 	flag.IntVar(&cfg.smoke, "smoke", 0, "self-test with N concurrent HTTP and N DNS clients, then exit")
@@ -294,12 +295,11 @@ func run(cfg daemonConfig) error {
 	var zr *urwatch.ZoneResponder
 	if dnsAddr != "" || httpAddr != "" {
 		// One responder backs every DNS-shaped front-end (UDP, TCP, DoH), so
-		// they share the response cache and count into the same metrics.
+		// they share the rate limiter and count into the same metrics.
 		zr = &urwatch.ZoneResponder{
 			Apex:    apex,
 			Store:   watcher.Store(),
 			Limiter: limiter,
-			Cache:   urwatch.NewResponseCache(cfg.cacheCap),
 			XferACL: xferACL,
 			ZoneACL: zoneACL,
 			Metrics: metrics,

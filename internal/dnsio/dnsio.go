@@ -305,41 +305,75 @@ func dispatchQuery(r Responder, src netip.Addr, q *dns.Message, via string) *dns
 	return r.HandleQuery(src, q)
 }
 
+// WireResponder is the optional interface a Responder implements to answer
+// some queries without a dns.Message on either side: AppendWire reads the raw
+// query and, when it is a shape the responder answers in wire form, appends
+// the packed reply — already truncated to the requester's payload size when
+// via is ViaUDP — to dst and returns handled=true. Otherwise it returns dst
+// untouched and handled=false, having consumed and counted nothing, and the
+// query takes the ordinary unpack, HandleQuery, pack path, whose reply a
+// handled query's must equal byte for byte. ServeRaw and the socket front-ends
+// try it first; the simulated fabric's handlers do not.
+type WireResponder interface {
+	AppendWire(dst []byte, src netip.Addr, raw []byte, via string) (out []byte, handled bool)
+}
+
+// ClampUDPSize bounds an EDNS0-advertised payload size to what the UDP serve
+// path honours: no less than the classic 512 octets, no more than the size
+// this server advertises itself. WireResponders truncate by the same rule.
+func ClampUDPSize(advertised int) int {
+	return min(max(advertised, dns.MaxUDPSize), dns.MaxEDNS0Size)
+}
+
 // udpPayloadSize extracts the EDNS0-advertised payload size from a query,
 // defaulting to the classic 512 octets.
 func udpPayloadSize(q *dns.Message) int {
 	for _, rr := range q.Additional {
 		if rr.Type() == dns.TypeOPT {
-			size := int(rr.Class)
-			if size < dns.MaxUDPSize {
-				size = dns.MaxUDPSize
-			}
-			if size > dns.MaxEDNS0Size {
-				size = dns.MaxEDNS0Size
-			}
-			return size
+			return ClampUDPSize(int(rr.Class))
 		}
 	}
 	return dns.MaxUDPSize
 }
 
-// serveBytes is the shared serve path: unpack, dispatch, pack (honouring UDP
-// truncation when tcp is false). Malformed queries yield FORMERR when the
-// header survives, nothing otherwise.
+// serveBytes is the simulated fabric's serve path (AttachSim): the message
+// path, with UDP truncation when tcp is false. Simulated authorities and
+// resolvers answer through messages only, so the sweeps' per-exchange cost
+// carries no WireResponder check.
 func serveBytes(r Responder, src netip.Addr, raw []byte, tcp bool) []byte {
 	via := ViaUDP
 	if tcp {
 		via = ViaTCP
 	}
-	return ServeRaw(r, src, raw, via)
+	return serveMessage(r, src, raw, via)
 }
 
-// ServeRaw runs one raw query through the serve path for the named transport:
-// unpack, dispatch (tagging via for ViaResponder implementations), pack. UDP
-// answers honour the EDNS0 payload size and truncate; every other transport
-// is stream- or HTTP-framed, so responses pack whole. The DoT and DoH
-// front-ends in internal/transport call this directly.
+// ServeRaw runs one raw query through the serve path for the named transport
+// and returns the packed reply, nil for no reply. A WireResponder gets the
+// first try; otherwise, or when it declines, the query is unpacked,
+// dispatched (tagging via for ViaResponder implementations) and the reply
+// packed. UDP answers honour the EDNS0 payload size and truncate; every other
+// transport is stream- or HTTP-framed, so responses pack whole. The DoT and
+// DoH front-ends in internal/transport call this directly.
 func ServeRaw(r Responder, src netip.Addr, raw []byte, via string) []byte {
+	return appendServe(nil, r, src, raw, via)
+}
+
+// appendServe is ServeRaw with the reply appended to dst when the responder
+// renders it in wire form; a reply from the message path is a fresh slice.
+// An empty result means no reply.
+func appendServe(dst []byte, r Responder, src netip.Addr, raw []byte, via string) []byte {
+	if wr, ok := r.(WireResponder); ok {
+		if out, handled := wr.AppendWire(dst, src, raw, via); handled {
+			return out
+		}
+	}
+	return serveMessage(r, src, raw, via)
+}
+
+// serveMessage is the message path: unpack, dispatch, pack. Malformed queries
+// yield FORMERR when the header survives, nothing otherwise.
+func serveMessage(r Responder, src netip.Addr, raw []byte, via string) []byte {
 	q := queryPool.Get().(*dns.Message)
 	defer queryPool.Put(q)
 	if err := q.UnpackFrom(raw); err != nil {

@@ -17,10 +17,11 @@ type Server struct {
 	responder Responder
 
 	mu       sync.Mutex
-	pc       net.PacketConn
+	pc       *net.UDPConn
 	ln       net.Listener
 	closed   bool
 	wg       sync.WaitGroup
+	udpPool  sync.Pool // of *udpExchange
 	udpAddr  netip.AddrPort
 	tcpAddr  netip.AddrPort
 	started  bool
@@ -55,7 +56,7 @@ func (s *Server) Start(addr string) error {
 			return err
 		}
 	}
-	s.pc, s.ln = pc, ln
+	s.pc, s.ln = pc.(*net.UDPConn), ln
 	s.udpAddr = udpAP
 	s.tcpAddr = ln.Addr().(*net.TCPAddr).AddrPort()
 	s.started = true
@@ -80,28 +81,50 @@ func (s *Server) TCPAddr() netip.AddrPort {
 	return s.tcpAddr
 }
 
+// udpExchange is one datagram's buffers and peer. The server pools them and
+// hands one from the reader to a goroutine per datagram, so in steady state
+// the UDP loop allocates nothing: a responder that renders into the buffer it
+// is given (WireResponder) answers from socket to socket without garbage.
+type udpExchange struct {
+	s    *Server
+	in   [dns.MaxEDNS0Size]byte
+	n    int
+	peer netip.AddrPort
+	// out holds any reply UDP can carry; a longer rendering is about to be
+	// truncated and may grow out of it.
+	out [dns.MaxEDNS0Size]byte
+	// run is serve bound to this value once, when it is made: a go statement
+	// on a func value without arguments allocates no closure.
+	run func()
+}
+
 func (s *Server) serveUDP() {
 	defer s.wg.Done()
-	buf := make([]byte, dns.MaxEDNS0Size)
 	for {
-		n, raddr, err := s.pc.ReadFrom(buf)
-		if err != nil {
+		x, _ := s.udpPool.Get().(*udpExchange)
+		if x == nil {
+			x = &udpExchange{s: s}
+			x.run = x.serve
+		}
+		var err error
+		if x.n, x.peer, err = s.pc.ReadFromUDPAddrPort(x.in[:]); err != nil {
 			return // closed
 		}
-		pkt := make([]byte, n)
-		copy(pkt, buf[:n])
-		src := netip.Addr{}
-		if ua, ok := raddr.(*net.UDPAddr); ok {
-			src = ua.AddrPort().Addr()
-		}
 		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if out := serveBytes(s.responder, src, pkt, false); out != nil {
-				_, _ = s.pc.WriteTo(out, raddr)
-			}
-		}()
+		go x.run()
 	}
+}
+
+// serve answers the datagram x holds and returns x to the pool. The responder
+// sees the peer address as the socket reported it (IPv4-mapped on a
+// dual-stack listener).
+func (x *udpExchange) serve() {
+	s := x.s
+	defer s.wg.Done()
+	if out := appendServe(x.out[:0], s.responder, x.peer.Addr(), x.in[:x.n], ViaUDP); len(out) > 0 {
+		_, _ = s.pc.WriteToUDPAddrPort(out, x.peer)
+	}
+	s.udpPool.Put(x)
 }
 
 // StreamResponder is the optional interface a Responder implements to answer
@@ -157,7 +180,7 @@ func (s *Server) serveTCP() {
 					// Malformed or unhandled: the single-message path below
 					// owns FORMERR and ordinary answers alike.
 				}
-				out := serveBytes(s.responder, src, raw, true)
+				out := ServeRaw(s.responder, src, raw, ViaTCP)
 				if out == nil {
 					return
 				}

@@ -13,7 +13,7 @@ import (
 const testApex = dns.Name("feed.test")
 
 func newTestResponder(s *Store) *ZoneResponder {
-	return &ZoneResponder{Apex: testApex, Store: s, Cache: NewResponseCache(0)}
+	return &ZoneResponder{Apex: testApex, Store: s}
 }
 
 func testStore(t *testing.T) *Store {
@@ -156,26 +156,28 @@ func TestDNSBLRateLimitRefuses(t *testing.T) {
 	}
 }
 
-func TestDNSBLCacheInvalidatesOnSwap(t *testing.T) {
+// TestDNSBLAnswerFollowsPublish pins that the answer after a publish is the new
+// generation's: nothing rendered from the old one outlives the swap.
+func TestDNSBLAnswerFollowsPublish(t *testing.T) {
 	s := testStore(t)
 	z := newTestResponder(s)
 	name := DomainName("evil.test", testApex)
 
-	ask(z, name, dns.TypeA)
-	ask(z, name, dns.TypeA)
-	if hits, _ := z.Cache.Stats(); hits == 0 {
-		t.Fatal("second identical query did not hit the cache")
+	if resp := ask(z, name, dns.TypeA); resp.Header.RCode != dns.RCodeSuccess || len(resp.Answers) != 1 {
+		t.Fatalf("pre-swap rcode = %s, answers = %d", resp.Header.RCode, len(resp.Answers))
 	}
 
-	// Generation 2 drops evil.test entirely; the cached listing must not
-	// survive the swap.
+	// Generation 2 drops evil.test entirely.
 	s.Publish(sealGen(t, 2,
 		mkVerdict("shady.test", "192.0.2.1", core.CategoryUnknown, "203.0.113.9")))
 	resp := ask(z, name, dns.TypeA)
 	if resp.Header.RCode != dns.RCodeNXDomain {
-		t.Errorf("post-swap rcode = %s, want NXDOMAIN (stale cache served?)", resp.Header.RCode)
+		t.Errorf("post-swap rcode = %s, want NXDOMAIN (old generation served?)", resp.Header.RCode)
 	}
 	if soa := resp.Authority[0].Data.(*dns.SOA); soa.Serial != 2 {
 		t.Errorf("post-swap SOA serial = %d, want 2", soa.Serial)
+	}
+	if head := firstTXT(t, ask(z, DomainName("shady.test", testApex), dns.TypeTXT)); !strings.HasPrefix(head, "gen=2 ") {
+		t.Errorf("post-swap TXT header = %q, want gen=2", head)
 	}
 }

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dns"
+	"repro/internal/dnsio"
 )
 
 // httpGet fetches a URL and returns the body, failing the test on transport
@@ -278,8 +279,92 @@ func parityGrid() [][]*Verdict {
 			vs[1].IPs = []netip.Addr{netip.MustParseAddr("198.51.100.77")}
 			return vs
 		}),
+		clone(func(vs []*Verdict) []*Verdict { // a name and an address past the TXT evidence cap
+			for i := 0; i < maxTXTEvidence+2; i++ {
+				vs = append(vs, parityVerdict("many.test", fmt.Sprintf("192.0.2.%d", 10+i), dns.TypeA, "198.51.100.200",
+					core.CategoryUnknown, func(v *Verdict) { v.Provider = "Grid DNS Hosting, Registrar & Parking Ltd." }))
+			}
+			return vs
+		}),
 		nil, // everything removed again
 	}
+}
+
+// wireShape is how a grid question is put on the wire: the EDNS0 payload size
+// (negative for no OPT), the transport, RD, and whether the question name's
+// letters are upper-cased.
+type wireShape struct {
+	opt   int
+	via   string
+	rd    bool
+	upper bool
+}
+
+// wireShapes are the forms every DNSBL grid question is asked in, beside the
+// decoded HandleQuery form. The heavily listed name's TXT answer overflows
+// 512 octets and fits in 1232.
+var wireShapes = []wireShape{
+	{opt: dns.MaxEDNS0Size, via: dnsio.ViaUDP, rd: true},
+	{opt: -1, via: dnsio.ViaUDP, rd: true},
+	{opt: 512, via: dnsio.ViaUDP},
+	{opt: 1232, via: dnsio.ViaUDP, rd: true, upper: true},
+	{opt: -1, via: dnsio.ViaTCP, rd: true},
+	{opt: 512, via: dnsio.ViaDoH, upper: true},
+}
+
+// wireQuery packs a grid question in shape sh.
+func wireQuery(t testing.TB, id uint16, name dns.Name, typ dns.Type, sh wireShape) []byte {
+	t.Helper()
+	q := dns.NewQuery(id, name, typ)
+	q.Header.RecursionDesired = sh.rd
+	if sh.opt >= 0 {
+		q.Additional = append(q.Additional, dns.RR{Class: dns.Class(sh.opt), Data: &dns.OPT{}})
+	}
+	raw, err := q.Pack()
+	if err != nil {
+		t.Fatalf("pack query %s %s: %v", name, typ, err)
+	}
+	if sh.upper {
+		qname := raw[12 : 12+len(name)+1]
+		copy(qname, bytes.ToUpper(qname)) // the length octets are below 'a' and stay put
+	}
+	return raw
+}
+
+// shapeReply turns the reference reply to an RD-set question into the reply
+// shape sh must get: RD as asked and, over UDP only, header and question with
+// TC once the reply passes the clamped payload size.
+func shapeReply(t *testing.T, ref []byte, sh wireShape) []byte {
+	t.Helper()
+	want := append([]byte(nil), ref...)
+	if !sh.rd {
+		want[2] &^= 0x01
+	}
+	limit := dns.MaxUDPSize
+	if sh.opt >= 0 {
+		limit = min(max(sh.opt, dns.MaxUDPSize), dns.MaxEDNS0Size)
+	}
+	if sh.via != dnsio.ViaUDP || len(want) <= limit {
+		return want
+	}
+	full, err := dns.Unpack(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &dns.Message{Header: full.Header, Questions: full.Questions}
+	tc.Header.Truncated = true
+	if want, err = tc.Pack(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// messagePathOnly hides everything of z but its message API, so dnsio serves
+// it by unpacking, calling HandleQueryVia and packing.
+func messagePathOnly(z *ZoneResponder, via string) dnsio.Responder {
+	return dnsio.ResponderFunc(func(src netip.Addr, q *dns.Message) *dns.Message {
+		return z.HandleQueryVia(src, q, via)
+	})
 }
 
 // TestFlatStoreParity drives the mutation grid through the flat store and
@@ -323,7 +408,7 @@ func TestFlatStoreParity(t *testing.T) {
 
 		// HTTP byte-identity over every domain and IP the grid ever uses,
 		// plus never-listed probes.
-		domains := []string{"alpha.test", "beta.test", "gamma.test", "delta.test", "unlisted.test"}
+		domains := []string{"alpha.test", "beta.test", "gamma.test", "delta.test", "many.test", "unlisted.test"}
 		for _, d := range domains {
 			body := httpGet(t, hs.URL+"/v1/lookup?domain="+d)
 			want := refLookupBody(t, ref, "domain:"+d, ref.byDomain[dns.Name(d)])
@@ -331,7 +416,7 @@ func TestFlatStoreParity(t *testing.T) {
 				t.Errorf("step %d: lookup?domain=%s body mismatch\n got: %s\nwant: %s", step, d, body, want)
 			}
 		}
-		ips := []string{"198.51.100.10", "203.0.113.5", "198.51.100.77", "2001:db8::99", "192.0.2.250"}
+		ips := []string{"198.51.100.10", "203.0.113.5", "198.51.100.77", "198.51.100.200", "2001:db8::99", "192.0.2.250"}
 		for _, ip := range ips {
 			addr := netip.MustParseAddr(ip)
 			body := httpGet(t, hs.URL+"/v1/lookup?ip="+ip)
@@ -399,15 +484,44 @@ func TestFlatStoreParity(t *testing.T) {
 			}
 			return dns.RCodeSuccess, nil
 		}
-		for _, d := range domains {
-			for _, typ := range []dns.Type{dns.TypeA, dns.TypeTXT} {
-				qname := DomainName(dns.Name(d), apex)
+		// askWire puts one subtree question on the wire in every shape, each
+		// through dnsio.ServeRaw twice: as the daemon serves it, where the
+		// wire answer path must take it, and with only the message API
+		// visible. Both must be the reference's bytes. refFor renders the
+		// reference reply to the question the current qid names, RD set.
+		askWire := func(z *ZoneResponder, qname dns.Name, typ dns.Type, refFor func() []byte) {
+			t.Helper()
+			for _, sh := range wireShapes {
+				qid++
+				raw := wireQuery(t, qid, qname, typ, sh)
+				want := shapeReply(t, refFor(), sh)
+				if _, handled := z.AppendWire(nil, src, raw, sh.via); !handled {
+					t.Errorf("step %d: %s %s %+v: the wire path declined", step, qname, typ, sh)
+				}
+				if got := dnsio.ServeRaw(z, src, raw, sh.via); !bytes.Equal(got, want) {
+					t.Errorf("step %d: ServeRaw %s %s %+v mismatch\n got: %x\nwant: %x", step, qname, typ, sh, got, want)
+				}
+				if got := dnsio.ServeRaw(messagePathOnly(z, sh.via), src, raw, sh.via); !bytes.Equal(got, want) {
+					t.Errorf("step %d: message path %s %s %+v mismatch\n got: %x\nwant: %x", step, qname, typ, sh, got, want)
+				}
+			}
+		}
+		// askList asks one subtree name for A and TXT, and for AAAA and ANY
+		// (NoData on a listed name: the SOA in the authority section),
+		// decoded through HandleQuery and then on the wire.
+		askList := func(qname dns.Name, list []*Verdict) {
+			t.Helper()
+			for _, typ := range []dns.Type{dns.TypeA, dns.TypeTXT, dns.TypeAAAA, dns.TypeANY} {
+				rcode, answers := refListAnswers(qname, typ, list)
 				got := queryBytes(qname, typ)
-				rcode, answers := refListAnswers(qname, typ, ref.byDomain[dns.Name(d)])
 				if want := refReply(qname, typ, rcode, answers); !bytes.Equal(got, want) {
 					t.Errorf("step %d: DNSBL %s %s mismatch\n got: %x\nwant: %x", step, qname, typ, got, want)
 				}
+				askWire(zr, qname, typ, func() []byte { return refReply(qname, typ, rcode, answers) })
 			}
+		}
+		for _, d := range domains {
+			askList(DomainName(dns.Name(d), apex), ref.byDomain[dns.Name(d)])
 		}
 		for _, ip := range ips {
 			addr := netip.MustParseAddr(ip)
@@ -415,12 +529,53 @@ func TestFlatStoreParity(t *testing.T) {
 			if !ok {
 				continue // v6 addresses have no urbl name; skipped by both sides
 			}
-			for _, typ := range []dns.Type{dns.TypeA, dns.TypeTXT} {
-				got := queryBytes(qname, typ)
-				rcode, answers := refListAnswers(qname, typ, ref.byIP[addr])
-				if want := refReply(qname, typ, rcode, answers); !bytes.Equal(got, want) {
-					t.Errorf("step %d: DNSBL %s %s mismatch", step, qname, typ)
+			askList(qname, ref.byIP[addr])
+		}
+		// Reversed addresses netip.ParseAddr would not read name nothing.
+		for _, rev := range []dns.Name{"1.2.3", "01.2.3.4", "256.1.1.1"} {
+			askList(rev+".urbl."+apex, nil)
+		}
+		{
+			// SOA timers under a staleness policy and an injected clock:
+			// refresh from the sweep interval, retry half of it, expire the
+			// budget left 250 s into a 600 s bound, TTL and minimum as set.
+			pstore := NewStore()
+			now := g.SweptAt.Add(250 * time.Second)
+			pstore.SetPolicy(StalenessPolicy{SweepInterval: 45 * time.Second, MaxStaleness: 600 * time.Second,
+				Clock: func() time.Time { return now }})
+			pstore.Restore(g)
+			qname := DomainName("unlisted.test", apex)
+			askWire(&ZoneResponder{Apex: apex, Store: pstore, TTL: 300}, qname, dns.TypeA, func() []byte {
+				r := dns.NewQuery(qid, qname, dns.TypeA).Reply()
+				r.Header.Authoritative = true
+				r.Header.RCode = dns.RCodeNXDomain
+				r.Authority = append(r.Authority, dns.MustParseRR(fmt.Sprintf(
+					"%s 300 IN SOA ns.%s hostmaster.%s %d 45 22 350 300", apex, apex, apex, seq)))
+				packed, err := r.Pack()
+				if err != nil {
+					t.Fatal(err)
 				}
+				return packed
+			})
+
+			// REFUSED, not authoritative, by the zone ACL and by a limiter
+			// whose one token is spent (its clock never advances).
+			limited := &ZoneResponder{Apex: apex, Store: store, Limiter: NewRateLimiter(1, 1, newVirtualClock().read)}
+			limited.Limiter.Allow(src)
+			for _, z := range []*ZoneResponder{
+				{Apex: apex, Store: store, ZoneACL: MustParseACL("192.0.2.0/24")},
+				limited,
+			} {
+				qname := DomainName("alpha.test", apex)
+				askWire(z, qname, dns.TypeTXT, func() []byte {
+					r := dns.NewQuery(qid, qname, dns.TypeTXT).Reply()
+					r.Header.RCode = dns.RCodeRefused
+					packed, err := r.Pack()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return packed
+				})
 			}
 		}
 		{

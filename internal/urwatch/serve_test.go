@@ -61,7 +61,7 @@ func TestServeAcceptance(t *testing.T) {
 	gen0 := store.Current()
 
 	const apex = dns.Name("feed.test")
-	zr := &ZoneResponder{Apex: apex, Store: store, Cache: NewResponseCache(0)}
+	zr := &ZoneResponder{Apex: apex, Store: store}
 	api := &API{Store: store, Watcher: watcher, Cache: NewResponseCache(0)}
 	hs := httptest.NewServer(api.Handler())
 	defer hs.Close()

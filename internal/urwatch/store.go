@@ -292,9 +292,18 @@ func (g *Generation) All() VerdictSet {
 
 // Domain returns every verdict for a domain as a contiguous run of the
 // record array (empty set when unlisted).
-func (g *Generation) Domain(d dns.Name) VerdictSet {
-	lo := sort.Search(len(g.recs), func(i int) bool { return g.domainOf(i) >= d })
-	hi := lo + sort.Search(len(g.recs)-lo, func(i int) bool { return g.domainOf(lo+i) > d })
+func (g *Generation) Domain(d dns.Name) VerdictSet { return domainRun(g, d) }
+
+// domainRun is the lookup behind Domain, for a name held as a dns.Name or
+// still in the byte buffer it was parsed into: the wire answer path looks
+// names up without allocating a dns.Name for them (a string(d) conversion
+// that only feeds a comparison does not allocate).
+func domainRun[S dns.Name | []byte](g *Generation, d S) VerdictSet {
+	lo := sort.Search(len(g.recs), func(i int) bool { return g.strs[g.recs[i].domain] >= string(d) })
+	if lo == len(g.recs) || g.strs[g.recs[lo].domain] != string(d) {
+		return VerdictSet{g: g, lo: lo, hi: lo} // unlisted, the common case: no second search
+	}
+	hi := lo + sort.Search(len(g.recs)-lo, func(i int) bool { return g.strs[g.recs[lo+i].domain] > string(d) })
 	return VerdictSet{g: g, lo: lo, hi: hi}
 }
 
@@ -385,9 +394,11 @@ func WorstCategory(vs VerdictSet) (core.Category, bool) {
 		return core.CategoryCorrect, false
 	}
 	worst := vs.At(0).Category()
-	for i := 1; i < vs.Len(); i++ {
-		if c := vs.At(i).Category(); categoryRank(c) > categoryRank(worst) {
-			worst = c
+	rank := categoryRank(worst)
+	// Nothing outranks malicious: a heavily listed name stops at its first.
+	for i := 1; i < vs.Len() && worst != core.CategoryMalicious; i++ {
+		if c := vs.At(i).Category(); categoryRank(c) > rank {
+			worst, rank = c, categoryRank(c)
 		}
 	}
 	return worst, true

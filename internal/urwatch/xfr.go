@@ -74,31 +74,33 @@ func sameRRs(a, b *zoneBlock) bool {
 // index's per-address runs (IPv6 corresponding addresses have no reversed-v4
 // owner name and are skipped, exactly as the query path skips them).
 type zoneCursor struct {
-	z    *ZoneResponder
-	g    *Generation
-	ri   int
-	ii   int
-	inIP bool
+	z  *ZoneResponder
+	g  *Generation
+	ri int
+	ii int
 }
 
 // next returns the next block, or nil at end of zone.
 func (c *zoneCursor) next() *zoneBlock {
-	if !c.inIP {
-		if c.ri < len(c.g.recs) {
-			lo := c.ri
-			d := c.g.domainOf(lo)
-			hi := lo + 1
-			for hi < len(c.g.recs) && c.g.domainOf(hi) == d {
-				hi++
-			}
-			c.ri = hi
-			name := DomainName(d, c.z.Apex)
-			return &zoneBlock{
-				sect: 0, dom: d, name: name,
-				rrs: c.z.blockRRs(name, VerdictSet{g: c.g, lo: lo, hi: hi}),
-			}
+	for c.ri < len(c.g.recs) {
+		lo := c.ri
+		d := c.g.domainOf(lo)
+		hi := lo + 1
+		for hi < len(c.g.recs) && c.g.domainOf(hi) == d {
+			hi++
 		}
-		c.inIP = true
+		c.ri = hi
+		name := DomainName(d, c.z.Apex)
+		if name.Validate() != nil {
+			// A swept domain this long has no owner name under urwatch.<apex>
+			// that fits in 255 octets, so the zone cannot hold its block; its
+			// verdicts stay reachable by address under urbl.<apex>.
+			continue
+		}
+		return &zoneBlock{
+			sect: 0, dom: d, name: name,
+			rrs: c.z.blockRRs(name, VerdictSet{g: c.g, lo: lo, hi: hi}),
+		}
 	}
 	for c.ii < len(c.g.ipIdx) {
 		lo := c.ii
@@ -131,21 +133,24 @@ func (z *ZoneResponder) blockRRs(name dns.Name, vs VerdictSet) []dns.RR {
 		n = maxTXTEvidence + 1
 	}
 	rrs := make([]dns.RR, 0, 1+n)
-	code := categoryCode(worstOf(vs))
-	rrs = append(rrs, dns.MustParseRR(fmt.Sprintf("%s %d IN A 127.0.0.%d", name, z.ttl(), code)))
+	rr := dns.RR{Name: name, Class: dns.ClassINET, TTL: z.ttl()}
+	rr.Data = &dns.A{Addr: netip.AddrFrom4([4]byte{127, 0, 0, byte(categoryCode(worstOf(vs)))})}
+	rrs = append(rrs, rr)
 	for i := 0; i < vs.Len(); i++ {
 		if i >= maxTXTEvidence {
-			rrs = append(rrs, z.txt(name, fmt.Sprintf("and %d more", vs.Len()-maxTXTEvidence)))
+			rr.Data = dns.NewTXT(string(appendMore(nil, vs.Len()-maxTXTEvidence)))
+			rrs = append(rrs, rr)
 			break
 		}
-		rrs = append(rrs, z.txt(name, evidenceString(vs.At(i))))
+		rr.Data = dns.NewTXT(string(appendEvidence(nil, vs.At(i))))
+		rrs = append(rrs, rr)
 	}
 	return rrs
 }
 
 // nsRR renders the zone's apex NS record.
 func (z *ZoneResponder) nsRR() dns.RR {
-	return dns.MustParseRR(fmt.Sprintf("%s %d IN NS ns.%s", z.Apex, z.ttl(), z.Apex))
+	return dns.RR{Name: z.Apex, Class: dns.ClassINET, TTL: z.ttl(), Data: &dns.NS{Host: "ns." + z.Apex}}
 }
 
 // zoneDelta merge-diffs two generations' block streams into the RRs removed
