@@ -68,13 +68,13 @@ func (a *Analyzer) Analyze(suspicious []*UR) {
 // chunking it is order-independent.
 func (a *Analyzer) AnalyzeParallel(suspicious []*UR, workers int) {
 	a.attachTXTCorrespondence(suspicious)
-	if workers <= 1 || len(suspicious) < 2*minDetChunk {
+	if workers <= 1 || len(suspicious) < 2*minLabelChunk {
 		a.label(suspicious)
 		return
 	}
 	chunk := (len(suspicious) + workers - 1) / workers
-	if chunk < minDetChunk {
-		chunk = minDetChunk
+	if chunk < minLabelChunk {
+		chunk = minLabelChunk
 	}
 	var wg sync.WaitGroup
 	for start := 0; start < len(suspicious); start += chunk {
@@ -90,6 +90,10 @@ func (a *Analyzer) AnalyzeParallel(suspicious []*UR, workers int) {
 	}
 	wg.Wait()
 }
+
+// minLabelChunk keeps AnalyzeParallel from spawning goroutines over record
+// counts where the fan-out costs more than it saves.
+const minLabelChunk = 128
 
 // label applies the intel/IDS evidence to each record, stopping the IP walk
 // as soon as both evidence kinds have fired. Read-only over the shared

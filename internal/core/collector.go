@@ -110,27 +110,9 @@ type Config struct {
 	// in-memory fabric completes synchronously and cannot stall a worker.
 	Watchdog *WatchdogConfig
 
-	// CollectOnly stops the pipeline after collection and journaling:
-	// records are swept into Result.URs but never classified or analyzed.
-	// Fleet workers run shards collect-only — determination needs the whole
-	// plan's correct-record database, so it happens once, on the merged
-	// journal, not per shard.
-	CollectOnly bool
-
-	// SkipServer, when non-nil, is consulted as each server unit (open
-	// resolver or nameserver) comes up for sweeping; returning true drops
-	// the unit without querying it. The check happens per job at dispatch
-	// time — not when the plan is built — so a fleet worker can shed the
-	// yielded tail of its shard mid-run. Skipped units still count toward
-	// the plan hash: the journal stays mergeable with the journal of
-	// whoever swept them instead.
-	SkipServer func(netip.Addr) bool
-
-	// ServerDone, when non-nil, observes each server unit whose sweep job
-	// completed without error, from the worker goroutine that ran it. Fleet
-	// workers use it to report shard progress; the callback must be safe
-	// for concurrent use and fast (it runs on the sweep path).
-	ServerDone func(netip.Addr)
+	// Shard, when non-nil, makes this config one worker's slice of a larger
+	// plan; see ShardConfig. A whole-plan run leaves it nil.
+	Shard *Shard
 }
 
 func (c *Config) politeInterval() time.Duration {
@@ -203,6 +185,8 @@ type probeShard struct {
 type Collector struct {
 	cfg    *Config
 	client *dnsio.Client
+	// err is the sticky construction error (an unknown TransportKind).
+	err error
 
 	queries   atomic.Int64
 	perServer [queryShards]queryShard
@@ -237,40 +221,32 @@ type Collector struct {
 	wd *watchdog
 }
 
-// transportKind normalizes the configured kind; unknown values surface as
-// errors at journal-open and pipeline-construction time via ParseKind.
-func (c *Config) transportKind() transportpkg.Kind {
-	k, err := transportpkg.ParseKind(c.TransportKind)
-	if err != nil {
-		// An invalid kind is a programmer/flag-validation error, not a
-		// runtime condition; the CLIs validate before building a config.
-		panic(err)
+// transport resolves the client transport: the configured override, else the
+// simulated transport TransportKind names. An unknown kind is an error, which
+// NewCollector carries and every sweep entry point returns before any probe.
+func (c *Config) transport() (dnsio.Transport, error) {
+	if c.Transport != nil {
+		return c.Transport, nil
 	}
-	return k
+	kind, err := transportpkg.ParseKind(c.TransportKind)
+	if err != nil {
+		return nil, err
+	}
+	return transportpkg.NewSim(kind, c.Fabric, c.SrcAddr)
 }
 
-// newSimTransport builds the configured simulated transport.
-func (c *Config) newSimTransport() dnsio.Transport {
-	t, err := transportpkg.NewSim(c.transportKind(), c.Fabric, c.SrcAddr)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// NewCollector builds a collector over the configured fabric.
+// NewCollector builds a collector over the configured fabric. A config that
+// names no usable transport still yields a collector — its books read empty
+// and its sweeps return the construction error without touching the client.
 func NewCollector(cfg *Config) *Collector {
-	transport := cfg.Transport
-	if transport == nil {
-		transport = cfg.newSimTransport()
-	}
+	transport, err := cfg.transport()
 	client := dnsio.NewClient(transport)
 	client.Retries = 1
 	client.SeedIDs(0x5eed)
 	// Backoff jitter follows the config seed so two runs over the same world
 	// book identical virtual wall-clock even under chaos.
 	client.Backoff.JitterSeed = uint64(cfg.Seed)
-	c := &Collector{cfg: cfg, client: client, journal: cfg.Journal, canary: cfg.CanaryName(), in: newInterner()}
+	c := &Collector{cfg: cfg, client: client, err: err, journal: cfg.Journal, canary: cfg.CanaryName(), in: newInterner()}
 	for i := range c.perServer {
 		c.perServer[i].n = make(map[netip.Addr]int64)
 	}
@@ -288,7 +264,7 @@ func NewCollector(cfg *Config) *Collector {
 	// overrides, for tests). The overlapped pipeline runs the correct sweep
 	// ([0, P) slots) concurrently with the fused nameserver sweep ([P, 2P)),
 	// and each has its own re-queue spare (2P and 2P+1), hence 2P+2 slots.
-	if !dnsio.IsInstant(transport) || (cfg.Watchdog != nil && cfg.Watchdog.Force) {
+	if err == nil && (!dnsio.IsInstant(transport) || (cfg.Watchdog != nil && cfg.Watchdog.Force)) {
 		c.wd = newWatchdog(2*cfg.parallelism()+1, c.probeBudget(), cfg.Watchdog)
 	}
 	return c
@@ -415,7 +391,7 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 	}
 	j.attempted++
 	j.issued++
-	resp, wire, class, err := j.c.probeQuery(ctx, w.slot, w.seg, j.server, name, qt)
+	resp, wire, class, err := j.c.probeQuery(ctx, w.slot, j.server, name, qt)
 	if err != nil {
 		j.fail(kind, name, qt, class)
 		if w.seg != nil {
@@ -433,59 +409,63 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 }
 
 // sweepPool runs job once per server on the collection worker pool and
-// returns the first error: a worker's, else the context's — a cancellation
-// that lands between jobs starves the pool without any worker seeing it, and
-// the sweep is still incomplete. Worker i arms watchdog slot slotBase+i.
-// kinds names the sweep kinds this pool covers, for the journal to release
-// its replay state once the last of them is through.
-func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKind, servers []NameserverInfo, job func(w *sweepWorker, ns NameserverInfo) error) error {
+// returns the first error: the collector's own construction error, a
+// worker's, else the context's — a cancellation that lands between jobs
+// stops the pool without any job seeing it, and the sweep is still
+// incomplete. Worker i arms watchdog slot slotBase+i. kinds names the sweep
+// kinds this pool covers, for the journal to release its replay state once
+// the last of them is through.
+//
+// Workers claim servers in list order, one at a time, until the list is
+// exhausted, the context is cancelled, a worker hits a fatal error, or — on a
+// shard — the claimed unit lies at or past the yield cursor. unit0 is
+// servers[0]'s unit position in the config's plan (open resolvers first, then
+// nameservers); the cursor only moves down, so the first yielded unit a
+// worker claims ends its run.
+func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKind, unit0 int, servers []NameserverInfo, job func(w *sweepWorker, ns NameserverInfo) error) error {
+	if c.err != nil {
+		return c.err
+	}
 	replay, err := c.journal.replayFor(c.cfg)
 	if err != nil {
 		return err
 	}
 	defer c.journal.replayDone(kinds...)
 
-	jobs := make(chan NameserverInfo)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
 	var stop atomic.Bool
+	var next atomic.Int64 // the first unclaimed position in servers
 
 	for i := 0; i < c.cfg.parallelism(); i++ {
 		wg.Add(1)
 		go func(slot *stallSlot) {
 			defer wg.Done()
 			w := &sweepWorker{slot: slot, replay: replay}
-			var localErr error
-			if w.seg, localErr = c.newSegment(); w.seg != nil {
+			var err error
+			if w.seg, err = c.newSegment(); w.seg != nil {
 				defer c.releaseSegment(w.seg)
 			}
-			if localErr != nil {
+			for err == nil && !stop.Load() && ctx.Err() == nil {
+				pos := int(next.Add(1)) - 1
+				if pos >= len(servers) || !c.cfg.Shard.owns(unit0+pos) {
+					break
+				}
+				if err = job(w, servers[pos]); err == nil {
+					c.cfg.Shard.unitDone()
+				}
+			}
+			if err != nil {
 				stop.Store(true)
-			}
-			for ns := range jobs {
-				if localErr != nil {
-					continue // keep draining so the feeder never blocks
-				}
-				if skip := c.cfg.SkipServer; skip != nil && skip(ns.Addr) {
-					continue
-				}
-				if localErr = job(w, ns); localErr != nil {
-					stop.Store(true)
-				} else if done := c.cfg.ServerDone; done != nil {
-					done(ns.Addr)
-				}
-			}
-			if localErr != nil {
 				mu.Lock()
 				if firstErr == nil {
-					firstErr = localErr
+					firstErr = err
 				}
 				mu.Unlock()
 			}
 		}(c.wd.slot(slotBase + i))
 	}
-	feed(ctx, jobs, &stop, servers)
 	wg.Wait()
 	if firstErr == nil {
 		firstErr = ctx.Err()
@@ -498,15 +478,11 @@ func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKi
 // ignores even cancellation is abandoned after a grace period so the worker
 // keeps the sweep moving either way.
 //
-// When the sweep is journaled (seg non-nil) the answered response's wire
-// bytes are returned alongside the decoded message so the caller can journal
-// exactly what the server sent without re-packing it.
-func (c *Collector) probeQuery(ctx context.Context, slot *stallSlot, seg *segmentWriter, server netip.AddrPort, name dns.Name, qt dns.Type) (*dns.Message, []byte, dnsio.FailClass, error) {
+// The answered response's wire bytes are returned alongside the decoded
+// message so a journaled sweep can record exactly what the server sent
+// without re-packing it.
+func (c *Collector) probeQuery(ctx context.Context, slot *stallSlot, server netip.AddrPort, name dns.Name, qt dns.Type) (*dns.Message, []byte, dnsio.FailClass, error) {
 	if c.wd == nil || slot == nil {
-		if seg == nil {
-			resp, err := c.client.Query(ctx, server, name, qt)
-			return resp, nil, dnsio.Classify(err), err
-		}
 		resp, wire, err := c.client.QueryWire(ctx, server, name, qt)
 		return resp, wire, dnsio.Classify(err), err
 	}
@@ -519,11 +495,6 @@ func (c *Collector) probeQuery(ctx context.Context, slot *stallSlot, seg *segmen
 	}
 	ch := make(chan qres, 1)
 	go func() {
-		if seg == nil {
-			resp, err := c.client.Query(pctx, server, name, qt)
-			ch <- qres{resp, nil, err}
-			return
-		}
 		resp, wire, err := c.client.QueryWire(pctx, server, name, qt)
 		ch <- qres{resp, wire, err}
 	}()
@@ -596,72 +567,13 @@ func (c *Collector) PoliteScanEstimate() time.Duration {
 	return time.Duration(max) * c.cfg.politeInterval()
 }
 
-// feed queues jobs until the list is exhausted, the context is cancelled,
-// or a worker flags a fatal error. Selecting on ctx.Done() keeps
-// cancellation prompt: the producer must stop feeding, not queue every
-// remaining server at a drained pool.
-func feed(ctx context.Context, jobs chan<- NameserverInfo, stop *atomic.Bool, items []NameserverInfo) {
-	defer close(jobs)
-	done := ctx.Done()
-	for _, item := range items {
-		if stop.Load() {
-			return
-		}
-		select {
-		case jobs <- item:
-		case <-done:
-			return
-		}
-	}
-}
-
-// CollectURs sweeps every (nameserver, target, type) triple, skipping pairs
-// where the target is exactly delegated to the nameserver, and returns the
-// undelegated records extracted from NOERROR responses.
-//
-// Jobs merge their records into one set — replayed and live alike, since a
-// resumed run's journaled answers are folded inside the same jobs — which is
-// then put into a canonical order, so the output is byte-identical at any
-// Parallelism setting, resumed or not.
-func (c *Collector) CollectURs(ctx context.Context) ([]*UR, error) {
-	c.wd.start()
-	defer c.wd.stop()
-	var mu sync.Mutex
-	var out []*UR
-	err := c.sweepPool(ctx, 0, []sweepKind{sweepURs}, c.cfg.Nameservers, func(w *sweepWorker, ns NameserverInfo) error {
-		urs, err := c.collectFromNS(ctx, w, ns)
-		mu.Lock()
-		out = append(out, urs...)
-		mu.Unlock()
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	// End-of-sweep re-queue: probes that failed while a server was flapping,
-	// lossy, or breaker-blocked get one more chance now that the sweep
-	// pressure is off and breakers may have recovered.
-	err = c.requeue(ctx, sweepURs, func(f probeFailure, resp *dns.Message) {
-		out = c.ursFromResponse(f.ns, f.domain, f.qtype, resp, out)
-	})
-	if err != nil {
-		return nil, err
-	}
-	sortURs(out)
-	c.enrich(out)
-	return out, nil
-}
-
-// requeue re-runs one sweep's failed probes after the main pass, in canonical
-// order so the extra query plan is deterministic. It runs on the caller
-// goroutine with the standalone sweeps' spare watchdog slot (index 2P).
-func (c *Collector) requeue(ctx context.Context, kind sweepKind, onAnswer func(f probeFailure, resp *dns.Message)) error {
-	return c.requeueOn(ctx, kind, c.wd.slot(2*c.cfg.parallelism()), onAnswer)
-}
-
-// requeueOn is requeue with an explicit watchdog slot, so the overlapped
+// requeueOn re-runs one sweep's failed probes after the main pass — probes
+// that failed while a server was flapping, lossy, or breaker-blocked get one
+// more chance now that the sweep pressure is off and breakers may have
+// recovered — in canonical order so the extra query plan is deterministic. It
+// runs on the caller goroutine with an explicit watchdog slot, so the
 // pipeline's two concurrent re-queue tails (correct sweep, fused nameserver
-// sweep) never share a stall slot. Recovered probes are booked and handed to
+// sweep) never share one. Recovered probes are booked and handed to
 // onAnswer; probes that fail again are refiled with their new failure class
 // (still-open breakers fail fast without touching the fabric).
 func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSlot, onAnswer func(f probeFailure, resp *dns.Message)) error {
@@ -702,7 +614,7 @@ func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSl
 		}
 		issued++
 		server := netip.AddrPortFrom(f.ns.Addr, dnsio.DNSPort)
-		resp, wire, class, err := c.probeQuery(ctx, slot, seg, server, f.domain, f.qtype)
+		resp, wire, class, err := c.probeQuery(ctx, slot, server, f.domain, f.qtype)
 		if err != nil {
 			f.class = class
 			c.refile(f)
@@ -750,15 +662,6 @@ func sortURs(urs []*UR) {
 		}
 		return a.TTL < b.TTL
 	})
-}
-
-// collectFromNS queries one nameserver for every target and type. Every
-// failed probe lands in the failure book for the re-queue pass instead of
-// being silently skipped.
-func (c *Collector) collectFromNS(ctx context.Context, w *sweepWorker, ns NameserverInfo) ([]*UR, error) {
-	j := c.startJob(w, sweepURs, ns)
-	defer j.book()
-	return c.sweepTargets(ctx, &j, nil)
 }
 
 // sweepTargets is a nameserver job's UR phase: every non-delegated target,
@@ -864,20 +767,12 @@ func (c *Collector) isExactlyDelegated(target dns.Name, ns NameserverInfo) bool 
 	return c.deleg[target][ns.Host]
 }
 
-// enrich attaches AS/geo/cert/HTTP data to every A-record UR and the
-// corresponding IPs to both A and TXT records (TXT correspondence with
+// enrichOne attaches AS/geo/cert/HTTP data to an A-record UR and the
+// corresponding IPs to A and TXT records alike (TXT correspondence with
 // same-NS same-domain A records happens in the analyzer, which sees the full
-// set).
-func (c *Collector) enrich(urs []*UR) {
-	for _, u := range urs {
-		c.enrichOne(u)
-	}
-}
-
-// enrichOne enriches a single record; the overlapped pipeline's determine
-// workers call it per streamed record so enrichment overlaps the sweep tail.
-// Safe concurrently: IPDB lookups are read-only and the web probe cache is a
-// singleflight.
+// set). The pipeline's determine workers call it per streamed record so
+// enrichment overlaps the sweep tail. Safe concurrently: IPDB lookups are
+// read-only and the web probe cache is a singleflight.
 func (c *Collector) enrichOne(u *UR) {
 	switch u.Type {
 	case dns.TypeA:
@@ -934,13 +829,13 @@ func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	for i, r := range c.cfg.OpenResolvers {
 		resolvers[i] = NameserverInfo{Addr: r}
 	}
-	err := c.sweepPool(ctx, 0, []sweepKind{sweepCorrect}, resolvers, func(w *sweepWorker, resolver NameserverInfo) error {
+	err := c.sweepPool(ctx, 0, []sweepKind{sweepCorrect}, 0, resolvers, func(w *sweepWorker, resolver NameserverInfo) error {
 		return c.collectCorrectVia(ctx, w, db, resolver)
 	})
 	if err != nil {
 		return nil, err
 	}
-	err = c.requeue(ctx, sweepCorrect, func(f probeFailure, resp *dns.Message) {
+	err = c.requeueOn(ctx, sweepCorrect, c.wd.slot(2*c.cfg.parallelism()), func(f probeFailure, resp *dns.Message) {
 		c.addCorrectAnswers(db, f.domain, resp)
 	})
 	if err != nil {
@@ -1002,32 +897,6 @@ func (c *Collector) addCorrectAnswers(db *CorrectDB, target dns.Name, resp *dns.
 // so repeated collections issue identical query plans.
 func (c *Config) CanaryName() dns.Name {
 	return dns.Name(fmt.Sprintf("urhunter-canary-%d.test", uint64(c.Seed)%1_000_000))
-}
-
-// CollectProtective queries every nameserver for a canary domain no one
-// hosts and records the answers as that server's protective records
-// (§4.1(3)). Nameservers are swept by the same worker pool as CollectURs;
-// ProtectiveDB is internally locked and deduplicating, so concurrent adds
-// land in a deterministic final state.
-func (c *Collector) CollectProtective(ctx context.Context) (*ProtectiveDB, error) {
-	db := NewProtectiveDB()
-	c.wd.start()
-	defer c.wd.stop()
-	err := c.sweepPool(ctx, 0, []sweepKind{sweepProtective}, c.cfg.Nameservers, func(w *sweepWorker, ns NameserverInfo) error {
-		j := c.startJob(w, sweepProtective, ns)
-		defer j.book()
-		return c.sweepCanary(ctx, &j, db)
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = c.requeue(ctx, sweepProtective, func(f probeFailure, resp *dns.Message) {
-		addProtectiveAnswers(db, f.ns.Addr, f.qtype, resp)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return db, nil
 }
 
 // sweepCanary is a nameserver job's protective phase: the canary under every

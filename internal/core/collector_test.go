@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"net/netip"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,13 +121,34 @@ func newCollectorFixture(t *testing.T) *collectorFixture {
 	return fx
 }
 
-func TestCollectURs(t *testing.T) {
-	fx := newCollectorFixture(t)
-	col := NewCollector(fx.cfg)
-	urs, err := col.CollectURs(context.Background())
+// sweepNameservers runs the fused nameserver sweep — the one collection path
+// Pipeline.Run ships — on its own, and returns the collector with what the
+// sweep produced: the records in canonical order, enriched as the determine
+// workers would, and the protective database.
+func sweepNameservers(t *testing.T, cfg *Config) (*Collector, []*UR, *ProtectiveDB) {
+	t.Helper()
+	col := NewCollector(cfg)
+	db := NewProtectiveDB()
+	var mu sync.Mutex
+	var urs []*UR
+	err := col.collectNameservers(context.Background(), db, func(batch []*UR) {
+		mu.Lock()
+		urs = append(urs, batch...)
+		mu.Unlock()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sortURs(urs)
+	for _, u := range urs {
+		col.enrichOne(u)
+	}
+	return col, urs, db
+}
+
+func TestCollectURs(t *testing.T) {
+	fx := newCollectorFixture(t)
+	col, urs, _ := sweepNameservers(t, fx.cfg)
 	// UR NS: A + TXT for site.com. Protective NS: A for both targets.
 	var fromUR, fromProt int
 	for _, u := range urs {
@@ -181,11 +200,7 @@ func TestCollectURsSkipsExactDelegation(t *testing.T) {
 		}
 		return nil
 	}
-	col := NewCollector(fx.cfg)
-	urs, err := col.CollectURs(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, urs, _ := sweepNameservers(t, fx.cfg)
 	for _, u := range urs {
 		if u.Server.Provider == "Hoster" && u.Domain == "site.com" {
 			t.Errorf("exactly-delegated pair collected: %+v", u)
@@ -223,11 +238,7 @@ func TestCollectCorrect(t *testing.T) {
 
 func TestCollectProtective(t *testing.T) {
 	fx := newCollectorFixture(t)
-	col := NewCollector(fx.cfg)
-	db, err := col.CollectProtective(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, db := sweepNameservers(t, fx.cfg)
 	if !db.Match(fx.protNS.Addr, dns.TypeA, fx.protAddr.String()) {
 		t.Error("protective record not captured")
 	}
@@ -298,39 +309,6 @@ func TestLabelReasonsTotal(t *testing.T) {
 	var b ProviderBreakdown
 	if b.Total() != 0 {
 		t.Errorf("empty breakdown total = %d", b.Total())
-	}
-}
-
-// TestCollectURsDeterministicAcrossParallelism asserts the §4.1 sweep output
-// is byte-identical no matter how many workers ran it: the merged set is put
-// into canonical order before enrichment, so worker scheduling cannot leak
-// into results.
-func TestCollectURsDeterministicAcrossParallelism(t *testing.T) {
-	render := func(urs []*UR) string {
-		var sb strings.Builder
-		for _, u := range urs {
-			fmt.Fprintf(&sb, "%s|%s|%s|%d|%s|%s|%s|%d|%v\n",
-				u.Server.Addr, u.Domain, u.Type, u.TTL, u.RData,
-				u.ASName, u.Country, u.ASN, u.CorrespondingIPs)
-		}
-		return sb.String()
-	}
-	var want string
-	for i, p := range []int{1, 4, 16} {
-		fx := newCollectorFixture(t)
-		fx.cfg.Parallelism = p
-		urs, err := NewCollector(fx.cfg).CollectURs(context.Background())
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
-		}
-		got := render(urs)
-		if i == 0 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Errorf("parallelism %d output differs:\n--- parallelism 1 ---\n%s--- parallelism %d ---\n%s", p, want, p, got)
-		}
 	}
 }
 

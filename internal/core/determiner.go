@@ -3,7 +3,6 @@ package core
 import (
 	"net/netip"
 	"regexp"
-	"sync"
 	"time"
 
 	"repro/internal/dns"
@@ -53,7 +52,7 @@ type pdnsMemoKey struct {
 // the repeats map-hit-only without any cross-worker locking. A nil profile
 // entry is a cached "domain has no legitimate profile".
 //
-// Memos are created fresh per Determine/DetermineParallel invocation and
+// Memos are created fresh per Determine invocation and per pipeline worker,
 // never stored on the Determiner: experiments swap the underlying databases
 // on a shared determiner (FalseNegativeCheck), which a persistent cache
 // would silently ignore.
@@ -116,47 +115,6 @@ func (d *Determiner) Determine(urs []*UR) []*UR {
 	}
 	return suspicious
 }
-
-// DetermineParallel is Determine over a worker pool: the input is chunked,
-// each worker classifies its chunk with a private memo, and the suspicious
-// subset is collected serially afterwards — so the returned ordering is
-// exactly Determine's regardless of worker count.
-func (d *Determiner) DetermineParallel(urs []*UR, workers int) []*UR {
-	if workers <= 1 || len(urs) < 2*minDetChunk {
-		return d.Determine(urs)
-	}
-	chunk := (len(urs) + workers - 1) / workers
-	if chunk < minDetChunk {
-		chunk = minDetChunk
-	}
-	var wg sync.WaitGroup
-	for start := 0; start < len(urs); start += chunk {
-		end := start + chunk
-		if end > len(urs) {
-			end = len(urs)
-		}
-		wg.Add(1)
-		go func(part []*UR) {
-			defer wg.Done()
-			memo := newDetMemo()
-			for _, u := range part {
-				d.classifyMemo(memo, u)
-			}
-		}(urs[start:end])
-	}
-	wg.Wait()
-	var suspicious []*UR
-	for _, u := range urs {
-		if u.Category == CategoryUnknown {
-			suspicious = append(suspicious, u)
-		}
-	}
-	return suspicious
-}
-
-// minDetChunk keeps DetermineParallel from spawning goroutines over record
-// counts where the memo warm-up costs more than the fan-out saves.
-const minDetChunk = 128
 
 func (d *Determiner) classify(u *UR) {
 	d.classifyMemo(nil, u)

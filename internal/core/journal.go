@@ -65,6 +65,7 @@ import (
 
 	"repro/internal/dns"
 	"repro/internal/dnsio"
+	transportpkg "repro/internal/transport"
 )
 
 // journal format constants.
@@ -328,39 +329,6 @@ type shardManifest struct {
 	Units int `json:"units"`
 }
 
-// ShardDesc identifies one contiguous shard of a probe plan: the half-open
-// range [Lo, Hi) over the plan's server units (open resolvers first, then
-// nameservers, both in config order) out of Units total. Index labels the
-// shard for logs and manifests and is part of the shard identity — a journal
-// written for shard 3 never resumes as shard 5, even over the same range.
-type ShardDesc struct {
-	Index int
-	Lo    int
-	Hi    int
-	Units int
-}
-
-func (sd ShardDesc) String() string {
-	return fmt.Sprintf("shard %d (units [%d,%d) of %d)", sd.Index, sd.Lo, sd.Hi, sd.Units)
-}
-
-// PlanUnits is the number of shardable work units in the plan: one per open
-// resolver plus one per nameserver. Sharding never splits a server across
-// shards — each endpoint's exchange order stays a pure function of the
-// configuration, which is what keeps chaos runs reproducible across
-// re-sharding.
-func (c *Config) PlanUnits() int {
-	return len(c.OpenResolvers) + len(c.Nameservers)
-}
-
-// ShardPlanHash extends a full plan hash with a shard descriptor, giving each
-// shard journal its own identity under the shared plan.
-func ShardPlanHash(fullPlan uint64, sd ShardDesc) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "full=%016x\nshard=%d:[%d,%d)/%d\n", fullPlan, sd.Index, sd.Lo, sd.Hi, sd.Units)
-	return h.Sum64()
-}
-
 // PlanHash fingerprints everything that defines the probe plan: the seed and
 // query types plus the target, nameserver, and resolver sets. Parallelism
 // and pacing are excluded on purpose — a sweep may be resumed with a
@@ -395,47 +363,36 @@ type journalIdentity struct {
 	transport string
 }
 
-// OpenJournal opens (creating if needed) the checkpoint journal for one
-// whole sweep plan. If the directory already holds a journal, its manifest
-// must match the config's plan hash — resuming someone else's sweep would
-// silently skip the wrong probes — and every readable segment record is
-// indexed against cfg's plan; torn tails are detected and discarded.
+// OpenJournal opens (creating if needed) the checkpoint journal for cfg's
+// sweep. If the directory already holds a journal, its manifest must match
+// the config's identity — resuming someone else's sweep would silently skip
+// the wrong probes — and every readable segment record is indexed against
+// cfg's plan; torn tails are detected and discarded.
+//
+// A whole-plan config is identified by its plan hash. A config cut by
+// ShardConfig is identified by the shard-extended hash of the plan it was cut
+// from, so a shard journal resumes only as the same shard of the same plan —
+// re-opening it as a different shard, or as the whole plan, fails with an
+// error that says which mismatch happened.
 func OpenJournal(dir string, cfg *Config, opts JournalOptions) (*Journal, error) {
-	full := cfg.PlanHash()
-	return openJournal(dir, cfg, journalIdentity{
-		plan: full, full: full, seed: cfg.Seed,
-		transport: normTransport(cfg.TransportKind),
-	}, opts)
-}
-
-// OpenShardJournal opens the checkpoint journal for one shard of a larger
-// plan. cfg is the shard's own (sliced) config; fullPlan is the hash of the
-// complete plan the shard was cut from, and sd locates the shard inside it.
-// The directory's identity is the shard-extended plan hash, so a shard
-// journal resumes only as the same shard of the same plan — re-opening it
-// as a different shard, or as the whole plan, fails with an error that says
-// which mismatch happened.
-func OpenShardJournal(dir string, cfg *Config, fullPlan uint64, sd ShardDesc, opts JournalOptions) (*Journal, error) {
-	if sd.Lo < 0 || sd.Hi < sd.Lo || sd.Hi > sd.Units {
-		return nil, fmt.Errorf("journal: invalid %s", sd)
+	kind, err := transportpkg.ParseKind(cfg.TransportKind)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
 	}
-	if got := cfg.PlanUnits(); got != sd.Hi-sd.Lo {
-		return nil, fmt.Errorf("journal: shard config has %d units, %s spans %d", got, sd, sd.Hi-sd.Lo)
+	id := journalIdentity{seed: cfg.Seed, transport: kind.String()}
+	if sh := cfg.Shard; sh != nil {
+		sd := sh.Desc
+		if sd.Lo < 0 || sd.Hi < sd.Lo || sd.Hi > sd.Units {
+			return nil, fmt.Errorf("journal: invalid %s", sd)
+		}
+		if got := cfg.PlanUnits(); got != sd.Hi-sd.Lo {
+			return nil, fmt.Errorf("journal: shard config has %d units, %s spans %d", got, sd, sd.Hi-sd.Lo)
+		}
+		id.plan, id.full, id.shard = ShardPlanHash(sh.plan, sd), sh.plan, &sd
+	} else {
+		id.plan = cfg.PlanHash()
+		id.full = id.plan
 	}
-	desc := sd
-	return openJournal(dir, cfg, journalIdentity{
-		plan:      ShardPlanHash(fullPlan, sd),
-		full:      fullPlan,
-		shard:     &desc,
-		seed:      cfg.Seed,
-		transport: normTransport(cfg.TransportKind),
-	}, opts)
-}
-
-// openJournal is the shared open path: create-or-validate the manifest
-// against the caller's identity, then index any existing segments against
-// cfg's plan (for a shard journal, the shard's sliced config).
-func openJournal(dir string, cfg *Config, id journalIdentity, opts JournalOptions) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create dir: %w", err)
 	}
@@ -1074,7 +1031,7 @@ type MergeStats struct {
 //   - shard descriptors must agree on the unit total and, unioned, cover
 //     every unit in [0, PlanUnits) — a gap means a shard journal is missing
 //     and the merged report would silently re-sweep (or worse, under a
-//     CollectOnly worker, drop) its probes.
+//     shard worker, drop) its probes.
 //
 // Overlapping shards are fine (work stealing re-sweeps stolen tails on
 // purpose); duplicate records resolve first-wins at replay.

@@ -155,49 +155,6 @@ func TestPipelineStageTimings(t *testing.T) {
 	}
 }
 
-// TestDetermineParallelMatchesSerial pins the chunked determiner: same
-// categories, reasons, and suspicious ordering as the serial pass at every
-// worker count, over enough records to cross the minDetChunk fan-out floor.
-func TestDetermineParallelMatchesSerial(t *testing.T) {
-	build := func() []*UR {
-		var urs []*UR
-		for i := 0; i < 600; i++ {
-			u := aUR(fmt.Sprintf("100.1.%d.%d", i%4, 53+i%8), fmt.Sprintf("93.0.%d.%d", i%3, i%50))
-			if i%5 == 0 {
-				u.RData = "93.0.0.10" // IP-subset hit on the site.com profile
-			}
-			if i%7 == 0 {
-				u.ASN = 64500
-			}
-			urs = append(urs, u)
-		}
-		return urs
-	}
-	cfg, correct, prot := detConfig()
-	serial := build()
-	d := NewDeterminer(cfg, correct, prot)
-	wantSus := d.Determine(serial)
-
-	for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0) + 1, 64} {
-		urs := build()
-		gotSus := NewDeterminer(cfg, correct, prot).DetermineParallel(urs, workers)
-		if len(gotSus) != len(wantSus) {
-			t.Fatalf("workers %d: %d suspicious, want %d", workers, len(gotSus), len(wantSus))
-		}
-		for i := range urs {
-			if urs[i].Category != serial[i].Category || urs[i].Reason != serial[i].Reason {
-				t.Fatalf("workers %d: record %d = %v/%v, want %v/%v",
-					workers, i, urs[i].Category, urs[i].Reason, serial[i].Category, serial[i].Reason)
-			}
-		}
-		for i := range gotSus {
-			if gotSus[i].RData != wantSus[i].RData || gotSus[i].Server.Addr != wantSus[i].Server.Addr {
-				t.Fatalf("workers %d: suspicious order diverged at %d", workers, i)
-			}
-		}
-	}
-}
-
 // TestAnalyzeParallelMatchesSerial pins the fanned-out §4.3 labeling against
 // Analyze over a corpus large enough to actually chunk.
 func TestAnalyzeParallelMatchesSerial(t *testing.T) {

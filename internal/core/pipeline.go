@@ -111,9 +111,8 @@ func (p *Pipeline) partial() *Result {
 // into a pool of classification workers the moment the server's fused job
 // finishes; the workers block only on the correct DB, so classification
 // overlaps the sweep tail. Results land in per-worker slices and are merged
-// through the same canonical sort the serial pipeline used, so reports are
-// byte-identical at any Parallelism/DetermineWorkers setting — resumed or
-// not.
+// through one canonical sort, so reports are byte-identical at any
+// Parallelism/DetermineWorkers setting — resumed or not.
 //
 // On error — including context cancellation mid-sweep — the returned Result
 // is non-nil and carries the partial query/coverage books accumulated before
@@ -125,11 +124,12 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	st := &StageTimings{}
 
 	// The analyzer's IDS pass over the sandbox corpus depends on no sweep;
-	// build it while collection runs. Collect-only runs (fleet shard
-	// workers) skip it — determination and analysis happen once, after the
-	// shard journals merge.
+	// build it while collection runs. A shard's run is collect-only and
+	// skips it — determination and analysis happen once, after the shard
+	// journals merge.
+	collectOnly := p.Cfg.Shard != nil
 	analyzerCh := make(chan *Analyzer, 1)
-	if p.Cfg.CollectOnly {
+	if collectOnly {
 		analyzerCh <- nil
 	} else {
 		go func() { analyzerCh <- NewAnalyzer(p.Cfg) }()
@@ -197,7 +197,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 			<-correctDone
 			var local []*UR
 			var memo *detMemo
-			if det.correct != nil && !p.Cfg.CollectOnly {
+			if det.correct != nil && !collectOnly {
 				memo = newDetMemo()
 			}
 			for batch := range stream {
@@ -233,7 +233,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	}
 	sortURs(urs)
 	var suspicious []*UR
-	if !p.Cfg.CollectOnly {
+	if !collectOnly {
 		// Unclassified records default to CategoryUnknown, so a collect-only
 		// run must not run this filter — every record would read suspicious.
 		for _, u := range urs {
@@ -271,9 +271,9 @@ func (p *Pipeline) FalseNegativeCheck(ctx context.Context, res *Result) (int, in
 	if len(p.Cfg.OpenResolvers) == 0 {
 		return 0, 0, nil
 	}
-	tr := p.Cfg.Transport
-	if tr == nil {
-		tr = p.Cfg.newSimTransport()
+	tr, err := p.Cfg.transport()
+	if err != nil {
+		return 0, 0, err
 	}
 	client := dnsio.NewClient(tr)
 	client.SeedIDs(0xFACE)

@@ -1,29 +1,54 @@
 package core
 
 import (
+	"context"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// shardSlice cuts the fixture config down to units [lo, hi) the way
-// fleet.ShardConfig does: resolvers occupy [0, R), nameservers [R, R+N).
-func shardSlice(cfg *Config, lo, hi int) *Config {
-	c := *cfg
-	r := len(cfg.OpenResolvers)
-	cl := func(v, lo, hi int) int {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
+// TestShardConfigSlices pins the unit→config slicing: open resolvers occupy
+// units [0, R), nameservers [R, R+N), and a range reaching outside the plan
+// (a hostile assign frame) is clamped, never a panic.
+func TestShardConfigSlices(t *testing.T) {
+	full := &Config{Seed: 11}
+	for i := 1; i <= 2; i++ {
+		full.OpenResolvers = append(full.OpenResolvers, netip.AddrFrom4([4]byte{10, 0, 1, byte(i)}))
 	}
-	c.OpenResolvers = cfg.OpenResolvers[cl(lo, 0, r):cl(hi, 0, r)]
-	c.Nameservers = cfg.Nameservers[cl(lo-r, 0, len(cfg.Nameservers)):cl(hi-r, 0, len(cfg.Nameservers))]
-	return &c
+	for i := 1; i <= 10; i++ {
+		full.Nameservers = append(full.Nameservers, NameserverInfo{Addr: netip.AddrFrom4([4]byte{10, 0, 0, byte(i)})})
+	}
+	if got := full.PlanUnits(); got != 12 {
+		t.Fatalf("PlanUnits = %d, want 12", got)
+	}
+	for _, tc := range []struct {
+		lo, hi         int
+		resolvers, nss int
+	}{
+		{1, 5, 1, 3}, // spans the resolver/nameserver boundary
+		{7, 12, 0, 5},
+		{0, 12, 2, 10},
+		{-3, 40, 2, 10},
+		{5, 1, 0, 0}, // inverted
+	} {
+		s := ShardConfig(full, ShardDesc{Lo: tc.lo, Hi: tc.hi, Units: 12})
+		if len(s.OpenResolvers) != tc.resolvers || len(s.Nameservers) != tc.nss {
+			t.Errorf("[%d,%d): %d resolvers + %d nameservers, want %d + %d",
+				tc.lo, tc.hi, len(s.OpenResolvers), len(s.Nameservers), tc.resolvers, tc.nss)
+		}
+		if s.Shard == nil || s.Shard.Desc.Lo != tc.lo || s.Shard.Desc.Hi != tc.hi {
+			t.Errorf("[%d,%d): shard value %+v", tc.lo, tc.hi, s.Shard)
+		}
+	}
+	s := ShardConfig(full, ShardDesc{Lo: 1, Hi: 5, Units: 12})
+	if s.OpenResolvers[0] != full.OpenResolvers[1] || s.Nameservers[0].Addr != full.Nameservers[0].Addr {
+		t.Errorf("boundary slice starts at the wrong units: %v / %v", s.OpenResolvers, s.Nameservers)
+	}
+	if full.Shard != nil {
+		t.Error("slicing marked the full config as a shard")
+	}
 }
 
 // TestShardPlanHashDistinct pins that shard identity separates shards of one
@@ -43,9 +68,7 @@ func TestShardPlanHashDistinct(t *testing.T) {
 // journal directory can disagree with the opener names the actual conflict.
 func TestJournalMismatchErrors(t *testing.T) {
 	fx := newChaosFixture(t, 11)
-	full := fx.cfg.PlanHash()
-	sd0 := ShardDesc{Index: 0, Lo: 0, Hi: 4, Units: 7}
-	scfg := shardSlice(fx.cfg, 0, 4)
+	scfg := ShardConfig(fx.cfg, ShardDesc{Index: 0, Lo: 0, Hi: 4, Units: 7})
 
 	t.Run("different plan", func(t *testing.T) {
 		dir := t.TempDir()
@@ -64,7 +87,7 @@ func TestJournalMismatchErrors(t *testing.T) {
 
 	t.Run("shard dir opened as whole plan", func(t *testing.T) {
 		dir := t.TempDir()
-		j, err := OpenShardJournal(dir, scfg, full, sd0, JournalOptions{})
+		j, err := OpenJournal(dir, scfg, JournalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +106,7 @@ func TestJournalMismatchErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		j.Close()
-		_, err = OpenShardJournal(dir, scfg, full, sd0, JournalOptions{})
+		_, err = OpenJournal(dir, scfg, JournalOptions{})
 		if err == nil || !strings.Contains(err.Error(), "holds the whole plan") {
 			t.Fatalf("plan-as-shard open error = %v", err)
 		}
@@ -91,13 +114,13 @@ func TestJournalMismatchErrors(t *testing.T) {
 
 	t.Run("same plan different shard", func(t *testing.T) {
 		dir := t.TempDir()
-		j, err := OpenShardJournal(dir, scfg, full, sd0, JournalOptions{})
+		j, err := OpenJournal(dir, scfg, JournalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
-		sd1 := ShardDesc{Index: 1, Lo: 0, Hi: 4, Units: 7}
-		_, err = OpenShardJournal(dir, scfg, full, sd1, JournalOptions{})
+		other := ShardConfig(fx.cfg, ShardDesc{Index: 1, Lo: 0, Hi: 4, Units: 7})
+		_, err = OpenJournal(dir, other, JournalOptions{})
 		if err == nil || !strings.Contains(err.Error(), "resumes only as the same shard") {
 			t.Fatalf("cross-shard open error = %v", err)
 		}
@@ -105,12 +128,12 @@ func TestJournalMismatchErrors(t *testing.T) {
 
 	t.Run("same shard resumes", func(t *testing.T) {
 		dir := t.TempDir()
-		j, err := OpenShardJournal(dir, scfg, full, sd0, JournalOptions{})
+		j, err := OpenJournal(dir, scfg, JournalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
-		j, err = OpenShardJournal(dir, scfg, full, sd0, JournalOptions{})
+		j, err = OpenJournal(dir, scfg, JournalOptions{})
 		if err != nil {
 			t.Fatalf("same-shard reopen: %v", err)
 		}
@@ -125,11 +148,9 @@ func TestJournalMismatchErrors(t *testing.T) {
 // coverage of the unit range, one plan only, and a fresh destination.
 func TestMergeShardJournalsValidation(t *testing.T) {
 	fx := newChaosFixture(t, 11)
-	full := fx.cfg.PlanHash()
 	mkShard := func(t *testing.T, lo, hi, idx int) string {
 		dir := filepath.Join(t.TempDir(), "shard")
-		j, err := OpenShardJournal(dir, shardSlice(fx.cfg, lo, hi), full,
-			ShardDesc{Index: idx, Lo: lo, Hi: hi, Units: 7}, JournalOptions{})
+		j, err := OpenJournal(dir, ShardConfig(fx.cfg, ShardDesc{Index: idx, Lo: lo, Hi: hi, Units: 7}), JournalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,6 +228,101 @@ func TestMergeShardJournalsValidation(t *testing.T) {
 			t.Fatalf("manifestless merge error = %v", err)
 		}
 	})
+}
+
+// TestShardYieldMidRun pins the shard value's cursor. A shard over the
+// nameserver units [1,7) is yielded down to 4 as its third unit completes:
+// its journal must hold every probe of units 1-3 and nothing of 4-6, and —
+// beside the resolver's shard and the thief's shard of the stolen tail — it
+// must still merge into a journal that replays the whole plan without one
+// live exchange, to the single-process report.
+func TestShardYieldMidRun(t *testing.T) {
+	const perNS = (12 + 1) * 2 // every target plus the canary, A and TXT
+	sweep := func(sd ShardDesc, arm func(*Shard)) (string, *Result, *Journal) {
+		t.Helper()
+		fx := newChaosFixture(t, 11)
+		// One worker, so the unit that finishes third is the third unit.
+		fx.cfg.Parallelism = 1
+		scfg := ShardConfig(fx.cfg, sd)
+		if arm != nil {
+			arm(scfg.Shard)
+		}
+		dir := filepath.Join(t.TempDir(), "shard")
+		j, err := OpenJournal(dir, scfg, JournalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg.Journal = j
+		res, err := NewPipeline(scfg).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, res, j
+	}
+
+	var yielded *Shard
+	victimDir, res, j := sweep(ShardDesc{Index: 1, Lo: 1, Hi: 7, Units: 7}, func(sh *Shard) {
+		yielded = sh
+		sh.Progress = func(done int) {
+			if done == 3 && !sh.Yield(4) {
+				t.Error("Yield(4) did not move the cursor")
+			}
+		}
+	})
+	if yielded.Yield(5) {
+		t.Error("a yield moved the cursor back up")
+	}
+	if got := yielded.Done(); got != 3 {
+		t.Errorf("shard completed %d units, want 3", got)
+	}
+	if got := j.Appended(); got != 3*perNS {
+		t.Errorf("shard journal holds %d records, want %d (units 1-3 in full)", got, 3*perNS)
+	}
+	servers := newChaosFixture(t, 11).nsAddrs
+	if cov := res.Coverage; len(cov.PerServer) != 3 {
+		t.Errorf("swept %d servers, want 3: %+v", len(cov.PerServer), cov.PerServer)
+	} else {
+		for i, sc := range cov.PerServer {
+			if sc.Addr != servers[i] || sc.Answered != perNS {
+				t.Errorf("unit %d: swept %s with %d answers, want %s with %d", i+1, sc.Addr, sc.Answered, servers[i], perNS)
+			}
+		}
+	}
+	if len(res.Suspicious) != 0 {
+		t.Errorf("a shard run classified %d records", len(res.Suspicious))
+	}
+
+	resolverDir, _, _ := sweep(ShardDesc{Index: 0, Lo: 0, Hi: 1, Units: 7}, nil)
+	thiefDir, _, _ := sweep(ShardDesc{Index: 2, Lo: 4, Hi: 7, Units: 7}, nil)
+	merged := filepath.Join(t.TempDir(), "merged")
+	full := newChaosFixture(t, 11)
+	if _, err := MergeShardJournals(merged, full.cfg, []string{resolverDir, victimDir, thiefDir}); err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	mj, err := OpenJournal(merged, full.cfg, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.cfg.Journal = mj
+	got, err := NewPipeline(full.cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mj.Close()
+	if mj.ReplayedAnswered() != chaosPlanSize || full.fabric.Exchanges() != 0 {
+		t.Errorf("merged run replayed %d of %d probes and issued %d live exchanges",
+			mj.ReplayedAnswered(), chaosPlanSize, full.fabric.Exchanges())
+	}
+	want, err := NewPipeline(newChaosFixture(t, 11).cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderRecords(got) != renderRecords(want) {
+		t.Error("merged report differs from the single-process run")
+	}
 }
 
 // errUnwrapAll walks to the innermost error.

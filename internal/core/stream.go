@@ -55,9 +55,9 @@ func pickErr(errs ...error) error {
 // determine stage can classify a batch as soon as the correct database is
 // ready, without waiting for the rest of the sweep.
 //
-// Probes are booked and journaled under their original sweep kinds
-// (sweepProtective / sweepURs), so coverage accounting, the failure book,
-// and journal resume are indistinguishable from the serial sweeps'.
+// Probes are booked and journaled under their own sweep kinds
+// (sweepProtective / sweepURs), which is what coverage accounting, the
+// failure book, and journal resume are keyed by.
 func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, emit func([]*UR)) error {
 	c.wd.start()
 	defer c.wd.stop()
@@ -65,7 +65,7 @@ func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, em
 	// The fused pool gets the watchdog slot range [workers, 2*workers),
 	// leaving [0, workers) to the concurrently running correct sweep.
 	workers := c.cfg.parallelism()
-	err := c.sweepPool(ctx, workers, []sweepKind{sweepProtective, sweepURs}, c.cfg.Nameservers, func(w *sweepWorker, ns NameserverInfo) error {
+	err := c.sweepPool(ctx, workers, []sweepKind{sweepProtective, sweepURs}, len(c.cfg.OpenResolvers), c.cfg.Nameservers, func(w *sweepWorker, ns NameserverInfo) error {
 		urs, err := c.collectNSFused(ctx, w, ns, db)
 		if err == nil {
 			emit(urs)
@@ -103,8 +103,7 @@ func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, ns Names
 		j.book()
 	}()
 
-	// Phase 1: protective canary probes — the endpoint's first exchanges,
-	// exactly as the serial CollectProtective sweep issues them.
+	// Phase 1: protective canary probes — the endpoint's first exchanges.
 	err := c.sweepCanary(ctx, &j, db)
 	canaryFails, j.fails = j.fails, nil
 	if err != nil {
@@ -119,9 +118,9 @@ func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, ns Names
 
 	// Phase 3: one in-job retry of this job's failed canary probes. The UR
 	// phase put tens of exchanges between the failure and the retry, giving
-	// flap windows and breakers the same chance to recover that the serial
-	// pipeline's end-of-sweep re-queue provides — without letting another
-	// goroutine interleave on this endpoint. A server's protective set is
+	// flap windows and breakers the same chance to recover that an
+	// end-of-sweep re-queue provides — without letting another goroutine
+	// interleave on this endpoint. A server's protective set is
 	// therefore final when its job ends, which is what lets the caller emit
 	// the job's URs for immediate classification.
 	remaining := canaryFails[:0]
@@ -131,7 +130,7 @@ func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, ns Names
 			return out, err
 		}
 		j.issued++
-		resp, wire, class, err := c.probeQuery(ctx, w.slot, w.seg, j.server, f.domain, f.qtype)
+		resp, wire, class, err := c.probeQuery(ctx, w.slot, j.server, f.domain, f.qtype)
 		if err != nil {
 			f.class = class
 			remaining = append(remaining, f)

@@ -205,21 +205,17 @@ func TestJournalPreTransportManifestResumesAsUDP(t *testing.T) {
 // journals swept over one transport refuse to merge into a run targeting
 // another.
 func TestMergeRefusesCrossTransport(t *testing.T) {
-	fx := newChaosFixture(t, 11)
-	fx.cfg.TransportKind = "dot"
-	full := fx.cfg.PlanHash()
-	units := fx.cfg.PlanUnits()
-
 	shardDir := t.TempDir()
 	shardFx := newChaosFixture(t, 11)
 	shardFx.cfg.TransportKind = "dot"
-	sd := ShardDesc{Index: 0, Lo: 0, Hi: units, Units: units}
-	sj, err := OpenShardJournal(shardDir, shardFx.cfg, full, sd, JournalOptions{})
+	units := shardFx.cfg.PlanUnits()
+	scfg := ShardConfig(shardFx.cfg, ShardDesc{Index: 0, Lo: 0, Hi: units, Units: units})
+	sj, err := OpenJournal(shardDir, scfg, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardFx.cfg.Journal = sj
-	if _, err := NewPipeline(shardFx.cfg).Run(context.Background()); err != nil {
+	scfg.Journal = sj
+	if _, err := NewPipeline(scfg).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := sj.Close(); err != nil {
@@ -248,14 +244,16 @@ func TestMergeRefusesCrossTransport(t *testing.T) {
 
 // TestTransportVirtualCostOnly asserts the modeled crypto costs land on the
 // virtual clock and nowhere else: the encrypted sweeps advance virtual RTT
-// beyond the plain sweep's, issue the same number of fabric exchanges, and
-// (per the tests above) change no verdict.
+// beyond the plain sweep's — by no more than the cost model allows — issue
+// the same number of fabric exchanges, and (per the tests above) change no
+// verdict.
 func TestTransportVirtualCostOnly(t *testing.T) {
 	type book struct {
 		exchanges int64
 		virtual   int64
 	}
 	books := map[string]book{}
+	var servers, base int64
 	for _, kind := range transportSweepKinds {
 		fx := newChaosFixture(t, 11)
 		fx.cfg.TransportKind = kind
@@ -263,6 +261,7 @@ func TestTransportVirtualCostOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		books[kind] = book{fx.fabric.Exchanges(), int64(fx.fabric.VirtualRTT())}
+		servers, base = int64(fx.cfg.PlanUnits()), int64(fx.fabric.BaseRTT())
 	}
 	for _, kind := range []string{"dot", "doh"} {
 		if books[kind].exchanges != books["udp"].exchanges {
@@ -278,6 +277,66 @@ func TestTransportVirtualCostOnly(t *testing.T) {
 	// cost strictly more virtual time.
 	if books["doh"].virtual <= books["dot"].virtual {
 		t.Errorf("doh virtual cost %d not above dot's %d", books["doh"].virtual, books["dot"].virtual)
+	}
+	// The ceiling DESIGN §14's model gives this plan: one 2-RTT handshake per
+	// server plus base/8 per message, over an exchange that costs plain UDP
+	// at least one base RTT — so DoH's share over UDP is at most
+	// 1/8 + 2/(exchanges per server), about 20% at this fixture's ~26. A
+	// handshake booked per message instead of per server reads +200%.
+	udp := books["udp"]
+	ceiling := 2*servers*base + udp.exchanges*(base/8)
+	if extra := books["doh"].virtual - udp.virtual; extra > ceiling {
+		t.Errorf("doh booked %d ns over udp's %d, model ceiling %d (%d servers, %d exchanges)",
+			extra, udp.virtual, ceiling, servers, udp.exchanges)
+	}
+	if 2*ceiling > udp.virtual {
+		t.Errorf("fixture's model ceiling %d is over half of udp's %d: too few probes per server to amortize a handshake",
+			ceiling, udp.virtual)
+	}
+}
+
+// TestUnknownTransportKindIsAnError pins that a typo in Config.TransportKind
+// reaches a library caller as an error from the call that would have used the
+// transport — before any probe, and never as a panic.
+func TestUnknownTransportKindIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(cfg *Config) error
+	}{
+		{"Pipeline.Run", func(cfg *Config) error {
+			res, err := NewPipeline(cfg).Run(context.Background())
+			if res == nil {
+				t.Error("no partial result beside the error")
+			}
+			return err
+		}},
+		{"Pipeline.FalseNegativeCheck", func(cfg *Config) error {
+			_, _, err := NewPipeline(cfg).FalseNegativeCheck(context.Background(), &Result{})
+			return err
+		}},
+		{"OpenJournal", func(cfg *Config) error {
+			dir := t.TempDir()
+			j, err := OpenJournal(dir, cfg, JournalOptions{})
+			if err == nil {
+				j.Close()
+			}
+			if _, serr := readManifestBytes(dir); serr == nil {
+				t.Error("a manifest was written for an unknown transport")
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newChaosFixture(t, 11)
+			fx.cfg.TransportKind = "quic"
+			err := tc.call(fx.cfg)
+			if err == nil || !strings.Contains(err.Error(), `unknown kind "quic"`) {
+				t.Errorf("error = %v, want the unknown-kind refusal", err)
+			}
+			if n := fx.fabric.Exchanges(); n != 0 {
+				t.Errorf("%d exchanges reached the fabric", n)
+			}
+		})
 	}
 }
 

@@ -117,12 +117,7 @@ var queryPool = sync.Pool{New: func() any { return new(dns.Message) }}
 // Query sends a (name, type) question to server and returns the validated
 // response.
 func (c *Client) Query(ctx context.Context, server netip.AddrPort, name dns.Name, t dns.Type) (*dns.Message, error) {
-	q := queryPool.Get().(*dns.Message)
-	q.Header = dns.Header{ID: c.nextID(), RecursionDesired: true}
-	q.Questions = append(q.Questions[:0], dns.Question{Name: name, Type: t, Class: dns.ClassINET})
-	q.Answers, q.Authority, q.Additional = q.Answers[:0], q.Authority[:0], q.Additional[:0]
-	resp, _, err := c.exchange(ctx, server, q)
-	queryPool.Put(q)
+	resp, _, err := c.QueryWire(ctx, server, name, t)
 	return resp, err
 }
 
@@ -138,10 +133,7 @@ func (c *Client) QueryWire(ctx context.Context, server netip.AddrPort, name dns.
 	q.Answers, q.Authority, q.Additional = q.Answers[:0], q.Authority[:0], q.Additional[:0]
 	resp, raw, err := c.exchange(ctx, server, q)
 	queryPool.Put(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp, raw, nil
+	return resp, raw, err
 }
 
 // packBufPool recycles query wire buffers across Exchange calls; transports

@@ -151,9 +151,8 @@ func (l *logCapture) String() string {
 }
 
 // fleetRun drives a full coordinator+workers round in-process and returns
-// the merged result's fingerprint. workerOpts customises per-worker options
-// (die hooks, parallelism); transports optionally overrides a worker's
-// transport (slow straggler).
+// the merged result's fingerprint. workers customises per-worker options
+// (parallelism); transports optionally overrides a worker's transport.
 func fleetRun(t *testing.T, seed int64, chaos bool, dir string, co *Coordinator, workers []WorkerOptions, transports []dnsio.Transport) (*core.Result, []error) {
 	t.Helper()
 	if err := co.Listen("127.0.0.1:0"); err != nil {
@@ -161,8 +160,8 @@ func fleetRun(t *testing.T, seed int64, chaos bool, dir string, co *Coordinator,
 	}
 	// The fixture's shards sweep in about a millisecond, so without a gate the
 	// first worker to connect can finish the whole plan before the next one
-	// has dialed (which then finds the listener closed, or no shard left to
-	// die in). Hand out no work until every worker is connected.
+	// has dialed (which then finds the listener closed). Hand out no work
+	// until every worker is connected.
 	co.ln = &gatedListener{Listener: co.ln, hold: len(workers)}
 	ctx := context.Background()
 	runErr := make(chan error, 1)
@@ -258,32 +257,6 @@ func TestSplitPlan(t *testing.T) {
 	}
 }
 
-// TestShardConfigSlices pins the unit→config slicing and the unit index.
-func TestShardConfigSlices(t *testing.T) {
-	fx := newFleetFixture(t, 11, false)
-	full := fx.cfg
-	if got := full.PlanUnits(); got != 12 {
-		t.Fatalf("PlanUnits = %d, want 12", got)
-	}
-	idx := UnitIndex(full)
-	if idx[full.OpenResolvers[0]] != 0 || idx[full.OpenResolvers[1]] != 1 || idx[full.Nameservers[0].Addr] != 2 {
-		t.Fatalf("unexpected unit index: %v", idx)
-	}
-	// A shard spanning the resolver/nameserver boundary.
-	s := ShardConfig(full, 1, 5)
-	if len(s.OpenResolvers) != 1 || s.OpenResolvers[0] != full.OpenResolvers[1] {
-		t.Errorf("resolver slice wrong: %v", s.OpenResolvers)
-	}
-	if len(s.Nameservers) != 3 || s.Nameservers[0].Addr != full.Nameservers[0].Addr {
-		t.Errorf("nameserver slice wrong: %d", len(s.Nameservers))
-	}
-	// Pure-nameserver shard.
-	s = ShardConfig(full, 7, 12)
-	if len(s.OpenResolvers) != 0 || len(s.Nameservers) != 5 {
-		t.Errorf("tail shard wrong: %d resolvers, %d nameservers", len(s.OpenResolvers), len(s.Nameservers))
-	}
-}
-
 // TestFleetByteIdenticalAcrossShards is the re-shard determinism pin: the
 // merged report from 1, 2, 4, and 7 shards (uneven split), at parallelism 1
 // and 4, chaos on, must be byte-identical to the single-process run.
@@ -356,6 +329,13 @@ func TestFleetByteIdenticalNoChaos(t *testing.T) {
 // (journal at ~30 records, checkpoints every 8): the coordinator must
 // re-issue the shard from its last checkpoint to the surviving worker, and
 // the merged report must still be byte-identical.
+//
+// The victim is whoever holds shard 0, and that is always the doomed worker:
+// it is the only one connected when shard 0 is handed out, and the survivor
+// dials only once the coordinator has logged that assignment. Started
+// together, which worker received which shard was a connection-order race,
+// and a survivor that swept both millisecond-long shards first left the
+// doomed worker nothing to die in.
 func TestFleetKillWorkerMidShard(t *testing.T) {
 	const seed = 11
 	want := baselineRun(t, seed, true)
@@ -366,20 +346,43 @@ func TestFleetKillWorkerMidShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := []WorkerOptions{
-		{Name: "doomed", Parallelism: 2, CheckpointEvery: 8, DieAtRecords: 30, Logf: lg.logf},
-		{Name: "survivor", Parallelism: 2, CheckpointEvery: 8, Logf: lg.logf},
+	if err := co.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
 	}
-	res, errs := fleetRun(t, seed, true, "", co, workers, nil)
-	if errs[0] == nil {
+	ctx := context.Background()
+	runErr := make(chan error, 1)
+	go func() { runErr <- co.Run(ctx) }()
+
+	var wg sync.WaitGroup
+	var doomedErr, survivorErr error
+	worker := func(errp *error, opts WorkerOptions) {
+		cfg := newFleetFixture(t, seed, true).cfg
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			*errp = RunWorker(ctx, co.Addr().String(), cfg, opts)
+		}()
+	}
+	worker(&doomedErr, WorkerOptions{Name: "doomed", Parallelism: 2, CheckpointEvery: 8, DieAtRecords: 30, Logf: lg.logf})
+	waitForLog(t, &lg, "shard 0 units [0,6) -> worker doomed")
+	worker(&survivorErr, WorkerOptions{Name: "survivor", Parallelism: 2, CheckpointEvery: 8, Logf: lg.logf})
+	if err := <-runErr; err != nil {
+		t.Fatalf("coordinator run: %v", err)
+	}
+	wg.Wait()
+	if doomedErr == nil {
 		t.Error("doomed worker did not die")
 	}
-	if errs[1] != nil {
-		t.Errorf("survivor: %v", errs[1])
+	if survivorErr != nil {
+		t.Errorf("survivor: %v", survivorErr)
+	}
+	res, err := co.Finish(ctx)
+	if err != nil {
+		t.Fatalf("finish: %v", err)
 	}
 	log := lg.String()
-	if !strings.Contains(log, "stolen from dead worker") {
-		t.Errorf("no dead-worker steal logged:\n%s", log)
+	if !strings.Contains(log, "shard 0 stolen from dead worker doomed") {
+		t.Errorf("no dead-worker steal of shard 0 logged:\n%s", log)
 	}
 	if got := renderRecords(res); got != want {
 		t.Errorf("merged report differs after worker kill + re-issue\nlog:\n%s", log)

@@ -13,11 +13,7 @@
 // deterministic chaos machinery and the byte-identity pins depend on.
 package fleet
 
-import (
-	"net/netip"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // SplitPlan cuts [0, units) into n contiguous, near-even shards. Shard sizes
 // differ by at most one (the remainder spreads over the first shards); n is
@@ -44,46 +40,4 @@ func SplitPlan(units, n int) []core.ShardDesc {
 		lo += size
 	}
 	return out
-}
-
-// ShardConfig slices a full-plan config down to the units in [lo, hi):
-// open resolvers occupy unit indices [0, R), nameservers [R, R+N), both in
-// config order. Everything else — seed, targets, query types, world wiring —
-// is shared, so the shard's plan hash is itself deterministic and
-// OpenShardJournal can verify the slice matches its descriptor.
-func ShardConfig(full *core.Config, lo, hi int) *core.Config {
-	c := *full
-	r := len(full.OpenResolvers)
-	rlo, rhi := clamp(lo, 0, r), clamp(hi, 0, r)
-	c.OpenResolvers = full.OpenResolvers[rlo:rhi]
-	nlo, nhi := clamp(lo-r, 0, len(full.Nameservers)), clamp(hi-r, 0, len(full.Nameservers))
-	c.Nameservers = full.Nameservers[nlo:nhi]
-	return &c
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// UnitIndex maps every server address in the full plan to its unit index —
-// how a worker translates a yield point ("stop before unit s") into the
-// per-server SkipServer decision the collector consults at dispatch time.
-func UnitIndex(full *core.Config) map[netip.Addr]int {
-	m := make(map[netip.Addr]int, full.PlanUnits())
-	i := 0
-	for _, r := range full.OpenResolvers {
-		m[r] = i
-		i++
-	}
-	for _, ns := range full.Nameservers {
-		m[ns.Addr] = i
-		i++
-	}
-	return m
 }

@@ -1,6 +1,6 @@
 // The worker: dials the coordinator, sweeps assigned shards with the full
-// journaled pipeline in collect-only mode, reports per-unit progress, and
-// sheds its shard's tail when the coordinator yields it away.
+// journaled pipeline (collect-only, as every shard run is), reports per-unit
+// progress, and sheds its shard's tail when the coordinator yields it away.
 package fleet
 
 import (
@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -67,10 +66,10 @@ func RunWorker(ctx context.Context, addr string, full *core.Config, opts WorkerO
 		return fmt.Errorf("fleet: hello: %w", err)
 	}
 
-	// One goroutine owns the read side: yield frames update the running
-	// shard's effective end in place (they arrive mid-sweep), every other
-	// frame flows to the main loop.
-	sess := &workerSession{curShard: -1}
+	// One goroutine owns the read side: yield frames lower the running
+	// shard's cursor in place (they arrive mid-sweep), every other frame
+	// flows to the main loop.
+	var running atomic.Pointer[core.Shard]
 	mainCh := make(chan frame, 4)
 	readErr := make(chan error, 1)
 	go func() {
@@ -82,7 +81,10 @@ func RunWorker(ctx context.Context, addr string, full *core.Config, opts WorkerO
 				return
 			}
 			if f.Type == fYield {
-				if sess.applyYield(f) {
+				// A yield for a shard this worker no longer runs (it finished
+				// just as the steal fired) is ignored — the thief re-sweeps
+				// the tail either way.
+				if sh := running.Load(); sh != nil && sh.Desc.Index == f.Shard && sh.Yield(f.Hi) {
 					logf("fleet: worker %s: shard %d tail yielded, new end unit %d", opts.Name, f.Shard, f.Hi)
 				}
 				continue
@@ -91,7 +93,6 @@ func RunWorker(ctx context.Context, addr string, full *core.Config, opts WorkerO
 		}
 	}()
 
-	idx := UnitIndex(full)
 	for {
 		var f frame
 		var ok bool
@@ -114,47 +115,9 @@ func RunWorker(ctx context.Context, addr string, full *core.Config, opts WorkerO
 			logf("fleet: worker %s: no work left, shutting down", opts.Name)
 			return nil
 		case fAssign:
-			if err := runShard(ctx, w, sess, full, idx, f, opts, logf); err != nil {
+			if err := runShard(ctx, w, &running, full, f, opts, logf); err != nil {
 				return err
 			}
-		}
-	}
-}
-
-// workerSession tracks which shard this worker is running so the reader
-// goroutine can route yield frames to it.
-type workerSession struct {
-	mu       sync.Mutex
-	curShard int
-	yieldHi  *atomic.Int64
-}
-
-func (s *workerSession) begin(shard int, yieldHi *atomic.Int64) {
-	s.mu.Lock()
-	s.curShard, s.yieldHi = shard, yieldHi
-	s.mu.Unlock()
-}
-
-func (s *workerSession) end() {
-	s.mu.Lock()
-	s.curShard, s.yieldHi = -1, nil
-	s.mu.Unlock()
-}
-
-// applyYield lowers the running shard's effective end; a yield for a shard
-// this worker no longer runs (it finished just as the steal fired) is
-// ignored — the thief re-sweeps the tail either way.
-func (s *workerSession) applyYield(f frame) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.curShard != f.Shard || s.yieldHi == nil {
-		return false
-	}
-	// Yields only move the end down.
-	for {
-		cur := s.yieldHi.Load()
-		if int64(f.Hi) >= cur || s.yieldHi.CompareAndSwap(cur, int64(f.Hi)) {
-			return int64(f.Hi) < cur
 		}
 	}
 }
@@ -162,37 +125,29 @@ func (s *workerSession) applyYield(f frame) bool {
 // errWorkerDied is returned when the DieAtRecords hook fired.
 var errWorkerDied = errors.New("fleet: worker died (DieAtRecords)")
 
-// runShard sweeps one assigned shard through the journaled pipeline in
-// collect-only mode and reports the outcome. The shard's own config slice
-// plus the shard descriptor reproduce exactly the probes a single-process
-// run would issue for these units; SkipServer drops units at or past the
-// yield point at dispatch time.
-func runShard(ctx context.Context, w *wire, sess *workerSession, full *core.Config, idx map[netip.Addr]int, f frame, opts WorkerOptions, logf func(string, ...any)) error {
+// runShard sweeps one assigned shard through the journaled pipeline and
+// reports the outcome. The shard's config slice reproduces exactly the probes
+// a single-process run would issue for these units, collect-only; running
+// publishes its shard value to the reader goroutine for the sweep's duration
+// so a yield frame can lower the cursor mid-run.
+func runShard(ctx context.Context, w *wire, running *atomic.Pointer[core.Shard], full *core.Config, f frame, opts WorkerOptions, logf func(string, ...any)) error {
 	sd := core.ShardDesc{Index: f.Shard, Lo: f.Lo, Hi: f.Hi, Units: full.PlanUnits()}
 	logf("fleet: worker %s: assigned %s (sweep end %d) in %s", opts.Name, sd, f.YieldHi, f.Dir)
 
-	var yieldHi atomic.Int64
-	if f.YieldHi > 0 {
-		yieldHi.Store(int64(f.YieldHi))
-	} else {
-		yieldHi.Store(int64(f.Hi))
+	scfg := core.ShardConfig(full, sd)
+	if opts.Parallelism > 0 {
+		scfg.Parallelism = opts.Parallelism
 	}
-	sess.begin(f.Shard, &yieldHi)
-	defer sess.end()
+	if f.YieldHi > 0 {
+		scfg.Shard.Yield(f.YieldHi)
+	}
+	running.Store(scfg.Shard)
+	defer running.Store(nil)
 
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
-	scfg := ShardConfig(full, f.Lo, f.Hi)
-	scfg.CollectOnly = true
-	if opts.Parallelism > 0 {
-		scfg.Parallelism = opts.Parallelism
-	}
-	scfg.SkipServer = func(a netip.Addr) bool {
-		return int64(idx[a]) >= yieldHi.Load()
-	}
-
-	j, err := core.OpenShardJournal(f.Dir, scfg, full.PlanHash(), sd, core.JournalOptions{CheckpointEvery: opts.CheckpointEvery})
+	j, err := core.OpenJournal(f.Dir, scfg, core.JournalOptions{CheckpointEvery: opts.CheckpointEvery})
 	if err != nil {
 		// A bad assignment (or a clobbered directory) fails this shard, not
 		// the worker: report it and let the coordinator re-issue or abort.
@@ -219,11 +174,9 @@ func runShard(ctx context.Context, w *wire, sess *workerSession, full *core.Conf
 		}
 	}
 
-	var done atomic.Int64
-	scfg.ServerDone = func(netip.Addr) {
-		d := done.Add(1)
+	scfg.Shard.Progress = func(done int) {
 		// Best-effort: a lost progress frame only delays work stealing.
-		_ = w.send(frame{Type: fProgress, Shard: f.Shard, Done: int(d), Records: j.Appended()})
+		_ = w.send(frame{Type: fProgress, Shard: f.Shard, Done: done, Records: j.Appended()})
 	}
 	scfg.Journal = j
 
@@ -237,7 +190,7 @@ func runShard(ctx context.Context, w *wire, sess *workerSession, full *core.Conf
 	if runErr != nil && ctx.Err() != nil {
 		return ctx.Err()
 	}
-	return sendDone(w, f.Shard, int(done.Load()), j.Appended(), runErr)
+	return sendDone(w, f.Shard, scfg.Shard.Done(), j.Appended(), runErr)
 }
 
 func sendDone(w *wire, shard, done int, records int64, runErr error) error {

@@ -7,7 +7,7 @@ import (
 )
 
 // FaultProfile describes the misbehaviour of one endpoint, layered on top of
-// the fabric-wide knobs (SetLossRate, SetBaseRTT). Real-world sweeps meet
+// the fabric-wide knob (SetLossRate). Real-world sweeps meet
 // nameservers that are slow, lossy, flapping, or actively hostile; a profile
 // lets a chaos run model each of those per server.
 //

@@ -147,12 +147,7 @@ func (f *Fabric) lossRate() float64 {
 	return math.Float64frombits(f.lossBits.Load())
 }
 
-// SetBaseRTT configures the virtual round-trip time accounted per exchange.
-func (f *Fabric) SetBaseRTT(d time.Duration) {
-	f.baseRTT.Store(int64(d))
-}
-
-// BaseRTT returns the configured per-exchange virtual round-trip time. The
+// BaseRTT returns the per-exchange virtual round-trip time. The
 // encrypted transport layer derives its modeled handshake and record-framing
 // costs from it.
 func (f *Fabric) BaseRTT() time.Duration {

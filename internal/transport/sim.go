@@ -18,8 +18,9 @@ import (
 // extra virtual time per exchange.
 //
 // With the sweep's defaults (one server swept from one worker, dozens of
-// probes per server) these bound the DoH sweep's virtual-clock overhead
-// comfortably under the 50% CI gate; see DESIGN.md §14 for the arithmetic.
+// probes per server) these bound the DoH sweep's virtual-clock overhead at
+// 1/8 + 2/(probes per server) of plain UDP's; see DESIGN.md §14 for the
+// arithmetic and core's TestTransportVirtualCostOnly for the pin.
 const (
 	// dotHandshakeRTTs: TCP SYN/ACK plus the TLS 1.3 one-RTT handshake.
 	dotHandshakeRTTs = 2

@@ -71,20 +71,6 @@ func (k Kind) String() string {
 	return string(k)
 }
 
-// Via returns the dnsio.Via* label a server sees for queries carried by this
-// kind.
-func (k Kind) Via() string {
-	switch k {
-	case KindTCP:
-		return dnsio.ViaTCP
-	case KindDoT:
-		return dnsio.ViaDoT
-	case KindDoH:
-		return dnsio.ViaDoH
-	}
-	return dnsio.ViaUDP
-}
-
 // NewSim builds the simulated transport for a kind over the fabric. UDP and
 // TCP share dnsio.SimTransport (the tcp flag per exchange picks the reliable
 // endpoint); DoT and DoH layer modeled crypto costs on top of it.

@@ -174,6 +174,12 @@ func TestServeAcceptance(t *testing.T) {
 	if g1.Seq != 1 || g1.Total() == 0 {
 		t.Fatalf("generation 1: seq=%d total=%d", g1.Seq, g1.Total())
 	}
+	// The flat layout's budget on real sweep output: the packed record, its
+	// share of the interned strings, the IP arena and the index (DESIGN §11
+	// measures ~120 B against ~217 B for the map-era indexes it replaced).
+	if per := g1.SizeBytes() / g1.Total(); per > 256 {
+		t.Errorf("generation 1 retains %d bytes per verdict over %d verdicts, budget 256", per, g1.Total())
+	}
 
 	// Mutation 1: plant a fresh UR at ClouDNS for a target domain the
 	// provider does not yet host.

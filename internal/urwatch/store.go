@@ -770,14 +770,6 @@ func (s *Store) appendRingLocked(g *Generation) {
 	}
 }
 
-// Retained returns the retention ring, oldest first, current generation
-// last. The returned slice is a copy; the generations are immutable.
-func (s *Store) Retained() []*Generation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Generation(nil), s.ring...)
-}
-
 // ChainFromSerial returns the retained generations from the one whose SOA
 // serial equals serial through the current generation, oldest first. ok is
 // false when the serial predates the retention window (or never existed) —
