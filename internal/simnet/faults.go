@@ -53,73 +53,46 @@ type faultState struct {
 // SetFault installs (or replaces) a fault profile for one endpoint. The
 // profile's sequence counter restarts at zero.
 func (f *Fabric) SetFault(ep Endpoint, p FaultProfile) {
-	f.writeMu.Lock()
-	defer f.writeMu.Unlock()
-	var old map[Endpoint]*faultState
-	if mp := f.faults.Load(); mp != nil {
-		old = *mp
+	if _, replaced := f.faults.Swap(ep, &faultState{p: p}); !replaced {
+		f.faulted.Add(1)
 	}
-	next := make(map[Endpoint]*faultState, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[ep] = &faultState{p: p}
-	f.faults.Store(&next)
 }
 
 // ClearFault removes the fault profile for one endpoint.
 func (f *Fabric) ClearFault(ep Endpoint) {
-	f.writeMu.Lock()
-	defer f.writeMu.Unlock()
-	mp := f.faults.Load()
-	if mp == nil {
-		return
+	if _, installed := f.faults.LoadAndDelete(ep); installed {
+		f.faulted.Add(-1)
 	}
-	old := *mp
-	if _, ok := old[ep]; !ok {
-		return
-	}
-	if len(old) == 1 {
-		f.faults.Store(nil)
-		return
-	}
-	next := make(map[Endpoint]*faultState, len(old)-1)
-	for k, v := range old {
-		if k != ep {
-			next[k] = v
-		}
-	}
-	f.faults.Store(&next)
 }
 
 // ClearFaults removes every installed fault profile.
 func (f *Fabric) ClearFaults() {
-	f.writeMu.Lock()
-	defer f.writeMu.Unlock()
-	f.faults.Store(nil)
+	f.faults.Range(func(ep, _ any) bool {
+		f.ClearFault(ep.(Endpoint))
+		return true
+	})
 }
 
 // FaultFor returns the installed profile for an endpoint, if any.
 func (f *Fabric) FaultFor(ep Endpoint) (FaultProfile, bool) {
-	mp := f.faults.Load()
-	if mp == nil {
-		return FaultProfile{}, false
-	}
-	st, ok := (*mp)[ep]
-	if !ok {
+	st := f.faultOf(ep)
+	if st == nil {
 		return FaultProfile{}, false
 	}
 	return st.p, true
 }
 
 // faultOf returns the fault state for an endpoint on the hot path: one atomic
-// pointer load, and a map lookup only when any profile is installed.
+// load, and a map lookup only when any profile is installed.
 func (f *Fabric) faultOf(ep Endpoint) *faultState {
-	mp := f.faults.Load()
-	if mp == nil {
+	if f.faulted.Load() == 0 {
 		return nil
 	}
-	return (*mp)[ep]
+	v, ok := f.faults.Load(ep)
+	if !ok {
+		return nil
+	}
+	return v.(*faultState)
 }
 
 // AdvanceVirtual books extra time on the fabric's virtual clock — the client

@@ -227,6 +227,20 @@ func TestFaultClearAndLookup(t *testing.T) {
 	if _, ok := fx.f.FaultFor(other); ok {
 		t.Error("second profile survived ClearFaults")
 	}
+	// Replacing a profile counts it once: clearing it must neither hide the
+	// other endpoint's profile nor leave the fabric believing one is installed.
+	fx.f.SetFault(fx.ep, FaultProfile{Blackhole: true})
+	fx.f.SetFault(fx.ep, FaultProfile{ServFail: true})
+	fx.f.SetFault(other, FaultProfile{Blackhole: true})
+	fx.f.ClearFault(fx.ep)
+	fx.f.ClearFault(fx.ep)
+	if p, ok := fx.f.FaultFor(other); !ok || !p.Blackhole {
+		t.Error("clearing a replaced profile hid another endpoint's")
+	}
+	fx.f.ClearFault(other)
+	if n := fx.f.faulted.Load(); n != 0 {
+		t.Errorf("%d profiles counted after every one was cleared", n)
+	}
 }
 
 // TestFaultReliablePathSkipsLossAndTruncation: the reliable (TCP-semantics)

@@ -15,8 +15,9 @@
 //
 // Accounting is built for multi-core sweeps: totals are atomics, the
 // per-destination books are sharded by destination address, and the service
-// table is an immutable snapshot swapped on (rare) Listen/Unlisten — an
-// exchange on the hot path takes exactly one shard lock and no global lock.
+// table is a sync.Map — Listen and Unlisten cost O(1) however many endpoints
+// a world binds, and an exchange on the hot path takes exactly one shard lock
+// and no global lock.
 package simnet
 
 import (
@@ -83,13 +84,13 @@ type statShard struct {
 
 // Fabric is a virtual packet network. The zero value is not usable; call New.
 type Fabric struct {
-	// writeMu serializes the slow path (Listen/Unlisten/SetFault); the hot
-	// path reads the immutable services and faults snapshots without any lock.
-	writeMu  sync.Mutex
-	services atomic.Pointer[map[Endpoint]Handler]
-	// faults is the per-endpoint chaos configuration; nil when no profile is
-	// installed, so fault-free sweeps pay one atomic load and no map lookup.
-	faults atomic.Pointer[map[Endpoint]*faultState]
+	// services maps Endpoint to Handler; the hot path reads it without a lock.
+	services sync.Map
+	// faults is the per-endpoint chaos configuration, Endpoint to *faultState.
+	// faulted counts its entries, so fault-free sweeps pay one atomic load and
+	// no map lookup.
+	faults  sync.Map
+	faulted atomic.Int64
 
 	lossBits    atomic.Uint64 // math.Float64bits of the loss probability
 	baseRTT     atomic.Int64  // nanoseconds
@@ -112,8 +113,6 @@ type Fabric struct {
 // deterministic.
 func New(seed int64) *Fabric {
 	f := &Fabric{seed: seed}
-	empty := make(map[Endpoint]Handler)
-	f.services.Store(&empty)
 	f.baseRTT.Store(int64(20 * time.Millisecond))
 	for i := range f.shards {
 		s := &f.shards[i]
@@ -168,42 +167,30 @@ func (f *Fabric) Listen(ep Endpoint, h Handler) error {
 	if h == nil {
 		return errors.New("simnet: nil handler")
 	}
-	f.writeMu.Lock()
-	defer f.writeMu.Unlock()
-	old := *f.services.Load()
-	if _, ok := old[ep]; ok {
+	if _, bound := f.services.LoadOrStore(ep, h); bound {
 		return fmt.Errorf("simnet: endpoint %s already bound", ep)
 	}
-	next := make(map[Endpoint]Handler, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[ep] = h
-	f.services.Store(&next)
 	return nil
 }
 
 // Unlisten removes a registered endpoint. Removing an unbound endpoint is a
 // no-op.
 func (f *Fabric) Unlisten(ep Endpoint) {
-	f.writeMu.Lock()
-	defer f.writeMu.Unlock()
-	old := *f.services.Load()
-	if _, ok := old[ep]; !ok {
-		return
+	f.services.Delete(ep)
+}
+
+// handlerOf returns the service listening on the endpoint, if any.
+func (f *Fabric) handlerOf(ep Endpoint) (Handler, bool) {
+	v, ok := f.services.Load(ep)
+	if !ok {
+		return nil, false
 	}
-	next := make(map[Endpoint]Handler, len(old)-1)
-	for k, v := range old {
-		if k != ep {
-			next[k] = v
-		}
-	}
-	f.services.Store(&next)
+	return v.(Handler), true
 }
 
 // Bound reports whether any service listens on the endpoint.
 func (f *Fabric) Bound(ep Endpoint) bool {
-	_, ok := (*f.services.Load())[ep]
+	_, ok := f.handlerOf(ep)
 	return ok
 }
 
@@ -212,7 +199,7 @@ func (f *Fabric) Bound(ep Endpoint) bool {
 // layer on top handles the TC bit itself, so truncation here simply cuts the
 // byte slice.
 func (f *Fabric) Exchange(src netip.Addr, dst Endpoint, payload []byte, maxResp int) ([]byte, error) {
-	h, ok := (*f.services.Load())[dst]
+	h, ok := f.handlerOf(dst)
 	dropped := f.account(dst.Addr, time.Duration(f.baseRTT.Load()), true)
 
 	if !ok {
@@ -246,7 +233,7 @@ func (f *Fabric) Exchange(src netip.Addr, dst Endpoint, payload []byte, maxResp 
 // ExchangeReliable performs a stream-style exchange with no size cap and no
 // loss, modelling TCP.
 func (f *Fabric) ExchangeReliable(src netip.Addr, dst Endpoint, payload []byte) ([]byte, error) {
-	h, ok := (*f.services.Load())[dst]
+	h, ok := f.handlerOf(dst)
 	f.account(dst.Addr, 2*time.Duration(f.baseRTT.Load()), false) // handshake + exchange
 
 	if !ok {
