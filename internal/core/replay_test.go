@@ -455,8 +455,11 @@ func TestJournalReleasesReplayState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if held := heap() - before; held < padRecords*int64(len(pad)) {
-		t.Fatalf("an open journal holds %d bytes; the test expects it to hold its %d MiB of segments", held, padRecords*len(pad)>>20)
+	// The two readings straddle a collection, so garbage earlier tests left
+	// behind reads as a few negative KiB; 7/8 of the pad is a floor that
+	// noise cannot reach and that still dwarfs the 4 MiB bound below.
+	if held := heap() - before; held < padRecords*int64(len(pad))*7/8 {
+		t.Fatalf("an open journal holds %d bytes; the test expects it to hold most of its %d MiB of segments", held, padRecords*len(pad)>>20)
 	}
 	fx.cfg.Journal = j
 	if _, err := NewPipeline(fx.cfg).Run(context.Background()); err != nil {

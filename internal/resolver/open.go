@@ -49,12 +49,16 @@ func (o *OpenResolver) Resolver() *Recursive { return o.rec }
 // NewOpenResolver creates an open resolver at addr, resolving from roots,
 // and attaches it to the fabric.
 func NewOpenResolver(fabric *simnet.Fabric, addr netip.Addr, country string, roots []netip.Addr) (*OpenResolver, error) {
+	return newOpenResolver(fabric, addr, country, roots, newShared())
+}
+
+func newOpenResolver(fabric *simnet.Fabric, addr netip.Addr, country string, roots []netip.Addr, s *shared) (*OpenResolver, error) {
 	client := dnsio.NewClient(&dnsio.SimTransport{Fabric: fabric, Src: addr})
 	client.Retries = 1
 	o := &OpenResolver{
 		Addr:    addr,
 		Country: country,
-		rec:     NewRecursive(client, roots),
+		rec:     newRecursive(client, roots, s),
 	}
 	if _, err := dnsio.AttachSim(fabric, addr, o); err != nil {
 		return nil, err
@@ -62,7 +66,9 @@ func NewOpenResolver(fabric *simnet.Fabric, addr netip.Addr, country string, roo
 	return o, nil
 }
 
-// Pool is a set of open resolvers spread across countries.
+// Pool is a set of open resolvers spread across countries. They share one
+// zone-cut cache and one store of response contents; each keeps its own
+// answers and their lifetimes.
 type Pool struct {
 	Resolvers []*OpenResolver
 }
@@ -71,6 +77,7 @@ type Pool struct {
 // ipam.Countries, each hosted in a per-country "ISP" AS.
 func NewPool(fabric *simnet.Fabric, ipdb *ipam.DB, roots []netip.Addr, n int) (*Pool, error) {
 	p := &Pool{}
+	s := newShared()
 	countryASN := make(map[string]ipam.ASN)
 	for i := 0; i < n; i++ {
 		country := ipam.Countries[i%len(ipam.Countries)]
@@ -83,7 +90,7 @@ func NewPool(fabric *simnet.Fabric, ipdb *ipam.DB, roots []netip.Addr, n int) (*
 		if err != nil {
 			return nil, err
 		}
-		o, err := NewOpenResolver(fabric, addr, country, roots)
+		o, err := newOpenResolver(fabric, addr, country, roots, s)
 		if err != nil {
 			return nil, err
 		}

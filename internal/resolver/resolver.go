@@ -4,12 +4,20 @@
 // root → TLD → authoritative exactly like a real resolver: it follows
 // referrals, uses glue, resolves glueless NS hosts out-of-band, chases CNAME
 // chains, and caches positive and negative answers by TTL.
+//
+// It also caches what every deployed resolver caches: the zone cuts its walks
+// cross. A walk starts at the closest enclosing cut it knows instead of at
+// the roots. A Pool's resolvers share one table of cuts, because a referral
+// from the root or a TLD does not depend on who asked, and one store of
+// response contents, because most of them receive the same answers; what a
+// resolver has cached, and until when, stays its own (see shared).
 package resolver
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 	"sync"
 	"time"
@@ -36,31 +44,87 @@ var (
 // Recursive is an iterative resolver rooted at the given root server IPs.
 type Recursive struct {
 	client *dnsio.Client
-	roots  []netip.Addr
+	// root is where a walk starts when no cached cut encloses the name.
+	root cut
+	// shared holds the zone cuts and the response contents; a Pool's
+	// resolvers have one between them, a resolver built alone has its own.
+	shared *shared
 
 	cacheMu sync.Mutex
-	cache   map[dns.Question]cacheEntry
-	// CacheLimit bounds the cache size; 0 disables caching.
+	cache   map[uint32]cached // by shared question id
+	// CacheLimit bounds the cache size; 0 disables caching, of answers and
+	// of zone cuts alike.
 	CacheLimit int
 	// now is injectable for TTL tests.
 	now func() time.Time
 }
 
-type cacheEntry struct {
-	msg     *dns.Message
-	expires time.Time
+// cached is one resolver's answer to one question: which stored response,
+// and until when this resolver may serve it.
+type cached struct {
+	answer  uint32 // index into shared.answers
+	expires uint32 // on the resolver's clock, see seconds
+}
+
+// cut is a zone cut: the servers a referral named for a zone. Published cuts
+// are never modified, only replaced.
+type cut struct {
+	zone    dns.Name
+	servers []netip.Addr
+	expires uint32
+}
+
+// shared is the state resolvers can hold in common without changing what any
+// of them answers. Zone cuts: a downward referral is the same whoever asked.
+// Questions and answers: the tables hold content only — a resolver's cache
+// maps a question id to an answer id with its own expiry, so a geo-aware
+// zone's per-region answers stay with the resolvers that received them while
+// byte-identical responses are stored once. Entries are immutable once
+// published and never evicted; the tables are bounded by the delegations and
+// the distinct responses a world can produce.
+type shared struct {
+	mu        sync.RWMutex
+	cuts      map[dns.Name]*cut
+	questions map[dns.Question]uint32
+	answerIDs map[string]uint32 // wire form of a response to its index in answers
+	answers   []*dns.Message
+}
+
+func newShared() *shared {
+	return &shared{
+		cuts:      make(map[dns.Name]*cut),
+		questions: make(map[dns.Question]uint32),
+		answerIDs: make(map[string]uint32),
+	}
 }
 
 // NewRecursive builds a resolver that queries through client starting at the
 // given roots.
 func NewRecursive(client *dnsio.Client, roots []netip.Addr) *Recursive {
+	return newRecursive(client, roots, newShared())
+}
+
+func newRecursive(client *dnsio.Client, roots []netip.Addr, s *shared) *Recursive {
 	return &Recursive{
 		client:     client,
-		roots:      roots,
-		cache:      make(map[dns.Question]cacheEntry),
+		root:       cut{zone: dns.Root, servers: roots},
+		shared:     s,
+		cache:      make(map[uint32]cached),
 		CacheLimit: 1 << 16,
 		now:        time.Now,
 	}
+}
+
+// seconds reads the resolver's clock the way the caches keep time: whole
+// seconds since the Unix epoch, in 32 bits. An entry is fresh while
+// seconds() < expires.
+func (r *Recursive) seconds() uint32 {
+	return uint32(r.now().Unix())
+}
+
+// expiry is the moment an entry cached now with this TTL stops being fresh.
+func (r *Recursive) expiry(ttl uint32) uint32 {
+	return uint32(min(uint64(r.seconds())+uint64(ttl), math.MaxUint32))
 }
 
 // LookupA resolves a name to its IPv4 addresses.
@@ -144,16 +208,33 @@ func lastCNAMETarget(answers []dns.RR, qtype dns.Type) dns.Name {
 }
 
 // iterate walks the delegation tree for one owner name (no CNAME chasing
-// across calls; in-server chains are accepted as returned).
+// across calls; in-server chains are accepted as returned), starting at the
+// closest enclosing zone cut the cache knows and caching the cuts it crosses.
 func (r *Recursive) iterate(ctx context.Context, name dns.Name, qtype dns.Type, depth int) (*dns.Message, error) {
-	servers := append([]netip.Addr(nil), r.roots...)
-	if len(servers) == 0 {
+	if len(r.root.servers) == 0 {
 		return nil, ErrNoServers
 	}
+	// at is the cut whose servers are asked next; fromCache says they were
+	// read from the cache rather than from a referral of this walk.
+	at, fromCache := r.closestCut(name)
+	// trusted holds while every referral of this walk stayed in bailiwick.
+	// Once a server has pointed outside the zone it was asked for, the walk
+	// follows it as it always did, but nothing it leads to is cached: the
+	// table is shared, and one hostile or garbled authority must not
+	// re-point a zone for every resolver of the pool.
+	trusted := true
 	for hop := 0; hop < maxReferralHops; hop++ {
-		resp, err := r.queryAny(ctx, servers, name, qtype)
+		resp, err := r.queryAny(ctx, at.servers, name, qtype)
 		if err != nil {
-			return nil, err
+			r.forgetCut(at)
+			if !fromCache {
+				return nil, err
+			}
+			// A cached set of servers may simply be stale. Ask the roots
+			// where the zone lives now, once; a resolver behind a dead set
+			// ends in the same ErrLame the uncached walk gives.
+			at, fromCache = &r.root, false
+			continue
 		}
 		switch {
 		case resp.Header.RCode == dns.RCodeNXDomain,
@@ -161,17 +242,88 @@ func (r *Recursive) iterate(ctx context.Context, name dns.Name, qtype dns.Type, 
 			resp.Header.RCode == dns.RCodeSuccess && len(resp.Answers) == 0 && !isReferral(resp):
 			return resp, nil
 		case isReferral(resp):
-			next, err := r.serversFromReferral(ctx, resp, depth)
+			servers, err := r.serversFromReferral(ctx, resp, depth)
 			if err != nil {
 				return nil, err
 			}
-			servers = next
+			zone, ttl, ok := referralCut(resp)
+			next := &cut{zone: zone, servers: servers, expires: r.expiry(ttl)}
+			trusted = trusted && ok && zone.IsProperSubdomainOf(at.zone) && name.IsSubdomainOf(zone)
+			if trusted {
+				r.learnCut(next)
+			}
+			at, fromCache = next, false
 		default:
 			// REFUSED / SERVFAIL from the zone: surface as-is.
 			return resp, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: too many referrals for %s", ErrLoop, name.String())
+}
+
+// referralCut reads the delegation a referral announces: the zone its NS
+// records own and the smallest TTL among them and the glue. ok is false when
+// the NS records do not agree on one owner.
+func referralCut(resp *dns.Message) (zone dns.Name, ttl uint32, ok bool) {
+	ttl = math.MaxUint32
+	for _, rr := range resp.Authority {
+		if rr.Type() != dns.TypeNS {
+			continue
+		}
+		if ok && rr.Name != zone {
+			return zone, 0, false
+		}
+		zone, ok = rr.Name, true
+		ttl = min(ttl, rr.TTL)
+	}
+	for _, rr := range resp.Additional {
+		if rr.Type() == dns.TypeA {
+			ttl = min(ttl, rr.TTL)
+		}
+	}
+	return zone, ttl, ok
+}
+
+// closestCut returns the deepest fresh cached cut at or above name, or the
+// roots when there is none.
+func (r *Recursive) closestCut(name dns.Name) (at *cut, fromCache bool) {
+	if r.CacheLimit == 0 {
+		return &r.root, false
+	}
+	now := r.seconds()
+	s := r.shared
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for zone := name; zone != dns.Root; zone = zone.Parent() {
+		if c, ok := s.cuts[zone]; ok && now < c.expires {
+			return c, true
+		}
+	}
+	return &r.root, false
+}
+
+// learnCut publishes a cut for every resolver sharing the table. Concurrent
+// walks may both learn the same cut; they computed it from the same referral,
+// so whichever lands last replaces an equal entry.
+func (r *Recursive) learnCut(c *cut) {
+	if r.CacheLimit == 0 {
+		return
+	}
+	s := r.shared
+	s.mu.Lock()
+	s.cuts[c.zone] = c
+	s.mu.Unlock()
+}
+
+// forgetCut drops a cut whose servers all failed, unless another walk has
+// replaced it since. The roots are never in the table.
+func (r *Recursive) forgetCut(c *cut) {
+	s := r.shared
+	s.mu.Lock()
+	if s.cuts[c.zone] == c {
+		delete(s.cuts, c.zone)
+	}
+	s.mu.Unlock()
 }
 
 // isReferral reports whether resp is a downward referral.
@@ -248,23 +400,48 @@ func (r *Recursive) cacheGet(q dns.Question) (*dns.Message, bool) {
 	if r.CacheLimit == 0 {
 		return nil, false
 	}
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	e, ok := r.cache[q]
-	if !ok || r.now().After(e.expires) {
-		if ok {
-			delete(r.cache, q)
-		}
+	s := r.shared
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	id, ok := s.questions[q]
+	if !ok {
 		return nil, false
 	}
-	return e.msg, true
+	r.cacheMu.Lock()
+	defer r.cacheMu.Unlock()
+	e, ok := r.cache[id]
+	if !ok {
+		return nil, false
+	}
+	if r.seconds() >= e.expires {
+		delete(r.cache, id)
+		return nil, false
+	}
+	return s.answers[e.answer], true
 }
+
+// packBufPool holds the scratch buffers cachePut encodes responses into.
+var packBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
 
 func (r *Recursive) cachePut(q dns.Question, msg *dns.Message) {
 	if r.CacheLimit == 0 {
 		return
 	}
-	ttl := messageTTL(msg)
+	// A response is stored under its wire form, so equal content is one
+	// entry whichever resolver received it. One that cannot be encoded could
+	// not have been relayed either; it is not cached.
+	bp := packBufPool.Get().(*[]byte)
+	defer packBufPool.Put(bp)
+	wire, err := msg.AppendPack((*bp)[:0])
+	if err != nil {
+		return
+	}
+	*bp = wire
+	id, answer := r.shared.intern(q, wire, msg)
+
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
 	if len(r.cache) >= r.CacheLimit {
@@ -274,7 +451,32 @@ func (r *Recursive) cachePut(q dns.Question, msg *dns.Message) {
 			break
 		}
 	}
-	r.cache[q] = cacheEntry{msg: msg, expires: r.now().Add(time.Duration(ttl) * time.Second)}
+	r.cache[id] = cached{answer: answer, expires: r.expiry(messageTTL(msg))}
+}
+
+// intern returns the ids of a question and of a response's content, storing
+// msg as that content's one instance if no equal response is stored yet. The
+// common case — another resolver has been here — takes only the read lock.
+func (s *shared) intern(q dns.Question, wire []byte, msg *dns.Message) (id, answer uint32) {
+	s.mu.RLock()
+	id, okQ := s.questions[q]
+	answer, okA := s.answerIDs[string(wire)]
+	s.mu.RUnlock()
+	if okQ && okA {
+		return id, answer
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if id, okQ = s.questions[q]; !okQ {
+		id = uint32(len(s.questions))
+		s.questions[q] = id
+	}
+	if answer, okA = s.answerIDs[string(wire)]; !okA {
+		answer = uint32(len(s.answers))
+		s.answerIDs[string(wire)] = answer
+		s.answers = append(s.answers, msg)
+	}
+	return id, answer
 }
 
 // messageTTL picks the cache lifetime: the minimum answer TTL, or the SOA

@@ -23,6 +23,10 @@ type testWorld struct {
 	reg    *registry.Registry
 	rec    *Recursive
 	site   netip.Addr
+	// ns is the address of the one server hosting example.com and
+	// hoster.net; nsUp(false) takes it off the fabric, nsUp(true) puts it back.
+	ns   netip.Addr
+	nsUp func(up bool)
 }
 
 func buildWorld(t *testing.T) *testWorld {
@@ -62,9 +66,16 @@ func buildWorld(t *testing.T) *testWorld {
 	}
 	hz.MustAddRR("target.hoster.net 300 IN A " + w.site.String())
 
-	if _, err := dnsio.AttachSim(w.fabric, nsAddr, srv); err != nil {
-		t.Fatal(err)
+	w.ns = nsAddr
+	var detach func()
+	w.nsUp = func(up bool) {
+		if !up {
+			detach()
+		} else if detach, err = dnsio.AttachSim(w.fabric, nsAddr, srv); err != nil {
+			t.Fatal(err)
+		}
 	}
+	w.nsUp(true)
 	// Delegate example.com with glueless NS (forces NS A resolution via
 	// hoster.net, which IS glued at the net TLD).
 	if err := w.reg.SetDelegation("example.com", []dns.Name{"ns1.hoster.net"}, nil, time.Now()); err != nil {
@@ -189,14 +200,28 @@ func TestCacheExpiry(t *testing.T) {
 	}
 }
 
+// TestCacheDisabled: CacheLimit 0 switches off the answer cache and the
+// zone-cut cache alike, so every Resolve repeats the whole walk.
 func TestCacheDisabled(t *testing.T) {
 	w := buildWorld(t)
 	w.rec.CacheLimit = 0
-	if _, err := w.rec.LookupA(context.Background(), "example.com"); err != nil {
-		t.Fatal(err)
+	var walks [2]int64
+	for i := range walks {
+		before := w.fabric.QueriesTo(w.reg.RootAddr())
+		if _, err := w.rec.LookupA(context.Background(), "example.com"); err != nil {
+			t.Fatal(err)
+		}
+		walks[i] = w.fabric.QueriesTo(w.reg.RootAddr()) - before
+	}
+	if walks[0] == 0 || walks[1] != walks[0] {
+		t.Errorf("root saw %d then %d queries; with caching off both resolutions walk from the roots", walks[0], walks[1])
 	}
 	if w.rec.CacheSize() != 0 {
 		t.Error("cache populated while disabled")
+	}
+	if s := w.rec.shared; len(s.cuts) != 0 || len(s.questions) != 0 || len(s.answers) != 0 {
+		t.Errorf("shared tables populated while disabled: %d cuts, %d questions, %d answers",
+			len(s.cuts), len(s.questions), len(s.answers))
 	}
 }
 

@@ -3,6 +3,9 @@ package repro
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"repro/internal/hosting"
@@ -23,12 +26,33 @@ func scienceReport(t *testing.T, res *Result, seed int64) string {
 	return RenderTable1(res) + RenderTable2(rows) + csv.String()
 }
 
+// The science report at small scale, seed 42, by value: the SHA-256 and the
+// length of scienceReport's rendering. Both were generated at the commit
+// before the open resolvers began sharing a zone-cut cache and answer
+// storage, and are the same at Parallelism 1, 2 and 8. A change that moves
+// them has moved a number the paper reports.
+const (
+	scienceDigest = "48cdd7a2c5b4640a1ee037dc8c16b763bf06fe5885ad19668c5e5f93da3dbdc6"
+	scienceBytes  = 10174362
+)
+
+// checkScienceDigest holds one rendering to the committed golden value.
+func checkScienceDigest(t *testing.T, what, report string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(report))
+	if got := hex.EncodeToString(sum[:]); got != scienceDigest || len(report) != scienceBytes {
+		t.Errorf("%s: science report is %d bytes, sha256 %s; golden is %d bytes, %s",
+			what, len(report), got, scienceBytes, scienceDigest)
+	}
+}
+
 // TestScienceUnmovedByJournalAndResume pins the paper-facing numbers at the
 // benchmark's scale and seed, so a change to the sweep, the journal or the
 // resume path cannot move one silently: a plain sweep, a journaled sweep and
 // a resume of the finished journal must render the same bytes, and the
 // counts are the constants bench/ reports as core.queries, core.urs and
-// core.suspicious.
+// core.suspicious. The rendering is held to the golden digest, and the
+// paper's zero-false-negative check (§4.2) runs on the same result.
 func TestScienceUnmovedByJournalAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("small-scale world: three sweeps, several seconds")
@@ -38,7 +62,8 @@ func TestScienceUnmovedByJournalAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewPipeline(w).Run(context.Background())
+	plainPipe := NewPipeline(w)
+	plain, err := plainPipe.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +72,7 @@ func TestScienceUnmovedByJournalAndResume(t *testing.T) {
 			seed, plain.Queries, len(plain.URs), len(plain.Suspicious))
 	}
 	want := scienceReport(t, plain, seed)
+	checkScienceDigest(t, "plain sweep", want)
 
 	dir := t.TempDir()
 	for _, step := range []string{"journaled sweep", "resume"} {
@@ -72,5 +98,36 @@ func TestScienceUnmovedByJournalAndResume(t *testing.T) {
 		if got := scienceReport(t, res, seed); got != want {
 			t.Errorf("%s renders a different Table 1 / Table 2 / CSV than the plain sweep (%d vs %d bytes)", step, len(got), len(want))
 		}
+	}
+
+	total, falseNeg, err := plainPipe.FalseNegativeCheck(context.Background(), plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total == 0 || falseNeg != 0 {
+		t.Errorf("false-negative check: %d of %d delegated records kept as suspicious; want 0 of more than 0", falseNeg, total)
+	}
+}
+
+// TestScienceDigestAcrossParallelism renders the same golden bytes from a
+// fresh world at each worker count: the open resolvers' shared tables are
+// state the correct-record workers write concurrently, and no interleaving
+// of those writes may reach a report.
+func TestScienceDigestAcrossParallelism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("small-scale world: three generations and sweeps")
+	}
+	for _, par := range []int{1, 2, 8} {
+		w, err := GenerateWorld(SmallScale(), 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe := NewPipeline(w)
+		pipe.Cfg.Parallelism = par
+		res, err := pipe.Run(context.Background())
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		checkScienceDigest(t, fmt.Sprintf("parallelism %d", par), scienceReport(t, res, 42))
 	}
 }
