@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Header is the fixed 12-octet DNS message header (RFC 1035 §4.1.1).
@@ -73,16 +74,24 @@ func NewQuery(id uint16, name Name, t Type) *Message {
 // Reply builds a response skeleton mirroring the query's ID, question, and
 // recursion-desired flag.
 func (m *Message) Reply() *Message {
-	r := &Message{
+	// The message and the backing array of its (almost always single)
+	// question are one object; the array is invisible to callers, so replies
+	// still compare equal field for field.
+	r := &struct {
+		Message
+		q [1]Question
+	}{Message: Message{
 		Header: Header{
 			ID:               m.Header.ID,
 			Response:         true,
 			OpCode:           m.Header.OpCode,
 			RecursionDesired: m.Header.RecursionDesired,
 		},
+	}}
+	if len(m.Questions) > 0 {
+		r.Questions = append(r.q[:0], m.Questions...)
 	}
-	r.Questions = append(r.Questions, m.Questions...)
-	return r
+	return &r.Message
 }
 
 // Question returns the first question, or a zero Question if there is none.
@@ -106,25 +115,46 @@ func (m *Message) AnswersOfType(t Type) []RR {
 
 const headerLen = 12
 
+// packPool lends Pack the buffer it encodes into, so that what it returns is a
+// slice of exactly the message's size: one allocation, however long the
+// message, and no 512-octet array behind a 40-octet reply.
+var packPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
 // Pack serializes m into wire format with name compression.
 func (m *Message) Pack() ([]byte, error) {
-	return m.AppendPack(make([]byte, 0, 512))
-}
-
-// PackTruncated serializes m, and if the result exceeds maxSize it re-packs
-// with the answer/authority/additional sections emptied and TC set, per the
-// classic UDP truncation behaviour. maxSize <= 0 means no limit.
-func (m *Message) PackTruncated(maxSize int) ([]byte, error) {
-	buf, err := m.Pack()
+	bp := packPool.Get().(*[]byte)
+	defer packPool.Put(bp)
+	buf, err := m.AppendPack((*bp)[:0])
 	if err != nil {
 		return nil, err
 	}
-	if maxSize <= 0 || len(buf) <= maxSize {
-		return buf, nil
+	*bp = buf // keep any grown capacity for the next pack
+	return append([]byte(nil), buf...), nil
+}
+
+// PackTruncated is AppendPackTruncated into a fresh buffer.
+func (m *Message) PackTruncated(maxSize int) ([]byte, error) {
+	return m.AppendPackTruncated(make([]byte, 0, 512), maxSize)
+}
+
+// AppendPackTruncated appends m's wire form to buf like AppendPack, and if the
+// message exceeds maxSize octets it appends instead the message with the
+// answer/authority/additional sections emptied and TC set, per the classic UDP
+// truncation behaviour. maxSize <= 0 means no limit.
+func (m *Message) AppendPackTruncated(buf []byte, maxSize int) ([]byte, error) {
+	out, err := m.AppendPack(buf)
+	if err != nil {
+		return nil, err
 	}
-	tc := &Message{Header: m.Header, Questions: m.Questions}
+	if maxSize <= 0 || len(out)-len(buf) <= maxSize {
+		return out, nil
+	}
+	tc := Message{Header: m.Header, Questions: m.Questions}
 	tc.Header.Truncated = true
-	return tc.Pack()
+	return tc.AppendPack(out[:len(buf)])
 }
 
 // AppendPack serializes m into wire format with name compression, appending
@@ -173,7 +203,9 @@ func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 	// the compressor entirely.
 	var compress *compressor
 	if len(m.Questions)+len(m.Answers)+len(m.Authority)+len(m.Additional) > 1 {
-		compress = &compressor{base: base}
+		compress = compressorPool.Get().(*compressor)
+		compress.base = base
+		defer compress.release()
 	}
 	var err error
 	for _, q := range m.Questions {
@@ -229,9 +261,12 @@ func Unpack(msg []byte) (*Message, error) {
 }
 
 // UnpackFrom parses a wire-format DNS message into m, reusing m's section
-// slices when their capacity allows. This lets a server loop decode each
-// incoming query into a pooled Message without re-allocating the sections
-// on every datagram. On error m is left in an unspecified state.
+// slices when their capacity allows, and the name strings already in them: an
+// owner name that spells the one in the slot it overwrites, or the message's
+// own question name, is not allocated again. This lets a server loop or a
+// sweep worker decode each datagram into one long-lived Message — the sweep
+// asks A then TXT for one target, and every answer's owner is the question —
+// at next to no cost in garbage. On error m is left in an unspecified state.
 func (m *Message) UnpackFrom(msg []byte) error {
 	if len(msg) < headerLen {
 		return errors.New("dns: message shorter than header")
@@ -260,7 +295,7 @@ func (m *Message) UnpackFrom(msg []byte) error {
 	}
 	for i := 0; i < qd; i++ {
 		var q Question
-		if q.Name, off, err = unpackName(msg, off); err != nil {
+		if q.Name, off, err = unpackNameHinted(msg, off, staleName(m.Questions, i), Root); err != nil {
 			return fmt.Errorf("dns: question %d: %w", i, err)
 		}
 		if off+4 > len(msg) {
@@ -280,7 +315,7 @@ func (m *Message) UnpackFrom(msg []byte) error {
 			rrs = make([]RR, 0, sectionCap(n, len(msg)-off, 11))
 		}
 		for i := 0; i < n; i++ {
-			rr, next, err := unpackRR(msg, off)
+			rr, next, err := unpackRR(msg, off, staleOwner(rrs, i), m.Question().Name)
 			if err != nil {
 				return nil, fmt.Errorf("dns: %s %d: %w", what, i, err)
 			}
@@ -312,10 +347,28 @@ func sectionCap(count, remaining, minBytes int) int {
 	return max
 }
 
-func unpackRR(msg []byte, off int) (RR, int, error) {
+// staleName returns the name left in position i of a question section being
+// overwritten (qs is the section so far, i == len(qs)), Root when there is no
+// such slot.
+func staleName(qs []Question, i int) Name {
+	if i < cap(qs) {
+		return qs[:i+1][i].Name
+	}
+	return Root
+}
+
+// staleOwner is staleName for a record section.
+func staleOwner(rrs []RR, i int) Name {
+	if i < cap(rrs) {
+		return rrs[:i+1][i].Name
+	}
+	return Root
+}
+
+func unpackRR(msg []byte, off int, hint1, hint2 Name) (RR, int, error) {
 	var rr RR
 	var err error
-	if rr.Name, off, err = unpackName(msg, off); err != nil {
+	if rr.Name, off, err = unpackNameHinted(msg, off, hint1, hint2); err != nil {
 		return rr, 0, err
 	}
 	if off+10 > len(msg) {

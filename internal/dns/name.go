@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Name handling. Internally a Name is the canonical presentation form:
@@ -68,26 +69,33 @@ func (n Name) Validate() error {
 		if i != len(s) && s[i] != '.' {
 			continue
 		}
-		label := s[start:i]
+		if err := validateLabel(s[start:i], s); err != nil {
+			return err
+		}
 		start = i + 1
-		if label == "" {
-			return ErrEmptyLabel
-		}
-		if len(label) > 63 {
-			return ErrLabelTooLong
-		}
-		if label == "*" {
-			continue // wildcard owner label
-		}
-		for j := 0; j < len(label); j++ {
-			c := label[j]
-			switch {
-			case c >= 'a' && c <= 'z':
-			case c >= '0' && c <= '9':
-			case c == '-' || c == '_':
-			default:
-				return fmt.Errorf("%w: %q in %q", ErrBadLabel, c, s)
-			}
+	}
+	return nil
+}
+
+// validateLabel checks one label of name against Validate's rules.
+func validateLabel(label, name string) error {
+	if label == "" {
+		return ErrEmptyLabel
+	}
+	if len(label) > 63 {
+		return ErrLabelTooLong
+	}
+	if label == "*" {
+		return nil // wildcard owner label
+	}
+	for j := 0; j < len(label); j++ {
+		c := label[j]
+		switch {
+		case c >= 'a' && c <= 'z':
+		case c >= '0' && c <= '9':
+		case c == '-' || c == '_':
+		default:
+			return fmt.Errorf("%w: %q in %q", ErrBadLabel, c, name)
 		}
 	}
 	return nil
@@ -194,12 +202,27 @@ const compressTableSize = 24
 // The first compressTableSize suffixes live in an inline linear-scan table —
 // for the small messages that dominate a sweep this is both faster than a
 // map and allocation-free; only outsized messages pay for the overflow map.
+//
+// A compressor is handed to RData.pack through an interface call, so one on
+// the packer's stack would escape to the heap on every pack; AppendPack
+// borrows one from compressorPool instead.
 type compressor struct {
 	names    [compressTableSize]Name
 	offs     [compressTableSize]uint16
 	n        int
 	overflow map[Name]int
 	base     int
+}
+
+var compressorPool = sync.Pool{New: func() any { return new(compressor) }}
+
+// release returns c to the pool, first dropping the names it holds so a parked
+// compressor pins no message's strings.
+func (c *compressor) release() {
+	clear(c.names[:c.n])
+	c.n = 0
+	c.overflow = nil
+	compressorPool.Put(c)
 }
 
 // find returns the message-relative offset where name was first packed.
@@ -231,11 +254,15 @@ func (c *compressor) add(n Name, off int) {
 }
 
 // packName appends the wire encoding of n to buf, using and updating the
-// compression state. A nil compressor disables compression.
+// compression state. A nil compressor disables compression. It enforces
+// exactly what Name.Validate does, label by label as it writes them: a suffix
+// found in the compression table was written, and so checked, earlier in the
+// same message, and a failed check fails the whole pack.
 func packName(buf []byte, n Name, c *compressor) ([]byte, error) {
-	if err := n.Validate(); err != nil {
-		return nil, err
+	if n != Root && len(n)+2 > 255 {
+		return nil, ErrNameTooLong
 	}
+	whole := string(n)
 	for n != Root {
 		if c != nil {
 			if off, ok := c.find(n); ok {
@@ -247,8 +274,15 @@ func packName(buf []byte, n Name, c *compressor) ([]byte, error) {
 		}
 		label := string(n)
 		rest := Root
-		if i := strings.IndexByte(label, '.'); i >= 0 {
+		i := strings.IndexByte(label, '.')
+		if i >= 0 {
 			label, rest = label[:i], n[i+1:]
+		}
+		if err := validateLabel(label, whole); err != nil {
+			return nil, err
+		}
+		if i >= 0 && rest == Root {
+			return nil, ErrEmptyLabel // trailing dot: the last label is empty
 		}
 		buf = append(buf, byte(len(label)))
 		buf = append(buf, label...)
@@ -263,6 +297,14 @@ func packName(buf []byte, n Name, c *compressor) ([]byte, error) {
 // Labels are collected into a stack buffer so a decoded name costs a single
 // string allocation.
 func unpackName(msg []byte, off int) (Name, int, error) {
+	return unpackNameHinted(msg, off, Root, Root)
+}
+
+// unpackNameHinted is unpackName for a caller that already holds names the
+// decoded one is likely to spell (the slot being overwritten, the message's
+// own question): a name equal to a hint is returned as the hint, and costs no
+// allocation at all.
+func unpackNameHinted(msg []byte, off int, hint1, hint2 Name) (Name, int, error) {
 	var nameBuf [255]byte
 	nb := nameBuf[:0]
 	ptrBudget := 64 // defends against pointer loops
@@ -276,6 +318,13 @@ func unpackName(msg []byte, off int) (Name, int, error) {
 		case b == 0:
 			if end < 0 {
 				end = off + 1
+			}
+			// A hint is taken only if it is itself valid: then it is already
+			// canonical, and equals what the bytes would canonicalize to.
+			for _, hint := range [...]Name{hint1, hint2} {
+				if string(nb) == string(hint) && hint.Validate() == nil {
+					return hint, end, nil
+				}
 			}
 			name := CanonicalName(string(nb))
 			if err := name.Validate(); err != nil {
