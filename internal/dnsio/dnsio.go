@@ -328,18 +328,6 @@ func udpPayloadSize(q *dns.Message) int {
 	return dns.MaxUDPSize
 }
 
-// serveBytes is the simulated fabric's serve path (AttachSim): the message
-// path, with UDP truncation when tcp is false. Simulated authorities and
-// resolvers answer through messages only, so the sweeps' per-exchange cost
-// carries no WireResponder check.
-func serveBytes(r Responder, src netip.Addr, raw []byte, tcp bool) []byte {
-	via := ViaUDP
-	if tcp {
-		via = ViaTCP
-	}
-	return serveMessage(r, src, raw, via)
-}
-
 // ServeRaw runs one raw query through the serve path for the named transport
 // and returns the packed reply, nil for no reply. A WireResponder gets the
 // first try; otherwise, or when it declines, the query is unpacked,
@@ -351,30 +339,30 @@ func ServeRaw(r Responder, src netip.Addr, raw []byte, via string) []byte {
 	return appendServe(nil, r, src, raw, via)
 }
 
-// appendServe is ServeRaw with the reply appended to dst when the responder
-// renders it in wire form; a reply from the message path is a fresh slice.
-// An empty result means no reply.
+// appendServe is ServeRaw with the reply appended to dst. An empty result
+// means no reply.
 func appendServe(dst []byte, r Responder, src netip.Addr, raw []byte, via string) []byte {
 	if wr, ok := r.(WireResponder); ok {
 		if out, handled := wr.AppendWire(dst, src, raw, via); handled {
 			return out
 		}
 	}
-	return serveMessage(r, src, raw, via)
+	return serveMessage(dst, r, src, raw, via)
 }
 
-// serveMessage is the message path: unpack, dispatch, pack. Malformed queries
-// yield FORMERR when the header survives, nothing otherwise.
-func serveMessage(r Responder, src netip.Addr, raw []byte, via string) []byte {
+// serveMessage is the message path: unpack, dispatch, pack — the reply
+// appended to dst. Malformed queries yield FORMERR when the header survives,
+// nothing otherwise.
+func serveMessage(dst []byte, r Responder, src netip.Addr, raw []byte, via string) []byte {
 	q := queryPool.Get().(*dns.Message)
 	defer queryPool.Put(q)
 	if err := q.UnpackFrom(raw); err != nil {
 		if len(raw) >= 12 {
-			bad := &dns.Message{}
+			var bad dns.Message
 			bad.Header.ID = uint16(raw[0])<<8 | uint16(raw[1])
 			bad.Header.Response = true
 			bad.Header.RCode = dns.RCodeFormat
-			out, _ := bad.Pack()
+			out, _ := bad.AppendPack(dst)
 			return out
 		}
 		return nil
@@ -383,17 +371,18 @@ func serveMessage(r Responder, src netip.Addr, raw []byte, via string) []byte {
 	if resp == nil {
 		return nil
 	}
-	var out []byte
-	var err error
-	if via == ViaUDP {
-		out, err = resp.PackTruncated(udpPayloadSize(q))
-	} else {
-		out, err = resp.Pack()
+	if cap(dst) == 0 {
+		dst = make([]byte, 0, 512) // what Message.Pack starts from
 	}
+	maxSize := 0 // stream- and HTTP-framed replies pack whole
+	if via == ViaUDP {
+		maxSize = udpPayloadSize(q)
+	}
+	out, err := resp.AppendPackTruncated(dst, maxSize)
 	if err != nil {
 		fail := q.Reply()
 		fail.Header.RCode = dns.RCodeServFail
-		out, _ = fail.Pack()
+		out, _ = fail.AppendPack(dst)
 	}
 	return out
 }
@@ -404,11 +393,13 @@ func serveMessage(r Responder, src netip.Addr, raw []byte, via string) []byte {
 func AttachSim(f *simnet.Fabric, addr netip.Addr, r Responder) (func(), error) {
 	udp := simnet.Endpoint{Addr: addr, Port: DNSPort}
 	tcp := simnet.Endpoint{Addr: addr, Port: DNSPort + simTCPPortOffset}
-	uh := simnet.HandlerFunc(func(src netip.Addr, raw []byte) []byte {
-		return serveBytes(r, src, raw, false)
+	// Simulated authorities and resolvers answer through messages only, so
+	// the sweeps' per-exchange cost carries no WireResponder check.
+	uh := simnet.HandlerFunc(func(dst []byte, src netip.Addr, raw []byte) []byte {
+		return serveMessage(dst, r, src, raw, ViaUDP)
 	})
-	th := simnet.HandlerFunc(func(src netip.Addr, raw []byte) []byte {
-		return serveBytes(r, src, raw, true)
+	th := simnet.HandlerFunc(func(dst []byte, src netip.Addr, raw []byte) []byte {
+		return serveMessage(dst, r, src, raw, ViaTCP)
 	})
 	if err := f.Listen(udp, uh); err != nil {
 		return nil, err

@@ -136,7 +136,7 @@ func TestServeBytesFormErr(t *testing.T) {
 	// 12 header bytes followed by garbage question.
 	raw := append(make([]byte, 4), 0, 1, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF)
 	raw[0], raw[1] = 0xAB, 0xCD
-	out := serveBytes(r, netip.Addr{}, raw, false)
+	out := serveMessage(nil, r, netip.Addr{}, raw, ViaUDP)
 	if out == nil {
 		t.Fatal("no FORMERR response")
 	}
@@ -151,7 +151,7 @@ func TestServeBytesFormErr(t *testing.T) {
 		t.Errorf("id = %x", resp.Header.ID)
 	}
 	// Short garbage gets no response at all.
-	if out := serveBytes(r, netip.Addr{}, []byte{1, 2, 3}, false); out != nil {
+	if out := serveMessage(nil, r, netip.Addr{}, []byte{1, 2, 3}, ViaUDP); out != nil {
 		t.Error("expected nil for short garbage")
 	}
 }

@@ -40,12 +40,12 @@ func newSandbox(t *testing.T) (*Sandbox, *simnet.Fabric) {
 		}
 	}
 	err := f.Listen(simnet.Endpoint{Addr: c2Addr, Port: 443},
-		simnet.HandlerFunc(func(_ netip.Addr, p []byte) []byte { return []byte("ok") }))
+		simnet.HandlerFunc(func(_ []byte, _ netip.Addr, p []byte) []byte { return []byte("ok") }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = f.Listen(simnet.Endpoint{Addr: c2Addr, Port: 25},
-		simnet.HandlerFunc(func(_ netip.Addr, p []byte) []byte { return []byte("250") }))
+		simnet.HandlerFunc(func(_ []byte, _ netip.Addr, p []byte) []byte { return []byte("250") }))
 	if err != nil {
 		t.Fatal(err)
 	}

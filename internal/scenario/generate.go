@@ -708,7 +708,7 @@ func (w *World) setupSandbox() error {
 	defaultRes := w.Resolvers.Resolvers[0].Addr
 	w.Sandbox = sandbox.New(w.Fabric, victim, defaultRes)
 	// Connectivity-check target used by several families.
-	echo := simnet.HandlerFunc(func(_ netip.Addr, _ []byte) []byte { return []byte("ok") })
+	echo := simnet.HandlerFunc(func(dst []byte, _ netip.Addr, _ []byte) []byte { return append(dst, "ok"...) })
 	_ = w.Fabric.Listen(simnet.Endpoint{Addr: netip.MustParseAddr("93.184.216.34"), Port: 80}, echo)
 	return nil
 }

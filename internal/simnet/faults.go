@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"encoding/binary"
+	"net/netip"
 	"sync/atomic"
 	"time"
 )
@@ -146,37 +147,45 @@ func chaosFloat(h uint64) float64 {
 	return float64(h>>11) / float64(uint64(1)<<53)
 }
 
-// servFailEcho builds a SERVFAIL answer from the raw query: the query bytes
-// echoed with QR set and RCODE=2. The fabric is byte-oriented, but the
-// traffic it carries in this reproduction is DNS, so the 12-octet header
+// servFailEcho appends a SERVFAIL answer built from the raw query to dst: the
+// query bytes echoed with QR set and RCODE=2. The fabric is byte-oriented, but
+// the traffic it carries in this reproduction is DNS, so the 12-octet header
 // layout is fair game for fault injection.
-func servFailEcho(req []byte) []byte {
+func servFailEcho(dst, req []byte) []byte {
 	if len(req) < 12 {
 		return nil
 	}
-	out := make([]byte, len(req))
-	copy(out, req)
+	out := append(dst, req...)
 	out[2] |= 0x80              // QR: this is a response
 	out[3] = out[3]&0xF0 | 0x02 // RCODE: SERVFAIL
 	return out
 }
 
-// garbageBytes derives a deterministic pseudo-random payload from one hash.
-func garbageBytes(h uint64) []byte {
-	out := make([]byte, 40)
-	for i := 0; i < len(out); i += 8 {
+// garbageLen is the size of an injected garbage payload.
+const garbageLen = 40
+
+// garbageBytes appends a deterministic pseudo-random payload, derived from one
+// hash, to dst.
+func garbageBytes(dst []byte, h uint64) []byte {
+	for i := 0; i < garbageLen; i += 8 {
 		h = mix64(h)
-		binary.LittleEndian.PutUint64(out[i:], h)
+		dst = binary.LittleEndian.AppendUint64(dst, h)
 	}
-	return out
+	return dst
 }
 
-// applyFault runs one exchange through an endpoint's fault profile. dispatch
-// performs the real handler call; it is skipped when the profile swallows the
-// request or answers SERVFAIL itself. lossy marks datagram semantics —
-// per-endpoint loss and byte truncation only apply there, never on the
-// reliable path.
-func (f *Fabric) applyFault(st *faultState, ep Endpoint, req []byte, lossy bool, dispatch func() []byte) ([]byte, error) {
+// startsAt reports whether resp occupies buf's storage from its first byte,
+// i.e. the handler appended its response to the buffer it was handed.
+func startsAt(resp, buf []byte) bool {
+	return cap(buf) > 0 && len(resp) > 0 && &resp[0] == &buf[:1][0]
+}
+
+// applyFault runs one exchange through an endpoint's fault profile. The
+// handler is skipped when the profile swallows the request or answers SERVFAIL
+// itself. lossy marks datagram semantics — per-endpoint loss and byte
+// truncation only apply there, never on the reliable path. buf is the empty
+// slice the handler is handed; injected bytes land there too.
+func (f *Fabric) applyFault(st *faultState, ep Endpoint, h Handler, buf []byte, src netip.Addr, req []byte, lossy bool) ([]byte, error) {
 	seq := uint64(st.seq.Add(1) - 1)
 	p := &st.p
 	if p.ExtraRTT > 0 {
@@ -196,23 +205,25 @@ func (f *Fabric) applyFault(st *faultState, ep Endpoint, req []byte, lossy bool,
 	}
 	var resp []byte
 	if p.ServFail {
-		resp = servFailEcho(req)
+		resp = servFailEcho(buf, req)
 	} else {
-		resp = dispatch()
+		resp = h.ServePacket(buf, src, req)
 	}
 	if resp == nil {
 		return nil, ErrTimeout
 	}
 	if p.WrongIDRate > 0 && len(resp) >= 2 && chaosFloat(f.chaosHash(ep, seq, saltWrongID)) < p.WrongIDRate {
-		spoofed := make([]byte, len(resp))
-		copy(spoofed, resp)
-		spoofed[0] ^= 0xA5
-		spoofed[1] ^= 0x5A
-		resp = spoofed
+		// A handler may return bytes it keeps: only a response it appended to
+		// the exchange's own buffer is corrupted where it lies.
+		if !startsAt(resp, buf) {
+			resp = append(buf, resp...)
+		}
+		resp[0] ^= 0xA5
+		resp[1] ^= 0x5A
 		f.spoofs.Add(1)
 	}
 	if p.GarbageRate > 0 && chaosFloat(f.chaosHash(ep, seq, saltGarbage)) < p.GarbageRate {
-		resp = garbageBytes(f.chaosHash(ep, seq, saltGarbageBytes))
+		resp = garbageBytes(buf, f.chaosHash(ep, seq, saltGarbageBytes))
 		f.garbage.Add(1)
 	}
 	if lossy && p.TruncateResp > 0 && len(resp) > p.TruncateResp {

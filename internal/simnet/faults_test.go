@@ -21,7 +21,7 @@ func newFaultFixture(t *testing.T, seed int64) *faultFixture {
 	f := New(seed)
 	ep := Endpoint{Addr: netip.MustParseAddr("192.0.2.1"), Port: 53}
 	calls := 0
-	h := HandlerFunc(func(_ netip.Addr, payload []byte) []byte {
+	h := HandlerFunc(func(_ []byte, _ netip.Addr, payload []byte) []byte {
 		calls++
 		out := make([]byte, len(payload))
 		copy(out, payload)

@@ -34,16 +34,24 @@ import (
 // Handler consumes a request payload and returns a response payload.
 // Returning nil means the service drops the request (client observes a
 // timeout).
+//
+// dst is an empty slice whose capacity belongs to the client for the length
+// of the exchange: a handler that builds its response per request appends it
+// to dst and returns the extended slice, so a client that brought a buffer
+// gets its answer without an allocation. dst may be nil (the append then
+// allocates, and the response is the client's to keep), and a handler may
+// ignore it and return bytes of its own — the fabric never writes into a
+// response that does not start at dst.
 type Handler interface {
-	ServePacket(src netip.Addr, payload []byte) []byte
+	ServePacket(dst []byte, src netip.Addr, payload []byte) []byte
 }
 
 // HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(src netip.Addr, payload []byte) []byte
+type HandlerFunc func(dst []byte, src netip.Addr, payload []byte) []byte
 
 // ServePacket implements Handler.
-func (f HandlerFunc) ServePacket(src netip.Addr, payload []byte) []byte {
-	return f(src, payload)
+func (f HandlerFunc) ServePacket(dst []byte, src netip.Addr, payload []byte) []byte {
+	return f(dst, src, payload)
 }
 
 // Errors reported by the fabric.
@@ -197,10 +205,41 @@ func (f *Fabric) Bound(ep Endpoint) bool {
 // Exchange performs a datagram request/response. maxResp > 0 truncates the
 // response payload to that many bytes, modelling a UDP read buffer; the DNS
 // layer on top handles the TC bit itself, so truncation here simply cuts the
-// byte slice.
+// byte slice. The response is a slice the caller may keep.
 func (f *Fabric) Exchange(src netip.Addr, dst Endpoint, payload []byte, maxResp int) ([]byte, error) {
+	return f.exchange(nil, src, dst, payload, maxResp, true)
+}
+
+// ExchangeReliable performs a stream-style exchange with no size cap and no
+// loss, modelling TCP.
+func (f *Fabric) ExchangeReliable(src netip.Addr, dst Endpoint, payload []byte) ([]byte, error) {
+	return f.exchange(nil, src, dst, payload, 0, false)
+}
+
+// ExchangeInto is Exchange with the response written into buf's storage when
+// the service builds one per request: buf's contents are overwritten from its
+// start, and the returned slice — which is buf re-sliced whenever the response
+// fit its capacity — is valid until the caller next reuses buf.
+func (f *Fabric) ExchangeInto(buf []byte, src netip.Addr, dst Endpoint, payload []byte, maxResp int) ([]byte, error) {
+	return f.exchange(buf[:0], src, dst, payload, maxResp, true)
+}
+
+// ExchangeReliableInto is ExchangeReliable under ExchangeInto's buffer rule.
+func (f *Fabric) ExchangeReliableInto(buf []byte, src netip.Addr, dst Endpoint, payload []byte) ([]byte, error) {
+	return f.exchange(buf[:0], src, dst, payload, 0, false)
+}
+
+// exchange is the one exchange path. buf is the empty slice handed to the
+// handler (nil when the caller brought no buffer); lossy selects datagram
+// semantics — loss injection, one base RTT, maxResp — over stream semantics
+// (no loss, handshake + exchange).
+func (f *Fabric) exchange(buf []byte, src netip.Addr, dst Endpoint, payload []byte, maxResp int, lossy bool) ([]byte, error) {
 	h, ok := f.handlerOf(dst)
-	dropped := f.account(dst.Addr, time.Duration(f.baseRTT.Load()), true)
+	rtt := time.Duration(f.baseRTT.Load())
+	if !lossy {
+		rtt *= 2 // handshake + exchange
+	}
+	dropped := f.account(dst.Addr, rtt, lossy)
 
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnreachable, dst)
@@ -212,47 +251,17 @@ func (f *Fabric) Exchange(src netip.Addr, dst Endpoint, payload []byte, maxResp 
 	var resp []byte
 	if st := f.faultOf(dst); st != nil {
 		var err error
-		resp, err = f.applyFault(st, dst, payload, true, func() []byte {
-			return h.ServePacket(src, payload)
-		})
-		if err != nil {
+		if resp, err = f.applyFault(st, dst, h, buf, src, payload, lossy); err != nil {
 			return nil, err
 		}
 	} else {
-		resp = h.ServePacket(src, payload)
+		resp = h.ServePacket(buf, src, payload)
 	}
 	if resp == nil {
 		return nil, ErrTimeout
 	}
 	if maxResp > 0 && len(resp) > maxResp {
 		resp = resp[:maxResp]
-	}
-	return resp, nil
-}
-
-// ExchangeReliable performs a stream-style exchange with no size cap and no
-// loss, modelling TCP.
-func (f *Fabric) ExchangeReliable(src netip.Addr, dst Endpoint, payload []byte) ([]byte, error) {
-	h, ok := f.handlerOf(dst)
-	f.account(dst.Addr, 2*time.Duration(f.baseRTT.Load()), false) // handshake + exchange
-
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnreachable, dst)
-	}
-	var resp []byte
-	if st := f.faultOf(dst); st != nil {
-		var err error
-		resp, err = f.applyFault(st, dst, payload, false, func() []byte {
-			return h.ServePacket(src, payload)
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		resp = h.ServePacket(src, payload)
-	}
-	if resp == nil {
-		return nil, ErrTimeout
 	}
 	return resp, nil
 }

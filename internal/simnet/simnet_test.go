@@ -13,7 +13,7 @@ func ep(s string, port uint16) Endpoint {
 }
 
 func echoHandler() Handler {
-	return HandlerFunc(func(_ netip.Addr, p []byte) []byte {
+	return HandlerFunc(func(_ []byte, _ netip.Addr, p []byte) []byte {
 		out := append([]byte("echo:"), p...)
 		return out
 	})
@@ -118,7 +118,7 @@ func TestLossInjection(t *testing.T) {
 func TestResponseTruncationCap(t *testing.T) {
 	f := New(1)
 	dst := ep("192.0.2.1", 53)
-	big := HandlerFunc(func(_ netip.Addr, _ []byte) []byte {
+	big := HandlerFunc(func(_ []byte, _ netip.Addr, _ []byte) []byte {
 		return bytes.Repeat([]byte("A"), 1000)
 	})
 	if err := f.Listen(dst, big); err != nil {
@@ -143,7 +143,7 @@ func TestResponseTruncationCap(t *testing.T) {
 func TestHandlerNilMeansTimeout(t *testing.T) {
 	f := New(1)
 	dst := ep("192.0.2.1", 53)
-	drop := HandlerFunc(func(_ netip.Addr, _ []byte) []byte { return nil })
+	drop := HandlerFunc(func(_ []byte, _ netip.Addr, _ []byte) []byte { return nil })
 	if err := f.Listen(dst, drop); err != nil {
 		t.Fatal(err)
 	}

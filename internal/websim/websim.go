@@ -206,24 +206,22 @@ func (w *World) Site(addr netip.Addr) (*Site, bool) {
 }
 
 // serveHTTP answers a minimal HTTP/1.0 GET.
-func (s *Site) serveHTTP(_ netip.Addr, req []byte) []byte {
+func (s *Site) serveHTTP(dst []byte, _ netip.Addr, req []byte) []byte {
 	line, _, _ := strings.Cut(string(req), "\r\n")
 	if !strings.HasPrefix(line, "GET ") {
-		return []byte("HTTP/1.0 405 Method Not Allowed\r\n\r\n")
+		return append(dst, "HTTP/1.0 405 Method Not Allowed\r\n\r\n"...)
 	}
 	body := s.body()
-	var sb strings.Builder
 	code := s.statusCode()
-	fmt.Fprintf(&sb, "HTTP/1.0 %d %s\r\n", code, statusText(code))
+	dst = fmt.Appendf(dst, "HTTP/1.0 %d %s\r\n", code, statusText(code))
 	if s.Kind == KindRedirect {
-		fmt.Fprintf(&sb, "Location: %s\r\n", s.RedirectTo)
+		dst = fmt.Appendf(dst, "Location: %s\r\n", s.RedirectTo)
 	}
-	fmt.Fprintf(&sb, "Content-Type: text/html\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
-	return []byte(sb.String())
+	return fmt.Appendf(dst, "Content-Type: text/html\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
 }
 
 // serveTLS answers the simulated certificate fetch.
-func (s *Site) serveTLS(_ netip.Addr, req []byte) []byte {
+func (s *Site) serveTLS(_ []byte, _ netip.Addr, req []byte) []byte {
 	if string(req) != "CERT?" {
 		return nil
 	}

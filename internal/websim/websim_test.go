@@ -167,7 +167,7 @@ func TestCertEncodeDecode(t *testing.T) {
 
 func TestHTTPMethodRejected(t *testing.T) {
 	s := &Site{Kind: KindBusiness, Title: "x"}
-	resp := s.serveHTTP(probeSrc, []byte("POST / HTTP/1.0\r\n\r\n"))
+	resp := s.serveHTTP(nil, probeSrc, []byte("POST / HTTP/1.0\r\n\r\n"))
 	if !strings.Contains(string(resp), "405") {
 		t.Errorf("response: %q", resp)
 	}
