@@ -124,8 +124,8 @@ type forcedTCP struct {
 	inner dnsio.Transport
 }
 
-func (t forcedTCP) Exchange(ctx context.Context, server netip.AddrPort, packed []byte, _ bool) ([]byte, error) {
-	return t.inner.Exchange(ctx, server, packed, true)
+func (t forcedTCP) Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, _ bool) ([]byte, error) {
+	return t.inner.Exchange(ctx, buf, server, packed, true)
 }
 
 func parseNameType(args []string) (dns.Name, dns.Type, error) {

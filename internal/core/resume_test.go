@@ -346,7 +346,7 @@ type stallTransport struct {
 	stalls  int
 }
 
-func (s *stallTransport) Exchange(ctx context.Context, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
+func (s *stallTransport) Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
 	if server.Addr() == s.victim {
 		s.mu.Lock()
 		first := !s.wedged
@@ -360,7 +360,7 @@ func (s *stallTransport) Exchange(ctx context.Context, server netip.AddrPort, pa
 			return nil, ctx.Err()
 		}
 	}
-	return s.inner.Exchange(ctx, server, packed, tcp)
+	return s.inner.Exchange(ctx, buf, server, packed, tcp)
 }
 
 // TestWatchdogUnwedgesStalledWorker wedges one nameserver's first exchange

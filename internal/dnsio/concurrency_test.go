@@ -71,7 +71,7 @@ func TestTCPFraming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := tr.Exchange(context.Background(), srv.TCPAddr(), packed, true)
+		raw, err := tr.Exchange(context.Background(), nil, srv.TCPAddr(), packed, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,8 +38,14 @@ const simTCPPortOffset = 10000
 
 // Transport moves one packed DNS message to a server and returns the packed
 // response. tcp selects reliable (no truncation) semantics.
+//
+// buf is storage the caller lends for the response: its contents are
+// overwritten from the start, and a response that fits its capacity comes back
+// as buf re-sliced, valid until the caller next reuses buf. A transport may
+// instead return a slice of its own making (one that outgrew buf, or a stream
+// read that sizes itself); nil buf always does. packed is not retained.
 type Transport interface {
-	Exchange(ctx context.Context, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error)
+	Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error)
 }
 
 // Errors returned by the client.
@@ -106,66 +112,129 @@ func (c *Client) nextID() uint16 {
 	return uint16(x)
 }
 
-// queryPool recycles query messages on both sides of an exchange. A query
-// message is dead as soon as Exchange returns (responses are separate
-// messages), and on the serve path no Responder retains the decoded query
-// past HandleQuery (replies are built via q.Reply, which copies the question
-// section), so each sweep worker effectively reuses one message instead of
-// allocating ~36M of them across a paper-scale run.
+// queryPool recycles the decoded query on the serve path: no Responder retains
+// it past HandleQuery (replies are built via q.Reply, which copies the question
+// section), so each serving goroutine effectively reuses one message.
 var queryPool = sync.Pool{New: func() any { return new(dns.Message) }}
 
-// Query sends a (name, type) question to server and returns the validated
-// response.
-func (c *Client) Query(ctx context.Context, server netip.AddrPort, name dns.Name, t dns.Type) (*dns.Message, error) {
-	resp, _, err := c.QueryWire(ctx, server, name, t)
-	return resp, err
+// Scratch is the per-exchange storage of one caller: the outgoing query and
+// its wire form, the response's wire bytes and the message they decode into.
+// A sweep worker owns one for its whole life and probes through QueryInto, so
+// a probe leaves no garbage of the client's; what QueryInto and Decode return
+// lives in the scratch and is valid until its next use. The zero value is
+// ready. A Scratch must not be used from two goroutines at once.
+type Scratch struct {
+	query  dns.Message
+	packed []byte
+	wire   []byte
+	msg    dns.Message
+
+	// The breaker of the server last exchanged with: a sweep job probes one
+	// server many times running, and a set never drops a breaker, so the
+	// set's shard lock is taken once per job instead of once per probe.
+	brSet  *BreakerSet
+	brAddr netip.Addr
+	br     *breaker
 }
 
-// QueryWire is Query plus the validated response's wire bytes — the exact
-// form the server sent them, so a caller that will journal the answer avoids
-// re-packing it (and, at 36M probes a sweep, re-copying it). The returned
-// slice is only guaranteed until this client's next exchange on the same
-// goroutine; callers that keep it longer must copy.
+// breakerFor returns set's breaker for addr.
+func (s *Scratch) breakerFor(set *BreakerSet, addr netip.Addr) *breaker {
+	if s.brSet != set || s.brAddr != addr {
+		s.brSet, s.brAddr, s.br = set, addr, set.forAddr(addr)
+	}
+	return s.br
+}
+
+// Decode parses wire into the scratch's message, as QueryInto does with a
+// server's answer — a resumed sweep feeds journaled answers through it.
+func (s *Scratch) Decode(wire []byte) (*dns.Message, error) {
+	if err := s.msg.UnpackFrom(wire); err != nil {
+		return nil, err
+	}
+	return &s.msg, nil
+}
+
+// scratchPool lends Query, QueryWire and Exchange the buffers a caller of
+// QueryInto brings itself; their results are decoded into a fresh message and
+// never point into the pooled storage.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// Query sends a (name, type) question to server and returns the validated
+// response, a message of the caller's own.
+func (c *Client) Query(ctx context.Context, server netip.AddrPort, name dns.Name, t dns.Type) (*dns.Message, error) {
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	resp := new(dns.Message)
+	if _, err := c.exchange(ctx, s, server, c.question(s, name, t), resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// QueryWire is Query plus the validated response's wire bytes, exactly as the
+// server sent them, so a caller that will journal the answer need not re-pack
+// it. Both the message and the bytes are the caller's own: no later exchange,
+// on this goroutine or another, touches them.
 func (c *Client) QueryWire(ctx context.Context, server netip.AddrPort, name dns.Name, t dns.Type) (*dns.Message, []byte, error) {
-	q := queryPool.Get().(*dns.Message)
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	resp := new(dns.Message)
+	raw, err := c.exchange(ctx, s, server, c.question(s, name, t), resp)
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp, append([]byte(nil), raw...), nil
+}
+
+// QueryInto is QueryWire through the caller's scratch: the returned message
+// and wire bytes live in s, and are valid until s is next used. Anything the
+// caller keeps from them it copies first.
+func (c *Client) QueryInto(ctx context.Context, s *Scratch, server netip.AddrPort, name dns.Name, t dns.Type) (*dns.Message, []byte, error) {
+	raw, err := c.exchange(ctx, s, server, c.question(s, name, t), &s.msg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &s.msg, raw, nil
+}
+
+// question builds the (name, type) query in s.
+func (c *Client) question(s *Scratch, name dns.Name, t dns.Type) *dns.Message {
+	q := &s.query
 	q.Header = dns.Header{ID: c.nextID(), RecursionDesired: true}
 	q.Questions = append(q.Questions[:0], dns.Question{Name: name, Type: t, Class: dns.ClassINET})
 	q.Answers, q.Authority, q.Additional = q.Answers[:0], q.Authority[:0], q.Additional[:0]
-	resp, raw, err := c.exchange(ctx, server, q)
-	queryPool.Put(q)
-	return resp, raw, err
+	return q
 }
 
-// packBufPool recycles query wire buffers across Exchange calls; transports
-// never retain the packed bytes past their Exchange call, so the buffer can
-// go back in the pool as soon as the attempt loop ends.
-var packBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
-// Exchange sends a prepared query. If the UDP response has TC set, the query
-// is retried over TCP, mirroring standard resolver behaviour.
+// Exchange sends a prepared query and returns the validated response, a
+// message of the caller's own. If the UDP response has TC set, the query is
+// retried over TCP, mirroring standard resolver behaviour.
 func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, q *dns.Message) (*dns.Message, error) {
-	resp, _, err := c.exchange(ctx, server, q)
-	return resp, err
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	resp := new(dns.Message)
+	if _, err := c.exchange(ctx, s, server, q, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
-// exchange is Exchange returning the accepted response's wire bytes as well.
-// The returned slice is only valid until the transport's next exchange —
-// callers that keep it (QueryWire) must copy.
-func (c *Client) exchange(ctx context.Context, server netip.AddrPort, q *dns.Message) (*dns.Message, []byte, error) {
+// exchange is the one exchange path: q packed into s, the attempts made with
+// s's response buffer lent to the transport, the accepted response decoded
+// into resp. The returned wire bytes are only valid until s is next used.
+func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort, q, resp *dns.Message) ([]byte, error) {
 	if q.Header.ID == 0 {
 		q.Header.ID = c.nextID()
 	}
-	bp := packBufPool.Get().(*[]byte)
-	packed, err := q.AppendPack((*bp)[:0])
+	packed, err := q.AppendPack(s.packed[:0])
 	if err != nil {
-		packBufPool.Put(bp)
-		return nil, nil, fmt.Errorf("dnsio: pack query: %w", err)
+		return nil, fmt.Errorf("dnsio: pack query: %w", err)
 	}
-	*bp = packed // keep any grown capacity for the next user
-	defer packBufPool.Put(bp)
+	s.packed = packed // keep any grown capacity for the next exchange
+	if s.wire == nil {
+		// Room for any datagram a server may send, so a socket read lands in it.
+		s.wire = make([]byte, 0, dns.MaxEDNS0Size)
+	}
 	// Deadline management only matters for transports that can block on
 	// real I/O; the in-memory fabric completes synchronously.
 	if c.Timeout > 0 && !isInstant(c.Transport) {
@@ -177,9 +246,9 @@ func (c *Client) exchange(ctx context.Context, server netip.AddrPort, q *dns.Mes
 	}
 	var br *breaker
 	if c.Breakers != nil {
-		br = c.Breakers.forAddr(server.Addr())
+		br = s.breakerFor(c.Breakers, server.Addr())
 		if !br.allow(c.Breakers.cfg) {
-			return nil, nil, fmt.Errorf("dnsio: exchange with %s failed: %w", server, ErrCircuitOpen)
+			return nil, fmt.Errorf("dnsio: exchange with %s failed: %w", server, ErrCircuitOpen)
 		}
 	}
 	// Retries < 0 must still attempt once: an empty attempt loop would
@@ -190,18 +259,23 @@ func (c *Client) exchange(ctx context.Context, server netip.AddrPort, q *dns.Mes
 	}
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
-		if err := ctx.Err(); err != nil {
+		// Done is an atomic load once the channel exists (Err would take the
+		// context's mutex, shared by every sweep worker), and nil — never
+		// ready — for a context that cannot be cancelled.
+		select {
+		case <-ctx.Done():
 			if br != nil && lastErr != nil {
 				br.report(c.Breakers, false)
 			}
-			return nil, nil, err
+			return nil, ctx.Err()
+		default:
 		}
 		if attempt > 0 {
 			if err := c.sleep(ctx, c.Backoff.Delay(server, attempt)); err != nil {
 				break
 			}
 		}
-		raw, err := c.Transport.Exchange(ctx, server, packed, false)
+		raw, err := c.Transport.Exchange(ctx, s.wire, server, packed, false)
 		if err != nil {
 			lastErr = err
 			if IsPermanent(err) {
@@ -209,13 +283,12 @@ func (c *Client) exchange(ctx context.Context, server netip.AddrPort, q *dns.Mes
 			}
 			continue
 		}
-		resp, err := c.validate(q, raw)
-		if err != nil {
+		if err := validate(q, raw, resp); err != nil {
 			lastErr = err
 			continue
 		}
 		if resp.Header.Truncated {
-			raw, err = c.Transport.Exchange(ctx, server, packed, true)
+			raw, err = c.Transport.Exchange(ctx, s.wire, server, packed, true)
 			if err != nil {
 				lastErr = err
 				if IsPermanent(err) {
@@ -223,7 +296,7 @@ func (c *Client) exchange(ctx context.Context, server netip.AddrPort, q *dns.Mes
 				}
 				continue
 			}
-			if resp, err = c.validate(q, raw); err != nil {
+			if err := validate(q, raw, resp); err != nil {
 				lastErr = err
 				continue
 			}
@@ -231,7 +304,7 @@ func (c *Client) exchange(ctx context.Context, server netip.AddrPort, q *dns.Mes
 		if br != nil {
 			br.report(c.Breakers, true)
 		}
-		return resp, raw, nil
+		return raw, nil
 	}
 	if br != nil {
 		br.report(c.Breakers, false)
@@ -239,24 +312,24 @@ func (c *Client) exchange(ctx context.Context, server netip.AddrPort, q *dns.Mes
 	if lastErr == nil {
 		lastErr = errors.New("no attempt completed")
 	}
-	return nil, nil, fmt.Errorf("dnsio: exchange with %s failed: %w", server, lastErr)
+	return nil, fmt.Errorf("dnsio: exchange with %s failed: %w", server, lastErr)
 }
 
-func (c *Client) validate(q *dns.Message, raw []byte) (*dns.Message, error) {
-	resp, err := dns.Unpack(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+// validate decodes raw into resp and checks it answers q.
+func validate(q *dns.Message, raw []byte, resp *dns.Message) error {
+	if err := resp.UnpackFrom(raw); err != nil {
+		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	if !resp.Header.Response {
-		return nil, ErrNotResponse
+		return ErrNotResponse
 	}
 	if resp.Header.ID != q.Header.ID {
-		return nil, ErrIDMismatch
+		return ErrIDMismatch
 	}
 	if len(resp.Questions) > 0 && resp.Question() != q.Question() {
-		return nil, ErrQuestionMismatch
+		return ErrQuestionMismatch
 	}
-	return resp, nil
+	return nil
 }
 
 // Responder is the server-side query handler.
@@ -442,13 +515,13 @@ type SimTransport struct {
 func (t *SimTransport) Instant() bool { return true }
 
 // Exchange implements Transport.
-func (t *SimTransport) Exchange(_ context.Context, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
+func (t *SimTransport) Exchange(_ context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
 	ep := simnet.Endpoint{Addr: server.Addr(), Port: server.Port()}
 	if tcp {
 		ep.Port += simTCPPortOffset
-		return t.Fabric.ExchangeReliable(t.Src, ep, packed)
+		return t.Fabric.ExchangeReliableInto(buf, t.Src, ep, packed)
 	}
-	return t.Fabric.Exchange(t.Src, ep, packed, 0)
+	return t.Fabric.ExchangeInto(buf, t.Src, ep, packed, 0)
 }
 
 // NetTransport is a Transport over real UDP and TCP sockets.
@@ -457,15 +530,16 @@ type NetTransport struct {
 	DialTimeout time.Duration
 }
 
-// Exchange implements Transport.
-func (t *NetTransport) Exchange(ctx context.Context, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
+// Exchange implements Transport. A datagram is read into buf when it has room
+// for the largest one a server may send; a stream response sizes itself.
+func (t *NetTransport) Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
 	if tcp {
 		return t.exchangeTCP(ctx, server, packed)
 	}
-	return t.exchangeUDP(ctx, server, packed)
+	return t.exchangeUDP(ctx, buf, server, packed)
 }
 
-func (t *NetTransport) exchangeUDP(ctx context.Context, server netip.AddrPort, packed []byte) ([]byte, error) {
+func (t *NetTransport) exchangeUDP(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte) ([]byte, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "udp", server.String())
 	if err != nil {
@@ -478,7 +552,10 @@ func (t *NetTransport) exchangeUDP(ctx context.Context, server netip.AddrPort, p
 	if _, err := conn.Write(packed); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, dns.MaxEDNS0Size)
+	buf = buf[:cap(buf)]
+	if len(buf) < dns.MaxEDNS0Size {
+		buf = make([]byte, dns.MaxEDNS0Size)
+	}
 	n, err := conn.Read(buf)
 	if err != nil {
 		return nil, err
@@ -496,10 +573,10 @@ func (t *NetTransport) exchangeTCP(ctx context.Context, server netip.AddrPort, p
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(deadline)
 	}
-	if err := writeTCPMessage(conn, packed); err != nil {
+	if err := WriteFrame(conn, packed); err != nil {
 		return nil, err
 	}
-	return readTCPMessage(conn)
+	return ReadFrame(conn)
 }
 
 // WriteFrame writes the RFC 1035 §4.2.2 two-octet length prefix followed by
@@ -531,8 +608,3 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// writeTCPMessage and readTCPMessage keep the historical names alive for the
-// package-internal call sites.
-func writeTCPMessage(w io.Writer, msg []byte) error { return WriteFrame(w, msg) }
-func readTCPMessage(r io.Reader) ([]byte, error)    { return ReadFrame(r) }

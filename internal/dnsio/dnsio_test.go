@@ -208,30 +208,30 @@ func TestRealSockets(t *testing.T) {
 
 func TestClientValidation(t *testing.T) {
 	q := dns.NewQuery(100, "a.test", dns.TypeA)
-	c := NewClient(nil)
+	var resp dns.Message
 
 	// Wrong ID.
 	r := q.Reply()
 	r.Header.ID = 101
 	raw, _ := r.Pack()
-	if _, err := c.validate(q, raw); err != ErrIDMismatch {
+	if err := validate(q, raw, &resp); err != ErrIDMismatch {
 		t.Errorf("want ID mismatch, got %v", err)
 	}
 	// Not a response.
 	raw, _ = q.Pack()
-	if _, err := c.validate(q, raw); err != ErrNotResponse {
+	if err := validate(q, raw, &resp); err != ErrNotResponse {
 		t.Errorf("want not-response, got %v", err)
 	}
 	// Question mismatch.
 	other := dns.NewQuery(100, "b.test", dns.TypeA).Reply()
 	raw, _ = other.Pack()
-	if _, err := c.validate(q, raw); err != ErrQuestionMismatch {
+	if err := validate(q, raw, &resp); err != ErrQuestionMismatch {
 		t.Errorf("want question mismatch, got %v", err)
 	}
 	// Good response.
 	good := q.Reply()
 	raw, _ = good.Pack()
-	if _, err := c.validate(q, raw); err != nil {
+	if err := validate(q, raw, &resp); err != nil {
 		t.Errorf("valid response rejected: %v", err)
 	}
 }

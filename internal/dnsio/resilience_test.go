@@ -20,7 +20,7 @@ type scriptTransport struct {
 	calls  int
 }
 
-func (t *scriptTransport) Exchange(_ context.Context, _ netip.AddrPort, packed []byte, _ bool) ([]byte, error) {
+func (t *scriptTransport) Exchange(_ context.Context, buf []byte, _ netip.AddrPort, packed []byte, _ bool) ([]byte, error) {
 	i := t.calls
 	t.calls++
 	var step error
@@ -34,7 +34,7 @@ func (t *scriptTransport) Exchange(_ context.Context, _ netip.AddrPort, packed [
 	if err != nil {
 		return nil, err
 	}
-	return q.Reply().Pack()
+	return q.Reply().AppendPack(buf[:0])
 }
 
 // Instant marks the script transport as non-blocking so no deadline plumbing

@@ -156,7 +156,7 @@ func (s *Server) serveTCP() {
 			}
 			sr, streaming := s.responder.(StreamResponder)
 			for {
-				raw, err := readTCPMessage(conn)
+				raw, err := ReadFrame(conn)
 				if err != nil {
 					return
 				}
@@ -168,7 +168,7 @@ func (s *Server) serveTCP() {
 							if perr != nil {
 								return perr
 							}
-							return writeTCPMessage(conn, out)
+							return WriteFrame(conn, out)
 						})
 						if err != nil {
 							return
@@ -184,7 +184,7 @@ func (s *Server) serveTCP() {
 				if out == nil {
 					return
 				}
-				if err := writeTCPMessage(conn, out); err != nil {
+				if err := WriteFrame(conn, out); err != nil {
 					return
 				}
 			}

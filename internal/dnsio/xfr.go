@@ -95,7 +95,7 @@ func Transfer(ctx context.Context, server netip.AddrPort, zone dns.Name, qtype d
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(deadline)
 	}
-	if err := writeTCPMessage(conn, packed); err != nil {
+	if err := WriteFrame(conn, packed); err != nil {
 		return nil, err
 	}
 
@@ -106,7 +106,7 @@ func Transfer(ctx context.Context, server netip.AddrPort, zone dns.Name, qtype d
 		termSeen   int
 	)
 	for {
-		raw, err := readTCPMessage(conn)
+		raw, err := ReadFrame(conn)
 		if err != nil {
 			return nil, fmt.Errorf("dnsio: transfer read: %w", err)
 		}

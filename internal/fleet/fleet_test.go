@@ -395,9 +395,9 @@ type slowTransport struct {
 	delay time.Duration
 }
 
-func (s *slowTransport) Exchange(ctx context.Context, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
+func (s *slowTransport) Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
 	time.Sleep(s.delay)
-	return s.inner.Exchange(ctx, server, packed, tcp)
+	return s.inner.Exchange(ctx, buf, server, packed, tcp)
 }
 
 // TestFleetStragglerSteal runs one shard with a deliberately slow worker and

@@ -175,8 +175,9 @@ type NetDoH struct {
 var defaultDoHClient = &http.Client{Timeout: 5 * time.Second}
 
 // Exchange implements dnsio.Transport. The tcp flag is meaningless over
-// HTTP — responses are never truncated — so it is ignored.
-func (t *NetDoH) Exchange(ctx context.Context, server netip.AddrPort, packed []byte, _ bool) ([]byte, error) {
+// HTTP — responses are never truncated — so it is ignored, and so is the lent
+// buffer: the body is read to its own length.
+func (t *NetDoH) Exchange(ctx context.Context, _ []byte, server netip.AddrPort, packed []byte, _ bool) ([]byte, error) {
 	scheme := t.Scheme
 	if scheme == "" {
 		scheme = "http"

@@ -37,8 +37,9 @@ type NetDoT struct {
 }
 
 // Exchange implements dnsio.Transport. The tcp flag is meaningless — DoT is
-// always a stream, responses never truncate — so it is ignored.
-func (t *NetDoT) Exchange(ctx context.Context, server netip.AddrPort, packed []byte, _ bool) ([]byte, error) {
+// always a stream, responses never truncate — so it is ignored, and so is the
+// lent buffer: a framed response sizes itself.
+func (t *NetDoT) Exchange(ctx context.Context, _ []byte, server netip.AddrPort, packed []byte, _ bool) ([]byte, error) {
 	d := net.Dialer{Timeout: t.DialTimeout}
 	raw, err := d.DialContext(ctx, "tcp", server.String())
 	if err != nil {

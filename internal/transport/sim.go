@@ -77,7 +77,7 @@ func NewSimDoH(f *simnet.Fabric, src netip.Addr) *SimDoH {
 
 // Exchange implements dnsio.Transport: book the modeled costs, then carry the
 // message exactly as the plain transport would.
-func (t *simEncrypted) Exchange(ctx context.Context, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
+func (t *simEncrypted) Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
 	base := t.inner.Fabric.BaseRTT()
 	t.mu.Lock()
 	if _, ok := t.seen[server.Addr()]; !ok {
@@ -89,7 +89,7 @@ func (t *simEncrypted) Exchange(ctx context.Context, server netip.AddrPort, pack
 	if t.recordDiv > 0 {
 		t.inner.Fabric.AdvanceVirtual(base / time.Duration(t.recordDiv))
 	}
-	return t.inner.Exchange(ctx, server, packed, tcp)
+	return t.inner.Exchange(ctx, buf, server, packed, tcp)
 }
 
 // Instant implements dnsio's instant-transport marker: fabric exchanges are

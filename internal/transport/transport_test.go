@@ -164,7 +164,7 @@ func TestDoHHandlerEndToEnd(t *testing.T) {
 
 	for _, useGET := range []bool{false, true} {
 		tr := &NetDoH{UseGET: useGET}
-		out, err := tr.Exchange(context.Background(), ap, packedQuery(t), false)
+		out, err := tr.Exchange(context.Background(), nil, ap, packedQuery(t), false)
 		if err != nil {
 			t.Fatalf("useGET=%v: %v", useGET, err)
 		}
@@ -206,7 +206,7 @@ func TestDoHHandlerEndToEnd(t *testing.T) {
 
 	// The non-200 path must classify as a transient HTTP failure.
 	tr := &NetDoH{Path: "/nowhere"}
-	if _, err := tr.Exchange(context.Background(), ap, packedQuery(t), false); !errors.Is(err, dnsio.ErrHTTPStatus) {
+	if _, err := tr.Exchange(context.Background(), nil, ap, packedQuery(t), false); !errors.Is(err, dnsio.ErrHTTPStatus) {
 		t.Errorf("404 exchange error = %v, want ErrHTTPStatus", err)
 	}
 }
@@ -227,7 +227,7 @@ func TestDoTLoopback(t *testing.T) {
 	defer srv.Close()
 
 	tr := &NetDoT{TLS: &tls.Config{RootCAs: pool}, DialTimeout: 5 * time.Second}
-	out, err := tr.Exchange(context.Background(), srv.Addr(), packedQuery(t), false)
+	out, err := tr.Exchange(context.Background(), nil, srv.Addr(), packedQuery(t), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDoTLoopback(t *testing.T) {
 	// A client with no trust anchor must fail the handshake and classify it
 	// as the permanent TLS failure class, not a generic socket error.
 	bad := &NetDoT{DialTimeout: 5 * time.Second}
-	if _, err := bad.Exchange(context.Background(), srv.Addr(), packedQuery(t), false); !errors.Is(err, dnsio.ErrTLSHandshake) {
+	if _, err := bad.Exchange(context.Background(), nil, srv.Addr(), packedQuery(t), false); !errors.Is(err, dnsio.ErrTLSHandshake) {
 		t.Errorf("untrusted handshake error = %v, want ErrTLSHandshake", err)
 	}
 }
@@ -305,11 +305,11 @@ func TestSimHandshakeAmortized(t *testing.T) {
 		for round := 0; round < 5; round++ {
 			for _, s := range servers {
 				ap := netip.AddrPortFrom(s, dnsio.DNSPort)
-				enc, err := tr.Exchange(context.Background(), ap, packedQuery(t), false)
+				enc, err := tr.Exchange(context.Background(), nil, ap, packedQuery(t), false)
 				if err != nil {
 					t.Fatalf("%s exchange: %v", k, err)
 				}
-				want, err := plain.Exchange(context.Background(), ap, packedQuery(t), false)
+				want, err := plain.Exchange(context.Background(), nil, ap, packedQuery(t), false)
 				if err != nil {
 					t.Fatal(err)
 				}
