@@ -308,13 +308,15 @@ func (c *Collector) releaseSegment(seg *segmentWriter) {
 }
 
 // sweepWorker is what one pool goroutine owns for a whole sweep: its journal
-// segment and watchdog slot, and — on a resumed run — the replay index plus a
-// scratch message the journaled answers are decoded into.
+// segment and watchdog slot, the scratch every answer — live or, on a resumed
+// run, replayed from the index — is decoded into, and the buffer its jobs
+// shuffle their target order in.
 type sweepWorker struct {
-	slot   *stallSlot
-	seg    *segmentWriter
-	replay *replayIndex
-	msg    dns.Message
+	slot    *stallSlot
+	seg     *segmentWriter
+	replay  *replayIndex
+	scratch dnsio.Scratch
+	order   []int32
 }
 
 // sweepJob is a worker's pass over one server unit. Its counters and failure
@@ -358,24 +360,25 @@ func (j *sweepJob) fail(kind sweepKind, name dns.Name, qt dns.Type, class dnsio.
 // sweep (cancellation, journal write failure).
 //
 // On a resumed run the journal is asked first. An answered probe is decoded
-// into the worker's scratch message and takes the caller's live-answer path;
-// one that had also failed books a recovery. A failed probe is filed as the
-// live failure was, without journaling it again. A CRC-clean answer that does
-// not decode is neither trusted nor skipped: the probe is queried again. The
-// returned message is only valid until the worker's next probe.
+// into the worker's scratch and takes the caller's live-answer path; one that
+// had also failed books a recovery. A failed probe is filed as the live
+// failure was, without journaling it again. A CRC-clean answer that does not
+// decode is neither trusted nor skipped: the probe is queried again. The
+// returned message lives in the worker's scratch (see probeQuery) and is only
+// valid until the worker's next probe.
 func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Name, qi int, qt dns.Type) (*dns.Message, error) {
 	w := j.w
 	if j.base >= 0 {
 		id := w.replay.probeID(j.base, t, qi)
 		class, failed := w.replay.failed(id)
 		if wire := w.replay.wire(id); wire != nil {
-			if w.msg.UnpackFrom(wire) == nil {
+			if resp, err := w.scratch.Decode(wire); err == nil {
 				j.attempted++
 				j.answered++
 				if failed {
 					j.recovered++
 				}
-				return &w.msg, nil
+				return resp, nil
 			}
 		} else if failed {
 			j.attempted++
@@ -383,15 +386,17 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 			return nil, nil
 		}
 	}
-	// Cancellation is checked where it costs nothing next to the exchange: a
-	// replayed probe is a sub-microsecond memory read, and the two overlapped
-	// pools would otherwise contend on the shared context's lock per probe.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	// Cancellation is checked on the live path only (a replayed probe is a
+	// sub-microsecond memory read), and through Done, an atomic load: Err takes
+	// the context's mutex, which the two overlapped pools share.
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	default:
 	}
 	j.attempted++
 	j.issued++
-	resp, wire, class, err := j.c.probeQuery(ctx, w.slot, j.server, name, qt)
+	resp, wire, class, err := j.c.probeQuery(ctx, w.slot, &w.scratch, j.server, name, qt)
 	if err != nil {
 		j.fail(kind, name, qt, class)
 		if w.seg != nil {
@@ -480,10 +485,14 @@ func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKi
 //
 // The answered response's wire bytes are returned alongside the decoded
 // message so a journaled sweep can record exactly what the server sent
-// without re-packing it.
-func (c *Collector) probeQuery(ctx context.Context, slot *stallSlot, server netip.AddrPort, name dns.Name, qt dns.Type) (*dns.Message, []byte, dnsio.FailClass, error) {
+// without re-packing it. Both live in the caller's scratch and are valid until
+// its next probe: whatever outlasts a probe is copied out of them (the journal
+// copies the wire, URs intern their rdata, the databases take values). Under
+// the watchdog the query runs on a goroutine that may be abandoned mid-flight,
+// so there the result is the query's own and the scratch is never lent.
+func (c *Collector) probeQuery(ctx context.Context, slot *stallSlot, scratch *dnsio.Scratch, server netip.AddrPort, name dns.Name, qt dns.Type) (*dns.Message, []byte, dnsio.FailClass, error) {
 	if c.wd == nil || slot == nil {
-		resp, wire, err := c.client.QueryWire(ctx, server, name, qt)
+		resp, wire, err := c.client.QueryInto(ctx, scratch, server, name, qt)
 		return resp, wire, dnsio.Classify(err), err
 	}
 	pctx, cancel := slot.arm(ctx)
@@ -592,6 +601,7 @@ func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSl
 		defer c.releaseSegment(seg)
 	}
 	sortFailures(fails)
+	var scratch dnsio.Scratch
 	var lastAddr netip.Addr
 	var issued int64
 	flush := func() {
@@ -614,7 +624,7 @@ func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSl
 		}
 		issued++
 		server := netip.AddrPortFrom(f.ns.Addr, dnsio.DNSPort)
-		resp, wire, class, err := c.probeQuery(ctx, slot, server, f.domain, f.qtype)
+		resp, wire, class, err := c.probeQuery(ctx, slot, &scratch, server, f.domain, f.qtype)
 		if err != nil {
 			f.class = class
 			c.refile(f)
@@ -669,7 +679,8 @@ func sortURs(urs []*UR) {
 func (c *Collector) sweepTargets(ctx context.Context, j *sweepJob, out []*UR) ([]*UR, error) {
 	// Ethics appendix: queries are issued in randomized order, never
 	// walking the target list top-down against any single server.
-	for _, t := range c.shuffledTargets(j.ns.Addr) {
+	j.w.order = c.shuffledTargets(j.w.order, j.ns.Addr)
+	for _, t := range j.w.order {
 		target := c.cfg.Targets[t]
 		if c.isExactlyDelegated(target, j.ns) {
 			continue
@@ -716,9 +727,13 @@ func (c *Collector) ursFromResponse(ns NameserverInfo, domain dns.Name, qt dns.T
 // pseudo-random order, deterministic in the server address. The shuffle is an
 // inline splitmix64 Fisher-Yates: math/rand's lagged-Fibonacci source
 // initializes ~5 KiB of state per Seed call, which profiles as several
-// percent of a clean sweep when paid once per server.
-func (c *Collector) shuffledTargets(server netip.Addr) []int32 {
-	out := make([]int32, len(c.cfg.Targets))
+// percent of a clean sweep when paid once per server. The order is built in
+// buf when it has the room, so a worker shuffles every job in one buffer.
+func (c *Collector) shuffledTargets(buf []int32, server netip.Addr) []int32 {
+	if cap(buf) < len(c.cfg.Targets) {
+		buf = make([]int32, len(c.cfg.Targets))
+	}
+	out := buf[:len(c.cfg.Targets)]
 	for i := range out {
 		out[i] = int32(i)
 	}
@@ -847,7 +862,8 @@ func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, db *CorrectDB, resolver NameserverInfo) error {
 	j := c.startJob(w, sweepCorrect, resolver)
 	defer j.book()
-	for _, t := range c.shuffledTargets(resolver.Addr) {
+	w.order = c.shuffledTargets(w.order, resolver.Addr)
+	for _, t := range w.order {
 		target := c.cfg.Targets[t]
 		for qi, qt := range c.cfg.queryTypes() {
 			resp, err := j.probe(ctx, sweepCorrect, int(t), target, qi, qt)

@@ -154,12 +154,12 @@ func TestEthicsAccounting(t *testing.T) {
 	fx := newCollectorFixture(t)
 	col := NewCollector(fx.cfg)
 	// Distinct servers get distinct (but deterministic) target orders.
-	o1 := col.shuffledTargets(fx.urNS.Addr)
-	o2 := col.shuffledTargets(fx.protNS.Addr)
+	o1 := col.shuffledTargets(nil, fx.urNS.Addr)
+	o2 := col.shuffledTargets(nil, fx.protNS.Addr)
 	if len(o1) != len(fx.cfg.Targets) {
 		t.Fatalf("order length %d", len(o1))
 	}
-	again := col.shuffledTargets(fx.urNS.Addr)
+	again := col.shuffledTargets(nil, fx.urNS.Addr)
 	for i := range o1 {
 		if o1[i] != again[i] {
 			t.Fatal("shuffle not deterministic per server")

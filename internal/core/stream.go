@@ -130,7 +130,7 @@ func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, ns Names
 			return out, err
 		}
 		j.issued++
-		resp, wire, class, err := c.probeQuery(ctx, w.slot, j.server, f.domain, f.qtype)
+		resp, wire, class, err := c.probeQuery(ctx, w.slot, &w.scratch, j.server, f.domain, f.qtype)
 		if err != nil {
 			f.class = class
 			remaining = append(remaining, f)
