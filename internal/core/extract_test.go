@@ -48,11 +48,11 @@ func TestExtractIPsFixtures(t *testing.T) {
 		`"srv at 300.300.300.300"`, // every octet over 255: ParseAddr rejects
 		`"rua=mailto:a@93.0.0.9"`,
 		`1.2.3.4`,
-		`1.2.3.4.5`,  // greedy match stops at 1.2.3.4; the .5 tail has no quad
-		`.1.2.3.4.`,  // dots are not word bytes, boundaries hold
-		`a1.2.3.4`,   // no \b between 'a' and '1': no match at all
-		`1.2.3.4a`,   // trailing word byte kills the final \b
-		`01.2.3.4`,   // matches the pattern, ParseAddr rejects leading zero
+		`1.2.3.4.5`, // greedy match stops at 1.2.3.4; the .5 tail has no quad
+		`.1.2.3.4.`, // dots are not word bytes, boundaries hold
+		`a1.2.3.4`,  // no \b between 'a' and '1': no match at all
+		`1.2.3.4a`,  // trailing word byte kills the final \b
+		`01.2.3.4`,  // matches the pattern, ParseAddr rejects leading zero
 		`001.002.003.004`,
 		`0.0.0.0`,
 		`255.255.255.255`,

@@ -341,9 +341,9 @@ type stallTransport struct {
 	inner  dnsio.Transport
 	victim netip.Addr
 
-	mu      sync.Mutex
-	wedged  bool
-	stalls  int
+	mu     sync.Mutex
+	wedged bool
+	stalls int
 }
 
 func (s *stallTransport) Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {

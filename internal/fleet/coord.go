@@ -75,13 +75,13 @@ const (
 // and only ever shrinks (each steal moves it down). done counts completed
 // server units as reported by the owner's progress frames.
 type shardState struct {
-	id      int
-	lo, hi  int
-	yieldHi int
-	dir     string
-	status  shardStatus
-	owner   string
-	wire    *wire
+	id         int
+	lo, hi     int
+	yieldHi    int
+	dir        string
+	status     shardStatus
+	owner      string
+	wire       *wire
 	ownerPar   int
 	assignedAt time.Time
 	done       int

@@ -48,8 +48,8 @@ func (f Flow) String() string {
 
 // DNSRecord captures one resolved DNS exchange in structured form.
 type DNSRecord struct {
-	Server   netip.Addr
-	Direct   bool // true when the sample queried a specific server, not the default resolver
+	Server netip.Addr
+	Direct bool // true when the sample queried a specific server, not the default resolver
 	// Encrypted marks a lookup carried over DoH: the wire was an opaque TLS
 	// session, so this record exists only because the sandbox instruments
 	// the process — a network tap would not have it.

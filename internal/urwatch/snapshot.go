@@ -389,7 +389,7 @@ func DecodeSnapshot(data []byte) (*Generation, error) {
 		if rec.category >= uint8(len(g.counts)) {
 			return nil, corruptf("record %d category %d", i, rec.category)
 		}
-		if rec.flags &^ (flagByIntel | flagByIDS) != 0 {
+		if rec.flags&^(flagByIntel|flagByIDS) != 0 {
 			return nil, corruptf("record %d flags %#x", i, rec.flags)
 		}
 		g.recs[i] = rec

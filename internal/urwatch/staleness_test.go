@@ -132,10 +132,10 @@ func TestSerialArithmetic(t *testing.T) {
 		{1, 2, true},
 		{2, 1, false},
 		{5, 5, false},
-		{0xFFFFFFFF, 0, true},          // wrap: max serial precedes zero
-		{0, 0xFFFFFFFF, false},         // and not vice versa
-		{0xFFFFFFF0, 5, true},          // small forward step across the wrap
-		{5, 0xFFFFFFF0, false},         //
+		{0xFFFFFFFF, 0, true},     // wrap: max serial precedes zero
+		{0, 0xFFFFFFFF, false},    // and not vice versa
+		{0xFFFFFFF0, 5, true},     // small forward step across the wrap
+		{5, 0xFFFFFFF0, false},    //
 		{0, 1 << 31, false},       // exactly 2^31 apart: incomparable, not less
 		{(1 << 31) + 1, 1, false}, // the mirror case, also exactly 2^31 apart
 		{(1 << 31) + 2, 1, true},  // just under 2^31 forward across the wrap
