@@ -3,6 +3,7 @@ package dns
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -187,5 +188,54 @@ func TestQuickPackNameMatchesValidate(t *testing.T) {
 	}
 	if err := quick.Check(gen, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLendReply: an armed query hands its own reply out once — the same object
+// arm after arm, with no allocation — with whatever the last handler left in
+// it dropped, not truncated for reuse: a handler may have assigned a slice it
+// shares with others, and the next one may append. Every other Reply is an
+// owned message, and a lent reply equals an owned one field for field.
+func TestLendReply(t *testing.T) {
+	q := NewQuery(7, "www.example.com", TypeA)
+	plain := NewQuery(7, "www.example.com", TypeA)
+	owned := q.Reply()
+	if q.Reply() == owned {
+		t.Fatal("two replies of an unarmed query are one object")
+	}
+
+	q.LendReply()
+	lent := q.Reply()
+	if second := q.Reply(); second == lent {
+		t.Error("an armed query lent its reply twice")
+	}
+	if !reflect.DeepEqual(lent, owned) {
+		t.Errorf("lent reply %+v differs from an owned one %+v", lent, owned)
+	}
+	shared := make([]RR, 1, 4)
+	shared[0] = RR{Name: "www.example.com", Class: ClassINET, TTL: 60, Data: &A{Addr: mustAddr("192.0.2.1")}}
+	lent.Answers, lent.Authority = shared, shared
+	lent.Header.RCode = RCodeNXDomain
+
+	q.Header.ID = 8
+	q.LendReply()
+	again := q.Reply()
+	if again != lent {
+		t.Error("re-armed query did not lend the same reply")
+	}
+	fresh := plain.Reply()
+	fresh.Header.ID = 8
+	if !reflect.DeepEqual(again, fresh) {
+		t.Errorf("re-lent reply %+v is not a fresh skeleton %+v", again, fresh)
+	}
+	again.Answers = append(again.Answers, RR{Name: "other.example.com"})
+	if len(shared) != 1 || len(shared[:2]) != 2 || shared[:2][1].Name != "" {
+		t.Errorf("an append to the re-lent reply wrote into the slice the last handler assigned: %+v", shared[:2])
+	}
+
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(200, func() { q.LendReply(); _ = q.Reply() }); n != 0 {
+			t.Errorf("a lent reply allocates %.1f objects, want 0", n)
+		}
 	}
 }

@@ -59,6 +59,19 @@ type Message struct {
 	Answers    []RR
 	Authority  []RR
 	Additional []RR
+
+	// lent is the reply a serve loop lends to this query's handler (see
+	// LendReply); nil on every message that is not a serve loop's query.
+	lent *reply
+}
+
+// reply is a response skeleton and the backing array of its (almost always
+// single) question as one object. The array is invisible to callers, so
+// replies still compare equal field for field.
+type reply struct {
+	Message
+	q     [1]Question
+	taken bool // lent out since the query was last armed
 }
 
 // NewQuery builds a standard recursion-desired query for (name, type).
@@ -72,26 +85,45 @@ func NewQuery(id uint16, name Name, t Type) *Message {
 }
 
 // Reply builds a response skeleton mirroring the query's ID, question, and
-// recursion-desired flag.
+// recursion-desired flag. The reply is the caller's own, unless m is a serve
+// loop's query armed by LendReply.
 func (m *Message) Reply() *Message {
-	// The message and the backing array of its (almost always single)
-	// question are one object; the array is invisible to callers, so replies
-	// still compare equal field for field.
-	r := &struct {
-		Message
-		q [1]Question
-	}{Message: Message{
-		Header: Header{
-			ID:               m.Header.ID,
-			Response:         true,
-			OpCode:           m.Header.OpCode,
-			RecursionDesired: m.Header.RecursionDesired,
-		},
-	}}
+	r := m.lent
+	if r != nil && !r.taken {
+		// Whatever the last handler put in the sections is dropped, never
+		// truncated for reuse: handlers assign slices they share with others
+		// (a resolver's cached answers) into a reply, and an append into such
+		// a slice would write into the cache.
+		r.Message = Message{}
+		r.taken = true
+	} else {
+		r = new(reply)
+	}
+	r.Header = Header{
+		ID:               m.Header.ID,
+		Response:         true,
+		OpCode:           m.Header.OpCode,
+		RecursionDesired: m.Header.RecursionDesired,
+	}
 	if len(m.Questions) > 0 {
 		r.Questions = append(r.q[:0], m.Questions...)
 	}
 	return &r.Message
+}
+
+// LendReply arms m, the query a serve loop is about to hand to a handler, so
+// that the next Reply on it is built in storage m keeps instead of a new
+// object: a loop that serves every query through one pooled message then
+// makes no reply skeleton per query. The lent reply is valid until m is armed
+// again, so the loop packs it before it reuses m, and a handler must not keep
+// it — a contract only a serve loop's own queries are under; Reply on any
+// other message, and every Reply after the first on an armed one, returns an
+// owned message.
+func (m *Message) LendReply() {
+	if m.lent == nil {
+		m.lent = new(reply)
+	}
+	m.lent.taken = false
 }
 
 // Question returns the first question, or a zero Question if there is none.

@@ -77,10 +77,26 @@ type Client struct {
 	// probe succeeds. nil disables breaking; NewClient installs the default.
 	Breakers *BreakerSet
 
-	// idState drives the query-ID generator: a splitmix64 counter advanced
-	// with a single atomic add, so concurrent sweep workers sharing one
-	// client never serialize on ID generation.
-	idState atomic.Uint64
+	// Query IDs are drawn from the Scratch, so the workers sharing one client
+	// write no common word per query; the client only says where a scratch's
+	// stream starts. idStreams is a Weyl sequence advanced once per stream,
+	// idEpoch counts SeedIDs calls: a scratch that started its stream in an
+	// earlier epoch starts over.
+	idStreams atomic.Uint64
+	idEpoch   atomic.Uint32
+}
+
+// weyl is the odd constant the ID sequences advance by (2^64 / phi).
+const weyl = 0x9E3779B97F4A7C15
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
 }
 
 // NewClient builds a client with sane defaults over the given transport.
@@ -92,29 +108,35 @@ func NewClient(t Transport) *Client {
 		Backoff:   DefaultBackoff(),
 		Breakers:  NewBreakerSet(DefaultBreakerConfig()),
 	}
-	c.idState.Store(uint64(time.Now().UnixNano()))
+	c.SeedIDs(time.Now().UnixNano())
 	return c
 }
 
-// SeedIDs makes query-ID generation deterministic (for tests).
+// SeedIDs makes query-ID generation deterministic (for tests): the streams
+// handed out from here on, in the order scratches ask for them, are a pure
+// function of the seed, and so is each stream's ID sequence.
 func (c *Client) SeedIDs(seed int64) {
-	c.idState.Store(uint64(seed))
+	c.idStreams.Store(uint64(seed))
+	c.idEpoch.Add(1)
 }
 
-func (c *Client) nextID() uint16 {
-	// splitmix64 finalizer over an atomically advanced Weyl sequence.
-	x := c.idState.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return uint16(x)
+// nextID draws the next query ID of s's stream — splitmix64 over a Weyl
+// sequence the scratch advances alone — starting the stream from c if s has
+// none of c's current epoch.
+func (s *Scratch) nextID(c *Client) uint16 {
+	if epoch := c.idEpoch.Load(); s.idClient != c || s.idEpoch != epoch {
+		s.idClient, s.idEpoch = c, epoch
+		s.idState = mix64(c.idStreams.Add(weyl))
+	}
+	s.idState += weyl
+	return uint16(mix64(s.idState))
 }
 
-// queryPool recycles the decoded query on the serve path: no Responder retains
-// it past HandleQuery (replies are built via q.Reply, which copies the question
-// section), so each serving goroutine effectively reuses one message.
+// queryPool recycles the decoded query on the serve path, and with it the
+// reply it lends (dns.Message.LendReply): no Responder retains either past
+// HandleQuery — the reply copies the question section and is packed before the
+// query goes back to the pool — so each serving goroutine effectively reuses
+// one query and one reply.
 var queryPool = sync.Pool{New: func() any { return new(dns.Message) }}
 
 // Scratch is the per-exchange storage of one caller: the outgoing query and
@@ -128,6 +150,12 @@ type Scratch struct {
 	packed []byte
 	wire   []byte
 	msg    dns.Message
+
+	// The query-ID stream: the client and seeding epoch it was started from,
+	// and where it stands.
+	idClient *Client
+	idEpoch  uint32
+	idState  uint64
 
 	// The breaker of the server last exchanged with: a sweep job probes one
 	// server many times running, and a set never drops a breaker, so the
@@ -159,10 +187,19 @@ func (s *Scratch) Decode(wire []byte) (*dns.Message, error) {
 // never point into the pooled storage.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
+// borrowScratch takes a scratch from the pool. Which one a caller gets is the
+// runtime's choice, and a seeded client's IDs must not depend on it, so the
+// borrowed scratch starts a new ID stream.
+func borrowScratch() *Scratch {
+	s := scratchPool.Get().(*Scratch)
+	s.idClient = nil
+	return s
+}
+
 // Query sends a (name, type) question to server and returns the validated
 // response, a message of the caller's own.
 func (c *Client) Query(ctx context.Context, server netip.AddrPort, name dns.Name, t dns.Type) (*dns.Message, error) {
-	s := scratchPool.Get().(*Scratch)
+	s := borrowScratch()
 	defer scratchPool.Put(s)
 	resp := new(dns.Message)
 	if _, err := c.exchange(ctx, s, server, c.question(s, name, t), resp); err != nil {
@@ -176,7 +213,7 @@ func (c *Client) Query(ctx context.Context, server netip.AddrPort, name dns.Name
 // it. Both the message and the bytes are the caller's own: no later exchange,
 // on this goroutine or another, touches them.
 func (c *Client) QueryWire(ctx context.Context, server netip.AddrPort, name dns.Name, t dns.Type) (*dns.Message, []byte, error) {
-	s := scratchPool.Get().(*Scratch)
+	s := borrowScratch()
 	defer scratchPool.Put(s)
 	resp := new(dns.Message)
 	raw, err := c.exchange(ctx, s, server, c.question(s, name, t), resp)
@@ -197,10 +234,10 @@ func (c *Client) QueryInto(ctx context.Context, s *Scratch, server netip.AddrPor
 	return &s.msg, raw, nil
 }
 
-// question builds the (name, type) query in s.
+// question builds the (name, type) query in s; exchange gives it its ID.
 func (c *Client) question(s *Scratch, name dns.Name, t dns.Type) *dns.Message {
 	q := &s.query
-	q.Header = dns.Header{ID: c.nextID(), RecursionDesired: true}
+	q.Header = dns.Header{RecursionDesired: true}
 	q.Questions = append(q.Questions[:0], dns.Question{Name: name, Type: t, Class: dns.ClassINET})
 	q.Answers, q.Authority, q.Additional = q.Answers[:0], q.Authority[:0], q.Additional[:0]
 	return q
@@ -210,7 +247,7 @@ func (c *Client) question(s *Scratch, name dns.Name, t dns.Type) *dns.Message {
 // message of the caller's own. If the UDP response has TC set, the query is
 // retried over TCP, mirroring standard resolver behaviour.
 func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, q *dns.Message) (*dns.Message, error) {
-	s := scratchPool.Get().(*Scratch)
+	s := borrowScratch()
 	defer scratchPool.Put(s)
 	resp := new(dns.Message)
 	if _, err := c.exchange(ctx, s, server, q, resp); err != nil {
@@ -223,8 +260,11 @@ func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, q *dns.Mes
 // s's response buffer lent to the transport, the accepted response decoded
 // into resp. The returned wire bytes are only valid until s is next used.
 func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort, q, resp *dns.Message) ([]byte, error) {
-	if q.Header.ID == 0 {
-		q.Header.ID = c.nextID()
+	// A query that comes without an ID gets one from s's stream, and a fresh
+	// one on every retry; an ID the caller chose is the caller's to keep.
+	drawID := q.Header.ID == 0
+	if drawID {
+		q.Header.ID = s.nextID(c)
 	}
 	packed, err := q.AppendPack(s.packed[:0])
 	if err != nil {
@@ -273,6 +313,10 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 		if attempt > 0 {
 			if err := c.sleep(ctx, c.Backoff.Delay(server, attempt)); err != nil {
 				break
+			}
+			if drawID {
+				q.Header.ID = s.nextID(c)
+				packed[0], packed[1] = byte(q.Header.ID>>8), byte(q.Header.ID)
 			}
 		}
 		raw, err := c.Transport.Exchange(ctx, s.wire, server, packed, false)
@@ -440,6 +484,7 @@ func serveMessage(dst []byte, r Responder, src netip.Addr, raw []byte, via strin
 		}
 		return nil
 	}
+	q.LendReply()
 	resp := dispatchQuery(r, src, q, via)
 	if resp == nil {
 		return nil
