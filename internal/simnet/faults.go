@@ -54,65 +54,59 @@ type faultState struct {
 // SetFault installs (or replaces) a fault profile for one endpoint. The
 // profile's sequence counter restarts at zero.
 func (f *Fabric) SetFault(ep Endpoint, p FaultProfile) {
-	if _, replaced := f.faults.Swap(ep, &faultState{p: p}); !replaced {
-		f.faulted.Add(1)
-	}
+	hst := f.hostOf(ep.Addr)
+	hst.mu.Lock()
+	hst.ensureService(ep.Port).fault = &faultState{p: p}
+	hst.mu.Unlock()
 }
 
 // ClearFault removes the fault profile for one endpoint.
 func (f *Fabric) ClearFault(ep Endpoint) {
-	if _, installed := f.faults.LoadAndDelete(ep); installed {
-		f.faulted.Add(-1)
-	}
+	f.withService(ep, func(svc *service) { svc.fault = nil })
 }
 
 // ClearFaults removes every installed fault profile.
 func (f *Fabric) ClearFaults() {
-	f.faults.Range(func(ep, _ any) bool {
-		f.ClearFault(ep.(Endpoint))
-		return true
+	f.eachHost(func(h *host) {
+		for i := range h.services {
+			h.services[i].fault = nil
+		}
 	})
 }
 
 // FaultFor returns the installed profile for an endpoint, if any.
-func (f *Fabric) FaultFor(ep Endpoint) (FaultProfile, bool) {
-	st := f.faultOf(ep)
-	if st == nil {
-		return FaultProfile{}, false
-	}
-	return st.p, true
-}
-
-// faultOf returns the fault state for an endpoint on the hot path: one atomic
-// load, and a map lookup only when any profile is installed.
-func (f *Fabric) faultOf(ep Endpoint) *faultState {
-	if f.faulted.Load() == 0 {
-		return nil
-	}
-	v, ok := f.faults.Load(ep)
-	if !ok {
-		return nil
-	}
-	return v.(*faultState)
+func (f *Fabric) FaultFor(ep Endpoint) (p FaultProfile, ok bool) {
+	f.withService(ep, func(svc *service) {
+		if svc.fault != nil {
+			p, ok = svc.fault.p, true
+		}
+	})
+	return p, ok
 }
 
 // AdvanceVirtual books extra time on the fabric's virtual clock — the client
 // layer uses it to account retry backoff without real sleeps in-sim.
 func (f *Fabric) AdvanceVirtual(d time.Duration) {
 	if d > 0 {
-		f.virtualRTT.Add(int64(d))
+		f.advanced.Add(int64(d))
 	}
 }
 
 // FaultDrops returns how many exchanges per-endpoint faults swallowed
 // (blackhole, flap window, per-endpoint loss).
-func (f *Fabric) FaultDrops() int64 { return f.faultDrops.Load() }
+func (f *Fabric) FaultDrops() int64 {
+	return f.sum(func(h *host) int64 { return h.faultDrops })
+}
 
 // SpoofsInjected returns how many responses had their DNS ID corrupted.
-func (f *Fabric) SpoofsInjected() int64 { return f.spoofs.Load() }
+func (f *Fabric) SpoofsInjected() int64 {
+	return f.sum(func(h *host) int64 { return h.spoofs })
+}
 
 // GarbageInjected returns how many responses were replaced with garbage.
-func (f *Fabric) GarbageInjected() int64 { return f.garbage.Load() }
+func (f *Fabric) GarbageInjected() int64 {
+	return f.sum(func(h *host) int64 { return h.garbage })
+}
 
 // Salts separating the independent draw streams of one profile.
 const (
@@ -120,6 +114,9 @@ const (
 	saltWrongID
 	saltGarbage
 	saltGarbageBytes
+	// saltFabricLoss is the fabric-wide loss rate's stream, drawn per address
+	// (port zero) and per exchange sent to it.
+	saltFabricLoss
 )
 
 // mix64 is the splitmix64 finalizer.
@@ -184,23 +181,20 @@ func startsAt(resp, buf []byte) bool {
 // handler is skipped when the profile swallows the request or answers SERVFAIL
 // itself. lossy marks datagram semantics — per-endpoint loss and byte
 // truncation only apply there, never on the reliable path. buf is the empty
-// slice the handler is handed; injected bytes land there too.
-func (f *Fabric) applyFault(st *faultState, ep Endpoint, h Handler, buf []byte, src netip.Addr, req []byte, lossy bool) ([]byte, error) {
+// slice the handler is handed; injected bytes land there too. What the
+// profile did is booked on hst, the endpoint's host.
+func (f *Fabric) applyFault(hst *host, st *faultState, ep Endpoint, h Handler, buf []byte, src netip.Addr, req []byte, lossy bool) ([]byte, error) {
 	seq := uint64(st.seq.Add(1) - 1)
 	p := &st.p
 	if p.ExtraRTT > 0 {
-		f.virtualRTT.Add(int64(p.ExtraRTT))
+		hst.mu.Lock()
+		hst.virtual += p.ExtraRTT
+		hst.mu.Unlock()
 	}
-	if p.Blackhole {
-		f.dropFault()
-		return nil, ErrTimeout
-	}
-	if p.FlapPeriod > 0 && int(seq%uint64(p.FlapPeriod)) < p.FlapDown {
-		f.dropFault()
-		return nil, ErrTimeout
-	}
-	if lossy && p.LossRate > 0 && chaosFloat(f.chaosHash(ep, seq, saltLoss)) < p.LossRate {
-		f.dropFault()
+	if p.Blackhole ||
+		p.FlapPeriod > 0 && int(seq%uint64(p.FlapPeriod)) < p.FlapDown ||
+		lossy && p.LossRate > 0 && chaosFloat(f.chaosHash(ep, seq, saltLoss)) < p.LossRate {
+		hst.book(&hst.faultDrops)
 		return nil, ErrTimeout
 	}
 	var resp []byte
@@ -220,20 +214,14 @@ func (f *Fabric) applyFault(st *faultState, ep Endpoint, h Handler, buf []byte, 
 		}
 		resp[0] ^= 0xA5
 		resp[1] ^= 0x5A
-		f.spoofs.Add(1)
+		hst.book(&hst.spoofs)
 	}
 	if p.GarbageRate > 0 && chaosFloat(f.chaosHash(ep, seq, saltGarbage)) < p.GarbageRate {
 		resp = garbageBytes(buf, f.chaosHash(ep, seq, saltGarbageBytes))
-		f.garbage.Add(1)
+		hst.book(&hst.garbage)
 	}
 	if lossy && p.TruncateResp > 0 && len(resp) > p.TruncateResp {
 		resp = resp[:p.TruncateResp]
 	}
 	return resp, nil
-}
-
-// dropFault books one fault-injected drop on both drop counters.
-func (f *Fabric) dropFault() {
-	f.drops.Add(1)
-	f.faultDrops.Add(1)
 }

@@ -238,8 +238,10 @@ func TestFaultClearAndLookup(t *testing.T) {
 		t.Error("clearing a replaced profile hid another endpoint's")
 	}
 	fx.f.ClearFault(other)
-	if n := fx.f.faulted.Load(); n != 0 {
-		t.Errorf("%d profiles counted after every one was cleared", n)
+	for _, e := range []Endpoint{fx.ep, other} {
+		if _, ok := fx.f.FaultFor(e); ok {
+			t.Errorf("%s still reports a profile after every one was cleared", e)
+		}
 	}
 }
 

@@ -13,18 +13,19 @@
 // appendix (§A) commits to a bounded per-server query rate; the accounting
 // lets tests assert the collector honours an analogous budget.
 //
-// Accounting is built for multi-core sweeps: totals are atomics, the
-// per-destination books are sharded by destination address, and the service
-// table is a sync.Map — Listen and Unlisten cost O(1) however many endpoints
-// a world binds, and an exchange on the hot path takes exactly one shard lock
-// and no global lock.
+// Everything the fabric knows about one address — the services bound to its
+// ports, their fault profiles, the books of the exchanges sent to it — is one
+// record (host), found by one lock-free lookup and guarded by its own lock. An
+// exchange writes nothing else: a sweep worker owns a server for a whole job,
+// so two workers' exchanges touch no common cache line, and the fabric-wide
+// totals are sums taken when somebody asks. Listen, Unlisten and SetFault cost
+// O(1) however many endpoints a world binds.
 package simnet
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -71,50 +72,88 @@ func (e Endpoint) String() string {
 	return netip.AddrPortFrom(e.Addr, e.Port).String()
 }
 
-// statShards is the number of per-destination accounting shards. Power of
-// two so the shard index is a mask away from the address hash.
-const statShards = 64
+// maxDuration is the pacing book's "no gap seen yet".
+const maxDuration = time.Duration(1<<63 - 1)
 
-// statShard keeps the per-destination books for one slice of the address
-// space. The loss RNG lives here too, so loss injection never serializes
-// exchanges to unrelated destinations.
-type statShard struct {
-	mu         sync.Mutex
-	perDst     map[netip.Addr]int64
-	lastQuery  map[netip.Addr]time.Time
+// service is what one port of a host holds: the handler listening there (nil
+// when nothing does) and the fault profile installed on it (nil when none is).
+// A profile outlives Unlisten, and may be installed before Listen.
+type service struct {
+	port  uint16
+	h     Handler
+	fault *faultState
+}
+
+// host is the fabric's record of one address. A host is made the first time
+// its address is bound, faulted or sent to — an exchange with an address
+// nobody listens on is booked like any other — and never dropped.
+type host struct {
+	mu sync.Mutex
+	// services holds the address's few ports; a linear scan beats a map.
+	services []service
+
+	// The books of the exchanges sent to this address, all under mu.
+	queries    int64
+	virtual    time.Duration // round trips, plus the ExtraRTT of faulted ones
+	lossDrops  int64         // dropped by the fabric-wide loss rate
+	faultDrops int64         // swallowed by a fault profile
+	spoofs     int64
+	garbage    int64
+	lastQuery  time.Time // pacing, when tracked
 	minSpacing time.Duration
-	rng        *rand.Rand
 
-	// Pad shards out to their own cache lines so neighbouring shard locks
-	// don't false-share under heavy parallel sweeps.
-	_ [24]byte
+	// Hosts are allocated one after another as a world binds its servers, and
+	// workers claim servers in that order: pad the record to two whole cache
+	// lines so neighbouring hosts' locks never share one.
+	_ [16]byte
+}
+
+// serviceAt returns the host's entry for port, nil when it has none. The
+// pointer is only valid while mu is held.
+func (h *host) serviceAt(port uint16) *service {
+	for i := range h.services {
+		if h.services[i].port == port {
+			return &h.services[i]
+		}
+	}
+	return nil
+}
+
+// ensureService is serviceAt, adding an empty entry when there is none.
+func (h *host) ensureService(port uint16) *service {
+	if s := h.serviceAt(port); s != nil {
+		return s
+	}
+	h.services = append(h.services, service{port: port})
+	return &h.services[len(h.services)-1]
+}
+
+// book adds one to a counter of the host's books.
+func (h *host) book(counter *int64) {
+	h.mu.Lock()
+	*counter++
+	h.mu.Unlock()
 }
 
 // Fabric is a virtual packet network. The zero value is not usable; call New.
 type Fabric struct {
-	// services maps Endpoint to Handler; the hot path reads it without a lock.
-	services sync.Map
-	// faults is the per-endpoint chaos configuration, Endpoint to *faultState.
-	// faulted counts its entries, so fault-free sweeps pay one atomic load and
-	// no map lookup.
-	faults  sync.Map
-	faulted atomic.Int64
+	// hosts maps netip.Addr to *host; the hot path reads it without a lock.
+	hosts sync.Map
 
 	lossBits    atomic.Uint64 // math.Float64bits of the loss probability
 	baseRTT     atomic.Int64  // nanoseconds
 	trackPacing atomic.Bool
 
-	// seed also keys the per-endpoint fault draws (see faults.go).
+	// seed keys every probabilistic draw: the fabric-wide loss and the
+	// per-endpoint faults (see faults.go).
 	seed int64
 
-	exchanges  atomic.Int64
-	drops      atomic.Int64
-	faultDrops atomic.Int64
-	spoofs     atomic.Int64
-	garbage    atomic.Int64
-	virtualRTT atomic.Int64 // nanoseconds
-
-	shards [statShards]statShard
+	// advanced is the virtual time booked by AdvanceVirtual, which names no
+	// destination: retry backoff and the encrypted transports' modeled costs.
+	// It is the one word of the fabric written while a sweep runs, so it is
+	// kept a cache line away from the fields above, which every exchange reads.
+	_        [64]byte
+	advanced atomic.Int64
 }
 
 // New creates an empty fabric. Seed makes loss and fault injection
@@ -122,25 +161,34 @@ type Fabric struct {
 func New(seed int64) *Fabric {
 	f := &Fabric{seed: seed}
 	f.baseRTT.Store(int64(20 * time.Millisecond))
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.perDst = make(map[netip.Addr]int64)
-		s.minSpacing = time.Duration(1<<63 - 1)
-		s.rng = rand.New(rand.NewSource(seed + int64(i)*0x9E3779B9))
-	}
 	return f
 }
 
-// shardOf hashes a destination address onto its accounting shard.
-func (f *Fabric) shardOf(addr netip.Addr) *statShard {
-	a := addr.As16()
-	// FNV-1a over the low octets, which carry all the entropy for both the
-	// 4-in-6 mapped IPv4 space and sequentially-allocated IPv6 blocks.
-	h := uint32(2166136261)
-	for _, b := range a[8:] {
-		h = (h ^ uint32(b)) * 16777619
+// hostOf returns the record of addr, making it on first sight.
+func (f *Fabric) hostOf(addr netip.Addr) *host {
+	if v, ok := f.hosts.Load(addr); ok {
+		return v.(*host)
 	}
-	return &f.shards[h&(statShards-1)]
+	v, _ := f.hosts.LoadOrStore(addr, &host{minSpacing: maxDuration})
+	return v.(*host)
+}
+
+// eachHost calls fn on every host, with its lock held.
+func (f *Fabric) eachHost(fn func(*host)) {
+	f.hosts.Range(func(_, v any) bool {
+		h := v.(*host)
+		h.mu.Lock()
+		fn(h)
+		h.mu.Unlock()
+		return true
+	})
+}
+
+// sum adds up one figure of every host's books.
+func (f *Fabric) sum(figure func(*host) int64) int64 {
+	var n int64
+	f.eachHost(func(h *host) { n += figure(h) })
+	return n
 }
 
 // SetLossRate configures the probability in [0,1) that any exchange is
@@ -175,31 +223,42 @@ func (f *Fabric) Listen(ep Endpoint, h Handler) error {
 	if h == nil {
 		return errors.New("simnet: nil handler")
 	}
-	if _, bound := f.services.LoadOrStore(ep, h); bound {
+	hst := f.hostOf(ep.Addr)
+	hst.mu.Lock()
+	defer hst.mu.Unlock()
+	svc := hst.ensureService(ep.Port)
+	if svc.h != nil {
 		return fmt.Errorf("simnet: endpoint %s already bound", ep)
 	}
+	svc.h = h
 	return nil
 }
 
 // Unlisten removes a registered endpoint. Removing an unbound endpoint is a
 // no-op.
 func (f *Fabric) Unlisten(ep Endpoint) {
-	f.services.Delete(ep)
+	f.withService(ep, func(svc *service) { svc.h = nil })
 }
 
-// handlerOf returns the service listening on the endpoint, if any.
-func (f *Fabric) handlerOf(ep Endpoint) (Handler, bool) {
-	v, ok := f.services.Load(ep)
+// withService calls fn on the endpoint's entry, under its host's lock, if the
+// fabric has one; it makes neither host nor entry.
+func (f *Fabric) withService(ep Endpoint, fn func(*service)) {
+	v, ok := f.hosts.Load(ep.Addr)
 	if !ok {
-		return nil, false
+		return
 	}
-	return v.(Handler), true
+	hst := v.(*host)
+	hst.mu.Lock()
+	defer hst.mu.Unlock()
+	if svc := hst.serviceAt(ep.Port); svc != nil {
+		fn(svc)
+	}
 }
 
 // Bound reports whether any service listens on the endpoint.
-func (f *Fabric) Bound(ep Endpoint) bool {
-	_, ok := f.handlerOf(ep)
-	return ok
+func (f *Fabric) Bound(ep Endpoint) (bound bool) {
+	f.withService(ep, func(svc *service) { bound = svc.h != nil })
+	return bound
 }
 
 // Exchange performs a datagram request/response. maxResp > 0 truncates the
@@ -233,25 +292,60 @@ func (f *Fabric) ExchangeReliableInto(buf []byte, src netip.Addr, dst Endpoint, 
 // handler (nil when the caller brought no buffer); lossy selects datagram
 // semantics — loss injection, one base RTT, maxResp — over stream semantics
 // (no loss, handshake + exchange).
+//
+// The exchange is booked, and the endpoint's handler and fault profile are
+// read, under one hold of the destination host's lock; the handler runs
+// outside it (a resolver's handler exchanges with other hosts, and may come
+// back to this one).
 func (f *Fabric) exchange(buf []byte, src netip.Addr, dst Endpoint, payload []byte, maxResp int, lossy bool) ([]byte, error) {
-	h, ok := f.handlerOf(dst)
 	rtt := time.Duration(f.baseRTT.Load())
-	if !lossy {
+	loss := 0.0
+	if lossy {
+		loss = f.lossRate()
+	} else {
 		rtt *= 2 // handshake + exchange
 	}
-	dropped := f.account(dst.Addr, rtt, lossy)
+	var now time.Time
+	pacing := f.trackPacing.Load()
+	if pacing {
+		now = time.Now()
+	}
 
-	if !ok {
+	hst := f.hostOf(dst.Addr)
+	var h Handler
+	var fault *faultState
+	hst.mu.Lock()
+	if svc := hst.serviceAt(dst.Port); svc != nil {
+		h, fault = svc.h, svc.fault
+	}
+	seq := uint64(hst.queries)
+	hst.queries++
+	hst.virtual += rtt
+	// The loss draw is a pure hash of (seed, address, the address's exchange
+	// count): like the per-endpoint faults, it falls on the same exchanges
+	// however goroutines interleave across addresses.
+	dropped := loss > 0 && h != nil && chaosFloat(f.chaosHash(Endpoint{Addr: dst.Addr}, seq, saltFabricLoss)) < loss
+	if dropped {
+		hst.lossDrops++
+	}
+	if pacing {
+		if !hst.lastQuery.IsZero() {
+			hst.minSpacing = min(hst.minSpacing, now.Sub(hst.lastQuery))
+		}
+		hst.lastQuery = now
+	}
+	hst.mu.Unlock()
+
+	if h == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnreachable, dst)
 	}
 	if dropped {
-		f.drops.Add(1)
 		return nil, ErrTimeout
 	}
 	var resp []byte
-	if st := f.faultOf(dst); st != nil {
+	if fault != nil {
 		var err error
-		if resp, err = f.applyFault(st, dst, h, buf, src, payload, lossy); err != nil {
+		if resp, err = f.applyFault(hst, fault, dst, h, buf, src, payload, lossy); err != nil {
 			return nil, err
 		}
 	} else {
@@ -266,80 +360,44 @@ func (f *Fabric) exchange(buf []byte, src netip.Addr, dst Endpoint, payload []by
 	return resp, nil
 }
 
-// account books one exchange to dst and reports whether loss injection
-// dropped it (lossy exchanges only). Totals are atomics; the per-destination
-// count, the loss draw, and the optional pacing book all live under a single
-// shard lock keyed by dst.
-func (f *Fabric) account(dst netip.Addr, rtt time.Duration, lossy bool) (dropped bool) {
-	f.exchanges.Add(1)
-	f.virtualRTT.Add(int64(rtt))
-
-	pacing := f.trackPacing.Load()
-	var now time.Time
-	if pacing {
-		now = time.Now()
-	}
-	loss := 0.0
-	if lossy {
-		loss = f.lossRate()
-	}
-
-	s := f.shardOf(dst)
-	s.mu.Lock()
-	s.perDst[dst]++
-	if loss > 0 {
-		dropped = s.rng.Float64() < loss
-	}
-	if pacing {
-		if s.lastQuery == nil {
-			s.lastQuery = make(map[netip.Addr]time.Time)
-		}
-		if last, ok := s.lastQuery[dst]; ok {
-			if gap := now.Sub(last); gap < s.minSpacing {
-				s.minSpacing = gap
-			}
-		}
-		s.lastQuery[dst] = now
-	}
-	s.mu.Unlock()
-	return dropped
-}
-
 // Exchanges returns the total number of exchanges attempted.
 func (f *Fabric) Exchanges() int64 {
-	return f.exchanges.Load()
+	return f.sum(func(h *host) int64 { return h.queries })
 }
 
-// Drops returns the number of exchanges dropped by loss injection.
+// Drops returns the number of exchanges dropped, by the fabric-wide loss rate
+// or by a fault profile.
 func (f *Fabric) Drops() int64 {
-	return f.drops.Load()
+	return f.sum(func(h *host) int64 { return h.lossDrops + h.faultDrops })
 }
 
 // QueriesTo returns how many exchanges targeted the given IP.
 func (f *Fabric) QueriesTo(addr netip.Addr) int64 {
-	s := f.shardOf(addr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.perDst[addr]
+	v, ok := f.hosts.Load(addr)
+	if !ok {
+		return 0
+	}
+	h := v.(*host)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.queries
 }
 
 // VirtualRTT returns the accumulated virtual round-trip time across all
 // exchanges — the wall-clock a real-network run of the same query plan would
 // have spent waiting, which the benchmark harness reports alongside CPU time.
 func (f *Fabric) VirtualRTT() time.Duration {
-	return time.Duration(f.virtualRTT.Load())
+	return time.Duration(f.advanced.Load() + f.sum(func(h *host) int64 { return int64(h.virtual) }))
 }
 
 // Destinations returns the number of distinct IPs that received traffic.
 func (f *Fabric) Destinations() int {
-	n := 0
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.Lock()
-		n += len(s.perDst)
-		s.mu.Unlock()
-	}
-	return n
+	return int(f.sum(func(h *host) int64 {
+		if h.queries > 0 {
+			return 1
+		}
+		return 0
+	}))
 }
 
 // MinSpacing returns the smallest observed gap between two queries to the
@@ -347,14 +405,7 @@ func (f *Fabric) Destinations() int {
 // enabled or no destination saw two queries. Pacing must be switched on with
 // SetTrackPacing before the exchanges of interest.
 func (f *Fabric) MinSpacing() (time.Duration, bool) {
-	min := time.Duration(1<<63 - 1)
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.Lock()
-		if s.minSpacing < min {
-			min = s.minSpacing
-		}
-		s.mu.Unlock()
-	}
-	return min, min != time.Duration(1<<63-1)
+	gap := maxDuration
+	f.eachHost(func(h *host) { gap = min(gap, h.minSpacing) })
+	return gap, gap != maxDuration
 }
