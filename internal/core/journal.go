@@ -279,11 +279,15 @@ type Journal struct {
 	replay           *replayIndex // guarded by mu
 	kindsDone        uint8        // bit per finished sweepKind, guarded by mu
 
+	// appended is booked by whole checkpoints — one shared write per frame,
+	// not per record — unless an AppendHook needs every record's number.
 	appended atomic.Int64
 
 	// AppendHook, when set before the run starts, observes the global
-	// appended-record count after every data append. Tests use it to cancel
-	// a sweep at an exact journal position; production leaves it nil.
+	// appended-record count after every data append: each of 1..N reaches it
+	// exactly once, from the appending worker's goroutine. Tests use it to
+	// cancel a sweep at an exact journal position, a fleet worker to die at
+	// one; a plain run leaves it nil.
 	AppendHook func(total int64)
 }
 
@@ -618,7 +622,12 @@ func (j *Journal) TornSegments() int { return j.stats.Torn }
 // fresh journal.
 func (j *Journal) ReplayStats() ReplayStats { return j.stats }
 
-// Appended returns how many data records this process has appended.
+// Appended returns how many data records this process has appended. With an
+// AppendHook installed the count is exact at every moment. Without one it is
+// the number of records in frames already sealed and handed to the kernel —
+// what a resume would find — and trails the workers by at most a checkpoint
+// interval each; once every segment has been released (the sweep returned,
+// interrupted or not) or the journal closed, the two meanings agree.
 func (j *Journal) Appended() int64 { return j.appended.Load() }
 
 // Close finishes the journal: parked segment writers are flushed and their
@@ -725,9 +734,8 @@ type segmentWriter struct {
 func (s *segmentWriter) appendData() error {
 	s.count++
 	s.pending++
-	total := s.j.appended.Add(1)
 	if hook := s.j.AppendHook; hook != nil {
-		hook(total)
+		hook(s.j.appended.Add(1))
 	}
 	if s.pending >= s.every || len(s.buf) >= segBufHighwater {
 		return s.checkpoint()
@@ -749,6 +757,9 @@ func (s *segmentWriter) checkpoint() error {
 		return fmt.Errorf("journal: segment write: %w", err)
 	}
 	s.buf = s.buf[:frameHeader]
+	if s.j.AppendHook == nil {
+		s.j.appended.Add(int64(s.pending))
+	}
 	s.pending = 0
 	s.ckpts++
 	if se := s.j.opts.SyncEvery; se > 0 && s.ckpts%se == 0 {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/dns"
@@ -266,6 +268,103 @@ func TestJournalAnsweredFirstWins(t *testing.T) {
 	}
 	if got := resp.Answers[0].Data.String(); got != "203.0.113.1" {
 		t.Errorf("duplicate key resolved to %q, want the first segment's record", got)
+	}
+}
+
+// TestJournalAppendedBalances: the record count is booked a checkpoint at a
+// time unless a hook wants every record's number, and either way it must say,
+// once the journal is closed, exactly what a reopen finds on disk. With a hook
+// every number from 1 to the total is handed out exactly once — in order from
+// one writer, and from the pools' workers at once without a gap or a repeat.
+func TestJournalAppendedBalances(t *testing.T) {
+	t.Run("hook, one writer", func(t *testing.T) {
+		cfg := journalTestConfig(1)
+		j, err := OpenJournal(t.TempDir(), cfg, JournalOptions{CheckpointEvery: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []int64
+		j.AppendHook = func(total int64) { seen = append(seen, total) }
+		seg, err := j.newSegment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if err := seg.failure(sweepURs, cfg.Nameservers[0].Addr, "a.example", dns.TypeA, dnsio.FailTimeout); err != nil {
+				t.Fatal(err)
+			}
+			if len(seen) != i+1 || seen[i] != int64(i+1) || j.Appended() != int64(i+1) {
+				t.Fatalf("after %d appends the hook has seen %v and Appended = %d", i+1, seen, j.Appended())
+			}
+		}
+		if err := seg.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, tc := range []struct {
+		name        string
+		parallelism int
+		hook        bool
+	}{
+		{"no hook, 8 workers", 8, false},
+		{"hook, 8 workers", 8, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fx := newChaosFixture(t, 11)
+			applyDeterministicFaults(fx) // failure records as well as answers
+			fx.cfg.Parallelism = tc.parallelism
+			j, err := OpenJournal(dir, fx.cfg, JournalOptions{CheckpointEvery: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var seen []int64
+			if tc.hook {
+				j.AppendHook = func(total int64) {
+					mu.Lock()
+					seen = append(seen, total)
+					mu.Unlock()
+				}
+			}
+			fx.cfg.Journal = j
+			if _, err := NewPipeline(fx.cfg).Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			released := j.Appended() // every worker has flushed and parked its segment
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			n := j.Appended()
+			if n == 0 || released != n {
+				t.Errorf("Appended = %d when the sweep returned, %d after Close", released, n)
+			}
+			j2, err := OpenJournal(dir, fx.cfg, JournalOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := j2.ReplayStats().Records; int64(got) != n {
+				t.Errorf("Appended = %d, a reopen indexes %d records", n, got)
+			}
+			if !tc.hook {
+				return
+			}
+			if int64(len(seen)) != n {
+				t.Fatalf("the hook ran %d times for %d records", len(seen), n)
+			}
+			count := make([]int, n+1)
+			for _, total := range seen {
+				if total < 1 || total > n {
+					t.Fatalf("the hook saw total %d of %d", total, n)
+				}
+				count[total]++
+			}
+			for total := int64(1); total <= n; total++ {
+				if count[total] != 1 {
+					t.Errorf("total %d reached the hook %d times", total, count[total])
+				}
+			}
+		})
 	}
 }
 
