@@ -30,8 +30,10 @@ type Server struct {
 	zones map[dns.Name]*zone.Zone
 
 	// fallback handles queries outside all hosted zones (provider protective
-	// behaviour); nil means plain REFUSED.
-	fallback Fallback
+	// behaviour); nil means plain REFUSED. Set while the server is being
+	// built, read by every out-of-zone query: a published value, not a field
+	// under mu.
+	fallback atomic.Pointer[Fallback]
 
 	queries atomic.Int64
 }
@@ -43,9 +45,7 @@ func NewServer() *Server {
 
 // SetFallback installs the out-of-zone query handler.
 func (s *Server) SetFallback(f Fallback) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fallback = f
+	s.fallback.Store(&f)
 }
 
 // AddZone attaches a zone. A server can hold at most one zone per origin;
@@ -134,11 +134,8 @@ func (s *Server) HandleQuery(src netip.Addr, q *dns.Message) *dns.Message {
 
 	z := s.findZone(question.Name)
 	if z == nil {
-		s.mu.RLock()
-		fb := s.fallback
-		s.mu.RUnlock()
-		if fb != nil {
-			if r := fb(src, q); r != nil {
+		if fb := s.fallback.Load(); fb != nil && *fb != nil {
+			if r := (*fb)(src, q); r != nil {
 				return r
 			}
 		}

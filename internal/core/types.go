@@ -9,7 +9,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/dns"
@@ -202,46 +202,44 @@ func NewDomainProfile(d dns.Name) *DomainProfile {
 	}
 }
 
-// CorrectDB is the collected legitimate-record database.
+// CorrectDB is the collected legitimate-record database. Every correct-record
+// worker asks it for a profile per answer and every determine worker per
+// record, so finding one writes nothing shared.
 type CorrectDB struct {
-	mu       sync.RWMutex
-	profiles map[dns.Name]*DomainProfile
+	profiles sync.Map // dns.Name → *DomainProfile
 }
 
 // NewCorrectDB creates an empty database.
 func NewCorrectDB() *CorrectDB {
-	return &CorrectDB{profiles: make(map[dns.Name]*DomainProfile)}
+	return &CorrectDB{}
 }
 
 // Profile returns (creating if needed) the profile for a domain.
 func (db *CorrectDB) Profile(d dns.Name) *DomainProfile {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	p, ok := db.profiles[d]
-	if !ok {
-		p = NewDomainProfile(d)
-		db.profiles[d] = p
+	if p, ok := db.profiles.Load(d); ok {
+		return p.(*DomainProfile)
 	}
-	return p
+	p, _ := db.profiles.LoadOrStore(d, NewDomainProfile(d))
+	return p.(*DomainProfile)
 }
 
 // Lookup returns the profile for a domain if one exists.
 func (db *CorrectDB) Lookup(d dns.Name) (*DomainProfile, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	p, ok := db.profiles[d]
-	return p, ok
+	p, ok := db.profiles.Load(d)
+	if !ok {
+		return nil, false
+	}
+	return p.(*DomainProfile), true
 }
 
 // Domains returns all profiled domains, sorted.
 func (db *CorrectDB) Domains() []dns.Name {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]dns.Name, 0, len(db.profiles))
-	for d := range db.profiles {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []dns.Name
+	db.profiles.Range(func(d, _ any) bool {
+		out = append(out, d.(dns.Name))
+		return true
+	})
+	slices.Sort(out)
 	return out
 }
 
@@ -256,39 +254,39 @@ type protectiveKey struct {
 }
 
 // ProtectiveDB holds the protective records observed per nameserver, keyed
-// by (server, type, rdata).
+// by (server, type, rdata). Match runs once per collected UR on every
+// determine worker and reads without writing; Add runs a few times per server.
 type ProtectiveDB struct {
-	mu      sync.RWMutex
-	records map[protectiveKey]bool
-	perNS   map[netip.Addr]int
+	records sync.Map // protectiveKey → struct{}
+
+	mu    sync.Mutex
+	perNS map[netip.Addr]int
 }
 
 // NewProtectiveDB creates an empty database.
 func NewProtectiveDB() *ProtectiveDB {
-	return &ProtectiveDB{records: make(map[protectiveKey]bool), perNS: make(map[netip.Addr]int)}
+	return &ProtectiveDB{perNS: make(map[netip.Addr]int)}
 }
 
 // Add records a protective (server, type, rdata) observation.
 func (db *ProtectiveDB) Add(server netip.Addr, t dns.Type, rdata string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	k := protectiveKey{server: server, t: t, rdata: rdata}
-	if !db.records[k] {
-		db.records[k] = true
+	if _, dup := db.records.LoadOrStore(k, struct{}{}); !dup {
+		db.mu.Lock()
 		db.perNS[server]++
+		db.mu.Unlock()
 	}
 }
 
 // Match reports whether the tuple is a known protective record.
 func (db *ProtectiveDB) Match(server netip.Addr, t dns.Type, rdata string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.records[protectiveKey{server: server, t: t, rdata: rdata}]
+	_, ok := db.records.Load(protectiveKey{server: server, t: t, rdata: rdata})
+	return ok
 }
 
 // ProtectiveServers returns how many nameservers serve protective records.
 func (db *ProtectiveDB) ProtectiveServers() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return len(db.perNS)
 }

@@ -15,6 +15,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ASN is an autonomous system number.
@@ -28,7 +29,8 @@ type Info struct {
 	Country string
 }
 
-// asEntry tracks one organization's allocation state.
+// asEntry tracks one organization's allocation state. Its identity (asn,
+// name, country) is fixed at registration; the cursors move under DB.mu.
 type asEntry struct {
 	asn     ASN
 	name    string
@@ -40,9 +42,12 @@ type asEntry struct {
 
 // DB allocates address space and resolves IP→AS/geo lookups.
 type DB struct {
-	mu        sync.RWMutex
-	byASN     map[ASN]*asEntry
-	byBlock   map[uint16]*asEntry // /16 high bits -> owner
+	mu    sync.RWMutex
+	byASN map[ASN]*asEntry
+	// byBlock maps a /16 (its high 16 bits) to its owner. A block is published
+	// once, when its AS registers, and every collection and determination
+	// worker looks addresses up: a lookup is one atomic load, no lock word.
+	byBlock   [1 << 16]atomic.Pointer[asEntry]
 	nextASN   ASN
 	nextBlock uint32 // next unassigned /16, as high-16-bit value
 }
@@ -52,7 +57,6 @@ type DB struct {
 func New() *DB {
 	return &DB{
 		byASN:     make(map[ASN]*asEntry),
-		byBlock:   make(map[uint16]*asEntry),
 		nextASN:   64500,
 		nextBlock: 11 << 8, // 11.0.0.0/16
 	}
@@ -98,7 +102,7 @@ func (db *DB) RegisterAS(name, country string, blocks int) ASN {
 		h := uint16(db.nextBlock)
 		db.nextBlock++
 		e.blocks = append(e.blocks, h)
-		db.byBlock[h] = e
+		db.byBlock[h].Store(e)
 	}
 	db.byASN[e.asn] = e
 	return e.asn
@@ -154,11 +158,8 @@ func (db *DB) Lookup(addr netip.Addr) (Info, bool) {
 		return Info{}, false
 	}
 	b := addr.As4()
-	h := uint16(b[0])<<8 | uint16(b[1])
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	e, ok := db.byBlock[h]
-	if !ok {
+	e := db.byBlock[uint16(b[0])<<8|uint16(b[1])].Load()
+	if e == nil {
 		return Info{}, false
 	}
 	return Info{Addr: addr, ASN: e.asn, ASName: e.name, Country: e.country}, true

@@ -184,8 +184,8 @@ func TestPoolSharesCutsNotAnswers(t *testing.T) {
 	if _, n := lookup(b, "example.com"); n != 1 {
 		t.Errorf("second resolver took %d upstream exchanges for a zone the first walked, want 1", n)
 	}
-	if shared := a.rec.shared; len(shared.answers) != 2 { // the NS host's address and the answer itself
-		t.Errorf("%d responses stored for two resolvers holding the same two, want 2", len(shared.answers))
+	if n := pool.StoredAnswers(); n != 2 { // the NS host's address and the answer itself
+		t.Errorf("%d responses stored for two resolvers holding the same two, want 2", n)
 	}
 
 	// Different vantage points, different answers, both kept.
@@ -222,7 +222,7 @@ func TestCutDeadServersForgotten(t *testing.T) {
 	if _, err := w.rec.LookupA(ctx, "example.com"); err != nil {
 		t.Fatal(err)
 	}
-	if c := w.rec.shared.cuts["example.com"]; c == nil || len(c.servers) != 1 || c.servers[0] != w.ns {
+	if c := w.rec.shared.cutsByZone()["example.com"]; c == nil || len(c.servers) != 1 || c.servers[0] != w.ns {
 		t.Fatalf("example.com's cut after a walk: %+v, want its one server %v", c, w.ns)
 	}
 	up := watch(t, w, "com")
@@ -235,7 +235,7 @@ func TestCutDeadServersForgotten(t *testing.T) {
 	if root, tld, _ := up.delta(); root != 1 || tld != 1 {
 		t.Errorf("dead cached servers: %d to the root, %d to the TLD; want one re-walk", root, tld)
 	}
-	if c := w.rec.shared.cuts["example.com"]; c != nil {
+	if c := w.rec.shared.cutsByZone()["example.com"]; c != nil {
 		t.Errorf("cut with dead servers still cached: %+v", c)
 	}
 
@@ -300,23 +300,21 @@ func TestCutBailiwick(t *testing.T) {
 			if addrs, err := w.rec.LookupA(ctx, "example.com"); err != nil || len(addrs) != 1 || addrs[0] != w.site {
 				t.Fatalf("example.com before: %v %v", addrs, err)
 			}
-			before := map[dns.Name]*cut{}
-			for zone, c := range w.rec.shared.cuts {
-				before[zone] = c
-			}
+			before := w.rec.shared.cutsByZone()
 
 			// Followed as today: the hostile chain's answer comes back.
 			if addrs, err := w.rec.LookupA(ctx, "www.a.evil.com"); err != nil || len(addrs) != 1 || addrs[0] != loot {
 				t.Fatalf("hostile chain: %v %v", addrs, err)
 			}
 			// Cached: only evil.com itself, which the TLD vouched for.
-			for zone, c := range w.rec.shared.cuts {
+			after := w.rec.shared.cutsByZone()
+			for zone, c := range after {
 				if zone != "evil.com" && before[zone] != c {
 					t.Errorf("cut %s → %v entered the cache through an out-of-bailiwick referral", zone.String(), c.servers)
 				}
 			}
-			if len(w.rec.shared.cuts) != len(before)+1 {
-				t.Errorf("%d cuts cached, want the %d from before and evil.com", len(w.rec.shared.cuts), len(before))
+			if len(after) != len(before)+1 {
+				t.Errorf("%d cuts cached, want the %d from before and evil.com", len(after), len(before))
 			}
 			if addrs, err := w.rec.LookupTXT(ctx, "example.com"); err != nil || len(addrs) != 1 {
 				t.Errorf("example.com after: %v %v", addrs, err)

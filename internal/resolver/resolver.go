@@ -20,6 +20,7 @@ import (
 	"math"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dns"
@@ -82,20 +83,26 @@ type cut struct {
 // byte-identical responses are stored once. Entries are immutable once
 // published and never evicted; the tables are bounded by the delegations and
 // the distinct responses a world can produce.
+//
+// Every resolver of a pool answers every probe through these tables, so
+// reading them writes nothing: cuts and questions are sync.Maps, and answers
+// is a slice header republished on every append (the backing array is only
+// copied when it grows, and a reader never indexes past the header it
+// loaded). Only interning something new takes mu.
 type shared struct {
-	mu        sync.RWMutex
-	cuts      map[dns.Name]*cut
-	questions map[dns.Question]uint32
-	answerIDs map[string]uint32 // wire form of a response to its index in answers
-	answers   []*dns.Message
+	cuts      sync.Map // dns.Name → *cut
+	questions sync.Map // dns.Question → uint32, the question's id
+	answers   atomic.Pointer[[]*dns.Message]
+
+	mu         sync.Mutex        // serialises interning
+	nQuestions uint32            // ids handed out
+	answerIDs  map[string]uint32 // wire form of a response to its index in answers
 }
 
 func newShared() *shared {
-	return &shared{
-		cuts:      make(map[dns.Name]*cut),
-		questions: make(map[dns.Question]uint32),
-		answerIDs: make(map[string]uint32),
-	}
+	s := &shared{answerIDs: make(map[string]uint32)}
+	s.answers.Store(new([]*dns.Message))
+	return s
 }
 
 // NewRecursive builds a resolver that queries through client starting at the
@@ -116,15 +123,16 @@ func newRecursive(client *dnsio.Client, roots []netip.Addr, s *shared) *Recursiv
 }
 
 // seconds reads the resolver's clock the way the caches keep time: whole
-// seconds since the Unix epoch, in 32 bits. An entry is fresh while
-// seconds() < expires.
+// seconds since the Unix epoch, in 32 bits. An entry is fresh while the
+// reading is below its expires. Resolve reads the clock once; everything a
+// resolution looks up or caches is judged at that moment.
 func (r *Recursive) seconds() uint32 {
 	return uint32(r.now().Unix())
 }
 
-// expiry is the moment an entry cached now with this TTL stops being fresh.
-func (r *Recursive) expiry(ttl uint32) uint32 {
-	return uint32(min(uint64(r.seconds())+uint64(ttl), math.MaxUint32))
+// expiry is the moment an entry cached at now with this TTL stops being fresh.
+func expiry(now, ttl uint32) uint32 {
+	return uint32(min(uint64(now)+uint64(ttl), math.MaxUint32))
 }
 
 // LookupA resolves a name to its IPv4 addresses.
@@ -156,15 +164,15 @@ func (r *Recursive) LookupTXT(ctx context.Context, name dns.Name) ([]string, err
 // Resolve performs full iterative resolution of (name, qtype) and returns a
 // response message with the complete CNAME chain in the answer section.
 func (r *Recursive) Resolve(ctx context.Context, name dns.Name, qtype dns.Type) (*dns.Message, error) {
-	return r.resolve(ctx, name, qtype, 0)
+	return r.resolve(ctx, name, qtype, 0, r.seconds())
 }
 
-func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, depth int) (*dns.Message, error) {
+func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, depth int, now uint32) (*dns.Message, error) {
 	if depth > maxGluelessNS {
 		return nil, fmt.Errorf("%w: NS resolution too deep", ErrLoop)
 	}
 	q := dns.Question{Name: name, Type: qtype, Class: dns.ClassINET}
-	if msg, ok := r.cacheGet(q); ok {
+	if msg, ok := r.cacheGet(q, now); ok {
 		return msg, nil
 	}
 
@@ -174,7 +182,7 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 	}
 	target := name
 	for cnameHop := 0; cnameHop <= maxCNAMEHops; cnameHop++ {
-		resp, err := r.iterate(ctx, target, qtype, depth)
+		resp, err := r.iterate(ctx, target, qtype, depth, now)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +193,7 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 		// Done unless the terminal answer is an unchased CNAME.
 		last := lastCNAMETarget(resp.Answers, qtype)
 		if last == dns.Root {
-			r.cachePut(q, final)
+			r.cachePut(q, final, now)
 			return final, nil
 		}
 		target = last
@@ -210,13 +218,13 @@ func lastCNAMETarget(answers []dns.RR, qtype dns.Type) dns.Name {
 // iterate walks the delegation tree for one owner name (no CNAME chasing
 // across calls; in-server chains are accepted as returned), starting at the
 // closest enclosing zone cut the cache knows and caching the cuts it crosses.
-func (r *Recursive) iterate(ctx context.Context, name dns.Name, qtype dns.Type, depth int) (*dns.Message, error) {
+func (r *Recursive) iterate(ctx context.Context, name dns.Name, qtype dns.Type, depth int, now uint32) (*dns.Message, error) {
 	if len(r.root.servers) == 0 {
 		return nil, ErrNoServers
 	}
 	// at is the cut whose servers are asked next; fromCache says they were
 	// read from the cache rather than from a referral of this walk.
-	at, fromCache := r.closestCut(name)
+	at, fromCache := r.closestCut(name, now)
 	// trusted holds while every referral of this walk stayed in bailiwick.
 	// Once a server has pointed outside the zone it was asked for, the walk
 	// follows it as it always did, but nothing it leads to is cached: the
@@ -242,12 +250,12 @@ func (r *Recursive) iterate(ctx context.Context, name dns.Name, qtype dns.Type, 
 			resp.Header.RCode == dns.RCodeSuccess && len(resp.Answers) == 0 && !isReferral(resp):
 			return resp, nil
 		case isReferral(resp):
-			servers, err := r.serversFromReferral(ctx, resp, depth)
+			servers, err := r.serversFromReferral(ctx, resp, depth, now)
 			if err != nil {
 				return nil, err
 			}
 			zone, ttl, ok := referralCut(resp)
-			next := &cut{zone: zone, servers: servers, expires: r.expiry(ttl)}
+			next := &cut{zone: zone, servers: servers, expires: expiry(now, ttl)}
 			trusted = trusted && ok && zone.IsProperSubdomainOf(at.zone) && name.IsSubdomainOf(zone)
 			if trusted {
 				r.learnCut(next)
@@ -286,17 +294,15 @@ func referralCut(resp *dns.Message) (zone dns.Name, ttl uint32, ok bool) {
 
 // closestCut returns the deepest fresh cached cut at or above name, or the
 // roots when there is none.
-func (r *Recursive) closestCut(name dns.Name) (at *cut, fromCache bool) {
+func (r *Recursive) closestCut(name dns.Name, now uint32) (at *cut, fromCache bool) {
 	if r.CacheLimit == 0 {
 		return &r.root, false
 	}
-	now := r.seconds()
-	s := r.shared
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for zone := name; zone != dns.Root; zone = zone.Parent() {
-		if c, ok := s.cuts[zone]; ok && now < c.expires {
-			return c, true
+		if v, ok := r.shared.cuts.Load(zone); ok {
+			if c := v.(*cut); now < c.expires {
+				return c, true
+			}
 		}
 	}
 	return &r.root, false
@@ -309,21 +315,13 @@ func (r *Recursive) learnCut(c *cut) {
 	if r.CacheLimit == 0 {
 		return
 	}
-	s := r.shared
-	s.mu.Lock()
-	s.cuts[c.zone] = c
-	s.mu.Unlock()
+	r.shared.cuts.Store(c.zone, c)
 }
 
 // forgetCut drops a cut whose servers all failed, unless another walk has
 // replaced it since. The roots are never in the table.
 func (r *Recursive) forgetCut(c *cut) {
-	s := r.shared
-	s.mu.Lock()
-	if s.cuts[c.zone] == c {
-		delete(s.cuts, c.zone)
-	}
-	s.mu.Unlock()
+	r.shared.cuts.CompareAndDelete(c.zone, c)
 }
 
 // isReferral reports whether resp is a downward referral.
@@ -341,7 +339,7 @@ func isReferral(resp *dns.Message) bool {
 
 // serversFromReferral extracts nameserver addresses from a referral, using
 // glue when present and resolving glueless NS hosts otherwise.
-func (r *Recursive) serversFromReferral(ctx context.Context, resp *dns.Message, depth int) ([]netip.Addr, error) {
+func (r *Recursive) serversFromReferral(ctx context.Context, resp *dns.Message, depth int, now uint32) ([]netip.Addr, error) {
 	var addrs []netip.Addr
 	glue := make(map[dns.Name][]netip.Addr)
 	for _, rr := range resp.Additional {
@@ -364,7 +362,7 @@ func (r *Recursive) serversFromReferral(ctx context.Context, resp *dns.Message, 
 	// Resolve glueless NS hosts only if glue gave us nothing.
 	if len(addrs) == 0 {
 		for _, host := range glueless {
-			sub, err := r.resolve(ctx, host, dns.TypeA, depth+1)
+			sub, err := r.resolve(ctx, host, dns.TypeA, depth+1, now)
 			if err != nil {
 				continue
 			}
@@ -396,28 +394,26 @@ func (r *Recursive) queryAny(ctx context.Context, servers []netip.Addr, name dns
 	return nil, fmt.Errorf("%w: %v", ErrLame, lastErr)
 }
 
-func (r *Recursive) cacheGet(q dns.Question) (*dns.Message, bool) {
+func (r *Recursive) cacheGet(q dns.Question, now uint32) (*dns.Message, bool) {
 	if r.CacheLimit == 0 {
 		return nil, false
 	}
-	s := r.shared
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	id, ok := s.questions[q]
+	v, ok := r.shared.questions.Load(q)
 	if !ok {
 		return nil, false
 	}
+	id := v.(uint32)
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
 	e, ok := r.cache[id]
 	if !ok {
 		return nil, false
 	}
-	if r.seconds() >= e.expires {
+	if now >= e.expires {
 		delete(r.cache, id)
 		return nil, false
 	}
-	return s.answers[e.answer], true
+	return (*r.shared.answers.Load())[e.answer], true
 }
 
 // packBufPool holds the scratch buffers cachePut encodes responses into.
@@ -426,7 +422,7 @@ var packBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-func (r *Recursive) cachePut(q dns.Question, msg *dns.Message) {
+func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) {
 	if r.CacheLimit == 0 {
 		return
 	}
@@ -451,30 +447,28 @@ func (r *Recursive) cachePut(q dns.Question, msg *dns.Message) {
 			break
 		}
 	}
-	r.cache[id] = cached{answer: answer, expires: r.expiry(messageTTL(msg))}
+	r.cache[id] = cached{answer: answer, expires: expiry(now, messageTTL(msg))}
 }
 
 // intern returns the ids of a question and of a response's content, storing
-// msg as that content's one instance if no equal response is stored yet. The
-// common case — another resolver has been here — takes only the read lock.
+// msg as that content's one instance if no equal response is stored yet.
 func (s *shared) intern(q dns.Question, wire []byte, msg *dns.Message) (id, answer uint32) {
-	s.mu.RLock()
-	id, okQ := s.questions[q]
-	answer, okA := s.answerIDs[string(wire)]
-	s.mu.RUnlock()
-	if okQ && okA {
-		return id, answer
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id, okQ = s.questions[q]; !okQ {
-		id = uint32(len(s.questions))
-		s.questions[q] = id
+	if v, ok := s.questions.Load(q); ok {
+		id = v.(uint32)
+	} else {
+		id = s.nQuestions
+		s.nQuestions++
+		s.questions.Store(q, id)
 	}
-	if answer, okA = s.answerIDs[string(wire)]; !okA {
-		answer = uint32(len(s.answers))
+	answer, ok := s.answerIDs[string(wire)]
+	if !ok {
+		answers := *s.answers.Load()
+		answer = uint32(len(answers))
 		s.answerIDs[string(wire)] = answer
-		s.answers = append(s.answers, msg)
+		answers = append(answers, msg)
+		s.answers.Store(&answers)
 	}
 	return id, answer
 }

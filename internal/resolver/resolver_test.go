@@ -219,9 +219,9 @@ func TestCacheDisabled(t *testing.T) {
 	if w.rec.CacheSize() != 0 {
 		t.Error("cache populated while disabled")
 	}
-	if s := w.rec.shared; len(s.cuts) != 0 || len(s.questions) != 0 || len(s.answers) != 0 {
+	if s := w.rec.shared; len(s.cutsByZone()) != 0 || s.nQuestions != 0 || s.storedAnswers() != 0 {
 		t.Errorf("shared tables populated while disabled: %d cuts, %d questions, %d answers",
-			len(s.cuts), len(s.questions), len(s.answers))
+			len(s.cutsByZone()), s.nQuestions, s.storedAnswers())
 	}
 }
 

@@ -8,8 +8,10 @@ package threatintel
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Tag is a vendor-assigned label for a malicious IP.
@@ -28,17 +30,20 @@ const (
 // AllTags is Figure 3(d)'s display order.
 var AllTags = []Tag{TagTrojan, TagScanner, TagOther, TagMalware, TagC2, TagBotnet}
 
-// Vendor is one security vendor's live blacklist.
+// Vendor is one security vendor's live blacklist. Lookups — 74 of them per
+// aggregated verdict, from every determine and analyze worker at once — read
+// the list without writing a shared word; flagging serialises on mu.
 type Vendor struct {
 	Name string
 
-	mu     sync.RWMutex
-	listed map[netip.Addr][]Tag
+	mu     sync.Mutex // serialises Flag's read-modify-write
+	listed sync.Map   // netip.Addr → []Tag; a stored slice is never modified
+	size   atomic.Int64
 }
 
 // NewVendor creates an empty vendor feed.
 func NewVendor(name string) *Vendor {
-	return &Vendor{Name: name, listed: make(map[netip.Addr][]Tag)}
+	return &Vendor{Name: name}
 }
 
 // Flag adds an IP to the vendor's blacklist with the given tags (idempotent
@@ -46,43 +51,35 @@ func NewVendor(name string) *Vendor {
 func (v *Vendor) Flag(addr netip.Addr, tags ...Tag) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	have := v.listed[addr]
+	old, _ := v.listed.Load(addr)
+	prev, _ := old.([]Tag)
+	have := slices.Clone(prev)
 	for _, t := range tags {
-		dup := false
-		for _, h := range have {
-			if h == t {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(have, t) {
 			have = append(have, t)
 		}
 	}
 	if len(have) == 0 {
 		have = []Tag{TagOther}
 	}
-	v.listed[addr] = have
+	v.listed.Store(addr, have)
+	if old == nil {
+		v.size.Add(1)
+	}
 }
 
 // Listed reports whether the vendor flags the IP, with its tags.
 func (v *Vendor) Listed(addr netip.Addr) ([]Tag, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	tags, ok := v.listed[addr]
+	tags, ok := v.listed.Load(addr)
 	if !ok {
 		return nil, false
 	}
-	out := make([]Tag, len(tags))
-	copy(out, tags)
-	return out, true
+	return slices.Clone(tags.([]Tag)), true
 }
 
 // Size returns the number of IPs on the vendor's list.
 func (v *Vendor) Size() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.listed)
+	return int(v.size.Load())
 }
 
 // Report is the aggregated intelligence for one IP.
@@ -110,9 +107,9 @@ func (r Report) HasTag(t Tag) bool {
 	return false
 }
 
-// Aggregator unions many vendor feeds, VirusTotal-style.
+// Aggregator unions many vendor feeds, VirusTotal-style. The panel is fixed
+// when the aggregator is built; only the feeds change.
 type Aggregator struct {
-	mu      sync.RWMutex
 	vendors []*Vendor
 	byName  map[string]*Vendor
 }
@@ -141,16 +138,12 @@ func DefaultVendorNames() []string {
 
 // Vendor returns the feed with the given name.
 func (a *Aggregator) Vendor(name string) (*Vendor, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	v, ok := a.byName[name]
 	return v, ok
 }
 
 // Vendors returns all feeds.
 func (a *Aggregator) Vendors() []*Vendor {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	out := make([]*Vendor, len(a.vendors))
 	copy(out, a.vendors)
 	return out
@@ -158,15 +151,11 @@ func (a *Aggregator) Vendors() []*Vendor {
 
 // VendorCount returns the panel size.
 func (a *Aggregator) VendorCount() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	return len(a.vendors)
 }
 
 // Lookup aggregates all vendors' verdicts for an IP.
 func (a *Aggregator) Lookup(addr netip.Addr) Report {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	rep := Report{Addr: addr}
 	tagset := make(map[Tag]bool)
 	for _, v := range a.vendors {
@@ -187,8 +176,6 @@ func (a *Aggregator) Lookup(addr netip.Addr) Report {
 
 // IsMalicious reports whether any vendor flags the IP.
 func (a *Aggregator) IsMalicious(addr netip.Addr) bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	for _, v := range a.vendors {
 		if _, ok := v.Listed(addr); ok {
 			return true
