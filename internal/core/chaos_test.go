@@ -191,9 +191,8 @@ func TestChaosFaultMatrix(t *testing.T) {
 				if fx.fabric.Drops() == 0 {
 					t.Error("loss never fired")
 				}
-				// Global loss is drawn from per-shard RNGs, so the exact count
-				// is scheduling-dependent; the retry + re-queue machinery must
-				// still hold coverage far above the raw 49% two-attempt floor.
+				// Whatever the draws were, the retry + re-queue machinery must
+				// hold coverage far above the raw 49% two-attempt floor.
 				if r := res.Coverage.AnsweredRatio(); r < 0.90 {
 					t.Errorf("answered ratio %.3f under 30%% loss", r)
 				}
