@@ -326,6 +326,9 @@ type sweepJob struct {
 	w      *sweepWorker
 	ns     NameserverInfo
 	server netip.AddrPort
+	// unit is the server's unit in the full plan, what the journal names the
+	// job's probes by; nq is |qtypes|, a slot's stride per target.
+	unit, nq int
 	// base is the unit's first replay id, -1 when nothing can be replayed.
 	base int
 
@@ -333,12 +336,15 @@ type sweepJob struct {
 	fails                                  []probeFailure
 }
 
-// startJob opens the job for one server unit; kind picks the unit's side of
-// the plan (sweepCorrect: open resolver, otherwise nameserver).
-func (c *Collector) startJob(w *sweepWorker, kind sweepKind, ns NameserverInfo) sweepJob {
-	j := sweepJob{c: c, w: w, ns: ns, server: netip.AddrPortFrom(ns.Addr, dnsio.DNSPort), base: -1}
+// startJob opens the job for the config's server unit u (open resolvers,
+// then nameservers).
+func (c *Collector) startJob(w *sweepWorker, u int, ns NameserverInfo) sweepJob {
+	j := sweepJob{
+		c: c, w: w, ns: ns, server: netip.AddrPortFrom(ns.Addr, dnsio.DNSPort),
+		unit: c.cfg.firstUnit() + u, nq: len(c.cfg.queryTypes()), base: -1,
+	}
 	if w.replay != nil {
-		j.base = w.replay.unitBase(kind, ns.Addr)
+		j.base = w.replay.unitBase(u)
 	}
 	return j
 }
@@ -350,29 +356,37 @@ func (j *sweepJob) book() {
 }
 
 // fail files one failed probe on the job's list.
-func (j *sweepJob) fail(kind sweepKind, name dns.Name, qt dns.Type, class dnsio.FailClass) {
-	j.fails = append(j.fails, probeFailure{ns: j.ns, domain: name, qtype: qt, class: class, sweep: kind})
+func (j *sweepJob) fail(kind sweepKind, pos probePos, name dns.Name, qt dns.Type, class dnsio.FailClass) {
+	j.fails = append(j.fails, probeFailure{ns: j.ns, domain: name, qtype: qt, class: class, sweep: kind, pos: pos})
 }
 
 // probe settles one planned probe — target position t (the canary's is
 // len(Targets)), query-type position qi — and returns its response, or nil
-// when it failed and now sits on j.fails. A non-nil error is fatal to the
-// sweep (cancellation, journal write failure).
+// when it failed and now sits on j.fails, or was replayed as an answer with
+// nothing in it. A non-nil error is fatal to the sweep (cancellation,
+// journal write failure).
 //
-// On a resumed run the journal is asked first. An answered probe is decoded
-// into the worker's scratch and takes the caller's live-answer path; one that
-// had also failed books a recovery. A failed probe is filed as the live
-// failure was, without journaling it again. A CRC-clean answer that does not
-// decode is neither trusted nor skipped: the probe is queried again. The
-// returned message lives in the worker's scratch (see probeQuery) and is only
-// valid until the worker's next probe.
+// On a resumed run the journal is asked first. An answered probe is booked
+// answered — one that had also failed books a recovery — and, unless it was
+// journaled empty, decoded into the worker's scratch to take the caller's
+// live-answer path. A failed probe is filed as the live failure was, without
+// journaling it again. A CRC-clean answer that does not decode is neither
+// trusted nor skipped: the probe is queried again. The returned message lives
+// in the worker's scratch (see probeQuery) and is only valid until the
+// worker's next probe.
 func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Name, qi int, qt dns.Type) (*dns.Message, error) {
 	w := j.w
+	pos := probePos{j.unit, t*j.nq + qi}
 	if j.base >= 0 {
-		id := w.replay.probeID(j.base, t, qi)
+		id := j.base + pos.slot
 		class, failed := w.replay.failed(id)
-		if wire := w.replay.wire(id); wire != nil {
-			if resp, err := w.scratch.Decode(wire); err == nil {
+		if wire, ok := w.replay.answer(id); ok {
+			var resp *dns.Message
+			var err error
+			if wire != nil {
+				resp, err = w.scratch.Decode(wire)
+			}
+			if err == nil {
 				j.attempted++
 				j.answered++
 				if failed {
@@ -382,7 +396,7 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 			}
 		} else if failed {
 			j.attempted++
-			j.fail(kind, name, qt, class)
+			j.fail(kind, pos, name, qt, class)
 			return nil, nil
 		}
 	}
@@ -398,15 +412,15 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 	j.issued++
 	resp, wire, class, err := j.c.probeQuery(ctx, w.slot, &w.scratch, j.server, name, qt)
 	if err != nil {
-		j.fail(kind, name, qt, class)
+		j.fail(kind, pos, name, qt, class)
 		if w.seg != nil {
-			return nil, w.seg.failure(kind, j.ns.Addr, name, qt, class)
+			return nil, w.seg.failure(pos, class)
 		}
 		return nil, nil
 	}
 	j.answered++
 	if w.seg != nil {
-		if jerr := w.seg.answered(kind, j.ns.Addr, name, qt, wire); jerr != nil {
+		if jerr := w.seg.answer(pos, resp, wire); jerr != nil {
 			return nil, jerr
 		}
 	}
@@ -425,9 +439,9 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 // exhausted, the context is cancelled, a worker hits a fatal error, or — on a
 // shard — the claimed unit lies at or past the yield cursor. unit0 is
 // servers[0]'s unit position in the config's plan (open resolvers first, then
-// nameservers); the cursor only moves down, so the first yielded unit a
-// worker claims ends its run.
-func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKind, unit0 int, servers []NameserverInfo, job func(w *sweepWorker, ns NameserverInfo) error) error {
+// nameservers), and job is handed each server's; the cursor only moves down,
+// so the first yielded unit a worker claims ends its run.
+func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKind, unit0 int, servers []NameserverInfo, job func(w *sweepWorker, unit int, ns NameserverInfo) error) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -457,7 +471,7 @@ func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKi
 				if pos >= len(servers) || !c.cfg.Shard.owns(unit0+pos) {
 					break
 				}
-				if err = job(w, servers[pos]); err == nil {
+				if err = job(w, unit0+pos, servers[pos]); err == nil {
 					c.cfg.Shard.unitDone()
 				}
 			}
@@ -629,7 +643,7 @@ func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSl
 			f.class = class
 			c.refile(f)
 			if seg != nil {
-				if jerr := seg.failure(kind, f.ns.Addr, f.domain, f.qtype, class); jerr != nil {
+				if jerr := seg.failure(f.pos, class); jerr != nil {
 					for _, rest := range fails[i+1:] {
 						c.refile(rest)
 					}
@@ -640,7 +654,7 @@ func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSl
 		}
 		c.bookRecovered(f.ns.Addr)
 		if seg != nil {
-			if jerr := seg.answered(kind, f.ns.Addr, f.domain, f.qtype, wire); jerr != nil {
+			if jerr := seg.answer(f.pos, resp, wire); jerr != nil {
 				for _, rest := range fails[i+1:] {
 					c.refile(rest)
 				}
@@ -844,8 +858,8 @@ func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	for i, r := range c.cfg.OpenResolvers {
 		resolvers[i] = NameserverInfo{Addr: r}
 	}
-	err := c.sweepPool(ctx, 0, []sweepKind{sweepCorrect}, 0, resolvers, func(w *sweepWorker, resolver NameserverInfo) error {
-		return c.collectCorrectVia(ctx, w, db, resolver)
+	err := c.sweepPool(ctx, 0, []sweepKind{sweepCorrect}, 0, resolvers, func(w *sweepWorker, unit int, resolver NameserverInfo) error {
+		return c.collectCorrectVia(ctx, w, unit, db, resolver)
 	})
 	if err != nil {
 		return nil, err
@@ -859,8 +873,8 @@ func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	return db, nil
 }
 
-func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, db *CorrectDB, resolver NameserverInfo) error {
-	j := c.startJob(w, sweepCorrect, resolver)
+func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, unit int, db *CorrectDB, resolver NameserverInfo) error {
+	j := c.startJob(w, unit, resolver)
 	defer j.book()
 	w.order = c.shuffledTargets(w.order, resolver.Addr)
 	for _, t := range w.order {

@@ -27,6 +27,7 @@ type probeFailure struct {
 	qtype  dns.Type
 	class  dnsio.FailClass
 	sweep  sweepKind
+	pos    probePos // what the journal names the probe by
 }
 
 // covShards slices the coverage book by server address, like the collector's

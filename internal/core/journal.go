@@ -38,9 +38,17 @@
 // whole flush at a time. A hard kill can tear the tail of a segment
 // mid-frame; replay detects the torn frame via length/CRC and discards the
 // tail rather than trusting it — the probes it covered are simply
-// re-queried. Replay feeds the journaled response bytes back through
-// dns.Unpack, so the decoder is fuzzed (FuzzMessageUnpack) against exactly
-// this attacker-influenceable surface.
+// re-queried.
+//
+// Records (version 2) name a probe by plan position — full-plan unit and
+// slot inside the unit — and keep response bytes only for answers the
+// collector reads records from; an answer with nothing in it (not NOERROR,
+// or no answer records) is its position alone and replays without a decode.
+// Replay feeds the bytes it does keep back through the validated decoder
+// (Message.UnpackFrom into the worker's scratch), so the decoder is fuzzed
+// (FuzzMessageUnpack) against exactly this attacker-influenceable surface.
+// Version 1 records, keyed by sweep kind, address, name and query type, are
+// still read.
 package core
 
 import (
@@ -70,7 +78,9 @@ import (
 
 // journal format constants.
 const (
-	journalVersion = 1
+	// journalVersion is what this binary writes; it reads 1 and 2. A version 1
+	// directory it resumes is bumped before the first version 2 record lands.
+	journalVersion = 2
 	manifestName   = "manifest.json"
 	segmentPrefix  = "seg-"
 	segmentSuffix  = ".wal"
@@ -82,9 +92,11 @@ const (
 	// at 64 KiB) and the checkpoint marker, far under this bound.
 	maxJournalFrame = 1 << 20
 	// defaultCheckpointEvery is the record interval between flush
-	// checkpoints when the caller does not choose one. At ~200 bytes per
-	// answered record a hard kill forfeits at most ~200 KiB of re-queries;
-	// a smaller interval buys little and pays a write() per interval.
+	// checkpoints when the caller does not choose one. Records average 26
+	// bytes at `small` (version 1 records averaged 74: every answer's bytes
+	// under a full key), so an interval is ~26 KiB and a hard kill forfeits
+	// at most 1024 probes' re-queries; a smaller interval buys little and
+	// pays a write() per interval.
 	defaultCheckpointEvery = 1024
 	// segBufHighwater flushes a segment writer early when its buffer
 	// reaches this size, whatever the record interval — CheckpointEvery can
@@ -93,12 +105,26 @@ const (
 	segBufHighwater = 128 << 10
 )
 
-// record types inside a segment.
+// record types inside a segment. The writer emits 3 to 6. A position is
+// [uvarint unit][uvarint slot] (see probePos); a version 1 key is
+// [sweep kind][address length][address][u16 name length][name][u16 qtype].
 const (
-	recAnswered   byte = 1 // probe key + packed DNS response
-	recFailure    byte = 2 // probe key + failure class
+	recAnsweredV1 byte = 1 // v1 key + [u32 length][packed DNS response]
+	recFailureV1  byte = 2 // v1 key + failure class
 	recCheckpoint byte = 3 // cumulative record count, written at each flush
+	recAnswered   byte = 4 // position + [u32 length][packed DNS response]
+	recEmpty      byte = 5 // position of an answer the collector reads nothing from
+	recFailure    byte = 6 // position + failure class
 )
+
+// probePos names a probe by its place in the plan, the way a version 2 record
+// does. unit is the server's unit in the full plan, in PlanUnits order — a
+// shard adds its Desc.Lo to its local unit, so shard journals merge by
+// copying segments. slot is target position × |qtypes| + qtype position
+// inside the unit, the canary after the last target; the kind follows from
+// the two (a resolver unit's slots are correct-record probes, a nameserver
+// unit's UR probes and then its canary probes).
+type probePos struct{ unit, slot int }
 
 // crcTable is the Castagnoli polynomial — hardware-accelerated on amd64 and
 // arm64 even for the short frames the journal writes, where the IEEE
@@ -106,33 +132,39 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // wireLoc locates one answered record's response bytes: segment buffer seg,
-// byte offset off. off is never zero for a real record (a frame header and a
-// key precede it), so the zero value means "not answered"; the length is the
-// u32 the writer put right before the bytes.
+// byte offset off. off is never below frameHeader for a real record (a frame
+// header and a key precede it), so the zero value means "not answered" and
+// emptyOff "answered with nothing in it"; the length is the u32 the writer
+// put right before the bytes.
 type wireLoc struct{ seg, off uint32 }
+
+// emptyOff is the offset of an answer journaled as its position alone.
+const emptyOff = 1
 
 // maxSegmentBytes is the largest segment wireLoc can address.
 const maxSegmentBytes = 1<<32 - 1
 
 // replayIndex is the journal's replay state, dense over the plan: every
-// probe the config can issue has an integer id — server units in PlanUnits
-// order (open resolvers, then nameservers), then target position (the canary
-// sits after the last target), then query-type position — so "what does the
-// journal hold for this probe" is two array reads, with no hashing and
-// nothing for the collector to scan. A resolver unit spans targets×qtypes
-// ids (its correct-record probes); a nameserver unit spans
-// (targets+1)×qtypes (its UR probes, then its protective canary probes).
+// probe the config can issue has an integer id — the unit's first id plus
+// the probe's slot, units in PlanUnits order (open resolvers, then
+// nameservers) — so "what does the journal hold for this probe" is two array
+// reads, with no hashing and nothing for the collector to scan. A resolver
+// unit spans targets×qtypes ids (its correct-record probes); a nameserver
+// unit spans (targets+1)×qtypes (its UR probes, then its protective canary
+// probes).
 //
 // OpenJournal fills it in one sequential pass over the segments and it is
 // read-only from then on: sweep workers share it without locks.
 type replayIndex struct {
-	targets     map[dns.Name]int32   // target → position in Config.Targets
-	nTargets    int                  // len(Config.Targets)
-	canary      dns.Name             // the protective probe's only valid name
-	qtypes      []dns.Type           // Config.queryTypes()
-	resolvers   map[netip.Addr]int32 // open resolver → position
-	nameservers map[netip.Addr]int32 // nameserver → position
-	nsBase      int                  // first nameserver id
+	nTargets   int        // len(Config.Targets)
+	canary     dns.Name   // the protective probe's only valid name
+	qtypes     []dns.Type // Config.queryTypes()
+	nResolvers int        // resolver units, the first of the config's units
+	nUnits     int        // Config.PlanUnits()
+	firstUnit  int        // full-plan number of the config's unit 0
+	rSpan      int        // ids per resolver unit
+	nsSpan     int        // ids per nameserver unit
+	nsBase     int        // first nameserver id
 
 	loc  []wireLoc // per probe id: where the first answered record's bytes are
 	fail []uint8   // per probe id: 0, or 1 + the last failure record's class
@@ -140,73 +172,67 @@ type replayIndex struct {
 }
 
 func newReplayIndex(cfg *Config) *replayIndex {
+	nq := len(cfg.queryTypes())
 	ri := &replayIndex{
-		targets:     make(map[dns.Name]int32, len(cfg.Targets)),
-		nTargets:    len(cfg.Targets),
-		canary:      cfg.CanaryName(),
-		qtypes:      cfg.queryTypes(),
-		resolvers:   make(map[netip.Addr]int32, len(cfg.OpenResolvers)),
-		nameservers: make(map[netip.Addr]int32, len(cfg.Nameservers)),
+		nTargets:   len(cfg.Targets),
+		canary:     cfg.CanaryName(),
+		qtypes:     cfg.queryTypes(),
+		nResolvers: len(cfg.OpenResolvers),
+		nUnits:     cfg.PlanUnits(),
+		firstUnit:  cfg.firstUnit(),
+		rSpan:      len(cfg.Targets) * nq,
+		nsSpan:     (len(cfg.Targets) + 1) * nq,
 	}
-	// Records carry names and addresses, not positions, so a listing that
-	// repeats keeps its first position: a repeated target's later positions
-	// read as never probed and are queried live; a repeated server's jobs all
-	// look the address up and share the first listing's unit.
-	for i, t := range cfg.Targets {
-		if _, dup := ri.targets[t]; !dup {
-			ri.targets[t] = int32(i)
-		}
-	}
-	for i, r := range cfg.OpenResolvers {
-		if _, dup := ri.resolvers[r]; !dup {
-			ri.resolvers[r] = int32(i)
-		}
-	}
-	for i, ns := range cfg.Nameservers {
-		if _, dup := ri.nameservers[ns.Addr]; !dup {
-			ri.nameservers[ns.Addr] = int32(i)
-		}
-	}
-	ri.nsBase = len(cfg.OpenResolvers) * ri.resolverSpan()
-	n := ri.nsBase + len(cfg.Nameservers)*ri.nameserverSpan()
+	ri.nsBase = ri.nResolvers * ri.rSpan
+	n := ri.nsBase + len(cfg.Nameservers)*ri.nsSpan
 	ri.loc = make([]wireLoc, n)
 	ri.fail = make([]uint8, n)
 	return ri
 }
 
-func (ri *replayIndex) resolverSpan() int   { return ri.nTargets * len(ri.qtypes) }
-func (ri *replayIndex) nameserverSpan() int { return (ri.nTargets + 1) * len(ri.qtypes) }
+// unitBase returns the first probe id of the config's unit u, or -1 when the
+// plan has no such unit.
+func (ri *replayIndex) unitBase(u int) int {
+	switch {
+	case u < 0 || u >= ri.nUnits:
+		return -1
+	case u < ri.nResolvers:
+		return u * ri.rSpan
+	default:
+		return ri.nsBase + (u-ri.nResolvers)*ri.nsSpan
+	}
+}
 
-// unitBase returns the first probe id of one server's unit, or -1 when the
-// address is not a server of that sweep kind in the plan.
-func (ri *replayIndex) unitBase(kind sweepKind, server netip.Addr) int {
-	if kind == sweepCorrect {
-		if u, ok := ri.resolvers[server]; ok {
-			return int(u) * ri.resolverSpan()
-		}
+// posID maps a version 2 record's position onto its probe id, or -1 when the
+// unit is outside the config's units or the slot outside the unit's span.
+func (ri *replayIndex) posID(unit, slot uint64) int {
+	u := unit - uint64(ri.firstUnit)
+	if unit < uint64(ri.firstUnit) || u >= uint64(ri.nUnits) {
 		return -1
 	}
-	if u, ok := ri.nameservers[server]; ok {
-		return ri.nsBase + int(u)*ri.nameserverSpan()
+	span := ri.nsSpan
+	if u < uint64(ri.nResolvers) {
+		span = ri.rSpan
 	}
-	return -1
+	if slot >= uint64(span) {
+		return -1
+	}
+	return ri.unitBase(int(u)) + int(slot)
 }
 
-// probeID is the id of (target position, query-type position) inside a unit;
-// the canary's target position is len(Config.Targets).
-func (ri *replayIndex) probeID(base, target, qtype int) int {
-	return base + target*len(ri.qtypes) + qtype
-}
-
-// wire returns the journaled response of an answered probe, nil otherwise.
-func (ri *replayIndex) wire(id int) []byte {
+// answer returns what the journal holds for an answered probe: ok is false
+// when it holds no answer, wire nil when the answer was journaled empty.
+func (ri *replayIndex) answer(id int) (wire []byte, ok bool) {
 	l := ri.loc[id]
-	if l.off == 0 {
-		return nil
+	switch l.off {
+	case 0:
+		return nil, false
+	case emptyOff:
+		return nil, true
 	}
 	buf := ri.segs[l.seg]
 	n := binary.LittleEndian.Uint32(buf[l.off-4:])
-	return buf[l.off : l.off+n : l.off+n]
+	return buf[l.off : l.off+n : l.off+n], true
 }
 
 // failed reports whether the journal holds a failure record for the probe,
@@ -222,7 +248,8 @@ type ReplayStats struct {
 	Segments   int           // segment files found
 	Frames     int           // CRC-clean frames decoded
 	Bytes      int64         // segment bytes read
-	Records    int           // answered and failure records decoded
+	Records    int           // answered, empty and failure records decoded
+	Empty      int           // answered probes restored without bytes: nothing to decode
 	Duplicates int           // answered records dropped by the first-wins rule
 	OutOfPlan  int           // records whose probe is not in this plan, ignored
 	Torn       int           // segments cut short at a torn or corrupt frame
@@ -230,8 +257,8 @@ type ReplayStats struct {
 }
 
 func (s ReplayStats) String() string {
-	return fmt.Sprintf("%d segments, %d frames, %.1f MB, %d records (%d duplicate, %d out of plan), %d torn, indexed in %s",
-		s.Segments, s.Frames, float64(s.Bytes)/(1<<20), s.Records, s.Duplicates, s.OutOfPlan, s.Torn, s.Open.Round(time.Millisecond))
+	return fmt.Sprintf("%d segments, %d frames, %.1f MB, %d records (%d empty, %d duplicate, %d out of plan), %d torn, indexed in %s",
+		s.Segments, s.Frames, float64(s.Bytes)/(1<<20), s.Records, s.Empty, s.Duplicates, s.OutOfPlan, s.Torn, s.Open.Round(time.Millisecond))
 }
 
 // JournalOptions tunes a journal.
@@ -412,6 +439,14 @@ func OpenJournal(dir string, cfg *Config, opts JournalOptions) (*Journal, error)
 		if err := matchManifest(dir, m, id); err != nil {
 			return nil, err
 		}
+		// Bump an older directory before any new record lands in it: a binary
+		// that reads only version 1 then refuses the directory outright
+		// instead of reading the new records as torn tails.
+		if m.Version < journalVersion {
+			if err := writeManifest(mpath, id); err != nil {
+				return nil, err
+			}
+		}
 		if err := j.replayDir(cfg); err != nil {
 			return nil, err
 		}
@@ -431,8 +466,8 @@ func parseManifest(data []byte) (manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return m, fmt.Errorf("journal: manifest unreadable: %w", err)
 	}
-	if m.Version != journalVersion {
-		return m, fmt.Errorf("journal: manifest version %d, want %d", m.Version, journalVersion)
+	if m.Version < 1 || m.Version > journalVersion {
+		return m, fmt.Errorf("journal: manifest version %d, want 1 to %d", m.Version, journalVersion)
 	}
 	return m, nil
 }
@@ -546,7 +581,7 @@ func (j *Journal) replayDir(cfg *Config) error {
 	j.nextSeg = maxIdx + 1
 	j.resumed = true
 	ri := newReplayIndex(cfg)
-	ix := indexer{ri: ri, st: &j.stats}
+	ix := indexer{ri: ri, st: &j.stats, cfg: cfg}
 	for _, name := range segs {
 		data, ok, err := readSegment(filepath.Join(j.dir, name))
 		if err != nil {
@@ -580,7 +615,8 @@ func (j *Journal) replayFor(cfg *Config) (*replayIndex, error) {
 	if ri == nil {
 		return nil, nil
 	}
-	if len(cfg.Targets) != ri.nTargets || len(cfg.queryTypes()) != len(ri.qtypes) || cfg.CanaryName() != ri.canary {
+	if len(cfg.Targets) != ri.nTargets || len(cfg.queryTypes()) != len(ri.qtypes) || cfg.CanaryName() != ri.canary ||
+		len(cfg.OpenResolvers) != ri.nResolvers || cfg.PlanUnits() != ri.nUnits {
 		return nil, errors.New("journal: opened for a different plan than the sweep's config")
 	}
 	return ri, nil
@@ -789,40 +825,47 @@ func (s *segmentWriter) Close() error {
 	return err
 }
 
-// keyPayload builds the shared (type, sweep, server, domain, qtype) prefix.
-func keyPayload(dst []byte, rec byte, kind sweepKind, server netip.Addr, domain dns.Name, qt dns.Type) []byte {
-	dst = append(dst, rec, byte(kind))
-	// Encode the address from its value form: AsSlice would heap-allocate
-	// per record, and this prefix is written tens of millions of times.
-	if server.Is4() {
-		a := server.As4()
-		dst = append(dst, 4)
-		dst = append(dst, a[:]...)
-	} else {
-		a := server.As16()
-		dst = append(dst, 16)
-		dst = append(dst, a[:]...)
-	}
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(domain)))
-	dst = append(dst, domain...)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(qt))
-	return dst
+// position appends a record's type and its probe's position.
+func (s *segmentWriter) position(rec byte, p probePos) {
+	s.buf = append(s.buf, rec)
+	s.buf = binary.AppendUvarint(s.buf, uint64(p.unit))
+	s.buf = binary.AppendUvarint(s.buf, uint64(p.slot))
 }
 
-// answered journals one answered probe with the response's wire bytes
-// exactly as the server sent them (no re-pack — at 36M records the pack cost
-// would dwarf the copy); replay feeds them back through the validated
-// decoder, the same bytes the live sweep decoded.
-func (s *segmentWriter) answered(kind sweepKind, server netip.Addr, domain dns.Name, qt dns.Type, wire []byte) error {
-	s.buf = keyPayload(s.buf, recAnswered, kind, server, domain, qt)
+// answer journals one answered probe from the decoded response the worker
+// holds. The collector reads only a NOERROR response's answer records
+// (ursFromResponse, addCorrectAnswers, addProtectiveAnswers; Coverage counts
+// the probe answered either way), so a response that is not NOERROR or has no
+// answer records is journaled as its position alone; any other keeps its
+// wire bytes.
+func (s *segmentWriter) answer(p probePos, resp *dns.Message, wire []byte) error {
+	if resp.Header.RCode != dns.RCodeSuccess || len(resp.Answers) == 0 {
+		return s.empty(p)
+	}
+	return s.answered(p, wire)
+}
+
+// answered journals an answer with the response's wire bytes exactly as the
+// server sent them (no re-pack — at 36M records the pack cost would dwarf
+// the copy); replay feeds them back through the validated decoder, the same
+// bytes the live sweep decoded.
+func (s *segmentWriter) answered(p probePos, wire []byte) error {
+	s.position(recAnswered, p)
 	s.buf = binary.LittleEndian.AppendUint32(s.buf, uint32(len(wire)))
 	s.buf = append(s.buf, wire...)
 	return s.appendData()
 }
 
+// empty journals an answer the collector reads nothing from; it replays as
+// answered, with nothing to decode.
+func (s *segmentWriter) empty(p probePos) error {
+	s.position(recEmpty, p)
+	return s.appendData()
+}
+
 // failure journals one failure-book entry.
-func (s *segmentWriter) failure(kind sweepKind, server netip.Addr, domain dns.Name, qt dns.Type, class dnsio.FailClass) error {
-	s.buf = keyPayload(s.buf, recFailure, kind, server, domain, qt)
+func (s *segmentWriter) failure(p probePos, class dnsio.FailClass) error {
+	s.position(recFailure, p)
 	s.buf = append(s.buf, byte(class))
 	return s.appendData()
 }
@@ -859,11 +902,27 @@ func readSegment(path string) (data []byte, ok bool, err error) {
 
 // indexer is the state of OpenJournal's one pass over the segments.
 type indexer struct {
-	ri *replayIndex
-	st *ReplayStats
+	ri  *replayIndex
+	st  *ReplayStats
+	cfg *Config
 
 	answered   int // distinct answered probes
 	failedOnly int // distinct probes with a failure record and no answer
+
+	// v1 maps version 1 keys onto the plan, built on the first one met.
+	v1 *v1Keys
+}
+
+// v1Keys is the read-only decoder of version 1 record keys, which name a
+// probe by sweep kind, server address, name and query type. The records carry
+// names and addresses, not positions, so a listing that repeats keeps its
+// first position: a repeated target's later positions read as never probed
+// and are queried live; a repeated server's records all land on the first
+// listing's unit.
+type v1Keys struct {
+	targets     map[dns.Name]int32   // target → position in Config.Targets
+	resolvers   map[netip.Addr]int32 // open resolver → its unit
+	nameservers map[netip.Addr]int32 // nameserver → its unit
 
 	// One server's records sit together in a segment (a worker owns a
 	// server for a whole job), so the address→unit lookup is cached on the
@@ -871,6 +930,30 @@ type indexer struct {
 	lastKind sweepKind
 	lastAddr []byte
 	lastBase int
+}
+
+func newV1Keys(cfg *Config) *v1Keys {
+	k := &v1Keys{
+		targets:     make(map[dns.Name]int32, len(cfg.Targets)),
+		resolvers:   make(map[netip.Addr]int32, len(cfg.OpenResolvers)),
+		nameservers: make(map[netip.Addr]int32, len(cfg.Nameservers)),
+	}
+	for i, t := range cfg.Targets {
+		if _, dup := k.targets[t]; !dup {
+			k.targets[t] = int32(i)
+		}
+	}
+	for i, r := range cfg.OpenResolvers {
+		if _, dup := k.resolvers[r]; !dup {
+			k.resolvers[r] = int32(i)
+		}
+	}
+	for i, ns := range cfg.Nameservers {
+		if _, dup := k.nameservers[ns.Addr]; !dup {
+			k.nameservers[ns.Addr] = int32(len(cfg.OpenResolvers) + i)
+		}
+	}
+	return k
 }
 
 // segment folds one segment's records into the index and reports whether the
@@ -906,66 +989,77 @@ func (ix *indexer) segment(seg uint32, data []byte) bool {
 // checkpoint marker whose cumulative count must agree with the records
 // decoded so far — a cheap structural check on top of the CRC.
 //
-// Replay rules: the first answered record of a probe, in segment order, wins;
-// a failure record never displaces an answer, whichever came first; a record
-// whose probe is not in the plan (foreign server, unknown name, query type or
-// sweep kind — a hostile or mis-merged directory) is counted and ignored.
+// Replay rules: the first answered record of a probe, in segment order, wins
+// — an empty one as much as one with bytes; a failure record never displaces
+// an answer, whichever came first; a record whose probe is not in the plan
+// (a position past the config's units or the unit's span; a version 1 key's
+// foreign server, unknown name, query type or sweep kind — a hostile or
+// mis-merged directory) is counted and ignored.
 func (ix *indexer) frame(seg uint32, data []byte, off, end int, count *uint64) bool {
 	ri := ix.ri
 	for off < end {
 		rec := data[off]
-		if rec == recCheckpoint {
-			if end-off < 9 || binary.LittleEndian.Uint64(data[off+1:]) != *count {
+		off++
+		var id int
+		switch rec {
+		case recCheckpoint:
+			if end-off < 8 || binary.LittleEndian.Uint64(data[off:]) != *count {
 				return false
 			}
-			off += 9
+			off += 8
 			continue
-		}
-		if rec != recAnswered && rec != recFailure || end-off < 3 {
+		case recAnswered, recEmpty, recFailure:
+			unit, n := binary.Uvarint(data[off:end])
+			if n <= 0 {
+				return false
+			}
+			off += n
+			slot, n := binary.Uvarint(data[off:end])
+			if n <= 0 {
+				return false
+			}
+			off += n
+			id = ri.posID(unit, slot)
+		case recAnsweredV1, recFailureV1:
+			if ix.v1 == nil {
+				ix.v1 = newV1Keys(ix.cfg)
+			}
+			var ok bool
+			if id, off, ok = ix.v1.key(ri, data, off, end); !ok {
+				return false
+			}
+		default:
 			return false
 		}
-		kind, alen := sweepKind(data[off+1]), int(data[off+2])
-		off += 3
-		if alen != 4 && alen != 16 || end-off < alen+2 {
-			return false
-		}
-		addr := data[off : off+alen]
-		off += alen
-		dlen := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if end-off < dlen+2 {
-			return false
-		}
-		name := data[off : off+dlen]
-		qt := dns.Type(binary.LittleEndian.Uint16(data[off+dlen:]))
-		off += dlen + 2
 		var class uint8
-		var wireOff, wireLen int
-		if rec == recFailure {
+		var wireOff int
+		switch rec {
+		case recFailure, recFailureV1:
 			if end-off < 1 {
 				return false
 			}
 			class = data[off]
 			off++
-		} else {
+		case recAnswered, recAnsweredV1:
 			if end-off < 4 {
 				return false
 			}
-			wireLen = int(binary.LittleEndian.Uint32(data[off:]))
+			wireLen := int(binary.LittleEndian.Uint32(data[off:]))
 			wireOff = off + 4
 			if end-wireOff < wireLen {
 				return false
 			}
 			off = wireOff + wireLen
+		case recEmpty:
+			wireOff = emptyOff
 		}
 		*count++
 		ix.st.Records++
 
-		id := ix.probeID(kind, addr, name, qt)
 		switch {
 		case id < 0:
 			ix.st.OutOfPlan++
-		case rec == recFailure:
+		case wireOff == 0: // a failure record
 			if ri.fail[id] == 0 && ri.loc[id].off == 0 {
 				ix.failedOnly++
 			}
@@ -977,6 +1071,9 @@ func (ix *indexer) frame(seg uint32, data []byte, off, end int, count *uint64) b
 		default:
 			ri.loc[id] = wireLoc{seg: seg, off: uint32(wireOff)}
 			ix.answered++
+			if wireOff == emptyOff {
+				ix.st.Empty++
+			}
 			if ri.fail[id] != 0 {
 				ix.failedOnly--
 			}
@@ -985,11 +1082,34 @@ func (ix *indexer) frame(seg uint32, data []byte, off, end int, count *uint64) b
 	return true
 }
 
-// probeID maps a record's key, as raw segment bytes, onto its plan id, or -1
+// key decodes the version 1 key at data[off:end], just past the record type,
+// into its probe id (-1 when the plan has no such probe) and the offset past
+// the key; ok is false when the key is cut short or malformed.
+func (k *v1Keys) key(ri *replayIndex, data []byte, off, end int) (id, next int, ok bool) {
+	if end-off < 2 {
+		return 0, 0, false
+	}
+	kind, alen := sweepKind(data[off]), int(data[off+1])
+	off += 2
+	if alen != 4 && alen != 16 || end-off < alen+2 {
+		return 0, 0, false
+	}
+	addr := data[off : off+alen]
+	off += alen
+	dlen := int(binary.LittleEndian.Uint16(data[off:]))
+	off += 2
+	if end-off < dlen+2 {
+		return 0, 0, false
+	}
+	name := data[off : off+dlen]
+	qt := dns.Type(binary.LittleEndian.Uint16(data[off+dlen:]))
+	return k.probeID(ri, kind, addr, name, qt), off + dlen + 2, true
+}
+
+// probeID maps a version 1 key, as raw segment bytes, onto its plan id, or -1
 // when the plan has no such probe. Nothing here allocates: the name lookup
 // is a map read keyed by a converted byte slice.
-func (ix *indexer) probeID(kind sweepKind, addr, name []byte, qt dns.Type) int {
-	ri := ix.ri
+func (k *v1Keys) probeID(ri *replayIndex, kind sweepKind, addr, name []byte, qt dns.Type) int {
 	if kind > sweepProtective {
 		return -1
 	}
@@ -997,11 +1117,19 @@ func (ix *indexer) probeID(kind sweepKind, addr, name []byte, qt dns.Type) int {
 	if kind == sweepProtective {
 		unitKind = sweepURs // both live in the nameserver units
 	}
-	if unitKind != ix.lastKind || !bytes.Equal(addr, ix.lastAddr) {
+	if unitKind != k.lastKind || !bytes.Equal(addr, k.lastAddr) {
 		a, _ := netip.AddrFromSlice(addr)
-		ix.lastKind, ix.lastAddr, ix.lastBase = unitKind, addr, ri.unitBase(unitKind, a)
+		units := k.nameservers
+		if unitKind == sweepCorrect {
+			units = k.resolvers
+		}
+		k.lastBase = -1
+		if u, ok := units[a]; ok {
+			k.lastBase = ri.unitBase(int(u))
+		}
+		k.lastKind, k.lastAddr = unitKind, addr
 	}
-	if ix.lastBase < 0 {
+	if k.lastBase < 0 {
 		return -1
 	}
 	q := slices.Index(ri.qtypes, qt)
@@ -1012,13 +1140,13 @@ func (ix *indexer) probeID(kind sweepKind, addr, name []byte, qt dns.Type) int {
 		if dns.Name(name) != ri.canary {
 			return -1
 		}
-		return ri.probeID(ix.lastBase, ri.nTargets, q)
+		return k.lastBase + ri.nTargets*len(ri.qtypes) + q
 	}
-	t, ok := ri.targets[dns.Name(name)]
+	t, ok := k.targets[dns.Name(name)]
 	if !ok {
 		return -1
 	}
-	return ri.probeID(ix.lastBase, int(t), q)
+	return k.lastBase + int(t)*len(ri.qtypes) + q
 }
 
 // MergeStats summarises a shard-journal merge.

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -56,14 +58,17 @@ func TestJournalRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp := testResponse("a.example", dns.TypeA, "203.0.113.1")
-	if err := seg.answered(sweepURs, server, "a.example", dns.TypeA, resp); err != nil {
+	if err := seg.answered(testPos(cfg, sweepURs, server, "a.example", dns.TypeA), resp); err != nil {
 		t.Fatal(err)
 	}
-	if err := seg.failure(sweepURs, server, "b.example", dns.TypeTXT, dnsio.FailTimeout); err != nil {
+	if err := seg.failure(testPos(cfg, sweepURs, server, "b.example", dns.TypeTXT), dnsio.FailTimeout); err != nil {
 		t.Fatal(err)
 	}
-	if err := seg.answered(sweepProtective, server, cfg.CanaryName(), dns.TypeA,
+	if err := seg.answered(testPos(cfg, sweepProtective, server, cfg.CanaryName(), dns.TypeA),
 		testResponse(cfg.CanaryName(), dns.TypeA, "203.0.113.9")); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.empty(testPos(cfg, sweepCorrect, cfg.OpenResolvers[0], "c.example", dns.TypeTXT)); err != nil {
 		t.Fatal(err)
 	}
 	if err := seg.Close(); err != nil {
@@ -72,8 +77,8 @@ func TestJournalRoundtrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Appended(); got != 3 {
-		t.Errorf("Appended = %d, want 3", got)
+	if got := j.Appended(); got != 4 {
+		t.Errorf("Appended = %d, want 4", got)
 	}
 
 	j2, err := OpenJournal(dir, cfg, JournalOptions{})
@@ -83,8 +88,11 @@ func TestJournalRoundtrip(t *testing.T) {
 	if !j2.Resumed() {
 		t.Fatal("reopened journal not resumed")
 	}
-	if got := j2.ReplayedAnswered(); got != 2 {
-		t.Errorf("ReplayedAnswered = %d, want 2", got)
+	if got := j2.ReplayedAnswered(); got != 3 {
+		t.Errorf("ReplayedAnswered = %d, want 3", got)
+	}
+	if got := j2.ReplayStats().Empty; got != 1 {
+		t.Errorf("ReplayStats.Empty = %d, want 1", got)
 	}
 	if got := j2.ReplayedFailures(); got != 1 {
 		t.Errorf("ReplayedFailures = %d, want 1", got)
@@ -92,8 +100,8 @@ func TestJournalRoundtrip(t *testing.T) {
 	if got := j2.TornSegments(); got != 0 {
 		t.Errorf("TornSegments = %d, want 0", got)
 	}
-	raw, _, _ := j2.replay.lookup(sweepURs, server, "a.example", dns.TypeA)
-	if raw == nil {
+	raw, ok, _, _ := j2.replay.lookup(testPos(cfg, sweepURs, server, "a.example", dns.TypeA))
+	if !ok || raw == nil {
 		t.Fatal("answered record missing after replay")
 	}
 	dec, err := dns.Unpack(raw)
@@ -103,8 +111,11 @@ func TestJournalRoundtrip(t *testing.T) {
 	if len(dec.Answers) != 1 || dec.Answers[0].Data.String() != "203.0.113.1" {
 		t.Errorf("replayed response corrupted: %+v", dec.Answers)
 	}
-	if _, class, ok := j2.replay.lookup(sweepURs, server, "b.example", dns.TypeTXT); !ok || class != dnsio.FailTimeout {
+	if _, _, class, ok := j2.replay.lookup(testPos(cfg, sweepURs, server, "b.example", dns.TypeTXT)); !ok || class != dnsio.FailTimeout {
 		t.Errorf("failure record = (%v, %v), want (timeout, true)", class, ok)
+	}
+	if wire, ok, _, _ := j2.replay.lookup(testPos(cfg, sweepCorrect, cfg.OpenResolvers[0], "c.example", dns.TypeTXT)); !ok || wire != nil {
+		t.Errorf("empty record reads back as (%x, %v), want answered with no bytes", wire, ok)
 	}
 	// New segments must number past the replayed ones.
 	seg2, err := j2.newSegment()
@@ -146,7 +157,7 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	}
 	// Two checkpoint frames of two records each.
 	for i, name := range []dns.Name{"a.example", "b.example", "c.example", "d.example"} {
-		if err := seg.answered(sweepURs, server, name, dns.TypeA,
+		if err := seg.answered(testPos(cfg, sweepURs, server, name, dns.TypeA),
 			testResponse(name, dns.TypeA, netip.AddrFrom4([4]byte{203, 0, 113, byte(i + 1)}).String())); err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +226,7 @@ func TestJournalCheckpointDurability(t *testing.T) {
 	names := []dns.Name{"a.example", "b.example", "c.example", "d.example", "e.example"}
 	for i, name := range names {
 		resp := testResponse(name, dns.TypeA, netip.AddrFrom4([4]byte{203, 0, 113, byte(i + 1)}).String())
-		if err := seg.answered(sweepURs, server, name, dns.TypeA, resp); err != nil {
+		if err := seg.answered(testPos(cfg, sweepURs, server, name, dns.TypeA), resp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +260,7 @@ func TestJournalAnsweredFirstWins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := seg.answered(sweepURs, server, "a.example", dns.TypeA,
+		if err := seg.answered(testPos(cfg, sweepURs, server, "a.example", dns.TypeA),
 			testResponse("a.example", dns.TypeA, rdata)); err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +272,7 @@ func TestJournalAnsweredFirstWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _, _ := j2.replay.lookup(sweepURs, server, "a.example", dns.TypeA)
+	raw, _, _, _ := j2.replay.lookup(testPos(cfg, sweepURs, server, "a.example", dns.TypeA))
 	resp, err := dns.Unpack(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +301,7 @@ func TestJournalAppendedBalances(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			if err := seg.failure(sweepURs, cfg.Nameservers[0].Addr, "a.example", dns.TypeA, dnsio.FailTimeout); err != nil {
+			if err := seg.failure(testPos(cfg, sweepURs, cfg.Nameservers[0].Addr, "a.example", dns.TypeA), dnsio.FailTimeout); err != nil {
 				t.Fatal(err)
 			}
 			if len(seen) != i+1 || seen[i] != int64(i+1) || j.Appended() != int64(i+1) {
@@ -368,18 +379,41 @@ func TestJournalAppendedBalances(t *testing.T) {
 	}
 }
 
-// lookup reads the index by probe key, the way the segment records name a
-// probe: wire is the winning answer (nil if none), class/failed the last
-// failure record. A key outside the plan has neither.
-func (ri *replayIndex) lookup(kind sweepKind, server netip.Addr, name dns.Name, qt dns.Type) (wire []byte, class dnsio.FailClass, failed bool) {
+// testPos is the position the writer gives a probe of cfg's plan, found by
+// key: the first listing of the server on the kind's side of the plan and of
+// the name (the canary sits after the last target).
+func testPos(cfg *Config, kind sweepKind, server netip.Addr, name dns.Name, qt dns.Type) probePos {
+	qtypes := cfg.queryTypes()
+	t := slices.Index(cfg.Targets, name)
+	unit := slices.IndexFunc(cfg.Nameservers, func(ns NameserverInfo) bool { return ns.Addr == server })
+	switch kind {
+	case sweepCorrect:
+		unit = slices.Index(cfg.OpenResolvers, server)
+	case sweepProtective:
+		t = len(cfg.Targets)
+	}
+	if unit >= 0 && kind != sweepCorrect {
+		unit += len(cfg.OpenResolvers)
+	}
+	q := slices.Index(qtypes, qt)
+	if unit < 0 || t < 0 || q < 0 {
+		panic(fmt.Sprintf("testPos: %v %s %s %s is not in the plan", kind, server, name, qt))
+	}
+	return probePos{unit: cfg.firstUnit() + unit, slot: t*len(qtypes) + q}
+}
+
+// lookup reads the index at a position: wire and answered are the winning
+// answer (wire nil for one journaled empty), class and failed the last
+// failure record. A position outside the plan has neither.
+func (ri *replayIndex) lookup(p probePos) (wire []byte, answered bool, class dnsio.FailClass, failed bool) {
 	if ri == nil {
-		return nil, 0, false
+		return nil, false, 0, false
 	}
-	ix := indexer{ri: ri}
-	id := ix.probeID(kind, server.AsSlice(), []byte(name), qt)
+	id := ri.posID(uint64(p.unit), uint64(p.slot))
 	if id < 0 {
-		return nil, 0, false
+		return nil, false, 0, false
 	}
+	wire, answered = ri.answer(id)
 	class, failed = ri.failed(id)
-	return ri.wire(id), class, failed
+	return wire, answered, class, failed
 }

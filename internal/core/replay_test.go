@@ -1,4 +1,4 @@
-// The replay index against a model, a journal the previous format writer
+// The replay index against a model, journals the previous format writer
 // left behind, the index's lifetime, and hostile segment and manifest bytes.
 package core
 
@@ -6,84 +6,103 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dns"
 	"repro/internal/dnsio"
 )
 
-// modelRecord is one journal record as the model test generates it.
+// modelRecord is one journal record as the model test generates it: a
+// version 1 record keyed by (kind, server, name, qt), or a version 2 record
+// at pos — an answer with bytes, an empty answer, or a failure.
 type modelRecord struct {
+	v1       bool
 	answered bool
+	empty    bool
 	kind     sweepKind
 	server   netip.Addr
 	name     dns.Name
 	qt       dns.Type
+	pos      probePos
 	class    dnsio.FailClass
 	wire     []byte
 }
 
-type modelKey struct {
-	kind   sweepKind
-	server netip.Addr
-	name   dns.Name
-	qt     dns.Type
+// replayModel is the reference the index is checked against: the replay
+// rules over plain maps keyed by plan position, nothing else. The first
+// answered record of a probe wins (nil wire: it was empty), the last failure
+// class is kept beside it, and a record whose probe the plan does not contain
+// is only counted.
+type replayModel struct {
+	answered                     map[probePos][]byte
+	failed                       map[probePos]dnsio.FailClass
+	duplicates, outOfPlan, empty int
 }
 
-// replayModel is the reference the index is checked against: the replay
-// rules over plain maps, nothing else. The first answered record of a probe
-// wins, the last failure class is kept beside it, and a record whose probe
-// the plan does not contain is only counted.
-type replayModel struct {
-	answered              map[modelKey][]byte
-	failed                map[modelKey]dnsio.FailClass
-	duplicates, outOfPlan int
+// modelPos places a record in cfg's plan without the index's arithmetic:
+// version 1 keys through first-listing maps, version 2 positions through the
+// plan's unit and span bounds. ok is false for a probe the plan does not
+// hold.
+func modelPos(cfg *Config, r modelRecord) (probePos, bool) {
+	nq, nt, nr := len(cfg.queryTypes()), len(cfg.Targets), len(cfg.OpenResolvers)
+	if !r.v1 {
+		u := r.pos.unit
+		span := (nt + 1) * nq
+		if u < nr {
+			span = nt * nq
+		}
+		return r.pos, u >= 0 && u < cfg.PlanUnits() && r.pos.slot >= 0 && r.pos.slot < span
+	}
+	q := slices.Index(cfg.queryTypes(), r.qt)
+	t := slices.Index(cfg.Targets, r.name)
+	var u int
+	switch r.kind {
+	case sweepCorrect:
+		u = slices.Index(cfg.OpenResolvers, r.server)
+	case sweepURs, sweepProtective:
+		u = slices.IndexFunc(cfg.Nameservers, func(ns NameserverInfo) bool { return ns.Addr == r.server })
+		if u >= 0 {
+			u += nr
+		}
+		if r.kind == sweepProtective {
+			t = -1
+			if r.name == cfg.CanaryName() {
+				t = nt
+			}
+		}
+	default:
+		return probePos{}, false
+	}
+	if u < 0 || t < 0 || q < 0 {
+		return probePos{}, false
+	}
+	return probePos{u, t*nq + q}, true
 }
 
 func runModel(cfg *Config, recs []modelRecord) *replayModel {
-	m := &replayModel{answered: map[modelKey][]byte{}, failed: map[modelKey]dnsio.FailClass{}}
-	targets := map[dns.Name]bool{}
-	for _, t := range cfg.Targets {
-		targets[t] = true
-	}
-	resolvers, nameservers := map[netip.Addr]bool{}, map[netip.Addr]bool{}
-	for _, r := range cfg.OpenResolvers {
-		resolvers[r] = true
-	}
-	for _, ns := range cfg.Nameservers {
-		nameservers[ns.Addr] = true
-	}
-	inPlan := func(r modelRecord) bool {
-		if r.qt != dns.TypeA && r.qt != dns.TypeTXT {
-			return false
-		}
-		switch r.kind {
-		case sweepCorrect:
-			return resolvers[r.server] && targets[r.name]
-		case sweepURs:
-			return nameservers[r.server] && targets[r.name]
-		case sweepProtective:
-			return nameservers[r.server] && r.name == cfg.CanaryName()
-		}
-		return false
-	}
+	m := &replayModel{answered: map[probePos][]byte{}, failed: map[probePos]dnsio.FailClass{}}
 	for _, r := range recs {
-		k := modelKey{r.kind, r.server, r.name, r.qt}
-		switch _, have := m.answered[k]; {
-		case !inPlan(r):
+		p, in := modelPos(cfg, r)
+		switch _, have := m.answered[p]; {
+		case !in:
 			m.outOfPlan++
 		case !r.answered:
-			m.failed[k] = r.class
+			m.failed[p] = r.class
 		case have:
 			m.duplicates++
 		default:
-			m.answered[k] = r.wire
+			m.answered[p] = r.wire
+			if r.empty {
+				m.empty++
+			}
 		}
 	}
 	return m
@@ -99,23 +118,25 @@ func (m *replayModel) failedOnly() int {
 	return n
 }
 
-// modelConfig is a plan small enough to enumerate: every record the generator
-// can draw is checked against the index, in the plan or out of it.
+// modelConfig is a plan small enough to enumerate: every position the plan
+// holds is checked against the index. It lists a target and a nameserver
+// twice, where version 1 keys (first listing) and positions part ways.
 func modelConfig() *Config {
 	return &Config{
 		Seed:    5,
-		Targets: []dns.Name{"a.example", "b.example", "c.example", "d.example"},
+		Targets: []dns.Name{"a.example", "b.example", "c.example", "d.example", "b.example"},
 		Nameservers: []NameserverInfo{
 			{Addr: netip.MustParseAddr("10.9.0.1"), Host: "ns1.test", Provider: "P0"},
 			{Addr: netip.MustParseAddr("10.9.0.2"), Host: "ns2.test", Provider: "P1"},
 			{Addr: netip.MustParseAddr("2001:db8::53"), Host: "ns3.test", Provider: "P1"},
+			{Addr: netip.MustParseAddr("10.9.0.1"), Host: "ns1.test", Provider: "P0"},
 		},
 		OpenResolvers: []netip.Addr{netip.MustParseAddr("10.9.1.1"), netip.MustParseAddr("10.9.1.2")},
 	}
 }
 
 // modelSpace is everything the generator draws from: the plan's own servers,
-// names and types plus ones foreign to it.
+// names, types and positions plus ones foreign to it.
 type modelSpace struct {
 	kinds   []sweepKind
 	servers []netip.Addr
@@ -137,26 +158,44 @@ func newModelSpace(cfg *Config) modelSpace {
 	return sp
 }
 
-// draw picks a record. Keys are biased towards the plan (and so towards
-// collisions: duplicates, failed-then-answered, answered-then-failed).
-func (sp modelSpace) draw(rng *rand.Rand, cfg *Config, n int) modelRecord {
-	r := modelRecord{
-		kind:   sp.kinds[rng.Intn(len(sp.kinds))],
-		server: sp.servers[rng.Intn(len(sp.servers))],
-		name:   sp.names[rng.Intn(len(sp.names))],
-		qt:     sp.qtypes[rng.Intn(len(sp.qtypes))],
-	}
-	if rng.Intn(4) > 0 { // steer three in four into the plan
-		r.kind = sweepKind(rng.Intn(3))
-		r.qt = sp.qtypes[rng.Intn(2)]
-		r.name = cfg.Targets[rng.Intn(len(cfg.Targets))]
-		r.server = cfg.Nameservers[rng.Intn(len(cfg.Nameservers))].Addr
-		switch r.kind {
-		case sweepCorrect:
-			r.server = cfg.OpenResolvers[rng.Intn(len(cfg.OpenResolvers))]
-		case sweepProtective:
-			r.name = cfg.CanaryName()
+// draw picks a record: a version 1 key one time in three when v1 is set,
+// else a position. Both are biased towards the plan (and so towards
+// collisions — duplicates, failed-then-answered, answered-then-failed, and a
+// version 1 record and a position naming one probe).
+func (sp modelSpace) draw(rng *rand.Rand, cfg *Config, n int, v1 bool) modelRecord {
+	r := modelRecord{v1: v1 && rng.Intn(3) == 0}
+	inPlan := rng.Intn(4) > 0 // steer three in four into the plan
+	if r.v1 {
+		r.kind = sp.kinds[rng.Intn(len(sp.kinds))]
+		r.server = sp.servers[rng.Intn(len(sp.servers))]
+		r.name = sp.names[rng.Intn(len(sp.names))]
+		r.qt = sp.qtypes[rng.Intn(len(sp.qtypes))]
+		if inPlan {
+			r.kind = sweepKind(rng.Intn(3))
+			r.qt = sp.qtypes[rng.Intn(2)]
+			r.name = cfg.Targets[rng.Intn(len(cfg.Targets))]
+			r.server = cfg.Nameservers[rng.Intn(len(cfg.Nameservers))].Addr
+			switch r.kind {
+			case sweepCorrect:
+				r.server = cfg.OpenResolvers[rng.Intn(len(cfg.OpenResolvers))]
+			case sweepProtective:
+				r.name = cfg.CanaryName()
+			}
 		}
+	} else {
+		units, span := cfg.PlanUnits(), (len(cfg.Targets)+1)*len(cfg.queryTypes())
+		r.pos = probePos{rng.Intn(units + 2), rng.Intn(span + 2)}
+		switch {
+		case inPlan:
+			r.pos.unit = rng.Intn(units)
+			if r.pos.unit < len(cfg.OpenResolvers) {
+				span = len(cfg.Targets) * len(cfg.queryTypes())
+			}
+			r.pos.slot = rng.Intn(span)
+		case rng.Intn(2) == 0: // positions far past any plan: nine-octet varints
+			r.pos.unit, r.pos.slot = rng.Intn(2)<<62, 1<<40+rng.Intn(3)
+		}
+		r.name = dns.Name(fmt.Sprintf("p%d.example", n))
 	}
 	if r.answered = rng.Intn(3) > 0; !r.answered {
 		r.class = dnsio.FailClass(1 + rng.Intn(int(dnsio.FailOther)))
@@ -167,6 +206,12 @@ func (sp modelSpace) draw(rng *rand.Rand, cfg *Config, n int) modelRecord {
 		r.wire = []byte{0xde, 0xad, byte(n)} // CRC-clean, not a DNS message
 	case 1:
 		r.wire = []byte{}
+	case 2, 3:
+		if !r.v1 {
+			r.empty, r.wire = true, nil
+			break
+		}
+		fallthrough
 	default:
 		r.wire = testResponse(r.name, dns.TypeA, fmt.Sprintf("203.0.113.%d", n%250+1))
 	}
@@ -176,18 +221,46 @@ func (sp modelSpace) draw(rng *rand.Rand, cfg *Config, n int) modelRecord {
 func (r modelRecord) write(t testing.TB, seg *segmentWriter) {
 	t.Helper()
 	var err error
-	if r.answered {
-		err = seg.answered(r.kind, r.server, r.name, r.qt, r.wire)
-	} else {
-		err = seg.failure(r.kind, r.server, r.name, r.qt, r.class)
+	switch {
+	case r.v1 && r.answered:
+		err = writeV1(seg, recAnsweredV1, r.kind, r.server, r.name, r.qt, r.wire, 0)
+	case r.v1:
+		err = writeV1(seg, recFailureV1, r.kind, r.server, r.name, r.qt, nil, r.class)
+	case r.empty:
+		err = seg.empty(r.pos)
+	case r.answered:
+		err = seg.answered(r.pos, r.wire)
+	default:
+		err = seg.failure(r.pos, r.class)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// checkAgainstModel opens dir and compares index and counters with the model.
-func checkAgainstModel(t *testing.T, dir string, cfg *Config, sp modelSpace, m *replayModel, records, torn int) {
+// writeV1 appends one record in the version 1 encoding — the key
+// (type, sweep, server, domain, qtype), then a failure's class or an answer's
+// length-prefixed bytes — as the writer before position keys did.
+func writeV1(s *segmentWriter, rec byte, kind sweepKind, server netip.Addr, domain dns.Name, qt dns.Type, wire []byte, class dnsio.FailClass) error {
+	s.buf = append(s.buf, rec, byte(kind))
+	a := server.AsSlice()
+	s.buf = append(s.buf, byte(len(a)))
+	s.buf = append(s.buf, a...)
+	s.buf = binary.LittleEndian.AppendUint16(s.buf, uint16(len(domain)))
+	s.buf = append(s.buf, domain...)
+	s.buf = binary.LittleEndian.AppendUint16(s.buf, uint16(qt))
+	if rec == recFailureV1 {
+		s.buf = append(s.buf, byte(class))
+	} else {
+		s.buf = binary.LittleEndian.AppendUint32(s.buf, uint32(len(wire)))
+		s.buf = append(s.buf, wire...)
+	}
+	return s.appendData()
+}
+
+// checkAgainstModel opens dir and compares index and counters with the model
+// at every position the plan holds.
+func checkAgainstModel(t *testing.T, dir string, cfg *Config, m *replayModel, records, torn int) {
 	t.Helper()
 	j, err := OpenJournal(dir, cfg, JournalOptions{})
 	if err != nil {
@@ -199,33 +272,35 @@ func checkAgainstModel(t *testing.T, dir string, cfg *Config, sp modelSpace, m *
 		t.Errorf("replayed %d answered, %d failed; model has %d, %d",
 			j.ReplayedAnswered(), j.ReplayedFailures(), len(m.answered), m.failedOnly())
 	}
-	if st.Records != records || st.Duplicates != m.duplicates || st.OutOfPlan != m.outOfPlan || st.Torn != torn || j.TornSegments() != torn {
-		t.Errorf("stats %+v; want %d records, %d duplicate, %d out of plan, %d torn",
-			st, records, m.duplicates, m.outOfPlan, torn)
+	if st.Records != records || st.Empty != m.empty || st.Duplicates != m.duplicates || st.OutOfPlan != m.outOfPlan || st.Torn != torn || j.TornSegments() != torn {
+		t.Errorf("stats %+v; want %d records, %d empty, %d duplicate, %d out of plan, %d torn",
+			st, records, m.empty, m.duplicates, m.outOfPlan, torn)
 	}
-	for _, kind := range sp.kinds {
-		for _, server := range sp.servers {
-			for _, name := range sp.names {
-				for _, qt := range sp.qtypes {
-					k := modelKey{kind, server, name, qt}
-					wire, class, failed := j.replay.lookup(kind, server, name, qt)
-					wantWire, answered := m.answered[k]
-					wantClass, wantFailed := m.failed[k]
-					if (wire != nil) != answered || !bytes.Equal(wire, wantWire) {
-						t.Errorf("%v: index answers %x, model %x (answered=%v)", k, wire, wantWire, answered)
-					}
-					if failed != wantFailed || failed && class != wantClass {
-						t.Errorf("%v: index failure (%v,%v), model (%v,%v)", k, class, failed, wantClass, wantFailed)
-					}
-				}
+	nq := len(cfg.queryTypes())
+	for u := 0; u < cfg.PlanUnits(); u++ {
+		span := (len(cfg.Targets) + 1) * nq
+		if u < len(cfg.OpenResolvers) {
+			span = len(cfg.Targets) * nq
+		}
+		for slot := 0; slot < span; slot++ {
+			p := probePos{u, slot}
+			wire, answered, class, failed := j.replay.lookup(p)
+			wantWire, wantAnswered := m.answered[p]
+			wantClass, wantFailed := m.failed[p]
+			if answered != wantAnswered || (wire == nil) != (wantWire == nil) || !bytes.Equal(wire, wantWire) {
+				t.Errorf("%v: index answers %x (answered=%v), model %x (answered=%v)", p, wire, answered, wantWire, wantAnswered)
+			}
+			if failed != wantFailed || failed && class != wantClass {
+				t.Errorf("%v: index failure (%v,%v), model (%v,%v)", p, class, failed, wantClass, wantFailed)
 			}
 		}
 	}
 }
 
-// TestJournalIndexMatchesModel writes seeded random record sequences through
-// the real segment writer — several segments, several frames each — and holds
-// the index OpenJournal builds to the map model; then tears the last frame at
+// TestJournalIndexMatchesModel writes seeded random record sequences — both
+// key families, answers with bytes and empty ones, failures — through the
+// real segment writer, several segments, several frames each, and holds the
+// index OpenJournal builds to the map model; then tears the last frame at
 // every byte and holds it to the model of everything before that frame.
 func TestJournalIndexMatchesModel(t *testing.T) {
 	for _, tc := range []struct {
@@ -262,7 +337,7 @@ func TestJournalIndexMatchesModel(t *testing.T) {
 						}
 						head, tail = append(head, tail...), nil
 					}
-					r := sp.draw(rng, cfg, len(head)+len(tail))
+					r := sp.draw(rng, cfg, len(head)+len(tail), true)
 					r.write(t, seg)
 					tail = append(tail, r)
 				}
@@ -274,7 +349,19 @@ func TestJournalIndexMatchesModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			all := append(append([]modelRecord(nil), head...), tail...)
-			checkAgainstModel(t, dir, cfg, sp, runModel(cfg, all), len(all), 0)
+			var v1, empty int
+			for _, r := range all {
+				if r.v1 {
+					v1++
+				}
+				if r.empty {
+					empty++
+				}
+			}
+			if v1 == 0 || v1 == len(all) || empty == 0 {
+				t.Fatalf("the draws cover %d version 1 records and %d empties of %d", v1, empty, len(all))
+			}
+			checkAgainstModel(t, dir, cfg, runModel(cfg, all), len(all), 0)
 
 			last := filepath.Join(dir, fmt.Sprintf("seg-%05d.wal", tc.segments-1))
 			whole, err := os.ReadFile(last)
@@ -295,7 +382,7 @@ func TestJournalIndexMatchesModel(t *testing.T) {
 				if cut == frameStart {
 					torn = 0 // the file ends on a frame boundary: short, not torn
 				}
-				checkAgainstModel(t, dir, cfg, sp, before, len(head), torn)
+				checkAgainstModel(t, dir, cfg, before, len(head), torn)
 				if t.Failed() {
 					t.Fatalf("torn at byte %d of the last frame (%d bytes)", cut-frameStart, len(whole)-frameStart)
 				}
@@ -325,12 +412,13 @@ func TestResumeUndecodableAnswerRequeried(t *testing.T) {
 		t.Fatal(err)
 	}
 	ns, target := fx.cfg.Nameservers[2], fx.cfg.Targets[5]
+	pos := testPos(fx.cfg, sweepURs, ns.Addr, target, dns.TypeA)
 	good := testResponse(target, dns.TypeA, "203.0.113.6")
 	for _, r := range []modelRecord{
-		{answered: true, kind: sweepURs, server: ns.Addr, name: target, qt: dns.TypeA, wire: []byte{1, 2, 3}},
+		{answered: true, pos: pos, wire: []byte{1, 2, 3}},
 		// First wins: the decodable duplicate behind it must not rescue it.
-		{answered: true, kind: sweepURs, server: ns.Addr, name: target, qt: dns.TypeA, wire: good},
-		{answered: false, kind: sweepURs, server: ns.Addr, name: target, qt: dns.TypeA, class: dnsio.FailTimeout},
+		{answered: true, pos: pos, wire: good},
+		{answered: false, pos: pos, class: dnsio.FailTimeout},
 	} {
 		r.write(t, seg)
 	}
@@ -411,6 +499,152 @@ func TestResumeV1Fixture(t *testing.T) {
 	}
 }
 
+// copyV1Fixture lays testdata/journal-v1 out in a fresh directory.
+func copyV1Fixture(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range []string{manifestName, "seg-00000.wal"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "journal-v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// manifestVersion reads a journal directory's manifest version.
+func manifestVersion(t *testing.T, dir string) int {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct{ Version int }
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Version
+}
+
+// TestResumeV1ThenV2 resumes the version 1 fixture, cuts that run after 60
+// new records, and resumes the directory — now version 1 and version 2
+// segments side by side — again: the manifest reads 2 from the first open
+// on, the report equals the uninterrupted run, and the servers no fault
+// touches see exactly their plan minus the probes the journal answered.
+func TestResumeV1ThenV2(t *testing.T) {
+	fx := newChaosFixture(t, 11)
+	applyDeterministicFaults(fx)
+	baseline, err := NewPipeline(fx.cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := copyV1Fixture(t)
+	if v := manifestVersion(t, dir); v != 1 {
+		t.Fatalf("fixture manifest reads version %d", v)
+	}
+	_, _, _, err = runJournaled(t, dir, applyDeterministicFaults, context.Background(),
+		func(j *Journal, cancel context.CancelFunc) {
+			if v := manifestVersion(t, dir); v != journalVersion {
+				t.Errorf("resumed version 1 directory reads version %d before the first new record", v)
+			}
+			j.AppendHook = func(total int64) {
+				if total == 60 {
+					cancel()
+				}
+			}
+		})
+	if err == nil {
+		t.Fatal("cut run reported no error")
+	}
+
+	// Per clean unit — a server no fault touches answers each live probe on
+	// its first exchange — the probes the journal answers.
+	clean := map[netip.Addr]int64{fx.resolver: 0, fx.nsAddrs[2]: 0, fx.nsAddrs[4]: 0, fx.nsAddrs[5]: 0}
+	var st ReplayStats
+	res, j, fx2, err := runJournaled(t, dir, applyDeterministicFaults, context.Background(),
+		func(j *Journal, _ context.CancelFunc) {
+			st = j.ReplayStats()
+			ri := j.replay
+			for u := 0; u < fx.cfg.PlanUnits(); u++ {
+				addr := fx.resolver
+				if u > 0 {
+					addr = fx.nsAddrs[u-1]
+				}
+				if _, ok := clean[addr]; !ok {
+					continue
+				}
+				span := ri.nsSpan
+				if u == 0 {
+					span = ri.rSpan
+				}
+				for id := ri.unitBase(u); id < ri.unitBase(u)+span; id++ {
+					if _, ok := ri.answer(id); ok {
+						clean[addr]++
+					}
+				}
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Segments < 2 || st.Records <= 120 || st.Empty == 0 || st.OutOfPlan != 0 || st.Torn != 0 {
+		t.Errorf("mixed directory indexed to %+v", st)
+	}
+	if v := manifestVersion(t, dir); v != journalVersion {
+		t.Errorf("manifest reads version %d after two resumes", v)
+	}
+	if got, want := renderRecords(res), renderRecords(baseline); got != want {
+		t.Errorf("resumed mixed directory differs from the uninterrupted run:\n--- resumed ---\n%s--- baseline ---\n%s", got, want)
+	}
+	checkCoverageConsistent(t, res.Coverage)
+	if res.Coverage.Attempted != chaosPlanSize || j.ReplayedAnswered() == 0 {
+		t.Errorf("attempted %d of %d, %d replayed", res.Coverage.Attempted, chaosPlanSize, j.ReplayedAnswered())
+	}
+	for addr, replayed := range clean {
+		plan := int64(13 * 2)
+		if addr == fx.resolver {
+			plan = 12 * 2
+		}
+		if got := fx2.fabric.QueriesTo(addr); got != plan-replayed {
+			t.Errorf("%s saw %d exchanges, want %d (plan %d - %d replayed)", addr, got, plan-replayed, plan, replayed)
+		}
+	}
+}
+
+// TestResumeRepeatedTarget lists a target twice. Records name probes by
+// position, so each listing's probes replay from their own records: a resume
+// of a finished sweep queries nothing, and its report is the sweep's.
+func TestResumeRepeatedTarget(t *testing.T) {
+	repeat := func(fx *chaosFixture) { fx.cfg.Targets = append(fx.cfg.Targets, fx.cfg.Targets[3]) }
+	fx := newChaosFixture(t, 11)
+	repeat(fx)
+	baseline, err := NewPipeline(fx.cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := baseline.Coverage.Attempted
+	if plan != chaosPlanSize+6*2+2 {
+		t.Fatalf("plan with a repeated target attempts %d probes", plan)
+	}
+	dir := t.TempDir()
+	if _, _, _, err := runJournaled(t, dir, repeat, context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	res, j, fx2, err := runJournaled(t, dir, repeat, context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(j.ReplayedAnswered()) != plan || fx2.fabric.Exchanges() != 0 {
+		t.Errorf("resume replayed %d of %d probes and issued %d exchanges", j.ReplayedAnswered(), plan, fx2.fabric.Exchanges())
+	}
+	if renderRecords(res) != renderRecords(baseline) {
+		t.Error("resumed report differs from the sweep's")
+	}
+}
+
 // TestJournalReleasesReplayState is the daemon's concern: urwatchd keeps the
 // Journal value of a sweep alive, and must not keep the previous sweep's wire
 // bytes alive with it. After Run the index and segment buffers are gone; the
@@ -421,7 +655,9 @@ func TestJournalReleasesReplayState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pad the journal with out-of-plan records so the segment bytes dwarf any
-	// bound a leak could hide under.
+	// bound a leak could hide under. Zero-filled "wire" has nothing in it the
+	// collector reads, so the collector would journal it as its position
+	// alone; the pad goes through the bytes-keeping writer on purpose.
 	fx := newChaosFixture(t, 11)
 	j, err := OpenJournal(dir, fx.cfg, JournalOptions{})
 	if err != nil {
@@ -434,7 +670,7 @@ func TestJournalReleasesReplayState(t *testing.T) {
 	pad := make([]byte, 32<<10)
 	const padRecords = 256 // 8 MiB
 	for i := 0; i < padRecords; i++ {
-		if err := seg.answered(sweepURs, fx.resolver, "pad.example", dns.TypeA, pad); err != nil {
+		if err := seg.answered(probePos{unit: fx.cfg.PlanUnits(), slot: i}, pad); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -497,15 +733,19 @@ func fuzzJournalDir(t testing.TB, cfg *Config) string {
 
 // FuzzJournalSegment feeds arbitrary bytes to OpenJournal as a segment beside
 // a valid manifest. It must never panic or index out of bounds, its memory
-// must stay a multiple of the input, and every record it accepts must read
-// back from the index as bytes of the input.
+// must stay a multiple of the input, every answer it accepts with bytes must
+// read back from the index as bytes of the input, and every empty one as
+// answered with no bytes.
 func FuzzJournalSegment(f *testing.F) {
 	cfg := modelConfig()
 	sp := newModelSpace(cfg)
 	rng := rand.New(rand.NewSource(9))
 	dir := fuzzJournalDir(f, cfg)
 	path := filepath.Join(dir, "seg-00000.wal")
-	for _, n := range []int{0, 1, 3, 9} {
+	for _, seed := range []struct {
+		n  int
+		v1 bool // mix version 1 records in
+	}{{0, false}, {1, false}, {3, false}, {9, false}, {3, true}, {9, true}} {
 		j, err := OpenJournal(dir, cfg, JournalOptions{CheckpointEvery: 4})
 		if err != nil {
 			f.Fatal(err)
@@ -514,8 +754,8 @@ func FuzzJournalSegment(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			sp.draw(rng, cfg, i).write(f, seg)
+		for i := 0; i < seed.n; i++ {
+			sp.draw(rng, cfg, i, seed.v1).write(f, seg)
 		}
 		seg.Close()
 		j.Close()
@@ -546,7 +786,7 @@ func FuzzJournalSegment(f *testing.F) {
 		if st.Segments != 1 || st.Bytes != int64(len(segment)) {
 			t.Fatalf("stats %+v for one %d-byte segment", st, len(segment))
 		}
-		if j.ReplayedAnswered()+j.ReplayedFailures()+st.Duplicates+st.OutOfPlan > st.Records || st.Records > len(segment) {
+		if j.ReplayedAnswered()+j.ReplayedFailures()+st.Duplicates+st.OutOfPlan > st.Records || st.Empty > j.ReplayedAnswered() || st.Records > len(segment) {
 			t.Fatalf("counters do not add up: %d answered, %d failed, %+v", j.ReplayedAnswered(), j.ReplayedFailures(), st)
 		}
 		if j.replay == nil {
@@ -555,12 +795,15 @@ func FuzzJournalSegment(f *testing.F) {
 		if len(j.replay.segs) != 1 || len(j.replay.segs[0]) != len(segment) {
 			t.Fatalf("index holds %d buffers for one %d-byte segment", len(j.replay.segs), len(segment))
 		}
-		answered, failedOnly := 0, 0
+		answered, empty, failedOnly := 0, 0, 0
 		for id := range j.replay.loc {
-			wire := j.replay.wire(id)
+			wire, ok := j.replay.answer(id)
 			_, failed := j.replay.failed(id)
 			switch {
-			case wire != nil:
+			case ok && wire == nil:
+				answered++
+				empty++
+			case ok:
 				answered++
 				if !bytes.Contains(segment, wire) {
 					t.Fatalf("probe %d replays bytes the segment does not hold", id)
@@ -569,15 +812,16 @@ func FuzzJournalSegment(f *testing.F) {
 				failedOnly++
 			}
 		}
-		if answered != j.ReplayedAnswered() || failedOnly != j.ReplayedFailures() {
-			t.Fatalf("index holds %d answered, %d failed; counters say %d, %d",
-				answered, failedOnly, j.ReplayedAnswered(), j.ReplayedFailures())
+		if answered != j.ReplayedAnswered() || empty != st.Empty || failedOnly != j.ReplayedFailures() {
+			t.Fatalf("index holds %d answered (%d empty), %d failed; counters say %d (%d), %d",
+				answered, empty, failedOnly, j.ReplayedAnswered(), st.Empty, j.ReplayedFailures())
 		}
 	})
 }
 
 // FuzzManifest feeds arbitrary bytes to OpenJournal as the manifest: whatever
-// they are, the open either binds to this plan or fails with an error.
+// they are, the open either binds to this plan or fails with an error. Only
+// versions 1 and 2 open, and an open leaves the manifest at version 2.
 func FuzzManifest(f *testing.F) {
 	cfg := modelConfig()
 	dir := fuzzJournalDir(f, cfg)
@@ -587,10 +831,12 @@ func FuzzManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	f.Add(bytes.Replace(good, []byte(`"version": 1`), []byte(`"version": 2`), 1))
+	f.Add(bytes.Replace(good, []byte(`"version": 2`), []byte(`"version": 3`), 1))
 	f.Add([]byte(`{"version":1,"plan_hash":"0","shard":{"index":-1,"lo":9,"hi":1,"units":0}}`))
 	f.Add([]byte(`{"version":1,"plan_hash":"` + fmt.Sprintf("%016x", cfg.PlanHash()) + `","transport":"doh"}`))
 	f.Add([]byte(`[`))
+	f.Add(bytes.Replace(good, []byte(`"version": 2`), []byte(`"version": 1`), 1))
+	f.Add(bytes.Replace(good, []byte(`"version": 2`), []byte(`"version": 0`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -603,6 +849,13 @@ func FuzzManifest(f *testing.F) {
 		m, perr := parseManifest(data)
 		if perr != nil || m.PlanHash != fmt.Sprintf("%016x", cfg.PlanHash()) || m.Shard != nil {
 			t.Fatalf("opened over a manifest that does not name this plan: %q", data)
+		}
+		var raw struct{ Version json.Number }
+		if json.Unmarshal(data, &raw) != nil || raw.Version != "1" && raw.Version != "2" {
+			t.Fatalf("opened over a manifest of version %q", raw.Version)
+		}
+		if v := manifestVersion(t, dir); v != journalVersion {
+			t.Fatalf("an open left the manifest at version %d", v)
 		}
 	})
 }

@@ -31,6 +31,16 @@ func (c *Config) PlanUnits() int {
 	return len(c.OpenResolvers) + len(c.Nameservers)
 }
 
+// firstUnit is the full-plan number of the config's unit 0: a shard's
+// Desc.Lo, zero on a whole plan. Journal records name a server by its
+// full-plan unit, so a shard's records read the same in a merged directory.
+func (c *Config) firstUnit() int {
+	if c.Shard == nil {
+		return 0
+	}
+	return c.Shard.Desc.Lo
+}
+
 // ShardPlanHash extends a full plan hash with a shard descriptor, giving each
 // shard journal its own identity under the shared plan.
 func ShardPlanHash(fullPlan uint64, sd ShardDesc) uint64 {

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/dns"
+	"repro/internal/dnsio"
 )
 
 // TestShardConfigSlices pins the unit→config slicing: open resolvers occupy
@@ -322,6 +327,165 @@ func TestShardYieldMidRun(t *testing.T) {
 	}
 	if renderRecords(got) != renderRecords(want) {
 		t.Error("merged report differs from the single-process run")
+	}
+}
+
+// downgradeToV1 rewrites a journal directory of full's plan as the writer
+// before position keys would have left it: frame for frame, every record
+// keyed by (kind, address, name, qtype), every empty answer given the bytes
+// of an NXDOMAIN reply, and the manifest at version 1.
+func downgradeToV1(t *testing.T, dir string, full *Config) {
+	t.Helper()
+	qtypes, nr, nt := full.queryTypes(), len(full.OpenResolvers), len(full.Targets)
+	segs, _, err := segmentNames(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range segs {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Create(path + ".v1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &segmentWriter{j: &Journal{}, f: f, every: 1 << 30, buf: make([]byte, frameHeader)}
+		for off := 0; off < len(data); {
+			end := off + frameHeader + int(binary.LittleEndian.Uint32(data[off:]))
+			for p := off + frameHeader; p < end; {
+				rec := data[p]
+				p++
+				if rec == recCheckpoint {
+					if err := w.checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					p += 8
+					continue
+				}
+				unit, n := binary.Uvarint(data[p:])
+				p += n
+				slot, n := binary.Uvarint(data[p:])
+				p += n
+				kind, server := sweepCorrect, netip.Addr{}
+				if int(unit) < nr {
+					server = full.OpenResolvers[unit]
+				} else {
+					kind, server = sweepURs, full.Nameservers[int(unit)-nr].Addr
+				}
+				target, qt := int(slot)/len(qtypes), qtypes[int(slot)%len(qtypes)]
+				qname := full.CanaryName()
+				if target < nt {
+					qname = full.Targets[target]
+				} else {
+					kind = sweepProtective
+				}
+				switch rec {
+				case recFailure:
+					err = writeV1(w, recFailureV1, kind, server, qname, qt, nil, dnsio.FailClass(data[p]))
+					p++
+				case recAnswered:
+					n := int(binary.LittleEndian.Uint32(data[p:]))
+					err = writeV1(w, recAnsweredV1, kind, server, qname, qt, data[p+4:p+4+n], 0)
+					p += 4 + n
+				case recEmpty:
+					r := dns.NewQuery(1, qname, qt).Reply()
+					r.Header.RCode = dns.RCodeNXDomain
+					wire, perr := r.Pack()
+					if perr != nil {
+						t.Fatal(perr)
+					}
+					err = writeV1(w, recAnsweredV1, kind, server, qname, qt, wire, 0)
+				default:
+					t.Fatalf("%s: record type %d", name, rec)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			off = end
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(path+".v1", path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mpath := filepath.Join(dir, manifestName)
+	m, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mpath, bytes.Replace(m, []byte(`"version": 2`), []byte(`"version": 1`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMergeV1AndV2ShardJournals merges a shard journal in the version 1
+// format with one in version 2: the merged directory replays the whole plan
+// without a live exchange, to the single-process report. The version 1 shard
+// also still resumes as itself.
+func TestMergeV1AndV2ShardJournals(t *testing.T) {
+	sweep := func(sd ShardDesc) (string, *Config) {
+		fx := newChaosFixture(t, 11)
+		scfg := ShardConfig(fx.cfg, sd)
+		dir := filepath.Join(t.TempDir(), "shard")
+		j, err := OpenJournal(dir, scfg, JournalOptions{CheckpointEvery: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg.Journal = j
+		if _, err := NewPipeline(scfg).Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, scfg
+	}
+	v1Dir, v1Cfg := sweep(ShardDesc{Index: 0, Lo: 0, Hi: 3, Units: 7})
+	downgradeToV1(t, v1Dir, newChaosFixture(t, 11).cfg)
+	v2Dir, _ := sweep(ShardDesc{Index: 1, Lo: 3, Hi: 7, Units: 7})
+
+	full := newChaosFixture(t, 11)
+	merged := filepath.Join(t.TempDir(), "merged")
+	if _, err := MergeShardJournals(merged, full.cfg, []string{v1Dir, v2Dir}); err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	if v := manifestVersion(t, v1Dir); v != 1 {
+		t.Errorf("the merge rewrote its version 1 source to version %d", v)
+	}
+	mj, err := OpenJournal(merged, full.cfg, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.cfg.Journal = mj
+	got, err := NewPipeline(full.cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mj.Close()
+	if st := mj.ReplayStats(); mj.ReplayedAnswered() != chaosPlanSize || st.Empty == 0 || st.OutOfPlan != 0 || full.fabric.Exchanges() != 0 {
+		t.Errorf("merged run replayed %d of %d probes (%+v) and issued %d live exchanges",
+			mj.ReplayedAnswered(), chaosPlanSize, st, full.fabric.Exchanges())
+	}
+	want, err := NewPipeline(newChaosFixture(t, 11).cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderRecords(got) != renderRecords(want) {
+		t.Error("merged report differs from the single-process run")
+	}
+
+	j, err := OpenJournal(v1Dir, v1Cfg, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if st := j.ReplayStats(); j.ReplayedAnswered() != 12*2+2*13*2 || st.Empty != 0 || st.OutOfPlan != 0 {
+		t.Errorf("version 1 shard resumes to %d answered, %+v", j.ReplayedAnswered(), st)
 	}
 }
 

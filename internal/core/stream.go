@@ -65,8 +65,8 @@ func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, em
 	// The fused pool gets the watchdog slot range [workers, 2*workers),
 	// leaving [0, workers) to the concurrently running correct sweep.
 	workers := c.cfg.parallelism()
-	err := c.sweepPool(ctx, workers, []sweepKind{sweepProtective, sweepURs}, len(c.cfg.OpenResolvers), c.cfg.Nameservers, func(w *sweepWorker, ns NameserverInfo) error {
-		urs, err := c.collectNSFused(ctx, w, ns, db)
+	err := c.sweepPool(ctx, workers, []sweepKind{sweepProtective, sweepURs}, len(c.cfg.OpenResolvers), c.cfg.Nameservers, func(w *sweepWorker, unit int, ns NameserverInfo) error {
+		urs, err := c.collectNSFused(ctx, w, unit, ns, db)
 		if err == nil {
 			emit(urs)
 		}
@@ -95,8 +95,8 @@ func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, em
 // configuration, which is what keeps chaos runs reproducible (see the
 // package comment above). On a resumed run the journaled probes of the job
 // are folded in the same order and simply never reach the endpoint.
-func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, ns NameserverInfo, db *ProtectiveDB) ([]*UR, error) {
-	j := c.startJob(w, sweepURs, ns)
+func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, unit int, ns NameserverInfo, db *ProtectiveDB) ([]*UR, error) {
+	j := c.startJob(w, unit, ns)
 	var canaryFails []probeFailure // protective failures, retried in-job
 	defer func() {
 		j.fails = append(j.fails, canaryFails...)
@@ -135,7 +135,7 @@ func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, ns Names
 			f.class = class
 			remaining = append(remaining, f)
 			if w.seg != nil {
-				if jerr := w.seg.failure(sweepProtective, ns.Addr, f.domain, f.qtype, class); jerr != nil {
+				if jerr := w.seg.failure(f.pos, class); jerr != nil {
 					canaryFails = append(remaining, canaryFails[i+1:]...)
 					return out, jerr
 				}
@@ -145,7 +145,7 @@ func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, ns Names
 		j.answered++
 		j.recovered++
 		if w.seg != nil {
-			if jerr := w.seg.answered(sweepProtective, ns.Addr, f.domain, f.qtype, wire); jerr != nil {
+			if jerr := w.seg.answer(f.pos, resp, wire); jerr != nil {
 				canaryFails = append(remaining, canaryFails[i+1:]...)
 				return out, jerr
 			}
