@@ -46,3 +46,55 @@ func TestSweepAllocBudget(t *testing.T) {
 		t.Errorf("a warm tiny sweep allocates %.2f objects per query, budget 3.5", perQuery)
 	}
 }
+
+// TestResumeAllocBudget is the resume's allocation budget: reopening a
+// complete journal of a warm tiny sweep and running the pipeline over it —
+// index, replay, determiner, analyzer and all — may make at most 1.1 heap
+// objects per replayed record. It makes 0.79 to 1.02, depending on which
+// sweep worker claims which server; it made 1.75 while every replayed answer
+// was decoded, rendered and enriched again, before a sweep worker remembered
+// what it derived from each distinct answer and a determine worker what it
+// derived from each distinct rdata.
+func TestResumeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	w, err := scenario.Generate(scenario.Tiny(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.NewPipeline(w.URHunterConfig()).Run(context.Background()); err != nil {
+		t.Fatal(err) // the open resolvers' caches fill on the first pass
+	}
+	dir := t.TempDir()
+	run := func() (replayed int, mallocs uint64) {
+		cfg := w.URHunterConfig()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		j, err := core.OpenJournal(dir, cfg, core.JournalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Journal = j
+		_, err = core.NewPipeline(cfg).Run(context.Background())
+		if cerr := j.Close(); err == nil {
+			err = cerr
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.ReplayedAnswered(), after.Mallocs - before.Mallocs
+	}
+	run() // the journaled sweep
+	replayed, mallocs := run()
+	if replayed == 0 {
+		t.Fatal("the resume replayed nothing")
+	}
+	perRecord := float64(mallocs) / float64(replayed)
+	t.Logf("%d heap objects for %d replayed records: %.2f per record", mallocs, replayed, perRecord)
+	if perRecord > 1.1 {
+		t.Errorf("a resume of a warm tiny journal allocates %.2f objects per replayed record, budget 1.1", perRecord)
+	}
+}

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/netip"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,11 +212,11 @@ type Collector struct {
 	// instance of each distinct value; see intern.go.
 	in *interner
 
-	// deleg memoizes the per-target delegated-host set (the ancestor walk
-	// over cfg.DelegatedNS), built once on first use instead of copying
-	// delegation slices on every (server, target) probe.
+	// deleg memoizes the delegated hosts of each target position (the
+	// ancestor walk over cfg.DelegatedNS), built once on first use instead of
+	// copying delegation slices on every (server, target) probe.
 	delegOnce sync.Once
-	deleg     map[dns.Name]map[dns.Name]bool
+	deleg     [][]dns.Name
 
 	// wd is the stall watchdog; nil when the transport cannot stall.
 	wd *watchdog
@@ -309,13 +310,15 @@ func (c *Collector) releaseSegment(seg *segmentWriter) {
 
 // sweepWorker is what one pool goroutine owns for a whole sweep: its journal
 // segment and watchdog slot, the scratch every answer — live or, on a resumed
-// run, replayed from the index — is decoded into, and the buffer its jobs
-// shuffle their target order in.
+// run, replayed from the index — is decoded into, the memo of what it derived
+// from the answers it has seen (memo.go), and the buffer its jobs shuffle
+// their target order in.
 type sweepWorker struct {
 	slot    *stallSlot
 	seg     *segmentWriter
 	replay  *replayIndex
 	scratch dnsio.Scratch
+	answers answerMemo
 	order   []int32
 }
 
@@ -361,30 +364,33 @@ func (j *sweepJob) fail(kind sweepKind, pos probePos, name dns.Name, qt dns.Type
 }
 
 // probe settles one planned probe — target position t (the canary's is
-// len(Targets)), query-type position qi — and returns its response, or nil
-// when it failed and now sits on j.fails, or was replayed as an answer with
-// nothing in it. A non-nil error is fatal to the sweep (cancellation,
-// journal write failure).
+// len(Targets)), query-type position qi. An answer the worker has derived
+// before for the same probe kind, name and type comes back as seen, the
+// memo's entry, and is not decoded; any other comes back as resp with the
+// wire bytes it was decoded from, for the caller to derive and answers.put.
+// Both are nil when the probe failed and now sits on j.fails, or was
+// replayed as an answer with nothing in it. A non-nil error is fatal to the
+// sweep (cancellation, journal write failure).
 //
 // On a resumed run the journal is asked first. An answered probe is booked
 // answered — one that had also failed books a recovery — and, unless it was
-// journaled empty, decoded into the worker's scratch to take the caller's
-// live-answer path. A failed probe is filed as the live failure was, without
-// journaling it again. A CRC-clean answer that does not decode is neither
-// trusted nor skipped: the probe is queried again. The returned message lives
-// in the worker's scratch (see probeQuery) and is only valid until the
-// worker's next probe.
-func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Name, qi int, qt dns.Type) (*dns.Message, error) {
+// journaled empty or is in the memo, decoded into the worker's scratch to
+// take the caller's live-answer path. A failed probe is filed as the live
+// failure was, without journaling it again. A CRC-clean answer that does not
+// decode is neither trusted nor skipped: the probe is queried again. resp and
+// wire live in the worker's scratch or the replay index (see probeQuery) and
+// are only valid until the worker's next probe.
+func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Name, qi int, qt dns.Type) (resp *dns.Message, wire []byte, seen *derivedAnswer, err error) {
 	w := j.w
 	pos := probePos{j.unit, t*j.nq + qi}
 	if j.base >= 0 {
 		id := j.base + pos.slot
 		class, failed := w.replay.failed(id)
-		if wire, ok := w.replay.answer(id); ok {
-			var resp *dns.Message
-			var err error
-			if wire != nil {
-				resp, err = w.scratch.Decode(wire)
+		if kept, ok := w.replay.answer(id); ok {
+			if kept != nil {
+				if seen = w.answers.get(kept, kind, name, qt); seen == nil {
+					resp, err = w.scratch.Decode(kept)
+				}
 			}
 			if err == nil {
 				j.attempted++
@@ -392,12 +398,12 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 				if failed {
 					j.recovered++
 				}
-				return resp, nil
+				return resp, kept, seen, nil
 			}
 		} else if failed {
 			j.attempted++
 			j.fail(kind, pos, name, qt, class)
-			return nil, nil
+			return nil, nil, nil, nil
 		}
 	}
 	// Cancellation is checked on the live path only (a replayed probe is a
@@ -405,7 +411,7 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 	// the context's mutex, which the two overlapped pools share.
 	select {
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, nil, nil, ctx.Err()
 	default:
 	}
 	j.attempted++
@@ -414,17 +420,22 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 	if err != nil {
 		j.fail(kind, pos, name, qt, class)
 		if w.seg != nil {
-			return nil, w.seg.failure(pos, class)
+			return nil, nil, nil, w.seg.failure(pos, class)
 		}
-		return nil, nil
+		return nil, nil, nil, nil
 	}
 	j.answered++
 	if w.seg != nil {
 		if jerr := w.seg.answer(pos, resp, wire); jerr != nil {
-			return nil, jerr
+			return nil, nil, nil, jerr
 		}
 	}
-	return resp, nil
+	if resp.Header.RCode == dns.RCodeSuccess && len(resp.Answers) > 0 {
+		if seen = w.answers.get(wire, kind, name, qt); seen != nil {
+			return nil, wire, seen, nil
+		}
+	}
+	return resp, wire, nil, nil
 }
 
 // sweepPool runs job once per server on the collection worker pool and
@@ -668,23 +679,23 @@ func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSl
 
 // sortURs puts a UR set into its canonical order: server address, then
 // domain, type, rdata, and TTL. Collection order depends on worker
-// scheduling; the canonical order does not.
+// scheduling; the canonical order does not. Records equal in all five are
+// equal in everything the report shows, so the sort need not be stable.
 func sortURs(urs []*UR) {
-	sort.Slice(urs, func(i, j int) bool {
-		a, b := urs[i], urs[j]
-		if cmp := a.Server.Addr.Compare(b.Server.Addr); cmp != 0 {
-			return cmp < 0
+	slices.SortFunc(urs, func(a, b *UR) int {
+		if c := a.Server.Addr.Compare(b.Server.Addr); c != 0 {
+			return c
 		}
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
+		if c := cmp.Compare(a.Domain, b.Domain); c != 0 {
+			return c
 		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
+		if c := cmp.Compare(a.Type, b.Type); c != 0 {
+			return c
 		}
-		if a.RData != b.RData {
-			return a.RData < b.RData
+		if c := cmp.Compare(a.RData, b.RData); c != 0 {
+			return c
 		}
-		return a.TTL < b.TTL
+		return cmp.Compare(a.TTL, b.TTL)
 	})
 }
 
@@ -695,17 +706,21 @@ func (c *Collector) sweepTargets(ctx context.Context, j *sweepJob, out []*UR) ([
 	// walking the target list top-down against any single server.
 	j.w.order = c.shuffledTargets(j.w.order, j.ns.Addr)
 	for _, t := range j.w.order {
-		target := c.cfg.Targets[t]
-		if c.isExactlyDelegated(target, j.ns) {
+		if c.isExactlyDelegated(t, j.ns) {
 			continue
 		}
+		target := c.cfg.Targets[t]
 		for qi, qt := range c.cfg.queryTypes() {
-			resp, err := j.probe(ctx, sweepURs, int(t), target, qi, qt)
-			if err != nil {
+			resp, wire, seen, err := j.probe(ctx, sweepURs, int(t), target, qi, qt)
+			switch {
+			case err != nil:
 				return out, err
-			}
-			if resp != nil {
+			case seen != nil:
+				out = seen.appendURs(out, j.ns)
+			case resp != nil:
+				n := len(out)
 				out = c.ursFromResponse(j.ns, target, qt, resp, out)
+				j.w.answers.put(wire, resp, sweepURs, target, qt, out[n:])
 			}
 		}
 	}
@@ -776,55 +791,57 @@ func (c *Collector) shuffledTargets(buf []int32, server netip.Addr) []int32 {
 //
 // The ancestor walk over cfg.DelegatedNS — which typically snapshots a
 // registry delegation slice per call — runs once per target here, not once
-// per (server, target) probe; every probe after that is a two-map lookup.
-func (c *Collector) isExactlyDelegated(target dns.Name, ns NameserverInfo) bool {
+// per (server, target) probe; every probe after that scans the target
+// position t's few hosts, without hashing a name.
+func (c *Collector) isExactlyDelegated(t int32, ns NameserverInfo) bool {
 	c.delegOnce.Do(func() {
 		if c.cfg.DelegatedNS == nil {
 			return
 		}
-		c.deleg = make(map[dns.Name]map[dns.Name]bool, len(c.cfg.Targets))
-		for _, t := range c.cfg.Targets {
-			hosts := make(map[dns.Name]bool)
-			for n := t; n != dns.Root; n = n.Parent() {
+		c.deleg = make([][]dns.Name, len(c.cfg.Targets))
+		for i, target := range c.cfg.Targets {
+			var hosts []dns.Name
+			for n := target; n != dns.Root; n = n.Parent() {
 				for _, host := range c.cfg.DelegatedNS(n) {
-					hosts[host] = true
+					if !slices.Contains(hosts, host) {
+						hosts = append(hosts, host)
+					}
 				}
 			}
-			c.deleg[t] = hosts
+			c.deleg[i] = hosts
 		}
 	})
-	return c.deleg[target][ns.Host]
+	return c.deleg != nil && slices.Contains(c.deleg[t], ns.Host)
 }
 
 // enrichOne attaches AS/geo/cert/HTTP data to an A-record UR and the
 // corresponding IPs to A and TXT records alike (TXT correspondence with
 // same-NS same-domain A records happens in the analyzer, which sees the full
-// set). The pipeline's determine workers call it per streamed record so
-// enrichment overlaps the sweep tail. Safe concurrently: IPDB lookups are
-// read-only and the web probe cache is a singleflight.
-func (c *Collector) enrichOne(u *UR) {
+// set). The pipeline's determine workers call it per streamed record, each
+// with its own memo m (nil derives afresh), so enrichment overlaps the sweep
+// tail and is derived once per distinct rdata. Safe concurrently across
+// memos: IPDB lookups are read-only and the web probe cache is a
+// singleflight.
+func (c *Collector) enrichOne(m *detMemo, u *UR) {
+	f := c.rdataFacts(m, u.Type, u.RData)
 	switch u.Type {
 	case dns.TypeA:
-		addr, err := netip.ParseAddr(u.RData)
-		if err != nil {
+		if !f.addr.IsValid() {
 			return
 		}
-		u.CorrespondingIPs = []netip.Addr{addr}
-		if info, ok := c.cfg.IPDB.Lookup(addr); ok {
-			u.ASN, u.ASName, u.Country = info.ASN, info.ASName, info.Country
+		u.CorrespondingIPs = f.ips
+		if f.hasInfo {
+			u.ASN, u.ASName, u.Country = f.info.ASN, f.info.ASName, f.info.Country
 		}
 		if c.probeFn != nil {
-			u.HTTP = c.probe(addr)
+			u.HTTP = f.http
 			u.Cert = u.HTTP.Cert
 		}
 	case dns.TypeTXT:
-		u.TXTClass = ClassifyTXT(u.RData)
-		u.CorrespondingIPs = extractIPs(u.RData)
+		u.TXTClass = f.txtClass
+		u.CorrespondingIPs = f.ips
 	default:
-		// MX and other extension types: rdata names a host rather than
-		// an address; any embedded literal IPs still count as
-		// correspondence evidence.
-		u.CorrespondingIPs = extractIPs(u.RData)
+		u.CorrespondingIPs = f.ips
 	}
 }
 
@@ -880,12 +897,15 @@ func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, unit 
 	for _, t := range w.order {
 		target := c.cfg.Targets[t]
 		for qi, qt := range c.cfg.queryTypes() {
-			resp, err := j.probe(ctx, sweepCorrect, int(t), target, qi, qt)
+			// An answer the worker has folded before (seen) is already in
+			// the database: the profile adds are set inserts.
+			resp, wire, _, err := j.probe(ctx, sweepCorrect, int(t), target, qi, qt)
 			if err != nil {
 				return err
 			}
 			if resp != nil {
 				c.addCorrectAnswers(db, target, resp)
+				w.answers.put(wire, resp, sweepCorrect, target, qt, nil)
 			}
 		}
 	}
@@ -933,7 +953,8 @@ func (c *Config) CanaryName() dns.Name {
 // query type.
 func (c *Collector) sweepCanary(ctx context.Context, j *sweepJob, db *ProtectiveDB) error {
 	for qi, qt := range c.cfg.queryTypes() {
-		resp, err := j.probe(ctx, sweepProtective, len(c.cfg.Targets), c.canary, qi, qt)
+		// Canary answers are never memoized, so none comes back seen.
+		resp, _, _, err := j.probe(ctx, sweepProtective, len(c.cfg.Targets), c.canary, qi, qt)
 		if err != nil {
 			return err
 		}

@@ -140,8 +140,9 @@ func sweepNameservers(t *testing.T, cfg *Config) (*Collector, []*UR, *Protective
 		t.Fatal(err)
 	}
 	sortURs(urs)
+	memo := newDetMemo()
 	for _, u := range urs {
-		col.enrichOne(u)
+		col.enrichOne(memo, u)
 	}
 	return col, urs, db
 }

@@ -59,12 +59,15 @@ type pdnsMemoKey struct {
 type detMemo struct {
 	profiles map[dns.Name]*DomainProfile
 	pdns     map[pdnsMemoKey]bool
+	// rdata holds each distinct rdata's enrichment facts (memo.go).
+	rdata map[rdataKey]rdataFacts
 }
 
 func newDetMemo() *detMemo {
 	return &detMemo{
 		profiles: make(map[dns.Name]*DomainProfile, 64),
 		pdns:     make(map[pdnsMemoKey]bool, 64),
+		rdata:    make(map[rdataKey]rdataFacts, 64),
 	}
 }
 
@@ -162,8 +165,8 @@ func (d *Determiner) classifyMemo(m *detMemo, u *UR) {
 // parked/redirect.
 func (d *Determiner) correctA(m *detMemo, u *UR) (CorrectReason, bool) {
 	profile := d.lookupProfile(m, u.Domain)
-	addr, err := netip.ParseAddr(u.RData)
-	if err != nil {
+	addr, ok := m.parseA(u.RData)
+	if !ok {
 		return ReasonNone, false
 	}
 	if profile != nil {

@@ -451,6 +451,17 @@ func OpenJournal(dir string, cfg *Config, opts JournalOptions) (*Journal, error)
 			return nil, err
 		}
 	case os.IsNotExist(err):
+		// Segments without a manifest were never bound to a plan: a merge
+		// killed before its last step leaves them, and neither replaying them
+		// nor writing beside them is safe.
+		segs, _, err := segmentNames(dir)
+		if err != nil {
+			return nil, fmt.Errorf("journal: scan dir: %w", err)
+		}
+		if len(segs) > 0 {
+			return nil, fmt.Errorf("journal: directory %s holds %d segments but no manifest (a merge that did not finish?): merge again into a fresh directory, or point the sweep at one",
+				dir, len(segs))
+		}
 		if err := writeManifest(mpath, id); err != nil {
 			return nil, err
 		}
@@ -684,20 +695,8 @@ func (j *Journal) Close() error {
 	if j.opts.SyncEvery <= 0 {
 		return firstErr
 	}
-	d, err := os.Open(j.dir)
-	if err != nil {
-		if firstErr == nil {
-			firstErr = err
-		}
-		return firstErr
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if firstErr == nil {
-		firstErr = serr
-	}
-	if firstErr == nil {
-		firstErr = cerr
+	if err := syncDir(j.dir); firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }
@@ -1249,6 +1248,12 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 	// set (first-wins answered, answered-beats-failed) is order-insensitive
 	// for the report because duplicate answers for one probe carry the same
 	// deterministic response bytes.
+	//
+	// A merge killed part-way must not leave a journal that replays a torn
+	// copy as clean: each segment lands whole under its name or not at all
+	// (copySegment), and the manifest that makes the directory a journal is
+	// written only after every segment is synced in. Until then OpenJournal
+	// refuses the directory.
 	next := 0
 	for _, src := range srcDirs {
 		segs, _, err := segmentNames(src)
@@ -1256,19 +1261,19 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 			return st, fmt.Errorf("journal: merge: scan %s: %w", src, err)
 		}
 		for _, name := range segs {
-			data, err := os.ReadFile(filepath.Join(src, name))
-			if err != nil {
-				return st, fmt.Errorf("journal: merge: read %s: %w", filepath.Join(src, name), err)
-			}
 			out := filepath.Join(dst, fmt.Sprintf("%s%05d%s", segmentPrefix, next, segmentSuffix))
-			if err := os.WriteFile(out, data, 0o644); err != nil {
-				return st, fmt.Errorf("journal: merge: write %s: %w", out, err)
+			n, err := copySegment(out, filepath.Join(src, name))
+			if err != nil {
+				return st, fmt.Errorf("journal: merge: copy %s: %w", filepath.Join(src, name), err)
 			}
 			next++
 			st.Segments++
-			st.Bytes += int64(len(data))
+			st.Bytes += n
 		}
 		st.Dirs++
+	}
+	if err := syncDir(dst); err != nil {
+		return st, fmt.Errorf("journal: merge: %w", err)
 	}
 	if err := writeManifest(mpath, journalIdentity{
 		plan: cfg.PlanHash(), full: cfg.PlanHash(), seed: cfg.Seed,
@@ -1276,5 +1281,54 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 	}); err != nil {
 		return st, err
 	}
+	if err := syncDir(dst); err != nil {
+		return st, fmt.Errorf("journal: merge: %w", err)
+	}
 	return st, nil
+}
+
+// copySegment copies one segment file to dst through a temporary name that
+// no replay reads, fsynced before it is renamed into place, and returns the
+// bytes copied. A kill at any point leaves the whole segment under dst or
+// nothing there.
+func copySegment(dst, src string) (int64, error) {
+	in, err := os.Open(src)
+	if err != nil {
+		return 0, err
+	}
+	defer in.Close()
+	tmp := dst + ".tmp"
+	out, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	n, err := io.Copy(out, in)
+	if err == nil {
+		err = out.Sync()
+	}
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, dst)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return n, err
+	}
+	return n, nil
+}
+
+// syncDir fsyncs a directory, making the entries created and renamed in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -1,0 +1,225 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"hash/fnv"
+	"net/netip"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/dns"
+	"repro/internal/dnsio"
+	"repro/internal/ipam"
+)
+
+// TestSharedRDataCorrespondenceIsPerRecord holds the rdata memo's shared IP
+// slices to their clip: two TXT records with the same rdata on two servers
+// share one memoized slice, and each server's A sibling must land in its own
+// record only. The rdata carries three addresses so an unclipped slice would
+// have room for the append, and the second server's sibling would overwrite
+// the first's.
+func TestSharedRDataCorrespondenceIsPerRecord(t *testing.T) {
+	cfg := analyzerConfig()
+	cfg.IPDB = ipam.New()
+	c := NewCollector(cfg)
+	const spf = `"v=spf1 ip4:192.0.2.1 ip4:192.0.2.2 ip4:192.0.2.3 -all"`
+	s1 := NameserverInfo{Addr: netip.MustParseAddr("100.1.0.1"), Host: "ns1.h.test", Provider: "H"}
+	s2 := NameserverInfo{Addr: netip.MustParseAddr("100.1.0.2"), Host: "ns2.h.test", Provider: "H"}
+	a1, a2 := netip.MustParseAddr("198.51.100.1"), netip.MustParseAddr("198.51.100.2")
+	txt1 := &UR{Server: s1, Domain: "site.com", Type: dns.TypeTXT, RData: spf}
+	txt2 := &UR{Server: s2, Domain: "site.com", Type: dns.TypeTXT, RData: spf}
+	urs := []*UR{
+		txt1, txt2,
+		{Server: s1, Domain: "site.com", Type: dns.TypeA, RData: a1.String()},
+		{Server: s2, Domain: "site.com", Type: dns.TypeA, RData: a2.String()},
+	}
+	memo := newDetMemo()
+	for _, u := range urs {
+		c.enrichOne(memo, u)
+	}
+	if len(txt1.CorrespondingIPs) != 3 || &txt1.CorrespondingIPs[0] != &txt2.CorrespondingIPs[0] {
+		t.Fatalf("the two TXT records do not share one memoized slice (%v, %v); the test proves nothing",
+			txt1.CorrespondingIPs, txt2.CorrespondingIPs)
+	}
+	NewAnalyzer(cfg).Analyze(urs)
+	embedded := []netip.Addr{
+		netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2"), netip.MustParseAddr("192.0.2.3"),
+	}
+	for _, tc := range []struct {
+		u     *UR
+		extra netip.Addr
+	}{{txt1, a1}, {txt2, a2}} {
+		if want := append(slices.Clone(embedded), tc.extra); !slices.Equal(tc.u.CorrespondingIPs, want) {
+			t.Errorf("TXT on %s: corresponding IPs %v, want %v", tc.u.Server.Addr, tc.u.CorrespondingIPs, want)
+		}
+	}
+}
+
+// TestAnswerMemoAnswersOnlyItsProbe pins the memo's identity rule: a
+// response need not carry its question, so one answer's bytes can come back
+// for two probes, and what was derived for one must not answer the other.
+func TestAnswerMemoAnswersOnlyItsProbe(t *testing.T) {
+	resp := &dns.Message{
+		Header: dns.Header{ID: 7, Response: true, Authoritative: true},
+		Answers: []dns.RR{{Name: "a.example", Class: dns.ClassINET, TTL: 300,
+			Data: &dns.A{Addr: netip.MustParseAddr("192.0.2.7")}}},
+	}
+	wire, err := resp.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var am answerMemo
+	ur := &UR{Domain: "a.example", Type: dns.TypeA, RData: "192.0.2.7", TTL: 300}
+	am.put(wire, resp, sweepURs, "a.example", dns.TypeA, []*UR{ur})
+	wire[0], wire[1] = 0, 9 // another probe's ID: the memo keys past it
+	if d := am.get(wire, sweepURs, "a.example", dns.TypeA); d == nil || len(d.recs) != 1 || d.recs[0].rdata != ur.RData {
+		t.Fatalf("the probe the answer was derived for misses: %+v", d)
+	}
+	for _, other := range []struct {
+		kind sweepKind
+		name dns.Name
+		qt   dns.Type
+	}{{sweepURs, "b.example", dns.TypeA}, {sweepURs, "a.example", dns.TypeTXT}, {sweepCorrect, "a.example", dns.TypeA}} {
+		if d := am.get(wire, other.kind, other.name, other.qt); d != nil {
+			t.Errorf("the same bytes answered probe %+v with another probe's derivation", other)
+		}
+	}
+}
+
+// uniqueAnswerTransport is hostile input for the memos, in the style of
+// poisonTransport: it rewrites every NOERROR answer so that no two probes get
+// the same one. Each record's TTL and rdata are drawn from the (server, name,
+// type) asked — an A record's address, a TXT record's SPF address — so no
+// sweep worker's answer memo and no determine worker's rdata memo ever hits,
+// and every probe adds an entry until the memo is full. The draw is a pure
+// function of the probe, so the run stays deterministic.
+type uniqueAnswerTransport struct {
+	inner dnsio.Transport
+}
+
+func (u uniqueAnswerTransport) Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
+	resp, err := u.inner.Exchange(ctx, buf, server, packed, tcp)
+	if err != nil {
+		return resp, err
+	}
+	m, err := dns.Unpack(resp)
+	if err != nil || m.Header.RCode != dns.RCodeSuccess || len(m.Answers) == 0 {
+		return resp, nil
+	}
+	h := fnv.New32a()
+	fmt.Fprintf(h, "%s|%s|%d", server.Addr(), m.Question().Name, m.Question().Type)
+	draw := h.Sum32()
+	addr := netip.AddrFrom4([4]byte{100, 64 | byte(draw>>16)&63, byte(draw >> 8), byte(draw)})
+	for i := range m.Answers {
+		rr := &m.Answers[i]
+		rr.TTL = 60 + draw%86400
+		switch rr.Data.(type) {
+		case *dns.A:
+			rr.Data = &dns.A{Addr: addr}
+		case *dns.TXT:
+			rr.Data = dns.NewTXT("v=spf1 ip4:" + addr.String() + " -all")
+		}
+	}
+	return m.AppendPack(buf[:0])
+}
+
+func (u uniqueAnswerTransport) Instant() bool { return true }
+
+func (u uniqueAnswerTransport) SleepVirtual(d time.Duration) {
+	u.inner.(interface{ SleepVirtual(time.Duration) }).SleepVirtual(d)
+}
+
+// TestAnswerMemoBoundedUnderUniqueAnswers serves a distinct answer on every
+// probe with both memo caps lowered under the fixture's answer count: each
+// memo must stop at its cap, and the plain, journaled and resumed reports
+// must equal the run in which no memo takes an entry — the derivation path
+// without memos.
+func TestAnswerMemoBoundedUnderUniqueAnswers(t *testing.T) {
+	defer func(a, r int) { answerMemoCap, rdataMemoCap = a, r }(answerMemoCap, rdataMemoCap)
+	fixture := func() *chaosFixture {
+		fx := newChaosFixture(t, 11)
+		inner, err := fx.cfg.transport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.cfg.Transport = uniqueAnswerTransport{inner}
+		return fx
+	}
+	run := func(cfg *Config) string {
+		t.Helper()
+		res, err := NewPipeline(cfg).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderReport(res)
+	}
+
+	answerMemoCap, rdataMemoCap = 0, 0
+	want := run(fixture().cfg)
+
+	const limit = 16
+	answerMemoCap, rdataMemoCap = limit, limit
+
+	// One sweep worker over every nameserver, then one determine memo over
+	// what it collected: both must fill to the cap and no further. The
+	// worker's buffers are poisoned before every exchange and after the last:
+	// a key that kept the lent bytes instead of copying them reads as 0xFF.
+	// (The report cannot show that: a corrupted key only misses.)
+	fx := fixture()
+	pt := newPoisonTransport(fx.cfg.Transport)
+	fx.cfg.Transport = pt
+	c := NewCollector(fx.cfg)
+	w := &sweepWorker{}
+	var urs []*UR
+	for u, ns := range fx.cfg.Nameservers {
+		j := c.startJob(w, len(fx.cfg.OpenResolvers)+u, ns)
+		var err error
+		if urs, err = c.sweepTargets(context.Background(), &j, urs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pt.poisonAll()
+	if len(urs) <= 2*limit {
+		t.Fatalf("the sweep collected %d records, too few to overflow a memo of %d", len(urs), limit)
+	}
+	if n := len(w.answers.m); n != limit {
+		t.Errorf("the answer memo holds %d entries after %d distinct answers, cap %d", n, len(urs), limit)
+	}
+	for key, d := range w.answers.m {
+		if m, err := dns.Unpack(append([]byte{0, 0}, key...)); err != nil || m.Question().Name != d.name {
+			t.Fatalf("an answer memo key no longer reads as the answer it was taken from (%v): it aliases a lent buffer", err)
+		}
+	}
+	memo := newDetMemo()
+	for _, u := range urs {
+		c.enrichOne(memo, u)
+	}
+	if n := len(memo.rdata); n != limit {
+		t.Errorf("the rdata memo holds %d entries after %d distinct rdata, cap %d", n, len(urs), limit)
+	}
+
+	if got := run(fixture().cfg); got != want {
+		t.Error("report with capped memos under unique answers differs from the report without memos")
+	}
+	dir := t.TempDir()
+	for _, pass := range []string{"journaled", "resumed"} {
+		fx := fixture()
+		j, err := OpenJournal(dir, fx.cfg, JournalOptions{CheckpointEvery: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.cfg.Journal = j
+		got := run(fx.cfg)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if pass == "resumed" && j.ReplayedAnswered() == 0 {
+			t.Fatal("the resume replayed nothing")
+		}
+		if got != want {
+			t.Errorf("%s report with capped memos under unique answers differs from the report without memos", pass)
+		}
+	}
+}

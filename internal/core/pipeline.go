@@ -203,7 +203,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 			for batch := range stream {
 				if memo != nil {
 					for _, u := range batch {
-						p.collector.enrichOne(u)
+						p.collector.enrichOne(memo, u)
 						det.classifyMemo(memo, u)
 					}
 				}

@@ -423,31 +423,35 @@ func downgradeToV1(t *testing.T, dir string, full *Config) {
 	}
 }
 
+// sweepShard runs one shard of the chaos fixture's plan into a fresh shard
+// journal and returns its directory and the shard's config.
+func sweepShard(t *testing.T, sd ShardDesc) (string, *Config) {
+	t.Helper()
+	fx := newChaosFixture(t, 11)
+	scfg := ShardConfig(fx.cfg, sd)
+	dir := filepath.Join(t.TempDir(), "shard")
+	j, err := OpenJournal(dir, scfg, JournalOptions{CheckpointEvery: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg.Journal = j
+	if _, err := NewPipeline(scfg).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, scfg
+}
+
 // TestMergeV1AndV2ShardJournals merges a shard journal in the version 1
 // format with one in version 2: the merged directory replays the whole plan
 // without a live exchange, to the single-process report. The version 1 shard
 // also still resumes as itself.
 func TestMergeV1AndV2ShardJournals(t *testing.T) {
-	sweep := func(sd ShardDesc) (string, *Config) {
-		fx := newChaosFixture(t, 11)
-		scfg := ShardConfig(fx.cfg, sd)
-		dir := filepath.Join(t.TempDir(), "shard")
-		j, err := OpenJournal(dir, scfg, JournalOptions{CheckpointEvery: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scfg.Journal = j
-		if _, err := NewPipeline(scfg).Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir, scfg
-	}
-	v1Dir, v1Cfg := sweep(ShardDesc{Index: 0, Lo: 0, Hi: 3, Units: 7})
+	v1Dir, v1Cfg := sweepShard(t, ShardDesc{Index: 0, Lo: 0, Hi: 3, Units: 7})
 	downgradeToV1(t, v1Dir, newChaosFixture(t, 11).cfg)
-	v2Dir, _ := sweep(ShardDesc{Index: 1, Lo: 3, Hi: 7, Units: 7})
+	v2Dir, _ := sweepShard(t, ShardDesc{Index: 1, Lo: 3, Hi: 7, Units: 7})
 
 	full := newChaosFixture(t, 11)
 	merged := filepath.Join(t.TempDir(), "merged")
@@ -486,6 +490,128 @@ func TestMergeV1AndV2ShardJournals(t *testing.T) {
 	defer j.Close()
 	if st := j.ReplayStats(); j.ReplayedAnswered() != 12*2+2*13*2 || st.Empty != 0 || st.OutOfPlan != 0 {
 		t.Errorf("version 1 shard resumes to %d answered, %+v", j.ReplayedAnswered(), st)
+	}
+}
+
+// TestMergeShardJournalsKilledBetweenSegments stops a merge between two
+// segments — the second source ends in a segment that cannot be read — and
+// leaves beside the copies the torn temporary file a kill mid-copy would. The
+// directory it leaves must refuse to open, or resume to the single-process
+// report; it must never replay a torn segment as clean. Merging the intact
+// sources again into a fresh directory replays the whole plan.
+func TestMergeShardJournalsKilledBetweenSegments(t *testing.T) {
+	srcs := make([]string, 2)
+	srcs[0], _ = sweepShard(t, ShardDesc{Index: 0, Lo: 0, Hi: 3, Units: 7})
+	srcs[1], _ = sweepShard(t, ShardDesc{Index: 1, Lo: 3, Hi: 7, Units: 7})
+	var segs []string // every source segment, in merge order
+	for _, src := range srcs {
+		names, _, err := segmentNames(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range names {
+			segs = append(segs, filepath.Join(src, n))
+		}
+	}
+	// The second source again, ending in a "segment" that is a directory:
+	// opening it works, reading it fails.
+	broken := filepath.Join(t.TempDir(), "broken")
+	if err := os.MkdirAll(filepath.Join(broken, "seg-99999.wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(srcs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(srcs[1], e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(broken, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	full := newChaosFixture(t, 11)
+	killed := filepath.Join(t.TempDir(), "killed")
+	if _, err := MergeShardJournals(killed, full.cfg, []string{srcs[0], broken}); err == nil {
+		t.Fatal("a merge over an unreadable segment reported success")
+	}
+	if _, err := os.Stat(filepath.Join(killed, manifestName)); !os.IsNotExist(err) {
+		t.Fatalf("the stopped merge wrote its manifest (stat: %v)", err)
+	}
+	copied, _, err := segmentNames(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(copied) != len(segs) {
+		t.Fatalf("the stopped merge left %d segments, want the %d before the unreadable one", len(copied), len(segs))
+	}
+	for i, n := range copied {
+		got, err := os.ReadFile(filepath.Join(killed, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(segs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s is not a whole copy of %s", n, segs[i])
+		}
+	}
+	// What a kill in the middle of the next copy leaves.
+	torn, err := os.ReadFile(segs[len(segs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(killed, "seg-99999.wal.tmp")
+	if err := os.WriteFile(tmp, torn[:len(torn)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ref, err := NewPipeline(newChaosFixture(t, 11).cfg).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderRecords(ref)
+	resumeFrom := func(dir string) (string, *Journal, *chaosFixture, error) {
+		fx := newChaosFixture(t, 11)
+		j, err := OpenJournal(dir, fx.cfg, JournalOptions{})
+		if err != nil {
+			return "", nil, fx, err
+		}
+		fx.cfg.Journal = j
+		res, err := NewPipeline(fx.cfg).Run(context.Background())
+		if cerr := j.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderRecords(res), j, fx, nil
+	}
+	if got, _, _, err := resumeFrom(killed); err == nil && got != want {
+		t.Error("the directory a stopped merge left opened and resumed to a different report")
+	} else if err != nil && !strings.Contains(err.Error(), "no manifest") {
+		t.Errorf("the directory a stopped merge left was refused for the wrong reason: %v", err)
+	}
+
+	again := filepath.Join(t.TempDir(), "again")
+	if _, err := MergeShardJournals(again, full.cfg, srcs); err != nil {
+		t.Fatalf("merge of the intact sources: %v", err)
+	}
+	if names, _ := os.ReadDir(again); len(names) != len(segs)+1 {
+		t.Errorf("the completed merge left %d files, want %d segments and the manifest", len(names), len(segs))
+	}
+	got, j, fx, err := resumeFrom(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || j.ReplayedAnswered() != chaosPlanSize || fx.fabric.Exchanges() != 0 {
+		t.Errorf("the completed merge replayed %d of %d probes with %d live exchanges; report equal: %v",
+			j.ReplayedAnswered(), chaosPlanSize, fx.fabric.Exchanges(), got == want)
 	}
 }
 
