@@ -121,48 +121,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Print(repro.RenderCategorySummary(res))
-	fmt.Println()
-	fmt.Print(repro.RenderTable1(res))
-	fmt.Println()
-	fmt.Print(repro.RenderFigure2(res, *top))
-	fmt.Println()
-	fmt.Print(repro.RenderFigure3(res))
-	fmt.Println()
-	fmt.Println("Top malicious domains:")
-	for _, l := range repro.TopMaliciousDomains(res, *topDomains) {
-		fmt.Println("  " + l)
+	fmt.Print(repro.RenderReport(res, *top, *topDomains))
+	if err := repro.ExportFiles(os.Stdout, res, *jsonOut, *csvOut, *allRecords); err != nil {
+		fmt.Fprintf(os.Stderr, "urcoord: %v\n", err)
+		os.Exit(1)
 	}
-
-	if *jsonOut != "" {
-		if err := writeFile(*jsonOut, func(w *os.File) error {
-			return repro.WriteJSON(w, res, !*allRecords)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "urcoord: json export: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote JSON export to %s\n", *jsonOut)
-	}
-	if *csvOut != "" {
-		if err := writeFile(*csvOut, func(w *os.File) error {
-			return repro.WriteCSV(w, res, !*allRecords)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "urcoord: csv export: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote CSV export to %s\n", *csvOut)
-	}
-}
-
-// writeFile creates path and runs the writer against it.
-func writeFile(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -6,7 +6,7 @@
 //
 //	urhunter [-scale tiny|small|paper] [-seed N] [-top N] [-domains N]
 //	         [-journal DIR | -resume DIR] [-checkpoint-every N]
-//	         [-determine-workers N] [-chaos] [-transport udp|dot|doh]
+//	         [-chaos] [-transport udp|dot|doh]
 //	         [-pprof ADDR]
 //	urhunter -worker ADDR [-worker-name NAME] [-scale ...] [-seed N] [-chaos]
 //
@@ -49,7 +49,6 @@ func main() {
 	journalDir := flag.String("journal", "", "checkpoint the sweep into this directory (created if missing)")
 	resumeDir := flag.String("resume", "", "resume a checkpointed run from this directory")
 	ckptEvery := flag.Int("checkpoint-every", 0, "flush the journal every N records (0 = default)")
-	detWorkers := flag.Int("determine-workers", 0, "streaming classification workers (0 = inherit sweep parallelism); any value yields byte-identical reports")
 	chaos := flag.Bool("chaos", false, "inject the deterministic fault pattern (fleet runs must match the coordinator)")
 	transportKind := flag.String("transport", "udp", "wire transport for sweep exchanges: udp, dot, or doh (reports are byte-identical across all three)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address")
@@ -146,9 +145,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	// DetermineWorkers is read at Run time only, so setting it after pipeline
-	// construction is safe (unlike Parallelism, which sizes the watchdog).
-	pipe.Cfg.DetermineWorkers = *detWorkers
 	res, err := pipe.Run(ctx)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "urhunter: pipeline: %v\n", err)
@@ -168,36 +164,10 @@ func main() {
 	fmt.Printf("a real-world run of this query plan at the ethics appendix's pacing would take %v\n\n",
 		pipe.Collector().PoliteScanEstimate().Round(time.Hour))
 
-	fmt.Print(repro.RenderCategorySummary(res))
-	fmt.Println()
-	fmt.Print(repro.RenderTable1(res))
-	fmt.Println()
-	fmt.Print(repro.RenderFigure2(res, *top))
-	fmt.Println()
-	fmt.Print(repro.RenderFigure3(res))
-	fmt.Println()
-	fmt.Println("Top malicious domains:")
-	for _, l := range repro.TopMaliciousDomains(res, *topDomains) {
-		fmt.Println("  " + l)
-	}
-
-	if *jsonOut != "" {
-		if err := writeFile(*jsonOut, func(w *os.File) error {
-			return repro.WriteJSON(w, res, !*allRecords)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "urhunter: json export: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote JSON export to %s\n", *jsonOut)
-	}
-	if *csvOut != "" {
-		if err := writeFile(*csvOut, func(w *os.File) error {
-			return repro.WriteCSV(w, res, !*allRecords)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "urhunter: csv export: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote CSV export to %s\n", *csvOut)
+	fmt.Print(repro.RenderReport(res, *top, *topDomains))
+	if err := repro.ExportFiles(os.Stdout, res, *jsonOut, *csvOut, *allRecords); err != nil {
+		fmt.Fprintf(os.Stderr, "urhunter: %v\n", err)
+		os.Exit(1)
 	}
 }
 
@@ -240,17 +210,4 @@ func runWorker(world *repro.World, addr, name, transportKind string, dieAt int64
 		return 1
 	}
 	return 0
-}
-
-// writeFile creates path and runs the writer against it.
-func writeFile(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 
 	"repro/internal/core"
@@ -129,6 +130,38 @@ func WriteCSV(w io.Writer, res *Result, onlySuspicious bool) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// ExportFiles writes the run's records as JSON to jsonPath and as CSV to
+// csvPath, skipping an empty path, and notes each file written on out. all
+// exports every UR rather than only the suspicious set.
+func ExportFiles(out io.Writer, res *Result, jsonPath, csvPath string, all bool) error {
+	if jsonPath != "" {
+		if err := writeFile(jsonPath, func(w io.Writer) error { return WriteJSON(w, res, !all) }); err != nil {
+			return fmt.Errorf("json export: %w", err)
+		}
+		fmt.Fprintf(out, "\nwrote JSON export to %s\n", jsonPath)
+	}
+	if csvPath != "" {
+		if err := writeFile(csvPath, func(w io.Writer) error { return WriteCSV(w, res, !all) }); err != nil {
+			return fmt.Errorf("csv export: %w", err)
+		}
+		fmt.Fprintf(out, "wrote CSV export to %s\n", csvPath)
+	}
+	return nil
+}
+
+// writeFile creates path and runs the writer against it.
+func writeFile(path string, fn func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadJSON parses a previously exported summary (for downstream tooling and

@@ -63,25 +63,13 @@ type Config struct {
 	IDS            *idspkg.Engine
 	SandboxReports []*sbx.Report
 
-	// Parallelism bounds the collection worker pool. Zero or negative
-	// selects runtime.GOMAXPROCS(0), i.e. one worker per available core.
+	// Parallelism bounds the collection worker pool and the overlapped
+	// pipeline's streaming classification pool. Zero or negative selects
+	// runtime.GOMAXPROCS(0), i.e. one worker per available core.
 	Parallelism int
-
-	// DetermineWorkers bounds the overlapped pipeline's streaming
-	// classification pool (§4.2/§4.3 per-record work). Zero or negative
-	// inherits Parallelism's resolution. Any setting produces byte-identical
-	// reports; this only tunes how many cores the determination tail uses.
-	DetermineWorkers int
 
 	// QueryTypes defaults to A and TXT, the paper's two sweeps.
 	QueryTypes []dns.Type
-
-	// PoliteInterval is the per-server minimum query spacing a real-world
-	// run of this plan would honour (the ethics appendix commits to one
-	// query per server every ~130 seconds on average). The simulation does
-	// not sleep; the collector keeps the books so PoliteScanEstimate can
-	// report the polite wall-clock. Zero selects the paper's 130 s.
-	PoliteInterval time.Duration
 
 	// Journal, when non-nil, checkpoints the sweep: workers append every
 	// answered probe and failure-book entry to per-worker segment files,
@@ -116,12 +104,11 @@ type Config struct {
 	Shard *Shard
 }
 
-func (c *Config) politeInterval() time.Duration {
-	if c.PoliteInterval <= 0 {
-		return 130 * time.Second
-	}
-	return c.PoliteInterval
-}
+// politeInterval is the per-server query spacing a real-world run of the plan
+// would honour: the ethics appendix commits to one query per server every
+// ~130 seconds on average. The simulation does not sleep; the collector keeps
+// the books so PoliteScanEstimate can report the polite wall-clock.
+const politeInterval = 130 * time.Second
 
 func (c *Config) queryTypes() []dns.Type {
 	if len(c.QueryTypes) == 0 {
@@ -135,13 +122,6 @@ func (c *Config) parallelism() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return c.Parallelism
-}
-
-func (c *Config) determineWorkers() int {
-	if c.DetermineWorkers <= 0 {
-		return c.parallelism()
-	}
-	return c.DetermineWorkers
 }
 
 // queryShards and probeShards shard the collector's two shared books so
@@ -598,7 +578,7 @@ func (c *Collector) PoliteScanEstimate() time.Duration {
 		}
 		s.mu.Unlock()
 	}
-	return time.Duration(max) * c.cfg.politeInterval()
+	return time.Duration(max) * politeInterval
 }
 
 // requeueOn re-runs one sweep's failed probes after the main pass — probes
@@ -607,74 +587,78 @@ func (c *Collector) PoliteScanEstimate() time.Duration {
 // recovered — in canonical order so the extra query plan is deterministic. It
 // runs on the caller goroutine with an explicit watchdog slot, so the
 // pipeline's two concurrent re-queue tails (correct sweep, fused nameserver
-// sweep) never share one. Recovered probes are booked and handed to
-// onAnswer; probes that fail again are refiled with their new failure class
-// (still-open breakers fail fast without touching the fabric).
+// sweep) never share one. Each server's failures go through retry as one
+// batch, booked once: its queries, its recoveries, and the probes that fail
+// again, refiled with their new failure class (still-open breakers fail fast
+// without touching the fabric). After an error the batches not yet retried
+// are refiled as they were.
 func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSlot, onAnswer func(f probeFailure, resp *dns.Message)) error {
 	fails := c.drainFailures(kind)
 	if len(fails) == 0 {
 		return nil
 	}
-	seg, segErr := c.newSegment()
-	if segErr != nil {
-		for _, f := range fails {
-			c.refile(f)
-		}
-		return segErr
-	}
+	seg, err := c.newSegment()
 	if seg != nil {
 		defer c.releaseSegment(seg)
 	}
 	sortFailures(fails)
 	var scratch dnsio.Scratch
-	var lastAddr netip.Addr
-	var issued int64
-	flush := func() {
-		if issued > 0 {
-			c.addQueries(lastAddr, issued)
-			issued = 0
+	for len(fails) > 0 {
+		addr := fails[0].ns.Addr
+		n := 1
+		for n < len(fails) && fails[n].ns.Addr == addr {
+			n++
 		}
+		batch := fails[:n]
+		still, issued := batch, int64(0)
+		if err == nil {
+			still, issued, err = c.retry(ctx, slot, &scratch, seg, batch, onAnswer)
+		}
+		recovered := int64(n - len(still))
+		c.addQueries(addr, issued)
+		c.bookSweep(addr, 0, recovered, recovered, still)
+		fails = fails[n:]
 	}
-	defer flush()
+	return err
+}
+
+// retry re-probes failed probes in order, over the caller's watchdog slot,
+// scratch and journal segment (nil when unjournaled). A probe that answers is
+// journaled and handed to onAnswer; one that fails again takes its new failure
+// class, is journaled, and is kept. It returns the probes still unanswered and
+// the queries it issued. A cancellation or a journal write error stops it, and
+// still then also holds every probe it did not reach. Callers book
+// len(fails)-len(still) recoveries, which counts a probe that answered but
+// whose answer could not be journaled: its recovery is booked as if before
+// the write. still reuses fails' storage.
+func (c *Collector) retry(ctx context.Context, slot *stallSlot, scratch *dnsio.Scratch, seg *segmentWriter, fails []probeFailure, onAnswer func(f probeFailure, resp *dns.Message)) (still []probeFailure, issued int64, err error) {
+	still = fails[:0]
 	for i, f := range fails {
-		if err := ctx.Err(); err != nil {
-			for _, rest := range fails[i:] {
-				c.refile(rest)
-			}
-			return err
-		}
-		if f.ns.Addr != lastAddr {
-			flush()
-			lastAddr = f.ns.Addr
+		if err = ctx.Err(); err != nil {
+			return append(still, fails[i:]...), issued, err
 		}
 		issued++
 		server := netip.AddrPortFrom(f.ns.Addr, dnsio.DNSPort)
-		resp, wire, class, err := c.probeQuery(ctx, slot, &scratch, server, f.domain, f.qtype)
-		if err != nil {
+		resp, wire, class, qerr := c.probeQuery(ctx, slot, scratch, server, f.domain, f.qtype)
+		if qerr != nil {
 			f.class = class
-			c.refile(f)
-			if seg != nil {
-				if jerr := seg.failure(f.pos, class); jerr != nil {
-					for _, rest := range fails[i+1:] {
-						c.refile(rest)
-					}
-					return jerr
-				}
-			}
-			continue
+			still = append(still, f)
 		}
-		c.bookRecovered(f.ns.Addr)
 		if seg != nil {
-			if jerr := seg.answer(f.pos, resp, wire); jerr != nil {
-				for _, rest := range fails[i+1:] {
-					c.refile(rest)
-				}
-				return jerr
+			if qerr != nil {
+				err = seg.failure(f.pos, class)
+			} else {
+				err = seg.answer(f.pos, resp, wire)
+			}
+			if err != nil {
+				return append(still, fails[i+1:]...), issued, err
 			}
 		}
-		onAnswer(f, resp)
+		if qerr == nil {
+			onAnswer(f, resp)
+		}
 	}
-	return nil
+	return still, issued, nil
 }
 
 // sortURs puts a UR set into its canonical order: server address, then

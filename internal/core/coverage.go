@@ -108,11 +108,12 @@ func (c *Collector) covShardOf(addr netip.Addr) *covShard {
 
 // bookSweep books one server's batch of probe outcomes: counts once per
 // (server, sweep) batch, failure records appended for the re-queue pass.
-// recovered counts probes that failed and then answered inside the job — the
-// fused sweep's canary retry, or a journaled failure followed by a journaled
-// answer on a resumed run; such probes are attempted once.
+// recovered counts probes that failed and then answered on a retry — the
+// fused sweep's canary retry, the re-queue pass, or a journaled failure
+// followed by a journaled answer on a resumed run; such probes are attempted
+// once, so a re-queue batch books them answered without attempting them again.
 func (c *Collector) bookSweep(server netip.Addr, attempted, answered, recovered int64, fails []probeFailure) {
-	if attempted == 0 && len(fails) == 0 {
+	if attempted == 0 && answered == 0 && len(fails) == 0 {
 		return
 	}
 	s := c.covShardOf(server)
@@ -126,17 +127,6 @@ func (c *Collector) bookSweep(server netip.Addr, attempted, answered, recovered 
 	sc.answered += answered
 	sc.recovered += recovered
 	s.failures = append(s.failures, fails...)
-	s.mu.Unlock()
-}
-
-// bookRecovered upgrades one previously-failed probe to answered.
-func (c *Collector) bookRecovered(server netip.Addr) {
-	s := c.covShardOf(server)
-	s.mu.Lock()
-	if sc := s.per[server]; sc != nil {
-		sc.answered++
-		sc.recovered++
-	}
 	s.mu.Unlock()
 }
 
@@ -158,14 +148,6 @@ func (c *Collector) drainFailures(kind sweepKind) []probeFailure {
 		s.mu.Unlock()
 	}
 	return out
-}
-
-// refile parks a (re-classified) failure back in the book.
-func (c *Collector) refile(f probeFailure) {
-	s := c.covShardOf(f.ns.Addr)
-	s.mu.Lock()
-	s.failures = append(s.failures, f)
-	s.mu.Unlock()
 }
 
 // sortFailures puts a drained failure batch into canonical (server, domain,

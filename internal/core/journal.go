@@ -120,7 +120,7 @@ const (
 // probePos names a probe by its place in the plan, the way a version 2 record
 // does. unit is the server's unit in the full plan, in PlanUnits order — a
 // shard adds its Desc.Lo to its local unit, so shard journals merge by
-// copying segments. slot is target position × |qtypes| + qtype position
+// linking segments. slot is target position × |qtypes| + qtype position
 // inside the unit, the canary after the last target; the kind follows from
 // the two (a resolver unit's slots are correct-record probes, a nameserver
 // unit's UR probes and then its canary probes).
@@ -503,9 +503,9 @@ func matchManifest(dir string, m manifest, id journalIdentity) error {
 		return fmt.Errorf("journal: directory %s holds a different sweep plan (its plan hash %s, this config's %s): resume and merge refuse to mix plans",
 			dir, got, fullHex)
 	}
-	if got := normTransport(m.Transport); got != normTransport(id.transport) {
+	if got := normTransport(m.Transport); got != id.transport {
 		return fmt.Errorf("journal: directory %s was swept over transport %q but this run uses %q: resume and merge refuse to mix transports; re-run with -transport %s or point the sweep at a fresh directory",
-			dir, got, normTransport(id.transport), got)
+			dir, got, id.transport, got)
 	}
 	switch {
 	case m.Shard != nil && id.shard == nil:
@@ -534,10 +534,10 @@ func matchManifest(dir string, m manifest, id journalIdentity) error {
 // kill during journal creation never leaves a half-written identity.
 func writeManifest(path string, id journalIdentity) error {
 	m := manifest{Version: journalVersion, PlanHash: fmt.Sprintf("%016x", id.plan), Seed: id.seed}
-	if t := normTransport(id.transport); t != "udp" {
+	if id.transport != "udp" {
 		// udp stays implicit so pre-transport journals and new ones agree
 		// byte-for-byte on the default.
-		m.Transport = t
+		m.Transport = id.transport
 	}
 	if id.shard != nil {
 		m.FullPlanHash = fmt.Sprintf("%016x", id.full)
@@ -1151,14 +1151,14 @@ func (k *v1Keys) probeID(ri *replayIndex, kind sweepKind, addr, name []byte, qt 
 // MergeStats summarises a shard-journal merge.
 type MergeStats struct {
 	Dirs     int   // shard directories merged
-	Segments int   // segment files copied
-	Bytes    int64 // segment bytes copied
+	Segments int   // segment files linked
+	Bytes    int64 // bytes in the linked segments
 }
 
 // MergeShardJournals combines per-shard journal directories into one fresh
 // whole-plan journal at dst. The merge is structural: each source's segments
-// are copied (renumbered sequentially) into dst and a whole-plan manifest is
-// written, after which OpenJournal(dst, cfg, ...) replays them through the
+// are hard-linked (renumbered sequentially) into dst and a whole-plan manifest
+// is written, after which OpenJournal(dst, cfg, ...) replays them through the
 // ordinary resume path — first-wins on duplicate probes (re-swept stolen
 // tails), answered-beats-failed, missing probes live-swept. That replay is
 // the merge semantics; this function only validates that the pieces belong
@@ -1173,11 +1173,22 @@ type MergeStats struct {
 //
 // Overlapping shards are fine (work stealing re-sweeps stolen tails on
 // purpose); duplicate records resolve first-wins at replay.
+//
+// A link shares its segment with the shard directory instead of copying it,
+// which is safe because a journal only ever appends to segments it created:
+// neither a resume of dst nor one of a shard writes to a segment the other
+// holds. dst must be on the same filesystem as every source; the fleet puts
+// it beside the shard directories.
 func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, error) {
 	var st MergeStats
 	if len(srcDirs) == 0 {
 		return st, fmt.Errorf("journal: merge: no source directories")
 	}
+	kind, err := transportpkg.ParseKind(cfg.TransportKind)
+	if err != nil {
+		return st, fmt.Errorf("journal: merge: %w", err)
+	}
+	transport := kind.String()
 	units := cfg.PlanUnits()
 	fullHex := fmt.Sprintf("%016x", cfg.PlanHash())
 	if err := os.MkdirAll(dst, 0o755); err != nil {
@@ -1206,9 +1217,9 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 			return st, fmt.Errorf("journal: merge: %s holds a different sweep plan (its plan hash %s, this config's %s): resume and merge refuse to mix plans",
 				src, got, fullHex)
 		}
-		if got := normTransport(m.Transport); got != normTransport(cfg.TransportKind) {
+		if got := normTransport(m.Transport); got != transport {
 			return st, fmt.Errorf("journal: merge: %s was swept over transport %q but this merge targets %q: resume and merge refuse to mix transports",
-				src, got, normTransport(cfg.TransportKind))
+				src, got, transport)
 		}
 		if m.Shard == nil {
 			// A whole-plan journal merges as the full range.
@@ -1242,18 +1253,18 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 			reach, units)
 	}
 
-	// Copy segments, renumbered into one sequence. Per-source segment order
+	// Link segments, renumbered into one sequence. Per-source segment order
 	// is preserved (sorted by name, as replay reads them); cross-source
 	// order is the srcDirs order, which does not matter — the replay rule
 	// set (first-wins answered, answered-beats-failed) is order-insensitive
 	// for the report because duplicate answers for one probe carry the same
 	// deterministic response bytes.
 	//
-	// A merge killed part-way must not leave a journal that replays a torn
-	// copy as clean: each segment lands whole under its name or not at all
-	// (copySegment), and the manifest that makes the directory a journal is
-	// written only after every segment is synced in. Until then OpenJournal
-	// refuses the directory.
+	// A merge killed part-way must not leave a journal that replays a
+	// partial merge as whole: a link lands under its name whole or not at
+	// all, and the manifest that makes the directory a journal is written
+	// only after every link is synced in. Until then OpenJournal refuses the
+	// directory.
 	next := 0
 	for _, src := range srcDirs {
 		segs, _, err := segmentNames(src)
@@ -1261,14 +1272,17 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 			return st, fmt.Errorf("journal: merge: scan %s: %w", src, err)
 		}
 		for _, name := range segs {
-			out := filepath.Join(dst, fmt.Sprintf("%s%05d%s", segmentPrefix, next, segmentSuffix))
-			n, err := copySegment(out, filepath.Join(src, name))
+			in := filepath.Join(src, name)
+			fi, err := os.Stat(in)
+			if err == nil {
+				err = os.Link(in, filepath.Join(dst, fmt.Sprintf("%s%05d%s", segmentPrefix, next, segmentSuffix)))
+			}
 			if err != nil {
-				return st, fmt.Errorf("journal: merge: copy %s: %w", filepath.Join(src, name), err)
+				return st, fmt.Errorf("journal: merge: link %s: %w", in, err)
 			}
 			next++
 			st.Segments++
-			st.Bytes += n
+			st.Bytes += fi.Size()
 		}
 		st.Dirs++
 	}
@@ -1276,8 +1290,7 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 		return st, fmt.Errorf("journal: merge: %w", err)
 	}
 	if err := writeManifest(mpath, journalIdentity{
-		plan: cfg.PlanHash(), full: cfg.PlanHash(), seed: cfg.Seed,
-		transport: normTransport(cfg.TransportKind),
+		plan: cfg.PlanHash(), full: cfg.PlanHash(), seed: cfg.Seed, transport: transport,
 	}); err != nil {
 		return st, err
 	}
@@ -1285,38 +1298,6 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 		return st, fmt.Errorf("journal: merge: %w", err)
 	}
 	return st, nil
-}
-
-// copySegment copies one segment file to dst through a temporary name that
-// no replay reads, fsynced before it is renamed into place, and returns the
-// bytes copied. A kill at any point leaves the whole segment under dst or
-// nothing there.
-func copySegment(dst, src string) (int64, error) {
-	in, err := os.Open(src)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	tmp := dst + ".tmp"
-	out, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	n, err := io.Copy(out, in)
-	if err == nil {
-		err = out.Sync()
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, dst)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return n, err
-	}
-	return n, nil
 }
 
 // syncDir fsyncs a directory, making the entries created and renamed in it

@@ -1,7 +1,6 @@
 // Determinism pins for the overlapped pipeline: the streamed, sharded
-// dataflow must produce byte-identical reports at any parallelism /
-// determine-worker setting — chaos faults on or off, fresh or resumed from a
-// journal — and the parallel determine/analyze entry points must match their
+// dataflow must produce byte-identical reports at any parallelism — chaos
+// faults on or off, fresh or resumed from a journal — and the parallel determine/analyze entry points must match their
 // serial counterparts record for record.
 package core
 
@@ -40,17 +39,11 @@ func renderReport(res *Result) string {
 }
 
 // TestPipelineDeterministicAcrossWorkers is the parallel-vs-serial pin: the
-// same world run fully serial (one sweep worker, one determine worker), at
-// GOMAXPROCS, and at deliberately mismatched worker counts must render the
-// same report bytes — with and without the deterministic chaos profile.
+// same world run fully serial (one sweep and one determine worker), at
+// GOMAXPROCS, and at worker counts past it must render the same report bytes
+// — with and without the deterministic chaos profile.
 func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
-	grid := []struct{ par, det int }{
-		{1, 1},
-		{1, 8},
-		{4, 1},
-		{runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0)},
-		{16, 32},
-	}
+	grid := []int{1, 4, runtime.GOMAXPROCS(0), 16}
 	for _, chaos := range []bool{false, true} {
 		name := "clean"
 		if chaos {
@@ -58,16 +51,15 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var want string
-			for i, g := range grid {
+			for i, par := range grid {
 				fx := newChaosFixture(t, 23)
 				if chaos {
 					applyDeterministicFaults(fx)
 				}
-				fx.cfg.Parallelism = g.par
-				fx.cfg.DetermineWorkers = g.det
+				fx.cfg.Parallelism = par
 				res, err := NewPipeline(fx.cfg).Run(context.Background())
 				if err != nil {
-					t.Fatalf("parallelism %d / determine %d: %v", g.par, g.det, err)
+					t.Fatalf("parallelism %d: %v", par, err)
 				}
 				got := renderReport(res)
 				if i == 0 {
@@ -75,8 +67,8 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 					continue
 				}
 				if got != want {
-					t.Errorf("parallelism %d / determine %d report differs from serial:\n--- got ---\n%s--- want ---\n%s",
-						g.par, g.det, got, want)
+					t.Errorf("parallelism %d report differs from serial:\n--- got ---\n%s--- want ---\n%s",
+						par, got, want)
 				}
 			}
 		})
@@ -84,8 +76,8 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestPipelineResumedStreamDeterministic extends the pin across a journal
-// cut: a run interrupted mid-sweep and resumed at different sweep AND
-// determine worker counts must still render the uninterrupted run's bytes —
+// cut: a run interrupted mid-sweep and resumed at a different worker count
+// must still render the uninterrupted run's bytes —
 // the replay path feeds the same determine stream the live sweep does.
 func TestPipelineResumedStreamDeterministic(t *testing.T) {
 	fx := newChaosFixture(t, 11)
@@ -112,7 +104,6 @@ func TestPipelineResumedStreamDeterministic(t *testing.T) {
 	fx2 := newChaosFixture(t, 11)
 	applyDeterministicFaults(fx2)
 	fx2.cfg.Parallelism = 2
-	fx2.cfg.DetermineWorkers = 7
 	j2, err := OpenJournal(dir, fx2.cfg, JournalOptions{CheckpointEvery: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +115,7 @@ func TestPipelineResumedStreamDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := renderReport(res); got != want {
-		t.Errorf("resumed run at different worker counts diverged:\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Errorf("resumed run at a different worker count diverged:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

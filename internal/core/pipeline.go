@@ -112,7 +112,7 @@ func (p *Pipeline) partial() *Result {
 // finishes; the workers block only on the correct DB, so classification
 // overlaps the sweep tail. Results land in per-worker slices and are merged
 // through one canonical sort, so reports are byte-identical at any
-// Parallelism/DetermineWorkers setting — resumed or not.
+// Parallelism setting — resumed or not.
 //
 // On error — including context cancellation mid-sweep — the returned Result
 // is non-nil and carries the partial query/coverage books accumulated before
@@ -187,7 +187,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	// correct DB exists — its protective records were finalized by its own
 	// fused job before the batch was emitted. Workers always drain the
 	// stream, even on error, so the sweep's emits never block forever.
-	workers := p.Cfg.determineWorkers()
+	workers := p.Cfg.parallelism()
 	shards := make([][]*UR, workers)
 	var dwg sync.WaitGroup
 	for i := 0; i < workers; i++ {

@@ -181,16 +181,10 @@ func TestEthicsAccounting(t *testing.T) {
 	// default 130s interval the polite estimate must be a positive multiple
 	// of it, no larger than the busiest server's plan.
 	perServer := (len(fx.cfg.Targets) + 1) * len(fx.cfg.queryTypes())
-	if est <= 0 || est > time.Duration(perServer)*fx.cfg.politeInterval() {
+	if est <= 0 || est > time.Duration(perServer)*politeInterval {
 		t.Errorf("polite estimate = %v", est)
 	}
-	if est%fx.cfg.politeInterval() != 0 {
+	if est%politeInterval != 0 {
 		t.Errorf("estimate %v not a multiple of the interval", est)
-	}
-	// A custom interval is honoured.
-	fx.cfg.PoliteInterval = time.Second
-	col2, _, _ := sweepNameservers(t, fx.cfg)
-	if col2.PoliteScanEstimate() >= est {
-		t.Error("shorter interval did not shrink the estimate")
 	}
 }

@@ -150,7 +150,8 @@ func TestJournalMismatchErrors(t *testing.T) {
 }
 
 // TestMergeShardJournalsValidation pins the merge preconditions: full
-// coverage of the unit range, one plan only, and a fresh destination.
+// coverage of the unit range, one plan only, a known transport, and a fresh
+// destination.
 func TestMergeShardJournalsValidation(t *testing.T) {
 	fx := newChaosFixture(t, 11)
 	mkShard := func(t *testing.T, lo, hi, idx int) string {
@@ -224,6 +225,19 @@ func TestMergeShardJournalsValidation(t *testing.T) {
 			t.Fatalf("open merged: %v", err)
 		}
 		j.Close()
+	})
+
+	t.Run("unknown transport refused", func(t *testing.T) {
+		bogus := *fx.cfg
+		bogus.TransportKind = "bogus"
+		dst := filepath.Join(t.TempDir(), "m")
+		_, err := MergeShardJournals(dst, &bogus, []string{mkShard(t, 0, 7, 0)})
+		if err == nil || !strings.Contains(err.Error(), `unknown kind "bogus"`) {
+			t.Fatalf("unknown-transport merge error = %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(dst, manifestName)); !os.IsNotExist(err) {
+			t.Errorf("the refused merge wrote a manifest (stat: %v)", err)
+		}
 	})
 
 	t.Run("manifestless source refused", func(t *testing.T) {
@@ -494,11 +508,12 @@ func TestMergeV1AndV2ShardJournals(t *testing.T) {
 }
 
 // TestMergeShardJournalsKilledBetweenSegments stops a merge between two
-// segments — the second source ends in a segment that cannot be read — and
-// leaves beside the copies the torn temporary file a kill mid-copy would. The
-// directory it leaves must refuse to open, or resume to the single-process
-// report; it must never replay a torn segment as clean. Merging the intact
-// sources again into a fresh directory replays the whole plan.
+// segments — the second source ends in a "segment" that cannot be linked —
+// and leaves a torn stray file beside the links. Every merged segment must be
+// its source file, linked, not a copy. The directory the stopped merge
+// leaves must refuse to open, or resume to the single-process report; it must
+// never replay a partial merge as whole. Merging the intact sources again
+// into a fresh directory replays the whole plan.
 func TestMergeShardJournalsKilledBetweenSegments(t *testing.T) {
 	srcs := make([]string, 2)
 	srcs[0], _ = sweepShard(t, ShardDesc{Index: 0, Lo: 0, Hi: 3, Units: 7})
@@ -513,8 +528,9 @@ func TestMergeShardJournalsKilledBetweenSegments(t *testing.T) {
 			segs = append(segs, filepath.Join(src, n))
 		}
 	}
-	// The second source again, ending in a "segment" that is a directory:
-	// opening it works, reading it fails.
+	// The second source again (its files linked, so its segments are still
+	// the ones in segs), ending in a "segment" that is a directory, which
+	// cannot be hard-linked.
 	broken := filepath.Join(t.TempDir(), "broken")
 	if err := os.MkdirAll(filepath.Join(broken, "seg-99999.wal"), 0o755); err != nil {
 		t.Fatal(err)
@@ -524,11 +540,7 @@ func TestMergeShardJournalsKilledBetweenSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(srcs[1], e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(broken, e.Name()), data, 0o644); err != nil {
+		if err := os.Link(filepath.Join(srcs[1], e.Name()), filepath.Join(broken, e.Name())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -536,7 +548,7 @@ func TestMergeShardJournalsKilledBetweenSegments(t *testing.T) {
 	full := newChaosFixture(t, 11)
 	killed := filepath.Join(t.TempDir(), "killed")
 	if _, err := MergeShardJournals(killed, full.cfg, []string{srcs[0], broken}); err == nil {
-		t.Fatal("a merge over an unreadable segment reported success")
+		t.Fatal("a merge over a segment it cannot link reported success")
 	}
 	if _, err := os.Stat(filepath.Join(killed, manifestName)); !os.IsNotExist(err) {
 		t.Fatalf("the stopped merge wrote its manifest (stat: %v)", err)
@@ -558,10 +570,21 @@ func TestMergeShardJournalsKilledBetweenSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s is not a whole copy of %s", n, segs[i])
+			t.Errorf("%s does not hold the bytes of %s", n, segs[i])
+		}
+		gi, err := os.Stat(filepath.Join(killed, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wi, err := os.Stat(segs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(gi, wi) {
+			t.Errorf("%s is a copy of %s, not a link to it", n, segs[i])
 		}
 	}
-	// What a kill in the middle of the next copy leaves.
+	// A stray, torn file no replay reads.
 	torn, err := os.ReadFile(segs[len(segs)-1])
 	if err != nil {
 		t.Fatal(err)

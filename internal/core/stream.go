@@ -123,35 +123,13 @@ func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, unit int
 	// interleave on this endpoint. A server's protective set is
 	// therefore final when its job ends, which is what lets the caller emit
 	// the job's URs for immediate classification.
-	remaining := canaryFails[:0]
-	for i, f := range canaryFails {
-		if err := ctx.Err(); err != nil {
-			canaryFails = append(remaining, canaryFails[i:]...)
-			return out, err
-		}
-		j.issued++
-		resp, wire, class, err := c.probeQuery(ctx, w.slot, &w.scratch, j.server, f.domain, f.qtype)
-		if err != nil {
-			f.class = class
-			remaining = append(remaining, f)
-			if w.seg != nil {
-				if jerr := w.seg.failure(f.pos, class); jerr != nil {
-					canaryFails = append(remaining, canaryFails[i+1:]...)
-					return out, jerr
-				}
-			}
-			continue
-		}
-		j.answered++
-		j.recovered++
-		if w.seg != nil {
-			if jerr := w.seg.answer(f.pos, resp, wire); jerr != nil {
-				canaryFails = append(remaining, canaryFails[i+1:]...)
-				return out, jerr
-			}
-		}
+	still, issued, err := c.retry(ctx, w.slot, &w.scratch, w.seg, canaryFails, func(f probeFailure, resp *dns.Message) {
 		addProtectiveAnswers(db, ns.Addr, f.qtype, resp)
-	}
-	canaryFails = remaining
-	return out, nil
+	})
+	recovered := int64(len(canaryFails) - len(still))
+	j.issued += issued
+	j.answered += recovered
+	j.recovered += recovered
+	canaryFails = still
+	return out, err
 }

@@ -152,8 +152,8 @@ func (l *logCapture) String() string {
 
 // fleetRun drives a full coordinator+workers round in-process and returns
 // the merged result's fingerprint. workers customises per-worker options
-// (parallelism); transports optionally overrides a worker's transport.
-func fleetRun(t *testing.T, seed int64, chaos bool, dir string, co *Coordinator, workers []WorkerOptions, transports []dnsio.Transport) (*core.Result, []error) {
+// (parallelism).
+func fleetRun(t *testing.T, seed int64, chaos bool, dir string, co *Coordinator, workers []WorkerOptions) (*core.Result, []error) {
 	t.Helper()
 	if err := co.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -171,9 +171,6 @@ func fleetRun(t *testing.T, seed int64, chaos bool, dir string, co *Coordinator,
 	var wg sync.WaitGroup
 	for i, wo := range workers {
 		wfx := newFleetFixture(t, seed, chaos)
-		if transports != nil && transports[i] != nil {
-			wfx.cfg.Transport = transports[i]
-		}
 		wg.Add(1)
 		go func(i int, wo WorkerOptions, cfg *core.Config) {
 			defer wg.Done()
@@ -283,7 +280,7 @@ func TestFleetByteIdenticalAcrossShards(t *testing.T) {
 				for i := range workers {
 					workers[i] = WorkerOptions{Name: fmt.Sprintf("w%d", i), Parallelism: par, CheckpointEvery: 8, Logf: lg.logf}
 				}
-				res, errs := fleetRun(t, seed, true, dir, co, workers, nil)
+				res, errs := fleetRun(t, seed, true, dir, co, workers)
 				for i, err := range errs {
 					if err != nil {
 						t.Errorf("worker %d: %v", i, err)
@@ -314,7 +311,7 @@ func TestFleetByteIdenticalNoChaos(t *testing.T) {
 		{Name: "w0", Parallelism: 4, CheckpointEvery: 8},
 		{Name: "w1", Parallelism: 4, CheckpointEvery: 8},
 	}
-	res, errs := fleetRun(t, seed, false, "", co, workers, nil)
+	res, errs := fleetRun(t, seed, false, "", co, workers)
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("worker %d: %v", i, err)
@@ -523,7 +520,7 @@ func TestFleetCoordinatorRestart(t *testing.T) {
 		{Name: "w0", Parallelism: 2, CheckpointEvery: 8},
 		{Name: "w1", Parallelism: 2, CheckpointEvery: 8},
 	}
-	res, errs := fleetRun(t, seed, true, dir, co2, workers, nil)
+	res, errs := fleetRun(t, seed, true, dir, co2, workers)
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("phase-2 worker %d: %v", i, err)

@@ -27,15 +27,18 @@
 // is the difference between GBs of GC-scanned pointer graph and a few large
 // pointer-free allocations the collector skips over.
 //
-// The mutable build side (Builder) still uses sharded maps for concurrent
-// deduplicated inserts; Seal compiles them into the flat form once, and the
-// maps die young. The flat form is also what the binary snapshot format
-// (snapshot.go) serializes — section-per-slice — which is why a restarted
-// daemon can serve the previous generation in milliseconds.
+// The build side (Builder) is a plain slice of verdicts, filled by one
+// goroutine; Seal sorts positions into it, drops repeated identities, and
+// compiles the flat form once, and the slice dies young. The flat form is
+// also what the binary snapshot format (snapshot.go) serializes —
+// section-per-slice — which is why a restarted daemon can serve the previous
+// generation in milliseconds.
 package urwatch
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -404,30 +407,6 @@ func WorstCategory(vs VerdictSet) (core.Category, bool) {
 	return worst, true
 }
 
-// buildShards is the shard count of the builder's mutable maps. Power of
-// two; buys contention-free parallel Adds, nothing more — the shards are
-// compiled away at Seal.
-const buildShards = 16
-
-// buildKey is the §5.1 identity tuple as a comparable struct — the builder's
-// dedup key, replacing the map-era fmt.Sprintf string key on the build hot
-// path.
-type buildKey struct {
-	server netip.Addr
-	domain dns.Name
-	typ    dns.Type
-	rdata  string
-}
-
-// domainShard hashes a domain onto [0, buildShards) with FNV-1a.
-func domainShard(d dns.Name) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(d); i++ {
-		h = (h ^ uint32(d[i])) * 16777619
-	}
-	return h & (buildShards - 1)
-}
-
 // storeInterner canonicalizes the strings packed into generation tables.
 // Package-level on purpose: consecutive generations observe mostly the same
 // domains, rdata, and hosts, so sharing one interner across sweeps makes
@@ -435,73 +414,62 @@ func domainShard(d dns.Name) uint32 {
 // them every interval.
 var storeInterner = core.NewInterner()
 
-// Builder accumulates verdicts for the next generation. Adds are safe from
-// many goroutines (per-shard locks); Seal compiles the shards into the flat
-// immutable form. A Builder is single-use.
+// Builder accumulates verdicts for the next generation, from one goroutine;
+// Seal compiles them into the flat immutable form. A Builder is single-use.
 type Builder struct {
-	mu     [buildShards]sync.Mutex
-	shards [buildShards]map[buildKey]*Verdict
-	sealed atomic.Bool
+	vs     []Verdict
+	sealed bool
 }
 
 // NewBuilder starts an empty next generation.
-func NewBuilder() *Builder {
-	b := &Builder{}
-	for i := range b.shards {
-		b.shards[i] = make(map[buildKey]*Verdict)
-	}
-	return b
-}
+func NewBuilder() *Builder { return &Builder{} }
 
-// Add inserts one verdict. Duplicate keys keep the first insertion (the
-// pipeline's canonical sort means the first is the canonical one).
+// Add appends a copy of one verdict. Of verdicts with the same identity,
+// Seal keeps the first added (the pipeline's canonical sort means the first
+// is the canonical one).
 func (b *Builder) Add(v *Verdict) {
-	if b.sealed.Load() {
+	if b.sealed {
 		panic("urwatch: Add after Seal")
 	}
-	key := buildKey{server: v.Server, domain: v.Domain, typ: v.Type, rdata: v.RData}
-	si := domainShard(v.Domain)
-	b.mu[si].Lock()
-	if _, dup := b.shards[si][key]; !dup {
-		b.shards[si][key] = v
-	}
-	b.mu[si].Unlock()
+	b.vs = append(b.vs, *v)
 }
 
-// Seal stamps and compiles the generation: the shard maps flatten into the
+// Seal stamps and compiles the generation: the added verdicts become the
 // sorted record array, the string table, the IP arena and index, and the
 // provider aggregates. The builder must not be used afterwards.
 func (b *Builder) Seal(seq uint64, sweptAt time.Time) *Generation {
-	if b.sealed.Swap(true) {
+	if b.sealed {
 		panic("urwatch: Seal called twice")
 	}
-	n := 0
-	for i := range b.shards {
-		n += len(b.shards[i])
-	}
-	all := make([]*Verdict, 0, n)
-	for i := range b.shards {
-		for _, v := range b.shards[i] {
-			all = append(all, v)
-		}
-		b.shards[i] = nil
-	}
+	b.sealed = true
 	// Record order: (domain, server, type, rdata). Domain-major makes the
 	// sorted array its own domain index; within a domain the order is the
 	// feed's canonical (server, type, rdata), exactly what the map-era
-	// per-domain slices served.
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
+	// per-domain slices served. Positions are sorted, not the verdicts, and
+	// stably, so the first added of each identity leads its run and is the
+	// one kept.
+	vs := b.vs
+	b.vs = nil
+	all := make([]int32, len(vs))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	slices.SortStableFunc(all, func(i, j int32) int {
+		x, y := &vs[i], &vs[j]
+		if c := cmp.Compare(x.Domain, y.Domain); c != 0 {
+			return c
 		}
-		if cmp := a.Server.Compare(b.Server); cmp != 0 {
-			return cmp < 0
+		if c := x.Server.Compare(y.Server); c != 0 {
+			return c
 		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
+		if c := cmp.Compare(x.Type, y.Type); c != 0 {
+			return c
 		}
-		return a.RData < b.RData
+		return cmp.Compare(x.RData, y.RData)
+	})
+	all = slices.CompactFunc(all, func(i, j int32) bool {
+		x, y := &vs[i], &vs[j]
+		return x.Domain == y.Domain && x.Server == y.Server && x.Type == y.Type && x.RData == y.RData
 	})
 
 	g := &Generation{Seq: seq, SweptAt: sweptAt}
@@ -521,12 +489,13 @@ func (b *Builder) Seal(seq uint64, sweptAt time.Time) *Generation {
 	g.recs = make([]verdictRec, len(all))
 	provByName := make(map[string]*ProviderStats)
 	nIPs := 0
-	for _, v := range all {
-		nIPs += len(v.IPs)
+	for _, vi := range all {
+		nIPs += len(vs[vi].IPs)
 	}
 	g.ipTab = make([]netip.Addr, 0, nIPs)
 	g.ipIdx = make([]ipEntry, 0, nIPs)
-	for i, v := range all {
+	for i, vi := range all {
+		v := &vs[vi]
 		var flags uint8
 		if v.ByIntel {
 			flags |= flagByIntel
@@ -600,9 +569,9 @@ func (g *Generation) recCanonLess(i, j int) bool {
 // output. Every collected UR becomes a verdict; the sweep's query and
 // coverage books ride along for the health endpoints.
 func SnapshotFromResult(res *core.Result, seq uint64, sweptAt time.Time) *Generation {
-	b := NewBuilder()
+	b := &Builder{vs: make([]Verdict, 0, len(res.URs))}
 	for _, u := range res.URs {
-		b.Add(&Verdict{
+		b.vs = append(b.vs, Verdict{
 			Domain:   u.Domain,
 			Type:     u.Type,
 			RData:    u.RData,

@@ -96,6 +96,22 @@ func RenderFigure3(res *Result) string {
 	return sb.String()
 }
 
+// RenderReport is the report urhunter and urcoord print after a run: the
+// category summary, Table 1, Figure 2 over the top providers, Figure 3, and
+// the domains with the most malicious records.
+func RenderReport(res *Result, topProviders, topDomains int) string {
+	var sb strings.Builder
+	for _, block := range []string{RenderCategorySummary(res), RenderTable1(res), RenderFigure2(res, topProviders), RenderFigure3(res)} {
+		sb.WriteString(block)
+		sb.WriteByte('\n')
+	}
+	sb.WriteString("Top malicious domains:\n")
+	for _, l := range TopMaliciousDomains(res, topDomains) {
+		sb.WriteString("  " + l + "\n")
+	}
+	return sb.String()
+}
+
 // RenderCategorySummary prints overall classification counts.
 func RenderCategorySummary(res *Result) string {
 	counts := res.CategoryCounts()
