@@ -94,11 +94,6 @@ type Config struct {
 	// accounting.
 	TransportKind string
 
-	// Watchdog tunes the per-worker stall watchdog. Nil selects the default
-	// policy: active only over transports that can actually block — the
-	// in-memory fabric completes synchronously and cannot stall a worker.
-	Watchdog *WatchdogConfig
-
 	// Shard, when non-nil, makes this config one worker's slice of a larger
 	// plan; see ShardConfig. A whole-plan run leaves it nil.
 	Shard *Shard
@@ -124,13 +119,10 @@ func (c *Config) parallelism() int {
 	return c.Parallelism
 }
 
-// queryShards and probeShards shard the collector's two shared books so
-// sweep workers on different servers/IPs never contend on one lock.
-// Powers of two; the shard index is a mask away from the address hash.
-const (
-	queryShards = 32
-	probeShards = 32
-)
+// probeShards shards the web probe cache so workers probing different IPs
+// never contend on one lock. A power of two, like covShards: the shard index
+// is a mask away from the address hash.
+const probeShards = 32
 
 // addrShard hashes an address onto [0, n). n must be a power of two.
 func addrShard(addr netip.Addr, n uint32) uint32 {
@@ -140,12 +132,6 @@ func addrShard(addr netip.Addr, n uint32) uint32 {
 		h = (h ^ uint32(b)) * 16777619
 	}
 	return h & (n - 1)
-}
-
-// queryShard is one slice of the per-server query accounting.
-type queryShard struct {
-	mu sync.Mutex
-	n  map[netip.Addr]int64
 }
 
 // probeEntry is a singleflight slot for one IP's web probe: the first
@@ -169,11 +155,11 @@ type Collector struct {
 	// err is the sticky construction error (an unknown TransportKind).
 	err error
 
-	queries   atomic.Int64
-	perServer [queryShards]queryShard
-	probes    [probeShards]probeShard
-	// cov is the sharded coverage book: per-server attempted/answered tallies
-	// plus the failure records feeding the end-of-sweep re-queue pass.
+	queries atomic.Int64
+	probes  [probeShards]probeShard
+	// cov is the sharded coverage book: per-server query counts and
+	// attempted/answered tallies, plus the failure records feeding the
+	// end-of-sweep re-queue pass.
 	cov [covShards]covShard
 
 	// probeFn indirects websim.World.Probe so tests can count or stub the
@@ -197,9 +183,6 @@ type Collector struct {
 	// copying delegation slices on every (server, target) probe.
 	delegOnce sync.Once
 	deleg     [][]dns.Name
-
-	// wd is the stall watchdog; nil when the transport cannot stall.
-	wd *watchdog
 }
 
 // transport resolves the client transport: the configured override, else the
@@ -228,9 +211,6 @@ func NewCollector(cfg *Config) *Collector {
 	// book identical virtual wall-clock even under chaos.
 	client.Backoff.JitterSeed = uint64(cfg.Seed)
 	c := &Collector{cfg: cfg, client: client, err: err, journal: cfg.Journal, canary: cfg.CanaryName(), in: newInterner()}
-	for i := range c.perServer {
-		c.perServer[i].n = make(map[netip.Addr]int64)
-	}
 	for i := range c.probes {
 		c.probes[i].m = make(map[netip.Addr]*probeEntry)
 	}
@@ -240,34 +220,7 @@ func NewCollector(cfg *Config) *Collector {
 	if cfg.Web != nil {
 		c.probeFn = cfg.Web.Probe
 	}
-	// The watchdog only matters over transports that can block a worker;
-	// the fabric is synchronous, so by default it stays off there (Force
-	// overrides, for tests). The overlapped pipeline runs the correct sweep
-	// ([0, P) slots) concurrently with the fused nameserver sweep ([P, 2P)),
-	// and each has its own re-queue spare (2P and 2P+1), hence 2P+2 slots.
-	if err == nil && (!dnsio.IsInstant(transport) || (cfg.Watchdog != nil && cfg.Watchdog.Force)) {
-		c.wd = newWatchdog(2*cfg.parallelism()+1, c.probeBudget(), cfg.Watchdog)
-	}
 	return c
-}
-
-// probeBudget estimates the worst-case virtual-clock budget of one probe:
-// every attempt's timeout plus the maximum backoff between attempts. The
-// watchdog's stall deadline is a multiple of this.
-func (c *Collector) probeBudget() time.Duration {
-	attempts := c.client.Retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
-	per := c.client.Timeout
-	if per <= 0 {
-		per = 3 * time.Second
-	}
-	budget := time.Duration(attempts) * per
-	if c.client.Backoff.Max > 0 {
-		budget += time.Duration(attempts-1) * c.client.Backoff.Max
-	}
-	return budget
 }
 
 // newSegment opens a journal segment for one worker, or returns nil when
@@ -289,12 +242,10 @@ func (c *Collector) releaseSegment(seg *segmentWriter) {
 }
 
 // sweepWorker is what one pool goroutine owns for a whole sweep: its journal
-// segment and watchdog slot, the scratch every answer — live or, on a resumed
-// run, replayed from the index — is decoded into, the memo of what it derived
-// from the answers it has seen (memo.go), and the buffer its jobs shuffle
-// their target order in.
+// segment, the scratch every answer — live or, on a resumed run, replayed from
+// the index — is decoded into, the memo of what it derived from the answers it
+// has seen (memo.go), and the buffer its jobs shuffle their target order in.
 type sweepWorker struct {
-	slot    *stallSlot
 	seg     *segmentWriter
 	replay  *replayIndex
 	scratch dnsio.Scratch
@@ -334,8 +285,7 @@ func (c *Collector) startJob(w *sweepWorker, u int, ns NameserverInfo) sweepJob 
 
 // book files the job's query count, coverage tallies and failures.
 func (j *sweepJob) book() {
-	j.c.addQueries(j.ns.Addr, j.issued)
-	j.c.bookSweep(j.ns.Addr, j.attempted, j.answered, j.recovered, j.fails)
+	j.c.bookSweep(j.ns.Addr, j.issued, j.attempted, j.answered, j.recovered, j.fails)
 }
 
 // fail files one failed probe on the job's list.
@@ -358,8 +308,10 @@ func (j *sweepJob) fail(kind sweepKind, pos probePos, name dns.Name, qt dns.Type
 // take the caller's live-answer path. A failed probe is filed as the live
 // failure was, without journaling it again. A CRC-clean answer that does not
 // decode is neither trusted nor skipped: the probe is queried again. resp and
-// wire live in the worker's scratch or the replay index (see probeQuery) and
-// are only valid until the worker's next probe.
+// wire live in the worker's scratch or the replay index and are only valid
+// until the worker's next probe: whatever outlasts a probe is copied out of
+// them (the journal copies the wire, URs intern their rdata, the databases
+// take values).
 func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Name, qi int, qt dns.Type) (resp *dns.Message, wire []byte, seen *derivedAnswer, err error) {
 	w := j.w
 	pos := probePos{j.unit, t*j.nq + qi}
@@ -396,8 +348,9 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 	}
 	j.attempted++
 	j.issued++
-	resp, wire, class, err := j.c.probeQuery(ctx, w.slot, &w.scratch, j.server, name, qt)
+	resp, wire, err = j.c.client.QueryInto(ctx, &w.scratch, j.server, name, qt)
 	if err != nil {
+		class := dnsio.Classify(err)
 		j.fail(kind, pos, name, qt, class)
 		if w.seg != nil {
 			return nil, nil, nil, w.seg.failure(pos, class)
@@ -422,9 +375,8 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 // returns the first error: the collector's own construction error, a
 // worker's, else the context's — a cancellation that lands between jobs
 // stops the pool without any job seeing it, and the sweep is still
-// incomplete. Worker i arms watchdog slot slotBase+i. kinds names the sweep
-// kinds this pool covers, for the journal to release its replay state once
-// the last of them is through.
+// incomplete. kinds names the sweep kinds this pool covers, for the journal
+// to release its replay state once the last of them is through.
 //
 // Workers claim servers in list order, one at a time, until the list is
 // exhausted, the context is cancelled, a worker hits a fatal error, or — on a
@@ -432,7 +384,7 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 // servers[0]'s unit position in the config's plan (open resolvers first, then
 // nameservers), and job is handed each server's; the cursor only moves down,
 // so the first yielded unit a worker claims ends its run.
-func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKind, unit0 int, servers []NameserverInfo, job func(w *sweepWorker, unit int, ns NameserverInfo) error) error {
+func (c *Collector) sweepPool(ctx context.Context, kinds []sweepKind, unit0 int, servers []NameserverInfo, job func(w *sweepWorker, unit int, ns NameserverInfo) error) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -448,11 +400,11 @@ func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKi
 	var stop atomic.Bool
 	var next atomic.Int64 // the first unclaimed position in servers
 
-	for i := 0; i < c.cfg.parallelism(); i++ {
+	for range c.cfg.parallelism() {
 		wg.Add(1)
-		go func(slot *stallSlot) {
+		go func() {
 			defer wg.Done()
-			w := &sweepWorker{slot: slot, replay: replay}
+			w := &sweepWorker{replay: replay}
 			var err error
 			if w.seg, err = c.newSegment(); w.seg != nil {
 				defer c.releaseSegment(w.seg)
@@ -474,7 +426,7 @@ func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKi
 				}
 				mu.Unlock()
 			}
-		}(c.wd.slot(slotBase + i))
+		}()
 	}
 	wg.Wait()
 	if firstErr == nil {
@@ -483,83 +435,9 @@ func (c *Collector) sweepPool(ctx context.Context, slotBase int, kinds []sweepKi
 	return firstErr
 }
 
-// probeQuery issues one probe under the stall watchdog (when active). The
-// watchdog cancels a probe stuck past the deadline; a transport that
-// ignores even cancellation is abandoned after a grace period so the worker
-// keeps the sweep moving either way.
-//
-// The answered response's wire bytes are returned alongside the decoded
-// message so a journaled sweep can record exactly what the server sent
-// without re-packing it. Both live in the caller's scratch and are valid until
-// its next probe: whatever outlasts a probe is copied out of them (the journal
-// copies the wire, URs intern their rdata, the databases take values). Under
-// the watchdog the query runs on a goroutine that may be abandoned mid-flight,
-// so there the result is the query's own and the scratch is never lent.
-func (c *Collector) probeQuery(ctx context.Context, slot *stallSlot, scratch *dnsio.Scratch, server netip.AddrPort, name dns.Name, qt dns.Type) (*dns.Message, []byte, dnsio.FailClass, error) {
-	if c.wd == nil || slot == nil {
-		resp, wire, err := c.client.QueryInto(ctx, scratch, server, name, qt)
-		return resp, wire, dnsio.Classify(err), err
-	}
-	pctx, cancel := slot.arm(ctx)
-	defer cancel()
-	type qres struct {
-		resp *dns.Message
-		wire []byte
-		err  error
-	}
-	ch := make(chan qres, 1)
-	go func() {
-		resp, wire, err := c.client.QueryWire(pctx, server, name, qt)
-		ch <- qres{resp, wire, err}
-	}()
-	finish := func(r qres) (*dns.Message, []byte, dnsio.FailClass, error) {
-		stalled := slot.disarm()
-		if stalled && r.err != nil {
-			return nil, nil, dnsio.FailStalled, r.err
-		}
-		return r.resp, r.wire, dnsio.Classify(r.err), r.err
-	}
-	select {
-	case r := <-ch:
-		return finish(r)
-	case <-pctx.Done():
-		// Cancelled — by the watchdog (stall) or the parent context. Give
-		// the in-flight query a grace period to unwind, then walk away.
-		grace := time.NewTimer(c.wd.grace)
-		defer grace.Stop()
-		select {
-		case r := <-ch:
-			return finish(r)
-		case <-grace.C:
-			stalled := slot.disarm()
-			err := errStallAbandoned(fmt.Sprintf("probe %s %s/%d", server, name, uint16(qt)), pctx.Err())
-			class := dnsio.FailStalled
-			if !stalled {
-				class = dnsio.Classify(pctx.Err())
-			}
-			return nil, nil, class, err
-		}
-	}
-}
-
 // Queries returns the number of DNS queries issued so far.
 func (c *Collector) Queries() int64 {
 	return c.queries.Load()
-}
-
-// addQueries books n queries against one server. Workers call it once per
-// (server, sweep) batch rather than once per query, so the shard lock is
-// touched a handful of times per server instead of millions of times per
-// run.
-func (c *Collector) addQueries(server netip.Addr, n int64) {
-	if n == 0 {
-		return
-	}
-	c.queries.Add(n)
-	s := &c.perServer[addrShard(server, queryShards)]
-	s.mu.Lock()
-	s.n[server] += n
-	s.mu.Unlock()
 }
 
 // PoliteScanEstimate reports the wall-clock a real-world run of the executed
@@ -567,32 +445,30 @@ func (c *Collector) addQueries(server netip.Addr, n int64) {
 // busiest server's query count times the polite interval (servers are
 // queried in parallel, so the busiest one gates the scan).
 func (c *Collector) PoliteScanEstimate() time.Duration {
-	var max int64
-	for i := range c.perServer {
-		s := &c.perServer[i]
+	var busiest int64
+	for i := range c.cov {
+		s := &c.cov[i]
 		s.mu.Lock()
-		for _, n := range s.n {
-			if n > max {
-				max = n
-			}
+		for _, sc := range s.per {
+			busiest = max(busiest, sc.queries)
 		}
 		s.mu.Unlock()
 	}
-	return time.Duration(max) * politeInterval
+	return time.Duration(busiest) * politeInterval
 }
 
 // requeueOn re-runs one sweep's failed probes after the main pass — probes
 // that failed while a server was flapping, lossy, or breaker-blocked get one
 // more chance now that the sweep pressure is off and breakers may have
 // recovered — in canonical order so the extra query plan is deterministic. It
-// runs on the caller goroutine with an explicit watchdog slot, so the
-// pipeline's two concurrent re-queue tails (correct sweep, fused nameserver
-// sweep) never share one. Each server's failures go through retry as one
-// batch, booked once: its queries, its recoveries, and the probes that fail
-// again, refiled with their new failure class (still-open breakers fail fast
-// without touching the fabric). After an error the batches not yet retried
-// are refiled as they were.
-func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSlot, onAnswer func(f probeFailure, resp *dns.Message)) error {
+// runs on the caller goroutine with its own scratch, so the pipeline's two
+// concurrent re-queue tails (correct sweep, fused nameserver sweep) never
+// share one. Each server's failures go through retry as one batch, booked
+// once: its queries, its recoveries, and the probes that fail again, refiled
+// with their new failure class (still-open breakers fail fast without
+// touching the fabric). After an error the batches not yet retried are
+// refiled as they were.
+func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, onAnswer func(f probeFailure, resp *dns.Message)) error {
 	fails := c.drainFailures(kind)
 	if len(fails) == 0 {
 		return nil
@@ -612,26 +488,25 @@ func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, slot *stallSl
 		batch := fails[:n]
 		still, issued := batch, int64(0)
 		if err == nil {
-			still, issued, err = c.retry(ctx, slot, &scratch, seg, batch, onAnswer)
+			still, issued, err = c.retry(ctx, &scratch, seg, batch, onAnswer)
 		}
 		recovered := int64(n - len(still))
-		c.addQueries(addr, issued)
-		c.bookSweep(addr, 0, recovered, recovered, still)
+		c.bookSweep(addr, issued, 0, recovered, recovered, still)
 		fails = fails[n:]
 	}
 	return err
 }
 
-// retry re-probes failed probes in order, over the caller's watchdog slot,
-// scratch and journal segment (nil when unjournaled). A probe that answers is
-// journaled and handed to onAnswer; one that fails again takes its new failure
-// class, is journaled, and is kept. It returns the probes still unanswered and
+// retry re-probes failed probes in order, over the caller's scratch and
+// journal segment (nil when unjournaled). A probe that answers is journaled
+// and handed to onAnswer; one that fails again takes its new failure class,
+// is journaled, and is kept. It returns the probes still unanswered and
 // the queries it issued. A cancellation or a journal write error stops it, and
 // still then also holds every probe it did not reach. Callers book
 // len(fails)-len(still) recoveries, which counts a probe that answered but
 // whose answer could not be journaled: its recovery is booked as if before
 // the write. still reuses fails' storage.
-func (c *Collector) retry(ctx context.Context, slot *stallSlot, scratch *dnsio.Scratch, seg *segmentWriter, fails []probeFailure, onAnswer func(f probeFailure, resp *dns.Message)) (still []probeFailure, issued int64, err error) {
+func (c *Collector) retry(ctx context.Context, scratch *dnsio.Scratch, seg *segmentWriter, fails []probeFailure, onAnswer func(f probeFailure, resp *dns.Message)) (still []probeFailure, issued int64, err error) {
 	still = fails[:0]
 	for i, f := range fails {
 		if err = ctx.Err(); err != nil {
@@ -639,14 +514,14 @@ func (c *Collector) retry(ctx context.Context, slot *stallSlot, scratch *dnsio.S
 		}
 		issued++
 		server := netip.AddrPortFrom(f.ns.Addr, dnsio.DNSPort)
-		resp, wire, class, qerr := c.probeQuery(ctx, slot, scratch, server, f.domain, f.qtype)
+		resp, wire, qerr := c.client.QueryInto(ctx, scratch, server, f.domain, f.qtype)
 		if qerr != nil {
-			f.class = class
+			f.class = dnsio.Classify(qerr)
 			still = append(still, f)
 		}
 		if seg != nil {
 			if qerr != nil {
-				err = seg.failure(f.pos, class)
+				err = seg.failure(f.pos, f.class)
 			} else {
 				err = seg.answer(f.pos, resp, wire)
 			}
@@ -853,19 +728,17 @@ func (c *Collector) probe(addr netip.Addr) websim.ProbeResult {
 // the geo-distributed correct-record collection of §4.1(2).
 func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	db := NewCorrectDB()
-	c.wd.start()
-	defer c.wd.stop()
 	resolvers := make([]NameserverInfo, len(c.cfg.OpenResolvers))
 	for i, r := range c.cfg.OpenResolvers {
 		resolvers[i] = NameserverInfo{Addr: r}
 	}
-	err := c.sweepPool(ctx, 0, []sweepKind{sweepCorrect}, 0, resolvers, func(w *sweepWorker, unit int, resolver NameserverInfo) error {
+	err := c.sweepPool(ctx, []sweepKind{sweepCorrect}, 0, resolvers, func(w *sweepWorker, unit int, resolver NameserverInfo) error {
 		return c.collectCorrectVia(ctx, w, unit, db, resolver)
 	})
 	if err != nil {
 		return nil, err
 	}
-	err = c.requeueOn(ctx, sweepCorrect, c.wd.slot(2*c.cfg.parallelism()), func(f probeFailure, resp *dns.Message) {
+	err = c.requeueOn(ctx, sweepCorrect, func(f probeFailure, resp *dns.Message) {
 		c.addCorrectAnswers(db, f.domain, resp)
 	})
 	if err != nil {

@@ -34,9 +34,11 @@ type probeFailure struct {
 // other shared books, so sweep workers never contend on one lock.
 const covShards = 32
 
-// serverCov is one server's completeness tally. failed is derived:
-// attempted - answered equals the number of failure records still on file.
+// serverCov is one server's query count and completeness tally. failed is
+// derived: attempted - answered equals the number of failure records still on
+// file. queries counts every exchange issued, re-queue retries included.
 type serverCov struct {
+	queries   int64
 	attempted int64
 	answered  int64
 	recovered int64
@@ -80,8 +82,6 @@ type Coverage struct {
 	RetriedRecovered int64
 	// BreakerTrips is how many times any server's circuit breaker opened.
 	BreakerTrips int64
-	// Stalls is how many times the stall watchdog cancelled a wedged probe.
-	Stalls int64
 	// FailedByClass histograms the probes still unanswered after the
 	// re-queue pass, keyed by dnsio.FailClass name.
 	FailedByClass map[string]int64
@@ -106,16 +106,20 @@ func (c *Collector) covShardOf(addr netip.Addr) *covShard {
 	return &c.cov[addrShard(addr, covShards)]
 }
 
-// bookSweep books one server's batch of probe outcomes: counts once per
-// (server, sweep) batch, failure records appended for the re-queue pass.
+// bookSweep books one server's batch of probe outcomes: the queries it
+// issued, counts once per (server, sweep) batch, failure records appended for
+// the re-queue pass. Workers book per batch rather than per query, so the
+// shard lock is touched a handful of times per server instead of millions of
+// times per run.
 // recovered counts probes that failed and then answered on a retry — the
 // fused sweep's canary retry, the re-queue pass, or a journaled failure
 // followed by a journaled answer on a resumed run; such probes are attempted
 // once, so a re-queue batch books them answered without attempting them again.
-func (c *Collector) bookSweep(server netip.Addr, attempted, answered, recovered int64, fails []probeFailure) {
-	if attempted == 0 && answered == 0 && len(fails) == 0 {
+func (c *Collector) bookSweep(server netip.Addr, issued, attempted, answered, recovered int64, fails []probeFailure) {
+	if issued == 0 && attempted == 0 && answered == 0 && len(fails) == 0 {
 		return
 	}
+	c.queries.Add(issued)
 	s := c.covShardOf(server)
 	s.mu.Lock()
 	sc := s.per[server]
@@ -123,6 +127,7 @@ func (c *Collector) bookSweep(server netip.Addr, attempted, answered, recovered 
 		sc = &serverCov{}
 		s.per[server] = sc
 	}
+	sc.queries += issued
 	sc.attempted += attempted
 	sc.answered += answered
 	sc.recovered += recovered
@@ -199,6 +204,5 @@ func (c *Collector) Coverage() *Coverage {
 	if c.client.Breakers != nil {
 		cov.BreakerTrips = c.client.Breakers.Trips()
 	}
-	cov.Stalls = c.wd.Stalls()
 	return cov
 }

@@ -39,8 +39,8 @@ type modelRecord struct {
 // replayModel is the reference the index is checked against: the replay
 // rules over plain maps keyed by plan position, nothing else. The first
 // answered record of a probe wins (nil wire: it was empty), the last failure
-// class is kept beside it, and a record whose probe the plan does not contain
-// is only counted.
+// class is kept beside it — a class byte past FailOther reads as FailOther —
+// and a record whose probe the plan does not contain is only counted.
 type replayModel struct {
 	answered                     map[probePos][]byte
 	failed                       map[probePos]dnsio.FailClass
@@ -95,7 +95,7 @@ func runModel(cfg *Config, recs []modelRecord) *replayModel {
 		case !in:
 			m.outOfPlan++
 		case !r.answered:
-			m.failed[p] = r.class
+			m.failed[p] = min(r.class, dnsio.FailOther)
 		case have:
 			m.duplicates++
 		default:
@@ -198,7 +198,12 @@ func (sp modelSpace) draw(rng *rand.Rand, cfg *Config, n int, v1 bool) modelReco
 		r.name = dns.Name(fmt.Sprintf("p%d.example", n))
 	}
 	if r.answered = rng.Intn(3) > 0; !r.answered {
-		r.class = dnsio.FailClass(1 + rng.Intn(int(dnsio.FailOther)))
+		// Past FailOther too: a writer with more named classes (FailOther+1
+		// was "other" while a stall class sat before it) or a flipped bit.
+		r.class = dnsio.FailClass(1 + rng.Intn(int(dnsio.FailOther)+2))
+		if rng.Intn(16) == 0 {
+			r.class = dnsio.FailClass(rng.Intn(256-int(dnsio.FailOther)) + int(dnsio.FailOther))
+		}
 		return r
 	}
 	switch rng.Intn(8) {

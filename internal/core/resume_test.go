@@ -334,16 +334,17 @@ func TestJournalWriteFailureStopsSweep(t *testing.T) {
 }
 
 // stallTransport wraps the sim transport but wedges the first exchange to a
-// victim server until its context is cancelled — the real-world socket hang
-// the watchdog exists for. Later exchanges pass through, so the re-queue
-// pass can recover the stalled probe.
+// victim server until its context ends — the real-world socket hang the
+// client's deadline exists for. Later exchanges pass through, so a retry can
+// recover the stalled probe.
 type stallTransport struct {
 	inner  dnsio.Transport
 	victim netip.Addr
 
-	mu     sync.Mutex
-	wedged bool
-	stalls int
+	mu       sync.Mutex
+	wedged   bool
+	stalls   int
+	wedgeErr error // what ended the wedge
 }
 
 func (s *stallTransport) Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
@@ -357,6 +358,9 @@ func (s *stallTransport) Exchange(ctx context.Context, buf []byte, server netip.
 		s.mu.Unlock()
 		if first {
 			<-ctx.Done()
+			s.mu.Lock()
+			s.wedgeErr = ctx.Err()
+			s.mu.Unlock()
 			return nil, ctx.Err()
 		}
 	}
@@ -364,20 +368,17 @@ func (s *stallTransport) Exchange(ctx context.Context, buf []byte, server netip.
 }
 
 // TestWatchdogUnwedgesStalledWorker wedges one nameserver's first exchange
-// forever and asserts the watchdog cancels the stuck probe (classing it
-// "stalled"), the sweep completes, and the re-queue pass recovers the probe
-// on its second, unwedged attempt.
+// forever and asserts the client's per-exchange deadline ends the stuck probe
+// (a timeout, not a cancellation), the sweep completes, and a retry recovers
+// the probe on its second, unwedged attempt. The run waits the deadline out
+// once.
 func TestWatchdogUnwedgesStalledWorker(t *testing.T) {
 	fx := newChaosFixture(t, 11)
-	fx.cfg.Transport = &stallTransport{
+	st := &stallTransport{
 		inner:  &dnsio.SimTransport{Fabric: fx.fabric, Src: fx.cfg.SrcAddr},
 		victim: fx.nsAddrs[4],
 	}
-	fx.cfg.Watchdog = &WatchdogConfig{
-		Deadline:   40 * time.Millisecond,
-		CheckEvery: 5 * time.Millisecond,
-		Grace:      200 * time.Millisecond,
-	}
+	fx.cfg.Transport = st
 	done := make(chan struct{})
 	var res *Result
 	var err error
@@ -388,7 +389,7 @@ func TestWatchdogUnwedgesStalledWorker(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("sweep wedged: watchdog never unstuck the stalled worker")
+		t.Fatal("sweep wedged: the client's deadline never unstuck the stalled worker")
 	}
 	if err != nil {
 		t.Fatalf("pipeline failed: %v", err)
@@ -396,11 +397,17 @@ func TestWatchdogUnwedgesStalledWorker(t *testing.T) {
 	cov := res.Coverage
 	checkCoverageConsistent(t, cov)
 	checkNoFalseRecords(t, fx, res)
-	if cov.Stalls == 0 {
-		t.Error("watchdog never fired")
+	st.mu.Lock()
+	stalls, wedgeErr := st.stalls, st.wedgeErr
+	st.mu.Unlock()
+	if stalls == 0 {
+		t.Fatal("the victim's first exchange never wedged")
+	}
+	if !errors.Is(wedgeErr, context.DeadlineExceeded) {
+		t.Errorf("wedge ended by %v, want the client's deadline", wedgeErr)
 	}
 	if cov.RetriedRecovered == 0 {
-		t.Error("re-queue pass recovered none of the stalled probes")
+		t.Error("no retry recovered the stalled probe")
 	}
 	if cov.Attempted != chaosPlanSize {
 		t.Errorf("attempted = %d, want %d", cov.Attempted, chaosPlanSize)

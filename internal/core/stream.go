@@ -11,8 +11,8 @@
 // shuffled targets, then the in-job canary retry — so the endpoint's exchange
 // sequence never depends on scheduling. The correct-record sweep runs
 // concurrently but touches only resolver endpoints, which are disjoint from
-// the nameserver set; its re-queue pass uses its own watchdog spare slot so
-// the two tails can overlap too.
+// the nameserver set; its re-queue pass runs on its own goroutine and scratch
+// so the two tails can overlap too.
 package core
 
 import (
@@ -59,13 +59,7 @@ func pickErr(errs ...error) error {
 // (sweepProtective / sweepURs), which is what coverage accounting, the
 // failure book, and journal resume are keyed by.
 func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, emit func([]*UR)) error {
-	c.wd.start()
-	defer c.wd.stop()
-
-	// The fused pool gets the watchdog slot range [workers, 2*workers),
-	// leaving [0, workers) to the concurrently running correct sweep.
-	workers := c.cfg.parallelism()
-	err := c.sweepPool(ctx, workers, []sweepKind{sweepProtective, sweepURs}, len(c.cfg.OpenResolvers), c.cfg.Nameservers, func(w *sweepWorker, unit int, ns NameserverInfo) error {
+	err := c.sweepPool(ctx, []sweepKind{sweepProtective, sweepURs}, len(c.cfg.OpenResolvers), c.cfg.Nameservers, func(w *sweepWorker, unit int, ns NameserverInfo) error {
 		urs, err := c.collectNSFused(ctx, w, unit, ns, db)
 		if err == nil {
 			emit(urs)
@@ -80,7 +74,7 @@ func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, em
 	// remaining traffic to the nameserver endpoints and their per-endpoint
 	// order — canonical, single goroutine — is deterministic.
 	var recovered []*UR
-	err = c.requeueOn(ctx, sweepURs, c.wd.slot(2*workers+1), func(f probeFailure, resp *dns.Message) {
+	err = c.requeueOn(ctx, sweepURs, func(f probeFailure, resp *dns.Message) {
 		recovered = c.ursFromResponse(f.ns, f.domain, f.qtype, resp, recovered)
 	})
 	if err != nil {
@@ -123,7 +117,7 @@ func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, unit int
 	// interleave on this endpoint. A server's protective set is
 	// therefore final when its job ends, which is what lets the caller emit
 	// the job's URs for immediate classification.
-	still, issued, err := c.retry(ctx, w.slot, &w.scratch, w.seg, canaryFails, func(f probeFailure, resp *dns.Message) {
+	still, issued, err := c.retry(ctx, &w.scratch, w.seg, canaryFails, func(f probeFailure, resp *dns.Message) {
 		addProtectiveAnswers(db, ns.Addr, f.qtype, resp)
 	})
 	recovered := int64(len(canaryFails) - len(still))

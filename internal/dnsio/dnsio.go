@@ -543,11 +543,6 @@ func isInstant(t Transport) bool {
 	return ok && it.Instant()
 }
 
-// IsInstant reports whether a transport completes exchanges synchronously,
-// never blocking on real I/O (the in-memory fabric). Callers use it to skip
-// stall-detection machinery that only matters on real sockets.
-func IsInstant(t Transport) bool { return isInstant(t) }
-
 // SimTransport is a Transport over the fabric.
 type SimTransport struct {
 	Fabric *simnet.Fabric

@@ -56,9 +56,6 @@ const (
 	FailMalformed
 	// FailBreakerOpen: the probe was suppressed by an open circuit breaker.
 	FailBreakerOpen
-	// FailStalled: the probe sat past the stall watchdog's deadline and was
-	// cancelled (or abandoned) so the sweep could keep moving.
-	FailStalled
 	// FailOther: everything else (cancelled contexts, socket errors, ...).
 	FailOther
 )
@@ -78,8 +75,6 @@ func (fc FailClass) String() string {
 		return "malformed"
 	case FailBreakerOpen:
 		return "breaker-open"
-	case FailStalled:
-		return "stalled"
 	}
 	return "other"
 }

@@ -13,14 +13,31 @@
 //
 // A worker owns at most one shard at a time; assign/shard_done alternate on
 // the main exchange while yield may arrive at any point during a run.
+//
+// A frame is one line of at most maxFrame bytes. A peer is anyone who can
+// reach the listener, so a longer line is a protocol error that drops the
+// connection rather than a value to buffer without limit.
 package fleet
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"net"
 	"sync"
 )
+
+const (
+	// maxFrame caps one frame's line, newline included. Honest frames are a
+	// few hundred bytes; the one field of any length is shard_done's Err.
+	maxFrame = 64 << 10
+	// maxErr clips shard_done's Err on send. Escaped, it stays far below
+	// maxFrame, so an honest worker never trips the cap.
+	maxErr = 4 << 10
+)
+
+// errFrameTooLong is the read error for a line longer than maxFrame.
+var errFrameTooLong = errors.New("fleet: frame longer than 64 KiB")
 
 // frame types.
 const (
@@ -74,14 +91,14 @@ type wire struct {
 	conn net.Conn
 	wmu  sync.Mutex
 	enc  *json.Encoder
-	dec  *json.Decoder
+	r    *bufio.Reader // sized maxFrame: a line that fills it is too long
 }
 
 func newWire(conn net.Conn) *wire {
 	return &wire{
 		conn: conn,
 		enc:  json.NewEncoder(conn),
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
+		r:    bufio.NewReaderSize(conn, maxFrame),
 	}
 }
 
@@ -91,9 +108,18 @@ func (w *wire) send(f frame) error {
 	return w.enc.Encode(f)
 }
 
+// read decodes the next line. A line that does not fit the reader's buffer
+// is errFrameTooLong; the caller drops the peer, so the rest of it is never
+// read.
 func (w *wire) read() (frame, error) {
 	var f frame
-	err := w.dec.Decode(&f)
+	line, err := w.r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		err = errFrameTooLong
+	}
+	if err == nil {
+		err = json.Unmarshal(line, &f)
+	}
 	return f, err
 }
 

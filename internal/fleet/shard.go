@@ -3,7 +3,7 @@
 // The unit of distribution is a server unit — one open resolver or one
 // nameserver, the same granularity the collector's worker pools already
 // schedule at. A shard is a contiguous range of units; a worker sweeps its
-// shard with the ordinary journaled pipeline (chaos, breakers, watchdog,
+// shard with the ordinary journaled pipeline (chaos, breakers, deadlines,
 // graceful drain all apply) in collect-only mode, and the coordinator merges
 // the shard journals through the resume path into one report that is
 // byte-identical to a single-process run of the same plan+seed.

@@ -197,6 +197,9 @@ func sendDone(w *wire, shard, done int, records int64, runErr error) error {
 	df := frame{Type: fShardDone, Shard: shard, Done: done, Records: records}
 	if runErr != nil {
 		df.Err = runErr.Error()
+		if len(df.Err) > maxErr {
+			df.Err = df.Err[:maxErr]
+		}
 	}
 	if err := w.send(df); err != nil {
 		return fmt.Errorf("fleet: report shard %d: %w", shard, err)

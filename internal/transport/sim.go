@@ -93,7 +93,7 @@ func (t *simEncrypted) Exchange(ctx context.Context, buf []byte, server netip.Ad
 }
 
 // Instant implements dnsio's instant-transport marker: fabric exchanges are
-// synchronous, so deadline plumbing and the stall watchdog stay off.
+// synchronous, so the client's deadline plumbing stays off.
 func (t *simEncrypted) Instant() bool { return true }
 
 // SleepVirtual books retry backoff on the virtual clock, like the plain

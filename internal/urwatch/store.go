@@ -287,12 +287,6 @@ func (v VerdictView) Verdict() *Verdict {
 	}
 }
 
-// All returns every verdict in the generation, in the record array's
-// (domain, server, type, rdata) order.
-func (g *Generation) All() VerdictSet {
-	return VerdictSet{g: g, lo: 0, hi: len(g.recs)}
-}
-
 // Domain returns every verdict for a domain as a contiguous run of the
 // record array (empty set when unlisted).
 func (g *Generation) Domain(d dns.Name) VerdictSet { return domainRun(g, d) }
