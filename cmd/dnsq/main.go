@@ -251,9 +251,9 @@ big.demo.test 300 IN TXT "`+strings.Repeat("x", 250)+`" "`+strings.Repeat("y", 2
 			return err
 		}
 		defer dotSrv.Close()
-		fmt.Printf(";; demo DoT server (self-signed) on tls %s\n\n", dotSrv.Addr())
+		fmt.Printf(";; demo DoT server (self-signed) on tls %s\n\n", dotSrv.TCPAddr())
 		tr = &transport.NetDoT{TLS: &tls.Config{RootCAs: pool}}
-		target = dotSrv.Addr()
+		target = dotSrv.TCPAddr()
 	case "doh":
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

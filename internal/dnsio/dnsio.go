@@ -565,10 +565,7 @@ func (t *SimTransport) Exchange(_ context.Context, buf []byte, server netip.Addr
 }
 
 // NetTransport is a Transport over real UDP and TCP sockets.
-type NetTransport struct {
-	// DialTimeout bounds connection setup for TCP exchanges.
-	DialTimeout time.Duration
-}
+type NetTransport struct{}
 
 // Exchange implements Transport. A datagram is read into buf when it has room
 // for the largest one a server may send; a stream response sizes itself.
@@ -604,12 +601,19 @@ func (t *NetTransport) exchangeUDP(ctx context.Context, buf []byte, server netip
 }
 
 func (t *NetTransport) exchangeTCP(ctx context.Context, server netip.AddrPort, packed []byte) ([]byte, error) {
-	d := net.Dialer{Timeout: t.DialTimeout}
+	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", server.String())
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
+	return ExchangeStream(ctx, conn, packed)
+}
+
+// ExchangeStream writes one framed query on an open stream connection and
+// reads one framed response, both under ctx's deadline — the exchange plain
+// TCP and DoT share once their connection is up.
+func ExchangeStream(ctx context.Context, conn net.Conn, packed []byte) ([]byte, error) {
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(deadline)
 	}

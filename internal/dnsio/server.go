@@ -5,12 +5,14 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"time"
 
 	"repro/internal/dns"
 )
 
-// Server serves a Responder on real UDP and TCP sockets. It exists so the
-// reproduction's DNS stack can be driven by any standard client (dig, the
+// Server serves a Responder on real UDP and TCP sockets, and on any other
+// stream listener handed to ServeStream (DoT's TLS listener). It exists so
+// the reproduction's DNS stack can be driven by any standard client (dig, the
 // cmd/dnsq tool, the examples) — the simulated fabric is an optimization, not
 // a semantic shortcut.
 type Server struct {
@@ -18,19 +20,19 @@ type Server struct {
 
 	mu       sync.Mutex
 	pc       *net.UDPConn
-	ln       net.Listener
+	lns      []net.Listener
+	conns    map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
 	udpPool  sync.Pool // of *udpExchange
 	udpAddr  netip.AddrPort
 	tcpAddr  netip.AddrPort
-	started  bool
 	closeErr error
 }
 
 // NewServer wraps a responder.
 func NewServer(r Responder) *Server {
-	return &Server{responder: r}
+	return &Server{responder: r, conns: make(map[net.Conn]struct{})}
 }
 
 // Start binds UDP and TCP sockets on the given address ("127.0.0.1:0" picks
@@ -38,7 +40,7 @@ func NewServer(r Responder) *Server {
 func (s *Server) Start(addr string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.started {
+	if s.pc != nil || s.closed {
 		return errors.New("dnsio: server already started")
 	}
 	pc, err := net.ListenPacket("udp", addr)
@@ -56,14 +58,31 @@ func (s *Server) Start(addr string) error {
 			return err
 		}
 	}
-	s.pc, s.ln = pc.(*net.UDPConn), ln
+	s.pc = pc.(*net.UDPConn)
 	s.udpAddr = udpAP
 	s.tcpAddr = ln.Addr().(*net.TCPAddr).AddrPort()
-	s.started = true
 
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.serveUDP()
-	go s.serveTCP()
+	s.acceptLocked(ln, ViaTCP)
+	return nil
+}
+
+// ServeStream serves two-octet-framed DNS on ln, labelling its queries via:
+// each connection runs the loop Start's TCP listener runs, so a TLS listener
+// with ViaDoT makes a DoT server with the TCP server's stream answers. The
+// server owns ln from then on and Close closes it.
+func (s *Server) ServeStream(ln net.Listener, via string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		ln.Close()
+		return errors.New("dnsio: server closed")
+	}
+	if ta, ok := ln.Addr().(*net.TCPAddr); ok && !s.tcpAddr.IsValid() {
+		s.tcpAddr = ta.AddrPort()
+	}
+	s.acceptLocked(ln, via)
 	return nil
 }
 
@@ -74,7 +93,8 @@ func (s *Server) UDPAddr() netip.AddrPort {
 	return s.udpAddr
 }
 
-// TCPAddr returns the bound TCP address.
+// TCPAddr returns the first bound stream address: the TCP socket Start
+// bound, else the listener ServeStream was first given.
 func (s *Server) TCPAddr() netip.AddrPort {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -128,74 +148,102 @@ func (x *udpExchange) serve() {
 }
 
 // StreamResponder is the optional interface a Responder implements to answer
-// one TCP query with a multi-message response stream — the shape of AXFR and
-// IXFR zone transfers (RFC 5936 §2: a transfer is a sequence of DNS messages
-// on one connection). HandleStream sends zero or more complete messages via
-// send and returns handled=true when it owned the query; handled=false falls
-// back to the ordinary single-message HandleQuery path. A non-nil error
-// tears the connection down (the transfer cannot be completed mid-stream —
-// a partial zone must never look complete to the client).
+// one TCP or DoT query with a multi-message response stream — the shape of
+// AXFR and IXFR zone transfers (RFC 5936 §2: a transfer is a sequence of
+// DNS messages on one connection). HandleStream sends zero or more complete
+// messages via send and returns handled=true when it owned the query;
+// handled=false falls back to the ordinary single-message HandleQuery path.
+// A non-nil error tears the connection down (the transfer cannot be
+// completed mid-stream — a partial zone must never look complete to the
+// client).
 type StreamResponder interface {
 	HandleStream(src netip.Addr, q *dns.Message, send func(*dns.Message) error) (handled bool, err error)
 }
 
-func (s *Server) serveTCP() {
+func (s *Server) acceptLocked(ln net.Listener, via string) {
+	s.lns = append(s.lns, ln)
+	s.wg.Add(1)
+	go s.accept(ln, via)
+}
+
+func (s *Server) accept(ln net.Listener, via string) {
 	defer s.wg.Done()
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
 			return // closed
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			src := netip.Addr{}
-			if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
-				src = ta.AddrPort().Addr()
-			}
-			sr, streaming := s.responder.(StreamResponder)
-			for {
-				raw, err := ReadFrame(conn)
-				if err != nil {
-					return
-				}
-				if streaming {
-					q := new(dns.Message)
-					if err := q.UnpackFrom(raw); err == nil {
-						handled, err := sr.HandleStream(src, q, func(m *dns.Message) error {
-							out, perr := m.Pack()
-							if perr != nil {
-								return perr
-							}
-							return WriteFrame(conn, out)
-						})
-						if err != nil {
-							return
-						}
-						if handled {
-							continue
-						}
-					}
-					// Malformed or unhandled: the single-message path below
-					// owns FORMERR and ordinary answers alike.
-				}
-				out := ServeRaw(s.responder, src, raw, ViaTCP)
-				if out == nil {
-					return
-				}
-				if err := WriteFrame(conn, out); err != nil {
-					return
-				}
-			}
-		}()
+		s.mu.Unlock()
+		go s.serveConn(conn, via)
 	}
 }
 
-// Close shuts the sockets and waits for in-flight handlers.
+// serveConn answers one stream connection's queries in order until the peer
+// hangs up, a write fails, or Close ends the read it idles in. A query goes
+// to HandleStream first when the responder streams, then to ServeRaw.
+func (s *Server) serveConn(conn net.Conn, via string) {
+	defer s.wg.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
+	src := netip.Addr{}
+	if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
+		src = ta.AddrPort().Addr()
+	}
+	sr, streaming := s.responder.(StreamResponder)
+	send := func(m *dns.Message) error {
+		out, err := m.Pack()
+		if err != nil {
+			return err
+		}
+		return WriteFrame(conn, out)
+	}
+	for {
+		raw, err := ReadFrame(conn)
+		if err != nil {
+			return
+		}
+		if streaming {
+			q := new(dns.Message)
+			if err := q.UnpackFrom(raw); err == nil {
+				handled, err := sr.HandleStream(src, q, send)
+				if err != nil {
+					return
+				}
+				if handled {
+					continue
+				}
+			}
+			// Malformed or unhandled: the single-message path below owns
+			// FORMERR and ordinary answers alike.
+		}
+		out := ServeRaw(s.responder, src, raw, via)
+		if out == nil {
+			return
+		}
+		if err := WriteFrame(conn, out); err != nil {
+			return
+		}
+	}
+}
+
+// Close shuts the sockets and waits for in-flight handlers. A stream
+// connection idles in a read between queries, so Close ends that read: an
+// idle client is dropped, while an answer already being written completes.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if !s.started || s.closed {
+	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
@@ -203,10 +251,14 @@ func (s *Server) Close() error {
 	if s.pc != nil {
 		s.closeErr = s.pc.Close()
 	}
-	if s.ln != nil {
-		if err := s.ln.Close(); err != nil && s.closeErr == nil {
+	for _, ln := range s.lns {
+		if err := ln.Close(); err != nil && s.closeErr == nil {
 			s.closeErr = err
 		}
+	}
+	now := time.Now()
+	for conn := range s.conns {
+		_ = conn.SetReadDeadline(now)
 	}
 	s.mu.Unlock()
 	s.wg.Wait()

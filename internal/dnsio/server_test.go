@@ -3,6 +3,7 @@ package dnsio
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"runtime"
@@ -212,5 +213,69 @@ func TestUDPLoopAllocatesNothingPerDatagram(t *testing.T) {
 	// as n or more.
 	if allocs := after.Mallocs - before.Mallocs; allocs > n/10 {
 		t.Errorf("%d allocations over %d datagrams, want none per datagram", allocs, n)
+	}
+}
+
+// TestServerCloseEndsIdleStreams: Close returns promptly with a TCP client
+// attached that never sends, and an answer already being computed when Close
+// is called still reaches its client.
+func TestServerCloseEndsIdleStreams(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := NewServer(ResponderFunc(func(_ netip.Addr, q *dns.Message) *dns.Message {
+		close(entered)
+		<-release
+		return q.Reply()
+	}))
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	idle, err := net.Dial("tcp", srv.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	busy, err := net.Dial("tcp", srv.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+
+	q, err := dns.NewQuery(7, "busy.test", dns.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(busy, q); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("query never reached the responder")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+
+	_ = busy.SetReadDeadline(time.Now().Add(2 * time.Second))
+	raw, err := ReadFrame(busy)
+	if err != nil {
+		t.Fatalf("in-flight query lost its answer: %v", err)
+	}
+	if m, err := dns.Unpack(raw); err != nil || m.Header.ID != 7 {
+		t.Fatalf("in-flight answer = %v, %v; want ID 7", m, err)
+	}
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close blocked on an idle stream client")
+	}
+	_ = idle.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := idle.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("idle client read after Close = %v, want EOF", err)
 	}
 }

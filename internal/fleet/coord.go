@@ -78,7 +78,6 @@ type shardState struct {
 	id         int
 	lo, hi     int
 	yieldHi    int
-	dir        string
 	status     shardStatus
 	owner      string
 	wire       *wire
@@ -87,10 +86,6 @@ type shardState struct {
 	done       int
 	records    int64
 	attempts   int
-}
-
-func (s *shardState) desc(units int) core.ShardDesc {
-	return core.ShardDesc{Index: s.id, Lo: s.lo, Hi: s.hi, Units: units}
 }
 
 // coordManifestName is the on-disk shard-assignment book.
@@ -108,6 +103,9 @@ type coordManifest struct {
 	Shards  []coordManifestShard `json:"shards"`
 }
 
+// coordManifestShard is one shard's entry in coord.json. Dir is written for
+// operators and older coordinators; restore derives every shard directory
+// from its id instead.
 type coordManifestShard struct {
 	ID      int    `json:"id"`
 	Lo      int    `json:"lo"`
@@ -176,7 +174,6 @@ func NewCoordinator(cfg *core.Config, opts CoordOptions) (*Coordinator, error) {
 		for _, sd := range SplitPlan(co.units, opts.shards()) {
 			co.shards = append(co.shards, &shardState{
 				id: sd.Index, lo: sd.Lo, hi: sd.Hi, yieldHi: sd.Hi,
-				dir: co.shardDir(sd.Index),
 			})
 		}
 		co.nextID = len(co.shards)
@@ -217,17 +214,52 @@ func (co *Coordinator) restore(data []byte) error {
 	if m.Units != co.units {
 		return fmt.Errorf("fleet: coordinator manifest has %d units, this config %d", m.Units, co.units)
 	}
+	if err := checkBook(m); err != nil {
+		return fmt.Errorf("fleet: coordinator manifest in %s: %w", co.opts.Dir, err)
+	}
 	for _, sm := range m.Shards {
-		s := &shardState{
-			id: sm.ID, lo: sm.Lo, hi: sm.Hi, yieldHi: sm.YieldHi,
-			dir: sm.Dir, done: sm.Units,
-		}
+		s := &shardState{id: sm.ID, lo: sm.Lo, hi: sm.Hi, yieldHi: sm.YieldHi, done: sm.Units}
 		if sm.Done {
 			s.status = shardDone
 		}
 		co.shards = append(co.shards, s)
 	}
 	co.nextID = m.NextID
+	return nil
+}
+
+// checkBook refuses a shard book no coordinator writes: a duplicate or
+// negative id, a range outside 0 <= lo <= yield_hi <= hi <= units, a next_id
+// a new shard could collide on, or effective ranges [lo, yield_hi) that leave
+// a unit of the plan unswept. Shard directories are not read from the book at
+// all; each is derived from its id.
+func checkBook(m coordManifest) error {
+	ids := make(map[int]bool, len(m.Shards))
+	ranges := make([][2]int, 0, len(m.Shards))
+	for _, sm := range m.Shards {
+		if sm.ID < 0 || ids[sm.ID] {
+			return fmt.Errorf("shard id %d negative or repeated", sm.ID)
+		}
+		ids[sm.ID] = true
+		if sm.Lo < 0 || sm.Lo > sm.YieldHi || sm.YieldHi > sm.Hi || sm.Hi > m.Units {
+			return fmt.Errorf("shard %d range lo %d, yield_hi %d, hi %d outside [0, %d]", sm.ID, sm.Lo, sm.YieldHi, sm.Hi, m.Units)
+		}
+		if m.NextID <= sm.ID {
+			return fmt.Errorf("next_id %d not above shard id %d", m.NextID, sm.ID)
+		}
+		ranges = append(ranges, [2]int{sm.Lo, sm.YieldHi})
+	}
+	sort.Slice(ranges, func(i, j int) bool { return ranges[i][0] < ranges[j][0] })
+	covered := 0
+	for _, r := range ranges {
+		if r[0] > covered {
+			break
+		}
+		covered = max(covered, r[1])
+	}
+	if covered < m.Units {
+		return fmt.Errorf("shards leave unit %d of %d unswept", covered, m.Units)
+	}
 	return nil
 }
 
@@ -239,7 +271,7 @@ func (co *Coordinator) saveLocked() error {
 	for _, s := range co.shards {
 		m.Shards = append(m.Shards, coordManifestShard{
 			ID: s.id, Lo: s.lo, Hi: s.hi, YieldHi: s.yieldHi,
-			Dir: s.dir, Done: s.status == shardDone, Units: s.done,
+			Dir: co.shardDir(s.id), Done: s.status == shardDone, Units: s.done,
 		})
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
@@ -404,7 +436,7 @@ func (co *Coordinator) serveWorker(w *wire) {
 		}
 		assign := frame{
 			Type: fAssign, Shard: s.id, Lo: s.lo, Hi: s.hi,
-			YieldHi: s.yieldHi, Dir: s.dir,
+			YieldHi: s.yieldHi, Dir: co.shardDir(s.id),
 		}
 		co.logf("fleet: shard %d units [%d,%d) -> worker %s", s.id, s.lo, s.yieldHi, name)
 		if err := w.send(assign); err != nil {
@@ -566,7 +598,7 @@ func (co *Coordinator) stealLocked() *shardState {
 	}
 	thief := &shardState{
 		id: co.nextID, lo: victimSplit, hi: victim.yieldHi, yieldHi: victim.yieldHi,
-		dir: co.shardDir(co.nextID), status: shardPending,
+		status: shardPending,
 	}
 	co.nextID++
 	co.shards = append(co.shards, thief)
@@ -594,20 +626,16 @@ func (co *Coordinator) Finish(ctx context.Context) (*core.Result, error) {
 		co.mu.Unlock()
 		return nil, fmt.Errorf("fleet: %d shards unfinished", n)
 	}
-	dirs := make([]string, 0, len(co.shards))
 	ids := make([]int, 0, len(co.shards))
 	for _, s := range co.shards {
 		ids = append(ids, s.id)
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		for _, s := range co.shards {
-			if s.id == id {
-				dirs = append(dirs, s.dir)
-			}
-		}
-	}
 	co.mu.Unlock()
+	sort.Ints(ids)
+	dirs := make([]string, len(ids))
+	for i, id := range ids {
+		dirs[i] = co.shardDir(id)
+	}
 
 	merged := filepath.Join(co.opts.Dir, "merged")
 	if err := os.RemoveAll(merged); err != nil {

@@ -126,7 +126,7 @@ func (h *DoHHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), dohStatus(err))
 		return
 	}
-	src := clientAddr(r)
+	src := ClientAddr(r)
 	out := dnsio.ServeRaw(h.Responder, src, raw, dnsio.ViaDoH)
 	if out == nil {
 		// The message had no parsable header; nothing sensible to frame.
@@ -144,8 +144,10 @@ func (h *DoHHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(out)
 }
 
-// clientAddr extracts the peer IP from an HTTP request.
-func clientAddr(r *http.Request) netip.Addr {
+// ClientAddr extracts the peer IP from an HTTP request's RemoteAddr: the
+// address of an "ip:port" or a bare IP, the zero Addr for anything else — a
+// bucket every unparsable client shares, so a rate limiter fails closed.
+func ClientAddr(r *http.Request) netip.Addr {
 	if ap, err := netip.ParseAddrPort(r.RemoteAddr); err == nil {
 		return ap.Addr()
 	}

@@ -13,7 +13,6 @@ import (
 	"math/big"
 	"net"
 	"net/netip"
-	"sync"
 	"time"
 
 	"repro/internal/dnsio"
@@ -32,15 +31,13 @@ type NetDoT struct {
 	// InsecureSkipVerify for loopback demos). nil performs the default
 	// WebPKI verification.
 	TLS *tls.Config
-	// DialTimeout bounds the TCP connect; the context bounds the rest.
-	DialTimeout time.Duration
 }
 
 // Exchange implements dnsio.Transport. The tcp flag is meaningless — DoT is
 // always a stream, responses never truncate — so it is ignored, and so is the
 // lent buffer: a framed response sizes itself.
 func (t *NetDoT) Exchange(ctx context.Context, _ []byte, server netip.AddrPort, packed []byte, _ bool) ([]byte, error) {
-	d := net.Dialer{Timeout: t.DialTimeout}
+	var d net.Dialer
 	raw, err := d.DialContext(ctx, "tcp", server.String())
 	if err != nil {
 		return nil, err
@@ -51,13 +48,7 @@ func (t *NetDoT) Exchange(ctx context.Context, _ []byte, server netip.AddrPort, 
 		return nil, fmt.Errorf("%w: %v", dnsio.ErrTLSHandshake, err)
 	}
 	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
-	if err := dnsio.WriteFrame(conn, packed); err != nil {
-		return nil, err
-	}
-	return dnsio.ReadFrame(conn)
+	return dnsio.ExchangeStream(ctx, conn, packed)
 }
 
 func (t *NetDoT) tlsConfig(server netip.AddrPort) *tls.Config {
@@ -72,73 +63,20 @@ func (t *NetDoT) tlsConfig(server netip.AddrPort) *tls.Config {
 	return cfg
 }
 
-// DoTServer serves a dnsio.Responder over TLS-framed DNS. Queries dispatch
-// through dnsio.ServeRaw with via="dot".
-type DoTServer struct {
-	responder dnsio.Responder
-	ln        net.Listener
-	addr      netip.AddrPort
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-}
-
-// ServeDoT starts a DoT listener on addr ("127.0.0.1:0" picks a port) with
-// the given server certificate.
-func ServeDoT(r dnsio.Responder, addr string, cert tls.Certificate) (*DoTServer, error) {
+// ServeDoT starts a DoT server for r on addr ("127.0.0.1:0" picks a port)
+// with the given server certificate: a dnsio.Server over a TLS listener, so
+// DoT queries take the TCP server's stream loop — zone transfers included —
+// labelled dnsio.ViaDoT. TCPAddr reports the bound address.
+func ServeDoT(r dnsio.Responder, addr string, cert tls.Certificate) (*dnsio.Server, error) {
 	ln, err := tls.Listen("tcp", addr, &tls.Config{Certificates: []tls.Certificate{cert}})
 	if err != nil {
 		return nil, err
 	}
-	s := &DoTServer{responder: r, ln: ln}
-	s.addr = ln.Addr().(*net.TCPAddr).AddrPort()
-	s.wg.Add(1)
-	go s.serve()
-	return s, nil
-}
-
-// Addr returns the bound address.
-func (s *DoTServer) Addr() netip.AddrPort { return s.addr }
-
-func (s *DoTServer) serve() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // closed
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			src := netip.Addr{}
-			if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
-				src = ta.AddrPort().Addr()
-			}
-			for {
-				raw, err := dnsio.ReadFrame(conn)
-				if err != nil {
-					return
-				}
-				out := dnsio.ServeRaw(s.responder, src, raw, dnsio.ViaDoT)
-				if out == nil {
-					return
-				}
-				if err := dnsio.WriteFrame(conn, out); err != nil {
-					return
-				}
-			}
-		}()
+	srv := dnsio.NewServer(r)
+	if err := srv.ServeStream(ln, dnsio.ViaDoT); err != nil {
+		return nil, err
 	}
-}
-
-// Close shuts the listener and waits for in-flight connections.
-func (s *DoTServer) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		err = s.ln.Close()
-		s.wg.Wait()
-	})
-	return err
+	return srv, nil
 }
 
 // SelfSignedCert mints an ECDSA certificate for the given hosts (DNS names

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/dnsio"
-	"repro/internal/simnet"
 )
 
 // Modeled crypto costs, in units of the fabric's base RTT. The handshake is
@@ -34,11 +33,12 @@ const (
 	dohRecordDiv = 8
 )
 
-// simEncrypted layers modeled handshake and record costs over the plain
-// fabric transport. Routing is untouched — the wrapped SimTransport hits the
-// same lossy datagram endpoint (and the same reliable endpoint on TC
-// fallback) the plain transports hit, so fault profiles draw identically and
-// a chaos sweep collects byte-identical records on every transport.
+// simEncrypted is the simulated DoT and DoH transport: it layers modeled
+// handshake and record costs over the plain fabric transport. Routing is
+// untouched — the wrapped SimTransport hits the same lossy datagram endpoint
+// (and the same reliable endpoint on TC fallback) the plain transports hit,
+// so fault profiles draw identically and a chaos sweep collects
+// byte-identical records on every transport.
 type simEncrypted struct {
 	inner         dnsio.SimTransport
 	handshakeRTTs int64
@@ -47,32 +47,6 @@ type simEncrypted struct {
 	mu         sync.Mutex
 	seen       map[netip.Addr]struct{}
 	handshakes int64
-}
-
-// SimDoT is the simulated RFC 7858 transport.
-type SimDoT struct{ simEncrypted }
-
-// SimDoH is the simulated RFC 8484 transport.
-type SimDoH struct{ simEncrypted }
-
-// NewSimDoT builds a DoT transport over the fabric from src.
-func NewSimDoT(f *simnet.Fabric, src netip.Addr) *SimDoT {
-	return &SimDoT{simEncrypted{
-		inner:         dnsio.SimTransport{Fabric: f, Src: src},
-		handshakeRTTs: dotHandshakeRTTs,
-		recordDiv:     dotRecordDiv,
-		seen:          make(map[netip.Addr]struct{}),
-	}}
-}
-
-// NewSimDoH builds a DoH transport over the fabric from src.
-func NewSimDoH(f *simnet.Fabric, src netip.Addr) *SimDoH {
-	return &SimDoH{simEncrypted{
-		inner:         dnsio.SimTransport{Fabric: f, Src: src},
-		handshakeRTTs: dohHandshakeRTTs,
-		recordDiv:     dohRecordDiv,
-		seen:          make(map[netip.Addr]struct{}),
-	}}
 }
 
 // Exchange implements dnsio.Transport: book the modeled costs, then carry the
@@ -86,9 +60,7 @@ func (t *simEncrypted) Exchange(ctx context.Context, buf []byte, server netip.Ad
 		t.inner.Fabric.AdvanceVirtual(time.Duration(t.handshakeRTTs) * base)
 	}
 	t.mu.Unlock()
-	if t.recordDiv > 0 {
-		t.inner.Fabric.AdvanceVirtual(base / time.Duration(t.recordDiv))
-	}
+	t.inner.Fabric.AdvanceVirtual(base / time.Duration(t.recordDiv))
 	return t.inner.Exchange(ctx, buf, server, packed, tcp)
 }
 

@@ -6,18 +6,20 @@
 //
 // Two families of implementations live here:
 //
-//   - Simulated: SimDoT and SimDoH wrap dnsio.SimTransport and route through
-//     the exact fabric endpoints the plain transports use, so per-endpoint
-//     chaos draws — hashed from (seed, endpoint, sequence) — are bit-identical
-//     across transports and a sweep's verdicts never depend on the transport.
+//   - Simulated: NewSim's DoT and DoH wrap dnsio.SimTransport and route
+//     through the exact fabric endpoints the plain transports use, so
+//     per-endpoint chaos draws — hashed from (seed, endpoint, sequence) — are
+//     bit-identical across transports and a sweep's verdicts never depend on
+//     the transport.
 //     Encryption shows up only as modeled cost on the virtual clock: a
 //     connection handshake booked once per server (amortized across that
 //     server's probes) and a per-message record/header overhead.
 //
 //   - Real sockets: NetDoT dials TLS and frames over the session, NetDoH
-//     speaks RFC 8484 against any HTTP endpoint; DoTServer and DoHHandler are
-//     the serving sides, adapting any dnsio.Responder. urwatchd mounts
-//     DoHHandler at /dns-query, and cmd/dnsq -transport exercises all four.
+//     speaks RFC 8484 against any HTTP endpoint; ServeDoT (a dnsio.Server
+//     over a TLS listener) and DoHHandler are the serving sides, adapting any
+//     dnsio.Responder. urwatchd mounts DoHHandler at /dns-query, and cmd/dnsq
+//     -transport exercises all four.
 //
 // Failure classification stays in dnsio: TLS handshake failures wrap
 // dnsio.ErrTLSHandshake (permanent — fail fast), non-200 DoH statuses wrap
@@ -38,14 +40,9 @@ type Kind string
 // The transports a sweep or client can select.
 const (
 	KindUDP Kind = "udp" // plain datagrams with TC fallback to TCP
-	KindTCP Kind = "tcp" // plain stream framing for every query
 	KindDoT Kind = "dot" // RFC 7858 DNS over TLS
 	KindDoH Kind = "doh" // RFC 8484 DNS over HTTPS
 )
-
-// SweepKinds are the transports urhunter sweeps over; plain TCP is a
-// fallback mechanism, not a sweep dimension.
-var SweepKinds = []Kind{KindUDP, KindDoT, KindDoH}
 
 // ParseKind validates a -transport flag value. The empty string selects UDP,
 // keeping journals and configs from before the transport dimension valid.
@@ -53,14 +50,12 @@ func ParseKind(s string) (Kind, error) {
 	switch Kind(s) {
 	case "", KindUDP:
 		return KindUDP, nil
-	case KindTCP:
-		return KindTCP, nil
 	case KindDoT:
 		return KindDoT, nil
 	case KindDoH:
 		return KindDoH, nil
 	}
-	return "", fmt.Errorf("transport: unknown kind %q (want udp, tcp, dot, or doh)", s)
+	return "", fmt.Errorf("transport: unknown kind %q (want udp, dot, or doh)", s)
 }
 
 // String returns the flag-form name.
@@ -71,17 +66,22 @@ func (k Kind) String() string {
 	return string(k)
 }
 
-// NewSim builds the simulated transport for a kind over the fabric. UDP and
-// TCP share dnsio.SimTransport (the tcp flag per exchange picks the reliable
-// endpoint); DoT and DoH layer modeled crypto costs on top of it.
+// NewSim builds the simulated transport for a kind over the fabric. UDP is
+// dnsio.SimTransport (the tcp flag per exchange picks the reliable endpoint);
+// DoT and DoH layer their modeled crypto costs on top of it.
 func NewSim(k Kind, f *simnet.Fabric, src netip.Addr) (dnsio.Transport, error) {
+	inner := dnsio.SimTransport{Fabric: f, Src: src}
+	var handshakeRTTs, recordDiv int64
 	switch k {
-	case "", KindUDP, KindTCP:
-		return &dnsio.SimTransport{Fabric: f, Src: src}, nil
+	case "", KindUDP:
+		return &inner, nil
 	case KindDoT:
-		return NewSimDoT(f, src), nil
+		handshakeRTTs, recordDiv = dotHandshakeRTTs, dotRecordDiv
 	case KindDoH:
-		return NewSimDoH(f, src), nil
+		handshakeRTTs, recordDiv = dohHandshakeRTTs, dohRecordDiv
+	default:
+		return nil, fmt.Errorf("transport: no simulated transport for kind %q", k)
 	}
-	return nil, fmt.Errorf("transport: no simulated transport for kind %q", k)
+	return &simEncrypted{inner: inner, handshakeRTTs: handshakeRTTs, recordDiv: recordDiv,
+		seen: make(map[netip.Addr]struct{})}, nil
 }

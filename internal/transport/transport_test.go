@@ -10,7 +10,6 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dns"
 	"repro/internal/dnsio"
@@ -51,16 +50,20 @@ func packedQuery(t *testing.T) []byte {
 
 func TestParseKind(t *testing.T) {
 	for in, want := range map[string]Kind{"": KindUDP, "udp": KindUDP,
-		"tcp": KindTCP, "dot": KindDoT, "doh": KindDoH} {
+		"dot": KindDoT, "doh": KindDoH} {
 		k, err := ParseKind(in)
 		if err != nil || k != want {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", in, k, err, want)
 		}
 	}
-	if _, err := ParseKind("quic"); err == nil {
-		t.Error("ParseKind accepted an unknown kind")
-	} else if !strings.Contains(err.Error(), "quic") {
-		t.Errorf("error does not name the bad kind: %v", err)
+	// Plain TCP is the UDP transport's truncation fallback, not a sweep
+	// transport of its own.
+	for _, bad := range []string{"quic", "tcp"} {
+		if _, err := ParseKind(bad); err == nil {
+			t.Errorf("ParseKind accepted unknown kind %q", bad)
+		} else if !strings.Contains(err.Error(), bad) {
+			t.Errorf("error does not name the bad kind: %v", err)
+		}
 	}
 }
 
@@ -226,8 +229,8 @@ func TestDoTLoopback(t *testing.T) {
 	}
 	defer srv.Close()
 
-	tr := &NetDoT{TLS: &tls.Config{RootCAs: pool}, DialTimeout: 5 * time.Second}
-	out, err := tr.Exchange(context.Background(), nil, srv.Addr(), packedQuery(t), false)
+	tr := &NetDoT{TLS: &tls.Config{RootCAs: pool}}
+	out, err := tr.Exchange(context.Background(), nil, srv.TCPAddr(), packedQuery(t), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +247,8 @@ func TestDoTLoopback(t *testing.T) {
 
 	// A client with no trust anchor must fail the handshake and classify it
 	// as the permanent TLS failure class, not a generic socket error.
-	bad := &NetDoT{DialTimeout: 5 * time.Second}
-	if _, err := bad.Exchange(context.Background(), nil, srv.Addr(), packedQuery(t), false); !errors.Is(err, dnsio.ErrTLSHandshake) {
+	bad := &NetDoT{}
+	if _, err := bad.Exchange(context.Background(), nil, srv.TCPAddr(), packedQuery(t), false); !errors.Is(err, dnsio.ErrTLSHandshake) {
 		t.Errorf("untrusted handshake error = %v, want ErrTLSHandshake", err)
 	}
 }
@@ -324,6 +327,33 @@ func TestSimHandshakeAmortized(t *testing.T) {
 		}
 		if fabric.VirtualRTT() <= before {
 			t.Errorf("%s: no modeled cost booked on the virtual clock", k)
+		}
+	}
+}
+
+// TestClientAddr: every RemoteAddr form net/http produces yields its IP as
+// written; a malformed one yields the zero Addr, the bucket a rate limiter
+// shares among every unparsable client.
+func TestClientAddr(t *testing.T) {
+	for _, c := range []struct{ remote, want string }{
+		{"192.0.2.7:5353", "192.0.2.7"},
+		{"[2001:db8::7]:443", "2001:db8::7"},
+		{"[fe80::1%eth0]:853", "fe80::1%eth0"},
+		{"[::ffff:192.0.2.7]:53", "::ffff:192.0.2.7"},
+		{"192.0.2.7", "192.0.2.7"},
+		{"2001:db8::7", "2001:db8::7"},
+		{"192.0.2.7:99999", ""},
+		{"192.0.2.7:", ""},
+		{"[2001:db8::7]", ""},
+		{"example.test:80", ""},
+		{"", ""},
+	} {
+		var want netip.Addr
+		if c.want != "" {
+			want = netip.MustParseAddr(c.want)
+		}
+		if got := ClientAddr(&http.Request{RemoteAddr: c.remote}); got != want {
+			t.Errorf("ClientAddr(%q) = %v, want %v", c.remote, got, want)
 		}
 	}
 }

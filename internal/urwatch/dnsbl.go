@@ -362,11 +362,7 @@ func (z *ZoneResponder) appendAnswer(dst []byte, src netip.Addr, via string, q *
 	dst[base+2], dst[base+3] = byte(flags>>8), byte(flags)
 	dst[base+7], dst[base+9] = byte(answers), byte(authority)
 
-	if z.Metrics != nil {
-		z.Metrics.CountQuery(q.zone, rcode)
-		z.Metrics.CountTransport(TransportLabelOf(via), rcode)
-		z.Metrics.ObserveDNS(time.Since(t0))
-	}
+	z.Metrics.observeDNS(q.zone, via, rcode, t0)
 	return dst
 }
 
@@ -534,11 +530,7 @@ func (z *ZoneResponder) HandleQueryVia(src netip.Addr, q *dns.Message, via strin
 		t0 = time.Now()
 	}
 	r, zone := z.answerMeta(src, q, zone)
-	if z.Metrics != nil {
-		z.Metrics.CountQuery(zone, r.Header.RCode)
-		z.Metrics.CountTransport(TransportLabelOf(via), r.Header.RCode)
-		z.Metrics.ObserveDNS(time.Since(t0))
-	}
+	z.Metrics.observeDNS(zone, via, r.Header.RCode, t0)
 	return r
 }
 

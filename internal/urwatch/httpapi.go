@@ -2,13 +2,13 @@ package urwatch
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/netip"
 	"strconv"
 	"time"
 
 	"repro/internal/dns"
+	"repro/internal/transport"
 )
 
 // API is the HTTP/JSON front-end over a verdict store. Every response
@@ -116,7 +116,7 @@ func (a *API) limited(h http.HandlerFunc) http.HandlerFunc {
 		w.Header().Set("X-URWatch-Staleness", st.HeaderValue())
 		w.Header().Set("X-URWatch-Health", st.State.String())
 		if a.Limiter != nil {
-			client := clientAddr(r)
+			client := transport.ClientAddr(r)
 			if !a.Limiter.Allow(client) {
 				http.Error(w, `{"error":"rate limited"}`, http.StatusTooManyRequests)
 				return
@@ -142,20 +142,6 @@ func (a *API) now() time.Time {
 func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	a.Metrics.WriteProm(w, a.Store, a.Cache, a.now())
-}
-
-// clientAddr extracts the client IP from RemoteAddr (zero Addr on failure,
-// which buckets all unparseable clients together — fail closed, not open).
-func clientAddr(r *http.Request) netip.Addr {
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		host = r.RemoteAddr
-	}
-	addr, err := netip.ParseAddr(host)
-	if err != nil {
-		return netip.Addr{}
-	}
-	return addr
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -114,30 +114,24 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// CountQuery records one answered DNS query by subtree and response code.
-func (m *Metrics) CountQuery(zone ZoneLabel, rcode dns.RCode) {
+// observeDNS books one answered DNS query under its subtree and its wire
+// transport, by response code, and observes its latency since t0.
+func (m *Metrics) observeDNS(zone ZoneLabel, via string, rcode dns.RCode, t0 time.Time) {
 	if m == nil {
 		return
 	}
+	t := TransportLabelOf(via)
 	m.queries[zone].Add(1)
+	m.tQueries[t].Add(1)
 	switch rcode {
 	case dns.RCodeRefused:
 		m.refused[zone].Add(1)
+		m.tRefused[t].Add(1)
 	case dns.RCodeNXDomain:
 		m.nxdomain[zone].Add(1)
 	}
-}
-
-// CountTransport records one answered DNS query by wire transport and
-// response code — the second axis of the same query stream CountQuery
-// bucketed by zone.
-func (m *Metrics) CountTransport(t TransportLabel, rcode dns.RCode) {
-	if m == nil {
-		return
-	}
-	m.tQueries[t].Add(1)
-	if rcode == dns.RCodeRefused {
-		m.tRefused[t].Add(1)
+	if m.DNS != nil {
+		m.DNS.Observe(time.Since(t0))
 	}
 }
 
@@ -168,19 +162,16 @@ func (m *Metrics) CountNotify() {
 	}
 }
 
-// ObserveDNS records one DNS serving latency.
-func (m *Metrics) ObserveDNS(d time.Duration) {
-	if m != nil && m.DNS != nil {
-		m.DNS.Observe(d)
-	}
-}
-
 // ObserveHTTP records one HTTP serving latency.
 func (m *Metrics) ObserveHTTP(d time.Duration) {
 	if m != nil && m.HTTP != nil {
 		m.HTTP.Observe(d)
 	}
 }
+
+// noMetrics is what WriteProm renders for an API wired without metrics: every
+// counter zero, and no histograms, which writeSummary renders as empty.
+var noMetrics Metrics
 
 // promQuantiles are the exported summary quantiles.
 var promQuantiles = []float64{0.5, 0.9, 0.99}
@@ -192,7 +183,7 @@ var promQuantiles = []float64{0.5, 0.9, 0.99}
 func (m *Metrics) WriteProm(w io.Writer, store *Store, cache *ResponseCache, now time.Time) {
 	if m == nil {
 		// An API wired without counters still exposes the store gauges.
-		m = NewMetrics()
+		m = &noMetrics
 	}
 	st := store.Staleness(now)
 	g := store.Current()
@@ -200,45 +191,37 @@ func (m *Metrics) WriteProm(w io.Writer, store *Store, cache *ResponseCache, now
 	fmt.Fprintf(w, "# HELP urwatch_dns_queries_total DNS queries answered, by feed subtree and by wire transport.\n")
 	fmt.Fprintf(w, "# TYPE urwatch_dns_queries_total counter\n")
 	for l := ZoneLabel(0); l < nZoneLabels; l++ {
-		fmt.Fprintf(w, "urwatch_dns_queries_total{zone=%q} %d\n", l, m.counter(&m.queries, l))
+		fmt.Fprintf(w, "urwatch_dns_queries_total{zone=%q} %d\n", l, m.queries[l].Load())
 	}
 	for t := TransportLabel(0); t < nTransportLabels; t++ {
-		fmt.Fprintf(w, "urwatch_dns_queries_total{transport=%q} %d\n", t, m.tcounter(&m.tQueries, t))
+		fmt.Fprintf(w, "urwatch_dns_queries_total{transport=%q} %d\n", t, m.tQueries[t].Load())
 	}
 	fmt.Fprintf(w, "# HELP urwatch_dns_refused_total REFUSED answers, by feed subtree and by wire transport.\n")
 	fmt.Fprintf(w, "# TYPE urwatch_dns_refused_total counter\n")
 	for l := ZoneLabel(0); l < nZoneLabels; l++ {
-		fmt.Fprintf(w, "urwatch_dns_refused_total{zone=%q} %d\n", l, m.counter(&m.refused, l))
+		fmt.Fprintf(w, "urwatch_dns_refused_total{zone=%q} %d\n", l, m.refused[l].Load())
 	}
 	for t := TransportLabel(0); t < nTransportLabels; t++ {
-		fmt.Fprintf(w, "urwatch_dns_refused_total{transport=%q} %d\n", t, m.tcounter(&m.tRefused, t))
+		fmt.Fprintf(w, "urwatch_dns_refused_total{transport=%q} %d\n", t, m.tRefused[t].Load())
 	}
 	fmt.Fprintf(w, "# HELP urwatch_dns_transport_errors_total Requests that never decoded to a DNS message, by wire transport.\n")
 	fmt.Fprintf(w, "# TYPE urwatch_dns_transport_errors_total counter\n")
 	for t := TransportLabel(0); t < nTransportLabels; t++ {
-		fmt.Fprintf(w, "urwatch_dns_transport_errors_total{transport=%q} %d\n", t, m.tcounter(&m.tErrors, t))
+		fmt.Fprintf(w, "urwatch_dns_transport_errors_total{transport=%q} %d\n", t, m.tErrors[t].Load())
 	}
 	fmt.Fprintf(w, "# HELP urwatch_dns_nxdomain_total NXDOMAIN answers, by feed subtree.\n")
 	fmt.Fprintf(w, "# TYPE urwatch_dns_nxdomain_total counter\n")
 	for l := ZoneLabel(0); l < nZoneLabels; l++ {
-		fmt.Fprintf(w, "urwatch_dns_nxdomain_total{zone=%q} %d\n", l, m.counter(&m.nxdomain, l))
+		fmt.Fprintf(w, "urwatch_dns_nxdomain_total{zone=%q} %d\n", l, m.nxdomain[l].Load())
 	}
 
 	fmt.Fprintf(w, "# HELP urwatch_xfr_total Zone-transfer attempts by outcome.\n")
 	fmt.Fprintf(w, "# TYPE urwatch_xfr_total counter\n")
-	served, xrefused := int64(0), int64(0)
-	if m != nil {
-		served, xrefused = m.xfrServed.Load(), m.xfrRefused.Load()
-	}
-	fmt.Fprintf(w, "urwatch_xfr_total{outcome=\"served\"} %d\n", served)
-	fmt.Fprintf(w, "urwatch_xfr_total{outcome=\"refused\"} %d\n", xrefused)
-	notified := int64(0)
-	if m != nil {
-		notified = m.notifySent.Load()
-	}
+	fmt.Fprintf(w, "urwatch_xfr_total{outcome=\"served\"} %d\n", m.xfrServed.Load())
+	fmt.Fprintf(w, "urwatch_xfr_total{outcome=\"refused\"} %d\n", m.xfrRefused.Load())
 	fmt.Fprintf(w, "# HELP urwatch_notify_sent_total Outbound NOTIFY messages.\n")
 	fmt.Fprintf(w, "# TYPE urwatch_notify_sent_total counter\n")
-	fmt.Fprintf(w, "urwatch_notify_sent_total %d\n", notified)
+	fmt.Fprintf(w, "urwatch_notify_sent_total %d\n", m.notifySent.Load())
 
 	hits, misses := cache.Stats()
 	fmt.Fprintf(w, "# HELP urwatch_cache_hits_total Response-cache hits.\n")
@@ -274,39 +257,8 @@ func (m *Metrics) WriteProm(w io.Writer, store *Store, cache *ResponseCache, now
 	fmt.Fprintf(w, "# TYPE urwatch_verdicts gauge\n")
 	fmt.Fprintf(w, "urwatch_verdicts %d\n", g.Total())
 
-	m.writeSummary(w, "urwatch_dns_latency_seconds", "DNS serving latency.", m.dnsHist())
-	m.writeSummary(w, "urwatch_http_latency_seconds", "HTTP serving latency.", m.httpHist())
-}
-
-// dnsHist and httpHist read the histograms nil-receiver-safely.
-func (m *Metrics) dnsHist() *LatencyHistogram {
-	if m == nil {
-		return nil
-	}
-	return m.DNS
-}
-
-func (m *Metrics) httpHist() *LatencyHistogram {
-	if m == nil {
-		return nil
-	}
-	return m.HTTP
-}
-
-// counter reads one labeled counter, nil-safe.
-func (m *Metrics) counter(arr *[nZoneLabels]atomic.Int64, l ZoneLabel) int64 {
-	if m == nil {
-		return 0
-	}
-	return arr[l].Load()
-}
-
-// tcounter reads one transport-labeled counter, nil-safe.
-func (m *Metrics) tcounter(arr *[nTransportLabels]atomic.Int64, l TransportLabel) int64 {
-	if m == nil {
-		return 0
-	}
-	return arr[l].Load()
+	m.writeSummary(w, "urwatch_dns_latency_seconds", "DNS serving latency.", m.DNS)
+	m.writeSummary(w, "urwatch_http_latency_seconds", "HTTP serving latency.", m.HTTP)
 }
 
 // writeSummary renders one histogram as a Prometheus summary: quantile

@@ -2,6 +2,8 @@ package urwatch
 
 import (
 	"context"
+	"crypto/tls"
+	"crypto/x509"
 	"net/netip"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dns"
 	"repro/internal/dnsio"
+	"repro/internal/transport"
 )
 
 // startXfrZone binds a ZoneResponder on real UDP/TCP sockets and returns the
@@ -403,5 +406,106 @@ func TestACLParse(t *testing.T) {
 	}
 	if _, err := ParseACL("not-an-addr"); err == nil {
 		t.Fatal("bad entry must error")
+	}
+}
+
+// dotAXFR runs one AXFR of the test zone over a DoT session and returns the
+// first message's rcode and every answer record up to the closing SOA.
+func dotAXFR(t *testing.T, server netip.AddrPort, pool *x509.CertPool) (dns.RCode, []dns.RR) {
+	t.Helper()
+	conn, err := tls.Dial("tcp", server.String(), &tls.Config{RootCAs: pool})
+	if err != nil {
+		t.Fatalf("dial DoT: %v", err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	q, err := dns.NewQuery(0x5a5a, testApex, dns.TypeAXFR).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dnsio.WriteFrame(conn, q); err != nil {
+		t.Fatal(err)
+	}
+	var rrs []dns.RR
+	soas := 0
+	for {
+		raw, err := dnsio.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("DoT transfer read: %v", err)
+		}
+		m, err := dns.Unpack(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Header.RCode != dns.RCodeSuccess {
+			return m.Header.RCode, rrs
+		}
+		for _, rr := range m.Answers {
+			rrs = append(rrs, rr)
+			if rr.Type() == dns.TypeSOA {
+				if soas++; soas == 2 {
+					return dns.RCodeSuccess, rrs
+				}
+			}
+		}
+	}
+}
+
+// TestAXFROverDoT: DoT queries take the TCP server's stream loop, so an
+// allowlisted AXFR over TLS streams the records a TCP transfer of the same
+// generation does, a source outside the allowlist is REFUSED, and an idle
+// DoT client does not hold up Close.
+func TestAXFROverDoT(t *testing.T) {
+	clk := newMovableClock(time.Unix(1_700_000_000, 0))
+	s := xfrTestStore(t, clk.Now)
+	cert, pool, err := transport.SelfSignedCert("127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := transfer(t, startXfrZone(t, xfrResponder(s)), dns.TypeAXFR, 0)
+
+	srv, err := transport.ServeDoT(xfrResponder(s), "127.0.0.1:0", cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rcode, got := dotAXFR(t, srv.TCPAddr(), pool)
+	if rcode != dns.RCodeSuccess {
+		t.Fatalf("allowlisted DoT AXFR rcode %s, want NOERROR", rcode)
+	}
+	if len(got) != len(want.Records) {
+		t.Fatalf("DoT AXFR carried %d records, TCP AXFR %d", len(got), len(want.Records))
+	}
+	for i := range got {
+		if got[i].String() != want.Records[i].String() {
+			t.Fatalf("record %d: DoT %q, TCP %q", i, got[i], want.Records[i])
+		}
+	}
+
+	refusing, err := transport.ServeDoT(&ZoneResponder{
+		Apex: testApex, Store: s, XferACL: MustParseACL("10.0.0.0/8"),
+	}, "127.0.0.1:0", cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refusing.Close()
+	if rcode, got := dotAXFR(t, refusing.TCPAddr(), pool); rcode != dns.RCodeRefused || len(got) != 0 {
+		t.Fatalf("DoT AXFR from non-allowlisted source: rcode %s with %d records, want REFUSED", rcode, len(got))
+	}
+
+	idle, err := tls.Dial("tcp", srv.TCPAddr().String(), &tls.Config{RootCAs: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close blocked on an idle DoT client")
 	}
 }

@@ -74,8 +74,8 @@ func NewPipeline(w *World) *core.Pipeline {
 	return core.NewPipeline(w.URHunterConfig())
 }
 
-// ValidateTransport checks a wire-transport name ("", "udp", "tcp", "dot",
-// "doh"); the empty string is the udp default. CLIs call this before building
+// ValidateTransport checks a wire-transport name ("", "udp", "dot", "doh");
+// the empty string is the udp default. CLIs call this before building
 // pipelines so a typo fails at flag parse, not mid-sweep.
 func ValidateTransport(kind string) error {
 	_, err := transport.ParseKind(kind)
