@@ -251,6 +251,19 @@ type sweepWorker struct {
 	scratch dnsio.Scratch
 	answers answerMemo
 	order   []int32
+
+	// kind is the sweep kind of the live probe in flight, and seen the memo
+	// entry the client found its answer in, if it did.
+	kind sweepKind
+	seen *derivedAnswer
+}
+
+// Known implements dnsio.KnownAnswers over the worker's answer memo for the
+// live probe in flight, so a repeated answer is accepted without a decode.
+// An entry is made only from an answer the client decoded and validated.
+func (w *sweepWorker) Known(resp []byte, q dns.Question) bool {
+	w.seen = w.answers.get(resp, w.kind, q.Name, q.Type)
+	return w.seen != nil
 }
 
 // sweepJob is a worker's pass over one server unit. Its counters and failure
@@ -296,8 +309,9 @@ func (j *sweepJob) fail(kind sweepKind, pos probePos, name dns.Name, qt dns.Type
 // probe settles one planned probe — target position t (the canary's is
 // len(Targets)), query-type position qi. An answer the worker has derived
 // before for the same probe kind, name and type comes back as seen, the
-// memo's entry, and is not decoded; any other comes back as resp with the
-// wire bytes it was decoded from, for the caller to derive and answers.put.
+// memo's entry, and is not decoded — a live one is recognised by the client
+// (sweepWorker.Known); any other comes back as resp with the wire bytes it
+// was decoded from, for the caller to derive and answers.put.
 // Both are nil when the probe failed and now sits on j.fails, or was
 // replayed as an answer with nothing in it. A non-nil error is fatal to the
 // sweep (cancellation, journal write failure).
@@ -348,6 +362,7 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 	}
 	j.attempted++
 	j.issued++
+	w.scratch.Known, w.kind, w.seen = w, kind, nil
 	resp, wire, err = j.c.client.QueryInto(ctx, &w.scratch, j.server, name, qt)
 	if err != nil {
 		class := dnsio.Classify(err)
@@ -363,12 +378,7 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 			return nil, nil, nil, jerr
 		}
 	}
-	if resp.Header.RCode == dns.RCodeSuccess && len(resp.Answers) > 0 {
-		if seen = w.answers.get(wire, kind, name, qt); seen != nil {
-			return nil, wire, seen, nil
-		}
-	}
-	return resp, wire, nil, nil
+	return resp, wire, w.seen, nil
 }
 
 // sweepPool runs job once per server on the collection worker pool and

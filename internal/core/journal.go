@@ -836,9 +836,10 @@ func (s *segmentWriter) position(rec byte, p probePos) {
 // (ursFromResponse, addCorrectAnswers, addProtectiveAnswers; Coverage counts
 // the probe answered either way), so a response that is not NOERROR or has no
 // answer records is journaled as its position alone; any other keeps its
-// wire bytes.
+// wire bytes. A nil resp is an answer the client accepted undecoded from the
+// worker's memo, which holds only NOERROR answers with records.
 func (s *segmentWriter) answer(p probePos, resp *dns.Message, wire []byte) error {
-	if resp.Header.RCode != dns.RCodeSuccess || len(resp.Answers) == 0 {
+	if resp != nil && (resp.Header.RCode != dns.RCodeSuccess || len(resp.Answers) == 0) {
 		return s.empty(p)
 	}
 	return s.answered(p, wire)

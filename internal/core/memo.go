@@ -10,8 +10,10 @@
 //     after the 2-octet ID to what the worker derived from it: the (rdata,
 //     TTL) list of a nameserver answer's URs, or "folded" for an open
 //     resolver's answer, whose profile adds are set inserts that a repeat
-//     cannot change. It is consulted before a replayed answer is decoded and
-//     before a live one is read.
+//     cannot change. It is consulted before a replayed answer is decoded,
+//     and a live one never is when the client finds it there: the worker
+//     hands the memo to its scratch (sweepWorker.Known), and the client
+//     accepts a repeated answer undecoded.
 //   - the rdata memo, detMemo.rdata, one per determine worker, maps (type,
 //     rdata) to the facts enrichOne and correctA read off it.
 //

@@ -137,7 +137,8 @@ func (u uniqueAnswerTransport) SleepVirtual(d time.Duration) {
 // must equal the run in which no memo takes an entry — the derivation path
 // without memos.
 func TestAnswerMemoBoundedUnderUniqueAnswers(t *testing.T) {
-	defer func(a, r int) { answerMemoCap, rdataMemoCap = a, r }(answerMemoCap, rdataMemoCap)
+	defaultAnswerCap, defaultRDataCap := answerMemoCap, rdataMemoCap
+	defer func() { answerMemoCap, rdataMemoCap = defaultAnswerCap, defaultRDataCap }()
 	fixture := func() *chaosFixture {
 		fx := newChaosFixture(t, 11)
 		inner, err := fx.cfg.transport()
@@ -221,5 +222,41 @@ func TestAnswerMemoBoundedUnderUniqueAnswers(t *testing.T) {
 		if got != want {
 			t.Errorf("%s report with capped memos under unique answers differs from the report without memos", pass)
 		}
+	}
+
+	// A live answer the client recognises from the memo journals as a
+	// decoded one does. Over the fixture's own answers, which one sweep
+	// worker receives from all six nameservers alike, a journaled run and its
+	// resume with the memos off and at their default caps must read back the
+	// same records and empties, and report alike.
+	journaled := func(answerCap, rdataCap int) (ReplayStats, string) {
+		answerMemoCap, rdataMemoCap = answerCap, rdataCap
+		dir := t.TempDir()
+		var stats ReplayStats
+		var report string
+		for range 2 { // the journaled run, then its resume
+			fx := newChaosFixture(t, 11)
+			fx.cfg.Parallelism = 1
+			j, err := OpenJournal(dir, fx.cfg, JournalOptions{CheckpointEvery: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fx.cfg.Journal = j
+			report = run(fx.cfg)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			stats = j.ReplayStats()
+		}
+		return stats, report
+	}
+	offStats, offReport := journaled(0, 0)
+	onStats, onReport := journaled(defaultAnswerCap, defaultRDataCap)
+	if offStats.Records == 0 || onStats.Records != offStats.Records || onStats.Empty != offStats.Empty {
+		t.Errorf("the resume read %d records (%d empty) journaled with the memos, %d (%d empty) without",
+			onStats.Records, onStats.Empty, offStats.Records, offStats.Empty)
+	}
+	if onReport != offReport {
+		t.Error("the resumed report with the memos differs from the one without")
 	}
 }

@@ -149,7 +149,16 @@ type Scratch struct {
 	query  dns.Message
 	packed []byte
 	wire   []byte
-	msg    dns.Message
+	msg    *dns.Message // what responses decode into; nil until the first, and after Take
+
+	// Known is the caller's memo of the answers it has already derived what
+	// it needs from, nil for none. A response whose ID is the query's, with
+	// QR set and TC clear, that Known holds for the query's question is
+	// accepted without being decoded: QueryInto returns it with a nil
+	// message. Every other response is decoded and validated, which stays
+	// the only validator as long as Known only holds bytes that path
+	// accepted.
+	Known KnownAnswers
 
 	// The query-ID stream: the client and seeding epoch it was started from,
 	// and where it stands.
@@ -165,6 +174,43 @@ type Scratch struct {
 	br     *breaker
 }
 
+// KnownAnswers is a memo of answers, keyed by their wire form from octet 2
+// on: everything after the ID, which is all two answers to one question can
+// differ in and still be the same answer.
+type KnownAnswers interface {
+	// Known reports whether the memo holds an answer to q whose wire form
+	// from octet 2 on equals resp[2:]. resp is lent for the call only.
+	Known(resp []byte, q dns.Question) bool
+}
+
+// known reports whether raw is an answer to q that s.Known holds. The ID, QR
+// and TC are checked here, before the memo is asked: a spoofed ID must be
+// rejected, and a truncated answer retried over TCP, exactly as the decode
+// path does.
+func (s *Scratch) known(q *dns.Message, raw []byte) bool {
+	return s.Known != nil && len(raw) >= 12 && len(q.Questions) == 1 &&
+		binary.BigEndian.Uint16(raw) == q.Header.ID &&
+		raw[2]&0x80 != 0 && raw[2]&0x02 == 0 && // QR set, TC clear
+		s.Known.Known(raw, q.Questions[0])
+}
+
+// message returns the message the scratch decodes into.
+func (s *Scratch) message() *dns.Message {
+	if s.msg == nil {
+		s.msg = new(dns.Message)
+	}
+	return s.msg
+}
+
+// Take hands the caller the message QueryInto or Decode last returned: it is
+// the caller's own from then on, and the scratch decodes its next response
+// into a new one.
+func (s *Scratch) Take() *dns.Message {
+	m := s.msg
+	s.msg = nil
+	return m
+}
+
 // breakerFor returns set's breaker for addr.
 func (s *Scratch) breakerFor(set *BreakerSet, addr netip.Addr) *breaker {
 	if s.brSet != set || s.brAddr != addr {
@@ -176,10 +222,11 @@ func (s *Scratch) breakerFor(set *BreakerSet, addr netip.Addr) *breaker {
 // Decode parses wire into the scratch's message, as QueryInto does with a
 // server's answer — a resumed sweep feeds journaled answers through it.
 func (s *Scratch) Decode(wire []byte) (*dns.Message, error) {
-	if err := s.msg.UnpackFrom(wire); err != nil {
+	m := s.message()
+	if err := m.UnpackFrom(wire); err != nil {
 		return nil, err
 	}
-	return &s.msg, nil
+	return m, nil
 }
 
 // scratchPool lends Query, QueryWire and Exchange the buffers a caller of
@@ -202,7 +249,7 @@ func (c *Client) Query(ctx context.Context, server netip.AddrPort, name dns.Name
 	s := borrowScratch()
 	defer scratchPool.Put(s)
 	resp := new(dns.Message)
-	if _, err := c.exchange(ctx, s, server, c.question(s, name, t), resp); err != nil {
+	if _, _, err := c.exchange(ctx, s, server, c.question(s, name, t), resp); err != nil {
 		return nil, err
 	}
 	return resp, nil
@@ -216,7 +263,7 @@ func (c *Client) QueryWire(ctx context.Context, server netip.AddrPort, name dns.
 	s := borrowScratch()
 	defer scratchPool.Put(s)
 	resp := new(dns.Message)
-	raw, err := c.exchange(ctx, s, server, c.question(s, name, t), resp)
+	raw, _, err := c.exchange(ctx, s, server, c.question(s, name, t), resp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -225,13 +272,16 @@ func (c *Client) QueryWire(ctx context.Context, server netip.AddrPort, name dns.
 
 // QueryInto is QueryWire through the caller's scratch: the returned message
 // and wire bytes live in s, and are valid until s is next used. Anything the
-// caller keeps from them it copies first.
+// caller keeps from them it copies first; Take keeps the message whole. An
+// answer s.Known holds comes back undecoded, as its wire bytes and a nil
+// message.
 func (c *Client) QueryInto(ctx context.Context, s *Scratch, server netip.AddrPort, name dns.Name, t dns.Type) (*dns.Message, []byte, error) {
-	raw, err := c.exchange(ctx, s, server, c.question(s, name, t), &s.msg)
-	if err != nil {
-		return nil, nil, err
+	resp := s.message()
+	raw, known, err := c.exchange(ctx, s, server, c.question(s, name, t), resp)
+	if err != nil || known {
+		return nil, raw, err
 	}
-	return &s.msg, raw, nil
+	return resp, raw, nil
 }
 
 // question builds the (name, type) query in s; exchange gives it its ID.
@@ -250,7 +300,7 @@ func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, q *dns.Mes
 	s := borrowScratch()
 	defer scratchPool.Put(s)
 	resp := new(dns.Message)
-	if _, err := c.exchange(ctx, s, server, q, resp); err != nil {
+	if _, _, err := c.exchange(ctx, s, server, q, resp); err != nil {
 		return nil, err
 	}
 	return resp, nil
@@ -258,8 +308,9 @@ func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, q *dns.Mes
 
 // exchange is the one exchange path: q packed into s, the attempts made with
 // s's response buffer lent to the transport, the accepted response decoded
-// into resp. The returned wire bytes are only valid until s is next used.
-func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort, q, resp *dns.Message) ([]byte, error) {
+// into resp — unless s.Known holds it, when it is accepted undecoded and
+// known is true. The returned wire bytes are only valid until s is next used.
+func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort, q, resp *dns.Message) ([]byte, bool, error) {
 	// A query that comes without an ID gets one from s's stream, and a fresh
 	// one on every retry; an ID the caller chose is the caller's to keep.
 	drawID := q.Header.ID == 0
@@ -268,7 +319,7 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 	}
 	packed, err := q.AppendPack(s.packed[:0])
 	if err != nil {
-		return nil, fmt.Errorf("dnsio: pack query: %w", err)
+		return nil, false, fmt.Errorf("dnsio: pack query: %w", err)
 	}
 	s.packed = packed // keep any grown capacity for the next exchange
 	if s.wire == nil {
@@ -288,7 +339,7 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 	if c.Breakers != nil {
 		br = s.breakerFor(c.Breakers, server.Addr())
 		if !br.allow(c.Breakers.cfg) {
-			return nil, fmt.Errorf("dnsio: exchange with %s failed: %w", server, ErrCircuitOpen)
+			return nil, false, fmt.Errorf("dnsio: exchange with %s failed: %w", server, ErrCircuitOpen)
 		}
 	}
 	// Retries < 0 must still attempt once: an empty attempt loop would
@@ -307,7 +358,7 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 			if br != nil && lastErr != nil {
 				br.report(c.Breakers, false)
 			}
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		default:
 		}
 		if attempt > 0 {
@@ -326,6 +377,12 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 				break
 			}
 			continue
+		}
+		if s.known(q, raw) {
+			if br != nil {
+				br.report(c.Breakers, true)
+			}
+			return raw, true, nil
 		}
 		if err := validate(q, raw, resp); err != nil {
 			lastErr = err
@@ -348,7 +405,7 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 		if br != nil {
 			br.report(c.Breakers, true)
 		}
-		return raw, nil
+		return raw, false, nil
 	}
 	if br != nil {
 		br.report(c.Breakers, false)
@@ -356,7 +413,7 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 	if lastErr == nil {
 		lastErr = errors.New("no attempt completed")
 	}
-	return nil, fmt.Errorf("dnsio: exchange with %s failed: %w", server, lastErr)
+	return nil, false, fmt.Errorf("dnsio: exchange with %s failed: %w", server, lastErr)
 }
 
 // validate decodes raw into resp and checks it answers q.

@@ -19,3 +19,16 @@ func (s *shared) cutsByZone() map[dns.Name]*cut {
 	})
 	return out
 }
+
+// KnownAnswers is the number of entries in the pool's upstream memo.
+func (p *Pool) KnownAnswers() int {
+	return int(p.Resolvers[0].rec.shared.nKnown.Load())
+}
+
+// SetUpstreamMemoCap sets the upstream memo's cap and returns the function
+// that restores it.
+func SetUpstreamMemoCap(n int) (restore func()) {
+	old := upstreamMemoCap
+	upstreamMemoCap = n
+	return func() { upstreamMemoCap = old }
+}

@@ -55,27 +55,43 @@ func render(t *testing.T, msg *dns.Message, err error) []byte {
 // shared tables, what every pool resolver answers for every target and type
 // is what a resolver of its own at the same source address answers with
 // every cache off — the walk from the roots, which is what each of them did
-// before they shared anything.
+// before they shared anything. The sweep runs once with the upstream memo at
+// its cap, where most answers are recognised, and once with a memo that
+// fills within the first walks, where concurrent resolutions race for its
+// last places and the rest decode as they would without it.
 func TestPoolConcurrentMatchesUnshared(t *testing.T) {
-	w, err := scenario.Generate(scenario.Tiny(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepPool(t, w)
-	ctx := context.Background()
-	roots := []netip.Addr{w.Registry.RootAddr()}
-	for _, o := range w.Resolvers.Resolvers {
-		alone := resolver.NewRecursive(dnsio.NewClient(&dnsio.SimTransport{Fabric: w.Fabric, Src: o.Addr}), roots)
-		alone.CacheLimit = 0
-		for _, target := range w.Targets {
-			for _, qt := range sweptTypes {
-				got, gotErr := o.Resolver().Resolve(ctx, target, qt)
-				want, wantErr := alone.Resolve(ctx, target, qt)
-				if g, w := render(t, got, gotErr), render(t, want, wantErr); !bytes.Equal(g, w) {
-					t.Errorf("%s (%s) resolving %s %s:\n pool  %q\n alone %q", o.Addr, o.Country, target, qt, g, w)
+	for _, input := range []struct {
+		name    string
+		memoCap int
+	}{{"memo", -1}, {"memo full at 16", 16}} {
+		t.Run(input.name, func(t *testing.T) {
+			if input.memoCap >= 0 {
+				defer resolver.SetUpstreamMemoCap(input.memoCap)()
+			}
+			w, err := scenario.Generate(scenario.Tiny(), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweepPool(t, w)
+			if n := w.Resolvers.KnownAnswers(); n == 0 || input.memoCap >= 0 && n > input.memoCap {
+				t.Errorf("the sweep left %d entries in the upstream memo, cap %d", n, input.memoCap)
+			}
+			ctx := context.Background()
+			roots := []netip.Addr{w.Registry.RootAddr()}
+			for _, o := range w.Resolvers.Resolvers {
+				alone := resolver.NewRecursive(dnsio.NewClient(&dnsio.SimTransport{Fabric: w.Fabric, Src: o.Addr}), roots)
+				alone.CacheLimit = 0
+				for _, target := range w.Targets {
+					for _, qt := range sweptTypes {
+						got, gotErr := o.Resolver().Resolve(ctx, target, qt)
+						want, wantErr := alone.Resolve(ctx, target, qt)
+						if g, w := render(t, got, gotErr), render(t, want, wantErr); !bytes.Equal(g, w) {
+							t.Errorf("%s (%s) resolving %s %s:\n pool  %q\n alone %q", o.Addr, o.Country, target, qt, g, w)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

@@ -10,13 +10,17 @@
 // the roots. A Pool's resolvers share one table of cuts, because a referral
 // from the root or a TLD does not depend on who asked, and one store of
 // response contents, because most of them receive the same answers; what a
-// resolver has cached, and until when, stays its own (see shared).
+// resolver has cached, and until when, stays its own (see shared). For the
+// same reason they share a memo of the upstream answers resolutions ended
+// on: a resolution that receives an answer's bytes again books the answer
+// stored for them, without decoding them.
 package resolver
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"net/netip"
 	"sync"
@@ -80,15 +84,22 @@ type cut struct {
 // Questions and answers: the tables hold content only — a resolver's cache
 // maps a question id to an answer id with its own expiry, so a geo-aware
 // zone's per-region answers stay with the resolvers that received them while
-// byte-identical responses are stored once. Entries are immutable once
-// published and never evicted; the tables are bounded by the delegations and
-// the distinct responses a world can produce.
+// byte-identical responses are stored once. Upstream answers: a resolution
+// that completed on one upstream answer, with no CNAME to chase, is a pure
+// function of the question and that answer's bytes after the ID, so the memo
+// maps those bytes to the question, answer ids and TTL it gave; a resolution
+// of the same question that receives the same bytes — from any resolver of
+// the pool, since a geo-aware zone's regions receive different bytes — books
+// the stored answer, with no decode, no response built, packed or interned,
+// and no mu. Entries are immutable once published and never evicted; the
+// tables are bounded by the delegations and the distinct responses a world
+// can produce, the memo by upstreamMemoCap.
 //
 // Every resolver of a pool answers every probe through these tables, so
-// reading them writes nothing: cuts and questions are sync.Maps, and answers
-// is a slice header republished on every append (the backing array is only
-// copied when it grows, and a reader never indexes past the header it
-// loaded). Only interning something new takes mu.
+// reading them writes nothing: cuts, questions and the memo are sync.Maps,
+// and answers is a slice header republished on every append (the backing
+// array is only copied when it grows, and a reader never indexes past the
+// header it loaded). Only interning something new takes mu.
 type shared struct {
 	cuts      sync.Map // dns.Name → *cut
 	questions sync.Map // dns.Question → uint32, the question's id
@@ -97,12 +108,91 @@ type shared struct {
 	mu         sync.Mutex        // serialises interning
 	nQuestions uint32            // ids handed out
 	answerIDs  map[string]uint32 // wire form of a response to its index in answers
+
+	// known is the upstream memo, by the hash of an answer's wire form after
+	// the ID; nKnown counts its entries against upstreamMemoCap.
+	known     sync.Map // uint64 → *knownAnswer
+	nKnown    atomic.Int64
+	knownSeed maphash.Seed
 }
 
+// knownAnswer is an upstream memo entry: a terminal upstream answer, as its
+// wire form after the ID, and the question resolved on it with the ids of
+// that question and of the stored answer, and the answer's TTL.
+type knownAnswer struct {
+	key        string
+	q          dns.Question
+	id, answer uint32
+	ttl        uint32
+}
+
+// The upstream memo's caps: at most upstreamMemoCap entries, each an answer
+// of at most upstreamMemoMaxKey octets after the ID — a larger one repeats
+// rarely. At `small` the pool's memo holds about 8,000 entries. Variables
+// only so a test can reach the caps with a small world.
+var (
+	upstreamMemoCap    = 1 << 16
+	upstreamMemoMaxKey = 512
+)
+
 func newShared() *shared {
-	s := &shared{answerIDs: make(map[string]uint32)}
+	s := &shared{answerIDs: make(map[string]uint32), knownSeed: maphash.MakeSeed()}
 	s.answers.Store(new([]*dns.Message))
 	return s
+}
+
+// recall returns the memo's entry for the upstream answer resp to q, or nil.
+// It reads without writing.
+func (s *shared) recall(resp []byte, q dns.Question) *knownAnswer {
+	key := resp[2:]
+	v, ok := s.known.Load(maphash.Bytes(s.knownSeed, key))
+	if !ok {
+		return nil
+	}
+	if e := v.(*knownAnswer); e.q == q && e.key == string(key) {
+		return e
+	}
+	return nil
+}
+
+// remember enters e for the upstream answer resp, unless the memo is full or
+// an entry with the same hash is there first. The key is a copy: resp is lent.
+func (s *shared) remember(resp []byte, e knownAnswer) {
+	if len(resp) < 2 || len(resp)-2 > upstreamMemoMaxKey {
+		return
+	}
+	for n := s.nKnown.Load(); ; n = s.nKnown.Load() {
+		if n >= int64(upstreamMemoCap) {
+			return
+		}
+		if s.nKnown.CompareAndSwap(n, n+1) {
+			break // a place is reserved
+		}
+	}
+	e.key = string(resp[2:])
+	if _, loaded := s.known.LoadOrStore(maphash.String(s.knownSeed, e.key), &e); loaded {
+		s.nKnown.Add(-1)
+	}
+}
+
+// resolution is what one resolution queries through: its scratch, and, as the
+// scratch's memo while it asks its own question, the pool's upstream memo.
+type resolution struct {
+	s      dnsio.Scratch
+	shared *shared
+	// wire is the last answer decoded, valid until the next exchange; hit is
+	// the memo entry an answer was recognised as.
+	wire []byte
+	hit  *knownAnswer
+}
+
+var resolutionPool = sync.Pool{New: func() any { return new(resolution) }}
+
+// Known implements dnsio.KnownAnswers: an upstream answer the pool has
+// resolved q on before.
+func (u *resolution) Known(resp []byte, q dns.Question) bool {
+	u.hit = u.shared.recall(resp, q)
+	return u.hit != nil
 }
 
 // NewRecursive builds a resolver that queries through client starting at the
@@ -176,15 +266,29 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 		return msg, nil
 	}
 
-	final := &dns.Message{
-		Header:    dns.Header{Response: true, RecursionAvailable: true},
-		Questions: []dns.Question{q},
+	u := resolutionPool.Get().(*resolution)
+	defer resolutionPool.Put(u)
+	// The memo is asked while the walk asks the resolution's own question,
+	// and only by a resolver that caches.
+	u.shared, u.hit, u.s.Known = r.shared, nil, nil
+	if r.CacheLimit > 0 {
+		u.s.Known = u
 	}
+	var final *dns.Message
 	target := name
 	for cnameHop := 0; cnameHop <= maxCNAMEHops; cnameHop++ {
-		resp, err := r.iterate(ctx, target, qtype, depth, now)
+		resp, err := r.iterate(ctx, u, target, qtype, depth, now)
 		if err != nil {
 			return nil, err
+		}
+		if u.hit != nil {
+			return r.book(*u.hit, now), nil
+		}
+		if final == nil {
+			final = &dns.Message{
+				Header:    dns.Header{Response: true, RecursionAvailable: true},
+				Questions: []dns.Question{q},
+			}
 		}
 		final.Header.RCode = resp.Header.RCode
 		final.Answers = append(final.Answers, resp.Answers...)
@@ -193,9 +297,14 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 		// Done unless the terminal answer is an unchased CNAME.
 		last := lastCNAMETarget(resp.Answers, qtype)
 		if last == dns.Root {
-			r.cachePut(q, final, now)
+			if e, ok := r.cachePut(q, final, now); ok && cnameHop == 0 {
+				// final is what this one upstream answer gives q.
+				r.shared.remember(u.wire, e)
+			}
 			return final, nil
 		}
+		// A chase's answers are not the resolution's own.
+		u.s.Known = nil
 		target = last
 	}
 	return nil, fmt.Errorf("%w: CNAME chain too long for %s", ErrLoop, name.String())
@@ -218,7 +327,10 @@ func lastCNAMETarget(answers []dns.RR, qtype dns.Type) dns.Name {
 // iterate walks the delegation tree for one owner name (no CNAME chasing
 // across calls; in-server chains are accepted as returned), starting at the
 // closest enclosing zone cut the cache knows and caching the cuts it crosses.
-func (r *Recursive) iterate(ctx context.Context, name dns.Name, qtype dns.Type, depth int, now uint32) (*dns.Message, error) {
+//
+// It queries through u. An answer u's memo recognises ends the walk with a
+// nil message and the entry in u.hit.
+func (r *Recursive) iterate(ctx context.Context, u *resolution, name dns.Name, qtype dns.Type, depth int, now uint32) (*dns.Message, error) {
 	if len(r.root.servers) == 0 {
 		return nil, ErrNoServers
 	}
@@ -232,7 +344,10 @@ func (r *Recursive) iterate(ctx context.Context, name dns.Name, qtype dns.Type, 
 	// re-point a zone for every resolver of the pool.
 	trusted := true
 	for hop := 0; hop < maxReferralHops; hop++ {
-		resp, err := r.queryAny(ctx, at.servers, name, qtype)
+		resp, err := r.queryAny(ctx, u, at.servers, name, qtype)
+		if u.hit != nil {
+			return nil, nil
+		}
 		if err != nil {
 			r.forgetCut(at)
 			if !fromCache {
@@ -380,15 +495,22 @@ func (r *Recursive) serversFromReferral(ctx context.Context, resp *dns.Message, 
 	return addrs, nil
 }
 
-// queryAny tries each server until one answers.
-func (r *Recursive) queryAny(ctx context.Context, servers []netip.Addr, name dns.Name, qtype dns.Type) (*dns.Message, error) {
+// queryAny tries each server until one answers, through u. The answer is
+// taken from u's scratch, a message of the resolver's own because a cached
+// response keeps its sections, and its wire form is u.wire; an answer u's
+// memo recognised comes back as a nil message, with u.hit set.
+func (r *Recursive) queryAny(ctx context.Context, u *resolution, servers []netip.Addr, name dns.Name, qtype dns.Type) (*dns.Message, error) {
 	var lastErr error = ErrLame
 	for _, s := range servers {
-		resp, err := r.client.Query(ctx, netip.AddrPortFrom(s, dnsio.DNSPort), name, qtype)
+		resp, wire, err := r.client.QueryInto(ctx, &u.s, netip.AddrPortFrom(s, dnsio.DNSPort), name, qtype)
 		if err != nil {
 			lastErr = err
 			continue
 		}
+		if resp != nil {
+			resp = u.s.Take()
+		}
+		u.wire = wire
 		return resp, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrLame, lastErr)
@@ -422,9 +544,11 @@ var packBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) {
+// cachePut stores msg as q's answer and caches it; ok is false when it
+// cached nothing, and otherwise e says what it booked.
+func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) (e knownAnswer, ok bool) {
 	if r.CacheLimit == 0 {
-		return
+		return e, false
 	}
 	// A response is stored under its wire form, so equal content is one
 	// entry whichever resolver received it. One that cannot be encoded could
@@ -433,11 +557,18 @@ func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) {
 	defer packBufPool.Put(bp)
 	wire, err := msg.AppendPack((*bp)[:0])
 	if err != nil {
-		return
+		return e, false
 	}
 	*bp = wire
-	id, answer := r.shared.intern(q, wire, msg)
+	e.q, e.ttl = q, messageTTL(msg)
+	e.id, e.answer = r.shared.intern(q, wire, msg)
+	r.book(e, now)
+	return e, true
+}
 
+// book caches e's stored answer as its question's for e's TTL from now, and
+// returns it.
+func (r *Recursive) book(e knownAnswer, now uint32) *dns.Message {
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
 	if len(r.cache) >= r.CacheLimit {
@@ -447,7 +578,8 @@ func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) {
 			break
 		}
 	}
-	r.cache[id] = cached{answer: answer, expires: expiry(now, messageTTL(msg))}
+	r.cache[e.id] = cached{answer: e.answer, expires: expiry(now, e.ttl)}
+	return (*r.shared.answers.Load())[e.answer]
 }
 
 // intern returns the ids of a question and of a response's content, storing

@@ -470,9 +470,7 @@ func (m *Mirror) applyIncremental(recs []dns.RR) error {
 		if i >= len(recs) {
 			return fmt.Errorf("urwatch: delta step truncated before new-SOA marker")
 		}
-		newSOA := rrSOA(recs[i])
-		cur = newSOA.Serial
-		m.soaLine = recs[i].String()
+		cur = rrSOA(recs[i]).Serial
 		i++
 		for i < len(recs) && rrSOA(recs[i]) == nil {
 			body[recs[i].String()]++
