@@ -4,6 +4,11 @@
 // with CNAME chasing, referrals with glue, NXDOMAIN/NoData with SOA, and a
 // pluggable fallback for queries about domains the server does not host —
 // which is exactly where hosting providers' "protective records" live.
+//
+// Most of what a hosting nameserver is asked in a sweep is about names it
+// hosts no zone for, and a server without a fallback refuses all of them, so
+// it refuses in wire form (AppendWire): no query is decoded and no reply
+// built for a refusal.
 package authority
 
 import (
@@ -146,6 +151,48 @@ func (s *Server) HandleQuery(src netip.Addr, q *dns.Message) *dns.Message {
 	return s.answerFromZone(z, q)
 }
 
+// AppendWire implements dnsio.WireResponder for the one shape a server
+// answers without a message: a plain query (dns.ParseQuery), class IN or ANY,
+// for a name no zone on the server covers, on a server with no fallback. It
+// books the query and appends the REFUSED reply HandleQuery builds and dnsio
+// packs for it — ID, opcode and RD copied, the question echoed lower-cased,
+// no OPT — which no payload size truncates. Every other shape is declined
+// with dst as it was and nothing booked.
+func (s *Server) AppendWire(dst []byte, _ netip.Addr, raw []byte, _ string) ([]byte, bool) {
+	if fb := s.fallback.Load(); fb != nil && *fb != nil {
+		return dst, false
+	}
+	var name [255]byte
+	q, ok := dns.ParseQuery(name[:0], raw)
+	if !ok || (q.Class != dns.ClassINET && q.Class != dns.ClassANY) || s.covers(q.Name) {
+		return dst, false
+	}
+	s.queries.Add(1)
+	const qr = 1 << 15
+	return q.AppendReply(dst, qr|q.Flags|uint16(dns.RCodeRefused)), true
+}
+
+// covers reports whether a zone on s covers name, a lower-cased name in
+// presentation form: whether findZone would find one. The suffixes are tried
+// from the root down, so a root or TLD server declines at its first or second
+// lookup, and none of them is copied.
+func (s *Server) covers(name []byte) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if _, ok := s.zones[dns.Root]; ok {
+		return true
+	}
+	for i := len(name) - 1; i >= 0; i-- {
+		if i > 0 && name[i-1] != '.' {
+			continue
+		}
+		if _, ok := s.zones[dns.Name(name[i:])]; ok {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *Server) answerFromZone(z *zone.Zone, q *dns.Message) *dns.Message {
 	r := q.Reply()
 	question := q.Question()
@@ -220,4 +267,7 @@ func (s *Server) attachGlue(r *dns.Message, nsSet []dns.RR) {
 	}
 }
 
-var _ dnsio.Responder = (*Server)(nil)
+var (
+	_ dnsio.Responder     = (*Server)(nil)
+	_ dnsio.WireResponder = (*Server)(nil)
+)

@@ -374,7 +374,8 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 	}
 	j.answered++
 	if w.seg != nil {
-		if jerr := w.seg.answer(pos, resp, wire); jerr != nil {
+		empty := resp == nil && w.seen.empty || resp != nil && emptyAnswer(resp)
+		if jerr := w.seg.answer(pos, wire, empty); jerr != nil {
 			return nil, nil, nil, jerr
 		}
 	}
@@ -533,7 +534,7 @@ func (c *Collector) retry(ctx context.Context, scratch *dnsio.Scratch, seg *segm
 			if qerr != nil {
 				err = seg.failure(f.pos, f.class)
 			} else {
-				err = seg.answer(f.pos, resp, wire)
+				err = seg.answer(f.pos, wire, emptyAnswer(resp))
 			}
 			if err != nil {
 				return append(still, fails[i+1:]...), issued, err

@@ -831,15 +831,14 @@ func (s *segmentWriter) position(rec byte, p probePos) {
 	s.buf = binary.AppendUvarint(s.buf, uint64(p.slot))
 }
 
-// answer journals one answered probe from the decoded response the worker
-// holds. The collector reads only a NOERROR response's answer records
-// (ursFromResponse, addCorrectAnswers, addProtectiveAnswers; Coverage counts
-// the probe answered either way), so a response that is not NOERROR or has no
-// answer records is journaled as its position alone; any other keeps its
-// wire bytes. A nil resp is an answer the client accepted undecoded from the
-// worker's memo, which holds only NOERROR answers with records.
-func (s *segmentWriter) answer(p probePos, resp *dns.Message, wire []byte) error {
-	if resp != nil && (resp.Header.RCode != dns.RCodeSuccess || len(resp.Answers) == 0) {
+// answer journals one answered probe. The collector reads only a NOERROR
+// response's answer records (ursFromResponse, addCorrectAnswers,
+// addProtectiveAnswers; Coverage counts the probe answered either way), so an
+// empty answer (emptyAnswer) is journaled as its position alone, whether the
+// worker decoded it or the client recognised it from the worker's memo; any
+// other keeps its wire bytes.
+func (s *segmentWriter) answer(p probePos, wire []byte, empty bool) error {
+	if empty {
 		return s.empty(p)
 	}
 	return s.answered(p, wire)

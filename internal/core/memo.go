@@ -6,14 +6,19 @@
 // corresponding IPs, IPDB row and web probe — is a pure function of the
 // bytes, so two worker-local memos let each worker derive it once:
 //
-//   - answerMemo, one per sweep worker, maps a NOERROR answer's wire bytes
-//     after the 2-octet ID to what the worker derived from it: the (rdata,
-//     TTL) list of a nameserver answer's URs, or "folded" for an open
-//     resolver's answer, whose profile adds are set inserts that a repeat
-//     cannot change. It is consulted before a replayed answer is decoded,
-//     and a live one never is when the client finds it there: the worker
-//     hands the memo to its scratch (sweepWorker.Known), and the client
-//     accepts a repeated answer undecoded.
+//   - answerMemo, one per sweep worker, maps an answer's wire bytes after
+//     the 2-octet ID to what the worker derived from it: the (rdata, TTL)
+//     list of a nameserver answer's URs, "folded" for an open resolver's
+//     answer, whose profile adds are set inserts that a repeat cannot
+//     change, or "empty" for an answer the collector reads nothing from
+//     (emptyAnswer). Empty answers are most of a sweep — a nameserver
+//     refuses every target it hosts no zone for, with the same bytes for
+//     every such server — and an empty one a worker has seen before is
+//     journaled as empty without being decoded. The memo is consulted
+//     before a replayed answer is decoded, and a live one never is when the
+//     client finds it there: the worker hands the memo to its scratch
+//     (sweepWorker.Known), and the client accepts a repeated answer
+//     undecoded.
 //   - the rdata memo, detMemo.rdata, one per determine worker, maps (type,
 //     rdata) to the facts enrichOne and correctA read off it.
 //
@@ -32,8 +37,9 @@ import (
 	"repro/internal/websim"
 )
 
-// The memo caps. At `small` a sweep worker's answer memo peaks near 4,700
-// entries and 233 KB of keys; a key past answerMemoMaxKey is a large answer
+// The memo caps. At `small` a sweep worker's answer memo peaks near 4,500
+// entries and 317 KB of keys, empty answers included; at `paper` every
+// worker's reaches the cap. A key past answerMemoMaxKey is a large answer
 // that repeats rarely. Variables only so a test can reach the caps with a
 // small world.
 var (
@@ -50,8 +56,18 @@ type derivedAnswer struct {
 	name dns.Name
 	qt   dns.Type
 	// recs are a nameserver answer's URs, in answer order; nil for an open
-	// resolver's answer, which folds into the correct database.
+	// resolver's answer, which folds into the correct database, and for an
+	// empty one.
 	recs []derivedRec
+	// empty marks an answer the collector reads nothing from, which the
+	// journal keeps as its position alone.
+	empty bool
+}
+
+// emptyAnswer reports whether the collector reads nothing from resp: it is
+// not NOERROR, or it has no answer records.
+func emptyAnswer(resp *dns.Message) bool {
+	return resp.Header.RCode != dns.RCodeSuccess || len(resp.Answers) == 0
 }
 
 // derivedRec is the part of one UR its answer fixes.
@@ -94,18 +110,16 @@ func (am *answerMemo) get(wire []byte, kind sweepKind, name dns.Name, qt dns.Typ
 }
 
 // put remembers what the worker derived from resp, the decode of wire, for
-// the probe (kind, name, qt). Only a NOERROR answer with records is worth a
-// place: the collector reads nothing from any other. The key is a copy —
-// wire is lent and is overwritten by the worker's next probe.
+// the probe (kind, name, qt); an empty answer is remembered as empty. The key
+// is a copy — wire is lent and is overwritten by the worker's next probe.
 func (am *answerMemo) put(wire []byte, resp *dns.Message, kind sweepKind, name dns.Name, qt dns.Type, urs []*UR) {
-	if resp.Header.RCode != dns.RCodeSuccess || len(resp.Answers) == 0 ||
-		len(wire) < 2 || len(wire)-2 > answerMemoMaxKey || len(am.m) >= answerMemoCap {
+	if len(wire) < 2 || len(wire)-2 > answerMemoMaxKey || len(am.m) >= answerMemoCap {
 		return
 	}
 	if len(am.slab) == cap(am.slab) {
 		am.slab = make([]derivedAnswer, 0, memoChunk)
 	}
-	am.slab = append(am.slab, derivedAnswer{kind: kind, name: name, qt: qt})
+	am.slab = append(am.slab, derivedAnswer{kind: kind, name: name, qt: qt, empty: emptyAnswer(resp)})
 	d := &am.slab[len(am.slab)-1]
 	if len(urs) > 0 {
 		if cap(am.recSlab)-len(am.recSlab) < len(urs) {

@@ -225,10 +225,12 @@ func TestAnswerMemoBoundedUnderUniqueAnswers(t *testing.T) {
 	}
 
 	// A live answer the client recognises from the memo journals as a
-	// decoded one does. Over the fixture's own answers, which one sweep
-	// worker receives from all six nameservers alike, a journaled run and its
-	// resume with the memos off and at their default caps must read back the
-	// same records and empties, and report alike.
+	// decoded one does: with its wire bytes, or as empty. Over the fixture's
+	// own answers, which one sweep worker receives from all six nameservers
+	// alike, and a target none of them hosts, which all six answer NXDOMAIN
+	// alike, a journaled run and its resume with the memos off and at their
+	// default caps must read back the same records and empties, and report
+	// alike.
 	journaled := func(answerCap, rdataCap int) (ReplayStats, string) {
 		answerMemoCap, rdataMemoCap = answerCap, rdataCap
 		dir := t.TempDir()
@@ -237,6 +239,7 @@ func TestAnswerMemoBoundedUnderUniqueAnswers(t *testing.T) {
 		for range 2 { // the journaled run, then its resume
 			fx := newChaosFixture(t, 11)
 			fx.cfg.Parallelism = 1
+			fx.cfg.Targets = append(fx.cfg.Targets, "unhosted.example")
 			j, err := OpenJournal(dir, fx.cfg, JournalOptions{CheckpointEvery: 8})
 			if err != nil {
 				t.Fatal(err)

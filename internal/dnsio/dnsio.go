@@ -478,8 +478,8 @@ func dispatchQuery(r Responder, src netip.Addr, q *dns.Message, via string) *dns
 // via is ViaUDP — to dst and returns handled=true. Otherwise it returns dst
 // untouched and handled=false, having consumed and counted nothing, and the
 // query takes the ordinary unpack, HandleQuery, pack path, whose reply a
-// handled query's must equal byte for byte. ServeRaw and the socket front-ends
-// try it first; the simulated fabric's handlers do not.
+// handled query's must equal byte for byte. ServeRaw, the socket front-ends
+// and the simulated fabric's handlers (AttachSim) try it first.
 type WireResponder interface {
 	AppendWire(dst []byte, src netip.Addr, raw []byte, via string) (out []byte, handled bool)
 }
@@ -564,18 +564,27 @@ func serveMessage(dst []byte, r Responder, src netip.Addr, raw []byte, via strin
 
 // AttachSim registers a responder on the fabric at addr:53 (UDP semantics)
 // and the paired reliable endpoint (TCP semantics). It returns a detach
-// function.
+// function. Whether r is a WireResponder is settled here, once: a simulated
+// authority tries its wire path first on every exchange, and a resolver,
+// which has none, pays no per-exchange check.
 func AttachSim(f *simnet.Fabric, addr netip.Addr, r Responder) (func(), error) {
 	udp := simnet.Endpoint{Addr: addr, Port: DNSPort}
 	tcp := simnet.Endpoint{Addr: addr, Port: DNSPort + simTCPPortOffset}
-	// Simulated authorities and resolvers answer through messages only, so
-	// the sweeps' per-exchange cost carries no WireResponder check.
-	uh := simnet.HandlerFunc(func(dst []byte, src netip.Addr, raw []byte) []byte {
-		return serveMessage(dst, r, src, raw, ViaUDP)
-	})
-	th := simnet.HandlerFunc(func(dst []byte, src netip.Addr, raw []byte) []byte {
-		return serveMessage(dst, r, src, raw, ViaTCP)
-	})
+	serve := func(via string) simnet.HandlerFunc {
+		wr, ok := r.(WireResponder)
+		if !ok {
+			return func(dst []byte, src netip.Addr, raw []byte) []byte {
+				return serveMessage(dst, r, src, raw, via)
+			}
+		}
+		return func(dst []byte, src netip.Addr, raw []byte) []byte {
+			if out, handled := wr.AppendWire(dst, src, raw, via); handled {
+				return out
+			}
+			return serveMessage(dst, r, src, raw, via)
+		}
+	}
+	uh, th := serve(ViaUDP), serve(ViaTCP)
 	if err := f.Listen(udp, uh); err != nil {
 		return nil, err
 	}

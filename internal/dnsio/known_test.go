@@ -60,37 +60,54 @@ func answerTo(t *testing.T, q *dns.Message, edit func(*dns.Message)) []byte {
 // so only the client's own checks stand between those bytes and acceptance:
 // a spoofed ID is retried and in the end refused, a response with QR clear
 // is refused, a truncated one goes to TCP, and equal bytes for another
-// question are decoded rather than recognised.
+// question are decoded rather than recognised. The four checks run twice,
+// over an answer with a record and over a repeated REFUSED, which a sweep
+// worker's memo holds as an empty answer.
 func TestKnownAnswerSpoofedIDRejected(t *testing.T) {
 	const name, other = dns.Name("x.test"), dns.Name("other.test")
 	question := dns.Question{Name: name, Type: dns.TypeA, Class: dns.ClassINET}
 	noQuestion := func(r *dns.Message) { r.Questions = nil }
-	cases := []struct {
+	refused := func(r *dns.Message) { r.Header.RCode, r.Answers = dns.RCodeRefused, nil }
+	type testCase struct {
 		name    string
 		respond func(t *testing.T, q *dns.Message, tcp bool) []byte
 		memoQ   dns.Question
 		// recognised: the memo client accepts the answer undecoded.
 		recognised bool
-	}{
-		{"exact repeat", func(t *testing.T, q *dns.Message, _ bool) []byte {
-			return answerTo(t, q, nil)
-		}, question, true},
-		{"spoofed ID", func(t *testing.T, q *dns.Message, _ bool) []byte {
-			return answerTo(t, q, func(r *dns.Message) { r.Header.ID ^= 0x5a5a })
-		}, question, false},
-		{"QR clear", func(t *testing.T, q *dns.Message, _ bool) []byte {
-			return answerTo(t, q, func(r *dns.Message) { r.Header.Response = false })
-		}, question, false},
-		{"TC set", func(t *testing.T, q *dns.Message, tcp bool) []byte {
-			if tcp {
-				return answerTo(t, q, nil)
-			}
-			return answerTo(t, q, func(r *dns.Message) { r.Header.Truncated, r.Answers = true, nil })
-		}, question, false},
-		{"another question", func(t *testing.T, q *dns.Message, _ bool) []byte {
-			return answerTo(t, q, noQuestion)
-		}, dns.Question{Name: other, Type: dns.TypeA, Class: dns.ClassINET}, false},
 	}
+	var cases []testCase
+	for _, body := range []struct {
+		prefix string
+		edit   func(*dns.Message)
+	}{{"", func(*dns.Message) {}}, {"REFUSED ", refused}} {
+		// reply is the body's response to q, edit applied after it.
+		reply := func(t *testing.T, q *dns.Message, edit func(*dns.Message)) []byte {
+			return answerTo(t, q, func(r *dns.Message) {
+				body.edit(r)
+				edit(r)
+			})
+		}
+		cases = append(cases,
+			testCase{body.prefix + "exact repeat", func(t *testing.T, q *dns.Message, _ bool) []byte {
+				return reply(t, q, func(*dns.Message) {})
+			}, question, true},
+			testCase{body.prefix + "spoofed ID", func(t *testing.T, q *dns.Message, _ bool) []byte {
+				return reply(t, q, func(r *dns.Message) { r.Header.ID ^= 0x5a5a })
+			}, question, false},
+			testCase{body.prefix + "QR clear", func(t *testing.T, q *dns.Message, _ bool) []byte {
+				return reply(t, q, func(r *dns.Message) { r.Header.Response = false })
+			}, question, false},
+			testCase{body.prefix + "TC set", func(t *testing.T, q *dns.Message, tcp bool) []byte {
+				if tcp {
+					return reply(t, q, func(*dns.Message) {})
+				}
+				return reply(t, q, func(r *dns.Message) { r.Header.Truncated, r.Answers = true, nil })
+			}, question, false},
+		)
+	}
+	cases = append(cases, testCase{"another question", func(t *testing.T, q *dns.Message, _ bool) []byte {
+		return answerTo(t, q, noQuestion)
+	}, dns.Question{Name: other, Type: dns.TypeA, Class: dns.ClassINET}, false})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			type verdict struct {

@@ -182,7 +182,9 @@ func NewProvider(pol Policy, deps Deps) (*Provider, error) {
 			Addr: addr,
 			srv:  authority.NewServer(),
 		}
-		ns.srv.SetFallback(p.fallbackFor())
+		if fb := p.fallbackFor(len(deps.Roots) > 0); fb != nil {
+			ns.srv.SetFallback(fb)
+		}
 		if _, err := dnsio.AttachSim(deps.Fabric, addr, &nsResponder{p: p, ns: ns}); err != nil {
 			return nil, err
 		}

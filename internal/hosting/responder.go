@@ -4,12 +4,14 @@ import (
 	"context"
 	"net/netip"
 
+	"repro/internal/authority"
 	"repro/internal/dns"
 )
 
 // nsResponder wraps a nameserver's authoritative engine with the provider's
 // behaviours that depend on the *client*, not the zone: geo-distributed edge
-// answers for CDN-customer domains.
+// answers for CDN-customer domains. Those only rewrite answers from a hosted
+// zone, so what the engine answers in wire form — refusals — it passes on.
 type nsResponder struct {
 	p  *Provider
 	ns *Nameserver
@@ -56,9 +58,18 @@ func (r *nsResponder) HandleQuery(src netip.Addr, q *dns.Message) *dns.Message {
 	return resp
 }
 
+// AppendWire implements dnsio.WireResponder with the engine's wire path.
+func (r *nsResponder) AppendWire(dst []byte, src netip.Addr, raw []byte, via string) ([]byte, bool) {
+	return r.ns.srv.AppendWire(dst, src, raw, via)
+}
+
 // fallbackFor builds the out-of-zone behaviour for the provider's
-// nameservers: protective records, open recursion, or plain refusal.
-func (p *Provider) fallbackFor() func(src netip.Addr, q *dns.Message) *dns.Message {
+// nameservers, nil when it is plain refusal: neither protective records nor
+// open recursion (which needs roots to resolve from).
+func (p *Provider) fallbackFor(roots bool) authority.Fallback {
+	if !p.ProtectiveRecords && !(p.OpenRecursive && roots) {
+		return nil
+	}
 	return func(src netip.Addr, q *dns.Message) *dns.Message {
 		if p.OpenRecursive && p.rec != nil {
 			// The §4 misconfiguration: the "authoritative" server resolves

@@ -112,37 +112,17 @@ const (
 
 // dnsblQuery is one question for a lookup subtree, in the form the renderer
 // consumes: what AppendWire reads out of a datagram, or HandleQueryVia copies
-// out of a decoded message.
+// out of a decoded message. The question name is the lower-cased
+// presentation form; key is the part of it left of ".urbl.<apex>" (zone
+// ZoneUrbl) or ".urwatch.<apex>" (zone ZoneUrwatch).
 type dnsblQuery struct {
-	id uint16
-	// flags are the reply header bits the query decides: QR, its opcode, RD.
-	flags uint16
-	qtype dns.Type
-	class dns.Class
-	// name is the lower-cased question name in presentation form; key is the
-	// part of it left of ".urbl.<apex>" (zone ZoneUrbl) or ".urwatch.<apex>"
-	// (zone ZoneUrwatch).
-	name, key []byte
-	zone      ZoneLabel
+	dns.WireQuery
+	key  []byte
+	zone ZoneLabel
 	// limit is the largest reply the requester takes over UDP; 0, on the
 	// stream and HTTP transports, never truncates.
 	limit int
 }
-
-// labelOctet maps an octet of a question label to its lower-case form, or to
-// 0 when Name.Validate would reject it ('.' and '*' included: a dot inside a
-// label does not survive the message codec's presentation form, and wildcard
-// owners are left to the message path).
-var labelOctet = func() (t [256]byte) {
-	for c := 'a'; c <= 'z'; c++ {
-		t[c], t[c-'a'+'A'] = byte(c), byte(c)
-	}
-	for c := '0'; c <= '9'; c++ {
-		t[c] = byte(c)
-	}
-	t['-'], t['_'] = '-', '_'
-	return t
-}()
 
 // AppendWire implements dnsio.WireResponder: a plain question for a name in
 // the urbl or urwatch subtree is answered by appending the packed reply to
@@ -151,11 +131,8 @@ var labelOctet = func() (t [256]byte) {
 // handled is false, dst comes back as it was, no limiter token is spent and
 // nothing is counted — and dnsio takes the message path: NOTIFY and any other
 // flag but RD, AXFR/IXFR, apex and gen. names and anything else outside the
-// two subtrees, a class other than IN, QDCOUNT other than 1, records in the
-// answer or authority section, an additional section that is not exactly one
-// root-owned OPT, a compressed or otherwise unusual question name, trailing
-// octets, and everything dns.Message.UnpackFrom would reject. The parser
-// reads nothing past len(raw) and follows no compression pointer.
+// two subtrees, a class other than IN, and every shape dns.ParseQuery leaves
+// to the message codec.
 func (z *ZoneResponder) AppendWire(dst []byte, src netip.Addr, raw []byte, via string) (out []byte, handled bool) {
 	var name [255]byte
 	q, ok := z.parseWire(name[:0], raw, via)
@@ -169,72 +146,15 @@ func (z *ZoneResponder) AppendWire(dst []byte, src netip.Addr, raw []byte, via s
 // question name into name (capacity 255); ok is false for every shape the
 // renderer does not answer.
 func (z *ZoneResponder) parseWire(name, raw []byte, via string) (q dnsblQuery, ok bool) {
-	if len(raw) < 12 {
+	if q.WireQuery, ok = dns.ParseQuery(name, raw); !ok ||
+		q.Class != dns.ClassINET || q.Type == dns.TypeAXFR || q.Type == dns.TypeIXFR {
 		return q, false
 	}
-	flags := uint16(raw[2])<<8 | uint16(raw[3])
-	if flags&^flagRD != 0 {
+	if q.zone, q.key = z.subtree(q.Name); q.zone == ZoneOther {
 		return q, false
 	}
-	if raw[4] != 0 || raw[5] != 1 || raw[6]|raw[7]|raw[8]|raw[9]|raw[10] != 0 || raw[11] > 1 {
-		return q, false
-	}
-	off := 12
-	for {
-		if off >= len(raw) {
-			return q, false
-		}
-		n := int(raw[off])
-		off++
-		if n == 0 {
-			break
-		}
-		if len(name) > 0 {
-			name = append(name, '.')
-		}
-		// A length octet over 63 is a compression pointer or a reserved label
-		// type; 253 octets is the longest name Validate lets through.
-		if n > 63 || off+n > len(raw) || len(name)+n > 253 {
-			return q, false
-		}
-		for _, c := range raw[off : off+n] {
-			if c = labelOctet[c]; c == 0 {
-				return q, false
-			}
-			name = append(name, c)
-		}
-		off += n
-	}
-	if off+4 > len(raw) {
-		return q, false
-	}
-	q.qtype = dns.Type(uint16(raw[off])<<8 | uint16(raw[off+1]))
-	q.class = dns.Class(uint16(raw[off+2])<<8 | uint16(raw[off+3]))
-	off += 4
-	if q.class != dns.ClassINET || q.qtype == dns.TypeAXFR || q.qtype == dns.TypeIXFR {
-		return q, false
-	}
-	size := dns.MaxUDPSize
-	if raw[11] == 1 {
-		// EDNS0: root owner, TYPE OPT, and the requester's payload size in
-		// the CLASS field; the TTL field and the options are not interpreted.
-		if off+11 > len(raw) || raw[off] != 0 || raw[off+1] != 0 || raw[off+2] != byte(dns.TypeOPT) {
-			return q, false
-		}
-		size = dnsio.ClampUDPSize(int(raw[off+3])<<8 | int(raw[off+4]))
-		off += 11 + (int(raw[off+9])<<8 | int(raw[off+10]))
-	}
-	if off != len(raw) {
-		return q, false
-	}
-	if q.zone, q.key = z.subtree(name); q.zone == ZoneOther {
-		return q, false
-	}
-	q.id = uint16(raw[0])<<8 | uint16(raw[1])
-	q.flags = flagQR | flags
-	q.name = name
 	if via == dnsio.ViaUDP {
-		q.limit = size
+		q.limit = dnsio.ClampUDPSize(q.UDPSize)
 	}
 	return q, true
 }
@@ -304,23 +224,10 @@ func (z *ZoneResponder) appendAnswer(dst []byte, src netip.Addr, via string, q *
 	// Room for the usual reply at once, for a caller that brought no buffer.
 	dst = slices.Grow(dst, dns.MaxUDPSize)
 	base := len(dst)
-	dst = append(dst, byte(q.id>>8), byte(q.id), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
-	for label := q.name; ; {
-		n := 0
-		for n < len(label) && label[n] != '.' {
-			n++
-		}
-		dst = append(dst, byte(n))
-		dst = append(dst, label[:n]...)
-		if n == len(label) {
-			break
-		}
-		label = label[n+1:]
-	}
-	dst = append(dst, 0, byte(q.qtype>>8), byte(q.qtype), byte(q.class>>8), byte(q.class))
+	dst = q.AppendReply(dst, 0)
 	question := len(dst)
 
-	flags, rcode := q.flags, dns.RCodeRefused
+	flags, rcode := flagQR|q.Flags, dns.RCodeRefused
 	answers, authority := 0, 0
 	if z.admit(src) && z.Limiter.Allow(src) {
 		flags |= flagAA
@@ -335,17 +242,17 @@ func (z *ZoneResponder) appendAnswer(dst []byte, src netip.Addr, via string, q *
 		switch {
 		case vs.Len() == 0:
 			rcode = dns.RCodeNXDomain
-		case q.qtype == dns.TypeA:
+		case q.Type == dns.TypeA:
 			dst = appendOwner(dst, dns.TypeA, z.ttl())
 			dst = append(dst, 0, 4, 127, 0, 0, byte(categoryCode(worstOf(vs))))
 			answers = 1
-		case q.qtype == dns.TypeTXT:
+		case q.Type == dns.TypeTXT:
 			dst, answers = z.appendEvidenceTXT(dst, g, vs)
 		}
 		if answers == 0 {
 			// NXDOMAIN, or a listed name asked for a type the zone does not
 			// serve (NoData): the negative answer carries the SOA.
-			dst = z.appendSOA(dst, g, 12+len(q.name)-len(z.Apex))
+			dst = z.appendSOA(dst, g, 12+len(q.Name)-len(z.Apex))
 			authority = 1
 		}
 	}
@@ -354,7 +261,7 @@ func (z *ZoneResponder) appendAnswer(dst []byte, src netip.Addr, via string, q *
 	case size > dns.MaxMessageSize:
 		// No transport frames this; the message codec refuses to pack it and
 		// dnsio answers SERVFAIL in its place.
-		dst, flags, rcode, answers, authority = dst[:question], q.flags, dns.RCodeServFail, 0, 0
+		dst, flags, rcode, answers, authority = dst[:question], flagQR|q.Flags, dns.RCodeServFail, 0, 0
 	case q.limit > 0 && size > q.limit:
 		dst, flags, answers, authority = dst[:question], flags|flagTC, 0, 0
 	}
@@ -505,15 +412,15 @@ func (z *ZoneResponder) HandleQueryVia(src netip.Addr, q *dns.Message, via strin
 		name := append(buf[:0], qu.Name...)
 		var key []byte
 		if zone, key = z.subtree(name); zone != ZoneOther && qu.Type != dns.TypeAXFR && qu.Type != dns.TypeIXFR {
-			flags := uint16(flagQR) | uint16(q.Header.OpCode&0xF)<<11
+			flags := uint16(q.Header.OpCode&0xF) << 11
 			if q.Header.RecursionDesired {
 				flags |= flagRD
 			}
 			// No limit: the message API's callers pack, and truncate, for
 			// themselves.
 			wire := z.appendAnswer(nil, src, via, &dnsblQuery{
-				id: q.Header.ID, flags: flags, qtype: qu.Type, class: qu.Class,
-				name: name, key: key, zone: zone,
+				WireQuery: dns.WireQuery{ID: q.Header.ID, Flags: flags, Type: qu.Type, Class: qu.Class, Name: name},
+				key:       key, zone: zone,
 			})
 			r, err := dns.Unpack(wire)
 			if err != nil {
