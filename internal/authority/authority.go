@@ -5,10 +5,13 @@
 // pluggable fallback for queries about domains the server does not host —
 // which is exactly where hosting providers' "protective records" live.
 //
-// Most of what a hosting nameserver is asked in a sweep is about names it
-// hosts no zone for, and a server without a fallback refuses all of them, so
-// it refuses in wire form (AppendWire): no query is decoded and no reply
-// built for a refusal.
+// A plain query is answered in wire form (AppendWire), with no query decoded,
+// unless only a fallback can answer it. Most of what a hosting nameserver is
+// asked in a sweep is about names it hosts no zone for, and a server without
+// a fallback refuses all of them with no reply built. A hosted name's answer
+// is packed once per zone and question: an answer that comes from its zone
+// alone is memoized in the zone (zone.Zone.Memoize), shared by every server
+// of that zone, and a repeated question is answered from those bytes.
 package authority
 
 import (
@@ -122,8 +125,40 @@ func (s *Server) findZone(name dns.Name) *zone.Zone {
 	}
 }
 
+// Edges picks, for the client at src, the address the A answers of a hosted
+// zone are rewritten to — a CDN front's regional edge — and returns the zero
+// Addr when z's answers are served as the zone holds them.
+type Edges func(z *zone.Zone, src netip.Addr) netip.Addr
+
+// Regional is a server whose hosted A answers are rewritten to the edge its
+// Edges picks for the client that asked (Server.WithEdges).
+type Regional struct {
+	s     *Server
+	edges Edges
+}
+
+// WithEdges returns s as a responder that rewrites hosted A answers with
+// edges. s itself keeps answering as its zones hold.
+func (s *Server) WithEdges(edges Edges) *Regional {
+	return &Regional{s: s, edges: edges}
+}
+
+// HandleQuery implements dnsio.Responder.
+func (r *Regional) HandleQuery(src netip.Addr, q *dns.Message) *dns.Message {
+	return r.s.handle(src, q, r.edges)
+}
+
+// AppendWire implements dnsio.WireResponder.
+func (r *Regional) AppendWire(dst []byte, src netip.Addr, raw []byte, via string) ([]byte, bool) {
+	return r.s.appendWire(dst, src, raw, via, r.edges)
+}
+
 // HandleQuery implements dnsio.Responder.
 func (s *Server) HandleQuery(src netip.Addr, q *dns.Message) *dns.Message {
+	return s.handle(src, q, nil)
+}
+
+func (s *Server) handle(src netip.Addr, q *dns.Message, edges Edges) *dns.Message {
 	s.queries.Add(1)
 	if q.Header.OpCode != dns.OpQuery || len(q.Questions) != 1 {
 		r := q.Reply()
@@ -148,63 +183,125 @@ func (s *Server) HandleQuery(src netip.Addr, q *dns.Message) *dns.Message {
 		r.Header.RCode = dns.RCodeRefused
 		return r
 	}
-	return s.answerFromZone(z, q)
+	r := q.Reply()
+	s.answerFromZone(z, r)
+	if edges != nil && question.Type == dns.TypeA {
+		if edge := edges(z, src); edge.IsValid() {
+			rewriteToEdge(r, edge)
+		}
+	}
+	return r
 }
 
-// AppendWire implements dnsio.WireResponder for the one shape a server
-// answers without a message: a plain query (dns.ParseQuery), class IN or ANY,
-// for a name no zone on the server covers, on a server with no fallback. It
-// books the query and appends the REFUSED reply HandleQuery builds and dnsio
-// packs for it — ID, opcode and RD copied, the question echoed lower-cased,
-// no OPT — which no payload size truncates. Every other shape is declined
-// with dst as it was and nothing booked.
-func (s *Server) AppendWire(dst []byte, _ netip.Addr, raw []byte, _ string) ([]byte, bool) {
-	if fb := s.fallback.Load(); fb != nil && *fb != nil {
+// AppendWire implements dnsio.WireResponder for a plain query
+// (dns.ParseQuery), class IN or ANY, that the server answers from a zone or,
+// having no fallback, refuses. It books the query and appends the reply
+// HandleQuery builds and dnsio packs for it, truncated to the requester's
+// payload size over UDP. A refusal is the question echoed with REFUSED,
+// which no payload size truncates. A hosted answer that came from its zone
+// alone — a hit, NXDOMAIN or NoData, after any CNAME chain inside the zone —
+// is memoized in the zone under its question and edge, and a repeated
+// question gets those bytes with its own ID and RD; one too long for the UDP
+// payload size is declined, and the message path truncates it. Every other
+// shape, and an unhosted name on a server with a fallback, is declined with
+// dst as it was and nothing booked.
+func (s *Server) AppendWire(dst []byte, src netip.Addr, raw []byte, via string) ([]byte, bool) {
+	return s.appendWire(dst, src, raw, via, nil)
+}
+
+func (s *Server) appendWire(dst []byte, src netip.Addr, raw []byte, via string, edges Edges) ([]byte, bool) {
+	// The name, and after it the rest of the memo key.
+	var buf [255 + 4 + 16]byte
+	q, ok := dns.ParseQuery(buf[:0], raw)
+	if !ok || (q.Class != dns.ClassINET && q.Class != dns.ClassANY) {
 		return dst, false
 	}
-	var name [255]byte
-	q, ok := dns.ParseQuery(name[:0], raw)
-	if !ok || (q.Class != dns.ClassINET && q.Class != dns.ClassANY) || s.covers(q.Name) {
-		return dst, false
-	}
-	s.queries.Add(1)
 	const qr = 1 << 15
-	return q.AppendReply(dst, qr|q.Flags|uint16(dns.RCodeRefused)), true
+	z := s.zoneFor(q.Name)
+	if z == nil {
+		if fb := s.fallback.Load(); fb != nil && *fb != nil {
+			return dst, false
+		}
+		s.queries.Add(1)
+		return q.AppendReply(dst, qr|q.Flags|uint16(dns.RCodeRefused)), true
+	}
+	var edge netip.Addr
+	if edges != nil && q.Type == dns.TypeA {
+		edge = edges(z, src)
+	}
+	// The memo key: the question as it is echoed, and the edge.
+	e16 := edge.As16()
+	key := append(append(q.Name, byte(q.Type>>8), byte(q.Type), byte(q.Class>>8), byte(q.Class)), e16[:]...)
+	maxSize := 0 // stream- and HTTP-framed replies go whole
+	if via == dnsio.ViaUDP {
+		maxSize = dnsio.ClampUDPSize(q.UDPSize)
+	}
+	if memo, ok := z.Memoized(key); ok {
+		if maxSize > 0 && len(memo) > maxSize {
+			return dst, false
+		}
+		s.queries.Add(1)
+		out := append(dst, memo...)
+		reply := out[len(dst):]
+		reply[0], reply[1] = byte(q.ID>>8), byte(q.ID)
+		reply[2] = reply[2]&^1 | byte(q.Flags>>8)&1 // RD
+		return out, true
+	}
+
+	s.queries.Add(1)
+	gen := z.Generation()
+	r := &dns.Message{
+		Header:    dns.Header{ID: q.ID, Response: true, RecursionDesired: q.Flags&(1<<8) != 0},
+		Questions: []dns.Question{{Name: dns.Name(q.Name), Type: q.Type, Class: q.Class}},
+	}
+	own := s.answerFromZone(z, r)
+	if edge.IsValid() {
+		rewriteToEdge(r, edge)
+	}
+	out, err := r.AppendPack(dst)
+	if err == nil && own {
+		z.Memoize(gen, key, out[len(dst):])
+	}
+	if err == nil && maxSize > 0 && len(out)-len(dst) > maxSize {
+		out, err = r.AppendPackTruncated(dst, maxSize)
+	}
+	if err != nil {
+		out = q.AppendReply(dst, qr|q.Flags|uint16(dns.RCodeServFail))
+	}
+	return out, true
 }
 
-// covers reports whether a zone on s covers name, a lower-cased name in
-// presentation form: whether findZone would find one. The suffixes are tried
-// from the root down, so a root or TLD server declines at its first or second
-// lookup, and none of them is copied.
-func (s *Server) covers(name []byte) bool {
+// zoneFor returns the zone findZone finds for name, a lower-cased name in
+// presentation form, without copying the name.
+func (s *Server) zoneFor(name []byte) *zone.Zone {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, ok := s.zones[dns.Root]; ok {
-		return true
-	}
-	for i := len(name) - 1; i >= 0; i-- {
+	for i := 0; i < len(name); i++ {
 		if i > 0 && name[i-1] != '.' {
 			continue
 		}
-		if _, ok := s.zones[dns.Name(name[i:])]; ok {
-			return true
+		if z, ok := s.zones[dns.Name(name[i:])]; ok {
+			return z
 		}
 	}
-	return false
+	return s.zones[dns.Root]
 }
 
-func (s *Server) answerFromZone(z *zone.Zone, q *dns.Message) *dns.Message {
-	r := q.Reply()
-	question := q.Question()
-	name, qtype := question.Name, question.Type
-
+// answerFromZone answers r's question from z into r, and reports whether the
+// answer came from z alone: a hit, NXDOMAIN or NoData, after any CNAME chain
+// that stayed inside z. A referral (its glue is searched for in every zone),
+// a chain that hopped to a sibling zone or left every zone of the server, and
+// a CNAME loop depend on more than z.
+func (s *Server) answerFromZone(z *zone.Zone, r *dns.Message) (own bool) {
+	name, qtype := r.Questions[0].Name, r.Questions[0].Type
+	own = true
 	for hop := 0; hop < maxCNAMEChain; hop++ {
 		rrs, res := z.Lookup(name, qtype)
 		switch res {
 		case zone.Hit:
 			r.Header.Authoritative = true
 			r.Answers = append(r.Answers, rrs...)
-			return r
+			return own
 		case zone.CNAMEHit:
 			r.Header.Authoritative = true
 			r.Answers = append(r.Answers, rrs...)
@@ -216,30 +313,51 @@ func (s *Server) answerFromZone(z *zone.Zone, q *dns.Message) *dns.Message {
 				continue
 			}
 			if other := s.findZone(target); other != nil {
-				z = other
-				name = target
+				z, name, own = other, target, false
 				continue
 			}
-			return r
+			return false
 		case zone.Delegation:
 			r.Authority = append(r.Authority, rrs...)
 			s.attachGlue(r, rrs)
-			return r
+			return false
 		case zone.NXDomain:
 			r.Header.Authoritative = true
 			r.Header.RCode = dns.RCodeNXDomain
 			s.attachSOA(r, z)
-			return r
+			return own
 		case zone.NoData:
 			r.Header.Authoritative = true
 			s.attachSOA(r, z)
-			return r
+			return own
 		default: // OutOfZone mid-chase: answer what we have.
-			return r
+			return false
 		}
 	}
 	r.Header.RCode = dns.RCodeServFail // CNAME loop
-	return r
+	return false
+}
+
+// rewriteToEdge replaces r's A answers with one A record for edge, keeping any
+// CNAME chain intact — what a CDN front does.
+func rewriteToEdge(r *dns.Message, edge netip.Addr) {
+	if len(r.Answers) == 0 {
+		return
+	}
+	var rewritten []dns.RR
+	replaced := false
+	for _, rr := range r.Answers {
+		if rr.Type() == dns.TypeA {
+			if replaced {
+				continue
+			}
+			rr.Data = &dns.A{Addr: edge}
+			rr.TTL = 60
+			replaced = true
+		}
+		rewritten = append(rewritten, rr)
+	}
+	r.Answers = rewritten
 }
 
 // attachSOA adds the zone's SOA to the authority section for negative
@@ -270,4 +388,6 @@ func (s *Server) attachGlue(r *dns.Message, nsSet []dns.RR) {
 var (
 	_ dnsio.Responder     = (*Server)(nil)
 	_ dnsio.WireResponder = (*Server)(nil)
+	_ dnsio.Responder     = (*Regional)(nil)
+	_ dnsio.WireResponder = (*Regional)(nil)
 )

@@ -11,12 +11,14 @@ import (
 
 // TestSweepAllocBudget is the end-to-end allocation budget: a whole plain
 // sweep of the tiny world — fabric, codec, client, collector, determiner,
-// analyzer and all — may make at most 2.1 heap objects per query: it makes
-// 1.46 to 1.63 (2.30 to 2.43 while a hosting nameserver decoded every query
-// it refused and a sweep worker every refusal; 2.75 while a sweep worker
-// decoded every answer before asking its memo; it made 9.9 while every probe
-// allocated its response buffer, compressor, messages and names, and 4.17
-// while every served query allocated its reply). The per-layer budgets in
+// analyzer and all — may make at most 1.5 heap objects per query: it makes
+// 1.02 to 1.18 (1.64 to 1.69 while a hosting nameserver decoded, built and
+// packed every hosted answer and an open resolver every cached one; 2.30 to
+// 2.43 while a hosting nameserver decoded every query it refused and a sweep
+// worker every refusal; 2.75 while a sweep worker decoded every answer before
+// asking its memo; it made 9.9 while every probe allocated its response
+// buffer, compressor, messages and names, and 4.17 while every served query
+// allocated its reply). The per-layer budgets in
 // internal/dns, internal/simnet and internal/dnsio say which layer
 // regressed; this one fails when any does.
 func TestSweepAllocBudget(t *testing.T) {
@@ -45,19 +47,20 @@ func TestSweepAllocBudget(t *testing.T) {
 	}
 	perQuery := float64(mallocs) / float64(queries)
 	t.Logf("%d heap objects for %d queries: %.2f per query", mallocs, queries, perQuery)
-	if perQuery > 2.1 {
-		t.Errorf("a warm tiny sweep allocates %.2f objects per query, budget 2.1", perQuery)
+	if perQuery > 1.5 {
+		t.Errorf("a warm tiny sweep allocates %.2f objects per query, budget 1.5", perQuery)
 	}
 }
 
 // TestColdSweepAllocBudget is the first sweep of a fresh tiny world, in heap
 // objects per query: every open resolver walks and caches what it is asked.
-// It may make at most 2.9; it makes 2.34 to 2.66. It made 3.16 to 3.41 while
-// a hosting nameserver decoded every query it refused and a sweep worker
-// every refusal, and 3.86 to 3.94 while each resolver also decoded,
-// re-built, re-packed and re-interned an upstream answer another resolver of
-// its pool had already received, and each sweep worker decoded a repeated
-// answer before looking it up.
+// It may make at most 2.9; it makes 2.15 to 2.22. It made 2.45 to 2.54
+// while every hosted answer and every cached open-resolver answer was
+// decoded, built and packed, 3.16 to 3.41 while a hosting nameserver decoded
+// every query it refused and a sweep worker every refusal, and 3.86 to 3.94
+// while each resolver also decoded, re-built, re-packed and re-interned an
+// upstream answer another resolver of its pool had already received, and
+// each sweep worker decoded a repeated answer before looking it up.
 func TestColdSweepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")

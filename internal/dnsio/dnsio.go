@@ -472,13 +472,16 @@ func dispatchQuery(r Responder, src netip.Addr, q *dns.Message, via string) *dns
 }
 
 // WireResponder is the optional interface a Responder implements to answer
-// some queries without a dns.Message on either side: AppendWire reads the raw
-// query and, when it is a shape the responder answers in wire form, appends
-// the packed reply — already truncated to the requester's payload size when
-// via is ViaUDP — to dst and returns handled=true. Otherwise it returns dst
-// untouched and handled=false, having consumed and counted nothing, and the
-// query takes the ordinary unpack, HandleQuery, pack path, whose reply a
-// handled query's must equal byte for byte. ServeRaw, the socket front-ends
+// some queries without decoding them: AppendWire reads the raw query and,
+// when it is a shape the responder answers in wire form, appends the packed
+// reply — already truncated to the requester's payload size when via is
+// ViaUDP — to dst and returns handled=true. It may build a dns.Message for
+// the reply (an answer it has not packed before) but never decodes the
+// query. Otherwise it returns dst untouched and handled=false, having
+// consumed and counted nothing, and the query takes the ordinary unpack,
+// HandleQuery, pack path, whose reply a handled query's must equal byte for
+// byte. The DNSBL answers, the simulated authorities' answers and refusals,
+// and the open resolvers' answers take it. ServeRaw, the socket front-ends
 // and the simulated fabric's handlers (AttachSim) try it first.
 type WireResponder interface {
 	AppendWire(dst []byte, src netip.Addr, raw []byte, via string) (out []byte, handled bool)
@@ -565,8 +568,8 @@ func serveMessage(dst []byte, r Responder, src netip.Addr, raw []byte, via strin
 // AttachSim registers a responder on the fabric at addr:53 (UDP semantics)
 // and the paired reliable endpoint (TCP semantics). It returns a detach
 // function. Whether r is a WireResponder is settled here, once: a simulated
-// authority tries its wire path first on every exchange, and a resolver,
-// which has none, pays no per-exchange check.
+// authority or open resolver tries its wire path first on every exchange,
+// and a responder without one pays no per-exchange check.
 func AttachSim(f *simnet.Fabric, addr netip.Addr, r Responder) (func(), error) {
 	udp := simnet.Endpoint{Addr: addr, Port: DNSPort}
 	tcp := simnet.Endpoint{Addr: addr, Port: DNSPort + simTCPPortOffset}

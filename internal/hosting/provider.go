@@ -185,7 +185,7 @@ func NewProvider(pol Policy, deps Deps) (*Provider, error) {
 		if fb := p.fallbackFor(len(deps.Roots) > 0); fb != nil {
 			ns.srv.SetFallback(fb)
 		}
-		if _, err := dnsio.AttachSim(deps.Fabric, addr, &nsResponder{p: p, ns: ns}); err != nil {
+		if _, err := dnsio.AttachSim(deps.Fabric, addr, ns.srv.WithEdges(p.edgeFor)); err != nil {
 			return nil, err
 		}
 		p.nameservers = append(p.nameservers, ns)

@@ -6,61 +6,25 @@ import (
 
 	"repro/internal/authority"
 	"repro/internal/dns"
+	"repro/internal/zone"
 )
 
-// nsResponder wraps a nameserver's authoritative engine with the provider's
-// behaviours that depend on the *client*, not the zone: geo-distributed edge
-// answers for CDN-customer domains. Those only rewrite answers from a hosted
-// zone, so what the engine answers in wire form — refusals — it passes on.
-type nsResponder struct {
-	p  *Provider
-	ns *Nameserver
-}
-
-// HandleQuery implements dnsio.Responder.
-func (r *nsResponder) HandleQuery(src netip.Addr, q *dns.Message) *dns.Message {
-	resp := r.ns.srv.HandleQuery(src, q)
-	if resp == nil || len(resp.Answers) == 0 {
-		return resp
+// edgeFor is the Edges the provider's nameservers answer through: with CDN
+// edges configured, a geo-distributed zone's A answers go to the edge of the
+// client's country. Only hosted answers are rewritten, so what the engine
+// refuses in wire form it still refuses there.
+func (p *Provider) edgeFor(z *zone.Zone, src netip.Addr) netip.Addr {
+	if p.edges == nil {
+		return netip.Addr{}
 	}
-	geo := false
-	if q.Question().Type == dns.TypeA {
-		if z, ok := r.ns.srv.FindZone(q.Question().Name); ok {
-			r.p.geomu.RLock()
-			geo = r.p.geoZones[z]
-			r.p.geomu.RUnlock()
-		}
+	p.geomu.RLock()
+	geo := p.geoZones[z]
+	p.geomu.RUnlock()
+	if !geo {
+		return netip.Addr{}
 	}
-	if !geo || r.p.edges == nil {
-		return resp
-	}
-	country := r.p.deps.IPDB.CountryOf(src)
-	edge, ok := r.p.EdgeAddr(country)
-	if !ok {
-		return resp
-	}
-	// Replace the A answers with the client's regional edge, keeping any
-	// CNAME chain intact — what a CDN front does.
-	var rewritten []dns.RR
-	replaced := false
-	for _, rr := range resp.Answers {
-		if rr.Type() == dns.TypeA {
-			if replaced {
-				continue
-			}
-			rr.Data = &dns.A{Addr: edge}
-			rr.TTL = 60
-			replaced = true
-		}
-		rewritten = append(rewritten, rr)
-	}
-	resp.Answers = rewritten
-	return resp
-}
-
-// AppendWire implements dnsio.WireResponder with the engine's wire path.
-func (r *nsResponder) AppendWire(dst []byte, src netip.Addr, raw []byte, via string) ([]byte, bool) {
-	return r.ns.srv.AppendWire(dst, src, raw, via)
+	edge, _ := p.EdgeAddr(p.deps.IPDB.CountryOf(src))
+	return edge
 }
 
 // fallbackFor builds the out-of-zone behaviour for the provider's

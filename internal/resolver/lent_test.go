@@ -15,7 +15,8 @@ import (
 // TestCachedAnswersSurviveLentReplies: the serve loop lends each query one
 // reply and reuses it for the next, and an open resolver assigns the section
 // slices of its cached — pool-wide, immutable — answers straight into the
-// reply it is handed. The next user of that reply may be a handler that
+// reply it is handed (HandleQuery, the path every query its wire path
+// declines takes). The next user of that reply may be a handler that
 // appends, so a reply whose sections were truncated for reuse instead of
 // dropped would have the append land in the cache. A thousand cached questions
 // answered over the wire, each followed by an exchange with an appending
@@ -68,22 +69,35 @@ func TestCachedAnswersSurviveLentReplies(t *testing.T) {
 		t.Fatalf("%d responses stored for %d questions", len(stored), n)
 	}
 	before := make([]*dns.Message, len(stored))
-	for i, m := range stored {
-		wire, err := m.Pack()
+	for i, a := range stored {
+		wire, err := a.msg.Pack()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if string(wire) != a.wire {
+			t.Fatalf("stored response %d packs to %x, stored as %x", i, wire, a.wire)
 		}
 		if before[i], err = dns.Unpack(wire); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(before[i], m) {
-			t.Fatalf("stored response %d does not survive a round trip:\n%s\n%s", i, m.Summary(), before[i].Summary())
+		if !reflect.DeepEqual(before[i], a.msg) {
+			t.Fatalf("stored response %d does not survive a round trip:\n%s\n%s", i, a.msg.Summary(), before[i].Summary())
 		}
+	}
+	// The message path, as the fabric's handler takes it for a query the
+	// wire path declines.
+	viaMessage := func(name dns.Name) (*dns.Message, error) {
+		raw, err := dns.NewQuery(uint16(len(name)), name, dns.TypeA).Pack()
+		if err != nil {
+			return nil, err
+		}
+		raw[2] |= 1 // RD
+		return dns.Unpack(dnsio.ServeRaw(dnsio.ResponderFunc(o.HandleQuery), oAddr, raw, dnsio.ViaUDP))
 	}
 
 	upstream := w.fabric.QueriesTo(nsAddr)
 	for i := 0; i < n; i++ {
-		if resp, err := c.Query(ctx, resolver, name(i), dns.TypeA); err != nil || len(resp.Answers) != i%3+1 {
+		if resp, err := viaMessage(name(i)); err != nil || len(resp.Answers) != i%3+1 {
 			t.Fatalf("cached %s: %v %v", name(i), resp, err)
 		}
 		// The same goroutine, so the same pooled query and the same lent reply.
@@ -95,9 +109,9 @@ func TestCachedAnswersSurviveLentReplies(t *testing.T) {
 	if got := w.fabric.QueriesTo(nsAddr) - upstream; got != n {
 		t.Errorf("the authority saw %d queries, want only the %d sent to it directly: the resolver's answers were not cached", got, n)
 	}
-	for i, m := range *o.rec.shared.answers.Load() {
-		if i < len(before) && !reflect.DeepEqual(before[i], m) {
-			t.Errorf("stored response %d changed under the serve loop's reply:\n%s\nwas\n%s", i, m.Summary(), before[i].Summary())
+	for i, a := range *o.rec.shared.answers.Load() {
+		if i < len(before) && !reflect.DeepEqual(before[i], a.msg) {
+			t.Errorf("stored response %d changed under the serve loop's reply:\n%s\nwas\n%s", i, a.msg.Summary(), before[i].Summary())
 		}
 	}
 }

@@ -23,7 +23,8 @@ type OpenResolver struct {
 }
 
 // HandleQuery implements dnsio.Responder: recursion-desired queries are
-// resolved iteratively; others are refused.
+// resolved iteratively; others are refused. A plain query is answered in
+// wire form instead (AppendWire).
 func (o *OpenResolver) HandleQuery(_ netip.Addr, q *dns.Message) *dns.Message {
 	r := q.Reply()
 	r.Header.RecursionAvailable = true
@@ -40,6 +41,48 @@ func (o *OpenResolver) HandleQuery(_ netip.Addr, q *dns.Message) *dns.Message {
 	r.Answers = resolved.Answers
 	r.Authority = resolved.Authority
 	return r
+}
+
+// AppendWire implements dnsio.WireResponder for a plain query
+// (dns.ParseQuery) of class IN with RD set: it resolves the question once and
+// appends the reply HandleQuery builds and dnsio packs for it. A resolved
+// answer the pool stores goes out as the query's ID, QR|RD|RA|RCODE, and the
+// stored wire form after its flags; one too long for the UDP payload size,
+// and one a resolver that caches nothing resolved, is built from the message
+// and packed, truncated over UDP. A failed resolution is SERVFAIL. Every
+// other shape is declined before anything is resolved.
+func (o *OpenResolver) AppendWire(dst []byte, _ netip.Addr, raw []byte, via string) ([]byte, bool) {
+	const qr, rd, ra = 1 << 15, 1 << 8, 1 << 7
+	var buf [255]byte
+	q, ok := dns.ParseQuery(buf[:0], raw)
+	if !ok || q.Flags&rd == 0 || q.Class != dns.ClassINET {
+		return dst, false
+	}
+	name := dns.Name(q.Name)
+	a, err := o.rec.resolve(context.Background(), name, q.Type, 0, o.rec.seconds())
+	if err != nil {
+		return q.AppendReply(dst, qr|rd|ra|uint16(dns.RCodeServFail)), true
+	}
+	maxSize := 0 // stream- and HTTP-framed replies go whole
+	if via == dnsio.ViaUDP {
+		maxSize = dnsio.ClampUDPSize(q.UDPSize)
+	}
+	if a.wire != "" && (maxSize == 0 || len(a.wire) <= maxSize) {
+		dst = append(dst, byte(q.ID>>8), byte(q.ID), a.wire[2]|rd>>8, a.wire[3])
+		return append(dst, a.wire[4:]...), true
+	}
+	r := dns.Message{
+		Header: dns.Header{ID: q.ID, Response: true, RecursionDesired: true, RecursionAvailable: true,
+			RCode: a.msg.Header.RCode},
+		Questions: []dns.Question{{Name: name, Type: q.Type, Class: q.Class}},
+		Answers:   a.msg.Answers,
+		Authority: a.msg.Authority,
+	}
+	out, err := r.AppendPackTruncated(dst, maxSize)
+	if err != nil {
+		return q.AppendReply(dst, qr|rd|ra|uint16(dns.RCodeServFail)), true
+	}
+	return out, true
 }
 
 // Resolver exposes the underlying recursive engine (tests and the correct-

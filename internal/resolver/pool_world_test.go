@@ -144,3 +144,70 @@ func TestPoolStoresEqualAnswersOnce(t *testing.T) {
 		t.Errorf("pool stores %d responses for %d distinct target answers and %d other cached questions", stored, distinct, others)
 	}
 }
+
+// FuzzOpenResolverServeRaw is the open resolvers' wire path against their
+// message path, over udp and tcp, on a tiny world's pool: a datagram an open
+// resolver answers in wire form must get the bytes HandleQuery's reply packs
+// to, asked right after — a cached answer when the first ask cached one, a
+// failure again when it failed — and one it declines must leave dst as it was
+// and resolve nothing, so the fabric carries no exchange for it.
+func FuzzOpenResolverServeRaw(f *testing.F) {
+	w, err := scenario.Generate(scenario.Tiny(), 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	pack := func(m *dns.Message) []byte {
+		raw, err := m.Pack()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	q := func(name dns.Name, typ dns.Type) *dns.Message {
+		m := dns.NewQuery(0x2345, name, typ)
+		m.Header.RecursionDesired = true
+		return m
+	}
+	for i, target := range w.Targets {
+		if i == 8 {
+			break
+		}
+		for _, typ := range []dns.Type{dns.TypeA, dns.TypeTXT, dns.TypeMX} {
+			f.Add(pack(q(target, typ)), uint8(i))
+		}
+	}
+	noRD := q(w.Targets[0], dns.TypeA)
+	noRD.Header.RecursionDesired = false
+	opt := q(w.Targets[1], dns.TypeTXT)
+	opt.Additional = append(opt.Additional, dns.RR{Class: 1232, Data: &dns.OPT{}})
+	ch := q(w.Targets[0], dns.TypeA)
+	ch.Questions[0].Class = dns.ClassCH
+	upper := pack(q(w.Targets[2], dns.TypeA))
+	copy(upper[12:], bytes.ToUpper(upper[12:12+len(w.Targets[2])+1]))
+	for _, raw := range [][]byte{pack(noRD), pack(opt), pack(ch), upper,
+		pack(q("no-such-name.invalid", dns.TypeA)), pack(q(dns.Root, dns.TypeNS)), pack(q("com", dns.TypeSOA))} {
+		f.Add(raw, uint8(0))
+		f.Add(raw, uint8(1))
+	}
+	vias := []string{dnsio.ViaUDP, dnsio.ViaTCP}
+	pool := w.Resolvers.Resolvers
+	f.Fuzz(func(t *testing.T, raw []byte, pick uint8) {
+		via, o := vias[pick%2], pool[int(pick/2)%len(pool)]
+		dst := append(make([]byte, 0, 64), 0xA5, 0x5A)
+		exchanges := w.Fabric.Exchanges()
+		out, handled := o.AppendWire(dst, o.Addr, raw, via)
+		if !handled {
+			if len(out) != len(dst) || cap(out) != cap(dst) || !bytes.Equal(out, dst[:2]) {
+				t.Fatalf("declined %x but changed dst to %x", raw, out)
+			}
+			if got := w.Fabric.Exchanges() - exchanges; got != 0 {
+				t.Fatalf("declined %x after %d upstream exchanges", raw, got)
+			}
+			return
+		}
+		want := dnsio.ServeRaw(dnsio.ResponderFunc(o.HandleQuery), o.Addr, raw, via)
+		if !bytes.Equal(out[:2], dst[:2]) || !bytes.Equal(out[2:], want) {
+			t.Fatalf("via %s: the wire path and the message path differ on %x\n got: %x\nwant: %x", via, raw, out[2:], want)
+		}
+	})
+}

@@ -13,7 +13,9 @@
 // resolver has cached, and until when, stays its own (see shared). For the
 // same reason they share a memo of the upstream answers resolutions ended
 // on: a resolution that receives an answer's bytes again books the answer
-// stored for them, without decoding them.
+// stored for them, without decoding them. An open resolver replies to a
+// plain query with the bytes its answer is stored under, behind the query's
+// own header word.
 package resolver
 
 import (
@@ -84,8 +86,10 @@ type cut struct {
 // Questions and answers: the tables hold content only — a resolver's cache
 // maps a question id to an answer id with its own expiry, so a geo-aware
 // zone's per-region answers stay with the resolvers that received them while
-// byte-identical responses are stored once. Upstream answers: a resolution
-// that completed on one upstream answer, with no CNAME to chase, is a pure
+// byte-identical responses are stored once, with the wire form they are
+// stored under, which an open resolver replies with behind its own header
+// word (OpenResolver.AppendWire). Upstream answers: a resolution that
+// completed on one upstream answer, with no CNAME to chase, is a pure
 // function of the question and that answer's bytes after the ID, so the memo
 // maps those bytes to the question, answer ids and TTL it gave; a resolution
 // of the same question that receives the same bytes — from any resolver of
@@ -103,7 +107,7 @@ type cut struct {
 type shared struct {
 	cuts      sync.Map // dns.Name → *cut
 	questions sync.Map // dns.Question → uint32, the question's id
-	answers   atomic.Pointer[[]*dns.Message]
+	answers   atomic.Pointer[[]storedAnswer]
 
 	mu         sync.Mutex        // serialises interning
 	nQuestions uint32            // ids handed out
@@ -114,6 +118,15 @@ type shared struct {
 	known     sync.Map // uint64 → *knownAnswer
 	nKnown    atomic.Int64
 	knownSeed maphash.Seed
+}
+
+// storedAnswer is a response a resolution gave, as a message and as its wire
+// form — the string answerIDs is keyed by — with ID 0, QR, RA and the RCODE
+// set. A resolver that caches nothing stores nothing, and its resolutions
+// come back with no wire form.
+type storedAnswer struct {
+	msg  *dns.Message
+	wire string
 }
 
 // knownAnswer is an upstream memo entry: a terminal upstream answer, as its
@@ -137,7 +150,7 @@ var (
 
 func newShared() *shared {
 	s := &shared{answerIDs: make(map[string]uint32), knownSeed: maphash.MakeSeed()}
-	s.answers.Store(new([]*dns.Message))
+	s.answers.Store(new([]storedAnswer))
 	return s
 }
 
@@ -254,16 +267,17 @@ func (r *Recursive) LookupTXT(ctx context.Context, name dns.Name) ([]string, err
 // Resolve performs full iterative resolution of (name, qtype) and returns a
 // response message with the complete CNAME chain in the answer section.
 func (r *Recursive) Resolve(ctx context.Context, name dns.Name, qtype dns.Type) (*dns.Message, error) {
-	return r.resolve(ctx, name, qtype, 0, r.seconds())
+	a, err := r.resolve(ctx, name, qtype, 0, r.seconds())
+	return a.msg, err
 }
 
-func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, depth int, now uint32) (*dns.Message, error) {
+func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, depth int, now uint32) (storedAnswer, error) {
 	if depth > maxGluelessNS {
-		return nil, fmt.Errorf("%w: NS resolution too deep", ErrLoop)
+		return storedAnswer{}, fmt.Errorf("%w: NS resolution too deep", ErrLoop)
 	}
 	q := dns.Question{Name: name, Type: qtype, Class: dns.ClassINET}
-	if msg, ok := r.cacheGet(q, now); ok {
-		return msg, nil
+	if a, ok := r.cacheGet(q, now); ok {
+		return a, nil
 	}
 
 	u := resolutionPool.Get().(*resolution)
@@ -279,7 +293,7 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 	for cnameHop := 0; cnameHop <= maxCNAMEHops; cnameHop++ {
 		resp, err := r.iterate(ctx, u, target, qtype, depth, now)
 		if err != nil {
-			return nil, err
+			return storedAnswer{}, err
 		}
 		if u.hit != nil {
 			return r.book(*u.hit, now), nil
@@ -297,17 +311,21 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 		// Done unless the terminal answer is an unchased CNAME.
 		last := lastCNAMETarget(resp.Answers, qtype)
 		if last == dns.Root {
-			if e, ok := r.cachePut(q, final, now); ok && cnameHop == 0 {
+			a, e, ok := r.cachePut(q, final, now)
+			if !ok {
+				return storedAnswer{msg: final}, nil
+			}
+			if cnameHop == 0 {
 				// final is what this one upstream answer gives q.
 				r.shared.remember(u.wire, e)
 			}
-			return final, nil
+			return a, nil
 		}
 		// A chase's answers are not the resolution's own.
 		u.s.Known = nil
 		target = last
 	}
-	return nil, fmt.Errorf("%w: CNAME chain too long for %s", ErrLoop, name.String())
+	return storedAnswer{}, fmt.Errorf("%w: CNAME chain too long for %s", ErrLoop, name.String())
 }
 
 // lastCNAMETarget returns the target of the trailing CNAME if the answer
@@ -481,7 +499,7 @@ func (r *Recursive) serversFromReferral(ctx context.Context, resp *dns.Message, 
 			if err != nil {
 				continue
 			}
-			for _, rr := range sub.AnswersOfType(dns.TypeA) {
+			for _, rr := range sub.msg.AnswersOfType(dns.TypeA) {
 				addrs = append(addrs, rr.Data.(*dns.A).Addr)
 			}
 			if len(addrs) > 0 {
@@ -516,24 +534,24 @@ func (r *Recursive) queryAny(ctx context.Context, u *resolution, servers []netip
 	return nil, fmt.Errorf("%w: %v", ErrLame, lastErr)
 }
 
-func (r *Recursive) cacheGet(q dns.Question, now uint32) (*dns.Message, bool) {
+func (r *Recursive) cacheGet(q dns.Question, now uint32) (storedAnswer, bool) {
 	if r.CacheLimit == 0 {
-		return nil, false
+		return storedAnswer{}, false
 	}
 	v, ok := r.shared.questions.Load(q)
 	if !ok {
-		return nil, false
+		return storedAnswer{}, false
 	}
 	id := v.(uint32)
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
 	e, ok := r.cache[id]
 	if !ok {
-		return nil, false
+		return storedAnswer{}, false
 	}
 	if now >= e.expires {
 		delete(r.cache, id)
-		return nil, false
+		return storedAnswer{}, false
 	}
 	return (*r.shared.answers.Load())[e.answer], true
 }
@@ -545,10 +563,11 @@ var packBufPool = sync.Pool{New: func() any {
 }}
 
 // cachePut stores msg as q's answer and caches it; ok is false when it
-// cached nothing, and otherwise e says what it booked.
-func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) (e knownAnswer, ok bool) {
+// cached nothing, and otherwise a is the stored answer, equal to msg, and e
+// says what it booked.
+func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) (a storedAnswer, e knownAnswer, ok bool) {
 	if r.CacheLimit == 0 {
-		return e, false
+		return a, e, false
 	}
 	// A response is stored under its wire form, so equal content is one
 	// entry whichever resolver received it. One that cannot be encoded could
@@ -557,18 +576,17 @@ func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) (e kn
 	defer packBufPool.Put(bp)
 	wire, err := msg.AppendPack((*bp)[:0])
 	if err != nil {
-		return e, false
+		return a, e, false
 	}
 	*bp = wire
 	e.q, e.ttl = q, messageTTL(msg)
 	e.id, e.answer = r.shared.intern(q, wire, msg)
-	r.book(e, now)
-	return e, true
+	return r.book(e, now), e, true
 }
 
 // book caches e's stored answer as its question's for e's TTL from now, and
 // returns it.
-func (r *Recursive) book(e knownAnswer, now uint32) *dns.Message {
+func (r *Recursive) book(e knownAnswer, now uint32) storedAnswer {
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
 	if len(r.cache) >= r.CacheLimit {
@@ -598,8 +616,9 @@ func (s *shared) intern(q dns.Question, wire []byte, msg *dns.Message) (id, answ
 	if !ok {
 		answers := *s.answers.Load()
 		answer = uint32(len(answers))
-		s.answerIDs[string(wire)] = answer
-		answers = append(answers, msg)
+		key := string(wire)
+		s.answerIDs[key] = answer
+		answers = append(answers, storedAnswer{msg: msg, wire: key})
 		s.answers.Store(&answers)
 	}
 	return id, answer

@@ -27,6 +27,8 @@ type testWorld struct {
 	// hoster.net; nsUp(false) takes it off the fabric, nsUp(true) puts it back.
 	ns   netip.Addr
 	nsUp func(up bool)
+	// example is the example.com zone that server hosts.
+	example *zone.Zone
 }
 
 func buildWorld(t *testing.T) *testWorld {
@@ -66,7 +68,7 @@ func buildWorld(t *testing.T) *testWorld {
 	}
 	hz.MustAddRR("target.hoster.net 300 IN A " + w.site.String())
 
-	w.ns = nsAddr
+	w.ns, w.example = nsAddr, ez
 	var detach func()
 	w.nsUp = func(up bool) {
 		if !up {

@@ -3,6 +3,10 @@
 // and type, with RFC 1034 lookup semantics (exact match, CNAME, wildcard
 // synthesis, delegation cuts, empty non-terminals) and a master-file style
 // parser/serializer.
+//
+// A zone also keeps a bounded memo of the replies its servers packed from it
+// (Memoize, Memoized), which every mutation clears: a zone is shared by its
+// whole nameserver set, so one server's packed answer serves them all.
 package zone
 
 import (
@@ -11,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dns"
 )
@@ -63,6 +68,11 @@ type Zone struct {
 
 	mu     sync.RWMutex
 	rrsets map[dns.Name]map[dns.Type][]dns.RR
+
+	// gen counts the mutations, each booked under mu; memo holds the replies
+	// memoized at one generation, nil until the first.
+	gen  atomic.Uint64
+	memo atomic.Pointer[replyMemo]
 }
 
 // New creates an empty zone rooted at origin.
@@ -92,6 +102,7 @@ func (z *Zone) Add(rr dns.RR) error {
 		z.rrsets[rr.Name] = byType
 	}
 	byType[rr.Type()] = append(byType[rr.Type()], rr)
+	z.gen.Add(1)
 	return nil
 }
 
@@ -121,6 +132,7 @@ func (z *Zone) RemoveRRset(name dns.Name, t dns.Type) {
 			delete(z.rrsets, name)
 		}
 	}
+	z.gen.Add(1)
 }
 
 // RemoveName deletes every record at a name.
@@ -128,6 +140,7 @@ func (z *Zone) RemoveName(name dns.Name) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	delete(z.rrsets, name)
+	z.gen.Add(1)
 }
 
 // RRset returns the records of the given type at exactly name (no wildcard or
