@@ -131,7 +131,7 @@ func main() {
 		if journal.Resumed() {
 			fmt.Printf("resuming from %s: %d answered probes replayed, %d failures refiled",
 				dir, journal.ReplayedAnswered(), journal.ReplayedFailures())
-			if torn := journal.TornSegments(); torn > 0 {
+			if torn := journal.ReplayStats().Torn; torn > 0 {
 				fmt.Printf(" (%d torn segment tails discarded)", torn)
 			}
 			fmt.Printf(" [%s]\n", journal.ReplayStats())

@@ -101,28 +101,23 @@ func (s *Server) ZoneCount() int {
 // Queries returns the number of queries handled.
 func (s *Server) Queries() int64 { return s.queries.Load() }
 
-// FindZone returns the zone that would serve a lookup for name (longest
-// origin match) — exposed so provider-level wrappers can apply per-zone
-// behaviours like geo-distributed answers.
-func (s *Server) FindZone(name dns.Name) (*zone.Zone, bool) {
-	z := s.findZone(name)
-	return z, z != nil
-}
-
-// findZone returns the zone with the longest origin matching name. Walking
-// the name's ancestor chain keeps the lookup O(labels) regardless of how
-// many zones the server hosts — fleet-sync providers serve thousands.
-func (s *Server) findZone(name dns.Name) *zone.Zone {
+// zoneFor returns the zone of s with the longest origin matching name, a
+// name in presentation form — a dns.Name, or the lower-cased bytes
+// dns.ParseQuery leaves, looked up without a copy — and nil when no zone
+// covers it. Trying the name's suffixes keeps the lookup O(labels) regardless
+// of how many zones the server hosts — fleet-sync providers serve thousands.
+func zoneFor[S dns.Name | []byte](s *Server, name S) *zone.Zone {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for n := name; ; n = n.Parent() {
-		if z, ok := s.zones[n]; ok {
+	for i := 0; i < len(name); i++ {
+		if i > 0 && name[i-1] != '.' {
+			continue
+		}
+		if z, ok := s.zones[dns.Name(name[i:])]; ok {
 			return z
 		}
-		if n == dns.Root {
-			return nil
-		}
 	}
+	return s.zones[dns.Root]
 }
 
 // Edges picks, for the client at src, the address the A answers of a hosted
@@ -172,7 +167,7 @@ func (s *Server) handle(src netip.Addr, q *dns.Message, edges Edges) *dns.Messag
 		return r
 	}
 
-	z := s.findZone(question.Name)
+	z := zoneFor(s, question.Name)
 	if z == nil {
 		if fb := s.fallback.Load(); fb != nil && *fb != nil {
 			if r := (*fb)(src, q); r != nil {
@@ -217,7 +212,7 @@ func (s *Server) appendWire(dst []byte, src netip.Addr, raw []byte, via string, 
 		return dst, false
 	}
 	const qr = 1 << 15
-	z := s.zoneFor(q.Name)
+	z := zoneFor(s, q.Name)
 	if z == nil {
 		if fb := s.fallback.Load(); fb != nil && *fb != nil {
 			return dst, false
@@ -271,22 +266,6 @@ func (s *Server) appendWire(dst []byte, src netip.Addr, raw []byte, via string, 
 	return out, true
 }
 
-// zoneFor returns the zone findZone finds for name, a lower-cased name in
-// presentation form, without copying the name.
-func (s *Server) zoneFor(name []byte) *zone.Zone {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for i := 0; i < len(name); i++ {
-		if i > 0 && name[i-1] != '.' {
-			continue
-		}
-		if z, ok := s.zones[dns.Name(name[i:])]; ok {
-			return z
-		}
-	}
-	return s.zones[dns.Root]
-}
-
 // answerFromZone answers r's question from z into r, and reports whether the
 // answer came from z alone: a hit, NXDOMAIN or NoData, after any CNAME chain
 // that stayed inside z. A referral (its glue is searched for in every zone),
@@ -312,7 +291,7 @@ func (s *Server) answerFromZone(z *zone.Zone, r *dns.Message) (own bool) {
 				name = target
 				continue
 			}
-			if other := s.findZone(target); other != nil {
+			if other := zoneFor(s, target); other != nil {
 				z, name, own = other, target, false
 				continue
 			}
@@ -377,7 +356,7 @@ func (s *Server) attachGlue(r *dns.Message, nsSet []dns.RR) {
 		if !ok {
 			continue
 		}
-		if z := s.findZone(ns.Host); z != nil {
+		if z := zoneFor(s, ns.Host); z != nil {
 			if glue := z.RRset(ns.Host, dns.TypeA); len(glue) > 0 {
 				r.Additional = append(r.Additional, glue...)
 			}

@@ -8,33 +8,45 @@ import (
 	"repro/internal/zone"
 )
 
-// TestFindZoneExported covers the wrapper used by provider-level responders.
-func TestFindZoneExported(t *testing.T) {
+// TestZoneForEachNameForm: the one zone matcher picks the longest covering
+// origin, and the same zone for a dns.Name as for the bytes of the name.
+func TestZoneForEachNameForm(t *testing.T) {
 	s := NewServer()
 	z := zone.New("example.com")
 	z.MustAddRR("example.com 60 IN A 192.0.2.1")
-	if err := s.AddZone(z); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.FindZone("www.example.com")
-	if !ok || got != z {
-		t.Errorf("FindZone = %v %v", got, ok)
-	}
-	if _, ok := s.FindZone("other.org"); ok {
-		t.Error("FindZone matched unrelated name")
-	}
-	// Longest match against nested zones.
 	child := zone.New("sub.example.com")
 	child.MustAddRR("sub.example.com 60 IN A 192.0.2.2")
-	if err := s.AddZone(child); err != nil {
+	for _, add := range []*zone.Zone{z, child} {
+		if err := s.AddZone(add); err != nil {
+			t.Fatal(err)
+		}
+	}
+	match := func(name dns.Name, want *zone.Zone) {
+		t.Helper()
+		if got := zoneFor(s, name); got != want {
+			t.Errorf("zoneFor(%q) as a dns.Name = %v, want %v", name, got, want)
+		}
+		if got := zoneFor(s, []byte(name)); got != want {
+			t.Errorf("zoneFor(%q) as bytes = %v, want %v", name, got, want)
+		}
+	}
+	match("www.example.com", z)
+	match("example.com", z)
+	match("x.sub.example.com", child) // the longest origin wins
+	match("sub.example.com", child)
+	match("ub.example.com", z) // a suffix match starts at a label
+	match("other.org", nil)
+	match("com", nil)
+	match(dns.Root, nil)
+
+	root := zone.New(dns.Root)
+	root.MustAddRR(". 60 IN NS a.root.test")
+	if err := s.AddZone(root); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.FindZone("x.sub.example.com"); got != child {
-		t.Error("longest-match zone not preferred")
-	}
-	if got, _ := s.FindZone("example.com"); got != z {
-		t.Error("parent zone lost")
-	}
+	match("other.org", root)
+	match(dns.Root, root)
+	match("x.sub.example.com", child)
 }
 
 // TestCNAMEChaseAcrossZonesOnSameServer: a CNAME whose target lives in a

@@ -190,7 +190,7 @@ func FuzzAuthorityServeRaw(f *testing.F) {
 					return
 				}
 				if sv.s == guarded {
-					if m, err := dns.Unpack(raw); err != nil || len(m.Questions) != 1 || sv.s.findZone(m.Question().Name) == nil {
+					if m, err := dns.Unpack(raw); err != nil || len(m.Questions) != 1 || zoneFor(sv.s, m.Question().Name) == nil {
 						t.Fatalf("%s: a server with a fallback answered %x, no hosted name, in wire form", when, raw)
 					}
 				}
@@ -223,8 +223,8 @@ func mutate(t *testing.T, s *Server, raw []byte, kind uint8) (undo func()) {
 		return func() {}
 	}
 	name, qtype := m.Question().Name, m.Question().Type
-	z, ok := s.FindZone(name)
-	if !ok {
+	z := zoneFor(s, name)
+	if z == nil {
 		return func() {}
 	}
 	// What the name holds, type by type, in the order it was added.

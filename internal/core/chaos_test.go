@@ -349,9 +349,6 @@ func TestChaosKitchenSinkAcceptance(t *testing.T) {
 	if fx.fabric.SpoofsInjected() == 0 {
 		t.Error("wrong-ID fault never fired")
 	}
-	if s := res.CoverageSummary(); !strings.Contains(s, "probes answered") {
-		t.Errorf("coverage summary = %q", s)
-	}
 }
 
 // TestChaosDeterministicAcrossRuns pins chaos reproducibility: two fresh

@@ -176,7 +176,7 @@ type Collector struct {
 
 	// in interns UR identity strings (rdata) so a sweep holds one canonical
 	// instance of each distinct value; see intern.go.
-	in *interner
+	in *Interner
 
 	// deleg memoizes the delegated hosts of each target position (the
 	// ancestor walk over cfg.DelegatedNS), built once on first use instead of
@@ -210,7 +210,7 @@ func NewCollector(cfg *Config) *Collector {
 	// Backoff jitter follows the config seed so two runs over the same world
 	// book identical virtual wall-clock even under chaos.
 	client.Backoff.JitterSeed = uint64(cfg.Seed)
-	c := &Collector{cfg: cfg, client: client, err: err, journal: cfg.Journal, canary: cfg.CanaryName(), in: newInterner()}
+	c := &Collector{cfg: cfg, client: client, err: err, journal: cfg.Journal, canary: cfg.CanaryName(), in: NewInterner()}
 	for i := range c.probes {
 		c.probes[i].m = make(map[netip.Addr]*probeEntry)
 	}
@@ -614,7 +614,7 @@ func (c *Collector) ursFromResponse(ns NameserverInfo, domain dns.Name, qt dns.T
 			Server: ns,
 			Domain: domain,
 			Type:   qt,
-			RData:  c.in.intern(rr.Data.String()),
+			RData:  c.in.Intern(rr.Data.String()),
 			TTL:    rr.TTL,
 		})
 	}
@@ -705,7 +705,6 @@ func (c *Collector) enrichOne(m *detMemo, u *UR) {
 		}
 		if c.probeFn != nil {
 			u.HTTP = f.http
-			u.Cert = u.HTTP.Cert
 		}
 	case dns.TypeTXT:
 		u.TXTClass = f.txtClass

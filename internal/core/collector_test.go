@@ -360,7 +360,6 @@ func TestPipelineStressHighParallelismWithLoss(t *testing.T) {
 	fx := newCollectorFixture(t)
 	fx.cfg.Parallelism = 32
 	fx.cfg.Fabric.SetLossRate(0.10)
-	fx.cfg.Fabric.SetTrackPacing(true)
 	for round := 0; round < 3; round++ {
 		res, err := NewPipeline(fx.cfg).Run(context.Background())
 		if err != nil {

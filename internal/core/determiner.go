@@ -52,10 +52,10 @@ type pdnsMemoKey struct {
 // the repeats map-hit-only without any cross-worker locking. A nil profile
 // entry is a cached "domain has no legitimate profile".
 //
-// Memos are created fresh per Determine invocation and per pipeline worker,
-// never stored on the Determiner: experiments swap the underlying databases
-// on a shared determiner (FalseNegativeCheck), which a persistent cache
-// would silently ignore.
+// Memos are created fresh per Determine invocation, per pipeline worker and
+// per FalseNegativeCheck, never stored on the Determiner: experiments swap
+// the underlying databases on a shared determiner (FalseNegativeCheck),
+// which a persistent cache would silently ignore.
 type detMemo struct {
 	profiles map[dns.Name]*DomainProfile
 	pdns     map[pdnsMemoKey]bool
@@ -76,10 +76,6 @@ func (d *Determiner) lookupProfile(m *detMemo, domain dns.Name) *DomainProfile {
 	if d.correct == nil {
 		return nil
 	}
-	if m == nil {
-		p, _ := d.correct.Lookup(domain)
-		return p
-	}
 	if p, ok := m.profiles[domain]; ok {
 		return p
 	}
@@ -92,9 +88,6 @@ func (d *Determiner) lookupProfile(m *detMemo, domain dns.Name) *DomainProfile {
 func (d *Determiner) pdnsSeen(m *detMemo, domain dns.Name, t dns.Type, rdata string) bool {
 	if !d.UsePDNS || d.cfg.PDNS == nil {
 		return false
-	}
-	if m == nil {
-		return d.cfg.PDNS.Seen(domain, t, rdata, d.pdnsCutoff)
 	}
 	k := pdnsMemoKey{domain: domain, t: t, rdata: rdata}
 	if v, ok := m.pdns[k]; ok {
@@ -119,14 +112,9 @@ func (d *Determiner) Determine(urs []*UR) []*UR {
 	return suspicious
 }
 
-func (d *Determiner) classify(u *UR) {
-	d.classifyMemo(nil, u)
-}
-
 // classifyMemo classifies one UR, routing profile and PDNS lookups through
-// the (possibly nil) worker memo. Safe for concurrent use across distinct
-// memos: the databases are read-only here and each record is owned by one
-// worker.
+// the worker memo m. Safe for concurrent use across distinct memos: the
+// databases are read-only here and each record is owned by one worker.
 func (d *Determiner) classifyMemo(m *detMemo, u *UR) {
 	// Protective records match exactly by (server, type, rdata).
 	if d.protective != nil && d.protective.Match(u.Server.Addr, u.Type, u.RData) {
@@ -180,7 +168,7 @@ func (d *Determiner) correctA(m *detMemo, u *UR) (CorrectReason, bool) {
 			profile.Countries[u.Country] && d.onlyCountrySignal(profile) {
 			return ReasonGeoSubset, true
 		}
-		if d.UseCertSubset && u.Cert != nil && profile.CertFPs[u.Cert.Fingerprint] {
+		if d.UseCertSubset && u.HTTP.Cert != nil && profile.CertFPs[u.HTTP.Cert.Fingerprint] {
 			return ReasonCertSubset, true
 		}
 	}

@@ -40,13 +40,13 @@ func TestDetermineProtective(t *testing.T) {
 	cfg, correct, prot := detConfig()
 	d := NewDeterminer(cfg, correct, prot)
 	u := aUR("100.1.0.53", "100.1.0.200")
-	d.classify(u)
+	d.classifyMemo(newDetMemo(), u)
 	if u.Category != CategoryProtective || u.Reason != ReasonProtective {
 		t.Errorf("got %v / %v", u.Category, u.Reason)
 	}
 	// Same rdata on a different server is NOT protective.
 	u2 := aUR("100.1.0.54", "100.1.0.200")
-	d.classify(u2)
+	d.classifyMemo(newDetMemo(), u2)
 	if u2.Category == CategoryProtective {
 		t.Error("protective matched wrong server")
 	}
@@ -56,7 +56,7 @@ func TestDetermineIPSubset(t *testing.T) {
 	cfg, correct, prot := detConfig()
 	d := NewDeterminer(cfg, correct, prot)
 	u := aUR("100.1.0.54", "93.0.0.10")
-	d.classify(u)
+	d.classifyMemo(newDetMemo(), u)
 	if u.Category != CategoryCorrect || u.Reason != ReasonIPSubset {
 		t.Errorf("got %v / %v", u.Category, u.Reason)
 	}
@@ -67,7 +67,7 @@ func TestDetermineASSubset(t *testing.T) {
 	d := NewDeterminer(cfg, correct, prot)
 	u := aUR("100.1.0.54", "93.0.0.99") // different IP, same AS
 	u.ASN = 64500
-	d.classify(u)
+	d.classifyMemo(newDetMemo(), u)
 	if u.Reason != ReasonASSubset {
 		t.Errorf("reason = %v", u.Reason)
 	}
@@ -78,7 +78,7 @@ func TestDetermineGeoSubsetNeedsDistributedProfile(t *testing.T) {
 	d := NewDeterminer(cfg, correct, prot)
 	u := aUR("100.1.0.54", "93.0.0.99")
 	u.Country = "US"
-	d.classify(u)
+	d.classifyMemo(newDetMemo(), u)
 	if u.Reason != ReasonGeoSubset {
 		t.Errorf("reason = %v (profile spans 3 countries)", u.Reason)
 	}
@@ -87,7 +87,7 @@ func TestDetermineGeoSubsetNeedsDistributedProfile(t *testing.T) {
 	prof.Countries["US"] = true
 	u2 := &UR{Server: u.Server, Domain: "solo.com", Type: dns.TypeA,
 		RData: "93.0.0.99", Country: "US"}
-	d.classify(u2)
+	d.classifyMemo(newDetMemo(), u2)
 	if u2.Category == CategoryCorrect {
 		t.Error("geo condition fired on single-country profile")
 	}
@@ -97,8 +97,8 @@ func TestDetermineCertSubset(t *testing.T) {
 	cfg, correct, prot := detConfig()
 	d := NewDeterminer(cfg, correct, prot)
 	u := aUR("100.1.0.54", "93.0.0.99")
-	u.Cert = &websim.Cert{Fingerprint: "cafecafe"}
-	d.classify(u)
+	u.HTTP.Cert = &websim.Cert{Fingerprint: "cafecafe"}
+	d.classifyMemo(newDetMemo(), u)
 	if u.Reason != ReasonCertSubset {
 		t.Errorf("reason = %v", u.Reason)
 	}
@@ -111,12 +111,12 @@ func TestDeterminePDNSWindow(t *testing.T) {
 	d := NewDeterminer(cfg, correct, prot)
 
 	u := aUR("100.1.0.54", "93.0.0.50")
-	d.classify(u)
+	d.classifyMemo(newDetMemo(), u)
 	if u.Reason != ReasonPDNS {
 		t.Errorf("in-window reason = %v", u.Reason)
 	}
 	u2 := aUR("100.1.0.54", "93.0.0.60")
-	d.classify(u2)
+	d.classifyMemo(newDetMemo(), u2)
 	if u2.Category == CategoryCorrect {
 		t.Error("out-of-window PDNS record excluded")
 	}
@@ -128,14 +128,14 @@ func TestDetermineHTTPKeywords(t *testing.T) {
 	u := aUR("100.1.0.54", "93.0.0.70")
 	u.HTTP = websim.ProbeResult{Reachable: true, StatusCode: 200,
 		Body: "This domain is parked free"}
-	d.classify(u)
+	d.classifyMemo(newDetMemo(), u)
 	if u.Reason != ReasonParked {
 		t.Errorf("reason = %v", u.Reason)
 	}
 	u2 := aUR("100.1.0.54", "93.0.0.71")
 	u2.HTTP = websim.ProbeResult{Reachable: true, StatusCode: 302,
 		Body: "Redirecting you to https://x"}
-	d.classify(u2)
+	d.classifyMemo(newDetMemo(), u2)
 	if u2.Reason != ReasonRedirect {
 		t.Errorf("reason = %v", u2.Reason)
 	}
@@ -159,19 +159,19 @@ func TestDetermineTXT(t *testing.T) {
 
 	match := &UR{Server: aUR("100.1.0.54", "").Server, Domain: "site.com",
 		Type: dns.TypeTXT, RData: `"v=spf1 ip4:93.0.0.10 -all"`}
-	d.classify(match)
+	d.classifyMemo(newDetMemo(), match)
 	if match.Reason != ReasonTXTMatch {
 		t.Errorf("reason = %v", match.Reason)
 	}
 	hist := &UR{Server: match.Server, Domain: "site.com",
 		Type: dns.TypeTXT, RData: `"old-verification=abc"`}
-	d.classify(hist)
+	d.classifyMemo(newDetMemo(), hist)
 	if hist.Reason != ReasonPDNS {
 		t.Errorf("reason = %v", hist.Reason)
 	}
 	evil := &UR{Server: match.Server, Domain: "site.com",
 		Type: dns.TypeTXT, RData: `"v=spf1 ip4:66.6.6.6 -all"`}
-	d.classify(evil)
+	d.classifyMemo(newDetMemo(), evil)
 	if evil.Category != CategoryUnknown {
 		t.Errorf("category = %v", evil.Category)
 	}
@@ -182,7 +182,7 @@ func TestAblationTogglesDisableConditions(t *testing.T) {
 	d := NewDeterminer(cfg, correct, prot)
 	d.UseIPSubset = false
 	u := aUR("100.1.0.54", "93.0.0.10") // would match IP subset
-	d.classify(u)
+	d.classifyMemo(newDetMemo(), u)
 	if u.Reason == ReasonIPSubset {
 		t.Error("disabled IP condition fired")
 	}
@@ -190,7 +190,7 @@ func TestAblationTogglesDisableConditions(t *testing.T) {
 	d2.UseHTTPFilter = false
 	u2 := aUR("100.1.0.54", "93.0.0.70")
 	u2.HTTP = websim.ProbeResult{Reachable: true, Body: "parked"}
-	d2.classify(u2)
+	d2.classifyMemo(newDetMemo(), u2)
 	if u2.Category == CategoryCorrect {
 		t.Error("disabled HTTP filter fired")
 	}
@@ -244,19 +244,19 @@ func TestCorrectOtherTypes(t *testing.T) {
 
 	match := &UR{Server: aUR("100.1.0.54", "").Server, Domain: "site.com",
 		Type: dns.TypeMX, RData: "10 mail.site.com."}
-	d.classify(match)
+	d.classifyMemo(newDetMemo(), match)
 	if match.Category != CategoryCorrect {
 		t.Errorf("profile-matched MX: %v", match.Category)
 	}
 	hist := &UR{Server: match.Server, Domain: "site.com",
 		Type: dns.TypeMX, RData: "10 old-mail.site.com."}
-	d.classify(hist)
+	d.classifyMemo(newDetMemo(), hist)
 	if hist.Reason != ReasonPDNS {
 		t.Errorf("historical MX reason: %v", hist.Reason)
 	}
 	evil := &UR{Server: match.Server, Domain: "site.com",
 		Type: dns.TypeMX, RData: "10 relay.bulk-mail.biz."}
-	d.classify(evil)
+	d.classifyMemo(newDetMemo(), evil)
 	if evil.Category != CategoryUnknown {
 		t.Errorf("attacker MX: %v", evil.Category)
 	}

@@ -29,40 +29,29 @@ type internShard struct {
 	m  map[string]string
 }
 
-// interner is a sharded, capped string-interning table.
-type interner struct {
+// Interner is a sharded, capped string-interning table. A sweep's collector
+// holds one; packages that build long-lived flat stores (urwatch's generation
+// string tables) hold another, shared across builds: consecutive generations
+// observe mostly the same domains and rdata, so interning through one shared
+// table makes their tables reference the same backing bytes instead of
+// re-materializing them every sweep.
+type Interner struct {
 	shards [internShardCount]internShard
 }
 
-func newInterner() *interner {
-	in := &interner{}
+// NewInterner builds an empty interning table.
+func NewInterner() *Interner {
+	in := &Interner{}
 	for i := range in.shards {
 		in.shards[i].m = make(map[string]string)
 	}
 	return in
 }
 
-// Interner is the exported handle over a sharded, capped interning table,
-// for packages that build long-lived flat stores (urwatch's generation
-// string tables) and want canonical string instances shared across builds:
-// consecutive generations observe mostly the same domains and rdata, so
-// interning through one shared table makes their tables reference the same
-// backing bytes instead of re-materializing them every sweep.
-type Interner struct {
-	in *interner
-}
-
-// NewInterner builds an empty interning table.
-func NewInterner() *Interner { return &Interner{in: newInterner()} }
-
-// Intern returns the canonical instance of s (s itself once the table caps
-// out). Safe for concurrent use.
-func (i *Interner) Intern(s string) string { return i.in.intern(s) }
-
-// intern returns the canonical instance of s, registering it if the table has
-// room. The lookup itself never allocates: map access with a string key uses
-// the key in place.
-func (in *interner) intern(s string) string {
+// Intern returns the canonical instance of s, registering it if the table has
+// room (s itself once the table caps out). Safe for concurrent use. The lookup
+// itself never allocates: map access with a string key uses the key in place.
+func (in *Interner) Intern(s string) string {
 	if len(s) == 0 || len(s) > internMaxLen {
 		return s
 	}

@@ -287,9 +287,8 @@ func (o JournalOptions) checkpointEvery() int {
 // probe plan, plus append-only segments. One Journal serves one pipeline
 // run; workers obtain private segment writers so appends never contend.
 type Journal struct {
-	dir      string
-	opts     JournalOptions
-	planHash uint64
+	dir  string
+	opts JournalOptions
 
 	mu      sync.Mutex
 	nextSeg int
@@ -427,7 +426,7 @@ func OpenJournal(dir string, cfg *Config, opts JournalOptions) (*Journal, error)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create dir: %w", err)
 	}
-	j := &Journal{dir: dir, opts: opts, planHash: id.plan}
+	j := &Journal{dir: dir, opts: opts}
 	mpath := filepath.Join(dir, manifestName)
 	data, err := os.ReadFile(mpath)
 	switch {
@@ -660,10 +659,6 @@ func (j *Journal) ReplayedAnswered() int { return j.replayedAnswered }
 // ReplayedFailures returns how many distinct probes were restored onto the
 // failure book (answered probes with an older failure record not counted).
 func (j *Journal) ReplayedFailures() int { return j.replayedFailures }
-
-// TornSegments returns how many segments ended in a torn or corrupt tail
-// that replay discarded.
-func (j *Journal) TornSegments() int { return j.stats.Torn }
 
 // ReplayStats returns what OpenJournal read from the directory; zero on a
 // fresh journal.

@@ -97,8 +97,8 @@ func TestJournalRoundtrip(t *testing.T) {
 	if got := j2.ReplayedFailures(); got != 1 {
 		t.Errorf("ReplayedFailures = %d, want 1", got)
 	}
-	if got := j2.TornSegments(); got != 0 {
-		t.Errorf("TornSegments = %d, want 0", got)
+	if got := j2.ReplayStats().Torn; got != 0 {
+		t.Errorf("ReplayStats().Torn = %d, want 0", got)
 	}
 	raw, ok, _, _ := j2.replay.lookup(testPos(cfg, sweepURs, server, "a.example", dns.TypeA))
 	if !ok || raw == nil {
@@ -179,8 +179,8 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j2.TornSegments(); got != 1 {
-		t.Errorf("TornSegments = %d, want 1", got)
+	if got := j2.ReplayStats().Torn; got != 1 {
+		t.Errorf("ReplayStats().Torn = %d, want 1", got)
 	}
 	if got := j2.ReplayedAnswered(); got != 2 {
 		t.Errorf("intact records lost to the torn tail: replayed %d, want 2", got)
@@ -203,8 +203,8 @@ func TestJournalTornTailDiscarded(t *testing.T) {
 	if got := j3.ReplayedAnswered(); got != 0 {
 		t.Errorf("CRC-corrupt segment still replayed %d records", got)
 	}
-	if got := j3.TornSegments(); got != 1 {
-		t.Errorf("TornSegments = %d, want 1", got)
+	if got := j3.ReplayStats().Torn; got != 1 {
+		t.Errorf("ReplayStats().Torn = %d, want 1", got)
 	}
 }
 
@@ -238,8 +238,8 @@ func TestJournalCheckpointDurability(t *testing.T) {
 	if got := j2.ReplayedAnswered(); got != 4 {
 		t.Errorf("ReplayedAnswered = %d, want 4 (two checkpoints of 2)", got)
 	}
-	if got := j2.TornSegments(); got != 0 {
-		t.Errorf("TornSegments = %d, want 0 — flushed prefix must be clean", got)
+	if got := j2.ReplayStats().Torn; got != 0 {
+		t.Errorf("ReplayStats().Torn = %d, want 0 — flushed prefix must be clean", got)
 	}
 	seg.f.Close()
 }

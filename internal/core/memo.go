@@ -159,13 +159,11 @@ type rdataFacts struct {
 }
 
 // rdataFacts derives the facts of (t, rdata), through the determine worker's
-// memo m when there is one.
+// memo m.
 func (c *Collector) rdataFacts(m *detMemo, t dns.Type, rdata string) rdataFacts {
 	k := rdataKey{t, rdata}
-	if m != nil {
-		if f, ok := m.rdata[k]; ok {
-			return f
-		}
+	if f, ok := m.rdata[k]; ok {
+		return f
 	}
 	var f rdataFacts
 	switch t {
@@ -189,7 +187,7 @@ func (c *Collector) rdataFacts(m *detMemo, t dns.Type, rdata string) rdataFacts 
 		// evidence.
 		f.ips = slices.Clip(extractIPs(rdata))
 	}
-	if m != nil && len(m.rdata) < rdataMemoCap {
+	if len(m.rdata) < rdataMemoCap {
 		m.rdata[k] = f
 	}
 	return f
@@ -198,10 +196,8 @@ func (c *Collector) rdataFacts(m *detMemo, t dns.Type, rdata string) rdataFacts 
 // parseA returns an A record's address, from the facts enrichment memoized
 // when it has them.
 func (m *detMemo) parseA(rdata string) (netip.Addr, bool) {
-	if m != nil {
-		if f, ok := m.rdata[rdataKey{dns.TypeA, rdata}]; ok {
-			return f.addr, f.addr.IsValid()
-		}
+	if f, ok := m.rdata[rdataKey{dns.TypeA, rdata}]; ok {
+		return f.addr, f.addr.IsValid()
 	}
 	addr, err := netip.ParseAddr(rdata)
 	return addr, err == nil

@@ -137,13 +137,6 @@ func TestPipelineStageTimings(t *testing.T) {
 	if st.Determine < 0 || st.Analyze < 0 {
 		t.Errorf("negative stage spans: %+v", st)
 	}
-	if p := st.OverlapPercent(); p < 0 || p >= 100 {
-		t.Errorf("overlap %% out of range: %v", p)
-	}
-	var none *StageTimings
-	if none.OverlapPercent() != 0 {
-		t.Error("nil timings must report zero overlap")
-	}
 }
 
 // TestAnalyzeParallelMatchesSerial pins the fanned-out §4.3 labeling against

@@ -56,20 +56,6 @@ type StageTimings struct {
 	Wall time.Duration
 }
 
-// OverlapPercent reports how much stage work was hidden inside the wall
-// clock: 100 * (sum of stage spans - wall) / sum. Zero means fully serial;
-// larger is better.
-func (s *StageTimings) OverlapPercent() float64 {
-	if s == nil {
-		return 0
-	}
-	sum := s.Correct + s.Nameservers + s.Determine + s.Analyze
-	if sum <= 0 || s.Wall >= sum {
-		return 0
-	}
-	return 100 * float64(sum-s.Wall) / float64(sum)
-}
-
 // Pipeline chains the three URHunter components.
 type Pipeline struct {
 	Cfg *Config
@@ -266,7 +252,9 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 // FalseNegativeCheck is the §4.2 validation: it feeds the *delegated*
 // records of every target (resolved through an open resolver) through the
 // exclusion stage and returns how many were wrongly kept as suspicious —
-// the paper reports zero.
+// the paper reports zero. The records are enriched as the sweep enriches its
+// own, through the collector's probe cache, so after Run an address the sweep
+// already probed is not probed again.
 func (p *Pipeline) FalseNegativeCheck(ctx context.Context, res *Result) (int, int, error) {
 	if len(p.Cfg.OpenResolvers) == 0 {
 		return 0, 0, nil
@@ -288,6 +276,7 @@ func (p *Pipeline) FalseNegativeCheck(ctx context.Context, res *Result) (int, in
 		det.correct = res.Correct
 		det.protective = res.Protective
 	}
+	memo := newDetMemo()
 	total, falseNeg := 0, 0
 	for _, target := range p.Cfg.Targets {
 		for _, qt := range p.Cfg.queryTypes() {
@@ -303,21 +292,9 @@ func (p *Pipeline) FalseNegativeCheck(ctx context.Context, res *Result) (int, in
 					Server: NameserverInfo{Addr: resolver.Addr(), Host: "delegated", Provider: "delegated"},
 					Domain: target, Type: qt, RData: rr.Data.String(), TTL: rr.TTL,
 				}
-				// Enrich the way the collector would.
-				if qt == dns.TypeA {
-					if addr, err := netip.ParseAddr(u.RData); err == nil {
-						u.CorrespondingIPs = []netip.Addr{addr}
-						if info, ok := p.Cfg.IPDB.Lookup(addr); ok {
-							u.ASN, u.ASName, u.Country = info.ASN, info.ASName, info.Country
-						}
-						if p.Cfg.Web != nil {
-							u.HTTP = p.Cfg.Web.Probe(p.Cfg.SrcAddr, addr)
-							u.Cert = u.HTTP.Cert
-						}
-					}
-				}
+				p.collector.enrichOne(memo, u)
+				det.classifyMemo(memo, u)
 				total++
-				det.classify(u)
 				if u.Category == CategoryUnknown {
 					falseNeg++
 				}

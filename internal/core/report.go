@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
 
@@ -297,16 +296,4 @@ func (r *Result) CategoryCounts() map[Category]int {
 		out[u.Category]++
 	}
 	return out
-}
-
-// CoverageSummary renders the measurement-completeness line reports print
-// alongside the query count: a fast sweep that silently lost probes is not a
-// complete measurement.
-func (r *Result) CoverageSummary() string {
-	if r.Coverage == nil {
-		return "coverage: not tracked"
-	}
-	c := r.Coverage
-	return fmt.Sprintf("coverage: %d/%d probes answered (%.2f%%), %d recovered on re-queue, %d still failed, %d breaker trips",
-		c.Answered, c.Attempted, 100*c.AnsweredRatio(), c.RetriedRecovered, c.Failed(), c.BreakerTrips)
 }

@@ -226,7 +226,7 @@ func TestResumeTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.TornSegments() == 0 {
+	if j2.ReplayStats().Torn == 0 {
 		t.Error("torn segment went undetected")
 	}
 	if got := renderRecords(res); got != want {

@@ -60,10 +60,10 @@ func TestDeterminerIdempotent(t *testing.T) {
 			rdata = "66.6.6." + string(rune('0'+ipByte%10))
 		}
 		u := aUR("100.1.0.54", rdata)
-		d.classify(u)
+		d.classifyMemo(newDetMemo(), u)
 		cat1, reason1 := u.Category, u.Reason
 		u.Category, u.Reason = CategoryUnknown, ReasonNone
-		d.classify(u)
+		d.classifyMemo(newDetMemo(), u)
 		return u.Category == cat1 && u.Reason == reason1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -62,7 +62,8 @@ func TestTransportSweepByteIdentical(t *testing.T) {
 
 // TestTransportKillAndResume interrupts a journaled sweep mid-run on each
 // transport, resumes it from the same directory, and asserts byte-identity
-// with that transport's uninterrupted run — and with the udp baseline.
+// with that transport's uninterrupted run — and with the udp baseline. The
+// udp-sync case journals with SyncEvery 1, an fsync after every checkpoint.
 func TestTransportKillAndResume(t *testing.T) {
 	fx := newChaosFixture(t, 11)
 	applyDeterministicFaults(fx)
@@ -72,14 +73,24 @@ func TestTransportKillAndResume(t *testing.T) {
 	}
 	want := renderRecords(baseline)
 
+	type input struct {
+		name, kind string
+		opts       JournalOptions
+	}
+	var inputs []input
 	for _, kind := range transportSweepKinds {
-		t.Run(kind, func(t *testing.T) {
+		inputs = append(inputs, input{kind, kind, JournalOptions{CheckpointEvery: 8}})
+	}
+	inputs = append(inputs, input{"udp-sync", "udp", JournalOptions{CheckpointEvery: 8, SyncEvery: 1}})
+	for _, in := range inputs {
+		kind := in.kind
+		t.Run(in.name, func(t *testing.T) {
 			dir := t.TempDir()
 			run := func(hook func(*Journal, context.CancelFunc)) (*Result, *Journal, error) {
 				fx := newChaosFixture(t, 11)
 				applyDeterministicFaults(fx)
 				fx.cfg.TransportKind = kind
-				j, err := OpenJournal(dir, fx.cfg, JournalOptions{CheckpointEvery: 8})
+				j, err := OpenJournal(dir, fx.cfg, in.opts)
 				if err != nil {
 					t.Fatal(err)
 				}

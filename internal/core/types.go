@@ -109,7 +109,6 @@ type UR struct {
 	ASN     ipam.ASN
 	ASName  string
 	Country string
-	Cert    *websim.Cert
 	HTTP    websim.ProbeResult
 
 	// TXTClass is set for TXT records.

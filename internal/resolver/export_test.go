@@ -20,6 +20,10 @@ func (s *shared) cutsByZone() map[dns.Name]*cut {
 	return out
 }
 
+// DisableCaches turns r's answer and zone-cut caches off, for the uncached
+// reference walk.
+func (r *Recursive) DisableCaches() { r.cacheLimit = 0 }
+
 // KnownAnswers is the number of entries in the pool's upstream memo.
 func (p *Pool) KnownAnswers() int {
 	return int(p.Resolvers[0].rec.shared.nKnown.Load())

@@ -106,7 +106,7 @@ func TestUpstreamMemoKeysOnQuestion(t *testing.T) {
 		t.Fatal("y.same.com was answered with the response stored for x.same.com")
 	}
 	alone := NewRecursive(dnsio.NewClient(&dnsio.SimTransport{Fabric: w.fabric, Src: b.Addr}), roots)
-	alone.CacheLimit = 0
+	alone.cacheLimit = 0
 	want, err := alone.Resolve(context.Background(), "y.same.com", dns.TypeA)
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +116,9 @@ func TestUpstreamMemoKeysOnQuestion(t *testing.T) {
 	}
 }
 
-// TestUpstreamMemoOffWithCacheOff: CacheLimit 0 turns the memo off with the
-// caches. Such a resolver leaves no entry, and does not take the one another
-// resolver of its pool left.
+// TestUpstreamMemoOffWithCacheOff: a cache limit of 0 turns the memo off
+// with the caches. Such a resolver leaves no entry, and does not take the one
+// another resolver of its pool left.
 func TestUpstreamMemoOffWithCacheOff(t *testing.T) {
 	w := buildWorld(t)
 	pool, err := NewPool(w.fabric, w.ipdb, []netip.Addr{w.reg.RootAddr()}, 2)
@@ -126,7 +126,7 @@ func TestUpstreamMemoOffWithCacheOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	off, on := pool.Resolvers[0], pool.Resolvers[1]
-	off.rec.CacheLimit = 0
+	off.rec.cacheLimit = 0
 	resolveCounting(t, w, off, "example.com")
 	if n := pool.KnownAnswers(); n != 0 {
 		t.Fatalf("a resolver with its caches off left %d entries in the memo", n)

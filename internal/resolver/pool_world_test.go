@@ -80,7 +80,7 @@ func TestPoolConcurrentMatchesUnshared(t *testing.T) {
 			roots := []netip.Addr{w.Registry.RootAddr()}
 			for _, o := range w.Resolvers.Resolvers {
 				alone := resolver.NewRecursive(dnsio.NewClient(&dnsio.SimTransport{Fabric: w.Fabric, Src: o.Addr}), roots)
-				alone.CacheLimit = 0
+				alone.DisableCaches()
 				for _, target := range w.Targets {
 					for _, qt := range sweptTypes {
 						got, gotErr := o.Resolver().Resolve(ctx, target, qt)

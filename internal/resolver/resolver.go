@@ -59,9 +59,10 @@ type Recursive struct {
 
 	cacheMu sync.Mutex
 	cache   map[uint32]cached // by shared question id
-	// CacheLimit bounds the cache size; 0 disables caching, of answers and
-	// of zone cuts alike.
-	CacheLimit int
+	// cacheLimit bounds the cache size (1<<16). Tests set 0, which disables
+	// caching, of answers and of zone cuts alike, for the uncached reference
+	// walk.
+	cacheLimit int
 	// now is injectable for TTL tests.
 	now func() time.Time
 }
@@ -220,7 +221,7 @@ func newRecursive(client *dnsio.Client, roots []netip.Addr, s *shared) *Recursiv
 		root:       cut{zone: dns.Root, servers: roots},
 		shared:     s,
 		cache:      make(map[uint32]cached),
-		CacheLimit: 1 << 16,
+		cacheLimit: 1 << 16,
 		now:        time.Now,
 	}
 }
@@ -285,7 +286,7 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 	// The memo is asked while the walk asks the resolution's own question,
 	// and only by a resolver that caches.
 	u.shared, u.hit, u.s.Known = r.shared, nil, nil
-	if r.CacheLimit > 0 {
+	if r.cacheLimit > 0 {
 		u.s.Known = u
 	}
 	var final *dns.Message
@@ -428,7 +429,7 @@ func referralCut(resp *dns.Message) (zone dns.Name, ttl uint32, ok bool) {
 // closestCut returns the deepest fresh cached cut at or above name, or the
 // roots when there is none.
 func (r *Recursive) closestCut(name dns.Name, now uint32) (at *cut, fromCache bool) {
-	if r.CacheLimit == 0 {
+	if r.cacheLimit == 0 {
 		return &r.root, false
 	}
 	for zone := name; zone != dns.Root; zone = zone.Parent() {
@@ -445,7 +446,7 @@ func (r *Recursive) closestCut(name dns.Name, now uint32) (at *cut, fromCache bo
 // walks may both learn the same cut; they computed it from the same referral,
 // so whichever lands last replaces an equal entry.
 func (r *Recursive) learnCut(c *cut) {
-	if r.CacheLimit == 0 {
+	if r.cacheLimit == 0 {
 		return
 	}
 	r.shared.cuts.Store(c.zone, c)
@@ -535,7 +536,7 @@ func (r *Recursive) queryAny(ctx context.Context, u *resolution, servers []netip
 }
 
 func (r *Recursive) cacheGet(q dns.Question, now uint32) (storedAnswer, bool) {
-	if r.CacheLimit == 0 {
+	if r.cacheLimit == 0 {
 		return storedAnswer{}, false
 	}
 	v, ok := r.shared.questions.Load(q)
@@ -566,7 +567,7 @@ var packBufPool = sync.Pool{New: func() any {
 // cached nothing, and otherwise a is the stored answer, equal to msg, and e
 // says what it booked.
 func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) (a storedAnswer, e knownAnswer, ok bool) {
-	if r.CacheLimit == 0 {
+	if r.cacheLimit == 0 {
 		return a, e, false
 	}
 	// A response is stored under its wire form, so equal content is one
@@ -589,7 +590,7 @@ func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) (a st
 func (r *Recursive) book(e knownAnswer, now uint32) storedAnswer {
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
-	if len(r.cache) >= r.CacheLimit {
+	if len(r.cache) >= r.cacheLimit {
 		// Drop an arbitrary entry; good enough for a measurement cache.
 		for k := range r.cache {
 			delete(r.cache, k)

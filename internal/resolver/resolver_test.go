@@ -202,11 +202,11 @@ func TestCacheExpiry(t *testing.T) {
 	}
 }
 
-// TestCacheDisabled: CacheLimit 0 switches off the answer cache and the
+// TestCacheDisabled: a cache limit of 0 switches off the answer cache and the
 // zone-cut cache alike, so every Resolve repeats the whole walk.
 func TestCacheDisabled(t *testing.T) {
 	w := buildWorld(t)
-	w.rec.CacheLimit = 0
+	w.rec.cacheLimit = 0
 	var walks [2]int64
 	for i := range walks {
 		before := w.fabric.QueriesTo(w.reg.RootAddr())

@@ -72,7 +72,7 @@ func TestOpenResolverWireMatchesMessagePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached.Resolver().CacheLimit = 0
+	uncached.Resolver().cacheLimit = 0
 	query := func(name dns.Name, typ dns.Type, edns int) []byte {
 		q := dns.NewQuery(0x0B0B, name, typ)
 		q.Header.RecursionDesired = true
@@ -108,8 +108,8 @@ func TestOpenResolverWireMatchesMessagePath(t *testing.T) {
 					}
 					want := dnsio.ServeRaw(dnsio.ResponderFunc(o.HandleQuery), w.site, c.raw, c.via)
 					if !bytes.Equal(got, want) {
-						t.Errorf("%s, %s, CacheLimit %d, round %d:\n got: %x\nwant: %x",
-							step, c.name, o.Resolver().CacheLimit, round, got, want)
+						t.Errorf("%s, %s, cache limit %d, round %d:\n got: %x\nwant: %x",
+							step, c.name, o.Resolver().cacheLimit, round, got, want)
 					}
 				}
 			}

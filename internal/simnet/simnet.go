@@ -72,9 +72,6 @@ func (e Endpoint) String() string {
 	return netip.AddrPortFrom(e.Addr, e.Port).String()
 }
 
-// maxDuration is the pacing book's "no gap seen yet".
-const maxDuration = time.Duration(1<<63 - 1)
-
 // service is what one port of a host holds: the handler listening there (nil
 // when nothing does) and the fault profile installed on it (nil when none is).
 // A profile outlives Unlisten, and may be installed before Listen.
@@ -99,13 +96,11 @@ type host struct {
 	faultDrops int64         // swallowed by a fault profile
 	spoofs     int64
 	garbage    int64
-	lastQuery  time.Time // pacing, when tracked
-	minSpacing time.Duration
 
 	// Hosts are allocated one after another as a world binds its servers, and
 	// workers claim servers in that order: pad the record to two whole cache
 	// lines so neighbouring hosts' locks never share one.
-	_ [16]byte
+	_ [48]byte
 }
 
 // serviceAt returns the host's entry for port, nil when it has none. The
@@ -140,9 +135,8 @@ type Fabric struct {
 	// hosts maps netip.Addr to *host; the hot path reads it without a lock.
 	hosts sync.Map
 
-	lossBits    atomic.Uint64 // math.Float64bits of the loss probability
-	baseRTT     atomic.Int64  // nanoseconds
-	trackPacing atomic.Bool
+	lossBits atomic.Uint64 // math.Float64bits of the loss probability
+	baseRTT  atomic.Int64  // nanoseconds
 
 	// seed keys every probabilistic draw: the fabric-wide loss and the
 	// per-endpoint faults (see faults.go).
@@ -169,7 +163,7 @@ func (f *Fabric) hostOf(addr netip.Addr) *host {
 	if v, ok := f.hosts.Load(addr); ok {
 		return v.(*host)
 	}
-	v, _ := f.hosts.LoadOrStore(addr, &host{minSpacing: maxDuration})
+	v, _ := f.hosts.LoadOrStore(addr, &host{})
 	return v.(*host)
 }
 
@@ -207,14 +201,6 @@ func (f *Fabric) lossRate() float64 {
 // costs from it.
 func (f *Fabric) BaseRTT() time.Duration {
 	return time.Duration(f.baseRTT.Load())
-}
-
-// SetTrackPacing enables per-destination inter-query gap tracking (see
-// MinSpacing). Tracking costs a time.Now() per exchange, so it is off by
-// default; pacing tests switch it on, the measurement sweep does not pay
-// for it.
-func (f *Fabric) SetTrackPacing(on bool) {
-	f.trackPacing.Store(on)
 }
 
 // Listen registers a handler for an endpoint. It returns an error if the
@@ -305,11 +291,6 @@ func (f *Fabric) exchange(buf []byte, src netip.Addr, dst Endpoint, payload []by
 	} else {
 		rtt *= 2 // handshake + exchange
 	}
-	var now time.Time
-	pacing := f.trackPacing.Load()
-	if pacing {
-		now = time.Now()
-	}
 
 	hst := f.hostOf(dst.Addr)
 	var h Handler
@@ -327,12 +308,6 @@ func (f *Fabric) exchange(buf []byte, src netip.Addr, dst Endpoint, payload []by
 	dropped := loss > 0 && h != nil && chaosFloat(f.chaosHash(Endpoint{Addr: dst.Addr}, seq, saltFabricLoss)) < loss
 	if dropped {
 		hst.lossDrops++
-	}
-	if pacing {
-		if !hst.lastQuery.IsZero() {
-			hst.minSpacing = min(hst.minSpacing, now.Sub(hst.lastQuery))
-		}
-		hst.lastQuery = now
 	}
 	hst.mu.Unlock()
 
@@ -398,14 +373,4 @@ func (f *Fabric) Destinations() int {
 		}
 		return 0
 	}))
-}
-
-// MinSpacing returns the smallest observed gap between two queries to the
-// same destination, or (maxDuration, false) when pacing tracking was never
-// enabled or no destination saw two queries. Pacing must be switched on with
-// SetTrackPacing before the exchanges of interest.
-func (f *Fabric) MinSpacing() (time.Duration, bool) {
-	gap := maxDuration
-	f.eachHost(func(h *host) { gap = min(gap, h.minSpacing) })
-	return gap, gap != maxDuration
 }

@@ -199,43 +199,9 @@ func TestVirtualRTTAccumulates(t *testing.T) {
 	}
 }
 
-func TestPacingTrackingOptIn(t *testing.T) {
-	f := New(1)
-	dst := ep("192.0.2.1", 53)
-	if err := f.Listen(dst, echoHandler()); err != nil {
-		t.Fatal(err)
-	}
-	src := netip.MustParseAddr("10.0.0.1")
-
-	// Pacing is off by default: no gap is ever recorded.
-	for i := 0; i < 5; i++ {
-		if _, err := f.Exchange(src, dst, nil, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := f.MinSpacing(); ok {
-		t.Error("MinSpacing recorded a gap with tracking disabled")
-	}
-
-	f.SetTrackPacing(true)
-	for i := 0; i < 5; i++ {
-		if _, err := f.Exchange(src, dst, nil, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gap, ok := f.MinSpacing()
-	if !ok {
-		t.Fatal("MinSpacing recorded nothing with tracking enabled")
-	}
-	if gap < 0 {
-		t.Errorf("negative gap %v", gap)
-	}
-}
-
 func TestConcurrentLossInjection(t *testing.T) {
 	f := New(7)
 	f.SetLossRate(0.3)
-	f.SetTrackPacing(true)
 	const workers, per = 8, 200
 	dsts := make([]Endpoint, workers)
 	for i := range dsts {

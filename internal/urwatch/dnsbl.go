@@ -80,9 +80,6 @@ type ZoneResponder struct {
 	// benchmark harness sets it and a change that claims a gain may not edit
 	// the harness; it goes with the next benchmark change.
 	Cache *ResponseCache
-	// TTL is the answer TTL (0 selects 30s — the feed changes per sweep, so
-	// long TTLs would serve retired generations from resolver caches).
-	TTL uint32
 	// XferACL allowlists sources for AXFR/IXFR/NOTIFY. nil disables zone
 	// transfers entirely — a transfer hands out the whole feed, so mirroring
 	// is opt-in (see xfr.go).
@@ -95,12 +92,10 @@ type ZoneResponder struct {
 	Metrics *Metrics
 }
 
-func (z *ZoneResponder) ttl() uint32 {
-	if z.TTL == 0 {
-		return 30
-	}
-	return z.TTL
-}
+// answerTTL is the TTL of every record the zone serves, and its SOA
+// minimum: the feed changes per sweep, so long TTLs would serve retired
+// generations from resolver caches.
+const answerTTL uint32 = 30
 
 // Header flag bits (RFC 1035 §4.1.1) of the second header word.
 const (
@@ -243,7 +238,7 @@ func (z *ZoneResponder) appendAnswer(dst []byte, src netip.Addr, via string, q *
 		case vs.Len() == 0:
 			rcode = dns.RCodeNXDomain
 		case q.Type == dns.TypeA:
-			dst = appendOwner(dst, dns.TypeA, z.ttl())
+			dst = appendOwner(dst, dns.TypeA)
 			dst = append(dst, 0, 4, 127, 0, 0, byte(categoryCode(worstOf(vs))))
 			answers = 1
 		case q.Type == dns.TypeTXT:
@@ -275,17 +270,16 @@ func (z *ZoneResponder) appendAnswer(dst []byte, src netip.Addr, via string, q *
 
 // appendOwner opens a record owned by the question name: the pointer to
 // offset 12, type, class IN and TTL. The caller appends RDLENGTH and RDATA.
-func appendOwner(dst []byte, t dns.Type, ttl uint32) []byte {
+func appendOwner(dst []byte, t dns.Type) []byte {
 	return append(dst, 0xC0, 12, byte(t>>8), byte(t), 0, byte(dns.ClassINET),
-		byte(ttl>>24), byte(ttl>>16), byte(ttl>>8), byte(ttl))
+		byte(answerTTL>>24), byte(answerTTL>>16), byte(answerTTL>>8), byte(answerTTL))
 }
 
 // appendEvidenceTXT appends a listed name's TXT answer — the "gen=" line, up
 // to maxTXTEvidence evidence lines and a count of the rest, one record each —
 // and returns how many records that was.
 func (z *ZoneResponder) appendEvidenceTXT(dst []byte, g *Generation, vs VerdictSet) ([]byte, int) {
-	ttl := z.ttl()
-	dst, mark := beginTXT(dst, ttl)
+	dst, mark := beginTXT(dst)
 	dst = append(dst, "gen="...)
 	dst = strconv.AppendUint(dst, g.Seq, 10)
 	dst = append(dst, " listed="...)
@@ -295,21 +289,21 @@ func (z *ZoneResponder) appendEvidenceTXT(dst []byte, g *Generation, vs VerdictS
 	dst = endTXT(dst, mark)
 	shown := min(vs.Len(), maxTXTEvidence)
 	for i := 0; i < shown; i++ {
-		dst, mark = beginTXT(dst, ttl)
+		dst, mark = beginTXT(dst)
 		dst = endTXT(appendEvidence(dst, vs.At(i)), mark)
 	}
 	if vs.Len() == shown {
 		return dst, 1 + shown
 	}
-	dst, mark = beginTXT(dst, ttl)
+	dst, mark = beginTXT(dst)
 	return endTXT(appendMore(dst, vs.Len()-shown), mark), 2 + shown
 }
 
 // beginTXT opens a TXT record owned by the question name and returns the
 // offset of its RDLENGTH; the caller appends the record's text and endTXT
 // frames it.
-func beginTXT(dst []byte, ttl uint32) ([]byte, int) {
-	dst = appendOwner(dst, dns.TypeTXT, ttl)
+func beginTXT(dst []byte) ([]byte, int) {
+	dst = appendOwner(dst, dns.TypeTXT)
 	return append(dst, 0, 0, 0), len(dst) // RDLENGTH and the first string's length octet
 }
 
@@ -374,15 +368,14 @@ func appendMore(dst []byte, n int) []byte {
 // appendSOA appends the apex SOA, its owner and both RDATA names pointing at
 // the apex inside the question name (message offset apexAt).
 func (z *ZoneResponder) appendSOA(dst []byte, g *Generation, apexAt int) []byte {
-	ttl := z.ttl()
 	refresh, retry, expire := z.soaTimers(g)
 	apexHi, apexLo := 0xC0|byte(apexAt>>8), byte(apexAt)
 	dst = append(dst, apexHi, apexLo, 0, byte(dns.TypeSOA), 0, byte(dns.ClassINET),
-		byte(ttl>>24), byte(ttl>>16), byte(ttl>>8), byte(ttl), 0, 0)
+		byte(answerTTL>>24), byte(answerTTL>>16), byte(answerTTL>>8), byte(answerTTL), 0, 0)
 	mark := len(dst)
 	dst = append(dst, 2, 'n', 's', apexHi, apexLo)
 	dst = append(dst, 10, 'h', 'o', 's', 't', 'm', 'a', 's', 't', 'e', 'r', apexHi, apexLo)
-	for _, v := range [...]uint32{SerialForSeq(g.Seq), refresh, retry, expire, ttl} {
+	for _, v := range [...]uint32{SerialForSeq(g.Seq), refresh, retry, expire, answerTTL} {
 		dst = append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 	}
 	rdlen := len(dst) - mark
@@ -569,9 +562,9 @@ func (z *ZoneResponder) soaTimers(g *Generation) (refresh, retry, expire uint32)
 // query, and IXFR deltas key off it.
 func (z *ZoneResponder) soa(g *Generation) dns.RR {
 	refresh, retry, expire := z.soaTimers(g)
-	return dns.RR{Name: z.Apex, Class: dns.ClassINET, TTL: z.ttl(), Data: &dns.SOA{
+	return dns.RR{Name: z.Apex, Class: dns.ClassINET, TTL: answerTTL, Data: &dns.SOA{
 		MName: "ns." + z.Apex, RName: "hostmaster." + z.Apex,
-		Serial: SerialForSeq(g.Seq), Refresh: refresh, Retry: retry, Expire: expire, Minimum: z.ttl(),
+		Serial: SerialForSeq(g.Seq), Refresh: refresh, Retry: retry, Expire: expire, Minimum: answerTTL,
 	}}
 }
 
@@ -604,7 +597,7 @@ func (z *ZoneResponder) genTXT(g *Generation) dns.RR {
 		b = append(b, f.label...)
 		b = strconv.AppendInt(b, int64(f.n), 10)
 	}
-	return dns.RR{Name: "gen." + z.Apex, Class: dns.ClassINET, TTL: z.ttl(), Data: dns.NewTXT(string(b))}
+	return dns.RR{Name: "gen." + z.Apex, Class: dns.ClassINET, TTL: answerTTL, Data: dns.NewTXT(string(b))}
 }
 
 // ReverseIPName builds the urbl query name for an IPv4 address under apex —

@@ -538,19 +538,19 @@ func TestFlatStoreParity(t *testing.T) {
 		{
 			// SOA timers under a staleness policy and an injected clock:
 			// refresh from the sweep interval, retry half of it, expire the
-			// budget left 250 s into a 600 s bound, TTL and minimum as set.
+			// budget left 250 s into a 600 s bound, TTL and minimum 30 s.
 			pstore := NewStore()
 			now := g.SweptAt.Add(250 * time.Second)
 			pstore.SetPolicy(StalenessPolicy{SweepInterval: 45 * time.Second, MaxStaleness: 600 * time.Second,
 				Clock: func() time.Time { return now }})
 			pstore.Restore(g)
 			qname := DomainName("unlisted.test", apex)
-			askWire(&ZoneResponder{Apex: apex, Store: pstore, TTL: 300}, qname, dns.TypeA, func() []byte {
+			askWire(&ZoneResponder{Apex: apex, Store: pstore}, qname, dns.TypeA, func() []byte {
 				r := dns.NewQuery(qid, qname, dns.TypeA).Reply()
 				r.Header.Authoritative = true
 				r.Header.RCode = dns.RCodeNXDomain
 				r.Authority = append(r.Authority, dns.MustParseRR(fmt.Sprintf(
-					"%s 300 IN SOA ns.%s hostmaster.%s %d 45 22 350 300", apex, apex, apex, seq)))
+					"%s 30 IN SOA ns.%s hostmaster.%s %d 45 22 350 30", apex, apex, apex, seq)))
 				packed, err := r.Pack()
 				if err != nil {
 					t.Fatal(err)

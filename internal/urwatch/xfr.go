@@ -133,7 +133,7 @@ func (z *ZoneResponder) blockRRs(name dns.Name, vs VerdictSet) []dns.RR {
 		n = maxTXTEvidence + 1
 	}
 	rrs := make([]dns.RR, 0, 1+n)
-	rr := dns.RR{Name: name, Class: dns.ClassINET, TTL: z.ttl()}
+	rr := dns.RR{Name: name, Class: dns.ClassINET, TTL: answerTTL}
 	rr.Data = &dns.A{Addr: netip.AddrFrom4([4]byte{127, 0, 0, byte(categoryCode(worstOf(vs)))})}
 	rrs = append(rrs, rr)
 	for i := 0; i < vs.Len(); i++ {
@@ -150,7 +150,7 @@ func (z *ZoneResponder) blockRRs(name dns.Name, vs VerdictSet) []dns.RR {
 
 // nsRR renders the zone's apex NS record.
 func (z *ZoneResponder) nsRR() dns.RR {
-	return dns.RR{Name: z.Apex, Class: dns.ClassINET, TTL: z.ttl(), Data: &dns.NS{Host: "ns." + z.Apex}}
+	return dns.RR{Name: z.Apex, Class: dns.ClassINET, TTL: answerTTL, Data: &dns.NS{Host: "ns." + z.Apex}}
 }
 
 // zoneDelta merge-diffs two generations' block streams into the RRs removed

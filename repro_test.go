@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
@@ -390,5 +391,55 @@ func TestSecondSeedShapeStability(t *testing.T) {
 	_, fn, err := env.Pipe.FalseNegativeCheck(context.Background(), env.Result)
 	if err != nil || fn != 0 {
 		t.Errorf("seed 777 FN check: %d %v", fn, err)
+	}
+}
+
+// TestFalseNegativeCheckReusesProbes: the §4.2 check enriches the delegated
+// records through the sweep's probe cache, so after Run it sends nothing to a
+// delegated A address the correct-record sweep already probed, and it counts
+// what a fresh pipeline, which probes every address itself, counts.
+func TestFalseNegativeCheckReusesProbes(t *testing.T) {
+	ctx := context.Background()
+	w, err := GenerateWorld(TinyScale(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Web == nil {
+		t.Fatal("the world has no web layer")
+	}
+	pipe := NewPipeline(w)
+	res, err := pipe.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[netip.Addr]int64{}
+	for _, target := range w.Targets {
+		if p, ok := res.Correct.Lookup(target); ok {
+			for addr := range p.IPs {
+				before[addr] = w.Fabric.QueriesTo(addr)
+			}
+		}
+	}
+	if len(before) == 0 {
+		t.Fatal("no delegated A address in the correct-record database")
+	}
+	total, fn, err := pipe.FalseNegativeCheck(ctx, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total == 0 {
+		t.Fatal("the check evaluated nothing")
+	}
+	for addr, n := range before {
+		if got := w.Fabric.QueriesTo(addr); got != n {
+			t.Errorf("the check sent %d exchanges to delegated address %s", got-n, addr)
+		}
+	}
+	freshTotal, freshFN, err := NewPipeline(w).FalseNegativeCheck(ctx, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != freshTotal || fn != freshFN {
+		t.Errorf("after Run the check counts (%d, %d); a fresh pipeline counts (%d, %d)", total, fn, freshTotal, freshFN)
 	}
 }
