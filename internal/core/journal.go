@@ -47,12 +47,11 @@
 // Replay feeds the bytes it does keep back through the validated decoder
 // (Message.UnpackFrom into the worker's scratch), so the decoder is fuzzed
 // (FuzzMessageUnpack) against exactly this attacker-influenceable surface.
-// Version 1 records, keyed by sweep kind, address, name and query type, are
-// still read.
+// The journal reads only the version it writes: a directory of any other
+// version is refused at open and left as it is.
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -60,10 +59,8 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io"
-	"net/netip"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,9 +75,13 @@ import (
 
 // journal format constants.
 const (
-	// journalVersion is what this binary writes; it reads 1 and 2. A version 1
-	// directory it resumes is bumped before the first version 2 record lands.
+	// journalVersion is what this binary writes and the only version it
+	// reads; OpenJournal and MergeShardJournals refuse any other.
 	journalVersion = 2
+	// version1Reader is the last commit whose binary reads a version 1 journal
+	// (records keyed by sweep kind, address, name and query type); a version
+	// 1 directory is refused with this commit named.
+	version1Reader = "aed264be753d"
 	manifestName   = "manifest.json"
 	segmentPrefix  = "seg-"
 	segmentSuffix  = ".wal"
@@ -105,12 +106,10 @@ const (
 	segBufHighwater = 128 << 10
 )
 
-// record types inside a segment. The writer emits 3 to 6. A position is
-// [uvarint unit][uvarint slot] (see probePos); a version 1 key is
-// [sweep kind][address length][address][u16 name length][name][u16 qtype].
+// record types inside a segment. A position is [uvarint unit][uvarint slot]
+// (see probePos). Types 1 and 2 were version 1's keyed records; the reader
+// meets them as it meets any type it does not know, as corruption.
 const (
-	recAnsweredV1 byte = 1 // v1 key + [u32 length][packed DNS response]
-	recFailureV1  byte = 2 // v1 key + failure class
 	recCheckpoint byte = 3 // cumulative record count, written at each flush
 	recAnswered   byte = 4 // position + [u32 length][packed DNS response]
 	recEmpty      byte = 5 // position of an answer the collector reads nothing from
@@ -133,7 +132,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // wireLoc locates one answered record's response bytes: segment buffer seg,
 // byte offset off. off is never below frameHeader for a real record (a frame
-// header and a key precede it), so the zero value means "not answered" and
+// header and a position precede it), so the zero value means "not answered" and
 // emptyOff "answered with nothing in it"; the length is the u32 the writer
 // put right before the bytes.
 type wireLoc struct{ seg, off uint32 }
@@ -203,7 +202,7 @@ func (ri *replayIndex) unitBase(u int) int {
 	}
 }
 
-// posID maps a version 2 record's position onto its probe id, or -1 when the
+// posID maps a record's position onto its probe id, or -1 when the
 // unit is outside the config's units or the slot outside the unit's span.
 func (ri *replayIndex) posID(unit, slot uint64) int {
 	u := unit - uint64(ri.firstUnit)
@@ -342,15 +341,6 @@ type manifest struct {
 	Transport string `json:"transport,omitempty"`
 }
 
-// normTransport maps the manifest's empty-means-udp encoding onto the
-// canonical kind name for comparison.
-func normTransport(s string) string {
-	if s == "" {
-		return "udp"
-	}
-	return s
-}
-
 // shardManifest is ShardDesc in manifest form.
 type shardManifest struct {
 	Index int `json:"index"`
@@ -394,10 +384,11 @@ type journalIdentity struct {
 }
 
 // OpenJournal opens (creating if needed) the checkpoint journal for cfg's
-// sweep. If the directory already holds a journal, its manifest must match
-// the config's identity — resuming someone else's sweep would silently skip
-// the wrong probes — and every readable segment record is indexed against
-// cfg's plan; torn tails are detected and discarded.
+// sweep. If the directory already holds a journal, its manifest must be of
+// journalVersion and match the config's identity — resuming someone else's
+// sweep would silently skip the wrong probes — and every readable segment
+// record is indexed against cfg's plan; torn tails are detected and
+// discarded. An existing manifest is never rewritten.
 //
 // A whole-plan config is identified by its plan hash. A config cut by
 // ShardConfig is identified by the shard-extended hash of the plan it was cut
@@ -427,29 +418,16 @@ func OpenJournal(dir string, cfg *Config, opts JournalOptions) (*Journal, error)
 		return nil, fmt.Errorf("journal: create dir: %w", err)
 	}
 	j := &Journal{dir: dir, opts: opts}
-	mpath := filepath.Join(dir, manifestName)
-	data, err := os.ReadFile(mpath)
+	m, err := readManifest(dir, id)
 	switch {
 	case err == nil:
-		m, err := parseManifest(data)
-		if err != nil {
+		if err := matchShard(dir, m, id); err != nil {
 			return nil, err
-		}
-		if err := matchManifest(dir, m, id); err != nil {
-			return nil, err
-		}
-		// Bump an older directory before any new record lands in it: a binary
-		// that reads only version 1 then refuses the directory outright
-		// instead of reading the new records as torn tails.
-		if m.Version < journalVersion {
-			if err := writeManifest(mpath, id); err != nil {
-				return nil, err
-			}
 		}
 		if err := j.replayDir(cfg); err != nil {
 			return nil, err
 		}
-	case os.IsNotExist(err):
+	case errors.Is(err, os.ErrNotExist):
 		// Segments without a manifest were never bound to a plan: a merge
 		// killed before its last step leaves them, and neither replaying them
 		// nor writing beside them is safe.
@@ -461,11 +439,11 @@ func OpenJournal(dir string, cfg *Config, opts JournalOptions) (*Journal, error)
 			return nil, fmt.Errorf("journal: directory %s holds %d segments but no manifest (a merge that did not finish?): merge again into a fresh directory, or point the sweep at one",
 				dir, len(segs))
 		}
-		if err := writeManifest(mpath, id); err != nil {
+		if err := writeManifest(filepath.Join(dir, manifestName), id); err != nil {
 			return nil, err
 		}
 	default:
-		return nil, fmt.Errorf("journal: read manifest: %w", err)
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	return j, nil
 }
@@ -474,38 +452,58 @@ func OpenJournal(dir string, cfg *Config, opts JournalOptions) (*Journal, error)
 func parseManifest(data []byte) (manifest, error) {
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("journal: manifest unreadable: %w", err)
+		return m, fmt.Errorf("manifest unreadable: %w", err)
 	}
-	if m.Version < 1 || m.Version > journalVersion {
-		return m, fmt.Errorf("journal: manifest version %d, want 1 to %d", m.Version, journalVersion)
+	switch {
+	case m.Version == 1:
+		return m, fmt.Errorf("manifest version 1, which this binary no longer reads: resume or merge it with a binary built at commit %s, the last that reads version 1, or sweep again into a fresh directory",
+			version1Reader)
+	case m.Version != journalVersion:
+		return m, fmt.Errorf("manifest version %d, this binary reads only version %d", m.Version, journalVersion)
 	}
 	return m, nil
 }
 
-// fullHashHex is the manifest's full-plan hash: shard manifests carry it
-// explicitly; a whole-plan manifest's plan hash is the full hash.
-func (m manifest) fullHashHex() string {
+// readManifest reads dir's manifest and checks what resume and merge both
+// require of it: the version this binary reads, id's full plan and id's
+// transport. A directory with no manifest gets an error that wraps
+// os.ErrNotExist.
+func readManifest(dir string, id journalIdentity) (manifest, error) {
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		return manifest{}, fmt.Errorf("read manifest: %w", err)
+	}
+	m, err := parseManifest(data)
+	if err != nil {
+		return m, fmt.Errorf("directory %s: %w", dir, err)
+	}
+	// A shard manifest carries the full plan's hash beside its own; a
+	// whole-plan manifest's plan hash is the full hash.
+	full := m.PlanHash
 	if m.Shard != nil {
-		return m.FullPlanHash
+		full = m.FullPlanHash
 	}
-	return m.PlanHash
-}
-
-// matchManifest checks an existing journal's identity against the opener's,
-// distinguishing the ways they can disagree: a different underlying plan, a
-// shard journal opened as a whole plan (or vice versa), or the right plan
-// but the wrong shard. Each gets its own error so the operator knows whether
-// to change the config, pick a different directory, or run the merge step.
-func matchManifest(dir string, m manifest, id journalIdentity) error {
-	fullHex := fmt.Sprintf("%016x", id.full)
-	if got := m.fullHashHex(); got != fullHex {
-		return fmt.Errorf("journal: directory %s holds a different sweep plan (its plan hash %s, this config's %s): resume and merge refuse to mix plans",
-			dir, got, fullHex)
+	if want := fmt.Sprintf("%016x", id.full); full != want {
+		return m, fmt.Errorf("directory %s holds a different sweep plan (its plan hash %s, this config's %s): resume and merge refuse to mix plans",
+			dir, full, want)
 	}
-	if got := normTransport(m.Transport); got != id.transport {
-		return fmt.Errorf("journal: directory %s was swept over transport %q but this run uses %q: resume and merge refuse to mix transports; re-run with -transport %s or point the sweep at a fresh directory",
+	got := m.Transport
+	if got == "" { // udp is written as no transport at all
+		got = "udp"
+	}
+	if got != id.transport {
+		return m, fmt.Errorf("directory %s was swept over transport %q but this run uses %q: resume and merge refuse to mix transports; re-run with -transport %s or point the sweep at a fresh directory",
 			dir, got, id.transport, got)
 	}
+	return m, nil
+}
+
+// matchShard checks a journal that readManifest passed — the opener's full
+// plan and transport — against the rest of the opener's identity,
+// distinguishing a shard journal opened as a whole plan (or vice versa) from
+// the right plan but the wrong shard. Each gets its own error so the
+// operator knows whether to pick a different directory or run the merge step.
+func matchShard(dir string, m manifest, id journalIdentity) error {
 	switch {
 	case m.Shard != nil && id.shard == nil:
 		return fmt.Errorf("journal: directory %s holds shard %d (units [%d,%d) of %d) of this plan, not the whole plan; merge shard journals into a fresh directory instead of resuming one directly",
@@ -591,7 +589,7 @@ func (j *Journal) replayDir(cfg *Config) error {
 	j.nextSeg = maxIdx + 1
 	j.resumed = true
 	ri := newReplayIndex(cfg)
-	ix := indexer{ri: ri, st: &j.stats, cfg: cfg}
+	ix := indexer{ri: ri, st: &j.stats}
 	for _, name := range segs {
 		data, ok, err := readSegment(filepath.Join(j.dir, name))
 		if err != nil {
@@ -896,58 +894,11 @@ func readSegment(path string) (data []byte, ok bool, err error) {
 
 // indexer is the state of OpenJournal's one pass over the segments.
 type indexer struct {
-	ri  *replayIndex
-	st  *ReplayStats
-	cfg *Config
+	ri *replayIndex
+	st *ReplayStats
 
 	answered   int // distinct answered probes
 	failedOnly int // distinct probes with a failure record and no answer
-
-	// v1 maps version 1 keys onto the plan, built on the first one met.
-	v1 *v1Keys
-}
-
-// v1Keys is the read-only decoder of version 1 record keys, which name a
-// probe by sweep kind, server address, name and query type. The records carry
-// names and addresses, not positions, so a listing that repeats keeps its
-// first position: a repeated target's later positions read as never probed
-// and are queried live; a repeated server's records all land on the first
-// listing's unit.
-type v1Keys struct {
-	targets     map[dns.Name]int32   // target → position in Config.Targets
-	resolvers   map[netip.Addr]int32 // open resolver → its unit
-	nameservers map[netip.Addr]int32 // nameserver → its unit
-
-	// One server's records sit together in a segment (a worker owns a
-	// server for a whole job), so the address→unit lookup is cached on the
-	// previous record's kind and address bytes.
-	lastKind sweepKind
-	lastAddr []byte
-	lastBase int
-}
-
-func newV1Keys(cfg *Config) *v1Keys {
-	k := &v1Keys{
-		targets:     make(map[dns.Name]int32, len(cfg.Targets)),
-		resolvers:   make(map[netip.Addr]int32, len(cfg.OpenResolvers)),
-		nameservers: make(map[netip.Addr]int32, len(cfg.Nameservers)),
-	}
-	for i, t := range cfg.Targets {
-		if _, dup := k.targets[t]; !dup {
-			k.targets[t] = int32(i)
-		}
-	}
-	for i, r := range cfg.OpenResolvers {
-		if _, dup := k.resolvers[r]; !dup {
-			k.resolvers[r] = int32(i)
-		}
-	}
-	for i, ns := range cfg.Nameservers {
-		if _, dup := k.nameservers[ns.Addr]; !dup {
-			k.nameservers[ns.Addr] = int32(len(cfg.OpenResolvers) + i)
-		}
-	}
-	return k
 }
 
 // segment folds one segment's records into the index and reports whether the
@@ -985,10 +936,10 @@ func (ix *indexer) segment(seg uint32, data []byte) bool {
 //
 // Replay rules: the first answered record of a probe, in segment order, wins
 // — an empty one as much as one with bytes; a failure record never displaces
-// an answer, whichever came first; a record whose probe is not in the plan
-// (a position past the config's units or the unit's span; a version 1 key's
-// foreign server, unknown name, query type or sweep kind — a hostile or
-// mis-merged directory) is counted and ignored.
+// an answer, whichever came first; a record whose position is past the
+// config's units or the unit's span (a hostile or mis-merged directory) is
+// counted and ignored. A record type the reader does not know — version 1's
+// keyed types among them — ends the frame as corrupt.
 func (ix *indexer) frame(seg uint32, data []byte, off, end int, count *uint64) bool {
 	ri := ix.ri
 	for off < end {
@@ -1014,27 +965,19 @@ func (ix *indexer) frame(seg uint32, data []byte, off, end int, count *uint64) b
 			}
 			off += n
 			id = ri.posID(unit, slot)
-		case recAnsweredV1, recFailureV1:
-			if ix.v1 == nil {
-				ix.v1 = newV1Keys(ix.cfg)
-			}
-			var ok bool
-			if id, off, ok = ix.v1.key(ri, data, off, end); !ok {
-				return false
-			}
 		default:
 			return false
 		}
 		var class uint8
 		var wireOff int
 		switch rec {
-		case recFailure, recFailureV1:
+		case recFailure:
 			if end-off < 1 {
 				return false
 			}
 			class = data[off]
 			off++
-		case recAnswered, recAnsweredV1:
+		case recAnswered:
 			if end-off < 4 {
 				return false
 			}
@@ -1076,73 +1019,6 @@ func (ix *indexer) frame(seg uint32, data []byte, off, end int, count *uint64) b
 	return true
 }
 
-// key decodes the version 1 key at data[off:end], just past the record type,
-// into its probe id (-1 when the plan has no such probe) and the offset past
-// the key; ok is false when the key is cut short or malformed.
-func (k *v1Keys) key(ri *replayIndex, data []byte, off, end int) (id, next int, ok bool) {
-	if end-off < 2 {
-		return 0, 0, false
-	}
-	kind, alen := sweepKind(data[off]), int(data[off+1])
-	off += 2
-	if alen != 4 && alen != 16 || end-off < alen+2 {
-		return 0, 0, false
-	}
-	addr := data[off : off+alen]
-	off += alen
-	dlen := int(binary.LittleEndian.Uint16(data[off:]))
-	off += 2
-	if end-off < dlen+2 {
-		return 0, 0, false
-	}
-	name := data[off : off+dlen]
-	qt := dns.Type(binary.LittleEndian.Uint16(data[off+dlen:]))
-	return k.probeID(ri, kind, addr, name, qt), off + dlen + 2, true
-}
-
-// probeID maps a version 1 key, as raw segment bytes, onto its plan id, or -1
-// when the plan has no such probe. Nothing here allocates: the name lookup
-// is a map read keyed by a converted byte slice.
-func (k *v1Keys) probeID(ri *replayIndex, kind sweepKind, addr, name []byte, qt dns.Type) int {
-	if kind > sweepProtective {
-		return -1
-	}
-	unitKind := kind
-	if kind == sweepProtective {
-		unitKind = sweepURs // both live in the nameserver units
-	}
-	if unitKind != k.lastKind || !bytes.Equal(addr, k.lastAddr) {
-		a, _ := netip.AddrFromSlice(addr)
-		units := k.nameservers
-		if unitKind == sweepCorrect {
-			units = k.resolvers
-		}
-		k.lastBase = -1
-		if u, ok := units[a]; ok {
-			k.lastBase = ri.unitBase(int(u))
-		}
-		k.lastKind, k.lastAddr = unitKind, addr
-	}
-	if k.lastBase < 0 {
-		return -1
-	}
-	q := slices.Index(ri.qtypes, qt)
-	if q < 0 {
-		return -1
-	}
-	if kind == sweepProtective {
-		if dns.Name(name) != ri.canary {
-			return -1
-		}
-		return k.lastBase + ri.nTargets*len(ri.qtypes) + q
-	}
-	t, ok := k.targets[dns.Name(name)]
-	if !ok {
-		return -1
-	}
-	return k.lastBase + int(t)*len(ri.qtypes) + q
-}
-
 // MergeStats summarises a shard-journal merge.
 type MergeStats struct {
 	Dirs     int   // shard directories merged
@@ -1159,8 +1035,10 @@ type MergeStats struct {
 // the merge semantics; this function only validates that the pieces belong
 // together:
 //
-//   - every source manifest must carry cfg's full plan hash (shard journals
-//     via full_plan_hash, whole-plan journals directly);
+//   - every source manifest must pass the check a resume makes first
+//     (readManifest): this binary's format version, cfg's full plan hash
+//     (shard journals via full_plan_hash, whole-plan journals directly) and
+//     cfg's transport;
 //   - shard descriptors must agree on the unit total and, unioned, cover
 //     every unit in [0, PlanUnits) — a gap means a shard journal is missing
 //     and the merged report would silently re-sweep (or worse, under a
@@ -1183,9 +1061,8 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 	if err != nil {
 		return st, fmt.Errorf("journal: merge: %w", err)
 	}
-	transport := kind.String()
+	id := journalIdentity{plan: cfg.PlanHash(), full: cfg.PlanHash(), seed: cfg.Seed, transport: kind.String()}
 	units := cfg.PlanUnits()
-	fullHex := fmt.Sprintf("%016x", cfg.PlanHash())
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return st, fmt.Errorf("journal: merge: create %s: %w", dst, err)
 	}
@@ -1200,21 +1077,9 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 	type interval struct{ lo, hi int }
 	var covered []interval
 	for _, src := range srcDirs {
-		data, err := os.ReadFile(filepath.Join(src, manifestName))
+		m, err := readManifest(src, id)
 		if err != nil {
-			return st, fmt.Errorf("journal: merge: %s: %w", src, err)
-		}
-		m, err := parseManifest(data)
-		if err != nil {
-			return st, fmt.Errorf("journal: merge: %s: %w", src, err)
-		}
-		if got := m.fullHashHex(); got != fullHex {
-			return st, fmt.Errorf("journal: merge: %s holds a different sweep plan (its plan hash %s, this config's %s): resume and merge refuse to mix plans",
-				src, got, fullHex)
-		}
-		if got := normTransport(m.Transport); got != transport {
-			return st, fmt.Errorf("journal: merge: %s was swept over transport %q but this merge targets %q: resume and merge refuse to mix transports",
-				src, got, transport)
+			return st, fmt.Errorf("journal: merge: %w", err)
 		}
 		if m.Shard == nil {
 			// A whole-plan journal merges as the full range.
@@ -1284,9 +1149,7 @@ func MergeShardJournals(dst string, cfg *Config, srcDirs []string) (MergeStats, 
 	if err := syncDir(dst); err != nil {
 		return st, fmt.Errorf("journal: merge: %w", err)
 	}
-	if err := writeManifest(mpath, journalIdentity{
-		plan: cfg.PlanHash(), full: cfg.PlanHash(), seed: cfg.Seed, transport: transport,
-	}); err != nil {
+	if err := writeManifest(mpath, id); err != nil {
 		return st, err
 	}
 	if err := syncDir(dst); err != nil {

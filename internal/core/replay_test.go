@@ -1,5 +1,6 @@
-// The replay index against a model, journals the previous format writer
-// left behind, the index's lifetime, and hostile segment and manifest bytes.
+// The replay index against a model, the refusal of journals the previous
+// format's writer left behind, the index's lifetime, and hostile segment and
+// manifest bytes.
 package core
 
 import (
@@ -8,29 +9,25 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dns"
 	"repro/internal/dnsio"
 )
 
-// modelRecord is one journal record as the model test generates it: a
-// version 1 record keyed by (kind, server, name, qt), or a version 2 record
-// at pos — an answer with bytes, an empty answer, or a failure.
+// modelRecord is one journal record as the model test generates it: at
+// pos, an answer with bytes, an empty answer, or a failure.
 type modelRecord struct {
-	v1       bool
 	answered bool
 	empty    bool
-	kind     sweepKind
-	server   netip.Addr
-	name     dns.Name
-	qt       dns.Type
 	pos      probePos
 	class    dnsio.FailClass
 	wire     []byte
@@ -47,44 +44,17 @@ type replayModel struct {
 	duplicates, outOfPlan, empty int
 }
 
-// modelPos places a record in cfg's plan without the index's arithmetic:
-// version 1 keys through first-listing maps, version 2 positions through the
-// plan's unit and span bounds. ok is false for a probe the plan does not
-// hold.
+// modelPos places a record in cfg's plan through the plan's unit and span
+// bounds, without the index's arithmetic. ok is false for a probe the plan
+// does not hold.
 func modelPos(cfg *Config, r modelRecord) (probePos, bool) {
 	nq, nt, nr := len(cfg.queryTypes()), len(cfg.Targets), len(cfg.OpenResolvers)
-	if !r.v1 {
-		u := r.pos.unit
-		span := (nt + 1) * nq
-		if u < nr {
-			span = nt * nq
-		}
-		return r.pos, u >= 0 && u < cfg.PlanUnits() && r.pos.slot >= 0 && r.pos.slot < span
+	u := r.pos.unit
+	span := (nt + 1) * nq
+	if u < nr {
+		span = nt * nq
 	}
-	q := slices.Index(cfg.queryTypes(), r.qt)
-	t := slices.Index(cfg.Targets, r.name)
-	var u int
-	switch r.kind {
-	case sweepCorrect:
-		u = slices.Index(cfg.OpenResolvers, r.server)
-	case sweepURs, sweepProtective:
-		u = slices.IndexFunc(cfg.Nameservers, func(ns NameserverInfo) bool { return ns.Addr == r.server })
-		if u >= 0 {
-			u += nr
-		}
-		if r.kind == sweepProtective {
-			t = -1
-			if r.name == cfg.CanaryName() {
-				t = nt
-			}
-		}
-	default:
-		return probePos{}, false
-	}
-	if u < 0 || t < 0 || q < 0 {
-		return probePos{}, false
-	}
-	return probePos{u, t*nq + q}, true
+	return r.pos, u >= 0 && u < cfg.PlanUnits() && r.pos.slot >= 0 && r.pos.slot < span
 }
 
 func runModel(cfg *Config, recs []modelRecord) *replayModel {
@@ -120,7 +90,7 @@ func (m *replayModel) failedOnly() int {
 
 // modelConfig is a plan small enough to enumerate: every position the plan
 // holds is checked against the index. It lists a target and a nameserver
-// twice, where version 1 keys (first listing) and positions part ways.
+// twice; a position names each listing's probe.
 func modelConfig() *Config {
 	return &Config{
 		Seed:    5,
@@ -135,67 +105,22 @@ func modelConfig() *Config {
 	}
 }
 
-// modelSpace is everything the generator draws from: the plan's own servers,
-// names, types and positions plus ones foreign to it.
-type modelSpace struct {
-	kinds   []sweepKind
-	servers []netip.Addr
-	names   []dns.Name
-	qtypes  []dns.Type
-}
-
-func newModelSpace(cfg *Config) modelSpace {
-	sp := modelSpace{
-		kinds:   []sweepKind{sweepURs, sweepCorrect, sweepProtective, 3, 200},
-		servers: []netip.Addr{netip.MustParseAddr("192.0.2.77"), netip.MustParseAddr("2001:db8::99")},
-		names:   append([]dns.Name{cfg.CanaryName(), "unknown.example", ""}, cfg.Targets...),
-		qtypes:  []dns.Type{dns.TypeA, dns.TypeTXT, dns.TypeMX},
-	}
-	sp.servers = append(sp.servers, cfg.OpenResolvers...)
-	for _, ns := range cfg.Nameservers {
-		sp.servers = append(sp.servers, ns.Addr)
-	}
-	return sp
-}
-
-// draw picks a record: a version 1 key one time in three when v1 is set,
-// else a position. Both are biased towards the plan (and so towards
-// collisions — duplicates, failed-then-answered, answered-then-failed, and a
-// version 1 record and a position naming one probe).
-func (sp modelSpace) draw(rng *rand.Rand, cfg *Config, n int, v1 bool) modelRecord {
-	r := modelRecord{v1: v1 && rng.Intn(3) == 0}
+// drawRecord picks a record at a position biased towards the plan (and so
+// towards collisions — duplicates, failed-then-answered, answered-then-failed).
+func drawRecord(rng *rand.Rand, cfg *Config, n int) modelRecord {
+	var r modelRecord
 	inPlan := rng.Intn(4) > 0 // steer three in four into the plan
-	if r.v1 {
-		r.kind = sp.kinds[rng.Intn(len(sp.kinds))]
-		r.server = sp.servers[rng.Intn(len(sp.servers))]
-		r.name = sp.names[rng.Intn(len(sp.names))]
-		r.qt = sp.qtypes[rng.Intn(len(sp.qtypes))]
-		if inPlan {
-			r.kind = sweepKind(rng.Intn(3))
-			r.qt = sp.qtypes[rng.Intn(2)]
-			r.name = cfg.Targets[rng.Intn(len(cfg.Targets))]
-			r.server = cfg.Nameservers[rng.Intn(len(cfg.Nameservers))].Addr
-			switch r.kind {
-			case sweepCorrect:
-				r.server = cfg.OpenResolvers[rng.Intn(len(cfg.OpenResolvers))]
-			case sweepProtective:
-				r.name = cfg.CanaryName()
-			}
+	units, span := cfg.PlanUnits(), (len(cfg.Targets)+1)*len(cfg.queryTypes())
+	r.pos = probePos{rng.Intn(units + 2), rng.Intn(span + 2)}
+	switch {
+	case inPlan:
+		r.pos.unit = rng.Intn(units)
+		if r.pos.unit < len(cfg.OpenResolvers) {
+			span = len(cfg.Targets) * len(cfg.queryTypes())
 		}
-	} else {
-		units, span := cfg.PlanUnits(), (len(cfg.Targets)+1)*len(cfg.queryTypes())
-		r.pos = probePos{rng.Intn(units + 2), rng.Intn(span + 2)}
-		switch {
-		case inPlan:
-			r.pos.unit = rng.Intn(units)
-			if r.pos.unit < len(cfg.OpenResolvers) {
-				span = len(cfg.Targets) * len(cfg.queryTypes())
-			}
-			r.pos.slot = rng.Intn(span)
-		case rng.Intn(2) == 0: // positions far past any plan: nine-octet varints
-			r.pos.unit, r.pos.slot = rng.Intn(2)<<62, 1<<40+rng.Intn(3)
-		}
-		r.name = dns.Name(fmt.Sprintf("p%d.example", n))
+		r.pos.slot = rng.Intn(span)
+	case rng.Intn(2) == 0: // positions far past any plan: nine-octet varints
+		r.pos.unit, r.pos.slot = rng.Intn(2)<<62, 1<<40+rng.Intn(3)
 	}
 	if r.answered = rng.Intn(3) > 0; !r.answered {
 		// Past FailOther too: a writer with more named classes (FailOther+1
@@ -212,13 +137,9 @@ func (sp modelSpace) draw(rng *rand.Rand, cfg *Config, n int, v1 bool) modelReco
 	case 1:
 		r.wire = []byte{}
 	case 2, 3:
-		if !r.v1 {
-			r.empty, r.wire = true, nil
-			break
-		}
-		fallthrough
+		r.empty = true
 	default:
-		r.wire = testResponse(r.name, dns.TypeA, fmt.Sprintf("203.0.113.%d", n%250+1))
+		r.wire = testResponse(dns.Name(fmt.Sprintf("p%d.example", n)), dns.TypeA, fmt.Sprintf("203.0.113.%d", n%250+1))
 	}
 	return r
 }
@@ -227,10 +148,6 @@ func (r modelRecord) write(t testing.TB, seg *segmentWriter) {
 	t.Helper()
 	var err error
 	switch {
-	case r.v1 && r.answered:
-		err = writeV1(seg, recAnsweredV1, r.kind, r.server, r.name, r.qt, r.wire, 0)
-	case r.v1:
-		err = writeV1(seg, recFailureV1, r.kind, r.server, r.name, r.qt, nil, r.class)
 	case r.empty:
 		err = seg.empty(r.pos)
 	case r.answered:
@@ -241,26 +158,6 @@ func (r modelRecord) write(t testing.TB, seg *segmentWriter) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// writeV1 appends one record in the version 1 encoding — the key
-// (type, sweep, server, domain, qtype), then a failure's class or an answer's
-// length-prefixed bytes — as the writer before position keys did.
-func writeV1(s *segmentWriter, rec byte, kind sweepKind, server netip.Addr, domain dns.Name, qt dns.Type, wire []byte, class dnsio.FailClass) error {
-	s.buf = append(s.buf, rec, byte(kind))
-	a := server.AsSlice()
-	s.buf = append(s.buf, byte(len(a)))
-	s.buf = append(s.buf, a...)
-	s.buf = binary.LittleEndian.AppendUint16(s.buf, uint16(len(domain)))
-	s.buf = append(s.buf, domain...)
-	s.buf = binary.LittleEndian.AppendUint16(s.buf, uint16(qt))
-	if rec == recFailureV1 {
-		s.buf = append(s.buf, byte(class))
-	} else {
-		s.buf = binary.LittleEndian.AppendUint32(s.buf, uint32(len(wire)))
-		s.buf = append(s.buf, wire...)
-	}
-	return s.appendData()
 }
 
 // checkAgainstModel opens dir and compares index and counters with the model
@@ -302,8 +199,8 @@ func checkAgainstModel(t *testing.T, dir string, cfg *Config, m *replayModel, re
 	}
 }
 
-// TestJournalIndexMatchesModel writes seeded random record sequences — both
-// key families, answers with bytes and empty ones, failures — through the
+// TestJournalIndexMatchesModel writes seeded random record sequences —
+// answers with bytes and empty ones, failures — through the
 // real segment writer, several segments, several frames each, and holds the
 // index OpenJournal builds to the map model; then tears the last frame at
 // every byte and holds it to the model of everything before that frame.
@@ -319,7 +216,6 @@ func TestJournalIndexMatchesModel(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("seed-%d", tc.seed), func(t *testing.T) {
 			cfg := modelConfig()
-			sp := newModelSpace(cfg)
 			rng := rand.New(rand.NewSource(tc.seed))
 			dir := t.TempDir()
 			j, err := OpenJournal(dir, cfg, JournalOptions{CheckpointEvery: 1 << 20})
@@ -342,7 +238,7 @@ func TestJournalIndexMatchesModel(t *testing.T) {
 						}
 						head, tail = append(head, tail...), nil
 					}
-					r := sp.draw(rng, cfg, len(head)+len(tail), true)
+					r := drawRecord(rng, cfg, len(head)+len(tail))
 					r.write(t, seg)
 					tail = append(tail, r)
 				}
@@ -354,17 +250,14 @@ func TestJournalIndexMatchesModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			all := append(append([]modelRecord(nil), head...), tail...)
-			var v1, empty int
+			empty := 0
 			for _, r := range all {
-				if r.v1 {
-					v1++
-				}
 				if r.empty {
 					empty++
 				}
 			}
-			if v1 == 0 || v1 == len(all) || empty == 0 {
-				t.Fatalf("the draws cover %d version 1 records and %d empties of %d", v1, empty, len(all))
+			if empty == 0 || empty == len(all) {
+				t.Fatalf("the draws cover %d empties of %d records", empty, len(all))
 			}
 			checkAgainstModel(t, dir, cfg, runModel(cfg, all), len(all), 0)
 
@@ -456,55 +349,10 @@ func TestResumeUndecodableAnswerRequeried(t *testing.T) {
 	}
 }
 
-// TestResumeV1Fixture resumes testdata/journal-v1, a directory the commit
-// before the replay index wrote (format version 1, chaos fixture seed 11
-// under the deterministic faults, killed after 120 records): the format did
-// not move, so it must index to the counts that commit's own replay reported
-// and finish to the uninterrupted run's report.
-func TestResumeV1Fixture(t *testing.T) {
-	fx := newChaosFixture(t, 11)
-	applyDeterministicFaults(fx)
-	baseline, err := NewPipeline(fx.cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	for _, name := range []string{manifestName, "seg-00000.wal"} {
-		data, err := os.ReadFile(filepath.Join("testdata", "journal-v1", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fx = newChaosFixture(t, 11)
-	applyDeterministicFaults(fx)
-	j, err := OpenJournal(dir, fx.cfg, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	st := j.ReplayStats()
-	if j.ReplayedAnswered() != 64 || j.ReplayedFailures() != 52 || st.Records != 120 || st.OutOfPlan != 0 || st.Torn != 0 {
-		t.Fatalf("fixture indexed to %d answered, %d failed, %+v; its writer replayed 64, 52 from 120 records",
-			j.ReplayedAnswered(), j.ReplayedFailures(), st)
-	}
-	fx.cfg.Journal = j
-	res, err := NewPipeline(fx.cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := renderRecords(res), renderRecords(baseline); got != want {
-		t.Errorf("resumed fixture differs from the uninterrupted run:\n--- resumed ---\n%s--- baseline ---\n%s", got, want)
-	}
-	checkCoverageConsistent(t, res.Coverage)
-	if res.Coverage.Attempted != chaosPlanSize {
-		t.Errorf("attempted %d, want %d", res.Coverage.Attempted, chaosPlanSize)
-	}
-}
-
-// copyV1Fixture lays testdata/journal-v1 out in a fresh directory.
+// copyV1Fixture lays testdata/journal-v1 out in a fresh directory. The
+// fixture is a directory written in format version 1 — chaos fixture seed 11
+// under the deterministic faults, killed after 120 records, every one of
+// them a keyed record of type 1 or 2.
 func copyV1Fixture(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -518,6 +366,24 @@ func copyV1Fixture(t *testing.T) string {
 		}
 	}
 	return dir
+}
+
+// dirBytes reads every file in dir, by name.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
 }
 
 // manifestVersion reads a journal directory's manifest version.
@@ -534,12 +400,56 @@ func manifestVersion(t *testing.T, dir string) int {
 	return m.Version
 }
 
-// TestResumeV1ThenV2 resumes the version 1 fixture, cuts that run after 60
-// new records, and resumes the directory — now version 1 and version 2
-// segments side by side — again: the manifest reads 2 from the first open
-// on, the report equals the uninterrupted run, and the servers no fault
-// touches see exactly their plan minus the probes the journal answered.
-func TestResumeV1ThenV2(t *testing.T) {
+// setManifestVersion rewrites dir's manifest to claim version v, every other
+// byte as it was.
+func setManifestVersion(t *testing.T, dir string, v int) {
+	t.Helper()
+	path := filepath.Join(dir, manifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := fmt.Sprintf(`"version": %d`, manifestVersion(t, dir))
+	if !bytes.Contains(data, []byte(old)) {
+		t.Fatalf("manifest does not read %s: %s", old, data)
+	}
+	data = bytes.Replace(data, []byte(old), []byte(fmt.Sprintf(`"version": %d`, v)), 1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalRefusesV1Fixture opens testdata/journal-v1, which this binary no
+// longer reads: the open fails with an error that names the version, the
+// last commit that reads it and what else to do, and the directory is left
+// byte for byte as it was — no manifest rewrite, no new segment.
+func TestJournalRefusesV1Fixture(t *testing.T) {
+	dir := copyV1Fixture(t)
+	before := dirBytes(t, dir)
+	fx := newChaosFixture(t, 11)
+	applyDeterministicFaults(fx)
+	_, err := OpenJournal(dir, fx.cfg, JournalOptions{})
+	if err == nil {
+		t.Fatal("a version 1 directory opened")
+	}
+	for _, frag := range []string{"manifest version 1", "no longer reads", version1Reader, "fresh directory"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("refusal missing %q: %v", frag, err)
+		}
+	}
+	if after := dirBytes(t, dir); !maps.Equal(after, before) {
+		t.Errorf("the refused open changed the directory: %d files, was %d", len(after), len(before))
+	}
+}
+
+// TestResumeBumpedV1Directory resumes the version 1 fixture with its manifest
+// at version 2, as a binary that still read version 1 left a directory it had
+// resumed. The retired records are not trusted: the segment reads as torn at
+// its first frame, its probes go to the network again, and the report is the
+// uninterrupted run's — through a first resume cut after 60 new records and
+// a second over the version 2 segments that cut left beside the torn one.
+// The manifest is never rewritten.
+func TestResumeBumpedV1Directory(t *testing.T) {
 	fx := newChaosFixture(t, 11)
 	applyDeterministicFaults(fx)
 	baseline, err := NewPipeline(fx.cfg).Run(context.Background())
@@ -547,13 +457,12 @@ func TestResumeV1ThenV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := copyV1Fixture(t)
-	if v := manifestVersion(t, dir); v != 1 {
-		t.Fatalf("fixture manifest reads version %d", v)
-	}
+	setManifestVersion(t, dir, journalVersion)
+	manifest := dirBytes(t, dir)[manifestName]
 	_, _, _, err = runJournaled(t, dir, applyDeterministicFaults, context.Background(),
 		func(j *Journal, cancel context.CancelFunc) {
-			if v := manifestVersion(t, dir); v != journalVersion {
-				t.Errorf("resumed version 1 directory reads version %d before the first new record", v)
+			if st := j.ReplayStats(); st.Segments != 1 || st.Records != 0 || st.Torn != 1 || j.replay != nil {
+				t.Errorf("bumped directory indexed to %+v", st)
 			}
 			j.AppendHook = func(total int64) {
 				if total == 60 {
@@ -595,14 +504,14 @@ func TestResumeV1ThenV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Segments < 2 || st.Records <= 120 || st.Empty == 0 || st.OutOfPlan != 0 || st.Torn != 0 {
-		t.Errorf("mixed directory indexed to %+v", st)
+	if st.Segments < 2 || st.Records < 60 || st.Empty == 0 || st.OutOfPlan != 0 || st.Torn != 1 {
+		t.Errorf("bumped directory with version 2 segments indexed to %+v", st)
 	}
-	if v := manifestVersion(t, dir); v != journalVersion {
-		t.Errorf("manifest reads version %d after two resumes", v)
+	if got := dirBytes(t, dir)[manifestName]; got != manifest {
+		t.Errorf("the manifest was rewritten:\n%s\nwas\n%s", got, manifest)
 	}
 	if got, want := renderRecords(res), renderRecords(baseline); got != want {
-		t.Errorf("resumed mixed directory differs from the uninterrupted run:\n--- resumed ---\n%s--- baseline ---\n%s", got, want)
+		t.Errorf("resumed bumped directory differs from the uninterrupted run:\n--- resumed ---\n%s--- baseline ---\n%s", got, want)
 	}
 	checkCoverageConsistent(t, res.Coverage)
 	if res.Coverage.Attempted != chaosPlanSize || j.ReplayedAnswered() == 0 {
@@ -736,39 +645,38 @@ func fuzzJournalDir(t testing.TB, cfg *Config) string {
 	return dir
 }
 
+// retiredFrame walks a segment's well-framed, CRC-clean frames and returns
+// the number of the first whose payload opens with a version 1 record type
+// (1 or 2), or -1 if none does before the walk ends.
+func retiredFrame(segment []byte) int {
+	for k, off := 0, 0; len(segment)-off >= frameHeader; k++ {
+		length := int(binary.LittleEndian.Uint32(segment[off:]))
+		payload := segment[off+frameHeader:]
+		if length > maxJournalFrame || len(payload) < length ||
+			crc32.Checksum(payload[:length], crcTable) != binary.LittleEndian.Uint32(segment[off+4:]) {
+			return -1
+		}
+		if length > 0 && (payload[0] == 1 || payload[0] == 2) {
+			return k
+		}
+		off += frameHeader + length
+	}
+	return -1
+}
+
 // FuzzJournalSegment feeds arbitrary bytes to OpenJournal as a segment beside
 // a valid manifest. It must never panic or index out of bounds, its memory
 // must stay a multiple of the input, every answer it accepts with bytes must
 // read back from the index as bytes of the input, and every empty one as
-// answered with no bytes.
+// answered with no bytes. A CRC-clean frame that opens with a retired
+// version 1 record type — the seeds include testdata/journal-v1's segment —
+// ends the segment as torn, and nothing from it on is indexed.
 func FuzzJournalSegment(f *testing.F) {
 	cfg := modelConfig()
-	sp := newModelSpace(cfg)
 	rng := rand.New(rand.NewSource(9))
 	dir := fuzzJournalDir(f, cfg)
 	path := filepath.Join(dir, "seg-00000.wal")
-	for _, seed := range []struct {
-		n  int
-		v1 bool // mix version 1 records in
-	}{{0, false}, {1, false}, {3, false}, {9, false}, {3, true}, {9, true}} {
-		j, err := OpenJournal(dir, cfg, JournalOptions{CheckpointEvery: 4})
-		if err != nil {
-			f.Fatal(err)
-		}
-		seg, err := j.newSegment()
-		if err != nil {
-			f.Fatal(err)
-		}
-		for i := 0; i < seed.n; i++ {
-			sp.draw(rng, cfg, i, seed.v1).write(f, seg)
-		}
-		seg.Close()
-		j.Close()
-		data, err := os.ReadFile(seg.f.Name())
-		if err != nil {
-			f.Fatal(err)
-		}
-		os.Remove(seg.f.Name())
+	addCut := func(data []byte) {
 		f.Add(data)
 		if len(data) > 12 {
 			f.Add(data[:len(data)-3])
@@ -777,6 +685,33 @@ func FuzzJournalSegment(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
+	var clean []byte
+	for _, n := range []int{0, 1, 3, 9, 27} {
+		j, err := OpenJournal(dir, cfg, JournalOptions{CheckpointEvery: 4})
+		if err != nil {
+			f.Fatal(err)
+		}
+		seg, err := j.newSegment()
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			drawRecord(rng, cfg, i).write(f, seg)
+		}
+		seg.Close()
+		j.Close()
+		if clean, err = os.ReadFile(seg.f.Name()); err != nil {
+			f.Fatal(err)
+		}
+		os.Remove(seg.f.Name())
+		addCut(clean)
+	}
+	retired, err := os.ReadFile(filepath.Join("testdata", "journal-v1", "seg-00000.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	addCut(retired)
+	f.Add(append(bytes.Clone(clean), retired...)) // version 2 frames, then retired ones
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, segment []byte) {
 		if err := os.WriteFile(path, segment, 0o644); err != nil {
@@ -793,6 +728,11 @@ func FuzzJournalSegment(f *testing.F) {
 		}
 		if j.ReplayedAnswered()+j.ReplayedFailures()+st.Duplicates+st.OutOfPlan > st.Records || st.Empty > j.ReplayedAnswered() || st.Records > len(segment) {
 			t.Fatalf("counters do not add up: %d answered, %d failed, %+v", j.ReplayedAnswered(), j.ReplayedFailures(), st)
+		}
+		if k := retiredFrame(segment); k >= 0 {
+			if st.Frames > k || st.Torn != 1 || k == 0 && (st.Records != 0 || j.replay != nil) {
+				t.Fatalf("frame %d opens with a retired record type, yet the segment indexed to %+v", k, st)
+			}
 		}
 		if j.replay == nil {
 			return
@@ -826,7 +766,8 @@ func FuzzJournalSegment(f *testing.F) {
 
 // FuzzManifest feeds arbitrary bytes to OpenJournal as the manifest: whatever
 // they are, the open either binds to this plan or fails with an error. Only
-// versions 1 and 2 open, and an open leaves the manifest at version 2.
+// version 2 opens, and no open rewrites the manifest: it stays byte for byte
+// what was written.
 func FuzzManifest(f *testing.F) {
 	cfg := modelConfig()
 	dir := fuzzJournalDir(f, cfg)
@@ -847,6 +788,9 @@ func FuzzManifest(f *testing.F) {
 			t.Fatal(err)
 		}
 		j, err := OpenJournal(dir, cfg, JournalOptions{})
+		if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
+			t.Fatalf("the open (err %v) rewrote the manifest %q as %q", err, data, after)
+		}
 		if err != nil {
 			return
 		}
@@ -856,11 +800,8 @@ func FuzzManifest(f *testing.F) {
 			t.Fatalf("opened over a manifest that does not name this plan: %q", data)
 		}
 		var raw struct{ Version json.Number }
-		if json.Unmarshal(data, &raw) != nil || raw.Version != "1" && raw.Version != "2" {
+		if json.Unmarshal(data, &raw) != nil || raw.Version != "2" {
 			t.Fatalf("opened over a manifest of version %q", raw.Version)
-		}
-		if v := manifestVersion(t, dir); v != journalVersion {
-			t.Fatalf("an open left the manifest at version %d", v)
 		}
 	})
 }

@@ -3,15 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
+	"maps"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/dns"
-	"repro/internal/dnsio"
 )
 
 // TestShardConfigSlices pins the unit→config slicing: open resolvers occupy
@@ -344,99 +341,6 @@ func TestShardYieldMidRun(t *testing.T) {
 	}
 }
 
-// downgradeToV1 rewrites a journal directory of full's plan as the writer
-// before position keys would have left it: frame for frame, every record
-// keyed by (kind, address, name, qtype), every empty answer given the bytes
-// of an NXDOMAIN reply, and the manifest at version 1.
-func downgradeToV1(t *testing.T, dir string, full *Config) {
-	t.Helper()
-	qtypes, nr, nt := full.queryTypes(), len(full.OpenResolvers), len(full.Targets)
-	segs, _, err := segmentNames(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range segs {
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Create(path + ".v1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := &segmentWriter{j: &Journal{}, f: f, every: 1 << 30, buf: make([]byte, frameHeader)}
-		for off := 0; off < len(data); {
-			end := off + frameHeader + int(binary.LittleEndian.Uint32(data[off:]))
-			for p := off + frameHeader; p < end; {
-				rec := data[p]
-				p++
-				if rec == recCheckpoint {
-					if err := w.checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-					p += 8
-					continue
-				}
-				unit, n := binary.Uvarint(data[p:])
-				p += n
-				slot, n := binary.Uvarint(data[p:])
-				p += n
-				kind, server := sweepCorrect, netip.Addr{}
-				if int(unit) < nr {
-					server = full.OpenResolvers[unit]
-				} else {
-					kind, server = sweepURs, full.Nameservers[int(unit)-nr].Addr
-				}
-				target, qt := int(slot)/len(qtypes), qtypes[int(slot)%len(qtypes)]
-				qname := full.CanaryName()
-				if target < nt {
-					qname = full.Targets[target]
-				} else {
-					kind = sweepProtective
-				}
-				switch rec {
-				case recFailure:
-					err = writeV1(w, recFailureV1, kind, server, qname, qt, nil, dnsio.FailClass(data[p]))
-					p++
-				case recAnswered:
-					n := int(binary.LittleEndian.Uint32(data[p:]))
-					err = writeV1(w, recAnsweredV1, kind, server, qname, qt, data[p+4:p+4+n], 0)
-					p += 4 + n
-				case recEmpty:
-					r := dns.NewQuery(1, qname, qt).Reply()
-					r.Header.RCode = dns.RCodeNXDomain
-					wire, perr := r.Pack()
-					if perr != nil {
-						t.Fatal(perr)
-					}
-					err = writeV1(w, recAnsweredV1, kind, server, qname, qt, wire, 0)
-				default:
-					t.Fatalf("%s: record type %d", name, rec)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			off = end
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(path+".v1", path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mpath := filepath.Join(dir, manifestName)
-	m, err := os.ReadFile(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(mpath, bytes.Replace(m, []byte(`"version": 2`), []byte(`"version": 1`), 1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // sweepShard runs one shard of the chaos fixture's plan into a fresh shard
 // journal and returns its directory and the shard's config.
 func sweepShard(t *testing.T, sd ShardDesc) (string, *Config) {
@@ -458,52 +362,40 @@ func sweepShard(t *testing.T, sd ShardDesc) (string, *Config) {
 	return dir, scfg
 }
 
-// TestMergeV1AndV2ShardJournals merges a shard journal in the version 1
-// format with one in version 2: the merged directory replays the whole plan
-// without a live exchange, to the single-process report. The version 1 shard
-// also still resumes as itself.
-func TestMergeV1AndV2ShardJournals(t *testing.T) {
+// TestMergeRefusesV1ShardJournal merges a version 2 shard journal with one
+// whose manifest says version 1. The merge fails on the check a resume makes
+// — its error is the resume's, under the merge's prefix — before anything is
+// linked: the destination holds no manifest and no segment, and the version
+// 1 source is left byte for byte as it was.
+func TestMergeRefusesV1ShardJournal(t *testing.T) {
 	v1Dir, v1Cfg := sweepShard(t, ShardDesc{Index: 0, Lo: 0, Hi: 3, Units: 7})
-	downgradeToV1(t, v1Dir, newChaosFixture(t, 11).cfg)
+	setManifestVersion(t, v1Dir, 1)
+	before := dirBytes(t, v1Dir)
 	v2Dir, _ := sweepShard(t, ShardDesc{Index: 1, Lo: 3, Hi: 7, Units: 7})
 
 	full := newChaosFixture(t, 11)
 	merged := filepath.Join(t.TempDir(), "merged")
-	if _, err := MergeShardJournals(merged, full.cfg, []string{v1Dir, v2Dir}); err != nil {
-		t.Fatalf("merge: %v", err)
+	// The version 2 source comes first: it passes the check, and nothing of
+	// it may be linked before the version 1 source fails.
+	_, mergeErr := MergeShardJournals(merged, full.cfg, []string{v2Dir, v1Dir})
+	if mergeErr == nil {
+		t.Fatal("a merge with a version 1 source succeeded")
 	}
-	if v := manifestVersion(t, v1Dir); v != 1 {
-		t.Errorf("the merge rewrote its version 1 source to version %d", v)
+	_, openErr := OpenJournal(v1Dir, v1Cfg, JournalOptions{})
+	if openErr == nil || !strings.Contains(openErr.Error(), "manifest version 1") || !strings.Contains(openErr.Error(), version1Reader) {
+		t.Fatalf("resume of the version 1 shard: %v", openErr)
 	}
-	mj, err := OpenJournal(merged, full.cfg, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if m, o := strings.TrimPrefix(mergeErr.Error(), "journal: merge: "), strings.TrimPrefix(openErr.Error(), "journal: "); m != o {
+		t.Errorf("merge and resume refuse differently:\nmerge:  %s\nresume: %s", m, o)
 	}
-	full.cfg.Journal = mj
-	got, err := NewPipeline(full.cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(merged, manifestName)); !os.IsNotExist(err) {
+		t.Errorf("the refused merge wrote a manifest (stat: %v)", err)
 	}
-	mj.Close()
-	if st := mj.ReplayStats(); mj.ReplayedAnswered() != chaosPlanSize || st.Empty == 0 || st.OutOfPlan != 0 || full.fabric.Exchanges() != 0 {
-		t.Errorf("merged run replayed %d of %d probes (%+v) and issued %d live exchanges",
-			mj.ReplayedAnswered(), chaosPlanSize, st, full.fabric.Exchanges())
+	if segs, _, err := segmentNames(merged); err != nil || len(segs) != 0 {
+		t.Errorf("the refused merge linked %v (err %v)", segs, err)
 	}
-	want, err := NewPipeline(newChaosFixture(t, 11).cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderRecords(got) != renderRecords(want) {
-		t.Error("merged report differs from the single-process run")
-	}
-
-	j, err := OpenJournal(v1Dir, v1Cfg, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if st := j.ReplayStats(); j.ReplayedAnswered() != 12*2+2*13*2 || st.Empty != 0 || st.OutOfPlan != 0 {
-		t.Errorf("version 1 shard resumes to %d answered, %+v", j.ReplayedAnswered(), st)
+	if after := dirBytes(t, v1Dir); !maps.Equal(after, before) {
+		t.Error("the refused merge and open changed the version 1 source")
 	}
 }
 
