@@ -217,12 +217,14 @@ func DefaultBreakerConfig() BreakerConfig {
 const breakerShards = 16
 
 // breaker is one server's failure state machine: closed (normal), open
-// (fail fast), half-open (one probe in flight decides).
+// (fail fast), half-open (one probe in flight decides). Every open resolver
+// keeps one per server it has asked, so the counts are 32 bits: the record is
+// 24 bytes rather than 32.
 type breaker struct {
 	mu      sync.Mutex
-	consec  int
+	consec  int32
+	blocked int32
 	open    bool
-	blocked int
 }
 
 // allow reports whether a call may proceed. On an open breaker it counts the
@@ -234,7 +236,7 @@ func (b *breaker) allow(cfg BreakerConfig) bool {
 		return true
 	}
 	b.blocked++
-	if b.blocked >= cfg.HalfOpenAfter {
+	if int(b.blocked) >= cfg.HalfOpenAfter {
 		b.blocked = 0
 		return true // half-open probe
 	}
@@ -252,7 +254,7 @@ func (b *breaker) report(s *BreakerSet, ok bool) {
 		return
 	}
 	b.consec++
-	if !b.open && b.consec >= s.cfg.Threshold {
+	if !b.open && int(b.consec) >= s.cfg.Threshold {
 		b.open = true
 		b.blocked = 0
 		s.trips.Add(1)
@@ -261,7 +263,7 @@ func (b *breaker) report(s *BreakerSet, ok bool) {
 
 type breakerShard struct {
 	mu sync.Mutex
-	m  map[netip.Addr]*breaker
+	m  map[netip.Addr]*breaker // made on the shard's first breaker
 }
 
 // BreakerSet holds the per-server breakers, sharded by server address so
@@ -272,13 +274,10 @@ type BreakerSet struct {
 	shards [breakerShards]breakerShard
 }
 
-// NewBreakerSet builds an empty set under the given config.
+// NewBreakerSet builds an empty set under the given config. Every open
+// resolver's client has one, so an empty set holds no maps.
 func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
-	s := &BreakerSet{cfg: cfg}
-	for i := range s.shards {
-		s.shards[i].m = make(map[netip.Addr]*breaker)
-	}
-	return s
+	return &BreakerSet{cfg: cfg}
 }
 
 // forAddr returns (creating if needed) the breaker for one server.
@@ -293,6 +292,9 @@ func (s *BreakerSet) forAddr(addr netip.Addr) *breaker {
 	defer sh.mu.Unlock()
 	b, ok := sh.m[addr]
 	if !ok {
+		if sh.m == nil {
+			sh.m = make(map[netip.Addr]*breaker)
+		}
 		b = &breaker{}
 		sh.m[addr] = b
 	}

@@ -1,6 +1,10 @@
 package resolver
 
-import "repro/internal/dns"
+import (
+	"sync/atomic"
+
+	"repro/internal/dns"
+)
 
 // StoredAnswers is the number of distinct responses the pool's resolvers
 // hold between them.
@@ -13,8 +17,10 @@ func (s *shared) storedAnswers() int { return len(*s.answers.Load()) }
 // cutsByZone copies the published zone cuts.
 func (s *shared) cutsByZone() map[dns.Name]*cut {
 	out := map[dns.Name]*cut{}
-	s.cuts.Range(func(zone, c any) bool {
-		out[zone.(dns.Name)] = c.(*cut)
+	s.cuts.Range(func(zone dns.Name, slot *atomic.Pointer[cut]) bool {
+		if c := slot.Load(); c != nil {
+			out[zone] = c
+		}
 		return true
 	})
 	return out

@@ -45,12 +45,14 @@ func (o *OpenResolver) HandleQuery(_ netip.Addr, q *dns.Message) *dns.Message {
 
 // AppendWire implements dnsio.WireResponder for a plain query
 // (dns.ParseQuery) of class IN with RD set: it resolves the question once and
-// appends the reply HandleQuery builds and dnsio packs for it. A resolved
-// answer the pool stores goes out as the query's ID, QR|RD|RA|RCODE, and the
-// stored wire form after its flags; one too long for the UDP payload size,
-// and one a resolver that caches nothing resolved, is built from the message
-// and packed, truncated over UDP. A failed resolution is SERVFAIL. Every
-// other shape is declined before anything is resolved.
+// appends the reply HandleQuery builds and dnsio packs for it. The resolver's
+// cache is looked up by the key of the question's wire bytes, so a cached
+// answer is found without the name becoming a dns.Name. A resolved answer the
+// pool stores goes out as the query's ID, QR|RD|RA|RCODE, and the stored wire
+// form after its flags; one too long for the UDP payload size, and one a
+// resolver that caches nothing resolved, is built from the message and
+// packed, truncated over UDP. A failed resolution is SERVFAIL. Every other
+// shape is declined before anything is resolved.
 func (o *OpenResolver) AppendWire(dst []byte, _ netip.Addr, raw []byte, via string) ([]byte, bool) {
 	const qr, rd, ra = 1 << 15, 1 << 8, 1 << 7
 	var buf [255]byte
@@ -58,10 +60,19 @@ func (o *OpenResolver) AppendWire(dst []byte, _ netip.Addr, raw []byte, via stri
 	if !ok || q.Flags&rd == 0 || q.Class != dns.ClassINET {
 		return dst, false
 	}
-	name := dns.Name(q.Name)
-	a, err := o.rec.resolve(context.Background(), name, q.Type, 0, o.rec.seconds())
-	if err != nil {
-		return q.AppendReply(dst, qr|rd|ra|uint16(dns.RCodeServFail)), true
+	now := o.rec.seconds()
+	key := questionKey(q.Name, q.Type)
+	a, hit := o.rec.cacheGet(key, now)
+	if hit {
+		asked := a.msg.Questions[0]
+		hit = string(asked.Name) == string(q.Name) && asked.Type == q.Type
+	}
+	if !hit {
+		var err error
+		a, err = o.rec.walk(context.Background(), dns.Question{Name: dns.Name(q.Name), Type: q.Type, Class: q.Class}, key, 0, now)
+		if err != nil {
+			return q.AppendReply(dst, qr|rd|ra|uint16(dns.RCodeServFail)), true
+		}
 	}
 	maxSize := 0 // stream- and HTTP-framed replies go whole
 	if via == dnsio.ViaUDP {
@@ -74,7 +85,7 @@ func (o *OpenResolver) AppendWire(dst []byte, _ netip.Addr, raw []byte, via stri
 	r := dns.Message{
 		Header: dns.Header{ID: q.ID, Response: true, RecursionDesired: true, RecursionAvailable: true,
 			RCode: a.msg.Header.RCode},
-		Questions: []dns.Question{{Name: name, Type: q.Type, Class: q.Class}},
+		Questions: a.msg.Questions, // the question asked, whichever path gave a
 		Answers:   a.msg.Answers,
 		Authority: a.msg.Authority,
 	}

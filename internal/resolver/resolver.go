@@ -13,9 +13,10 @@
 // resolver has cached, and until when, stays its own (see shared). For the
 // same reason they share a memo of the upstream answers resolutions ended
 // on: a resolution that receives an answer's bytes again books the answer
-// stored for them, without decoding them. An open resolver replies to a
-// plain query with the bytes its answer is stored under, behind the query's
-// own header word.
+// stored for them, without decoding them. A resolver's answer cache is keyed
+// by a hash of the question (questionKey), which an open resolver takes from
+// the query's wire bytes, and replies to a plain query with the bytes its
+// answer is stored under, behind the query's own header word.
 package resolver
 
 import (
@@ -25,12 +26,14 @@ import (
 	"hash/maphash"
 	"math"
 	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/dns"
 	"repro/internal/dnsio"
+	"repro/internal/readmap"
 )
 
 // Limits for the iteration loop.
@@ -58,7 +61,7 @@ type Recursive struct {
 	shared *shared
 
 	cacheMu sync.Mutex
-	cache   map[uint32]cached // by shared question id
+	cache   answerCache // by questionKey
 	// cacheLimit bounds the cache size (1<<16). Tests set 0, which disables
 	// caching, of answers and of zone cuts alike, for the uncached reference
 	// walk.
@@ -68,7 +71,8 @@ type Recursive struct {
 }
 
 // cached is one resolver's answer to one question: which stored response,
-// and until when this resolver may serve it.
+// and until when this resolver may serve it. Questions whose keys collide
+// share an entry; the stored response's question says which one it answers.
 type cached struct {
 	answer  uint32 // index into shared.answers
 	expires uint32 // on the resolver's clock, see seconds
@@ -84,39 +88,39 @@ type cut struct {
 
 // shared is the state resolvers can hold in common without changing what any
 // of them answers. Zone cuts: a downward referral is the same whoever asked.
-// Questions and answers: the tables hold content only — a resolver's cache
-// maps a question id to an answer id with its own expiry, so a geo-aware
-// zone's per-region answers stay with the resolvers that received them while
-// byte-identical responses are stored once, with the wire form they are
-// stored under, which an open resolver replies with behind its own header
-// word (OpenResolver.AppendWire). Upstream answers: a resolution that
-// completed on one upstream answer, with no CNAME to chase, is a pure
-// function of the question and that answer's bytes after the ID, so the memo
-// maps those bytes to the question, answer ids and TTL it gave; a resolution
-// of the same question that receives the same bytes — from any resolver of
-// the pool, since a geo-aware zone's regions receive different bytes — books
-// the stored answer, with no decode, no response built, packed or interned,
-// and no mu. Entries are immutable once published and never evicted; the
-// tables are bounded by the delegations and the distinct responses a world
-// can produce, the memo by upstreamMemoCap.
+// Answers: the store holds content only — a resolver's cache maps a question
+// key to an answer id with its own expiry, so a geo-aware zone's per-region
+// answers stay with the resolvers that received them while byte-identical
+// responses are stored once, with the wire form they are stored under, which
+// an open resolver replies with behind its own header word
+// (OpenResolver.AppendWire). Upstream answers: a resolution that completed on
+// one upstream answer, with no CNAME to chase, is a pure function of the
+// question and that answer's bytes after the ID, so the memo maps those bytes
+// to the question, answer id and TTL it gave; a resolution of the same
+// question that receives the same bytes — from any resolver of the pool,
+// since a geo-aware zone's regions receive different bytes — books the stored
+// answer, with no decode, no response built, packed or interned, and no mu.
+// Entries are immutable once published and never evicted; the tables are
+// bounded by the delegations and the distinct responses a world can produce,
+// the memo by upstreamMemoCap.
 //
 // Every resolver of a pool answers every probe through these tables, so
-// reading them writes nothing: cuts, questions and the memo are sync.Maps,
-// and answers is a slice header republished on every append (the backing
-// array is only copied when it grows, and a reader never indexes past the
-// header it loaded). Only interning something new takes mu.
+// reading them writes nothing: cuts and the memo are readmap.Maps, and
+// answers is a slice header republished on every append (the backing array is
+// only copied when it grows, and a reader never indexes past the header it
+// loaded). Only interning something new takes mu.
 type shared struct {
-	cuts      sync.Map // dns.Name → *cut
-	questions sync.Map // dns.Question → uint32, the question's id
-	answers   atomic.Pointer[[]storedAnswer]
+	// cuts holds a slot per zone a walk has learned a cut for; the slot holds
+	// the zone's current cut, nil once it is forgotten.
+	cuts    readmap.Map[dns.Name, *atomic.Pointer[cut]]
+	answers atomic.Pointer[[]storedAnswer]
 
-	mu         sync.Mutex        // serialises interning
-	nQuestions uint32            // ids handed out
-	answerIDs  map[string]uint32 // wire form of a response to its index in answers
+	mu        sync.Mutex        // serialises interning
+	answerIDs map[string]uint32 // wire form of a response to its index in answers
 
 	// known is the upstream memo, by the hash of an answer's wire form after
 	// the ID; nKnown counts its entries against upstreamMemoCap.
-	known     sync.Map // uint64 → *knownAnswer
+	known     readmap.Map[uint64, *knownAnswer]
 	nKnown    atomic.Int64
 	knownSeed maphash.Seed
 }
@@ -131,13 +135,12 @@ type storedAnswer struct {
 }
 
 // knownAnswer is an upstream memo entry: a terminal upstream answer, as its
-// wire form after the ID, and the question resolved on it with the ids of
-// that question and of the stored answer, and the answer's TTL.
+// wire form after the ID, and the question resolved on it with the id of the
+// stored answer and the answer's TTL.
 type knownAnswer struct {
-	key        string
-	q          dns.Question
-	id, answer uint32
-	ttl        uint32
+	key         string
+	q           dns.Question
+	answer, ttl uint32
 }
 
 // The upstream memo's caps: at most upstreamMemoCap entries, each an answer
@@ -159,11 +162,7 @@ func newShared() *shared {
 // It reads without writing.
 func (s *shared) recall(resp []byte, q dns.Question) *knownAnswer {
 	key := resp[2:]
-	v, ok := s.known.Load(maphash.Bytes(s.knownSeed, key))
-	if !ok {
-		return nil
-	}
-	if e := v.(*knownAnswer); e.q == q && e.key == string(key) {
+	if e, ok := s.known.Load(maphash.Bytes(s.knownSeed, key)); ok && e.q == q && e.key == string(key) {
 		return e
 	}
 	return nil
@@ -220,7 +219,6 @@ func newRecursive(client *dnsio.Client, roots []netip.Addr, s *shared) *Recursiv
 		client:     client,
 		root:       cut{zone: dns.Root, servers: roots},
 		shared:     s,
-		cache:      make(map[uint32]cached),
 		cacheLimit: 1 << 16,
 		now:        time.Now,
 	}
@@ -277,10 +275,16 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 		return storedAnswer{}, fmt.Errorf("%w: NS resolution too deep", ErrLoop)
 	}
 	q := dns.Question{Name: name, Type: qtype, Class: dns.ClassINET}
-	if a, ok := r.cacheGet(q, now); ok {
+	key := questionKey(name, qtype)
+	if a, ok := r.cacheGet(key, now); ok && a.msg.Questions[0] == q {
 		return a, nil
 	}
+	return r.walk(ctx, q, key, depth, now)
+}
 
+// walk resolves q, whose key is key, from the closest cut the resolver knows,
+// chasing CNAMEs, and caches the answer.
+func (r *Recursive) walk(ctx context.Context, q dns.Question, key uint64, depth int, now uint32) (storedAnswer, error) {
 	u := resolutionPool.Get().(*resolution)
 	defer resolutionPool.Put(u)
 	// The memo is asked while the walk asks the resolution's own question,
@@ -290,14 +294,14 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 		u.s.Known = u
 	}
 	var final *dns.Message
-	target := name
+	target := q.Name
 	for cnameHop := 0; cnameHop <= maxCNAMEHops; cnameHop++ {
-		resp, err := r.iterate(ctx, u, target, qtype, depth, now)
+		resp, err := r.iterate(ctx, u, target, q.Type, depth, now)
 		if err != nil {
 			return storedAnswer{}, err
 		}
 		if u.hit != nil {
-			return r.book(*u.hit, now), nil
+			return r.book(key, *u.hit, now), nil
 		}
 		if final == nil {
 			final = &dns.Message{
@@ -310,9 +314,9 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 		final.Authority = resp.Authority
 
 		// Done unless the terminal answer is an unchased CNAME.
-		last := lastCNAMETarget(resp.Answers, qtype)
+		last := lastCNAMETarget(resp.Answers, q.Type)
 		if last == dns.Root {
-			a, e, ok := r.cachePut(q, final, now)
+			a, e, ok := r.cachePut(q, key, final, now)
 			if !ok {
 				return storedAnswer{msg: final}, nil
 			}
@@ -326,7 +330,7 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 		u.s.Known = nil
 		target = last
 	}
-	return storedAnswer{}, fmt.Errorf("%w: CNAME chain too long for %s", ErrLoop, name.String())
+	return storedAnswer{}, fmt.Errorf("%w: CNAME chain too long for %s", ErrLoop, q.Name.String())
 }
 
 // lastCNAMETarget returns the target of the trailing CNAME if the answer
@@ -432,12 +436,17 @@ func (r *Recursive) closestCut(name dns.Name, now uint32) (at *cut, fromCache bo
 	if r.cacheLimit == 0 {
 		return &r.root, false
 	}
-	for zone := name; zone != dns.Root; zone = zone.Parent() {
-		if v, ok := r.shared.cuts.Load(zone); ok {
-			if c := v.(*cut); now < c.expires {
+	for i := 0; i < len(name); {
+		if slot, ok := r.shared.cuts.Load(name[i:]); ok {
+			if c := slot.Load(); c != nil && now < c.expires {
 				return c, true
 			}
 		}
+		dot := strings.IndexByte(string(name[i:]), '.')
+		if dot < 0 {
+			break
+		}
+		i += dot + 1
 	}
 	return &r.root, false
 }
@@ -449,13 +458,19 @@ func (r *Recursive) learnCut(c *cut) {
 	if r.cacheLimit == 0 {
 		return
 	}
-	r.shared.cuts.Store(c.zone, c)
+	slot, ok := r.shared.cuts.Load(c.zone)
+	if !ok {
+		slot, _ = r.shared.cuts.LoadOrStore(c.zone, new(atomic.Pointer[cut]))
+	}
+	slot.Store(c)
 }
 
 // forgetCut drops a cut whose servers all failed, unless another walk has
 // replaced it since. The roots are never in the table.
 func (r *Recursive) forgetCut(c *cut) {
-	r.shared.cuts.CompareAndDelete(c.zone, c)
+	if slot, ok := r.shared.cuts.Load(c.zone); ok {
+		slot.CompareAndSwap(c, nil)
+	}
 }
 
 // isReferral reports whether resp is a downward referral.
@@ -535,23 +550,35 @@ func (r *Recursive) queryAny(ctx context.Context, u *resolution, servers []netip
 	return nil, fmt.Errorf("%w: %v", ErrLame, lastErr)
 }
 
-func (r *Recursive) cacheGet(q dns.Question, now uint32) (storedAnswer, bool) {
+// questionKey is what a resolver's answer cache is keyed by: FNV-1a over a
+// question's name, in the lower-cased presentation form dns.Name and
+// dns.ParseQuery share, and its type. Questions of class IN are the only ones
+// a resolver resolves. Two questions may share a key, so an entry answers only
+// the question its stored answer carries.
+func questionKey[N ~string | ~[]byte](name N, t dns.Type) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime
+	}
+	h = (h ^ uint64(t>>8)) * prime
+	return (h ^ uint64(t&0xFF)) * prime
+}
+
+// cacheGet returns the stored answer r caches under key, if it is fresh at
+// now. The caller checks that the answer's question is the one it asks.
+func (r *Recursive) cacheGet(key uint64, now uint32) (storedAnswer, bool) {
 	if r.cacheLimit == 0 {
 		return storedAnswer{}, false
 	}
-	v, ok := r.shared.questions.Load(q)
-	if !ok {
-		return storedAnswer{}, false
-	}
-	id := v.(uint32)
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
-	e, ok := r.cache[id]
+	e, ok := r.cache.get(key)
 	if !ok {
 		return storedAnswer{}, false
 	}
 	if now >= e.expires {
-		delete(r.cache, id)
+		r.cache.delete(key)
 		return storedAnswer{}, false
 	}
 	return (*r.shared.answers.Load())[e.answer], true
@@ -563,10 +590,10 @@ var packBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// cachePut stores msg as q's answer and caches it; ok is false when it
-// cached nothing, and otherwise a is the stored answer, equal to msg, and e
+// cachePut stores msg as q's answer and caches it under key; ok is false when
+// it cached nothing, and otherwise a is the stored answer, equal to msg, and e
 // says what it booked.
-func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) (a storedAnswer, e knownAnswer, ok bool) {
+func (r *Recursive) cachePut(q dns.Question, key uint64, msg *dns.Message, now uint32) (a storedAnswer, e knownAnswer, ok bool) {
 	if r.cacheLimit == 0 {
 		return a, e, false
 	}
@@ -581,38 +608,28 @@ func (r *Recursive) cachePut(q dns.Question, msg *dns.Message, now uint32) (a st
 	}
 	*bp = wire
 	e.q, e.ttl = q, messageTTL(msg)
-	e.id, e.answer = r.shared.intern(q, wire, msg)
-	return r.book(e, now), e, true
+	e.answer = r.shared.intern(wire, msg)
+	return r.book(key, e, now), e, true
 }
 
-// book caches e's stored answer as its question's for e's TTL from now, and
-// returns it.
-func (r *Recursive) book(e knownAnswer, now uint32) storedAnswer {
+// book caches e's stored answer under key, its question's, for e's TTL from
+// now, and returns it.
+func (r *Recursive) book(key uint64, e knownAnswer, now uint32) storedAnswer {
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
-	if len(r.cache) >= r.cacheLimit {
+	if r.cache.n >= r.cacheLimit {
 		// Drop an arbitrary entry; good enough for a measurement cache.
-		for k := range r.cache {
-			delete(r.cache, k)
-			break
-		}
+		r.cache.evict()
 	}
-	r.cache[e.id] = cached{answer: e.answer, expires: expiry(now, e.ttl)}
+	r.cache.put(key, cached{answer: e.answer, expires: expiry(now, e.ttl)})
 	return (*r.shared.answers.Load())[e.answer]
 }
 
-// intern returns the ids of a question and of a response's content, storing
-// msg as that content's one instance if no equal response is stored yet.
-func (s *shared) intern(q dns.Question, wire []byte, msg *dns.Message) (id, answer uint32) {
+// intern returns the id of a response's content, storing msg as that
+// content's one instance if no equal response is stored yet.
+func (s *shared) intern(wire []byte, msg *dns.Message) (answer uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v, ok := s.questions.Load(q); ok {
-		id = v.(uint32)
-	} else {
-		id = s.nQuestions
-		s.nQuestions++
-		s.questions.Store(q, id)
-	}
 	answer, ok := s.answerIDs[string(wire)]
 	if !ok {
 		answers := *s.answers.Load()
@@ -622,7 +639,7 @@ func (s *shared) intern(q dns.Question, wire []byte, msg *dns.Message) (id, answ
 		answers = append(answers, storedAnswer{msg: msg, wire: key})
 		s.answers.Store(&answers)
 	}
-	return id, answer
+	return answer
 }
 
 // messageTTL picks the cache lifetime: the minimum answer TTL, or the SOA
@@ -652,5 +669,5 @@ func messageTTL(msg *dns.Message) uint32 {
 func (r *Recursive) CacheSize() int {
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
-	return len(r.cache)
+	return r.cache.n
 }

@@ -2,8 +2,10 @@ package resolver
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,9 +14,10 @@ import (
 )
 
 // TestOpenResolverWireAllocs pins an open resolver's cached answer in wire
-// form at one heap object, the question name the resolution is keyed by: the
-// reply is the stored wire form behind a new header word, with no message
-// built or packed. It must equal the message path's bytes.
+// form at zero heap objects: the cache is looked up by the key of the query's
+// wire question, and the reply is the stored wire form behind a new header
+// word, with no name converted and no message built or packed. It must equal
+// the message path's bytes.
 func TestOpenResolverWireAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -40,8 +43,8 @@ func TestOpenResolverWireAllocs(t *testing.T) {
 		if _, handled := o.AppendWire(buf, w.site, raw, dnsio.ViaUDP); !handled {
 			t.Fatal("a plain RD query was declined")
 		}
-	}); allocs > 1 {
-		t.Errorf("%v allocs per cached answer in wire form, want at most 1", allocs)
+	}); allocs != 0 {
+		t.Errorf("%v allocs per cached answer in wire form, want 0", allocs)
 	}
 	if got := w.fabric.Exchanges() - exchanges; got != 0 {
 		t.Errorf("cached answers made %d upstream exchanges", got)
@@ -129,5 +132,117 @@ func TestOpenResolverWireMatchesMessagePath(t *testing.T) {
 	check("server down")
 	if reply := dnsio.ServeRaw(cached, w.site, cases[len(cases)-1].raw, dnsio.ViaUDP); reply[3]&0x0F != byte(dns.RCodeServFail) {
 		t.Errorf("rcode %d with the server down, want SERVFAIL", reply[3]&0x0F)
+	}
+}
+
+// wireQuery packs a plain RD query for (name, typ).
+func wireQuery(t *testing.T, name dns.Name, typ dns.Type) []byte {
+	t.Helper()
+	q := dns.NewQuery(0x0C0C, name, typ)
+	q.Header.RecursionDesired = true
+	raw, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestQuestionKeyCollisionIsAMiss plants, under a question's cache key, an
+// entry that points at another question's stored answer — what two questions
+// whose keys collide leave behind. Resolve and AppendWire must both take it
+// for a miss, resolve, and answer the question asked, as a resolver that
+// caches nothing does.
+func TestQuestionKeyCollisionIsAMiss(t *testing.T) {
+	w := buildWorld(t)
+	ctx := context.Background()
+	asn := w.ipdb.RegisterAS("OPENRES", "JP", 1)
+	roots := []netip.Addr{w.reg.RootAddr()}
+	o, err := NewOpenResolver(w.fabric, w.ipdb.MustAllocate(asn), "JP", roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewOpenResolver(w.fabric, w.ipdb.MustAllocate(asn), "JP", roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Resolver().cacheLimit = 0
+	if _, err := o.Resolver().Resolve(ctx, "example.com", dns.TypeA); err != nil {
+		t.Fatal(err)
+	}
+	other, ok := o.rec.cache.get(questionKey(dns.Name("example.com"), dns.TypeA))
+	if !ok {
+		t.Fatal("example.com A not cached")
+	}
+	for _, asked := range []dns.Question{
+		{Name: "example.com", Type: dns.TypeTXT, Class: dns.ClassINET},   // same name, another type
+		{Name: "ext.example.com", Type: dns.TypeA, Class: dns.ClassINET}, // another name, same type
+	} {
+		plant := func() {
+			o.rec.cacheMu.Lock()
+			o.rec.cache.put(questionKey(asked.Name, asked.Type), other)
+			o.rec.cacheMu.Unlock()
+		}
+		want, err := ref.Resolver().Resolve(ctx, asked.Name, asked.Type)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plant()
+		got, err := o.Resolver().Resolve(ctx, asked.Name, asked.Type)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Question() != asked || !reflect.DeepEqual(got.Answers, want.Answers) {
+			t.Errorf("Resolve %v over a colliding entry: question %v, answers %v; want %v", asked, got.Question(), got.Answers, want.Answers)
+		}
+		raw := wireQuery(t, asked.Name, asked.Type)
+		wantWire, _ := ref.AppendWire(nil, w.site, raw, dnsio.ViaUDP)
+		plant()
+		gotWire, handled := o.AppendWire(nil, w.site, raw, dnsio.ViaUDP)
+		if !handled || !bytes.Equal(gotWire, wantWire) {
+			t.Errorf("AppendWire %v over a colliding entry:\n got: %x\nwant: %x", asked, gotWire, wantWire)
+		}
+	}
+}
+
+// TestResolveAndAppendWireShareOneEntry: the key an open resolver derives
+// from a query's wire question, in whatever case the query spells it, is the
+// key Resolve derives from the dns.Name, so whichever asks first, the other is
+// answered from that one entry — no exchange, and the cache does not grow.
+func TestResolveAndAppendWireShareOneEntry(t *testing.T) {
+	for _, wireFirst := range []bool{false, true} {
+		w := buildWorld(t)
+		o, err := NewOpenResolver(w.fabric, w.ipdb.MustAllocate(w.ipdb.RegisterAS("OPENRES", "JP", 1)), "JP",
+			[]netip.Addr{w.reg.RootAddr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := wireQuery(t, "www.example.com", dns.TypeA)
+		q := raw[12 : len(raw)-4] // the question name: length octets stay below 'a'
+		copy(q, bytes.ToUpper(q))
+		viaWire := func() {
+			reply, handled := o.AppendWire(nil, w.site, raw, dnsio.ViaUDP)
+			if want := dnsio.ServeRaw(dnsio.ResponderFunc(o.HandleQuery), w.site, raw, dnsio.ViaUDP); !handled || !bytes.Equal(reply, want) {
+				t.Errorf("wire reply %x, message path %x", reply, want)
+			}
+		}
+		viaResolve := func() {
+			addrs, err := o.Resolver().LookupA(context.Background(), "www.example.com")
+			if err != nil || len(addrs) != 1 || addrs[0] != w.site {
+				t.Errorf("LookupA: %v, %v", addrs, err)
+			}
+		}
+		first, second := viaResolve, viaWire
+		if wireFirst {
+			first, second = viaWire, viaResolve
+		}
+		first()
+		size, exchanges := o.Resolver().CacheSize(), w.fabric.Exchanges()
+		second()
+		if got := w.fabric.Exchanges() - exchanges; got != 0 {
+			t.Errorf("wire first %v: the second ask made %d exchanges", wireFirst, got)
+		}
+		if got := o.Resolver().CacheSize(); got != size {
+			t.Errorf("wire first %v: cache grew from %d to %d entries", wireFirst, size, got)
+		}
 	}
 }

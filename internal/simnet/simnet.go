@@ -30,6 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/readmap"
 )
 
 // Handler consumes a request payload and returns a response payload.
@@ -132,8 +134,9 @@ func (h *host) book(counter *int64) {
 
 // Fabric is a virtual packet network. The zero value is not usable; call New.
 type Fabric struct {
-	// hosts maps netip.Addr to *host; the hot path reads it without a lock.
-	hosts sync.Map
+	// hosts holds every host the fabric has made; the hot path reads it
+	// without a lock.
+	hosts readmap.Map[netip.Addr, *host]
 
 	lossBits atomic.Uint64 // math.Float64bits of the loss probability
 	baseRTT  atomic.Int64  // nanoseconds
@@ -160,17 +163,16 @@ func New(seed int64) *Fabric {
 
 // hostOf returns the record of addr, making it on first sight.
 func (f *Fabric) hostOf(addr netip.Addr) *host {
-	if v, ok := f.hosts.Load(addr); ok {
-		return v.(*host)
+	if h, ok := f.hosts.Load(addr); ok {
+		return h
 	}
-	v, _ := f.hosts.LoadOrStore(addr, &host{})
-	return v.(*host)
+	h, _ := f.hosts.LoadOrStore(addr, &host{})
+	return h
 }
 
 // eachHost calls fn on every host, with its lock held.
 func (f *Fabric) eachHost(fn func(*host)) {
-	f.hosts.Range(func(_, v any) bool {
-		h := v.(*host)
+	f.hosts.Range(func(_ netip.Addr, h *host) bool {
 		h.mu.Lock()
 		fn(h)
 		h.mu.Unlock()
@@ -229,11 +231,10 @@ func (f *Fabric) Unlisten(ep Endpoint) {
 // withService calls fn on the endpoint's entry, under its host's lock, if the
 // fabric has one; it makes neither host nor entry.
 func (f *Fabric) withService(ep Endpoint, fn func(*service)) {
-	v, ok := f.hosts.Load(ep.Addr)
+	hst, ok := f.hosts.Load(ep.Addr)
 	if !ok {
 		return
 	}
-	hst := v.(*host)
 	hst.mu.Lock()
 	defer hst.mu.Unlock()
 	if svc := hst.serviceAt(ep.Port); svc != nil {
@@ -348,11 +349,10 @@ func (f *Fabric) Drops() int64 {
 
 // QueriesTo returns how many exchanges targeted the given IP.
 func (f *Fabric) QueriesTo(addr netip.Addr) int64 {
-	v, ok := f.hosts.Load(addr)
+	h, ok := f.hosts.Load(addr)
 	if !ok {
 		return 0
 	}
-	h := v.(*host)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.queries
