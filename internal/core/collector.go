@@ -120,8 +120,8 @@ func (c *Config) parallelism() int {
 }
 
 // probeShards shards the web probe cache so workers probing different IPs
-// never contend on one lock. A power of two, like covShards: the shard index
-// is a mask away from the address hash.
+// never contend on one lock. A power of two: the shard index is a mask away
+// from the address hash.
 const probeShards = 32
 
 // addrShard hashes an address onto [0, n). n must be a power of two.
@@ -157,10 +157,10 @@ type Collector struct {
 
 	queries atomic.Int64
 	probes  [probeShards]probeShard
-	// cov is the sharded coverage book: per-server query counts and
+	// cov is the coverage book: per-server query counts and
 	// attempted/answered tallies, plus the failure records feeding the
 	// end-of-sweep re-queue pass.
-	cov [covShards]covShard
+	cov coverageBook
 
 	// probeFn indirects websim.World.Probe so tests can count or stub the
 	// expensive web fetch; nil when the config carries no web world.
@@ -214,9 +214,7 @@ func NewCollector(cfg *Config) *Collector {
 	for i := range c.probes {
 		c.probes[i].m = make(map[netip.Addr]*probeEntry)
 	}
-	for i := range c.cov {
-		c.cov[i].per = make(map[netip.Addr]*serverCov)
-	}
+	c.cov.per = make(map[netip.Addr]*serverCov)
 	if cfg.Web != nil {
 		c.probeFn = cfg.Web.Probe
 	}
@@ -457,14 +455,11 @@ func (c *Collector) Queries() int64 {
 // queried in parallel, so the busiest one gates the scan).
 func (c *Collector) PoliteScanEstimate() time.Duration {
 	var busiest int64
-	for i := range c.cov {
-		s := &c.cov[i]
-		s.mu.Lock()
-		for _, sc := range s.per {
-			busiest = max(busiest, sc.queries)
-		}
-		s.mu.Unlock()
+	c.cov.mu.Lock()
+	for _, sc := range c.cov.per {
+		busiest = max(busiest, sc.queries)
 	}
+	c.cov.mu.Unlock()
 	return time.Duration(busiest) * politeInterval
 }
 

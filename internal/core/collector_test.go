@@ -246,9 +246,6 @@ func TestCollectProtective(t *testing.T) {
 	if db.Match(fx.urNS.Addr, dns.TypeA, fx.protAddr.String()) {
 		t.Error("protective record attributed to wrong server")
 	}
-	if db.ProtectiveServers() != 1 {
-		t.Errorf("protective servers = %d", db.ProtectiveServers())
-	}
 }
 
 func TestPipelineOnFixture(t *testing.T) {

@@ -30,10 +30,6 @@ type probeFailure struct {
 	pos    probePos // what the journal names the probe by
 }
 
-// covShards slices the coverage book by server address, like the collector's
-// other shared books, so sweep workers never contend on one lock.
-const covShards = 32
-
 // serverCov is one server's query count and completeness tally. failed is
 // derived: attempted - answered equals the number of failure records still on
 // file. queries counts every exchange issued, re-queue retries included.
@@ -44,9 +40,10 @@ type serverCov struct {
 	recovered int64
 }
 
-// covShard is one slice of the coverage book: per-server tallies plus the
-// failure records for servers hashing here.
-type covShard struct {
+// coverageBook is the collector's completeness book: per-server tallies plus
+// the failure records feeding the end-of-sweep re-queue pass. Workers book it
+// once per job or re-queue batch, never per probe, so one lock serves.
+type coverageBook struct {
 	mu       sync.Mutex
 	per      map[netip.Addr]*serverCov
 	failures []probeFailure
@@ -101,15 +98,10 @@ func (c *Coverage) AnsweredRatio() float64 {
 	return float64(c.Answered) / float64(c.Attempted)
 }
 
-// covShardOf hashes a server address onto its coverage shard.
-func (c *Collector) covShardOf(addr netip.Addr) *covShard {
-	return &c.cov[addrShard(addr, covShards)]
-}
-
 // bookSweep books one server's batch of probe outcomes: the queries it
 // issued, counts once per (server, sweep) batch, failure records appended for
 // the re-queue pass. Workers book per batch rather than per query, so the
-// shard lock is touched a handful of times per server instead of millions of
+// book's lock is touched a handful of times per server instead of millions of
 // times per run.
 // recovered counts probes that failed and then answered on a retry — the
 // fused sweep's canary retry, the re-queue pass, or a journaled failure
@@ -120,7 +112,7 @@ func (c *Collector) bookSweep(server netip.Addr, issued, attempted, answered, re
 		return
 	}
 	c.queries.Add(issued)
-	s := c.covShardOf(server)
+	s := &c.cov
 	s.mu.Lock()
 	sc := s.per[server]
 	if sc == nil {
@@ -138,20 +130,18 @@ func (c *Collector) bookSweep(server netip.Addr, issued, attempted, answered, re
 // drainFailures removes and returns every parked failure of one sweep.
 func (c *Collector) drainFailures(kind sweepKind) []probeFailure {
 	var out []probeFailure
-	for i := range c.cov {
-		s := &c.cov[i]
-		s.mu.Lock()
-		kept := s.failures[:0]
-		for _, f := range s.failures {
-			if f.sweep == kind {
-				out = append(out, f)
-			} else {
-				kept = append(kept, f)
-			}
+	s := &c.cov
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	kept := s.failures[:0]
+	for _, f := range s.failures {
+		if f.sweep == kind {
+			out = append(out, f)
+		} else {
+			kept = append(kept, f)
 		}
-		s.failures = kept
-		s.mu.Unlock()
 	}
+	s.failures = kept
 	return out
 }
 
@@ -174,30 +164,24 @@ func sortFailures(fails []probeFailure) {
 // interest; the pipeline attaches the final snapshot to its Result.
 func (c *Collector) Coverage() *Coverage {
 	cov := &Coverage{FailedByClass: make(map[string]int64)}
-	perServer := make(map[netip.Addr]*ServerCoverage)
-	for i := range c.cov {
-		s := &c.cov[i]
-		s.mu.Lock()
-		for addr, sc := range s.per {
-			perServer[addr] = &ServerCoverage{
-				Addr:      addr,
-				Attempted: sc.attempted,
-				Answered:  sc.answered,
-				Failed:    sc.attempted - sc.answered,
-				Recovered: sc.recovered,
-			}
-			cov.Attempted += sc.attempted
-			cov.Answered += sc.answered
-			cov.RetriedRecovered += sc.recovered
-		}
-		for _, f := range s.failures {
-			cov.FailedByClass[f.class.String()]++
-		}
-		s.mu.Unlock()
+	s := &c.cov
+	s.mu.Lock()
+	for addr, sc := range s.per {
+		cov.PerServer = append(cov.PerServer, ServerCoverage{
+			Addr:      addr,
+			Attempted: sc.attempted,
+			Answered:  sc.answered,
+			Failed:    sc.attempted - sc.answered,
+			Recovered: sc.recovered,
+		})
+		cov.Attempted += sc.attempted
+		cov.Answered += sc.answered
+		cov.RetriedRecovered += sc.recovered
 	}
-	for _, sc := range perServer {
-		cov.PerServer = append(cov.PerServer, *sc)
+	for _, f := range s.failures {
+		cov.FailedByClass[f.class.String()]++
 	}
+	s.mu.Unlock()
 	sort.Slice(cov.PerServer, func(i, j int) bool {
 		return cov.PerServer[i].Addr.Compare(cov.PerServer[j].Addr) < 0
 	})

@@ -257,35 +257,20 @@ type protectiveKey struct {
 // determine worker and reads without writing; Add runs a few times per server.
 type ProtectiveDB struct {
 	records sync.Map // protectiveKey → struct{}
-
-	mu    sync.Mutex
-	perNS map[netip.Addr]int
 }
 
 // NewProtectiveDB creates an empty database.
 func NewProtectiveDB() *ProtectiveDB {
-	return &ProtectiveDB{perNS: make(map[netip.Addr]int)}
+	return &ProtectiveDB{}
 }
 
 // Add records a protective (server, type, rdata) observation.
 func (db *ProtectiveDB) Add(server netip.Addr, t dns.Type, rdata string) {
-	k := protectiveKey{server: server, t: t, rdata: rdata}
-	if _, dup := db.records.LoadOrStore(k, struct{}{}); !dup {
-		db.mu.Lock()
-		db.perNS[server]++
-		db.mu.Unlock()
-	}
+	db.records.LoadOrStore(protectiveKey{server: server, t: t, rdata: rdata}, struct{}{})
 }
 
 // Match reports whether the tuple is a known protective record.
 func (db *ProtectiveDB) Match(server netip.Addr, t dns.Type, rdata string) bool {
 	_, ok := db.records.Load(protectiveKey{server: server, t: t, rdata: rdata})
 	return ok
-}
-
-// ProtectiveServers returns how many nameservers serve protective records.
-func (db *ProtectiveDB) ProtectiveServers() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.perNS)
 }

@@ -17,6 +17,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/readmap"
 	"repro/internal/simnet"
 )
 
@@ -213,9 +214,6 @@ func DefaultBreakerConfig() BreakerConfig {
 	return BreakerConfig{Threshold: 5, HalfOpenAfter: 8}
 }
 
-// breakerShards bounds lock contention when many workers share one client.
-const breakerShards = 16
-
 // breaker is one server's failure state machine: closed (normal), open
 // (fail fast), half-open (one probe in flight decides). Every open resolver
 // keeps one per server it has asked, so the counts are 32 bits: the record is
@@ -261,17 +259,13 @@ func (b *breaker) report(s *BreakerSet, ok bool) {
 	}
 }
 
-type breakerShard struct {
-	mu sync.Mutex
-	m  map[netip.Addr]*breaker // made on the shard's first breaker
-}
-
-// BreakerSet holds the per-server breakers, sharded by server address so
-// sweep workers on different servers never contend.
+// BreakerSet holds the per-server breakers. Finding a server's breaker
+// takes no lock once it is published, so sweep workers on different servers
+// never contend.
 type BreakerSet struct {
-	cfg    BreakerConfig
-	trips  atomic.Int64
-	shards [breakerShards]breakerShard
+	cfg   BreakerConfig
+	trips atomic.Int64
+	m     readmap.Map[netip.Addr, *breaker]
 }
 
 // NewBreakerSet builds an empty set under the given config. Every open
@@ -282,22 +276,10 @@ func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
 
 // forAddr returns (creating if needed) the breaker for one server.
 func (s *BreakerSet) forAddr(addr netip.Addr) *breaker {
-	a := addr.As16()
-	h := uint32(2166136261)
-	for _, b := range a[8:] {
-		h = (h ^ uint32(b)) * 16777619
+	if b, ok := s.m.Load(addr); ok {
+		return b
 	}
-	sh := &s.shards[h&(breakerShards-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b, ok := sh.m[addr]
-	if !ok {
-		if sh.m == nil {
-			sh.m = make(map[netip.Addr]*breaker)
-		}
-		b = &breaker{}
-		sh.m[addr] = b
-	}
+	b, _ := s.m.LoadOrStore(addr, &breaker{})
 	return b
 }
 

@@ -3,10 +3,11 @@ package transport
 import (
 	"context"
 	"net/netip"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dnsio"
+	"repro/internal/readmap"
 )
 
 // Modeled crypto costs, in units of the fabric's base RTT. The handshake is
@@ -44,22 +45,18 @@ type simEncrypted struct {
 	handshakeRTTs int64
 	recordDiv     int64
 
-	mu         sync.Mutex
-	seen       map[netip.Addr]struct{}
-	handshakes int64
+	seen       readmap.Map[netip.Addr, struct{}] // servers a session is set up with
+	handshakes atomic.Int64
 }
 
 // Exchange implements dnsio.Transport: book the modeled costs, then carry the
 // message exactly as the plain transport would.
 func (t *simEncrypted) Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
 	base := t.inner.Fabric.BaseRTT()
-	t.mu.Lock()
-	if _, ok := t.seen[server.Addr()]; !ok {
-		t.seen[server.Addr()] = struct{}{}
-		t.handshakes++
+	if _, loaded := t.seen.LoadOrStore(server.Addr(), struct{}{}); !loaded {
+		t.handshakes.Add(1)
 		t.inner.Fabric.AdvanceVirtual(time.Duration(t.handshakeRTTs) * base)
 	}
-	t.mu.Unlock()
 	t.inner.Fabric.AdvanceVirtual(base / time.Duration(t.recordDiv))
 	return t.inner.Exchange(ctx, buf, server, packed, tcp)
 }
@@ -76,8 +73,4 @@ func (t *simEncrypted) SleepVirtual(d time.Duration) {
 
 // Handshakes returns how many per-server session setups were booked — the
 // numerator of the amortization the TransportSweep benchmark reports.
-func (t *simEncrypted) Handshakes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.handshakes
-}
+func (t *simEncrypted) Handshakes() int64 { return t.handshakes.Load() }

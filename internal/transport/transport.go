@@ -82,6 +82,5 @@ func NewSim(k Kind, f *simnet.Fabric, src netip.Addr) (dnsio.Transport, error) {
 	default:
 		return nil, fmt.Errorf("transport: no simulated transport for kind %q", k)
 	}
-	return &simEncrypted{inner: inner, handshakeRTTs: handshakeRTTs, recordDiv: recordDiv,
-		seen: make(map[netip.Addr]struct{})}, nil
+	return &simEncrypted{inner: inner, handshakeRTTs: handshakeRTTs, recordDiv: recordDiv}, nil
 }
