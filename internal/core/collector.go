@@ -119,33 +119,12 @@ func (c *Config) parallelism() int {
 	return c.Parallelism
 }
 
-// probeShards shards the web probe cache so workers probing different IPs
-// never contend on one lock. A power of two: the shard index is a mask away
-// from the address hash.
-const probeShards = 32
-
-// addrShard hashes an address onto [0, n). n must be a power of two.
-func addrShard(addr netip.Addr, n uint32) uint32 {
-	a := addr.As16()
-	h := uint32(2166136261)
-	for _, b := range a[8:] {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	return h & (n - 1)
-}
-
 // probeEntry is a singleflight slot for one IP's web probe: the first
 // requester fills res and closes done; everyone else blocks on done instead
 // of issuing a duplicate probe.
 type probeEntry struct {
 	done chan struct{}
 	res  websim.ProbeResult
-}
-
-// probeShard is one slice of the probe cache.
-type probeShard struct {
-	mu sync.Mutex
-	m  map[netip.Addr]*probeEntry
 }
 
 // Collector implements §4.1: response collection.
@@ -156,7 +135,9 @@ type Collector struct {
 	err error
 
 	queries atomic.Int64
-	probes  [probeShards]probeShard
+	// probes is the web-probe cache, one singleflight entry per address.
+	probeMu sync.Mutex
+	probes  map[netip.Addr]*probeEntry
 	// cov is the coverage book: per-server query counts and
 	// attempted/answered tallies, plus the failure records feeding the
 	// end-of-sweep re-queue pass.
@@ -173,10 +154,6 @@ type Collector struct {
 
 	// canary is cfg.CanaryName(), formatted once.
 	canary dns.Name
-
-	// in interns UR identity strings (rdata) so a sweep holds one canonical
-	// instance of each distinct value; see intern.go.
-	in *Interner
 
 	// deleg memoizes the delegated hosts of each target position (the
 	// ancestor walk over cfg.DelegatedNS), built once on first use instead of
@@ -210,10 +187,7 @@ func NewCollector(cfg *Config) *Collector {
 	// Backoff jitter follows the config seed so two runs over the same world
 	// book identical virtual wall-clock even under chaos.
 	client.Backoff.JitterSeed = uint64(cfg.Seed)
-	c := &Collector{cfg: cfg, client: client, err: err, journal: cfg.Journal, canary: cfg.CanaryName(), in: NewInterner()}
-	for i := range c.probes {
-		c.probes[i].m = make(map[netip.Addr]*probeEntry)
-	}
+	c := &Collector{cfg: cfg, client: client, err: err, journal: cfg.Journal, canary: cfg.CanaryName(), probes: make(map[netip.Addr]*probeEntry)}
 	c.cov.per = make(map[netip.Addr]*serverCov)
 	if cfg.Web != nil {
 		c.probeFn = cfg.Web.Probe
@@ -242,12 +216,14 @@ func (c *Collector) releaseSegment(seg *segmentWriter) {
 // sweepWorker is what one pool goroutine owns for a whole sweep: its journal
 // segment, the scratch every answer — live or, on a resumed run, replayed from
 // the index — is decoded into, the memo of what it derived from the answers it
-// has seen (memo.go), and the buffer its jobs shuffle their target order in.
+// has seen and the table its URs' rdata is interned in (memo.go), and the
+// buffer its jobs shuffle their target order in.
 type sweepWorker struct {
 	seg     *segmentWriter
 	replay  *replayIndex
 	scratch dnsio.Scratch
 	answers answerMemo
+	strs    internTable
 	order   []int32
 
 	// kind is the sweep kind of the live probe in flight, and seen the memo
@@ -584,7 +560,7 @@ func (c *Collector) sweepTargets(ctx context.Context, j *sweepJob, out []*UR) ([
 				out = seen.appendURs(out, j.ns)
 			case resp != nil:
 				n := len(out)
-				out = c.ursFromResponse(j.ns, target, qt, resp, out)
+				out = ursFromResponse(&j.w.strs, j.ns, target, qt, resp, out)
 				j.w.answers.put(wire, resp, sweepURs, target, qt, out[n:])
 			}
 		}
@@ -593,11 +569,11 @@ func (c *Collector) sweepTargets(ctx context.Context, j *sweepJob, out []*UR) ([
 }
 
 // ursFromResponse extracts this probe's undelegated records from a NOERROR
-// response and appends them to out. RData is interned: the same record served
-// by many nameservers (the common hosting-provider case) collapses to one
-// canonical string, which both trims live heap and makes the determiner's
-// memo-map lookups pointer-equality fast.
-func (c *Collector) ursFromResponse(ns NameserverInfo, domain dns.Name, qt dns.Type, resp *dns.Message, out []*UR) []*UR {
+// response and appends them to out. RData is interned in strs: the same record
+// served by many nameservers (the common hosting-provider case) collapses to
+// one string per sweep worker, which both trims live heap and makes the
+// determiner's memo-map lookups pointer-equality fast.
+func ursFromResponse(strs *internTable, ns NameserverInfo, domain dns.Name, qt dns.Type, resp *dns.Message, out []*UR) []*UR {
 	if resp.Header.RCode != dns.RCodeSuccess {
 		return out
 	}
@@ -609,7 +585,7 @@ func (c *Collector) ursFromResponse(ns NameserverInfo, domain dns.Name, qt dns.T
 			Server: ns,
 			Domain: domain,
 			Type:   qt,
-			RData:  c.in.Intern(rr.Data.String()),
+			RData:  strs.intern(rr.Data.String()),
 			TTL:    rr.TTL,
 		})
 	}
@@ -713,16 +689,15 @@ func (c *Collector) enrichOne(m *detMemo, u *UR) {
 // callers for the same IP coalesce onto a single fetch: the first locks in a
 // singleflight entry and probes, the rest wait for its result.
 func (c *Collector) probe(addr netip.Addr) websim.ProbeResult {
-	s := &c.probes[addrShard(addr, probeShards)]
-	s.mu.Lock()
-	if e, ok := s.m[addr]; ok {
-		s.mu.Unlock()
+	c.probeMu.Lock()
+	if e, ok := c.probes[addr]; ok {
+		c.probeMu.Unlock()
 		<-e.done
 		return e.res
 	}
 	e := &probeEntry{done: make(chan struct{})}
-	s.m[addr] = e
-	s.mu.Unlock()
+	c.probes[addr] = e
+	c.probeMu.Unlock()
 	e.res = c.probeFn(c.cfg.SrcAddr, addr)
 	close(e.done)
 	return e.res
@@ -730,21 +705,28 @@ func (c *Collector) probe(addr netip.Addr) websim.ProbeResult {
 
 // CollectCorrect builds the legitimate-record database by querying the open
 // resolvers for every target's A and TXT records and folding in enrichment —
-// the geo-distributed correct-record collection of §4.1(2).
+// the geo-distributed correct-record collection of §4.1(2). Every target's
+// profile is made before the pool starts, so the sweep reaches one by target
+// position and nobody writes the database's index.
 func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	db := NewCorrectDB()
+	profiles := make([]*DomainProfile, len(c.cfg.Targets))
+	for i, target := range c.cfg.Targets {
+		profiles[i] = db.Profile(target)
+	}
 	resolvers := make([]NameserverInfo, len(c.cfg.OpenResolvers))
 	for i, r := range c.cfg.OpenResolvers {
 		resolvers[i] = NameserverInfo{Addr: r}
 	}
 	err := c.sweepPool(ctx, []sweepKind{sweepCorrect}, 0, resolvers, func(w *sweepWorker, unit int, resolver NameserverInfo) error {
-		return c.collectCorrectVia(ctx, w, unit, db, resolver)
+		return c.collectCorrectVia(ctx, w, unit, profiles, resolver)
 	})
 	if err != nil {
 		return nil, err
 	}
+	nq := len(c.cfg.queryTypes())
 	err = c.requeueOn(ctx, sweepCorrect, func(f probeFailure, resp *dns.Message) {
-		c.addCorrectAnswers(db, f.domain, resp)
+		c.addCorrectAnswers(profiles[f.pos.slot/nq], resp)
 	})
 	if err != nil {
 		return nil, err
@@ -752,7 +734,7 @@ func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	return db, nil
 }
 
-func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, unit int, db *CorrectDB, resolver NameserverInfo) error {
+func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, unit int, profiles []*DomainProfile, resolver NameserverInfo) error {
 	j := c.startJob(w, unit, resolver)
 	defer j.book()
 	w.order = c.shuffledTargets(w.order, resolver.Addr)
@@ -766,7 +748,7 @@ func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, unit 
 				return err
 			}
 			if resp != nil {
-				c.addCorrectAnswers(db, target, resp)
+				c.addCorrectAnswers(profiles[t], resp)
 				w.answers.put(wire, resp, sweepCorrect, target, qt, nil)
 			}
 		}
@@ -774,17 +756,21 @@ func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, unit 
 	return nil
 }
 
-// addCorrectAnswers folds one open-resolver response into the
-// legitimate-record database, with the same enrichment either way the
-// response arrived (main sweep or re-queue pass).
-func (c *Collector) addCorrectAnswers(db *CorrectDB, target dns.Name, resp *dns.Message) {
+// addCorrectAnswers folds one open-resolver response into the target's
+// legitimate-record profile, with the same enrichment either way the response
+// arrived (main sweep or re-queue pass). An address the profile already holds
+// is skipped before its IPDB lookup and web probe: its AS, country and
+// certificate are fixed within a sweep, so they are in the profile already.
+func (c *Collector) addCorrectAnswers(profile *DomainProfile, resp *dns.Message) {
 	if resp.Header.RCode != dns.RCodeSuccess {
 		return
 	}
-	profile := db.Profile(target)
 	for _, rr := range resp.Answers {
 		switch data := rr.Data.(type) {
 		case *dns.A:
+			if profile.hasIP(data.Addr) {
+				continue
+			}
 			var asn ipam.ASN
 			var country, certFP string
 			if info, ok := c.cfg.IPDB.Lookup(data.Addr); ok {

@@ -232,8 +232,13 @@ func TestCollectCorrect(t *testing.T) {
 	if len(prof.Countries) != 1 || !prof.Countries["DE"] {
 		t.Errorf("countries: %v", prof.Countries)
 	}
-	if len(db.Domains()) != 1 {
-		t.Errorf("domains: %v", db.Domains())
+	// other.net is answered NXDOMAIN: its profile exists and holds nothing.
+	other, ok := db.Lookup("other.net")
+	if !ok {
+		t.Fatal("no profile for other.net")
+	}
+	if n := len(other.IPs) + len(other.ASNs) + len(other.Countries) + len(other.CertFPs) + len(other.TXTs) + len(other.Other); n != 0 {
+		t.Errorf("the unanswered target's profile holds %d entries: %+v", n, other)
 	}
 }
 

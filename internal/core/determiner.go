@@ -47,40 +47,33 @@ type pdnsMemoKey struct {
 }
 
 // detMemo is one classification worker's private cache. A sweep produces the
-// same domain once per nameserver and the same rdata on every server of a
-// provider, so profile lookups and PDNS scans repeat heavily; the memo makes
-// the repeats map-hit-only without any cross-worker locking. A nil profile
-// entry is a cached "domain has no legitimate profile".
+// same rdata on every server of a provider, so PDNS scans and rdata
+// derivations repeat heavily; the memo makes the repeats map-hit-only without
+// any cross-worker locking.
 //
 // Memos are created fresh per Determine invocation, per pipeline worker and
 // per FalseNegativeCheck, never stored on the Determiner: experiments swap
 // the underlying databases on a shared determiner (FalseNegativeCheck),
 // which a persistent cache would silently ignore.
 type detMemo struct {
-	profiles map[dns.Name]*DomainProfile
-	pdns     map[pdnsMemoKey]bool
+	pdns map[pdnsMemoKey]bool
 	// rdata holds each distinct rdata's enrichment facts (memo.go).
 	rdata map[rdataKey]rdataFacts
 }
 
 func newDetMemo() *detMemo {
 	return &detMemo{
-		profiles: make(map[dns.Name]*DomainProfile, 64),
-		pdns:     make(map[pdnsMemoKey]bool, 64),
-		rdata:    make(map[rdataKey]rdataFacts, 64),
+		pdns:  make(map[pdnsMemoKey]bool, 64),
+		rdata: make(map[rdataKey]rdataFacts, 64),
 	}
 }
 
-// lookupProfile resolves a domain's legitimate profile through the memo.
-func (d *Determiner) lookupProfile(m *detMemo, domain dns.Name) *DomainProfile {
+// lookupProfile returns a domain's legitimate profile, nil when it has none.
+func (d *Determiner) lookupProfile(domain dns.Name) *DomainProfile {
 	if d.correct == nil {
 		return nil
 	}
-	if p, ok := m.profiles[domain]; ok {
-		return p
-	}
 	p, _ := d.correct.Lookup(domain)
-	m.profiles[domain] = p
 	return p
 }
 
@@ -152,7 +145,7 @@ func (d *Determiner) classifyMemo(m *detMemo, u *UR) {
 // when passive DNS saw it within the window, or when the HTTP content says
 // parked/redirect.
 func (d *Determiner) correctA(m *detMemo, u *UR) (CorrectReason, bool) {
-	profile := d.lookupProfile(m, u.Domain)
+	profile := d.lookupProfile(u.Domain)
 	addr, ok := m.parseA(u.RData)
 	if !ok {
 		return ReasonNone, false
@@ -197,7 +190,7 @@ func (d *Determiner) onlyCountrySignal(p *DomainProfile) bool {
 // correctTXT excludes TXT URs that exactly match a legitimately observed
 // record or its PDNS history.
 func (d *Determiner) correctTXT(m *detMemo, u *UR) (CorrectReason, bool) {
-	if profile := d.lookupProfile(m, u.Domain); profile != nil && profile.TXTs[u.RData] {
+	if profile := d.lookupProfile(u.Domain); profile != nil && profile.TXTs[u.RData] {
 		return ReasonTXTMatch, true
 	}
 	if d.pdnsSeen(m, u.Domain, dns.TypeTXT, u.RData) {
@@ -209,7 +202,7 @@ func (d *Determiner) correctTXT(m *detMemo, u *UR) (CorrectReason, bool) {
 // correctOther excludes extension-type URs that exactly match a
 // legitimately observed record or history.
 func (d *Determiner) correctOther(m *detMemo, u *UR) (CorrectReason, bool) {
-	if profile := d.lookupProfile(m, u.Domain); profile != nil && profile.HasOther(u.Type, u.RData) {
+	if profile := d.lookupProfile(u.Domain); profile != nil && profile.HasOther(u.Type, u.RData) {
 		return ReasonTXTMatch, true
 	}
 	if d.pdnsSeen(m, u.Domain, u.Type, u.RData) {

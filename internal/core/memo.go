@@ -22,10 +22,13 @@
 //   - the rdata memo, detMemo.rdata, one per determine worker, maps (type,
 //     rdata) to the facts enrichOne and correctA read off it.
 //
-// Both live for one sweep pool or one Pipeline.Run, are written only by the
-// worker that owns them — a probe writes nothing shared (DESIGN §6) — and are
-// capped like the interner: past the cap a memo takes no more entries and the
-// worker derives what it has not seen exactly as it would without one.
+// Beside its answer memo a sweep worker keeps an internTable, which collapses
+// the rdata of the URs it derives to one instance per distinct string.
+//
+// All three live for one sweep pool or one Pipeline.Run, are written only by
+// the worker that owns them — a probe writes nothing shared (DESIGN §6) — and
+// are capped: past the cap a table takes no more entries and the worker
+// derives what it has not seen exactly as it would without one.
 package core
 
 import (
@@ -40,12 +43,15 @@ import (
 // The memo caps. At `small` a sweep worker's answer memo peaks near 4,500
 // entries and 317 KB of keys, empty answers included; at `paper` every
 // worker's reaches the cap. A key past answerMemoMaxKey is a large answer
-// that repeats rarely. Variables only so a test can reach the caps with a
-// small world.
+// that repeats rarely, and an rdata past internMaxLen (a long TXT blob)
+// almost certainly unique. Variables only so a test can reach the caps with
+// a small world.
 var (
 	answerMemoCap    = 1 << 14
 	answerMemoMaxKey = 512
 	rdataMemoCap     = 1 << 14
+	internCap        = 1 << 16
+	internMaxLen     = 256
 )
 
 // derivedAnswer is what a sweep worker derived from one answer. It applies
@@ -135,6 +141,31 @@ func (am *answerMemo) put(wire []byte, resp *dns.Message, kind sweepKind, name d
 		am.m = make(map[string]*derivedAnswer)
 	}
 	am.m[string(wire[2:])] = d
+}
+
+// internTable is a sweep worker's string table: the canonical instance of
+// each distinct rdata its URs carry.
+type internTable struct {
+	m map[string]string
+}
+
+// intern returns the canonical instance of s, registering s when the table
+// has room; the empty string, one past internMaxLen and, in a full table, a
+// new one come back as passed.
+func (t *internTable) intern(s string) string {
+	if len(s) == 0 || len(s) > internMaxLen {
+		return s
+	}
+	if v, ok := t.m[s]; ok {
+		return v
+	}
+	if len(t.m) < internCap {
+		if t.m == nil {
+			t.m = make(map[string]string)
+		}
+		t.m[s] = s
+	}
+	return s
 }
 
 // rdataKey names one distinct rdata of one record type.

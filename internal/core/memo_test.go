@@ -132,13 +132,19 @@ func (u uniqueAnswerTransport) SleepVirtual(d time.Duration) {
 }
 
 // TestAnswerMemoBoundedUnderUniqueAnswers serves a distinct answer on every
-// probe with both memo caps lowered under the fixture's answer count: each
-// memo must stop at its cap, and the plain, journaled and resumed reports
-// must equal the run in which no memo takes an entry — the derivation path
-// without memos.
+// probe with both memo caps and the intern table's cap lowered under the
+// fixture's answer count, and the intern table's length limit between the A
+// and the TXT rdata: each table must stop at its cap, the intern table must
+// pass the longer rdata through, and the plain, journaled and resumed
+// reports must equal the run in which no table takes an entry — the
+// derivation path without memos.
 func TestAnswerMemoBoundedUnderUniqueAnswers(t *testing.T) {
 	defaultAnswerCap, defaultRDataCap := answerMemoCap, rdataMemoCap
-	defer func() { answerMemoCap, rdataMemoCap = defaultAnswerCap, defaultRDataCap }()
+	defaultInternCap, defaultInternMaxLen := internCap, internMaxLen
+	defer func() {
+		answerMemoCap, rdataMemoCap = defaultAnswerCap, defaultRDataCap
+		internCap, internMaxLen = defaultInternCap, defaultInternMaxLen
+	}()
 	fixture := func() *chaosFixture {
 		fx := newChaosFixture(t, 11)
 		inner, err := fx.cfg.transport()
@@ -157,11 +163,13 @@ func TestAnswerMemoBoundedUnderUniqueAnswers(t *testing.T) {
 		return renderReport(res)
 	}
 
-	answerMemoCap, rdataMemoCap = 0, 0
+	answerMemoCap, rdataMemoCap, internCap = 0, 0, 0
 	want := run(fixture().cfg)
 
-	const limit = 16
-	answerMemoCap, rdataMemoCap = limit, limit
+	// An A record's rdata is at most 15 bytes here, a TXT record's (quoted
+	// "v=spf1 ip4:… -all") at least 24.
+	const limit, maxLen = 16, 16
+	answerMemoCap, rdataMemoCap, internCap, internMaxLen = limit, limit, limit, maxLen
 
 	// One sweep worker over every nameserver, then one determine memo over
 	// what it collected: both must fill to the cap and no further. The
@@ -192,6 +200,21 @@ func TestAnswerMemoBoundedUnderUniqueAnswers(t *testing.T) {
 		if m, err := dns.Unpack(append([]byte{0, 0}, key...)); err != nil || m.Question().Name != d.name {
 			t.Fatalf("an answer memo key no longer reads as the answer it was taken from (%v): it aliases a lent buffer", err)
 		}
+	}
+	if n := len(w.strs.m); n != limit {
+		t.Errorf("the intern table holds %d entries after %d distinct rdata, cap %d", n, len(urs), limit)
+	}
+	passed := 0
+	for _, u := range urs {
+		if len(u.RData) > maxLen {
+			passed++
+			if _, ok := w.strs.m[u.RData]; ok {
+				t.Fatalf("the intern table stored %q, longer than its limit %d", u.RData, maxLen)
+			}
+		}
+	}
+	if passed == 0 {
+		t.Fatal("no rdata was longer than the intern table's limit")
 	}
 	memo := newDetMemo()
 	for _, u := range urs {

@@ -93,12 +93,14 @@ func (p *Pipeline) partial() *Result {
 //	NewAnalyzer (IDS corpus) ───────────────────────────────────┘
 //
 // The correct-record sweep and the fused protective+UR nameserver sweep run
-// concurrently (disjoint endpoint sets). Each nameserver's UR batch streams
-// into a pool of classification workers the moment the server's fused job
-// finishes; the workers block only on the correct DB, so classification
-// overlaps the sweep tail. Results land in per-worker slices and are merged
-// through one canonical sort, so reports are byte-identical at any
-// Parallelism setting — resumed or not.
+// concurrently. They ask disjoint endpoint sets, but the open resolvers
+// recurse into the measured nameservers, so the two share those endpoints'
+// exchange sequences (stream.go). Each nameserver's UR batch streams into a
+// pool of classification workers the moment the server's fused job finishes;
+// the workers block only on the correct DB, so classification overlaps the
+// sweep tail. Results land in per-worker slices and are merged through one
+// canonical sort, so reports are byte-identical at any Parallelism setting —
+// resumed or not — unless a probabilistic fault sits on a nameserver.
 //
 // On error — including context cancellation mid-sweep — the returned Result
 // is non-nil and carries the partial query/coverage books accumulated before

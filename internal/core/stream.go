@@ -6,13 +6,16 @@
 // Determinism note. Chaos fault draws are pure hashes of (fabric seed,
 // endpoint, per-endpoint exchange sequence), so a run is reproducible exactly
 // when the order of exchanges to each endpoint is a pure function of the
-// configuration. The fused sweep preserves that by construction: one worker
-// owns a nameserver for its whole job — canary probes first, then the
-// shuffled targets, then the in-job canary retry — so the endpoint's exchange
-// sequence never depends on scheduling. The correct-record sweep runs
-// concurrently but touches only resolver endpoints, which are disjoint from
-// the nameserver set; its re-queue pass runs on its own goroutine and scratch
-// so the two tails can overlap too.
+// configuration. The fused sweep keeps its own probes in that order: one
+// worker owns a nameserver for its whole job — canary probes first, then the
+// shuffled targets, then the in-job canary retry. It is not the only sender:
+// the correct-record sweep runs concurrently, and the open resolvers it asks
+// recurse into measured nameservers, so a nameserver's exchange sequence
+// interleaves both sweeps in scheduling order. Faults whose outcome does not
+// depend on the sequence (ApplyDeterministicChaos's SERVFAIL, blackhole and
+// wrong-ID servers) reproduce; a probabilistic fault on a nameserver does not.
+// The correct sweep's re-queue pass runs on its own goroutine and scratch so
+// the two tails can overlap.
 package core
 
 import (
@@ -74,8 +77,9 @@ func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, em
 	// remaining traffic to the nameserver endpoints and their per-endpoint
 	// order — canonical, single goroutine — is deterministic.
 	var recovered []*UR
+	var strs internTable
 	err = c.requeueOn(ctx, sweepURs, func(f probeFailure, resp *dns.Message) {
-		recovered = c.ursFromResponse(f.ns, f.domain, f.qtype, resp, recovered)
+		recovered = ursFromResponse(&strs, f.ns, f.domain, f.qtype, resp, recovered)
 	})
 	if err != nil {
 		return err

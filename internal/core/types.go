@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 	"sync"
 
 	"repro/internal/dns"
@@ -167,6 +166,13 @@ func (p *DomainProfile) AddA(addr netip.Addr, asn ipam.ASN, country, certFP stri
 	}
 }
 
+// hasIP reports whether addr was legitimately observed.
+func (p *DomainProfile) hasIP(addr netip.Addr) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.IPs[addr]
+}
+
 // AddTXT records a legitimate TXT observation (presentation form).
 func (p *DomainProfile) AddTXT(rdata string) {
 	p.mu.Lock()
@@ -201,45 +207,34 @@ func NewDomainProfile(d dns.Name) *DomainProfile {
 	}
 }
 
-// CorrectDB is the collected legitimate-record database. Every correct-record
-// worker asks it for a profile per answer and every determine worker per
-// record, so finding one writes nothing shared.
+// CorrectDB is the collected legitimate-record database: one profile per
+// domain. Its index is written only while it is built (CollectCorrect makes
+// every target's profile before its sweep starts); the sweep adds to the
+// profiles, and determine workers read them once the sweep is through.
 type CorrectDB struct {
-	profiles sync.Map // dns.Name → *DomainProfile
+	profiles map[dns.Name]*DomainProfile
 }
 
 // NewCorrectDB creates an empty database.
 func NewCorrectDB() *CorrectDB {
-	return &CorrectDB{}
+	return &CorrectDB{profiles: make(map[dns.Name]*DomainProfile)}
 }
 
-// Profile returns (creating if needed) the profile for a domain.
+// Profile returns (creating if needed) the profile for a domain. It writes the
+// index, so it must not run concurrently with any other method.
 func (db *CorrectDB) Profile(d dns.Name) *DomainProfile {
-	if p, ok := db.profiles.Load(d); ok {
-		return p.(*DomainProfile)
+	p := db.profiles[d]
+	if p == nil {
+		p = NewDomainProfile(d)
+		db.profiles[d] = p
 	}
-	p, _ := db.profiles.LoadOrStore(d, NewDomainProfile(d))
-	return p.(*DomainProfile)
+	return p
 }
 
 // Lookup returns the profile for a domain if one exists.
 func (db *CorrectDB) Lookup(d dns.Name) (*DomainProfile, bool) {
-	p, ok := db.profiles.Load(d)
-	if !ok {
-		return nil, false
-	}
-	return p.(*DomainProfile), true
-}
-
-// Domains returns all profiled domains, sorted.
-func (db *CorrectDB) Domains() []dns.Name {
-	var out []dns.Name
-	db.profiles.Range(func(d, _ any) bool {
-		out = append(out, d.(dns.Name))
-		return true
-	})
-	slices.Sort(out)
-	return out
+	p, ok := db.profiles[d]
+	return p, ok
 }
 
 // protectiveKey is the (server, type, rdata) identity of one protective

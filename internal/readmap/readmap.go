@@ -7,9 +7,10 @@
 // type, never as interfaces.
 //
 // It does not suit a table that several workers fill during one operation
-// and read back at once, such as the collector's web-probe cache, interner
-// and correct-record database: until the next publish, every such read
-// takes the one lock.
+// and read back at once: until the next publish, every such read takes the
+// one lock. The collector avoids such tables instead — its web-probe cache
+// is one map under one lock, each sweep worker interns into a table of its
+// own, and the correct-record database's index is built before its sweep.
 //
 // Entries are only ever added. A value that must change is a pointer to
 // something the caller updates in place.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -44,6 +45,20 @@ func TestGenerateDeterministicCounts(t *testing.T) {
 	}
 	if len(w.Reports) != len(w.Samples) {
 		t.Errorf("reports %d != samples %d", len(w.Reports), len(w.Samples))
+	}
+}
+
+// TestGenerateNegativeSeeds: a seed below -100 makes a provider's seed
+// negative, which must not index before the country list.
+func TestGenerateNegativeSeeds(t *testing.T) {
+	for _, seed := range []int64{-101, -1000, math.MinInt64} {
+		w, err := Generate(Tiny(), seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(w.Nameservers) == 0 || len(w.Targets) < w.Scale.Targets {
+			t.Errorf("seed %d: %d nameservers, %d targets", seed, len(w.Nameservers), len(w.Targets))
+		}
 	}
 }
 

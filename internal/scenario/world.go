@@ -211,10 +211,13 @@ func (w *World) pickTargets() {
 }
 
 func (w *World) deps(seed int64) hosting.Deps {
+	// The country index is seed mod |Countries|, taken non-negative: a
+	// negative seed would otherwise index before the list.
+	n := int64(len(ipam.Countries))
 	return hosting.Deps{
 		Fabric: w.Fabric, IPDB: w.IPDB, Registry: w.Registry, PSL: w.PSL,
 		Web: w.Web, Roots: []netip.Addr{w.Registry.RootAddr()},
-		Country: ipam.Countries[int(seed)%len(ipam.Countries)], Seed: seed,
+		Country: ipam.Countries[(seed%n+n)%n], Seed: seed,
 	}
 }
 

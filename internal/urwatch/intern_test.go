@@ -1,7 +1,8 @@
-package core
+package urwatch
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,35 +14,13 @@ func fresh(s string) string { return string([]byte(s)) }
 
 func sameInstance(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
 
-// shardOf is the index of the shard s is interned in.
-func shardOf(t *testing.T, s string) int {
-	in := NewInterner()
-	in.Intern(s)
-	for i := range in.shards {
-		if _, ok := in.shards[i].m[s]; ok {
-			return i
-		}
-	}
-	t.Fatalf("%q was not stored", s)
-	return -1
-}
-
-// stored counts the entries of every shard.
-func (in *Interner) stored() int {
-	n := 0
-	for i := range in.shards {
-		n += len(in.shards[i].m)
-	}
-	return n
-}
-
 // TestInternerCanonicalAndCapped: equal strings come back as one instance;
-// the empty string, over-long strings and, in a full shard, new strings come
+// the empty string, over-long strings and, in a full table, new strings come
 // back as passed and are not stored, while a string already interned stays
 // canonical; and goroutines interning overlapping sets agree on one instance
 // per string.
 func TestInternerCanonicalAndCapped(t *testing.T) {
-	in := NewInterner()
+	in := newInterner()
 	first := fresh("ns1.example.")
 	if got := in.Intern(first); !sameInstance(got, first) {
 		t.Fatal("a new string does not come back as itself")
@@ -51,7 +30,7 @@ func TestInternerCanonicalAndCapped(t *testing.T) {
 			t.Fatalf("repeat %d: an equal string with its own bytes is not the canonical instance", i)
 		}
 	}
-	if n := in.stored(); n != 1 {
+	if n := len(in.m); n != 1 {
 		t.Errorf("%d entries after one distinct string interned four times, want 1", n)
 	}
 
@@ -61,38 +40,31 @@ func TestInternerCanonicalAndCapped(t *testing.T) {
 			t.Errorf("Intern(%d bytes) did not come back as passed", len(s))
 		}
 	}
-	if n := in.stored(); n != 1 {
+	if n := len(in.m); n != 1 {
 		t.Errorf("%d entries after the empty and an over-long string, want 1", n)
 	}
 
-	// Fill ns1's shard to its cap, then intern a new string of that shard.
-	sh := &in.shards[shardOf(t, first)]
-	for i := 0; len(sh.m) < internShardCap; i++ {
-		k := fmt.Sprintf("filler%d", i)
-		sh.m[k] = k
+	// Fill the table to its cap, then intern a new string.
+	for i := 0; len(in.m) < internCap; i++ {
+		k := strconv.Itoa(i)
+		in.m[k] = k
 	}
-	var late string
-	for i := 0; ; i++ {
-		if late = fmt.Sprintf("late%d.example.", i); shardOf(t, late) == shardOf(t, first) {
-			break
-		}
-	}
-	late = fresh(late)
+	late := fresh("late.example.")
 	if got := in.Intern(late); !sameInstance(got, late) {
-		t.Error("in a full shard a new string does not come back as itself")
+		t.Error("in a full table a new string does not come back as itself")
 	}
-	if _, ok := sh.m[late]; ok || len(sh.m) != internShardCap {
-		t.Errorf("in a full shard a new string was stored (%d entries, cap %d)", len(sh.m), internShardCap)
+	if _, ok := in.m[late]; ok || len(in.m) != internCap {
+		t.Errorf("in a full table a new string was stored (%d entries, cap %d)", len(in.m), internCap)
 	}
 	if got := in.Intern(fresh(late)); sameInstance(got, late) {
-		t.Error("in a full shard a second copy came back as the first: it was stored")
+		t.Error("in a full table a second copy came back as the first: it was stored")
 	}
 	if got := in.Intern(fresh("ns1.example.")); !sameInstance(got, first) {
-		t.Error("in a full shard an interned string is no longer canonical")
+		t.Error("in a full table an interned string is no longer canonical")
 	}
 
 	const workers, keys = 8, 500
-	in = NewInterner()
+	in = newInterner()
 	got := make([][]string, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -114,7 +86,7 @@ func TestInternerCanonicalAndCapped(t *testing.T) {
 			}
 		}
 	}
-	if n := in.stored(); n != keys {
+	if n := len(in.m); n != keys {
 		t.Errorf("%d entries after %d workers interned %d strings, want %d", n, workers, keys, keys)
 	}
 }

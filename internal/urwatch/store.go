@@ -406,7 +406,43 @@ func WorstCategory(vs VerdictSet) (core.Category, bool) {
 // domains, rdata, and hosts, so sharing one interner across sweeps makes
 // their tables reference the same backing bytes instead of re-materializing
 // them every interval.
-var storeInterner = core.NewInterner()
+var storeInterner = newInterner()
+
+const (
+	// internMaxLen bounds the strings worth interning: one longer (a long TXT
+	// blob) is almost certainly unique, so storing it deduplicates nothing.
+	internMaxLen = 256
+	// internCap bounds the table: a hostile zone could serve millions of
+	// distinct short strings, and past the cap Intern returns its argument.
+	internCap = 1 << 20
+)
+
+// interner is a capped string-interning table under one lock. Its callers
+// build and load generations, a few per sweep interval, so nothing contends.
+type interner struct {
+	mu sync.Mutex
+	m  map[string]string
+}
+
+func newInterner() *interner { return &interner{m: make(map[string]string)} }
+
+// Intern returns the canonical instance of s, registering s when the table
+// has room; the empty string, one past internMaxLen and, in a full table, a
+// new one come back as passed. Safe for concurrent use.
+func (in *interner) Intern(s string) string {
+	if len(s) == 0 || len(s) > internMaxLen {
+		return s
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if v, ok := in.m[s]; ok {
+		return v
+	}
+	if len(in.m) < internCap {
+		in.m[s] = s
+	}
+	return s
+}
 
 // Builder accumulates verdicts for the next generation, from one goroutine;
 // Seal compiles them into the flat immutable form. A Builder is single-use.
