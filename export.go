@@ -32,6 +32,7 @@ type URRecord struct {
 }
 
 func exportRecord(u *UR) URRecord {
+	e := u.Enrichment()
 	rec := URRecord{
 		Domain:     string(u.Domain),
 		Type:       u.Type.String(),
@@ -42,10 +43,10 @@ func exportRecord(u *UR) URRecord {
 		Provider:   u.Server.Provider,
 		Category:   u.Category.String(),
 		Reason:     string(u.Reason),
-		ASN:        uint32(u.ASN),
-		ASName:     u.ASName,
-		Country:    u.Country,
-		TXTClass:   string(u.TXTClass),
+		ASN:        uint32(e.ASN),
+		ASName:     e.ASName,
+		Country:    e.Country,
+		TXTClass:   string(e.TXTClass),
 		ByIntel:    u.MaliciousByIntel,
 		ByIDS:      u.MaliciousByIDS,
 	}

@@ -44,7 +44,7 @@ func analyzerConfig() *Config {
 
 func susA(ip netip.Addr) *UR {
 	return &UR{
-		Server: NameserverInfo{Addr: anNS, Host: "ns1.h.test", Provider: "H"},
+		Server: &NameserverInfo{Addr: anNS, Host: "ns1.h.test", Provider: "H"},
 		Domain: "site.com", Type: dns.TypeA, RData: ip.String(),
 		CorrespondingIPs: []netip.Addr{ip},
 	}
@@ -79,7 +79,7 @@ func TestAnalyzeTXTCorrespondence(t *testing.T) {
 	a := NewAnalyzer(cfg)
 	// TXT with no IP on the same NS+domain as a malicious A record.
 	txt := &UR{
-		Server: NameserverInfo{Addr: anNS, Host: "ns1.h.test", Provider: "H"},
+		Server: &NameserverInfo{Addr: anNS, Host: "ns1.h.test", Provider: "H"},
 		Domain: "site.com", Type: dns.TypeTXT, RData: `"cmd=deadbeef"`,
 	}
 	aRec := susA(bothIP)
@@ -93,7 +93,7 @@ func TestAnalyzeTXTCorrespondence(t *testing.T) {
 
 	// TXT on a DIFFERENT domain must not inherit.
 	lone := &UR{
-		Server: NameserverInfo{Addr: anNS, Host: "ns1.h.test", Provider: "H"},
+		Server: &NameserverInfo{Addr: anNS, Host: "ns1.h.test", Provider: "H"},
 		Domain: "other.com", Type: dns.TypeTXT, RData: `"cmd=deadbeef"`,
 	}
 	a2 := NewAnalyzer(cfg)
@@ -137,11 +137,11 @@ func TestReportAggregation(t *testing.T) {
 	a := NewAnalyzer(cfg)
 	urs := []*UR{susA(intelIP), susA(idsIP), susA(bothIP), susA(cleanIP)}
 	txt := &UR{
-		Server: NameserverInfo{Addr: anNS, Host: "ns1.h.test", Provider: "H"},
+		Server: &NameserverInfo{Addr: anNS, Host: "ns1.h.test", Provider: "H"},
 		Domain: "mail.com", Type: dns.TypeTXT,
 		RData:            `"v=spf1 ip4:66.1.0.3 -all"`,
-		TXTClass:         TXTSPF,
 		CorrespondingIPs: []netip.Addr{bothIP},
+		enr:              &Enrichment{TXTClass: TXTSPF},
 	}
 	urs = append(urs, txt)
 	a.Analyze(urs)

@@ -245,7 +245,7 @@ func (w *sweepWorker) Known(resp []byte, q dns.Question) bool {
 type sweepJob struct {
 	c      *Collector
 	w      *sweepWorker
-	ns     NameserverInfo
+	ns     *NameserverInfo
 	server netip.AddrPort
 	// unit is the server's unit in the full plan, what the journal names the
 	// job's probes by; nq is |qtypes|, a slot's stride per target.
@@ -259,7 +259,7 @@ type sweepJob struct {
 
 // startJob opens the job for the config's server unit u (open resolvers,
 // then nameservers).
-func (c *Collector) startJob(w *sweepWorker, u int, ns NameserverInfo) sweepJob {
+func (c *Collector) startJob(w *sweepWorker, u int, ns *NameserverInfo) sweepJob {
 	j := sweepJob{
 		c: c, w: w, ns: ns, server: netip.AddrPortFrom(ns.Addr, dnsio.DNSPort),
 		unit: c.cfg.firstUnit() + u, nq: len(c.cfg.queryTypes()), base: -1,
@@ -369,7 +369,7 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 // servers[0]'s unit position in the config's plan (open resolvers first, then
 // nameservers), and job is handed each server's; the cursor only moves down,
 // so the first yielded unit a worker claims ends its run.
-func (c *Collector) sweepPool(ctx context.Context, kinds []sweepKind, unit0 int, servers []NameserverInfo, job func(w *sweepWorker, unit int, ns NameserverInfo) error) error {
+func (c *Collector) sweepPool(ctx context.Context, kinds []sweepKind, unit0 int, servers []NameserverInfo, job func(w *sweepWorker, unit int, ns *NameserverInfo) error) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -399,7 +399,7 @@ func (c *Collector) sweepPool(ctx context.Context, kinds []sweepKind, unit0 int,
 				if pos >= len(servers) || !c.cfg.Shard.owns(unit0+pos) {
 					break
 				}
-				if err = job(w, unit0+pos, servers[pos]); err == nil {
+				if err = job(w, unit0+pos, &servers[pos]); err == nil {
 					c.cfg.Shard.unitDone()
 				}
 			}
@@ -573,7 +573,7 @@ func (c *Collector) sweepTargets(ctx context.Context, j *sweepJob, out []*UR) ([
 // served by many nameservers (the common hosting-provider case) collapses to
 // one string per sweep worker, which both trims live heap and makes the
 // determiner's memo-map lookups pointer-equality fast.
-func ursFromResponse(strs *internTable, ns NameserverInfo, domain dns.Name, qt dns.Type, resp *dns.Message, out []*UR) []*UR {
+func ursFromResponse(strs *internTable, ns *NameserverInfo, domain dns.Name, qt dns.Type, resp *dns.Message, out []*UR) []*UR {
 	if resp.Header.RCode != dns.RCodeSuccess {
 		return out
 	}
@@ -634,7 +634,7 @@ func (c *Collector) shuffledTargets(buf []int32, server netip.Addr) []int32 {
 // registry delegation slice per call — runs once per target here, not once
 // per (server, target) probe; every probe after that scans the target
 // position t's few hosts, without hashing a name.
-func (c *Collector) isExactlyDelegated(t int32, ns NameserverInfo) bool {
+func (c *Collector) isExactlyDelegated(t int32, ns *NameserverInfo) bool {
 	c.delegOnce.Do(func() {
 		if c.cfg.DelegatedNS == nil {
 			return
@@ -655,34 +655,20 @@ func (c *Collector) isExactlyDelegated(t int32, ns NameserverInfo) bool {
 	return c.deleg != nil && slices.Contains(c.deleg[t], ns.Host)
 }
 
-// enrichOne attaches AS/geo/cert/HTTP data to an A-record UR and the
-// corresponding IPs to A and TXT records alike (TXT correspondence with
-// same-NS same-domain A records happens in the analyzer, which sees the full
-// set). The pipeline's determine workers call it per streamed record, each
-// with its own memo m (nil derives afresh), so enrichment overlaps the sweep
-// tail and is derived once per distinct rdata. Safe concurrently across
-// memos: IPDB lookups are read-only and the web probe cache is a
-// singleflight.
+// enrichOne points a UR at its rdata's shared enrichment record — AS, geo
+// and web probe for an A record, the class for a TXT one — and attaches the
+// corresponding IPs to every type (TXT correspondence with same-NS
+// same-domain A records happens in the analyzer, which sees the full set).
+// The pipeline's determine workers call it per streamed record, each with
+// its own memo m, so enrichment overlaps the sweep tail and is derived once
+// per distinct rdata. Safe concurrently across memos: IPDB lookups are
+// read-only and the web probe cache is a singleflight.
 func (c *Collector) enrichOne(m *detMemo, u *UR) {
 	f := c.rdataFacts(m, u.Type, u.RData)
-	switch u.Type {
-	case dns.TypeA:
-		if !f.addr.IsValid() {
-			return
-		}
-		u.CorrespondingIPs = f.ips
-		if f.hasInfo {
-			u.ASN, u.ASName, u.Country = f.info.ASN, f.info.ASName, f.info.Country
-		}
-		if c.probeFn != nil {
-			u.HTTP = f.http
-		}
-	case dns.TypeTXT:
-		u.TXTClass = f.txtClass
-		u.CorrespondingIPs = f.ips
-	default:
-		u.CorrespondingIPs = f.ips
+	if u.Type == dns.TypeA && !f.addr.IsValid() {
+		return
 	}
+	u.CorrespondingIPs, u.enr = f.ips, f.enr
 }
 
 // probe fetches (with caching) the HTTP/TLS enrichment for an IP. Concurrent
@@ -718,7 +704,7 @@ func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	for i, r := range c.cfg.OpenResolvers {
 		resolvers[i] = NameserverInfo{Addr: r}
 	}
-	err := c.sweepPool(ctx, []sweepKind{sweepCorrect}, 0, resolvers, func(w *sweepWorker, unit int, resolver NameserverInfo) error {
+	err := c.sweepPool(ctx, []sweepKind{sweepCorrect}, 0, resolvers, func(w *sweepWorker, unit int, resolver *NameserverInfo) error {
 		return c.collectCorrectVia(ctx, w, unit, profiles, resolver)
 	})
 	if err != nil {
@@ -734,7 +720,7 @@ func (c *Collector) CollectCorrect(ctx context.Context) (*CorrectDB, error) {
 	return db, nil
 }
 
-func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, unit int, profiles []*DomainProfile, resolver NameserverInfo) error {
+func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, unit int, profiles []*DomainProfile, resolver *NameserverInfo) error {
 	j := c.startJob(w, unit, resolver)
 	defer j.book()
 	w.order = c.shuffledTargets(w.order, resolver.Addr)

@@ -172,7 +172,7 @@ func TestCollectURs(t *testing.T) {
 	// Enrichment: the A UR carries AS/country/probe data.
 	for _, u := range urs {
 		if u.Server.Provider == "Hoster" && u.Type == dns.TypeA {
-			if u.ASName != "ATTACK" || u.Country != "RU" {
+			if e := u.Enrichment(); e.ASName != "ATTACK" || e.Country != "RU" {
 				t.Errorf("enrichment: %+v", u)
 			}
 			if len(u.CorrespondingIPs) != 1 || u.CorrespondingIPs[0] != fx.c2Addr {
@@ -180,8 +180,8 @@ func TestCollectURs(t *testing.T) {
 			}
 		}
 		if u.Server.Provider == "Hoster" && u.Type == dns.TypeTXT {
-			if u.TXTClass != TXTSPF {
-				t.Errorf("TXT class = %v", u.TXTClass)
+			if c := u.Enrichment().TXTClass; c != TXTSPF {
+				t.Errorf("TXT class = %v", c)
 			}
 			if len(u.CorrespondingIPs) != 1 {
 				t.Errorf("TXT embedded IPs: %v", u.CorrespondingIPs)

@@ -22,7 +22,7 @@ const (
 // probeFailure is one failed (server, domain, type) probe, parked in the
 // failure book until the re-queue pass retries it.
 type probeFailure struct {
-	ns     NameserverInfo
+	ns     *NameserverInfo
 	domain dns.Name
 	qtype  dns.Type
 	class  dnsio.FailClass

@@ -150,29 +150,30 @@ func (d *Determiner) correctA(m *detMemo, u *UR) (CorrectReason, bool) {
 	if !ok {
 		return ReasonNone, false
 	}
+	e := u.Enrichment()
 	if profile != nil {
 		if d.UseIPSubset && profile.IPs[addr] {
 			return ReasonIPSubset, true
 		}
-		if d.UseASSubset && u.ASN != 0 && profile.ASNs[u.ASN] {
+		if d.UseASSubset && e.ASN != 0 && profile.ASNs[e.ASN] {
 			return ReasonASSubset, true
 		}
-		if d.UseGeoSubset && u.Country != "" && len(profile.Countries) > 0 &&
-			profile.Countries[u.Country] && d.onlyCountrySignal(profile) {
+		if d.UseGeoSubset && e.Country != "" && len(profile.Countries) > 0 &&
+			profile.Countries[e.Country] && d.onlyCountrySignal(profile) {
 			return ReasonGeoSubset, true
 		}
-		if d.UseCertSubset && u.HTTP.Cert != nil && profile.CertFPs[u.HTTP.Cert.Fingerprint] {
+		if d.UseCertSubset && e.HTTP.Cert != nil && profile.CertFPs[e.HTTP.Cert.Fingerprint] {
 			return ReasonCertSubset, true
 		}
 	}
 	if d.pdnsSeen(m, u.Domain, dns.TypeA, u.RData) {
 		return ReasonPDNS, true
 	}
-	if d.UseHTTPFilter && u.HTTP.Reachable {
-		if asciiContainsFold(u.HTTP.Body, "parked") || asciiContainsFold(u.HTTP.Body, "parking") {
+	if d.UseHTTPFilter && e.HTTP.Reachable {
+		if asciiContainsFold(e.HTTP.Body, "parked") || asciiContainsFold(e.HTTP.Body, "parking") {
 			return ReasonParked, true
 		}
-		if u.HTTP.StatusCode/100 == 3 || asciiContainsFold(u.HTTP.Body, "redirecting") {
+		if e.HTTP.StatusCode/100 == 3 || asciiContainsFold(e.HTTP.Body, "redirecting") {
 			return ReasonRedirect, true
 		}
 	}

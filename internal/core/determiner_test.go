@@ -31,7 +31,7 @@ func detConfig() (*Config, *CorrectDB, *ProtectiveDB) {
 
 func aUR(server, rdata string) *UR {
 	return &UR{
-		Server: NameserverInfo{Addr: netip.MustParseAddr(server), Host: "ns1.h.test", Provider: "H"},
+		Server: &NameserverInfo{Addr: netip.MustParseAddr(server), Host: "ns1.h.test", Provider: "H"},
 		Domain: "site.com", Type: dns.TypeA, RData: rdata,
 	}
 }
@@ -66,7 +66,7 @@ func TestDetermineASSubset(t *testing.T) {
 	cfg, correct, prot := detConfig()
 	d := NewDeterminer(cfg, correct, prot)
 	u := aUR("100.1.0.54", "93.0.0.99") // different IP, same AS
-	u.ASN = 64500
+	u.enr = &Enrichment{ASN: 64500}
 	d.classifyMemo(newDetMemo(), u)
 	if u.Reason != ReasonASSubset {
 		t.Errorf("reason = %v", u.Reason)
@@ -77,7 +77,7 @@ func TestDetermineGeoSubsetNeedsDistributedProfile(t *testing.T) {
 	cfg, correct, prot := detConfig()
 	d := NewDeterminer(cfg, correct, prot)
 	u := aUR("100.1.0.54", "93.0.0.99")
-	u.Country = "US"
+	u.enr = &Enrichment{Country: "US"}
 	d.classifyMemo(newDetMemo(), u)
 	if u.Reason != ReasonGeoSubset {
 		t.Errorf("reason = %v (profile spans 3 countries)", u.Reason)
@@ -86,7 +86,7 @@ func TestDetermineGeoSubsetNeedsDistributedProfile(t *testing.T) {
 	prof := correct.Profile("solo.com")
 	prof.Countries["US"] = true
 	u2 := &UR{Server: u.Server, Domain: "solo.com", Type: dns.TypeA,
-		RData: "93.0.0.99", Country: "US"}
+		RData: "93.0.0.99", enr: &Enrichment{Country: "US"}}
 	d.classifyMemo(newDetMemo(), u2)
 	if u2.Category == CategoryCorrect {
 		t.Error("geo condition fired on single-country profile")
@@ -97,7 +97,7 @@ func TestDetermineCertSubset(t *testing.T) {
 	cfg, correct, prot := detConfig()
 	d := NewDeterminer(cfg, correct, prot)
 	u := aUR("100.1.0.54", "93.0.0.99")
-	u.HTTP.Cert = &websim.Cert{Fingerprint: "cafecafe"}
+	u.enr = &Enrichment{HTTP: websim.ProbeResult{Cert: &websim.Cert{Fingerprint: "cafecafe"}}}
 	d.classifyMemo(newDetMemo(), u)
 	if u.Reason != ReasonCertSubset {
 		t.Errorf("reason = %v", u.Reason)
@@ -126,15 +126,15 @@ func TestDetermineHTTPKeywords(t *testing.T) {
 	cfg, correct, prot := detConfig()
 	d := NewDeterminer(cfg, correct, prot)
 	u := aUR("100.1.0.54", "93.0.0.70")
-	u.HTTP = websim.ProbeResult{Reachable: true, StatusCode: 200,
-		Body: "This domain is parked free"}
+	u.enr = &Enrichment{HTTP: websim.ProbeResult{Reachable: true, StatusCode: 200,
+		Body: "This domain is parked free"}}
 	d.classifyMemo(newDetMemo(), u)
 	if u.Reason != ReasonParked {
 		t.Errorf("reason = %v", u.Reason)
 	}
 	u2 := aUR("100.1.0.54", "93.0.0.71")
-	u2.HTTP = websim.ProbeResult{Reachable: true, StatusCode: 302,
-		Body: "Redirecting you to https://x"}
+	u2.enr = &Enrichment{HTTP: websim.ProbeResult{Reachable: true, StatusCode: 302,
+		Body: "Redirecting you to https://x"}}
 	d.classifyMemo(newDetMemo(), u2)
 	if u2.Reason != ReasonRedirect {
 		t.Errorf("reason = %v", u2.Reason)
@@ -145,7 +145,7 @@ func TestDetermineSuspiciousFallthrough(t *testing.T) {
 	cfg, correct, prot := detConfig()
 	d := NewDeterminer(cfg, correct, prot)
 	u := aUR("100.1.0.54", "66.6.6.6")
-	u.HTTP = websim.ProbeResult{Reachable: true, StatusCode: 403, Body: "403"}
+	u.enr = &Enrichment{HTTP: websim.ProbeResult{Reachable: true, StatusCode: 403, Body: "403"}}
 	sus := d.Determine([]*UR{u})
 	if len(sus) != 1 || u.Category != CategoryUnknown {
 		t.Errorf("suspicious = %d, category = %v", len(sus), u.Category)
@@ -189,7 +189,7 @@ func TestAblationTogglesDisableConditions(t *testing.T) {
 	d2 := NewDeterminer(cfg, correct, prot)
 	d2.UseHTTPFilter = false
 	u2 := aUR("100.1.0.54", "93.0.0.70")
-	u2.HTTP = websim.ProbeResult{Reachable: true, Body: "parked"}
+	u2.enr = &Enrichment{HTTP: websim.ProbeResult{Reachable: true, Body: "parked"}}
 	d2.classifyMemo(newDetMemo(), u2)
 	if u2.Category == CategoryCorrect {
 		t.Error("disabled HTTP filter fired")

@@ -20,7 +20,8 @@
 //     (sweepWorker.Known), and the client accepts a repeated answer
 //     undecoded.
 //   - the rdata memo, detMemo.rdata, one per determine worker, maps (type,
-//     rdata) to the facts enrichOne and correctA read off it.
+//     rdata) to the facts enrichOne and correctA read off it, among them the
+//     one Enrichment record every UR of that rdata points at.
 //
 // Beside its answer memo a sweep worker keeps an internTable, which collapses
 // the rdata of the URs it derives to one instance per distinct string.
@@ -36,8 +37,6 @@ import (
 	"slices"
 
 	"repro/internal/dns"
-	"repro/internal/ipam"
-	"repro/internal/websim"
 )
 
 // The memo caps. At `small` a sweep worker's answer memo peaks near 4,500
@@ -83,7 +82,7 @@ type derivedRec struct {
 }
 
 // appendURs appends the answer's URs as served by ns.
-func (d *derivedAnswer) appendURs(out []*UR, ns NameserverInfo) []*UR {
+func (d *derivedAnswer) appendURs(out []*UR, ns *NameserverInfo) []*UR {
 	for _, r := range d.recs {
 		out = append(out, &UR{Server: ns, Domain: d.name, Type: d.qt, RData: r.rdata, TTL: r.ttl})
 	}
@@ -182,15 +181,15 @@ type rdataFacts struct {
 	// ips are the corresponding IPs, clipped: every UR with this rdata shares
 	// them, and one that appends to its own — attachTXTCorrespondence does —
 	// must reallocate rather than write into its neighbours'.
-	ips      []netip.Addr
-	txtClass TXTCategory
-	info     ipam.Info
-	hasInfo  bool
-	http     websim.ProbeResult
+	ips []netip.Addr
+	// enr is the enrichment record every UR with this rdata points at; nil
+	// for a type that has none.
+	enr *Enrichment
 }
 
 // rdataFacts derives the facts of (t, rdata), through the determine worker's
-// memo m.
+// memo m. Past rdataMemoCap they are derived afresh, so every UR of an rdata
+// the memo has no room for gets a record of its own.
 func (c *Collector) rdataFacts(m *detMemo, t dns.Type, rdata string) rdataFacts {
 	k := rdataKey{t, rdata}
 	if f, ok := m.rdata[k]; ok {
@@ -205,12 +204,15 @@ func (c *Collector) rdataFacts(m *detMemo, t dns.Type, rdata string) rdataFacts 
 		}
 		f.addr = addr
 		f.ips = []netip.Addr{addr}
-		f.info, f.hasInfo = c.cfg.IPDB.Lookup(addr)
+		f.enr = &Enrichment{}
+		if info, ok := c.cfg.IPDB.Lookup(addr); ok {
+			f.enr.ASN, f.enr.ASName, f.enr.Country = info.ASN, info.ASName, info.Country
+		}
 		if c.probeFn != nil {
-			f.http = c.probe(addr)
+			f.enr.HTTP = c.probe(addr)
 		}
 	case dns.TypeTXT:
-		f.txtClass = ClassifyTXT(rdata)
+		f.enr = &Enrichment{TXTClass: ClassifyTXT(rdata)}
 		f.ips = slices.Clip(extractIPs(rdata))
 	default:
 		// MX and other extension types: rdata names a host rather than an

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/dns"
 	"repro/internal/dnsio"
 	"repro/internal/ipam"
+	"repro/internal/websim"
 )
 
 // TestSharedRDataCorrespondenceIsPerRecord holds the rdata memo's shared IP
@@ -25,8 +27,8 @@ func TestSharedRDataCorrespondenceIsPerRecord(t *testing.T) {
 	cfg.IPDB = ipam.New()
 	c := NewCollector(cfg)
 	const spf = `"v=spf1 ip4:192.0.2.1 ip4:192.0.2.2 ip4:192.0.2.3 -all"`
-	s1 := NameserverInfo{Addr: netip.MustParseAddr("100.1.0.1"), Host: "ns1.h.test", Provider: "H"}
-	s2 := NameserverInfo{Addr: netip.MustParseAddr("100.1.0.2"), Host: "ns2.h.test", Provider: "H"}
+	s1 := &NameserverInfo{Addr: netip.MustParseAddr("100.1.0.1"), Host: "ns1.h.test", Provider: "H"}
+	s2 := &NameserverInfo{Addr: netip.MustParseAddr("100.1.0.2"), Host: "ns2.h.test", Provider: "H"}
 	a1, a2 := netip.MustParseAddr("198.51.100.1"), netip.MustParseAddr("198.51.100.2")
 	txt1 := &UR{Server: s1, Domain: "site.com", Type: dns.TypeTXT, RData: spf}
 	txt2 := &UR{Server: s2, Domain: "site.com", Type: dns.TypeTXT, RData: spf}
@@ -54,6 +56,120 @@ func TestSharedRDataCorrespondenceIsPerRecord(t *testing.T) {
 		if want := append(slices.Clone(embedded), tc.extra); !slices.Equal(tc.u.CorrespondingIPs, want) {
 			t.Errorf("TXT on %s: corresponding IPs %v, want %v", tc.u.Server.Addr, tc.u.CorrespondingIPs, want)
 		}
+	}
+}
+
+// TestSharedEnrichmentNeverWrittenThroughUR holds the enrichment records and
+// the corresponding-IP slices that URs of one (type, rdata) share to being
+// read-only through any one UR. The analyzer's TXT correspondence appends to
+// one record's IPs; a UR copied as the benchmark's determine pass copies it
+// (c := *u, classification reset) is classified again. Neither may change
+// another record's IPs, the original's classification, or a shared record.
+func TestSharedEnrichmentNeverWrittenThroughUR(t *testing.T) {
+	cfg := analyzerConfig()
+	cfg.IPDB = ipam.New()
+	asn := cfg.IPDB.RegisterAS("SHARED-NET", "NL", 1)
+	c := NewCollector(cfg)
+	c.probeFn = func(_, dst netip.Addr) websim.ProbeResult {
+		return websim.ProbeResult{Reachable: true, StatusCode: 200, Body: "hello " + dst.String(),
+			Cert: &websim.Cert{Subject: dst.String(), Fingerprint: "fp-" + dst.String()}}
+	}
+	const spf = `"v=spf1 ip4:192.0.2.1 ip4:192.0.2.2 ip4:192.0.2.3 -all"`
+	embedded := []netip.Addr{
+		netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2"), netip.MustParseAddr("192.0.2.3"),
+	}
+	s1 := &NameserverInfo{Addr: netip.MustParseAddr("100.1.0.1"), Host: "ns1.h.test", Provider: "H"}
+	s2 := &NameserverInfo{Addr: netip.MustParseAddr("100.1.0.2"), Host: "ns2.h.test", Provider: "H"}
+	s3 := &NameserverInfo{Addr: netip.MustParseAddr("100.1.0.3"), Host: "ns3.h.test", Provider: "H"}
+	a1, a2 := cfg.IPDB.MustAllocate(asn), cfg.IPDB.MustAllocate(asn)
+	txt1 := &UR{Server: s1, Domain: "site.com", Type: dns.TypeTXT, RData: spf}
+	txt2 := &UR{Server: s2, Domain: "site.com", Type: dns.TypeTXT, RData: spf}
+	txt3 := &UR{Server: s3, Domain: "site.com", Type: dns.TypeTXT, RData: spf} // no A sibling
+	aRec1 := &UR{Server: s1, Domain: "site.com", Type: dns.TypeA, RData: a1.String()}
+	aRec2 := &UR{Server: s2, Domain: "site.com", Type: dns.TypeA, RData: a2.String()}
+	aRec3 := &UR{Server: s3, Domain: "other.com", Type: dns.TypeA, RData: a1.String()}
+	urs := []*UR{txt1, txt2, txt3, aRec1, aRec2, aRec3}
+	memo := newDetMemo()
+	for _, u := range urs {
+		c.enrichOne(memo, u)
+	}
+	txtRec, aRec := txt1.enr, aRec1.enr
+	if txtRec == nil || txt2.enr != txtRec || txt3.enr != txtRec || aRec == nil || aRec3.enr != aRec || aRec2.enr == aRec {
+		t.Fatal("URs of one (type, rdata) do not share one enrichment record; the test proves nothing")
+	}
+	if e := aRec1.Enrichment(); e.ASN != asn || e.Country != "NL" || e.HTTP.Cert == nil || txt1.Enrichment().TXTClass != TXTSPF {
+		t.Fatalf("enrichment not attached: A %+v, TXT %+v", e, txt1.Enrichment())
+	}
+	if e := (&UR{}).Enrichment(); !reflect.DeepEqual(e, Enrichment{}) {
+		t.Fatalf("an unenriched UR reads %+v, want zero values", e)
+	}
+	// What a UR reads of itself and of its shared record, deep-copied.
+	type view struct {
+		enr      *Enrichment
+		val      Enrichment
+		cert     websim.Cert
+		ips      []netip.Addr
+		category Category
+		reason   CorrectReason
+	}
+	snap := func(u *UR) view {
+		v := view{enr: u.enr, val: *u.enr, ips: slices.Clone(u.CorrespondingIPs), category: u.Category, reason: u.Reason}
+		if u.enr.HTTP.Cert != nil {
+			v.cert = *u.enr.HTTP.Cert
+			v.cert.SANs = slices.Clone(v.cert.SANs)
+		}
+		return v
+	}
+	unchanged := func(stage string, u *UR, want view) {
+		t.Helper()
+		if got := snap(u); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %s %s on %s changed: %+v, want %+v", stage, u.Type, u.RData, u.Server.Addr, got, want)
+		}
+	}
+
+	// The analyzer appends each server's A address to that server's TXT
+	// record only.
+	before := map[*UR]view{}
+	for _, u := range urs {
+		before[u] = snap(u)
+	}
+	NewAnalyzer(cfg).Analyze(urs)
+	for _, tc := range []struct {
+		u     *UR
+		extra []netip.Addr
+	}{{txt1, []netip.Addr{a1}}, {txt2, []netip.Addr{a2}}, {txt3, nil}} {
+		if want := append(slices.Clone(embedded), tc.extra...); !slices.Equal(tc.u.CorrespondingIPs, want) {
+			t.Errorf("TXT on %s: corresponding IPs %v, want %v", tc.u.Server.Addr, tc.u.CorrespondingIPs, want)
+		}
+	}
+	if f := memo.rdata[rdataKey{dns.TypeTXT, spf}]; !slices.Equal(f.ips, embedded) || len(f.ips) != cap(f.ips) {
+		t.Errorf("the memoized TXT facts changed: %v (cap %d)", f.ips, cap(f.ips))
+	}
+	// txt3 had no A sibling, so it and every A record read as before.
+	for _, u := range []*UR{txt3, aRec1, aRec2, aRec3} {
+		unchanged("analyze", u, before[u])
+	}
+
+	// Copies classified as the benchmark classifies them leave their
+	// originals and the shared records as they were.
+	for _, u := range urs {
+		u.Category, u.Reason = CategoryMalicious, ReasonNone
+		before[u] = snap(u)
+	}
+	batch := make([]*UR, len(urs))
+	for i, u := range urs {
+		cp := *u
+		cp.Category, cp.Reason = CategoryUnknown, ReasonNone
+		batch[i] = &cp
+	}
+	correct := NewCorrectDB()
+	correct.Profile("site.com").AddA(a1, asn, "NL", "")
+	det := NewDeterminer(cfg, correct, NewProtectiveDB())
+	if sus := det.Determine(batch); len(sus) == len(batch) {
+		t.Fatal("no copy was classified correct; the test proves nothing")
+	}
+	for _, u := range urs {
+		unchanged("determine a copy", u, before[u])
 	}
 }
 
@@ -182,8 +298,8 @@ func TestAnswerMemoBoundedUnderUniqueAnswers(t *testing.T) {
 	c := NewCollector(fx.cfg)
 	w := &sweepWorker{}
 	var urs []*UR
-	for u, ns := range fx.cfg.Nameservers {
-		j := c.startJob(w, len(fx.cfg.OpenResolvers)+u, ns)
+	for u := range fx.cfg.Nameservers {
+		j := c.startJob(w, len(fx.cfg.OpenResolvers)+u, &fx.cfg.Nameservers[u])
 		var err error
 		if urs, err = c.sweepTargets(context.Background(), &j, urs); err != nil {
 			t.Fatal(err)

@@ -23,7 +23,7 @@ func renderReport(res *Result) string {
 	sb.WriteString(renderRecords(res))
 	for _, u := range res.URs {
 		fmt.Fprintf(&sb, "cls|%v|%v|%v|%v|%v\n",
-			u.Category, u.Reason, u.TXTClass, u.MaliciousByIntel, u.MaliciousByIDS)
+			u.Category, u.Reason, u.Enrichment().TXTClass, u.MaliciousByIntel, u.MaliciousByIDS)
 	}
 	for _, row := range res.Table1() {
 		fmt.Fprintf(&sb, "t1|%s|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d\n",

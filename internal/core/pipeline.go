@@ -279,6 +279,7 @@ func (p *Pipeline) FalseNegativeCheck(ctx context.Context, res *Result) (int, in
 		det.protective = res.Protective
 	}
 	memo := newDetMemo()
+	delegated := &NameserverInfo{Addr: resolver.Addr(), Host: "delegated", Provider: "delegated"}
 	total, falseNeg := 0, 0
 	for _, target := range p.Cfg.Targets {
 		for _, qt := range p.Cfg.queryTypes() {
@@ -291,7 +292,7 @@ func (p *Pipeline) FalseNegativeCheck(ctx context.Context, res *Result) (int, in
 					continue
 				}
 				u := &UR{
-					Server: NameserverInfo{Addr: resolver.Addr(), Host: "delegated", Provider: "delegated"},
+					Server: delegated,
 					Domain: target, Type: qt, RData: rr.Data.String(), TTL: rr.TTL,
 				}
 				p.collector.enrichOne(memo, u)

@@ -282,7 +282,7 @@ func (r *Result) TXTEmailShare() (emailRelated, maliciousTXT int) {
 			continue
 		}
 		maliciousTXT++
-		if u.TXTClass.EmailRelated() {
+		if u.Enrichment().TXTClass.EmailRelated() {
 			emailRelated++
 		}
 	}

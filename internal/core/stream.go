@@ -62,7 +62,7 @@ func pickErr(errs ...error) error {
 // (sweepProtective / sweepURs), which is what coverage accounting, the
 // failure book, and journal resume are keyed by.
 func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, emit func([]*UR)) error {
-	err := c.sweepPool(ctx, []sweepKind{sweepProtective, sweepURs}, len(c.cfg.OpenResolvers), c.cfg.Nameservers, func(w *sweepWorker, unit int, ns NameserverInfo) error {
+	err := c.sweepPool(ctx, []sweepKind{sweepProtective, sweepURs}, len(c.cfg.OpenResolvers), c.cfg.Nameservers, func(w *sweepWorker, unit int, ns *NameserverInfo) error {
 		urs, err := c.collectNSFused(ctx, w, unit, ns, db)
 		if err == nil {
 			emit(urs)
@@ -93,7 +93,7 @@ func (c *Collector) collectNameservers(ctx context.Context, db *ProtectiveDB, em
 // configuration, which is what keeps chaos runs reproducible (see the
 // package comment above). On a resumed run the journaled probes of the job
 // are folded in the same order and simply never reach the endpoint.
-func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, unit int, ns NameserverInfo, db *ProtectiveDB) ([]*UR, error) {
+func (c *Collector) collectNSFused(ctx context.Context, w *sweepWorker, unit int, ns *NameserverInfo, db *ProtectiveDB) ([]*UR, error) {
 	j := c.startJob(w, unit, ns)
 	var canaryFails []probeFailure // protective failures, retried in-job
 	defer func() {

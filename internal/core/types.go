@@ -93,33 +93,57 @@ func (t TXTCategory) EmailRelated() bool {
 // UR is one observed undelegated record with its enrichment. Identity
 // follows §5.1: a unique UR is (nameserver IP, domain, type, rdata) — the
 // same data on two servers is two attacker options.
+//
+// A sweep holds millions of URs that repeat a few thousand facts, so a UR
+// holds only what is its own and points at the rest: Server at the run's one
+// NameserverInfo for that server, and its enrichment at the one record its
+// (type, rdata) shares with every UR that carries it (Enrichment).
 type UR struct {
-	Server NameserverInfo
+	Server *NameserverInfo
 	Domain dns.Name
-	Type   dns.Type
 	RData  string
-	TTL    uint32
 
 	// CorrespondingIPs per §4.3: the A record's address, or the IPs embedded
-	// in (or associated with) a TXT record.
+	// in (or associated with) a TXT record. A UR's slice may be shared with
+	// every UR of the same (type, rdata), clipped, so an append reallocates.
 	CorrespondingIPs []netip.Addr
 
-	// Enrichment for A records.
-	ASN     ipam.ASN
-	ASName  string
-	Country string
-	HTTP    websim.ProbeResult
-
-	// TXTClass is set for TXT records.
-	TXTClass TXTCategory
+	// enr is the shared enrichment of (Type, RData); nil until the UR is
+	// enriched, and never written through.
+	enr *Enrichment
 
 	// Classification output.
-	Category Category
 	Reason   CorrectReason
+	Category Category
+
+	TTL  uint32
+	Type dns.Type
 	// MaliciousByIntel / MaliciousByIDS record which evidence fired
 	// (Figure 3(a)).
 	MaliciousByIntel bool
 	MaliciousByIDS   bool
+}
+
+// Enrichment is what a UR's (type, rdata) alone determines: an A record's
+// AS, country and web probe, a TXT record's class. One immutable record is
+// derived per distinct (type, rdata) and shared by every UR that carries it.
+type Enrichment struct {
+	// ASN, ASName and Country come from the IPDB, for A records.
+	ASN     ipam.ASN
+	ASName  string
+	Country string
+	// HTTP is the web probe of an A record's address.
+	HTTP websim.ProbeResult
+	// TXTClass is set for TXT records.
+	TXTClass TXTCategory
+}
+
+// Enrichment returns a copy of u's enrichment; zero values when u has none.
+func (u *UR) Enrichment() Enrichment {
+	if u.enr == nil {
+		return Enrichment{}
+	}
+	return *u.enr
 }
 
 // Key returns the §5.1 uniqueness tuple.

@@ -286,9 +286,13 @@ func (s *BreakerSet) forAddr(addr netip.Addr) *breaker {
 // Trips returns how many times any breaker transitioned closed → open.
 func (s *BreakerSet) Trips() int64 { return s.trips.Load() }
 
-// Open reports whether a server's breaker is currently open.
+// Open reports whether a server's breaker is currently open. It stores
+// nothing: a server with no breaker yet is closed.
 func (s *BreakerSet) Open(addr netip.Addr) bool {
-	b := s.forAddr(addr)
+	b, ok := s.m.Load(addr)
+	if !ok {
+		return false
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.open

@@ -288,3 +288,18 @@ func TestSpoofedResponsesNeverSurface(t *testing.T) {
 		t.Errorf("class = %v, want spoofed", Classify(err))
 	}
 }
+
+// TestBreakerOpenStoresNothing pins Open as a read: asking about a server no
+// exchange has touched reports it closed and leaves the set empty, so a
+// caller that polls breakers for many servers does not grow the set.
+func TestBreakerOpenStoresNothing(t *testing.T) {
+	s := NewBreakerSet(BreakerConfig{Threshold: 1, HalfOpenAfter: 1})
+	if s.Open(netip.MustParseAddr("192.0.2.9")) {
+		t.Fatal("a server with no breaker reads open")
+	}
+	n := 0
+	s.m.Range(func(netip.Addr, *breaker) bool { n++; return true })
+	if n != 0 {
+		t.Fatalf("Open stored %d breakers", n)
+	}
+}

@@ -275,8 +275,8 @@ func TestCaseStudyURsCollected(t *testing.T) {
 		if u.Domain == "speedtest.net" && u.Type == dns.TypeTXT &&
 			u.Category == core.CategoryMalicious {
 			foundSPF = true
-			if !u.TXTClass.EmailRelated() {
-				t.Errorf("SPF UR classified as %s", u.TXTClass)
+			if c := u.Enrichment().TXTClass; !c.EmailRelated() {
+				t.Errorf("SPF UR classified as %s", c)
 			}
 		}
 	}

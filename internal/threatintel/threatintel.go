@@ -10,8 +10,6 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Tag is a vendor-assigned label for a malicious IP.
@@ -30,30 +28,26 @@ const (
 // AllTags is Figure 3(d)'s display order.
 var AllTags = []Tag{TagTrojan, TagScanner, TagOther, TagMalware, TagC2, TagBotnet}
 
-// Vendor is one security vendor's live blacklist. Lookups — 74 of them per
-// aggregated verdict, from every determine and analyze worker at once — read
-// the list without writing a shared word; flagging serialises on mu.
+// Vendor is one security vendor's blacklist. It is filled while the world
+// is built and read-only after that: lookups — 74 of them per aggregated
+// verdict, from every determine and analyze worker at once — read a plain
+// map without writing a shared word.
 type Vendor struct {
 	Name string
 
-	mu     sync.Mutex // serialises Flag's read-modify-write
-	listed sync.Map   // netip.Addr → []Tag; a stored slice is never modified
-	size   atomic.Int64
+	listed map[netip.Addr][]Tag // a stored slice is never modified
 }
 
 // NewVendor creates an empty vendor feed.
 func NewVendor(name string) *Vendor {
-	return &Vendor{Name: name}
+	return &Vendor{Name: name, listed: make(map[netip.Addr][]Tag)}
 }
 
 // Flag adds an IP to the vendor's blacklist with the given tags (idempotent
-// per tag).
+// per tag). It writes the list, so it must not run concurrently with any
+// other method of the vendor or of an aggregator holding it.
 func (v *Vendor) Flag(addr netip.Addr, tags ...Tag) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	old, _ := v.listed.Load(addr)
-	prev, _ := old.([]Tag)
-	have := slices.Clone(prev)
+	have := slices.Clone(v.listed[addr])
 	for _, t := range tags {
 		if !slices.Contains(have, t) {
 			have = append(have, t)
@@ -62,24 +56,21 @@ func (v *Vendor) Flag(addr netip.Addr, tags ...Tag) {
 	if len(have) == 0 {
 		have = []Tag{TagOther}
 	}
-	v.listed.Store(addr, have)
-	if old == nil {
-		v.size.Add(1)
-	}
+	v.listed[addr] = have
 }
 
 // Listed reports whether the vendor flags the IP, with its tags.
 func (v *Vendor) Listed(addr netip.Addr) ([]Tag, bool) {
-	tags, ok := v.listed.Load(addr)
+	tags, ok := v.listed[addr]
 	if !ok {
 		return nil, false
 	}
-	return slices.Clone(tags.([]Tag)), true
+	return slices.Clone(tags), true
 }
 
 // Size returns the number of IPs on the vendor's list.
 func (v *Vendor) Size() int {
-	return int(v.size.Load())
+	return len(v.listed)
 }
 
 // Report is the aggregated intelligence for one IP.
@@ -159,7 +150,7 @@ func (a *Aggregator) Lookup(addr netip.Addr) Report {
 	rep := Report{Addr: addr}
 	tagset := make(map[Tag]bool)
 	for _, v := range a.vendors {
-		if tags, ok := v.Listed(addr); ok {
+		if tags, ok := v.listed[addr]; ok {
 			rep.Vendors = append(rep.Vendors, v.Name)
 			for _, t := range tags {
 				tagset[t] = true
@@ -177,7 +168,7 @@ func (a *Aggregator) Lookup(addr netip.Addr) Report {
 // IsMalicious reports whether any vendor flags the IP.
 func (a *Aggregator) IsMalicious(addr netip.Addr) bool {
 	for _, v := range a.vendors {
-		if _, ok := v.Listed(addr); ok {
+		if _, ok := v.listed[addr]; ok {
 			return true
 		}
 	}

@@ -280,7 +280,7 @@ func coldStartResult(urs ...*core.UR) *core.Result {
 
 func coldStartUR(domain, rdata string, cat core.Category) *core.UR {
 	return &core.UR{
-		Server: core.NameserverInfo{
+		Server: &core.NameserverInfo{
 			Addr: netip.MustParseAddr("192.0.2.53"), Host: "ns1.provider.test", Provider: "ColdDNS",
 		},
 		Domain: dns.Name(domain), Type: dns.TypeA, RData: rdata, TTL: 60,
