@@ -52,9 +52,11 @@
 // -xfr-allow enables AXFR/IXFR zone transfers for the listed CIDRs (off when
 // empty): a mirror AXFRs once, then follows generations with IXFR deltas
 // keyed by SOA serial = generation sequence, falling back to AXFR when its
-// serial predates the -retain window. -notify sends RFC 1996 NOTIFY to the
-// listed addr:port secondaries on every publish. -zone-allow restricts
-// ordinary DNSBL queries (open when empty). /metrics serves Prometheus text.
+// serial predates the -retain window (an unchanged generation shares its
+// predecessor's tables, so retaining it is free). -notify sends RFC 1996
+// NOTIFY to the listed addr:port secondaries on every publish. -zone-allow
+// restricts ordinary DNSBL queries (open when empty). /metrics serves
+// Prometheus text.
 package main
 
 import (
@@ -122,7 +124,7 @@ func main() {
 	flag.IntVar(&cfg.smoke, "smoke", 0, "self-test with N concurrent HTTP and N DNS clients, then exit")
 	flag.DurationVar(&cfg.maxStaleness, "max-staleness", 0, "generation age that flips health to stale (0 = 10x interval, <0 = unbounded)")
 	flag.IntVar(&cfg.degradedAfter, "degraded-after", 3, "consecutive sweep failures that flip health to degraded")
-	flag.IntVar(&cfg.retain, "retain", urwatch.DefaultRetainGenerations, "generations retained for IXFR deltas")
+	flag.IntVar(&cfg.retain, "retain", urwatch.DefaultRetainGenerations, "generations retained for IXFR deltas (an unchanged generation shares its predecessor's tables)")
 	flag.StringVar(&cfg.xfrAllow, "xfr-allow", "", "CIDR allowlist for AXFR/IXFR/NOTIFY (empty disables transfers)")
 	flag.StringVar(&cfg.zoneAllow, "zone-allow", "", "CIDR allowlist for DNSBL queries (empty = open)")
 	flag.StringVar(&cfg.notify, "notify", "", "comma-separated addr:port secondaries to NOTIFY on publish")

@@ -128,7 +128,7 @@ func newCollectorFixture(t *testing.T) *collectorFixture {
 func sweepNameservers(t *testing.T, cfg *Config) (*Collector, []*UR, *ProtectiveDB) {
 	t.Helper()
 	col := NewCollector(cfg)
-	db := NewProtectiveDB()
+	db := NewProtectiveDB(cfg.Nameservers)
 	var mu sync.Mutex
 	var urs []*UR
 	err := col.collectNameservers(context.Background(), db, func(batch []*UR) {

@@ -24,7 +24,7 @@ func detConfig() (*Config, *CorrectDB, *ProtectiveDB) {
 	prof.Countries["JP"] = true
 	prof.CertFPs["cafecafe"] = true
 	prof.TXTs[`"v=spf1 ip4:93.0.0.10 -all"`] = true
-	protective := NewProtectiveDB()
+	protective := NewProtectiveDB([]NameserverInfo{{Addr: netip.MustParseAddr("100.1.0.53")}})
 	protective.Add(netip.MustParseAddr("100.1.0.53"), dns.TypeA, "100.1.0.200")
 	return cfg, correct, protective
 }

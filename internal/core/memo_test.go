@@ -164,7 +164,7 @@ func TestSharedEnrichmentNeverWrittenThroughUR(t *testing.T) {
 	}
 	correct := NewCorrectDB()
 	correct.Profile("site.com").AddA(a1, asn, "NL", "")
-	det := NewDeterminer(cfg, correct, NewProtectiveDB())
+	det := NewDeterminer(cfg, correct, NewProtectiveDB(nil))
 	if sus := det.Determine(batch); len(sus) == len(batch) {
 		t.Fatal("no copy was classified correct; the test proves nothing")
 	}

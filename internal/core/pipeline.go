@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -123,7 +124,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		go func() { analyzerCh <- NewAnalyzer(p.Cfg) }()
 	}
 
-	protective := NewProtectiveDB()
+	protective := NewProtectiveDB(p.Cfg.Nameservers)
 	if p.Determiner == nil {
 		p.Determiner = NewDeterminer(p.Cfg, nil, protective)
 	} else {
@@ -176,14 +177,14 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	// fused job before the batch was emitted. Workers always drain the
 	// stream, even on error, so the sweep's emits never block forever.
 	workers := p.Cfg.parallelism()
-	shards := make([][]*UR, workers)
+	shards := make([][][]*UR, workers) // each worker's batches, merged once below
 	var dwg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		dwg.Add(1)
 		go func(i int) {
 			defer dwg.Done()
 			<-correctDone
-			var local []*UR
+			var local [][]*UR
 			var memo *detMemo
 			if det.correct != nil && !collectOnly {
 				memo = newDetMemo()
@@ -195,7 +196,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 						det.classifyMemo(memo, u)
 					}
 				}
-				local = append(local, batch...)
+				local = append(local, batch)
 			}
 			shards[i] = local
 		}(i)
@@ -208,17 +209,11 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		return p.partial(), err
 	}
 
-	n := 0
+	var batches [][]*UR
 	for _, s := range shards {
-		n += len(s)
+		batches = append(batches, s...)
 	}
-	var urs []*UR
-	if n > 0 {
-		urs = make([]*UR, 0, n)
-		for _, s := range shards {
-			urs = append(urs, s...)
-		}
-	}
+	urs := slices.Concat(batches...)
 	sortURs(urs)
 	var suspicious []*UR
 	if !collectOnly {

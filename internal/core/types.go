@@ -261,35 +261,40 @@ func (db *CorrectDB) Lookup(d dns.Name) (*DomainProfile, bool) {
 	return p, ok
 }
 
-// protectiveKey is the (server, type, rdata) identity of one protective
-// record. A comparable struct rather than a formatted string: Match runs
-// once per collected UR, and the fmt.Sprintf key it replaced was one of the
-// pipeline's top allocation sites.
+// protectiveKey is the (type, rdata) of one protective record in its
+// server's set: a comparable struct, as Match runs once per collected UR and
+// the fmt.Sprintf key it replaced was a top allocation site.
 type protectiveKey struct {
-	server netip.Addr
-	t      dns.Type
-	rdata  string
+	t     dns.Type
+	rdata string
 }
 
-// ProtectiveDB holds the protective records observed per nameserver, keyed
-// by (server, type, rdata). Match runs once per collected UR on every
-// determine worker and reads without writing; Add runs a few times per server.
+// ProtectiveDB holds one set of protective records per planned server, made
+// with it: a set is written only by its server's fused job and read once the
+// job's batch is emitted (the stream channel orders the two).
 type ProtectiveDB struct {
-	records sync.Map // protectiveKey → struct{}
+	sets map[netip.Addr]map[protectiveKey]struct{}
 }
 
-// NewProtectiveDB creates an empty database.
-func NewProtectiveDB() *ProtectiveDB {
-	return &ProtectiveDB{}
+// NewProtectiveDB creates an empty database for the planned servers.
+func NewProtectiveDB(servers []NameserverInfo) *ProtectiveDB {
+	db := &ProtectiveDB{sets: make(map[netip.Addr]map[protectiveKey]struct{}, len(servers))}
+	for _, ns := range servers {
+		db.sets[ns.Addr] = make(map[protectiveKey]struct{})
+	}
+	return db
 }
 
-// Add records a protective (server, type, rdata) observation.
+// Add records a protective (server, type, rdata) observation; a server
+// outside the plan has no set.
 func (db *ProtectiveDB) Add(server netip.Addr, t dns.Type, rdata string) {
-	db.records.LoadOrStore(protectiveKey{server: server, t: t, rdata: rdata}, struct{}{})
+	if set := db.sets[server]; set != nil {
+		set[protectiveKey{t: t, rdata: rdata}] = struct{}{}
+	}
 }
 
 // Match reports whether the tuple is a known protective record.
 func (db *ProtectiveDB) Match(server netip.Addr, t dns.Type, rdata string) bool {
-	_, ok := db.records.Load(protectiveKey{server: server, t: t, rdata: rdata})
+	_, ok := db.sets[server][protectiveKey{t: t, rdata: rdata}]
 	return ok
 }

@@ -1,7 +1,10 @@
 package urwatch
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -54,6 +57,7 @@ type GenDiff struct {
 	ToSeq      uint64                   `json:"to_seq"`
 	Events     []Event                  `json:"events"`
 	ByProvider map[string]ProviderDelta `json:"by_provider"`
+	same       bool                     // every record equal in every field: Publish shares tables
 }
 
 // compareIdentity orders two records from (possibly different) generations
@@ -62,28 +66,16 @@ type GenDiff struct {
 // different tables compare equal by content.
 func compareIdentity(pg *Generation, pi int, ng *Generation, ni int) int {
 	a, b := &pg.recs[pi], &ng.recs[ni]
-	if da, db := pg.str(a.domain), ng.str(b.domain); da != db {
-		if da < db {
-			return -1
-		}
-		return 1
+	if c := strings.Compare(pg.str(a.domain), ng.str(b.domain)); c != 0 {
+		return c
 	}
-	if cmp := a.server.Compare(b.server); cmp != 0 {
-		return cmp
+	if c := a.server.Compare(b.server); c != 0 {
+		return c
 	}
-	if a.typ != b.typ {
-		if a.typ < b.typ {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(a.typ, b.typ); c != 0 {
+		return c
 	}
-	if ra, rb := pg.str(a.rdata), ng.str(b.rdata); ra != rb {
-		if ra < rb {
-			return -1
-		}
-		return 1
-	}
-	return 0
+	return strings.Compare(pg.str(a.rdata), ng.str(b.rdata))
 }
 
 // Diff computes the from-scratch delta between two generations. Both record
@@ -104,6 +96,7 @@ func Diff(prev, next *Generation) *GenDiff {
 		d.ToSeq = next.Seq
 		nn = len(next.recs)
 	}
+	same := prev != nil && next != nil
 	pi, ni := 0, 0
 	for pi < pn || ni < nn {
 		var cmp int
@@ -130,6 +123,7 @@ func Diff(prev, next *Generation) *GenDiff {
 			if pv.Category() != nv.Category() {
 				d.add(eventFor(EventReclassified, nv, pv.Category().String(), nv.Category().String()))
 			}
+			same = same && sameEvidence(prev, pi, next, ni)
 			pi++
 			ni++
 		}
@@ -144,7 +138,18 @@ func Diff(prev, next *Generation) *GenDiff {
 	for i := range d.Events {
 		d.Events[i].Gen = d.ToSeq
 	}
+	d.same = same && len(d.Events) == 0
 	return d
+}
+
+// sameEvidence reports whether two records of equal identity agree in every
+// other field, the addresses of their IP spans included.
+func sameEvidence(pg *Generation, pi int, ng *Generation, ni int) bool {
+	a, b := &pg.recs[pi], &ng.recs[ni]
+	return a.category == b.category && a.ttl == b.ttl && a.flags == b.flags &&
+		pg.str(a.reason) == ng.str(b.reason) && pg.str(a.nsHost) == ng.str(b.nsHost) &&
+		pg.str(a.provider) == ng.str(b.provider) &&
+		slices.Equal(pg.ipTab[a.ipOff:a.ipOff+a.ipLen], ng.ipTab[b.ipOff:b.ipOff+b.ipLen])
 }
 
 func eventFor(kind EventKind, v VerdictView, old, new_ string) Event {

@@ -397,7 +397,7 @@ func DecodeSnapshot(data []byte) (*Generation, error) {
 	// Sort order is a serving invariant (binary searches assume it), so it
 	// is checked, not trusted.
 	for i := 1; i < nRecs; i++ {
-		if !recIdentityLess(g, i-1, g, i) {
+		if compareIdentity(g, i-1, g, i) >= 0 {
 			return nil, corruptf("records %d and %d out of order or duplicated", i-1, i)
 		}
 	}
@@ -500,12 +500,6 @@ func DecodeSnapshot(data []byte) (*Generation, error) {
 		return nil, corruptf("%d trailing bytes after end marker", r.remaining())
 	}
 	return g, nil
-}
-
-// recIdentityLess is strict (domain, server, type, rdata) ordering across
-// two generations' record arrays.
-func recIdentityLess(ag *Generation, ai int, bg *Generation, bi int) bool {
-	return compareIdentity(ag, ai, bg, bi) < 0
 }
 
 // --- files and directories -------------------------------------------------

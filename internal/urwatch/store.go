@@ -27,9 +27,9 @@
 // is the difference between GBs of GC-scanned pointer graph and a few large
 // pointer-free allocations the collector skips over.
 //
-// The build side (Builder) is a plain slice of verdicts, filled by one
-// goroutine; Seal sorts positions into it, drops repeated identities, and
-// compiles the flat form once, and the slice dies young. The flat form is
+// The seal reads a sweep's records in place, sorts positions into them, drops
+// repeated identities and compiles the flat form once; a publish equal to the
+// current generation keeps the current tables. The flat form is
 // also what the binary snapshot format (snapshot.go) serializes —
 // section-per-slice — which is why a restarted daemon can serve the previous
 // generation in milliseconds.
@@ -142,8 +142,8 @@ type ProviderStats struct {
 }
 
 // Generation is one immutable snapshot of the verdict feed. All fields are
-// written by a single Builder.Seal (or the snapshot loader) and never
-// mutated after; readers need no locks.
+// written by one seal (or the snapshot loader; Publish may swap in equal
+// tables first) and never mutated after; readers need no locks.
 type Generation struct {
 	// Seq is the generation number, monotonically increasing from 1 (the
 	// store's empty initial generation is 0).
@@ -445,51 +445,50 @@ func (in *interner) Intern(s string) string {
 }
 
 // Builder accumulates verdicts for the next generation, from one goroutine;
-// Seal compiles them into the flat immutable form. A Builder is single-use.
+// Seal compiles them into the flat immutable form. Sealing reads the added
+// records without consuming them.
 type Builder struct {
-	vs     []Verdict
-	sealed bool
+	urs []*core.UR
 }
 
 // NewBuilder starts an empty next generation.
 func NewBuilder() *Builder { return &Builder{} }
 
-// Add appends a copy of one verdict. Of verdicts with the same identity,
-// Seal keeps the first added (the pipeline's canonical sort means the first
-// is the canonical one).
+// Add appends one verdict as the record a sweep makes (IPs shared, not
+// copied). Of verdicts with the same identity, Seal keeps the first added
+// (the pipeline's canonical sort means the first is the canonical one).
 func (b *Builder) Add(v *Verdict) {
-	if b.sealed {
-		panic("urwatch: Add after Seal")
-	}
-	b.vs = append(b.vs, *v)
+	b.urs = append(b.urs, &core.UR{
+		Server: &core.NameserverInfo{Addr: v.Server, Host: v.NSHost, Provider: v.Provider},
+		Domain: v.Domain, Type: v.Type, RData: v.RData, TTL: v.TTL, CorrespondingIPs: v.IPs,
+		Category: v.Category, Reason: v.Reason, MaliciousByIntel: v.ByIntel, MaliciousByIDS: v.ByIDS,
+	})
 }
 
 // Seal stamps and compiles the generation: the added verdicts become the
 // sorted record array, the string table, the IP arena and index, and the
-// provider aggregates. The builder must not be used afterwards.
+// provider aggregates.
 func (b *Builder) Seal(seq uint64, sweptAt time.Time) *Generation {
-	if b.sealed {
-		panic("urwatch: Seal called twice")
-	}
-	b.sealed = true
-	// Record order: (domain, server, type, rdata). Domain-major makes the
-	// sorted array its own domain index; within a domain the order is the
-	// feed's canonical (server, type, rdata), exactly what the map-era
-	// per-domain slices served. Positions are sorted, not the verdicts, and
-	// stably, so the first added of each identity leads its run and is the
-	// one kept.
-	vs := b.vs
-	b.vs = nil
-	all := make([]int32, len(vs))
+	return seal(b.urs, seq, sweptAt)
+}
+
+// seal compiles records, read in place, into a generation. Record order:
+// (domain, server, type, rdata). Domain-major makes the sorted array its own
+// domain index; within a domain the order is the feed's canonical (server,
+// type, rdata), exactly what the map-era per-domain slices served. Positions
+// are sorted, not the records, and stably, so the first of each identity
+// leads its run and is the one kept.
+func seal(urs []*core.UR, seq uint64, sweptAt time.Time) *Generation {
+	all := make([]int32, len(urs))
 	for i := range all {
 		all[i] = int32(i)
 	}
 	slices.SortStableFunc(all, func(i, j int32) int {
-		x, y := &vs[i], &vs[j]
+		x, y := urs[i], urs[j]
 		if c := cmp.Compare(x.Domain, y.Domain); c != 0 {
 			return c
 		}
-		if c := x.Server.Compare(y.Server); c != 0 {
+		if c := x.Server.Addr.Compare(y.Server.Addr); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(x.Type, y.Type); c != 0 {
@@ -498,8 +497,8 @@ func (b *Builder) Seal(seq uint64, sweptAt time.Time) *Generation {
 		return cmp.Compare(x.RData, y.RData)
 	})
 	all = slices.CompactFunc(all, func(i, j int32) bool {
-		x, y := &vs[i], &vs[j]
-		return x.Domain == y.Domain && x.Server == y.Server && x.Type == y.Type && x.RData == y.RData
+		x, y := urs[i], urs[j]
+		return x.Domain == y.Domain && x.Server.Addr == y.Server.Addr && x.Type == y.Type && x.RData == y.RData
 	})
 
 	g := &Generation{Seq: seq, SweptAt: sweptAt}
@@ -519,47 +518,47 @@ func (b *Builder) Seal(seq uint64, sweptAt time.Time) *Generation {
 	g.recs = make([]verdictRec, len(all))
 	provByName := make(map[string]*ProviderStats)
 	nIPs := 0
-	for _, vi := range all {
-		nIPs += len(vs[vi].IPs)
+	for _, ui := range all {
+		nIPs += len(urs[ui].CorrespondingIPs)
 	}
 	g.ipTab = make([]netip.Addr, 0, nIPs)
 	g.ipIdx = make([]ipEntry, 0, nIPs)
-	for i, vi := range all {
-		v := &vs[vi]
+	for i, ui := range all {
+		u := urs[ui]
 		var flags uint8
-		if v.ByIntel {
+		if u.MaliciousByIntel {
 			flags |= flagByIntel
 		}
-		if v.ByIDS {
+		if u.MaliciousByIDS {
 			flags |= flagByIDS
 		}
 		g.recs[i] = verdictRec{
-			server:   v.Server,
-			domain:   sid(string(v.Domain)),
-			rdata:    sid(v.RData),
-			nsHost:   sid(string(v.NSHost)),
-			provider: sid(v.Provider),
-			reason:   sid(string(v.Reason)),
+			server:   u.Server.Addr,
+			domain:   sid(string(u.Domain)),
+			rdata:    sid(u.RData),
+			nsHost:   sid(string(u.Server.Host)),
+			provider: sid(u.Server.Provider),
+			reason:   sid(string(u.Reason)),
 			ipOff:    uint32(len(g.ipTab)),
-			ipLen:    uint32(len(v.IPs)),
-			ttl:      v.TTL,
-			typ:      v.Type,
-			category: uint8(v.Category),
+			ipLen:    uint32(len(u.CorrespondingIPs)),
+			ttl:      u.TTL,
+			typ:      u.Type,
+			category: uint8(u.Category),
 			flags:    flags,
 		}
-		g.ipTab = append(g.ipTab, v.IPs...)
-		for _, ip := range v.IPs {
+		g.ipTab = append(g.ipTab, u.CorrespondingIPs...)
+		for _, ip := range u.CorrespondingIPs {
 			g.ipIdx = append(g.ipIdx, ipEntry{addr: ip, rec: uint32(i)})
 		}
-		ps := provByName[v.Provider]
+		ps := provByName[u.Server.Provider]
 		if ps == nil {
-			ps = &ProviderStats{Provider: v.Provider, Counts: make(map[string]int)}
-			provByName[v.Provider] = ps
+			ps = &ProviderStats{Provider: u.Server.Provider, Counts: make(map[string]int)}
+			provByName[u.Server.Provider] = ps
 		}
 		ps.Total++
-		ps.Counts[v.Category.String()]++
-		if v.Category >= 0 && int(v.Category) < len(g.counts) {
-			g.counts[v.Category]++
+		ps.Counts[u.Category.String()]++
+		if u.Category >= 0 && int(u.Category) < len(g.counts) {
+			g.counts[u.Category]++
 		}
 	}
 	// Per-address runs serve in the feed's canonical (server, domain, type,
@@ -579,6 +578,12 @@ func (b *Builder) Seal(seq uint64, sweptAt time.Time) *Generation {
 	return g
 }
 
+// sharesTables reports whether Publish gave g and o one set of tables; every
+// seal and load allocates its own string table (it always holds "").
+func (g *Generation) sharesTables(o *Generation) bool {
+	return unsafe.SliceData(g.strs) == unsafe.SliceData(o.strs)
+}
+
 // recCanonLess orders two records by the feed's canonical (server, domain,
 // type, rdata) tuple.
 func (g *Generation) recCanonLess(i, j int) bool {
@@ -596,27 +601,10 @@ func (g *Generation) recCanonLess(i, j int) bool {
 }
 
 // SnapshotFromResult seals a generation from one pipeline run's classified
-// output. Every collected UR becomes a verdict; the sweep's query and
-// coverage books ride along for the health endpoints.
+// output, reading res.URs in place. Every collected UR becomes a verdict;
+// the sweep's query and coverage books ride along for the health endpoints.
 func SnapshotFromResult(res *core.Result, seq uint64, sweptAt time.Time) *Generation {
-	b := &Builder{vs: make([]Verdict, 0, len(res.URs))}
-	for _, u := range res.URs {
-		b.vs = append(b.vs, Verdict{
-			Domain:   u.Domain,
-			Type:     u.Type,
-			RData:    u.RData,
-			TTL:      u.TTL,
-			Server:   u.Server.Addr,
-			NSHost:   u.Server.Host,
-			Provider: u.Server.Provider,
-			Category: u.Category,
-			Reason:   u.Reason,
-			ByIntel:  u.MaliciousByIntel,
-			ByIDS:    u.MaliciousByIDS,
-			IPs:      u.CorrespondingIPs,
-		})
-	}
-	g := b.Seal(seq, sweptAt)
+	g := seal(res.URs, seq, sweptAt)
 	g.Queries = res.Queries
 	g.Coverage = res.Coverage
 	return g
@@ -728,11 +716,19 @@ func (s *Store) Staleness(now time.Time) Staleness {
 // diff. Readers concurrent with Publish see the old or the new generation in
 // full — the swap is the linearization point. A publish also resets the
 // sweep-failure streak and appends next to the IXFR retention ring.
+//
+// A next whose records all equal the current ones in every field takes the
+// current tables before it is visible and keeps its header (Seq, SweptAt,
+// Queries, Coverage); the caller must not read next meanwhile.
 func (s *Store) Publish(next *Generation) *GenDiff {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	prev := s.gen.Load()
 	d := Diff(prev, next)
+	if d.same && !slices.Contains(s.ring, next) {
+		next.strs, next.recs, next.ipTab, next.ipIdx = prev.strs, prev.recs, prev.ipTab, prev.ipIdx
+		next.provs, next.counts = prev.provs, prev.counts
+	}
 	s.log.Append(d)
 	s.gen.Store(next)
 	s.appendRingLocked(next)

@@ -158,6 +158,9 @@ func (z *ZoneResponder) nsRR() dns.RR {
 // whose rendering changed is deleted in full and re-added in full, which is
 // valid IXFR and keeps the delta computation a single linear merge.
 func (z *ZoneResponder) zoneDelta(old, next *Generation) (dels, adds []dns.RR) {
+	if old.sharesTables(next) {
+		return nil, nil
+	}
 	co := &zoneCursor{z: z, g: old}
 	cn := &zoneCursor{z: z, g: next}
 	bo, bn := co.next(), cn.next()

@@ -5,6 +5,7 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -507,5 +508,74 @@ func TestAXFROverDoT(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("Close blocked on an idle DoT client")
+	}
+}
+
+// TestIXFRAcrossSharedGenerations: an IXFR whose chain holds generations
+// published over equal ones (and so sharing their tables) sends an empty
+// step for each, carries the one real change, sends the bytes it sent when
+// every generation kept its own tables, and reconstructs the fresh AXFR.
+func TestIXFRAcrossSharedGenerations(t *testing.T) {
+	clk := newMovableClock(time.Unix(1_700_000_000, 0))
+	s := NewStore()
+	s.SetPolicy(StalenessPolicy{SweepInterval: 30 * time.Second, MaxStaleness: 10 * time.Minute, Clock: clk.Now})
+	base := clk.Now()
+	seal := func(seq uint64, vs ...*Verdict) *Generation {
+		b := NewBuilder()
+		for _, v := range vs {
+			b.Add(v)
+		}
+		return b.Seal(seq, base)
+	}
+	evil := mkVerdict("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")
+	shady := mkVerdict("shady.test", "192.0.2.2", core.CategoryUnknown, "203.0.113.9")
+	planted := mkVerdict("planted.test", "192.0.2.3", core.CategoryMalicious, "198.51.100.44")
+
+	server := startXfrZone(t, xfrResponder(s))
+	s.Publish(seal(1, evil, shady))
+	mirror := NewMirror()
+	if err := mirror.Apply(transfer(t, server, dns.TypeAXFR, 0)); err != nil {
+		t.Fatalf("seed AXFR: %v", err)
+	}
+	s.Publish(seal(2, evil, shady))
+	s.Publish(seal(3, evil, shady, planted))
+	s.Publish(seal(4, evil, shady, planted))
+	chain, ok := s.ChainFromSerial(1)
+	if !ok || len(chain) != 4 || !chain[1].sharesTables(chain[0]) || chain[2].sharesTables(chain[1]) || !chain[3].sharesTables(chain[2]) {
+		t.Fatalf("chain from serial 1: ok=%v len=%d; want generations 2 and 4 sharing their predecessors' tables, 3 not", ok, len(chain))
+	}
+
+	ires := transfer(t, server, dns.TypeIXFR, 1)
+	var got strings.Builder
+	for _, rr := range ires.Records {
+		got.WriteString(rr.String())
+		got.WriteByte('\n')
+	}
+	// The bytes this transfer sent when every generation kept its own tables.
+	const want = `feed.test.	30	IN	SOA	ns.feed.test. hostmaster.feed.test. 4 30 15 600 30
+feed.test.	30	IN	SOA	ns.feed.test. hostmaster.feed.test. 1 30 15 600 30
+feed.test.	30	IN	SOA	ns.feed.test. hostmaster.feed.test. 2 30 15 600 30
+feed.test.	30	IN	SOA	ns.feed.test. hostmaster.feed.test. 2 30 15 600 30
+feed.test.	30	IN	SOA	ns.feed.test. hostmaster.feed.test. 3 30 15 600 30
+planted.test.urwatch.feed.test.	30	IN	A	127.0.0.2
+planted.test.urwatch.feed.test.	30	IN	TXT	"malicious A planted.test. @192.0.2.3 (TestDNS)"
+44.100.51.198.urbl.feed.test.	30	IN	A	127.0.0.2
+44.100.51.198.urbl.feed.test.	30	IN	TXT	"malicious A planted.test. @192.0.2.3 (TestDNS)"
+feed.test.	30	IN	SOA	ns.feed.test. hostmaster.feed.test. 3 30 15 600 30
+feed.test.	30	IN	SOA	ns.feed.test. hostmaster.feed.test. 4 30 15 600 30
+feed.test.	30	IN	SOA	ns.feed.test. hostmaster.feed.test. 4 30 15 600 30
+`
+	if got.String() != want {
+		t.Errorf("IXFR from serial 1:\n%s\nwant:\n%s", got.String(), want)
+	}
+	if err := mirror.Apply(ires); err != nil {
+		t.Fatalf("apply IXFR chain: %v", err)
+	}
+	fresh := NewMirror()
+	if err := fresh.Apply(transfer(t, server, dns.TypeAXFR, 0)); err != nil {
+		t.Fatalf("fresh AXFR: %v", err)
+	}
+	if mirror.Serial() != 4 || mirror.ZoneText() != fresh.ZoneText() {
+		t.Fatalf("IXFR-reconstructed zone (serial %d) differs from fresh AXFR:\n--- ixfr\n%s\n--- axfr\n%s", mirror.Serial(), mirror.ZoneText(), fresh.ZoneText())
 	}
 }
