@@ -510,8 +510,8 @@ func udpPayloadSize(q *dns.Message) int {
 // first try; otherwise, or when it declines, the query is unpacked,
 // dispatched (tagging via for ViaResponder implementations) and the reply
 // packed. UDP answers honour the EDNS0 payload size and truncate; every other
-// transport is stream- or HTTP-framed, so responses pack whole. The DoT and
-// DoH front-ends in internal/transport call this directly.
+// transport is stream- or HTTP-framed, so responses pack whole. The DoH
+// front-end in internal/transport calls this directly.
 func ServeRaw(r Responder, src netip.Addr, raw []byte, via string) []byte {
 	return appendServe(nil, r, src, raw, via)
 }
@@ -693,18 +693,22 @@ func ExchangeStream(ctx context.Context, conn net.Conn, packed []byte) ([]byte, 
 }
 
 // WriteFrame writes the RFC 1035 §4.2.2 two-octet length prefix followed by
-// the message — the stream framing shared by plain TCP and TLS-wrapped DoT
-// (RFC 7858 §3.3 carries TCP framing unchanged over the TLS session).
+// the message, in one Write — the stream framing shared by plain TCP and
+// TLS-wrapped DoT (RFC 7858 §3.3 carries TCP framing unchanged over the TLS
+// session), so a frame is one segment, or one TLS record.
 func WriteFrame(w io.Writer, msg []byte) error {
-	if len(msg) > dns.MaxMessageSize {
+	return writeFramed(w, append(make([]byte, 2, 2+len(msg)), msg...))
+}
+
+// writeFramed fills the two octets reserved at the head of frame with the
+// length of the message after them and writes the frame in one Write.
+func writeFramed(w io.Writer, frame []byte) error {
+	n := len(frame) - 2
+	if n > dns.MaxMessageSize {
 		return errors.New("dnsio: message too large for stream framing")
 	}
-	hdr := [2]byte{}
-	binary.BigEndian.PutUint16(hdr[:], uint16(len(msg)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(msg)
+	binary.BigEndian.PutUint16(frame, uint16(n))
+	_, err := w.Write(frame)
 	return err
 }
 

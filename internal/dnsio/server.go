@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 // stream listener handed to ServeStream (DoT's TLS listener). It exists so
 // the reproduction's DNS stack can be driven by any standard client (dig, the
 // cmd/dnsq tool, the examples) — the simulated fabric is an optimization, not
-// a semantic shortcut.
+// a semantic shortcut. UDP is answered by GOMAXPROCS readers, each datagram
+// inline by the reader that read it; a stream connection by its own goroutine.
 type Server struct {
 	responder Responder
 
@@ -24,7 +26,6 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
-	udpPool  sync.Pool // of *udpExchange
 	udpAddr  netip.AddrPort
 	tcpAddr  netip.AddrPort
 	closeErr error
@@ -36,7 +37,11 @@ func NewServer(r Responder) *Server {
 }
 
 // Start binds UDP and TCP sockets on the given address ("127.0.0.1:0" picks
-// ephemeral ports) and begins serving in background goroutines.
+// ephemeral ports) and begins serving in background goroutines: the TCP
+// acceptor and runtime.GOMAXPROCS(0) UDP readers, read once here. Every
+// responder in the tree answers without waiting on I/O, so that many readers
+// keep every core answering; one whose answer blocks holds up its reader
+// alone.
 func (s *Server) Start(addr string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -62,8 +67,11 @@ func (s *Server) Start(addr string) error {
 	s.udpAddr = udpAP
 	s.tcpAddr = ln.Addr().(*net.TCPAddr).AddrPort()
 
-	s.wg.Add(1)
-	go s.serveUDP()
+	readers := runtime.GOMAXPROCS(0)
+	s.wg.Add(readers)
+	for range readers {
+		go s.serveUDP()
+	}
 	s.acceptLocked(ln, ViaTCP)
 	return nil
 }
@@ -101,50 +109,32 @@ func (s *Server) TCPAddr() netip.AddrPort {
 	return s.tcpAddr
 }
 
-// udpExchange is one datagram's buffers and peer. The server pools them and
-// hands one from the reader to a goroutine per datagram, so in steady state
-// the UDP loop allocates nothing: a responder that renders into the buffer it
-// is given (WireResponder) answers from socket to socket without garbage.
+// udpExchange is one UDP reader's buffers. A reader reads into in, renders
+// into out and writes, so in steady state a responder that renders into the
+// buffer it is given (WireResponder) answers from socket to socket without
+// garbage, and the reader's stack, grown on its first answer, stays grown.
 type udpExchange struct {
-	s    *Server
-	in   [dns.MaxEDNS0Size]byte
-	n    int
-	peer netip.AddrPort
+	in [dns.MaxEDNS0Size]byte
 	// out holds any reply UDP can carry; a longer rendering is about to be
 	// truncated and may grow out of it.
 	out [dns.MaxEDNS0Size]byte
-	// run is serve bound to this value once, when it is made: a go statement
-	// on a func value without arguments allocates no closure.
-	run func()
 }
 
+// serveUDP is one reader: it answers each datagram it reads before reading
+// the next, until Close closes the socket. The responder sees the peer
+// address as the socket reported it (IPv4-mapped on a dual-stack listener).
 func (s *Server) serveUDP() {
 	defer s.wg.Done()
+	x := new(udpExchange)
 	for {
-		x, _ := s.udpPool.Get().(*udpExchange)
-		if x == nil {
-			x = &udpExchange{s: s}
-			x.run = x.serve
-		}
-		var err error
-		if x.n, x.peer, err = s.pc.ReadFromUDPAddrPort(x.in[:]); err != nil {
+		n, peer, err := s.pc.ReadFromUDPAddrPort(x.in[:])
+		if err != nil {
 			return // closed
 		}
-		s.wg.Add(1)
-		go x.run()
+		if out := appendServe(x.out[:0], s.responder, peer.Addr(), x.in[:n], ViaUDP); len(out) > 0 {
+			_, _ = s.pc.WriteToUDPAddrPort(out, peer)
+		}
 	}
-}
-
-// serve answers the datagram x holds and returns x to the pool. The responder
-// sees the peer address as the socket reported it (IPv4-mapped on a
-// dual-stack listener).
-func (x *udpExchange) serve() {
-	s := x.s
-	defer s.wg.Done()
-	if out := appendServe(x.out[:0], s.responder, x.peer.Addr(), x.in[:x.n], ViaUDP); len(out) > 0 {
-		_, _ = s.pc.WriteToUDPAddrPort(out, x.peer)
-	}
-	s.udpPool.Put(x)
 }
 
 // StreamResponder is the optional interface a Responder implements to answer
@@ -188,7 +178,9 @@ func (s *Server) accept(ln net.Listener, via string) {
 
 // serveConn answers one stream connection's queries in order until the peer
 // hangs up, a write fails, or Close ends the read it idles in. A query goes
-// to HandleStream first when the responder streams, then to ServeRaw.
+// to HandleStream first when the responder streams, then to appendServe.
+// Every reply, and every message of a stream, is rendered after two reserved
+// octets of the connection's one reply buffer and leaves in one Write.
 func (s *Server) serveConn(conn net.Conn, via string) {
 	defer s.wg.Done()
 	defer func() {
@@ -202,12 +194,14 @@ func (s *Server) serveConn(conn net.Conn, via string) {
 		src = ta.AddrPort().Addr()
 	}
 	sr, streaming := s.responder.(StreamResponder)
+	frame := make([]byte, 2, 2+dns.MaxUDPSize)
 	send := func(m *dns.Message) error {
-		out, err := m.Pack()
+		out, err := m.AppendPack(frame[:2])
 		if err != nil {
 			return err
 		}
-		return WriteFrame(conn, out)
+		frame = out
+		return writeFramed(conn, out)
 	}
 	for {
 		raw, err := ReadFrame(conn)
@@ -228,11 +222,12 @@ func (s *Server) serveConn(conn net.Conn, via string) {
 			// Malformed or unhandled: the single-message path below owns
 			// FORMERR and ordinary answers alike.
 		}
-		out := ServeRaw(s.responder, src, raw, via)
-		if out == nil {
+		out := appendServe(frame[:2], s.responder, src, raw, via)
+		if len(out) <= 2 {
 			return
 		}
-		if err := WriteFrame(conn, out); err != nil {
+		frame = out
+		if err := writeFramed(conn, out); err != nil {
 			return
 		}
 	}

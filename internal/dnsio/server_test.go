@@ -19,8 +19,8 @@ import (
 // holding "<client>/<seq>", read out of the question. Queries with an even ID
 // are answered in wire form into the buffer the server hands over, odd ones
 // are declined to the message path, so both kinds of reply leave through the
-// pooled exchange. Yielding between writing the reply and returning it widens
-// the window in which a buffer shared between datagrams would show.
+// reader's exchange. Yielding between writing the reply and returning it
+// widens the window in which a buffer shared between datagrams would show.
 type markResponder struct {
 	started, inFlight atomic.Int64
 }
@@ -63,7 +63,7 @@ func (r *markResponder) AppendWire(dst []byte, _ netip.Addr, raw []byte, _ strin
 
 // TestUDPExchangesNeverCross: 8 closed-loop clients on one Server, 20,000
 // datagrams in all — every reply carries its own query's ID, question and
-// marker, so no pooled buffer was shared between two datagrams in flight —
+// marker, so no buffer was shared between two datagrams in flight —
 // and Close, called under load, returns with no handler running and lets none
 // start afterwards.
 func TestUDPExchangesNeverCross(t *testing.T) {
@@ -174,8 +174,8 @@ func (f fixedWire) AppendWire(dst []byte, _ netip.Addr, _ []byte, _ string) ([]b
 
 // TestUDPLoopAllocatesNothingPerDatagram: with a responder that renders into
 // the buffer it is given, a datagram in and its reply out cost no allocation
-// in steady state (buffers pooled, peer address by value, no closure per
-// goroutine).
+// in steady state (each reader's buffers reused, peer address by value, no
+// closure per goroutine).
 func TestUDPLoopAllocatesNothingPerDatagram(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -277,5 +277,267 @@ func TestServerCloseEndsIdleStreams(t *testing.T) {
 	_ = idle.SetReadDeadline(time.Now().Add(time.Second))
 	if _, err := idle.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("idle client read after Close = %v, want EOF", err)
+	}
+}
+
+// peakResponder answers every query with an empty reply after a short sleep,
+// and records the most calls it ever had in flight at once.
+type peakResponder struct{ inFlight, peak atomic.Int64 }
+
+func (r *peakResponder) HandleQuery(_ netip.Addr, q *dns.Message) *dns.Message {
+	n := r.inFlight.Add(1)
+	defer r.inFlight.Add(-1)
+	for p := r.peak.Load(); n > p && !r.peak.CompareAndSwap(p, n); p = r.peak.Load() {
+	}
+	time.Sleep(20 * time.Microsecond) // widens the window in which calls overlap
+	return q.Reply()
+}
+
+// TestUDPReadersBoundConcurrency: a flood from 8 clients, each keeping 4
+// datagrams outstanding, never has more responder calls in flight than the
+// server has readers (GOMAXPROCS at Start, 2 here), and leaves no goroutine
+// behind: the count after the flood is the count just after Start. (It may
+// read lower: a goroutine an earlier test ended can still be exiting at Start.)
+func TestUDPReadersBoundConcurrency(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	r := &peakResponder{}
+	srv := NewServer(r)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := runtime.NumGoroutine()
+
+	const clients, per, window = 8, 500, 4
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(srv.UDPAddr()))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			raw, err := dns.NewQuery(uint16(c), "flood.test", dns.TypeA).Pack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+			sent, buf := 0, make([]byte, 512)
+			for ; sent < window; sent++ {
+				_, _ = conn.Write(raw)
+			}
+			for got := 0; got < per; got++ {
+				if _, err := conn.Read(buf); err != nil {
+					t.Errorf("client %d: reply %d of %d: %v", c, got, per, err)
+					return
+				}
+				if sent < per {
+					_, _ = conn.Write(raw)
+					sent++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if peak := r.peak.Load(); peak < 1 || peak > 2 {
+		t.Errorf("%d responder calls in flight at once, want 1 to 2 (one per reader)", peak)
+	}
+	// The clients have returned; wait for their goroutines to exit.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the flood, %d just after Start", n, base)
+	}
+}
+
+// TestUDPBlockedAnswerHoldsOneReader: with GOMAXPROCS 2, a datagram whose
+// answer blocks until released holds up one reader, and the other clients'
+// datagrams are still answered; once it is released its client gets the
+// answer and Close returns. A single reader answering inline fails this.
+func TestUDPBlockedAnswerHoldsOneReader(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := NewServer(ResponderFunc(func(_ netip.Addr, q *dns.Message) *dns.Message {
+		if q.Question().Name == "block.test" {
+			close(entered)
+			<-release
+		}
+		return q.Reply()
+	}))
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before Close, should the test stop early
+
+	exchange := func(conn *net.UDPConn, id uint16, name dns.Name) error {
+		raw, err := dns.NewQuery(id, name, dns.TypeA).Pack()
+		if err != nil {
+			return err
+		}
+		if _, err := conn.Write(raw); err != nil {
+			return err
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		buf := make([]byte, 512)
+		n, err := conn.Read(buf)
+		if err != nil {
+			return err
+		}
+		if m, err := dns.Unpack(buf[:n]); err != nil || m.Header.ID != id {
+			return fmt.Errorf("reply %v, %v; want ID %d", m, err, id)
+		}
+		return nil
+	}
+	dial := func() *net.UDPConn {
+		conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(srv.UDPAddr()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+
+	blocked := dial()
+	blockedDone := make(chan error, 1)
+	go func() { blockedDone <- exchange(blocked, 1, "block.test") }()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the blocking query never reached the responder")
+	}
+	for c := range 4 {
+		conn := dial()
+		for seq := range 50 {
+			if err := exchange(conn, uint16(seq), "free.test"); err != nil {
+				t.Fatalf("client %d query %d with one answer blocked: %v", c, seq, err)
+			}
+		}
+	}
+	unblock()
+	if err := <-blockedDone; err != nil {
+		t.Fatalf("released answer: %v", err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the release")
+	}
+}
+
+// writeLog records the size of every Write on the connections that share it.
+type writeLog struct {
+	mu    sync.Mutex
+	sizes []int
+}
+
+type countingConn struct {
+	net.Conn
+	log *writeLog
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.log.mu.Lock()
+	c.log.sizes = append(c.log.sizes, len(p))
+	c.log.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+type countingListener struct {
+	net.Listener
+	log writeLog
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, log: &l.log}, nil
+}
+
+// threeFrames streams an AXFR as three messages of growing size, the last
+// past 512 octets, and leaves every other query to HandleQuery.
+type threeFrames struct{}
+
+func (threeFrames) HandleQuery(_ netip.Addr, q *dns.Message) *dns.Message { return q.Reply() }
+
+func (threeFrames) HandleStream(_ netip.Addr, q *dns.Message, send func(*dns.Message) error) (bool, error) {
+	if q.Question().Type != dns.TypeAXFR {
+		return false, nil
+	}
+	for i := range 3 {
+		m := q.Reply()
+		m.Answers = append(m.Answers, dns.RR{Name: q.Question().Name, Class: dns.ClassINET, TTL: 1,
+			Data: dns.NewTXT(string(bytes.Repeat([]byte{'x'}, 1+i*300)))})
+		if err := send(m); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
+}
+
+// TestStreamFrameIsOneWrite: under ServeStream every reply, and each message
+// of a transfer stream, leaves in exactly one Write of its length plus the
+// two-octet prefix, and WriteFrame on the client side writes each query once.
+func TestStreamFrameIsOneWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := &countingListener{Listener: ln}
+	srv := NewServer(threeFrames{})
+	if err := srv.ServeStream(served, ViaTCP); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	raw, err := net.Dial("tcp", srv.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	client := &countingConn{Conn: raw, log: &writeLog{}}
+	_ = client.SetDeadline(time.Now().Add(5 * time.Second))
+
+	var wantServed, wantClient []int
+	for i, ask := range []struct {
+		qtype   dns.Type
+		replies int
+	}{{dns.TypeA, 1}, {dns.TypeAXFR, 3}, {dns.TypeTXT, 1}, {dns.TypeAXFR, 3}} {
+		q, err := dns.NewQuery(uint16(i), "zone.test", ask.qtype).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(client, q); err != nil {
+			t.Fatal(err)
+		}
+		wantClient = append(wantClient, len(q)+2)
+		for range ask.replies {
+			msg, err := ReadFrame(client)
+			if err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+			wantServed = append(wantServed, len(msg)+2)
+		}
+	}
+	served.log.mu.Lock()
+	defer served.log.mu.Unlock()
+	if fmt.Sprint(served.log.sizes) != fmt.Sprint(wantServed) {
+		t.Errorf("server writes %v, want one per frame: %v", served.log.sizes, wantServed)
+	}
+	if fmt.Sprint(client.log.sizes) != fmt.Sprint(wantClient) {
+		t.Errorf("WriteFrame writes %v, want one per frame: %v", client.log.sizes, wantClient)
 	}
 }
