@@ -167,11 +167,12 @@ type Scratch struct {
 	idState  uint64
 
 	// The breaker of the server last exchanged with: a sweep job probes one
-	// server many times running, and a set never drops a breaker, so the
-	// set's shard lock is taken once per job instead of once per probe.
-	brSet  *BreakerSet
-	brAddr netip.Addr
-	br     *breaker
+	// server many times running. One found is kept, as a set never drops one;
+	// none found holds while the set's stored count is still brStored.
+	brSet    *BreakerSet
+	brAddr   netip.Addr
+	br       *breaker
+	brStored int64
 }
 
 // KnownAnswers is a memo of answers, keyed by their wire form from octet 2
@@ -211,12 +212,35 @@ func (s *Scratch) Take() *dns.Message {
 	return m
 }
 
-// breakerFor returns set's breaker for addr.
-func (s *Scratch) breakerFor(set *BreakerSet, addr netip.Addr) *breaker {
-	if s.brSet != set || s.brAddr != addr {
-		s.brSet, s.brAddr, s.br = set, addr, set.forAddr(addr)
+// breaker returns set's breaker for addr: nil for a nil set, and for a
+// server that has not failed since the set was made.
+func (s *Scratch) breaker(set *BreakerSet, addr netip.Addr) *breaker {
+	if set == nil {
+		return nil
+	}
+	if s.brSet != set || s.brAddr != addr || s.br == nil && s.brStored != set.stored.Load() {
+		n := set.stored.Load() // before the lookup, so a breaker stored after it moves the count
+		b, _ := set.m.Load(addr)
+		s.brSet, s.brAddr, s.br, s.brStored = set, addr, b, n
 	}
 	return s.br
+}
+
+// report feeds an exchange's outcome to set's breaker for addr. A success
+// with no breaker changes nothing; a failure stores the breaker it lacks.
+func (s *Scratch) report(set *BreakerSet, addr netip.Addr, ok bool) {
+	b := s.breaker(set, addr)
+	if b == nil {
+		if ok || set == nil {
+			return
+		}
+		var loaded bool
+		if b, loaded = set.m.LoadOrStore(addr, new(breaker)); !loaded {
+			set.stored.Add(1)
+		}
+		s.br = b
+	}
+	b.report(set, ok)
 }
 
 // Decode parses wire into the scratch's message, as QueryInto does with a
@@ -335,12 +359,8 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 			defer cancel()
 		}
 	}
-	var br *breaker
-	if c.Breakers != nil {
-		br = s.breakerFor(c.Breakers, server.Addr())
-		if !br.allow(c.Breakers.cfg) {
-			return nil, false, fmt.Errorf("dnsio: exchange with %s failed: %w", server, ErrCircuitOpen)
-		}
+	if b := s.breaker(c.Breakers, server.Addr()); b != nil && !b.allow(c.Breakers.cfg) {
+		return nil, false, fmt.Errorf("dnsio: exchange with %s failed: %w", server, ErrCircuitOpen)
 	}
 	// Retries < 0 must still attempt once: an empty attempt loop would
 	// otherwise report a useless "failed: %!w(<nil>)".
@@ -355,8 +375,8 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 		// ready — for a context that cannot be cancelled.
 		select {
 		case <-ctx.Done():
-			if br != nil && lastErr != nil {
-				br.report(c.Breakers, false)
+			if lastErr != nil {
+				s.report(c.Breakers, server.Addr(), false)
 			}
 			return nil, false, ctx.Err()
 		default:
@@ -379,9 +399,7 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 			continue
 		}
 		if s.known(q, raw) {
-			if br != nil {
-				br.report(c.Breakers, true)
-			}
+			s.report(c.Breakers, server.Addr(), true)
 			return raw, true, nil
 		}
 		if err := validate(q, raw, resp); err != nil {
@@ -402,14 +420,10 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 				continue
 			}
 		}
-		if br != nil {
-			br.report(c.Breakers, true)
-		}
+		s.report(c.Breakers, server.Addr(), true)
 		return raw, false, nil
 	}
-	if br != nil {
-		br.report(c.Breakers, false)
-	}
+	s.report(c.Breakers, server.Addr(), false)
 	if lastErr == nil {
 		lastErr = errors.New("no attempt completed")
 	}

@@ -215,13 +215,11 @@ func DefaultBreakerConfig() BreakerConfig {
 }
 
 // breaker is one server's failure state machine: closed (normal), open
-// (fail fast), half-open (one probe in flight decides). Every open resolver
-// keeps one per server it has asked, so the counts are 32 bits: the record is
-// 24 bytes rather than 32.
+// (fail fast), half-open (one probe in flight decides).
 type breaker struct {
 	mu      sync.Mutex
-	consec  int32
-	blocked int32
+	consec  int
+	blocked int
 	open    bool
 }
 
@@ -234,7 +232,7 @@ func (b *breaker) allow(cfg BreakerConfig) bool {
 		return true
 	}
 	b.blocked++
-	if int(b.blocked) >= cfg.HalfOpenAfter {
+	if b.blocked >= cfg.HalfOpenAfter {
 		b.blocked = 0
 		return true // half-open probe
 	}
@@ -252,35 +250,31 @@ func (b *breaker) report(s *BreakerSet, ok bool) {
 		return
 	}
 	b.consec++
-	if !b.open && int(b.consec) >= s.cfg.Threshold {
+	if !b.open && b.consec >= s.cfg.Threshold {
 		b.open = true
 		b.blocked = 0
 		s.trips.Add(1)
 	}
 }
 
-// BreakerSet holds the per-server breakers. Finding a server's breaker
-// takes no lock once it is published, so sweep workers on different servers
-// never contend.
+// BreakerSet holds the per-server breakers. A server gets one at its first
+// failure: a closed breaker that has seen no failure acts exactly as a
+// missing one, so a server that always answers is never stored. Finding a
+// server's breaker takes no lock once it is published, so sweep workers on
+// different servers never contend.
 type BreakerSet struct {
 	cfg   BreakerConfig
 	trips atomic.Int64
-	m     readmap.Map[netip.Addr, *breaker]
+	// stored counts the breakers in m, advanced after each is stored: a
+	// scratch that found none for a server trusts that until it moves.
+	stored atomic.Int64
+	m      readmap.Map[netip.Addr, *breaker]
 }
 
 // NewBreakerSet builds an empty set under the given config. Every open
 // resolver's client has one, so an empty set holds no maps.
 func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
 	return &BreakerSet{cfg: cfg}
-}
-
-// forAddr returns (creating if needed) the breaker for one server.
-func (s *BreakerSet) forAddr(addr netip.Addr) *breaker {
-	if b, ok := s.m.Load(addr); ok {
-		return b
-	}
-	b, _ := s.m.LoadOrStore(addr, &breaker{})
-	return b
 }
 
 // Trips returns how many times any breaker transitioned closed → open.

@@ -198,12 +198,11 @@ func (d *GenDiff) Same(o *GenDiff) bool {
 
 // EventLog is the append-only history of feed changes. Appends stamp each
 // event with a global monotonically increasing sequence number; Since serves
-// the tail for pollers. The log also retains per-generation provider deltas.
+// the tail for pollers.
 type EventLog struct {
 	mu      sync.RWMutex
 	events  []Event
 	nextSeq uint64
-	deltas  []GenDiff // events elided; summaries only
 	// cap bounds retained events; older entries are dropped from the head
 	// (pollers that fell behind resync from a full generation instead).
 	cap int
@@ -229,9 +228,6 @@ func (l *EventLog) Append(d *GenDiff) {
 	if over := len(l.events) - l.cap; over > 0 {
 		l.events = append([]Event(nil), l.events[over:]...)
 	}
-	l.deltas = append(l.deltas, GenDiff{
-		FromSeq: d.FromSeq, ToSeq: d.ToSeq, ByProvider: d.ByProvider,
-	})
 }
 
 // Since returns up to max events with Seq > after, oldest first. max <= 0
@@ -263,13 +259,6 @@ func (l *EventLog) LastSeq() uint64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.nextSeq - 1
-}
-
-// Deltas returns the per-generation provider-delta summaries, oldest first.
-func (l *EventLog) Deltas() []GenDiff {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]GenDiff(nil), l.deltas...)
 }
 
 // worstOf is a convenience for front-ends: the worst category over a set,

@@ -100,8 +100,4 @@ func TestEventLogSince(t *testing.T) {
 	if len(capped) != 3 {
 		t.Errorf("Since(0, max=3) = %d events", len(capped))
 	}
-	deltas := l.Deltas()
-	if len(deltas) != 2 || deltas[1].FromSeq != 1 || deltas[1].ToSeq != 2 {
-		t.Errorf("Deltas() = %+v", deltas)
-	}
 }

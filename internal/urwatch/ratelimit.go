@@ -1,7 +1,9 @@
 package urwatch
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 )
@@ -26,8 +28,8 @@ type RateLimiter struct {
 	mu      sync.Mutex
 	buckets map[netip.Addr]*tokenBucket
 	// maxClients bounds the bucket map; when exceeded, the stalest buckets
-	// (oldest refill stamp) are evicted. Evicted clients restart with a full
-	// bucket — strictly more permissive, never less.
+	// (oldest refill stamp, then lowest address) are evicted. Evicted
+	// clients restart with a full bucket — more permissive, never less.
 	maxClients int
 }
 
@@ -87,23 +89,22 @@ func (l *RateLimiter) Allow(client netip.Addr) bool {
 	return true
 }
 
-// evictStalest drops the quarter of buckets with the oldest refill stamps.
-// Called with the lock held.
+// evictStalest drops the quarter of buckets with the oldest refill stamps,
+// lowest address first among equal stamps. Called with the lock held.
 func (l *RateLimiter) evictStalest() {
-	drop := len(l.buckets) / 4
-	if drop < 1 {
-		drop = 1
+	type stamp struct {
+		addr netip.Addr
+		last time.Time
 	}
-	for i := 0; i < drop; i++ {
-		var oldest netip.Addr
-		var oldestAt time.Time
-		first := true
-		for a, b := range l.buckets {
-			if first || b.last.Before(oldestAt) {
-				oldest, oldestAt, first = a, b.last, false
-			}
-		}
-		delete(l.buckets, oldest)
+	all := make([]stamp, 0, len(l.buckets))
+	for a, b := range l.buckets {
+		all = append(all, stamp{a, b.last})
+	}
+	slices.SortFunc(all, func(x, y stamp) int {
+		return cmp.Or(x.last.Compare(y.last), x.addr.Compare(y.addr))
+	})
+	for _, st := range all[:max(len(all)/4, 1)] {
+		delete(l.buckets, st.addr)
 	}
 }
 

@@ -98,3 +98,29 @@ func TestRateLimiterSameInputsSameAnswers(t *testing.T) {
 		}
 	}
 }
+
+// TestRateLimiterEvictsLowestAddressesOnTies: with every bucket stamped at
+// one clock reading, the eviction that a ninth client forces on eight drops
+// the two lowest addresses, whatever the map's order. Asked again in
+// descending order (so a re-admitted client evicts only clients already
+// asked), exactly those two come back with a full bucket.
+func TestRateLimiterEvictsLowestAddressesOnTies(t *testing.T) {
+	clk := newVirtualClock()
+	l := NewRateLimiter(1, 1, clk.read)
+	l.maxClients = 8
+	addr := func(i int) netip.Addr { return netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}) }
+	for i := 1; i <= 9; i++ {
+		if !l.Allow(addr(i)) {
+			t.Fatalf("new client %d denied", i)
+		}
+	}
+	var allowed []int
+	for i := 9; i >= 1; i-- {
+		if l.Allow(addr(i)) {
+			allowed = append(allowed, i)
+		}
+	}
+	if len(allowed) != 2 || allowed[0] != 2 || allowed[1] != 1 {
+		t.Fatalf("allowed again: %v, want [2 1]", allowed)
+	}
+}
