@@ -26,8 +26,10 @@ type ACL struct {
 }
 
 // ParseACL builds an ACL from a comma-separated list of CIDR prefixes or
-// bare addresses ("127.0.0.0/8, 10.2.3.4, ::1/128"). An empty string returns
-// nil — the caller's nil-policy applies.
+// bare addresses ("127.0.0.0/8, 10.2.3.4, ::1/128"). A blank string returns
+// nil — the caller's nil-policy applies. A list that names no prefix (",")
+// is an error, not nil: nil opens the zone and disables transfers, the
+// opposite of what an operator writing an allowlist asks for.
 func ParseACL(s string) (*ACL, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -54,18 +56,9 @@ func ParseACL(s string) (*ACL, error) {
 		a.prefixes = append(a.prefixes, p.Masked())
 	}
 	if len(a.prefixes) == 0 {
-		return nil, nil
+		return nil, fmt.Errorf("urwatch: ACL %q names no prefix", s)
 	}
 	return a, nil
-}
-
-// MustParseACL is ParseACL for static allowlists in tests and examples.
-func MustParseACL(s string) *ACL {
-	a, err := ParseACL(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // Contains reports whether addr matches any prefix. A nil ACL contains

@@ -44,20 +44,12 @@ type Event struct {
 	New string `json:"new,omitempty"`
 }
 
-// ProviderDelta aggregates one provider's changes across a generation swap.
-type ProviderDelta struct {
-	Appeared     int `json:"appeared"`
-	Removed      int `json:"removed"`
-	Reclassified int `json:"reclassified"`
-}
-
 // GenDiff is the complete delta between two consecutive generations.
 type GenDiff struct {
-	FromSeq    uint64                   `json:"from_seq"`
-	ToSeq      uint64                   `json:"to_seq"`
-	Events     []Event                  `json:"events"`
-	ByProvider map[string]ProviderDelta `json:"by_provider"`
-	same       bool                     // every record equal in every field: Publish shares tables
+	FromSeq uint64  `json:"from_seq"`
+	ToSeq   uint64  `json:"to_seq"`
+	Events  []Event `json:"events"`
+	same    bool    // every record equal in every field: Publish shares tables
 }
 
 // compareIdentity orders two records from (possibly different) generations
@@ -86,7 +78,7 @@ func compareIdentity(pg *Generation, pi int, ng *Generation, ni int) int {
 // generations is always byte-identical — the property the event log's
 // consumers (and the acceptance test) rely on.
 func Diff(prev, next *Generation) *GenDiff {
-	d := &GenDiff{ByProvider: make(map[string]ProviderDelta)}
+	d := &GenDiff{}
 	var pn, nn int
 	if prev != nil {
 		d.FromSeq = prev.Seq
@@ -111,17 +103,17 @@ func Diff(prev, next *Generation) *GenDiff {
 		switch {
 		case cmp < 0:
 			pv := VerdictView{g: prev, i: pi}
-			d.add(eventFor(EventRemoved, pv, pv.Category().String(), ""))
+			d.Events = append(d.Events, eventFor(EventRemoved, pv, pv.Category().String(), ""))
 			pi++
 		case cmp > 0:
 			nv := VerdictView{g: next, i: ni}
-			d.add(eventFor(EventAppeared, nv, "", nv.Category().String()))
+			d.Events = append(d.Events, eventFor(EventAppeared, nv, "", nv.Category().String()))
 			ni++
 		default:
 			pv := VerdictView{g: prev, i: pi}
 			nv := VerdictView{g: next, i: ni}
 			if pv.Category() != nv.Category() {
-				d.add(eventFor(EventReclassified, nv, pv.Category().String(), nv.Category().String()))
+				d.Events = append(d.Events, eventFor(EventReclassified, nv, pv.Category().String(), nv.Category().String()))
 			}
 			same = same && sameEvidence(prev, pi, next, ni)
 			pi++
@@ -166,36 +158,6 @@ func eventFor(kind EventKind, v VerdictView, old, new_ string) Event {
 	}
 }
 
-func (d *GenDiff) add(e Event) {
-	d.Events = append(d.Events, e)
-	pd := d.ByProvider[e.Provider]
-	switch e.Kind {
-	case EventAppeared:
-		pd.Appeared++
-	case EventRemoved:
-		pd.Removed++
-	case EventReclassified:
-		pd.Reclassified++
-	}
-	d.ByProvider[e.Provider] = pd
-}
-
-// Same reports whether two diffs describe the same changes (sequence stamps
-// excluded — the log assigns those at append time).
-func (d *GenDiff) Same(o *GenDiff) bool {
-	if len(d.Events) != len(o.Events) {
-		return false
-	}
-	for i := range d.Events {
-		a, b := d.Events[i], o.Events[i]
-		a.Seq, b.Seq = 0, 0
-		if a != b {
-			return false
-		}
-	}
-	return true
-}
-
 // EventLog is the append-only history of feed changes. Appends stamp each
 // event with a global monotonically increasing sequence number; Since serves
 // the tail for pollers.
@@ -236,7 +198,8 @@ func (l *EventLog) Append(d *GenDiff) {
 func (l *EventLog) Since(after uint64, max int) (events []Event, truncated bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if len(l.events) > 0 && l.events[0].Seq > after+1 {
+	// Seq-1, not after+1: after may be the largest uint64.
+	if len(l.events) > 0 && l.events[0].Seq-1 > after {
 		truncated = true
 	}
 	i := sort.Search(len(l.events), func(i int) bool { return l.events[i].Seq > after })
@@ -245,13 +208,6 @@ func (l *EventLog) Since(after uint64, max int) (events []Event, truncated bool)
 		tail = tail[:max]
 	}
 	return append([]Event(nil), tail...), truncated
-}
-
-// Len returns the retained event count.
-func (l *EventLog) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.events)
 }
 
 // LastSeq returns the highest assigned sequence number (0 if none).

@@ -1,6 +1,7 @@
 package urwatch
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -9,13 +10,13 @@ import (
 func TestDiffSyntheticPair(t *testing.T) {
 	// prev: k1 (unknown), k2 (correct).  next: k1 reclassified malicious,
 	// k2 gone, k3 appeared.
-	k1a := mkVerdict("a.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.1")
-	k1b := mkVerdict("a.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.1")
-	k2 := mkVerdict("b.test", "192.0.2.2", core.CategoryCorrect, "198.51.100.2")
-	k3 := mkVerdict("c.test", "192.0.2.3", core.CategoryProtective, "198.51.100.3")
+	k1a := mkUR("a.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.1")
+	k1b := mkUR("a.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.1")
+	k2 := mkUR("b.test", "192.0.2.2", core.CategoryCorrect, "198.51.100.2")
+	k3 := mkUR("c.test", "192.0.2.3", core.CategoryProtective, "198.51.100.3")
 
-	prev := sealGen(t, 1, k1a, k2)
-	next := sealGen(t, 2, k1b, k3)
+	prev := sealGen(1, k1a, k2)
+	next := sealGen(2, k1b, k3)
 	d := Diff(prev, next)
 
 	if d.FromSeq != 1 || d.ToSeq != 2 {
@@ -31,23 +32,19 @@ func TestDiffSyntheticPair(t *testing.T) {
 			t.Errorf("event %s stamped generation %d, want 2", e.Kind, e.Gen)
 		}
 	}
-	if e := byKind[EventReclassified]; e.Key != k1b.Key() ||
+	if e := byKind[EventReclassified]; e.Key != urKey(k1b) ||
 		e.Old != core.CategoryUnknown.String() || e.New != core.CategoryMalicious.String() {
 		t.Errorf("class_changed event = %+v", e)
 	}
-	if e := byKind[EventRemoved]; e.Key != k2.Key() || e.Old != core.CategoryCorrect.String() || e.New != "" {
+	if e := byKind[EventRemoved]; e.Key != urKey(k2) || e.Old != core.CategoryCorrect.String() || e.New != "" {
 		t.Errorf("ur_removed event = %+v", e)
 	}
-	if e := byKind[EventAppeared]; e.Key != k3.Key() || e.New != core.CategoryProtective.String() || e.Old != "" {
+	if e := byKind[EventAppeared]; e.Key != urKey(k3) || e.New != core.CategoryProtective.String() || e.Old != "" {
 		t.Errorf("ur_appeared event = %+v", e)
-	}
-	pd := d.ByProvider["TestDNS"]
-	if pd.Appeared != 1 || pd.Removed != 1 || pd.Reclassified != 1 {
-		t.Errorf("provider delta = %+v", pd)
 	}
 
 	// Determinism: the from-scratch diff of the same pair is identical.
-	if !d.Same(Diff(prev, next)) {
+	if !sameEvents(d, Diff(prev, next)) {
 		t.Error("Diff of the same generation pair is not deterministic")
 	}
 	// Events are sorted by key.
@@ -59,9 +56,9 @@ func TestDiffSyntheticPair(t *testing.T) {
 }
 
 func TestDiffIdenticalGenerations(t *testing.T) {
-	v := mkVerdict("a.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.1")
-	prev := sealGen(t, 1, v)
-	next := sealGen(t, 2, mkVerdict("a.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.1"))
+	v := mkUR("a.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.1")
+	prev := sealGen(1, v)
+	next := sealGen(2, mkUR("a.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.1"))
 	d := Diff(prev, next)
 	if len(d.Events) != 0 {
 		t.Errorf("identical generations produced %d events: %+v", len(d.Events), d.Events)
@@ -70,18 +67,18 @@ func TestDiffIdenticalGenerations(t *testing.T) {
 
 func TestEventLogSince(t *testing.T) {
 	l := NewEventLog()
-	g0 := sealGen(t, 0)
-	g1 := sealGen(t, 1,
-		mkVerdict("a.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.1"),
-		mkVerdict("b.test", "192.0.2.2", core.CategoryCorrect, "198.51.100.2"))
-	g2 := sealGen(t, 2,
-		mkVerdict("a.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.1"))
+	g0 := sealGen(0)
+	g1 := sealGen(1,
+		mkUR("a.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.1"),
+		mkUR("b.test", "192.0.2.2", core.CategoryCorrect, "198.51.100.2"))
+	g2 := sealGen(2,
+		mkUR("a.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.1"))
 
 	l.Append(Diff(g0, g1)) // 2 appeared -> seqs 1, 2
 	l.Append(Diff(g1, g2)) // 1 reclassified + 1 removed -> seqs 3, 4
 
-	if l.Len() != 4 || l.LastSeq() != 4 {
-		t.Fatalf("len=%d lastSeq=%d, want 4/4", l.Len(), l.LastSeq())
+	if len(l.events) != 4 || l.LastSeq() != 4 {
+		t.Fatalf("len=%d lastSeq=%d, want 4/4", len(l.events), l.LastSeq())
 	}
 	all, truncated := l.Since(0, 0)
 	if truncated || len(all) != 4 {
@@ -100,4 +97,23 @@ func TestEventLogSince(t *testing.T) {
 	if len(capped) != 3 {
 		t.Errorf("Since(0, max=3) = %d events", len(capped))
 	}
+	if past, truncated := l.Since(math.MaxUint64, 0); truncated || len(past) != 0 {
+		t.Errorf("Since(MaxUint64) = %d events, truncated=%v; want 0, false", len(past), truncated)
+	}
+}
+
+// sameEvents reports whether two diffs describe the same changes (sequence
+// stamps excluded — the log assigns those at append time).
+func sameEvents(d, o *GenDiff) bool {
+	if len(d.Events) != len(o.Events) {
+		return false
+	}
+	for i := range d.Events {
+		a, b := d.Events[i], o.Events[i]
+		a.Seq, b.Seq = 0, 0
+		if a != b {
+			return false
+		}
+	}
+	return true
 }

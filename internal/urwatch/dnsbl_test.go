@@ -19,10 +19,10 @@ func newTestResponder(s *Store) *ZoneResponder {
 func testStore(t *testing.T) *Store {
 	t.Helper()
 	s := NewStore()
-	s.Publish(sealGen(t, 1,
-		mkVerdict("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7"),
-		mkVerdict("evil.test", "192.0.2.2", core.CategoryCorrect, "198.51.100.8"),
-		mkVerdict("shady.test", "192.0.2.1", core.CategoryUnknown, "203.0.113.9"),
+	s.Publish(sealGen(1,
+		mkUR("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7"),
+		mkUR("evil.test", "192.0.2.2", core.CategoryCorrect, "198.51.100.8"),
+		mkUR("shady.test", "192.0.2.1", core.CategoryUnknown, "203.0.113.9"),
 	))
 	return s
 }
@@ -168,8 +168,8 @@ func TestDNSBLAnswerFollowsPublish(t *testing.T) {
 	}
 
 	// Generation 2 drops evil.test entirely.
-	s.Publish(sealGen(t, 2,
-		mkVerdict("shady.test", "192.0.2.1", core.CategoryUnknown, "203.0.113.9")))
+	s.Publish(sealGen(2,
+		mkUR("shady.test", "192.0.2.1", core.CategoryUnknown, "203.0.113.9")))
 	resp := ask(z, name, dns.TypeA)
 	if resp.Header.RCode != dns.RCodeNXDomain {
 		t.Errorf("post-swap rcode = %s, want NXDOMAIN (old generation served?)", resp.Header.RCode)

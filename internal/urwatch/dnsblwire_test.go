@@ -181,13 +181,13 @@ func TestLongDomainsServeAndTransfer(t *testing.T) {
 	}
 	s := NewStore()
 	s.SetPolicy(StalenessPolicy{Retain: 4})
-	s.Publish(sealGen(t, 1,
-		mkVerdict(string(d228), "192.0.2.1", core.CategoryMalicious, "198.51.100.28"),
-		mkVerdict(string(d246), "192.0.2.1", core.CategoryUnknown, "198.51.100.46"),
-		mkVerdict("short.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.46"),
+	s.Publish(sealGen(1,
+		mkUR(string(d228), "192.0.2.1", core.CategoryMalicious, "198.51.100.28"),
+		mkUR(string(d246), "192.0.2.1", core.CategoryUnknown, "198.51.100.46"),
+		mkUR("short.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.46"),
 	))
 	z := newTestResponder(s)
-	z.XferACL = MustParseACL("127.0.0.0/8")
+	z.XferACL = mustACL("127.0.0.0/8")
 	srv := dnsio.NewServer(z)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -247,15 +247,15 @@ func TestLongDomainsServeAndTransfer(t *testing.T) {
 	if err := m.Apply(res); err != nil {
 		t.Fatalf("mirror refused the transfer: %v", err)
 	}
-	if m.Serial() != 1 || !strings.Contains(m.ZoneText(), string(d228)+".") {
+	if m.Serial() != 1 || !strings.Contains(zoneText(m), string(d228)+".") {
 		t.Errorf("mirror at serial %d without the long domain's evidence", m.Serial())
 	}
 
 	// The next generation drops the longest domain: the IXFR delta is
 	// computed and applied without its block ever having been in the zone.
-	s.Publish(sealGen(t, 2,
-		mkVerdict(string(d228), "192.0.2.1", core.CategoryMalicious, "198.51.100.28"),
-		mkVerdict("short.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.46"),
+	s.Publish(sealGen(2,
+		mkUR(string(d228), "192.0.2.1", core.CategoryMalicious, "198.51.100.28"),
+		mkUR("short.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.46"),
 	))
 	if err := m.Apply(transfer(t, srv.TCPAddr(), dns.TypeIXFR, m.Serial())); err != nil {
 		t.Fatalf("mirror refused the delta: %v", err)
@@ -264,7 +264,7 @@ func TestLongDomainsServeAndTransfer(t *testing.T) {
 	if err := fresh.Apply(transfer(t, srv.TCPAddr(), dns.TypeAXFR, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if m.ZoneText() != fresh.ZoneText() {
+	if zoneText(m) != zoneText(fresh) {
 		t.Error("AXFR-then-IXFR mirror differs from a fresh AXFR")
 	}
 }
@@ -273,10 +273,10 @@ func TestLongDomainsServeAndTransfer(t *testing.T) {
 // control octet is served byte for byte, by query and by transfer.
 func TestEvidenceOctetsRoundTrip(t *testing.T) {
 	const provider = "Acme \"DNS\" \\ Hosting\x01"
-	v := mkVerdict("odd.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.9")
-	v.Provider = provider
+	v := mkUR("odd.test", "192.0.2.1", core.CategoryUnknown, "198.51.100.9")
+	v.Server.Provider = provider
 	s := NewStore()
-	s.Publish(sealGen(t, 1, v))
+	s.Publish(sealGen(1, v))
 	z := newTestResponder(s)
 	want := "unknown A odd.test. @192.0.2.1 (" + provider + ")"
 
@@ -298,22 +298,18 @@ func TestEvidenceOctetsRoundTrip(t *testing.T) {
 
 // fuzzZone is the small sealed generation FuzzZoneServeRaw answers from.
 func fuzzZone() *ZoneResponder {
-	vs := []*Verdict{
-		mkVerdict("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7"),
-		mkVerdict("evil.test", "192.0.2.2", core.CategoryCorrect, "198.51.100.8"),
-		mkVerdict("shady.test", "2001:db8::53", core.CategoryUnknown, "203.0.113.9"),
-		mkVerdict(string(longDomain(228)), "192.0.2.1", core.CategoryProtective, "203.0.113.9"),
+	urs := []*core.UR{
+		mkUR("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7"),
+		mkUR("evil.test", "192.0.2.2", core.CategoryCorrect, "198.51.100.8"),
+		mkUR("shady.test", "2001:db8::53", core.CategoryUnknown, "203.0.113.9"),
+		mkUR(string(longDomain(228)), "192.0.2.1", core.CategoryProtective, "203.0.113.9"),
 	}
 	for i := 0; i < maxTXTEvidence+2; i++ {
-		vs = append(vs, mkVerdict("many.test", fmt.Sprintf("192.0.2.%d", 10+i), core.CategoryUnknown, "198.51.100.200"))
-	}
-	b := NewBuilder()
-	for _, v := range vs {
-		b.Add(v)
+		urs = append(urs, mkUR("many.test", fmt.Sprintf("192.0.2.%d", 10+i), core.CategoryUnknown, "198.51.100.200"))
 	}
 	s := NewStore()
-	s.Publish(b.Seal(3, time.Unix(3, 0)))
-	return &ZoneResponder{Apex: testApex, Store: s, XferACL: MustParseACL("10.1.0.0/16"), Metrics: NewMetrics()}
+	s.Publish(sealGen(3, urs...))
+	return &ZoneResponder{Apex: testApex, Store: s, XferACL: mustACL("10.1.0.0/16"), Metrics: NewMetrics()}
 }
 
 // FuzzZoneServeRaw holds the wire answer path to the message path on
@@ -391,14 +387,14 @@ func FuzzZoneServeRaw(f *testing.F) {
 // on, against one generation of n verdicts.
 func BenchmarkAppendWire(b *testing.B) {
 	const n = 60_000
-	bld := NewBuilder()
+	urs := make([]*core.UR, 0, n+1)
 	for i := 0; i < n; i++ {
 		ip := netip.AddrFrom4([4]byte{198, byte(18 + i>>16), byte(i >> 8), byte(i)})
-		bld.Add(mkVerdict(fmt.Sprintf("d%06d.example.test", i), "192.0.2.1", core.CategoryUnknown, ip.String()))
+		urs = append(urs, mkUR(fmt.Sprintf("d%06d.example.test", i), "192.0.2.1", core.CategoryUnknown, ip.String()))
 	}
-	bld.Add(mkVerdict("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7"))
+	urs = append(urs, mkUR("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7"))
 	s := NewStore()
-	s.Publish(bld.Seal(1, s.Current().SweptAt))
+	s.Publish(SnapshotFromResult(&core.Result{URs: urs}, 1, s.Current().SweptAt))
 	z := &ZoneResponder{Apex: testApex, Store: s, Metrics: NewMetrics()}
 	buf := make([]byte, 0, dns.MaxEDNS0Size)
 	for what, raw := range hotQueries(b) {

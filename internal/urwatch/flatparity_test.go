@@ -48,41 +48,41 @@ func httpGet(t *testing.T, url string) []byte {
 // pre-sorted with the old per-dimension comparators.
 type refModel struct {
 	seq      uint64
-	byKey    map[string]*Verdict
-	byDomain map[dns.Name][]*Verdict
-	byIP     map[netip.Addr][]*Verdict
+	byKey    map[string]*core.UR
+	byDomain map[dns.Name][]*core.UR
+	byIP     map[netip.Addr][]*core.UR
 	provs    []*ProviderStats
 	counts   map[core.Category]int
 }
 
-func newRefModel(seq uint64, vs []*Verdict) *refModel {
+func newRefModel(seq uint64, vs []*core.UR) *refModel {
 	m := &refModel{
 		seq:      seq,
-		byKey:    make(map[string]*Verdict),
-		byDomain: make(map[dns.Name][]*Verdict),
-		byIP:     make(map[netip.Addr][]*Verdict),
+		byKey:    make(map[string]*core.UR),
+		byDomain: make(map[dns.Name][]*core.UR),
+		byIP:     make(map[netip.Addr][]*core.UR),
 		counts:   make(map[core.Category]int),
 	}
 	provByName := make(map[string]*ProviderStats)
 	for _, v := range vs {
-		key := v.Key()
+		key := urKey(v)
 		if _, dup := m.byKey[key]; dup {
-			continue // first-wins, like Builder.Add
+			continue // first-wins, like the seal
 		}
 		m.byKey[key] = v
 		m.byDomain[v.Domain] = append(m.byDomain[v.Domain], v)
 		seen := make(map[netip.Addr]bool)
-		for _, ip := range v.IPs {
+		for _, ip := range v.CorrespondingIPs {
 			if seen[ip] {
 				continue
 			}
 			seen[ip] = true
 			m.byIP[ip] = append(m.byIP[ip], v)
 		}
-		ps := provByName[v.Provider]
+		ps := provByName[v.Server.Provider]
 		if ps == nil {
-			ps = &ProviderStats{Provider: v.Provider, Counts: make(map[string]int)}
-			provByName[v.Provider] = ps
+			ps = &ProviderStats{Provider: v.Server.Provider, Counts: make(map[string]int)}
+			provByName[v.Server.Provider] = ps
 		}
 		ps.Total++
 		ps.Counts[v.Category.String()]++
@@ -92,7 +92,7 @@ func newRefModel(seq uint64, vs []*Verdict) *refModel {
 	for _, list := range m.byDomain {
 		sort.Slice(list, func(i, j int) bool {
 			a, b := list[i], list[j]
-			if cmp := a.Server.Compare(b.Server); cmp != 0 {
+			if cmp := a.Server.Addr.Compare(b.Server.Addr); cmp != 0 {
 				return cmp < 0
 			}
 			if a.Type != b.Type {
@@ -105,7 +105,7 @@ func newRefModel(seq uint64, vs []*Verdict) *refModel {
 	for _, list := range m.byIP {
 		sort.Slice(list, func(i, j int) bool {
 			a, b := list[i], list[j]
-			if cmp := a.Server.Compare(b.Server); cmp != 0 {
+			if cmp := a.Server.Addr.Compare(b.Server.Addr); cmp != 0 {
 				return cmp < 0
 			}
 			if a.Domain != b.Domain {
@@ -124,7 +124,7 @@ func newRefModel(seq uint64, vs []*Verdict) *refModel {
 	return m
 }
 
-func refWorst(vs []*Verdict) (core.Category, bool) {
+func refWorst(vs []*core.UR) (core.Category, bool) {
 	if len(vs) == 0 {
 		return core.CategoryCorrect, false
 	}
@@ -137,21 +137,21 @@ func refWorst(vs []*Verdict) (core.Category, bool) {
 	return worst, true
 }
 
-func refVerdictJSON(v *Verdict) VerdictJSON {
+func refVerdictJSON(v *core.UR) VerdictJSON {
 	out := VerdictJSON{
 		Domain:   string(v.Domain),
 		Type:     v.Type.String(),
 		RData:    v.RData,
 		TTL:      v.TTL,
-		Server:   v.Server.String(),
-		NSHost:   string(v.NSHost),
-		Provider: v.Provider,
+		Server:   v.Server.Addr.String(),
+		NSHost:   string(v.Server.Host),
+		Provider: v.Server.Provider,
 		Category: v.Category.String(),
 		Reason:   string(v.Reason),
-		ByIntel:  v.ByIntel,
-		ByIDS:    v.ByIDS,
+		ByIntel:  v.MaliciousByIntel,
+		ByIDS:    v.MaliciousByIDS,
 	}
-	for _, ip := range v.IPs {
+	for _, ip := range v.CorrespondingIPs {
 		out.IPs = append(out.IPs, ip.String())
 	}
 	return out
@@ -159,7 +159,7 @@ func refVerdictJSON(v *Verdict) VerdictJSON {
 
 // refLookupBody renders the /v1/lookup body from the reference model with
 // the same envelope marshaling the handler uses.
-func refLookupBody(t *testing.T, m *refModel, label string, vs []*Verdict) []byte {
+func refLookupBody(t *testing.T, m *refModel, label string, vs []*core.UR) []byte {
 	t.Helper()
 	resp := lookupResponse{Generation: m.seq, Query: label, Listed: len(vs) > 0}
 	if len(vs) > 0 {
@@ -181,26 +181,26 @@ func refLookupBody(t *testing.T, m *refModel, label string, vs []*Verdict) []byt
 // verdict sets, final-sorted by (Key, Kind) with Gen stamped — the exact
 // contract the merge-walk Diff must preserve.
 func refDiff(prev, next *refModel, fromSeq, toSeq uint64) *GenDiff {
-	d := &GenDiff{FromSeq: fromSeq, ToSeq: toSeq, ByProvider: make(map[string]ProviderDelta)}
-	mk := func(kind EventKind, v *Verdict, old, new_ string) Event {
-		return Event{
-			Kind: kind, Key: v.Key(), Domain: string(v.Domain), Type: v.Type.String(),
-			RData: v.RData, Server: v.Server.String(), Provider: v.Provider,
+	d := &GenDiff{FromSeq: fromSeq, ToSeq: toSeq}
+	add := func(kind EventKind, v *core.UR, old, new_ string) {
+		d.Events = append(d.Events, Event{
+			Kind: kind, Key: urKey(v), Domain: string(v.Domain), Type: v.Type.String(),
+			RData: v.RData, Server: v.Server.Addr.String(), Provider: v.Server.Provider,
 			Old: old, New: new_,
-		}
+		})
 	}
 	for key, pv := range prev.byKey {
 		nv, ok := next.byKey[key]
 		switch {
 		case !ok:
-			d.add(mk(EventRemoved, pv, pv.Category.String(), ""))
+			add(EventRemoved, pv, pv.Category.String(), "")
 		case pv.Category != nv.Category:
-			d.add(mk(EventReclassified, nv, pv.Category.String(), nv.Category.String()))
+			add(EventReclassified, nv, pv.Category.String(), nv.Category.String())
 		}
 	}
 	for key, nv := range next.byKey {
 		if _, ok := prev.byKey[key]; !ok {
-			d.add(mk(EventAppeared, nv, "", nv.Category.String()))
+			add(EventAppeared, nv, "", nv.Category.String())
 		}
 	}
 	sort.Slice(d.Events, func(i, j int) bool {
@@ -216,21 +216,11 @@ func refDiff(prev, next *refModel, fromSeq, toSeq uint64) *GenDiff {
 	return d
 }
 
-// parityVerdict builds one grid verdict with every field populated.
-func parityVerdict(domain, server string, typ dns.Type, rdata string, cat core.Category, opts ...func(*Verdict)) *Verdict {
-	v := &Verdict{
-		Domain:   dns.Name(domain),
-		Type:     typ,
-		RData:    rdata,
-		TTL:      300,
-		Server:   netip.MustParseAddr(server),
-		NSHost:   dns.Name("ns1." + domain),
-		Provider: "GridDNS",
-		Category: cat,
-	}
-	if ip, err := netip.ParseAddr(rdata); err == nil {
-		v.IPs = []netip.Addr{ip}
-	}
+// parityVerdict builds one grid record with every field populated.
+func parityVerdict(domain, server string, typ dns.Type, rdata string, cat core.Category, opts ...func(*core.UR)) *core.UR {
+	v := mkUR(domain, server, cat, rdata)
+	v.Type, v.TTL = typ, 300
+	v.Server.Host, v.Server.Provider = dns.Name("ns1."+domain), "GridDNS"
 	for _, o := range opts {
 		o(v)
 	}
@@ -239,50 +229,54 @@ func parityVerdict(domain, server string, typ dns.Type, rdata string, cat core.C
 
 // parityGrid returns the mutation grid: a sequence of verdict sets where
 // each step exercises a different kind of generation-to-generation change.
-func parityGrid() [][]*Verdict {
-	base := []*Verdict{
+func parityGrid() [][]*core.UR {
+	base := []*core.UR{
 		parityVerdict("alpha.test", "192.0.2.1", dns.TypeA, "198.51.100.10", core.CategoryUnknown),
 		parityVerdict("alpha.test", "192.0.2.2", dns.TypeA, "198.51.100.10", core.CategoryUnknown),
 		parityVerdict("alpha.test", "192.0.2.1", dns.TypeTXT, "v=spf1 -all", core.CategoryCorrect,
-			func(v *Verdict) { v.Reason = core.CorrectReason("spf"); v.Provider = "OtherDNS" }),
+			func(v *core.UR) { v.Reason = core.CorrectReason("spf"); v.Server.Provider = "OtherDNS" }),
 		parityVerdict("beta.test", "192.0.2.1", dns.TypeA, "203.0.113.5", core.CategoryMalicious,
-			func(v *Verdict) { v.ByIntel = true }),
+			func(v *core.UR) { v.MaliciousByIntel = true }),
 		parityVerdict("gamma.test", "2001:db8::53", dns.TypeA, "203.0.113.5", core.CategoryProtective,
-			func(v *Verdict) { v.NSHost = ""; v.IPs = append(v.IPs, netip.MustParseAddr("2001:db8::99")) }),
+			func(v *core.UR) {
+				v.Server.Host, v.CorrespondingIPs = "", append(v.CorrespondingIPs, netip.MustParseAddr("2001:db8::99"))
+			}),
 	}
-	clone := func(mut func([]*Verdict) []*Verdict) []*Verdict {
-		cp := make([]*Verdict, len(base))
+	clone := func(mut func([]*core.UR) []*core.UR) []*core.UR {
+		cp := make([]*core.UR, len(base))
 		for i, v := range base {
 			c := *v
 			cp[i] = &c
 		}
 		return mut(cp)
 	}
-	return [][]*Verdict{
+	return [][]*core.UR{
 		nil,  // empty generation
 		base, // everything appears
-		clone(func(vs []*Verdict) []*Verdict { // one appears, multi-IP
+		clone(func(vs []*core.UR) []*core.UR { // one appears, multi-IP
 			extra := parityVerdict("delta.test", "192.0.2.9", dns.TypeTXT, "ip4:198.51.100.10", core.CategoryUnknown,
-				func(v *Verdict) { v.IPs = []netip.Addr{netip.MustParseAddr("198.51.100.10")}; v.ByIDS = true })
+				func(v *core.UR) {
+					v.CorrespondingIPs, v.MaliciousByIDS = []netip.Addr{netip.MustParseAddr("198.51.100.10")}, true
+				})
 			return append(vs, extra)
 		}),
-		clone(func(vs []*Verdict) []*Verdict { // one removed
+		clone(func(vs []*core.UR) []*core.UR { // one removed
 			return append(vs[:1], vs[2:]...)
 		}),
-		clone(func(vs []*Verdict) []*Verdict { // one reclassified
+		clone(func(vs []*core.UR) []*core.UR { // one reclassified
 			vs[0].Category = core.CategoryMalicious
-			vs[0].ByIntel = true
+			vs[0].MaliciousByIntel = true
 			return vs
 		}),
-		clone(func(vs []*Verdict) []*Verdict { // identity change: rdata swap
+		clone(func(vs []*core.UR) []*core.UR { // identity change: rdata swap
 			vs[1].RData = "198.51.100.77"
-			vs[1].IPs = []netip.Addr{netip.MustParseAddr("198.51.100.77")}
+			vs[1].CorrespondingIPs = []netip.Addr{netip.MustParseAddr("198.51.100.77")}
 			return vs
 		}),
-		clone(func(vs []*Verdict) []*Verdict { // a name and an address past the TXT evidence cap
+		clone(func(vs []*core.UR) []*core.UR { // a name and an address past the TXT evidence cap
 			for i := 0; i < maxTXTEvidence+2; i++ {
 				vs = append(vs, parityVerdict("many.test", fmt.Sprintf("192.0.2.%d", 10+i), dns.TypeA, "198.51.100.200",
-					core.CategoryUnknown, func(v *Verdict) { v.Provider = "Grid DNS Hosting, Registrar & Parking Ltd." }))
+					core.CategoryUnknown, func(v *core.UR) { v.Server.Provider = "Grid DNS Hosting, Registrar & Parking Ltd." }))
 			}
 			return vs
 		}),
@@ -378,11 +372,7 @@ func TestFlatStoreParity(t *testing.T) {
 	var prevRef *refModel
 	for step, vs := range grid {
 		seq := uint64(step + 1)
-		b := NewBuilder()
-		for _, v := range vs {
-			b.Add(v)
-		}
-		g := b.Seal(seq, time.Unix(int64(seq), 0))
+		g := sealGen(seq, vs...)
 		ref := newRefModel(seq, vs)
 
 		// Counts and provider aggregates.
@@ -397,6 +387,16 @@ func TestFlatStoreParity(t *testing.T) {
 		}
 		if !reflect.DeepEqual(g.Providers(), ref.provs) && !(len(g.Providers()) == 0 && len(ref.provs) == 0) {
 			t.Errorf("step %d: Providers()=%v ref=%v", step, g.Providers(), ref.provs)
+		}
+		// Every reference record materializes, field by field, from its
+		// domain's run in the run's order.
+		for d, list := range ref.byDomain {
+			vs := g.Domain(d)
+			for i := 0; i < max(vs.Len(), len(list)); i++ {
+				if i >= vs.Len() || i >= len(list) || !reflect.DeepEqual(viewUR(vs.At(i)), list[i]) {
+					t.Fatalf("step %d: %s run of %d, reference %d, differs at %d", step, d, vs.Len(), len(list), i)
+				}
+			}
 		}
 
 		store := NewStore()
@@ -458,7 +458,7 @@ func TestFlatStoreParity(t *testing.T) {
 		refTXT := func(name dns.Name, s string) dns.RR {
 			return dns.MustParseRR(fmt.Sprintf("%s %d IN TXT %q", name, 30, s))
 		}
-		refListAnswers := func(qname dns.Name, typ dns.Type, list []*Verdict) (dns.RCode, []dns.RR) {
+		refListAnswers := func(qname dns.Name, typ dns.Type, list []*core.UR) (dns.RCode, []dns.RR) {
 			if len(list) == 0 {
 				return dns.RCodeNXDomain, nil
 			}
@@ -474,9 +474,9 @@ func TestFlatStoreParity(t *testing.T) {
 						answers = append(answers, refTXT(qname, fmt.Sprintf("and %d more", len(list)-maxTXTEvidence)))
 						break
 					}
-					ev := fmt.Sprintf("%s %s %s @%s (%s)", v.Category, v.Type, v.Domain, v.Server, v.Provider)
-					if v.ByIntel || v.ByIDS {
-						ev += fmt.Sprintf(" intel=%t ids=%t", v.ByIntel, v.ByIDS)
+					ev := fmt.Sprintf("%s %s %s @%s (%s)", v.Category, v.Type, v.Domain, v.Server.Addr, v.Server.Provider)
+					if v.MaliciousByIntel || v.MaliciousByIDS {
+						ev += fmt.Sprintf(" intel=%t ids=%t", v.MaliciousByIntel, v.MaliciousByIDS)
 					}
 					answers = append(answers, refTXT(qname, ev))
 				}
@@ -509,7 +509,7 @@ func TestFlatStoreParity(t *testing.T) {
 		// askList asks one subtree name for A and TXT, and for AAAA and ANY
 		// (NoData on a listed name: the SOA in the authority section),
 		// decoded through HandleQuery and then on the wire.
-		askList := func(qname dns.Name, list []*Verdict) {
+		askList := func(qname dns.Name, list []*core.UR) {
 			t.Helper()
 			for _, typ := range []dns.Type{dns.TypeA, dns.TypeTXT, dns.TypeAAAA, dns.TypeANY} {
 				rcode, answers := refListAnswers(qname, typ, list)
@@ -563,7 +563,7 @@ func TestFlatStoreParity(t *testing.T) {
 			limited := &ZoneResponder{Apex: apex, Store: store, Limiter: NewRateLimiter(1, 1, newVirtualClock().read)}
 			limited.Limiter.Allow(src)
 			for _, z := range []*ZoneResponder{
-				{Apex: apex, Store: store, ZoneACL: MustParseACL("192.0.2.0/24")},
+				{Apex: apex, Store: store, ZoneACL: mustACL("192.0.2.0/24")},
 				limited,
 			} {
 				qname := DomainName("alpha.test", apex)
@@ -594,39 +594,11 @@ func TestFlatStoreParity(t *testing.T) {
 		if prevGen != nil {
 			flat := Diff(prevGen, g)
 			want := refDiff(prevRef, ref, prevGen.Seq, seq)
-			if !flat.Same(want) {
+			if !sameEvents(flat, want) {
 				t.Fatalf("step %d: merge-walk diff != map-walk diff\n flat: %+v\n want: %+v",
 					step, flat.Events, want.Events)
 			}
-			if !reflect.DeepEqual(flat.ByProvider, want.ByProvider) {
-				t.Errorf("step %d: provider deltas %v != %v", step, flat.ByProvider, want.ByProvider)
-			}
 		}
 		prevGen, prevRef = g, ref
-	}
-}
-
-// TestFindAcrossGrid checks the exact-identity binary search against the
-// reference key map at every grid step.
-func TestFindAcrossGrid(t *testing.T) {
-	for step, vs := range parityGrid() {
-		b := NewBuilder()
-		for _, v := range vs {
-			b.Add(v)
-		}
-		g := b.Seal(uint64(step+1), time.Unix(int64(step+1), 0))
-		ref := newRefModel(uint64(step+1), vs)
-		for key, rv := range ref.byKey {
-			v, ok := g.Find(rv.Domain, rv.Server, rv.Type, rv.RData)
-			if !ok {
-				t.Fatalf("step %d: Find missed %q", step, key)
-			}
-			if v.Key() != key || !reflect.DeepEqual(v.Verdict(), rv) {
-				t.Errorf("step %d: Find(%q) materialized %+v, want %+v", step, key, v.Verdict(), rv)
-			}
-		}
-		if _, ok := g.Find("absent.test", netip.MustParseAddr("192.0.2.1"), dns.TypeA, "x"); ok {
-			t.Errorf("step %d: Find invented a verdict", step)
-		}
 	}
 }

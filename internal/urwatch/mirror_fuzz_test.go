@@ -23,7 +23,7 @@ func transferMessage(tb testing.TB, rcode dns.RCode, recs ...dns.RR) []byte {
 // FuzzMirrorApply feeds a mirror two transfer results, each decoded from a
 // message's answer section and response code: the first to give it a zone
 // (or not), the second to apply over it. The contract: no input panics; a
-// rejected Apply leaves the serial, HasZone and the zone text — SOA and body
+// rejected Apply leaves the serial, whether it holds a zone, and the zone text — SOA and body
 // — as they were; and an accepted full body's serial is that of the SOA
 // framing it.
 func FuzzMirrorApply(f *testing.F) {
@@ -54,11 +54,11 @@ func FuzzMirrorApply(f *testing.F) {
 				continue
 			}
 			res := &dnsio.XfrResult{RCode: msg.Header.RCode, Records: msg.Answers}
-			serial, hasZone, text := m.Serial(), m.HasZone(), m.ZoneText()
+			serial, hasZone, text := m.Serial(), m.hasZone, zoneText(m)
 			if err := m.Apply(res); err != nil {
-				if m.Serial() != serial || m.HasZone() != hasZone || m.ZoneText() != text {
+				if m.Serial() != serial || m.hasZone != hasZone || zoneText(m) != text {
 					t.Fatalf("a rejected transfer (%v) changed the mirror: serial %d → %d, zone %v → %v\n%s\n→\n%s",
-						err, serial, m.Serial(), hasZone, m.HasZone(), text, m.ZoneText())
+						err, serial, m.Serial(), hasZone, m.hasZone, text, zoneText(m))
 				}
 				continue
 			}
@@ -66,8 +66,8 @@ func FuzzMirrorApply(f *testing.F) {
 			if len(recs) < 2 || len(recs) >= 3 && rrSOA(recs[1]) != nil {
 				continue // up to date, or a delta
 			}
-			if head := rrSOA(recs[0]); head == nil || m.Serial() != head.Serial || !m.HasZone() {
-				t.Fatalf("an accepted full body framed by %v left the mirror at serial %d (zone %v)", recs[0], m.Serial(), m.HasZone())
+			if head := rrSOA(recs[0]); head == nil || m.Serial() != head.Serial || !m.hasZone {
+				t.Fatalf("an accepted full body framed by %v left the mirror at serial %d (zone %v)", recs[0], m.Serial(), m.hasZone)
 			}
 		}
 	})

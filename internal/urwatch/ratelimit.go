@@ -107,13 +107,3 @@ func (l *RateLimiter) evictStalest() {
 		delete(l.buckets, st.addr)
 	}
 }
-
-// Clients returns how many client buckets are currently tracked.
-func (l *RateLimiter) Clients() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
-}

@@ -57,8 +57,8 @@ func TestRateLimiterPerClientIndependence(t *testing.T) {
 	if !l.Allow(b) {
 		t.Fatal("client b denied by a's consumption")
 	}
-	if l.Clients() != 2 {
-		t.Errorf("Clients() = %d, want 2", l.Clients())
+	if len(l.buckets) != 2 {
+		t.Errorf("%d client buckets, want 2", len(l.buckets))
 	}
 }
 

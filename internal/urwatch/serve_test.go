@@ -208,7 +208,7 @@ func TestServeAcceptance(t *testing.T) {
 
 	// Mutation 2: a vendor flags the corresponding IP of some so-far-unknown
 	// verdict — next sweep must reclassify it malicious.
-	var flagged *Verdict
+	var flagged *core.UR
 	vt, _ := w.Intel.Vendor("VirusTotal")
 scan:
 	for _, target := range w.Targets {
@@ -216,7 +216,7 @@ scan:
 		for i := 0; i < vs.Len(); i++ {
 			v := vs.At(i)
 			if v.Category() == core.CategoryUnknown && len(v.IPs()) > 0 && !v.ByIntel() && !v.ByIDS() {
-				flagged = v.Verdict()
+				flagged = viewUR(v)
 				break scan
 			}
 		}
@@ -224,7 +224,7 @@ scan:
 	if flagged == nil {
 		t.Fatal("generation 1 has no unknown verdict with corresponding IPs to flag")
 	}
-	vt.Flag(flagged.IPs[0], threatintel.TagC2)
+	vt.Flag(flagged.CorrespondingIPs[0], threatintel.TagC2)
 
 	g2 := sweep()
 	if g2.Seq != 2 {
@@ -259,7 +259,7 @@ scan:
 	}
 	prevs := []*Generation{gen0, pubs[0].g, pubs[1].g}
 	for i, p := range pubs {
-		if fresh := Diff(prevs[i], p.g); !p.d.Same(fresh) {
+		if fresh := Diff(prevs[i], p.g); !sameEvents(p.d, fresh) {
 			t.Errorf("generation %d: published diff (%d events) != from-scratch diff (%d events)",
 				p.g.Seq, len(p.d.Events), len(fresh.Events))
 		}
@@ -279,15 +279,15 @@ scan:
 	if !hasEvent(pubs[1].d, EventAppeared, plantedKey) {
 		t.Errorf("generation 2 diff missing ur_appeared for planted %s", planted)
 	}
-	if !hasEvent(pubs[1].d, EventReclassified, func(e Event) bool { return e.Key == flagged.Key() }) {
-		t.Errorf("generation 2 diff missing class_changed for flagged %s", flagged.Key())
+	if !hasEvent(pubs[1].d, EventReclassified, func(e Event) bool { return e.Key == urKey(flagged) }) {
+		t.Errorf("generation 2 diff missing class_changed for flagged %s", urKey(flagged))
 	}
 	if !hasEvent(pubs[2].d, EventRemoved, plantedKey) {
 		t.Errorf("generation 3 diff missing ur_removed for planted %s", planted)
 	}
 
 	// The reclassified verdict must now serve as malicious, end to end.
-	if v, ok := g3.Find(flagged.Domain, flagged.Server, flagged.Type, flagged.RData); !ok {
+	if v, ok := findUR(g3, flagged); !ok {
 		t.Errorf("flagged verdict vanished from generation 3")
 	} else if v.Category() != core.CategoryMalicious {
 		t.Errorf("flagged verdict category = %v, want malicious", v.Category())

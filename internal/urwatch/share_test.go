@@ -20,27 +20,27 @@ import (
 // shareVerdicts is a hand-made feed whose records exercise every field a
 // publish compares: several IPs on one record, a correct record's reason, a
 // second provider, both evidence flags.
-func shareVerdicts() []*Verdict {
-	evil := mkVerdict("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")
-	evil.ByIntel = true
-	txt := mkVerdict("evil.test", "192.0.2.2", core.CategoryUnknown, "v=spf1 ip4:198.51.100.7 ip4:203.0.113.9")
+func shareVerdicts() []*core.UR {
+	evil := mkUR("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")
+	evil.MaliciousByIntel = true
+	txt := mkUR("evil.test", "192.0.2.2", core.CategoryUnknown, "v=spf1 ip4:198.51.100.7 ip4:203.0.113.9")
 	txt.Type = dns.TypeTXT
-	txt.IPs = []netip.Addr{netip.MustParseAddr("198.51.100.7"), netip.MustParseAddr("203.0.113.9")}
-	good := mkVerdict("good.test", "192.0.2.3", core.CategoryCorrect, "203.0.113.10")
+	txt.CorrespondingIPs = []netip.Addr{netip.MustParseAddr("198.51.100.7"), netip.MustParseAddr("203.0.113.9")}
+	good := mkUR("good.test", "192.0.2.3", core.CategoryCorrect, "203.0.113.10")
 	good.Reason = "A_IP"
-	good.Provider = "OtherDNS"
-	ids := mkVerdict("ids.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.99")
-	ids.ByIDS = true
-	return []*Verdict{evil, txt, good, ids}
+	good.Server.Provider = "OtherDNS"
+	ids := mkUR("ids.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.99")
+	ids.MaliciousByIDS = true
+	return []*core.UR{evil, txt, good, ids}
 }
 
 // copyVerdicts deep-copies a feed, so a mutation of one copy cannot reach
 // a generation sealed from another.
-func copyVerdicts(vs []*Verdict) []*Verdict {
-	out := make([]*Verdict, len(vs))
-	for i, v := range vs {
-		c := *v
-		c.IPs = append([]netip.Addr(nil), v.IPs...)
+func copyVerdicts(urs []*core.UR) []*core.UR {
+	out := make([]*core.UR, len(urs))
+	for i, u := range urs {
+		c, ns := *u, *u.Server
+		c.Server, c.CorrespondingIPs = &ns, append([]netip.Addr(nil), u.CorrespondingIPs...)
 		out[i] = &c
 	}
 	return out
@@ -84,16 +84,16 @@ func TestPublishUnchangedSharesTables(t *testing.T) {
 	z := &ZoneResponder{Apex: testApex, Store: s}
 	base := shareVerdicts()
 	seq := uint64(0)
-	publish := func(vs []*Verdict) (prev, next *Generation) {
+	publish := func(vs []*core.UR) (prev, next *Generation) {
 		seq++
 		prev = s.Current()
-		next = sealGen(t, seq, copyVerdicts(vs)...)
+		next = sealGen(seq, copyVerdicts(vs)...)
 		next.Queries = int64(seq) * 10
 		s.Publish(next)
 		if s.Current() != next {
 			t.Fatalf("generation %d: Current() is not the published generation", seq)
 		}
-		if fresh := sealGen(t, seq, copyVerdicts(vs)...); !bytes.Equal(axfrBytes(t, z, next), axfrBytes(t, z, fresh)) {
+		if fresh := sealGen(seq, copyVerdicts(vs)...); !bytes.Equal(axfrBytes(t, z, next), axfrBytes(t, z, fresh)) {
 			t.Errorf("generation %d: AXFR differs from a fresh seal's", seq)
 		}
 		return prev, next
@@ -111,15 +111,15 @@ func TestPublishUnchangedSharesTables(t *testing.T) {
 		t.Errorf("shared generation's header = seq %d, queries %d, swept %v; want its own", next.Seq, next.Queries, next.SweptAt)
 	}
 
-	mutations := map[string]func(vs []*Verdict){
-		"ttl":      func(vs []*Verdict) { vs[1].TTL++ },
-		"reason":   func(vs []*Verdict) { vs[2].Reason = "A_ASN" },
-		"ns host":  func(vs []*Verdict) { vs[0].NSHost = "ns9.evil.test" },
-		"provider": func(vs []*Verdict) { vs[3].Provider = "OtherDNS" },
-		"category": func(vs []*Verdict) { vs[2].Category = core.CategoryProtective },
-		"by intel": func(vs []*Verdict) { vs[3].ByIntel = true },
-		"by ids":   func(vs []*Verdict) { vs[0].ByIDS = true },
-		"one ip":   func(vs []*Verdict) { vs[1].IPs[1] = netip.MustParseAddr("203.0.113.10") },
+	mutations := map[string]func(vs []*core.UR){
+		"ttl":      func(vs []*core.UR) { vs[1].TTL++ },
+		"reason":   func(vs []*core.UR) { vs[2].Reason = "A_ASN" },
+		"ns host":  func(vs []*core.UR) { vs[0].Server.Host = "ns9.evil.test" },
+		"provider": func(vs []*core.UR) { vs[3].Server.Provider = "OtherDNS" },
+		"category": func(vs []*core.UR) { vs[2].Category = core.CategoryProtective },
+		"by intel": func(vs []*core.UR) { vs[3].MaliciousByIntel = true },
+		"by ids":   func(vs []*core.UR) { vs[0].MaliciousByIDS = true },
+		"one ip":   func(vs []*core.UR) { vs[1].CorrespondingIPs[1] = netip.MustParseAddr("203.0.113.10") },
 	}
 	for name, mutate := range mutations {
 		publish(base) // the current generation is the base feed again
@@ -132,10 +132,10 @@ func TestPublishUnchangedSharesTables(t *testing.T) {
 	}
 }
 
-// TestSealFromURsMatchesBuilder: a sweep's records sealed in place save the
-// same snapshot bytes as a Builder fed the same verdicts, at small/42 and on
-// a hand-made set with repeated identities, where the first added is kept.
-func TestSealFromURsMatchesBuilder(t *testing.T) {
+// TestSealPinsSnapshot: a sweep's records sealed in place keep the first of
+// each repeated identity on a hand-made set, and save the pinned snapshot
+// bytes at small/42.
+func TestSealPinsSnapshot(t *testing.T) {
 	sweptAt := time.Unix(1_700_000_000, 0)
 	saved := func(g *Generation) []byte {
 		t.Helper()
@@ -148,21 +148,6 @@ func TestSealFromURsMatchesBuilder(t *testing.T) {
 			t.Fatal(err)
 		}
 		return b
-	}
-	viaBuilder := func(res *core.Result) *Generation {
-		b := NewBuilder()
-		for _, u := range res.URs {
-			b.Add(&Verdict{
-				Domain: u.Domain, Type: u.Type, RData: u.RData, TTL: u.TTL,
-				Server: u.Server.Addr, NSHost: u.Server.Host, Provider: u.Server.Provider,
-				Category: u.Category, Reason: u.Reason,
-				ByIntel: u.MaliciousByIntel, ByIDS: u.MaliciousByIDS,
-				IPs: u.CorrespondingIPs,
-			})
-		}
-		g := b.Seal(1, sweptAt)
-		g.Queries, g.Coverage = res.Queries, res.Coverage
-		return g
 	}
 
 	// Hand-made: two identities appear twice, with different evidence.
@@ -181,9 +166,6 @@ func TestSealFromURsMatchesBuilder(t *testing.T) {
 		ur(ns1, "b.test", 30, core.CategoryProtective),
 	}}
 	g := SnapshotFromResult(hand, 1, sweptAt)
-	if !bytes.Equal(saved(g), saved(viaBuilder(hand))) {
-		t.Error("hand-made set: SnapshotFromResult saves other bytes than the Builder")
-	}
 	if g.Total() != 3 {
 		t.Fatalf("hand-made set: %d records, want 3 (repeated identities dropped)", g.Total())
 	}
@@ -193,7 +175,7 @@ func TestSealFromURsMatchesBuilder(t *testing.T) {
 		ttl  uint32
 		kind core.Category
 	}{{ns1, "a.test", 300, core.CategoryMalicious}, {ns2, "b.test", 60, core.CategoryUnknown}} {
-		v, ok := g.Find(want.dom, want.ns.Addr, dns.TypeA, ip.String())
+		v, ok := findUR(g, ur(want.ns, string(want.dom), 0, 0))
 		if !ok {
 			t.Errorf("%s@%s: no record", want.dom, want.ns.Addr)
 		} else if v.TTL() != want.ttl || v.Category() != want.kind {
@@ -213,11 +195,8 @@ func TestSealFromURsMatchesBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := saved(SnapshotFromResult(res, 1, sweptAt))
-	if !bytes.Equal(got, saved(viaBuilder(res))) {
-		t.Error("small/42: SnapshotFromResult saves other bytes than the Builder")
-	}
 	// The file the seal wrote when it still copied every record into a
-	// Verdict first: reading the records in place changes no byte.
+	// verdict struct first: reading the records in place changes no byte.
 	const want = "2865ab1f28888901e2a5a111a3b238a7544242f56d3f70a0b3bd6e561c0716b6"
 	if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != want {
 		t.Errorf("small/42 snapshot sha256 %s (%d bytes), want %s", sum, len(got), want)
@@ -232,10 +211,10 @@ func TestReadersDuringEqualPublishes(t *testing.T) {
 	s := NewStore()
 	z := newTestResponder(s)
 	const runs, perRun, readers = 8, 25, 4
-	feed := func(run int) []*Verdict {
+	feed := func(run int) []*core.UR {
 		vs := shareVerdicts()
 		vs[0].RData = fmt.Sprintf("198.51.100.%d", run+1)
-		vs[0].IPs = []netip.Addr{netip.MustParseAddr(vs[0].RData)}
+		vs[0].CorrespondingIPs = []netip.Addr{netip.MustParseAddr(vs[0].RData)}
 		return vs
 	}
 
@@ -285,7 +264,7 @@ func TestReadersDuringEqualPublishes(t *testing.T) {
 		var first *Generation
 		for i := 0; i < perRun; i++ {
 			seq++
-			g := sealGen(t, seq, copyVerdicts(feed(run))...)
+			g := sealGen(seq, copyVerdicts(feed(run))...)
 			s.Publish(g)
 			if i == 0 {
 				first = g

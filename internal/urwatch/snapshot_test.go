@@ -19,12 +19,8 @@ import (
 // snapTestGen seals a generation with every field populated: multi-domain
 // verdicts, IPv6, shared IPs, provider spread, sweep books.
 func snapTestGen(t testing.TB, seq uint64) *Generation {
-	grid := parityGrid()
-	b := NewBuilder()
-	for _, v := range grid[2] { // base + the multi-IP extra
-		b.Add(v)
-	}
-	g := b.Seal(seq, time.Unix(1700000000+int64(seq), 123456789))
+	// The grid's base + the multi-IP extra.
+	g := SnapshotFromResult(&core.Result{URs: parityGrid()[2]}, seq, time.Unix(1700000000+int64(seq), 123456789))
 	g.Queries = 9876
 	g.Coverage = &core.Coverage{
 		Attempted: 120, Answered: 118, RetriedRecovered: 3, BreakerTrips: 1,
@@ -48,7 +44,7 @@ func sameGeneration(t *testing.T, a, b *Generation) {
 		t.Fatalf("totals %d vs %d", a.Total(), b.Total())
 	}
 	for i := 0; i < a.Total(); i++ {
-		av, bv := (VerdictView{g: a, i: i}).Verdict(), (VerdictView{g: b, i: i}).Verdict()
+		av, bv := viewUR(VerdictView{g: a, i: i}), viewUR(VerdictView{g: b, i: i})
 		if !reflect.DeepEqual(av, bv) {
 			t.Fatalf("verdict %d: %+v vs %+v", i, av, bv)
 		}
@@ -73,7 +69,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		name string
 		g    *Generation
 	}{
-		{"empty", NewBuilder().Seal(0, time.Time{})},
+		{"empty", seal(nil, 0, time.Time{})},
 		{"rich", snapTestGen(t, 7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -346,7 +342,7 @@ func TestColdStartSemantics(t *testing.T) {
 		t.Fatalf("restored SOA = %+v, want serial 1", resp.Answers[0].Data)
 	}
 	// Restore does not replay history: the event log starts empty.
-	if n := w2.Store().Log().Len(); n != 0 {
+	if n := len(w2.Store().Log().events); n != 0 {
 		t.Fatalf("restored event log has %d events, want 0", n)
 	}
 
@@ -360,12 +356,12 @@ func TestColdStartSemantics(t *testing.T) {
 	if g2.Seq != 2 {
 		t.Fatalf("post-restore sweep seq = %d, want 2", g2.Seq)
 	}
-	if fresh := Diff(restored, g2); !d.Same(fresh) {
+	if fresh := Diff(restored, g2); !sameEvents(d, fresh) {
 		t.Fatalf("published diff != from-scratch diff:\n pub: %+v\n new: %+v", d.Events, fresh.Events)
 	}
 	// And equals the diff the uninterrupted first life would have produced.
 	uninterrupted := Diff(g1, SnapshotFromResult(res2, 2, time.Unix(2, 0)))
-	if !d.Same(uninterrupted) {
+	if !sameEvents(d, uninterrupted) {
 		t.Fatalf("restart changed the diff:\n restart: %+v\n 1-life:  %+v", d.Events, uninterrupted.Events)
 	}
 	kinds := map[EventKind]int{}
@@ -382,7 +378,7 @@ func TestColdStartSemantics(t *testing.T) {
 // partially validated data. The corpus seeds valid tiny snapshots so the
 // fuzzer starts inside the format and mutates outward.
 func FuzzSnapshotLoad(f *testing.F) {
-	empty, err := EncodeSnapshot(NewBuilder().Seal(0, time.Time{}))
+	empty, err := EncodeSnapshot(seal(nil, 0, time.Time{}))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -413,7 +409,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 			v := VerdictView{g: g, i: i}
 			_ = v.Key()
 			_ = v.IPs()
-			_ = v.Verdict()
+			_ = viewUR(v)
 			vs := g.Domain(v.Domain())
 			if vs.Len() == 0 {
 				t.Fatalf("verdict %d not findable via its own domain", i)
@@ -431,7 +427,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 			t.Fatalf("provider totals %d != %d", sum, g.Total())
 		}
 		for _, e := range g.ipIdx {
-			_ = (VerdictView{g: g, i: int(e.rec)}).Verdict()
+			_ = viewUR(VerdictView{g: g, i: int(e.rec)})
 		}
 		_ = g.SizeBytes()
 	})

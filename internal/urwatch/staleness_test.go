@@ -175,7 +175,7 @@ func TestSOATimersFollowStaleness(t *testing.T) {
 		MaxStaleness:  600 * time.Second,
 		Clock:         clk.Now,
 	})
-	g := NewBuilder().Seal(7, base)
+	g := SnapshotFromResult(&core.Result{}, 7, base)
 	s.Publish(g)
 	z := newTestResponder(s)
 
@@ -293,8 +293,8 @@ func TestMetricsEndpoint(t *testing.T) {
 // get REFUSED, matching and transfer-allowlisted sources are admitted.
 func TestZoneACLGatesQueries(t *testing.T) {
 	z := newTestResponder(testStore(t))
-	z.ZoneACL = MustParseACL("10.0.0.0/8")
-	z.XferACL = MustParseACL("192.0.2.53")
+	z.ZoneACL = mustACL("10.0.0.0/8")
+	z.XferACL = mustACL("192.0.2.53")
 
 	q := dns.NewQuery(1, DomainName("evil.test", testApex), dns.TypeA)
 	if r := z.HandleQuery(netip.MustParseAddr("10.1.2.3"), q); r.Header.RCode != dns.RCodeSuccess {

@@ -20,8 +20,7 @@
 // corresponding-IP set is an (offset, length) span into one packed
 // []netip.Addr. The record array is sorted by (domain, server, type, rdata),
 // so the domain index is the array itself — a lookup is two binary searches
-// bounding the domain's contiguous run — and the exact-identity lookup is a
-// third binary search inside that run. The IP index is a single sorted
+// bounding the domain's contiguous run. The IP index is a single sorted
 // (addr, record) array answered the same way. Readers never follow a
 // per-verdict pointer and never touch a map; at paper scale and beyond this
 // is the difference between GBs of GC-scanned pointer graph and a few large
@@ -50,32 +49,6 @@ import (
 	"repro/internal/dns"
 )
 
-// Verdict is the served classification of one undelegated record — the
-// feed's unit of truth. Identity follows the paper's §5.1 uniqueness tuple
-// (server, domain, type, rdata); everything else is evidence. Verdict is the
-// builder-input and materialized-output form; inside a sealed generation the
-// same data lives as a packed verdictRec.
-type Verdict struct {
-	Domain   dns.Name
-	Type     dns.Type
-	RData    string
-	TTL      uint32
-	Server   netip.Addr
-	NSHost   dns.Name
-	Provider string
-
-	Category core.Category
-	Reason   core.CorrectReason
-	ByIntel  bool
-	ByIDS    bool
-
-	// IPs are the record's corresponding IPs (§4.3): the A address or the
-	// addresses embedded in / associated with a TXT record. The store's IP
-	// index is built over this set, which is what lets a DNSBL client ask
-	// "is this destination a UR C2?" without knowing the domain.
-	IPs []netip.Addr
-}
-
 // AppendKey appends the §5.1 identity tuple key — the event log's canonical
 // key format — to dst and returns the extended slice. It allocates only when
 // dst lacks capacity, which is what keeps it off the build and lookup hot
@@ -98,21 +71,17 @@ func AppendKey(dst []byte, server netip.Addr, domain dns.Name, typ dns.Type, rda
 	return dst
 }
 
-// Key returns the §5.1 identity tuple as the feed's canonical key string.
-func (v *Verdict) Key() string {
-	return string(AppendKey(make([]byte, 0, 64), v.Server, v.Domain, v.Type, v.RData))
-}
-
 // verdict flag bits.
 const (
 	flagByIntel = 1 << 0
 	flagByIDS   = 1 << 1
 )
 
-// verdictRec is the arena-packed form of one verdict: fixed size, pointer
-// free (netip.Addr aside), with every string a reference into the owning
-// generation's table and the corresponding-IP set a span into its packed
-// address arena.
+// verdictRec is the arena-packed form of one verdict — the served
+// classification of one undelegated record, identified by the paper's §5.1
+// tuple (server, domain, type, rdata): fixed size, pointer free (netip.Addr
+// aside), with every string a reference into the owning generation's table
+// and the corresponding-IP set (§4.3) a span into its packed address arena.
 type verdictRec struct {
 	server   netip.Addr
 	domain   uint32
@@ -168,7 +137,7 @@ type Generation struct {
 	// per-IP slices did.
 	ipIdx []ipEntry
 	// provs is the per-provider aggregate, sorted by name — precomputed at
-	// Seal so Providers() is a plain slice return.
+	// the seal so Providers() is a plain slice return.
 	provs  []*ProviderStats
 	counts [4]int
 }
@@ -268,25 +237,6 @@ func (v VerdictView) Key() string {
 	return string(AppendKey(make([]byte, 0, 64), r.server, v.Domain(), r.typ, v.RData()))
 }
 
-// Verdict materializes the view into a standalone Verdict (for callers that
-// need to retain it past the generation, e.g. tests and event builders).
-func (v VerdictView) Verdict() *Verdict {
-	return &Verdict{
-		Domain:   v.Domain(),
-		Type:     v.Type(),
-		RData:    v.RData(),
-		TTL:      v.TTL(),
-		Server:   v.Server(),
-		NSHost:   v.NSHost(),
-		Provider: v.Provider(),
-		Category: v.Category(),
-		Reason:   v.Reason(),
-		ByIntel:  v.ByIntel(),
-		ByIDS:    v.ByIDS(),
-		IPs:      append([]netip.Addr(nil), v.IPs()...),
-	}
-}
-
 // Domain returns every verdict for a domain as a contiguous run of the
 // record array (empty set when unlisted).
 func (g *Generation) Domain(d dns.Name) VerdictSet { return domainRun(g, d) }
@@ -302,29 +252,6 @@ func domainRun[S dns.Name | []byte](g *Generation, d S) VerdictSet {
 	}
 	hi := lo + sort.Search(len(g.recs)-lo, func(i int) bool { return g.strs[g.recs[lo+i].domain] > string(d) })
 	return VerdictSet{g: g, lo: lo, hi: hi}
-}
-
-// Find returns the verdict with the exact §5.1 identity tuple: a binary
-// search inside the domain's run by (server, type, rdata).
-func (g *Generation) Find(domain dns.Name, server netip.Addr, typ dns.Type, rdata string) (VerdictView, bool) {
-	s := g.Domain(domain)
-	i := s.lo + sort.Search(s.hi-s.lo, func(i int) bool {
-		r := &g.recs[s.lo+i]
-		if c := r.server.Compare(server); c != 0 {
-			return c >= 0
-		}
-		if r.typ != typ {
-			return r.typ >= typ
-		}
-		return g.str(r.rdata) >= rdata
-	})
-	if i < s.hi {
-		r := &g.recs[i]
-		if r.server == server && r.typ == typ && g.str(r.rdata) == rdata {
-			return VerdictView{g: g, i: i}, true
-		}
-	}
-	return VerdictView{}, false
 }
 
 // IP returns every verdict whose corresponding IPs include addr, as a
@@ -346,7 +273,7 @@ func (g *Generation) Provider(name string) (*ProviderStats, bool) {
 }
 
 // Providers returns every provider's stats, sorted by name. The slice is
-// precomputed at Seal and shared with the generation — callers must not
+// precomputed at the seal and shared with the generation — callers must not
 // mutate it.
 func (g *Generation) Providers() []*ProviderStats { return g.provs }
 
@@ -444,40 +371,14 @@ func (in *interner) Intern(s string) string {
 	return s
 }
 
-// Builder accumulates verdicts for the next generation, from one goroutine;
-// Seal compiles them into the flat immutable form. Sealing reads the added
-// records without consuming them.
-type Builder struct {
-	urs []*core.UR
-}
-
-// NewBuilder starts an empty next generation.
-func NewBuilder() *Builder { return &Builder{} }
-
-// Add appends one verdict as the record a sweep makes (IPs shared, not
-// copied). Of verdicts with the same identity, Seal keeps the first added
-// (the pipeline's canonical sort means the first is the canonical one).
-func (b *Builder) Add(v *Verdict) {
-	b.urs = append(b.urs, &core.UR{
-		Server: &core.NameserverInfo{Addr: v.Server, Host: v.NSHost, Provider: v.Provider},
-		Domain: v.Domain, Type: v.Type, RData: v.RData, TTL: v.TTL, CorrespondingIPs: v.IPs,
-		Category: v.Category, Reason: v.Reason, MaliciousByIntel: v.ByIntel, MaliciousByIDS: v.ByIDS,
-	})
-}
-
-// Seal stamps and compiles the generation: the added verdicts become the
-// sorted record array, the string table, the IP arena and index, and the
-// provider aggregates.
-func (b *Builder) Seal(seq uint64, sweptAt time.Time) *Generation {
-	return seal(b.urs, seq, sweptAt)
-}
-
-// seal compiles records, read in place, into a generation. Record order:
-// (domain, server, type, rdata). Domain-major makes the sorted array its own
-// domain index; within a domain the order is the feed's canonical (server,
-// type, rdata), exactly what the map-era per-domain slices served. Positions
-// are sorted, not the records, and stably, so the first of each identity
-// leads its run and is the one kept.
+// seal compiles records, read in place and never written, into a generation:
+// the sorted record array, the string table, the IP arena and index, and the
+// provider aggregates. Record order: (domain, server, type, rdata).
+// Domain-major makes the sorted array its own domain index; within a domain
+// the order is the feed's canonical (server, type, rdata), exactly what the
+// map-era per-domain slices served. Positions are sorted, not the records,
+// and stably, so the first of each identity leads its run and is the one
+// kept (the pipeline's canonical sort makes the first the canonical one).
 func seal(urs []*core.UR, seq uint64, sweptAt time.Time) *Generation {
 	all := make([]int32, len(urs))
 	for i := range all {
@@ -601,7 +502,8 @@ func (g *Generation) recCanonLess(i, j int) bool {
 }
 
 // SnapshotFromResult seals a generation from one pipeline run's classified
-// output, reading res.URs in place. Every collected UR becomes a verdict;
+// output, reading res.URs in place; it is the one way to build a generation
+// (the snapshot loader restores one). Every collected UR becomes a verdict;
 // the sweep's query and coverage books ride along for the health endpoints.
 func SnapshotFromResult(res *core.Result, seq uint64, sweptAt time.Time) *Generation {
 	g := seal(res.URs, seq, sweptAt)
@@ -643,7 +545,7 @@ type Store struct {
 // log.
 func NewStore() *Store {
 	s := &Store{log: NewEventLog()}
-	g := NewBuilder().Seal(0, time.Time{})
+	g := seal(nil, 0, time.Time{})
 	s.gen.Store(g)
 	s.ring = []*Generation{g}
 	return s
@@ -676,9 +578,6 @@ func (s *Store) NoteSweepFailure(err error) int {
 	}
 	return int(n)
 }
-
-// ConsecutiveFailures returns the current sweep-failure streak.
-func (s *Store) ConsecutiveFailures() int { return int(s.failStreak.Load()) }
 
 // Staleness folds the store's degradation signals into a health reading at
 // time now (pass the policy clock's reading, or time.Now()).

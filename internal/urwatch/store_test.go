@@ -11,40 +11,69 @@ import (
 	"repro/internal/dns"
 )
 
-// mkVerdict builds a test verdict; the (server, domain, type, rdata) tuple is
-// its identity.
-func mkVerdict(domain string, server string, cat core.Category, rdata string) *Verdict {
-	addr := netip.MustParseAddr(server)
-	v := &Verdict{
+// mkUR builds a test record as a sweep makes it, with a server of its own;
+// the (server, domain, type, rdata) tuple is its identity.
+func mkUR(domain string, server string, cat core.Category, rdata string) *core.UR {
+	u := &core.UR{
+		Server:   &core.NameserverInfo{Addr: netip.MustParseAddr(server), Host: dns.Name("ns." + domain), Provider: "TestDNS"},
 		Domain:   dns.Name(domain),
 		Type:     dns.TypeA,
 		RData:    rdata,
 		TTL:      120,
-		Server:   addr,
-		NSHost:   dns.Name("ns." + domain),
-		Provider: "TestDNS",
 		Category: cat,
 	}
 	if ip, err := netip.ParseAddr(rdata); err == nil {
-		v.IPs = []netip.Addr{ip}
+		u.CorrespondingIPs = []netip.Addr{ip}
 	}
-	return v
+	return u
 }
 
-func sealGen(t *testing.T, seq uint64, vs ...*Verdict) *Generation {
-	t.Helper()
-	b := NewBuilder()
-	for _, v := range vs {
-		b.Add(v)
-	}
-	return b.Seal(seq, time.Unix(int64(seq), 0))
+// sealGen seals records as a sweep's result, swept seq seconds past the epoch.
+func sealGen(seq uint64, urs ...*core.UR) *Generation {
+	return SnapshotFromResult(&core.Result{URs: urs}, seq, time.Unix(int64(seq), 0))
 }
 
-func TestBuilderIndexes(t *testing.T) {
-	v1 := mkVerdict("a.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")
-	v2 := mkVerdict("a.test", "192.0.2.2", core.CategoryUnknown, "198.51.100.7")
-	v3 := mkVerdict("b.test", "192.0.2.1", core.CategoryCorrect, "203.0.113.9")
-	g := sealGen(t, 1, v2, v1, v3, v1) // duplicate v1 must dedup; order shuffled
+// urKey is a record's §5.1 identity key.
+func urKey(u *core.UR) string {
+	return string(AppendKey(nil, u.Server.Addr, u.Domain, u.Type, u.RData))
+}
+
+// viewUR materializes a verdict as the record a sweep would make of it.
+func viewUR(v VerdictView) *core.UR {
+	return &core.UR{
+		Server: &core.NameserverInfo{Addr: v.Server(), Host: v.NSHost(), Provider: v.Provider()},
+		Domain: v.Domain(), Type: v.Type(), RData: v.RData(), TTL: v.TTL(),
+		CorrespondingIPs: append([]netip.Addr(nil), v.IPs()...),
+		Category:         v.Category(), Reason: v.Reason(),
+		MaliciousByIntel: v.ByIntel(), MaliciousByIDS: v.ByIDS(),
+	}
+}
+
+// findUR returns the verdict with u's identity, read from u's domain run.
+func findUR(g *Generation, u *core.UR) (VerdictView, bool) {
+	vs, key := g.Domain(u.Domain), urKey(u)
+	for i := 0; i < vs.Len(); i++ {
+		if v := vs.At(i); v.Key() == key {
+			return v, true
+		}
+	}
+	return VerdictView{}, false
+}
+
+// mustACL parses a static allowlist.
+func mustACL(s string) *ACL {
+	a, err := ParseACL(s)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+func TestSealIndexes(t *testing.T) {
+	v1 := mkUR("a.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")
+	v2 := mkUR("a.test", "192.0.2.2", core.CategoryUnknown, "198.51.100.7")
+	v3 := mkUR("b.test", "192.0.2.1", core.CategoryCorrect, "203.0.113.9")
+	g := sealGen(1, v2, v1, v3, v1) // duplicate v1 must dedup; order shuffled
 
 	if g.Total() != 3 {
 		t.Fatalf("Total = %d, want 3", g.Total())
@@ -57,11 +86,11 @@ func TestBuilderIndexes(t *testing.T) {
 		t.Fatalf("Domain(a.test) = %d verdicts, want 2", vs.Len())
 	}
 	// Canonical order: by server.
-	if vs.At(0).Server() != v1.Server || vs.At(1).Server() != v2.Server {
+	if vs.At(0).Server() != v1.Server.Addr || vs.At(1).Server() != v2.Server.Addr {
 		t.Errorf("Domain verdicts out of canonical order: %v, %v", vs.At(0).Server(), vs.At(1).Server())
 	}
-	if _, ok := g.Find(v3.Domain, v3.Server, v3.Type, v3.RData); !ok {
-		t.Errorf("Find(%q) missed", v3.Key())
+	if _, ok := findUR(g, v3); !ok {
+		t.Errorf("%q missing from its domain run", urKey(v3))
 	}
 	byIP := g.IP(netip.MustParseAddr("198.51.100.7"))
 	if byIP.Len() != 2 {
@@ -81,11 +110,11 @@ func TestBuilderIndexes(t *testing.T) {
 
 func TestWorstCategory(t *testing.T) {
 	mk := func(cats ...core.Category) VerdictSet {
-		var vs []*Verdict
+		var urs []*core.UR
 		for i, c := range cats {
-			vs = append(vs, mkVerdict("w.test", fmt.Sprintf("192.0.2.%d", i+1), c, "203.0.113.1"))
+			urs = append(urs, mkUR("w.test", fmt.Sprintf("192.0.2.%d", i+1), c, "203.0.113.1"))
 		}
-		return sealGen(t, 1, vs...).Domain("w.test")
+		return sealGen(1, urs...).Domain("w.test")
 	}
 	if _, ok := WorstCategory(VerdictSet{}); ok {
 		t.Error("WorstCategory(empty) ok = true")
@@ -112,8 +141,8 @@ func TestStorePublishMonotonic(t *testing.T) {
 		t.Fatalf("fresh store seq = %d", s.Current().Seq)
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
-		d := s.Publish(sealGen(t, seq,
-			mkVerdict("a.test", "192.0.2.1", core.CategoryUnknown, fmt.Sprintf("198.51.100.%d", seq))))
+		d := s.Publish(sealGen(seq,
+			mkUR("a.test", "192.0.2.1", core.CategoryUnknown, fmt.Sprintf("198.51.100.%d", seq))))
 		if d.ToSeq != seq {
 			t.Errorf("diff ToSeq = %d, want %d", d.ToSeq, seq)
 		}
@@ -139,19 +168,12 @@ func TestConcurrentReadersDuringSwap(t *testing.T) {
 	const readers = 8
 
 	genFor := func(seq uint64) *Generation {
-		b := NewBuilder()
+		var urs []*core.UR
 		n := int(seq%7) + 1 // varying size so totals differ across gens
 		for i := 0; i < n; i++ {
-			b.Add(&Verdict{
-				Domain:   dns.Name(fmt.Sprintf("d%d.test", i)),
-				Type:     dns.TypeA,
-				RData:    fmt.Sprintf("gen-%d", seq),
-				Server:   netip.MustParseAddr(fmt.Sprintf("192.0.2.%d", i+1)),
-				Provider: "TestDNS",
-				Category: core.CategoryUnknown,
-			})
+			urs = append(urs, mkUR(fmt.Sprintf("d%d.test", i), fmt.Sprintf("192.0.2.%d", i+1), core.CategoryUnknown, fmt.Sprintf("gen-%d", seq)))
 		}
-		return b.Seal(seq, time.Unix(int64(seq), 0))
+		return sealGen(seq, urs...)
 	}
 
 	var wg sync.WaitGroup

@@ -3,7 +3,6 @@ package urwatch
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 
 	"repro/internal/dns"
@@ -373,9 +372,6 @@ func NewMirror() *Mirror { return &Mirror{body: make(map[string]int)} }
 // Serial returns the mirror's current zone serial.
 func (m *Mirror) Serial() uint32 { return m.serial }
 
-// HasZone reports whether the mirror holds a zone at all.
-func (m *Mirror) HasZone() bool { return m.hasZone }
-
 func rrSOA(rr dns.RR) *dns.SOA {
 	soa, _ := rr.Data.(*dns.SOA)
 	return soa
@@ -487,26 +483,4 @@ func (m *Mirror) applyIncremental(recs []dns.RR) error {
 	m.soaLine = recs[0].String()
 	m.body = body
 	return nil
-}
-
-// ZoneText renders the mirror's zone in canonical text form: the SOA line,
-// then every body record sorted lexically. Two mirrors holding the same zone
-// render byte-identical text regardless of how they got there — the equality
-// oracle for the AXFR-then-IXFR reconstruction contract.
-func (m *Mirror) ZoneText() string {
-	lines := make([]string, 0, len(m.body))
-	for line, n := range m.body {
-		for k := 0; k < n; k++ {
-			lines = append(lines, line)
-		}
-	}
-	sort.Strings(lines)
-	var b strings.Builder
-	b.WriteString(m.soaLine)
-	b.WriteByte('\n')
-	for _, line := range lines {
-		b.WriteString(line)
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"net/netip"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -43,18 +44,14 @@ func xfrTestStore(t *testing.T, clk Clock) *Store {
 		Clock:         clk,
 	})
 	base := clk()
-	seal := func(seq uint64, vs ...*Verdict) *Generation {
-		b := NewBuilder()
-		for _, v := range vs {
-			b.Add(v)
-		}
-		return b.Seal(seq, base)
+	seal := func(seq uint64, urs ...*core.UR) *Generation {
+		return SnapshotFromResult(&core.Result{URs: urs}, seq, base)
 	}
-	evil := mkVerdict("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")
-	shady := mkVerdict("shady.test", "192.0.2.2", core.CategoryUnknown, "203.0.113.9")
-	planted := mkVerdict("planted.test", "192.0.2.3", core.CategoryMalicious, "198.51.100.44")
-	shadyEsc := mkVerdict("shady.test", "192.0.2.2", core.CategoryMalicious, "203.0.113.9")
-	fresh := mkVerdict("fresh.test", "192.0.2.4", core.CategoryUnknown, "203.0.113.77")
+	evil := mkUR("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")
+	shady := mkUR("shady.test", "192.0.2.2", core.CategoryUnknown, "203.0.113.9")
+	planted := mkUR("planted.test", "192.0.2.3", core.CategoryMalicious, "198.51.100.44")
+	shadyEsc := mkUR("shady.test", "192.0.2.2", core.CategoryMalicious, "203.0.113.9")
+	fresh := mkUR("fresh.test", "192.0.2.4", core.CategoryUnknown, "203.0.113.77")
 
 	s.Publish(seal(1, evil, shady))
 	s.Publish(seal(2, evil, shady, planted))
@@ -67,7 +64,7 @@ func xfrResponder(s *Store) *ZoneResponder {
 	return &ZoneResponder{
 		Apex:    testApex,
 		Store:   s,
-		XferACL: MustParseACL("127.0.0.0/8"),
+		XferACL: mustACL("127.0.0.0/8"),
 	}
 }
 
@@ -116,7 +113,7 @@ func TestAXFRServesFullZone(t *testing.T) {
 		t.Fatalf("mirror serial = %d, want 4", m.Serial())
 	}
 	// The zone must list both subtrees: domain names and reversed IPs.
-	text := m.ZoneText()
+	text := zoneText(m)
 	for _, want := range []string{
 		string(DomainName("planted.test", testApex)),
 		"44.100.51.198.urbl." + string(testApex),
@@ -125,6 +122,21 @@ func TestAXFRServesFullZone(t *testing.T) {
 			t.Errorf("zone text missing owner %q", want)
 		}
 	}
+}
+
+// zoneText renders a mirror's zone in canonical text form: the SOA line,
+// then every body record sorted lexically. Two mirrors holding the same zone
+// render byte-identical text regardless of how they got there — the equality
+// oracle for the AXFR-then-IXFR reconstruction contract.
+func zoneText(m *Mirror) string {
+	var lines []string
+	for line, n := range m.body {
+		for k := 0; k < n; k++ {
+			lines = append(lines, line)
+		}
+	}
+	sort.Strings(lines)
+	return m.soaLine + "\n" + strings.Join(append(lines, ""), "\n")
 }
 
 func containsLine(text, owner string) bool {
@@ -164,18 +176,14 @@ func TestIXFRChainReconstruction(t *testing.T) {
 		Clock:         clk.Now,
 	})
 	base := clk.Now()
-	seal := func(seq uint64, vs ...*Verdict) *Generation {
-		b := NewBuilder()
-		for _, v := range vs {
-			b.Add(v)
-		}
-		return b.Seal(seq, base)
+	seal := func(seq uint64, urs ...*core.UR) *Generation {
+		return SnapshotFromResult(&core.Result{URs: urs}, seq, base)
 	}
-	evil := mkVerdict("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")
-	shady := mkVerdict("shady.test", "192.0.2.2", core.CategoryUnknown, "203.0.113.9")
-	planted := mkVerdict("planted.test", "192.0.2.3", core.CategoryMalicious, "198.51.100.44")
-	shadyEsc := mkVerdict("shady.test", "192.0.2.2", core.CategoryMalicious, "203.0.113.9")
-	fresh := mkVerdict("fresh.test", "192.0.2.4", core.CategoryUnknown, "203.0.113.77")
+	evil := mkUR("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")
+	shady := mkUR("shady.test", "192.0.2.2", core.CategoryUnknown, "203.0.113.9")
+	planted := mkUR("planted.test", "192.0.2.3", core.CategoryMalicious, "198.51.100.44")
+	shadyEsc := mkUR("shady.test", "192.0.2.2", core.CategoryMalicious, "203.0.113.9")
+	fresh := mkUR("fresh.test", "192.0.2.4", core.CategoryUnknown, "203.0.113.77")
 
 	server := startXfrZone(t, xfrResponder(s))
 
@@ -212,7 +220,7 @@ func TestIXFRChainReconstruction(t *testing.T) {
 	if err := fresh4.Apply(transfer(t, server, dns.TypeAXFR, 0)); err != nil {
 		t.Fatalf("fresh AXFR: %v", err)
 	}
-	if got, want := mirror.ZoneText(), fresh4.ZoneText(); got != want {
+	if got, want := zoneText(mirror), zoneText(fresh4); got != want {
 		t.Fatalf("IXFR-reconstructed zone differs from fresh AXFR:\n--- ixfr\n%s\n--- axfr\n%s", got, want)
 	}
 }
@@ -251,18 +259,14 @@ func TestIXFRFallbackToAXFR(t *testing.T) {
 		Clock:         clk.Now,
 	})
 	base := clk.Now()
-	seal := func(seq uint64, vs ...*Verdict) *Generation {
-		b := NewBuilder()
-		b.Add(mkVerdict("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7"))
-		for _, v := range vs {
-			b.Add(v)
-		}
-		return b.Seal(seq, base)
+	seal := func(seq uint64, urs ...*core.UR) *Generation {
+		urs = append([]*core.UR{mkUR("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")}, urs...)
+		return SnapshotFromResult(&core.Result{URs: urs}, seq, base)
 	}
 	s.Publish(seal(1))
-	s.Publish(seal(2, mkVerdict("a.test", "192.0.2.9", core.CategoryUnknown, "203.0.113.1")))
-	s.Publish(seal(3, mkVerdict("b.test", "192.0.2.9", core.CategoryUnknown, "203.0.113.2")))
-	s.Publish(seal(4, mkVerdict("c.test", "192.0.2.9", core.CategoryUnknown, "203.0.113.3")))
+	s.Publish(seal(2, mkUR("a.test", "192.0.2.9", core.CategoryUnknown, "203.0.113.1")))
+	s.Publish(seal(3, mkUR("b.test", "192.0.2.9", core.CategoryUnknown, "203.0.113.2")))
+	s.Publish(seal(4, mkUR("c.test", "192.0.2.9", core.CategoryUnknown, "203.0.113.3")))
 
 	server := startXfrZone(t, xfrResponder(s))
 	res := transfer(t, server, dns.TypeIXFR, 1) // serial 1 fell out of the ring
@@ -302,7 +306,7 @@ func TestXfrACL(t *testing.T) {
 
 	// Allowlist that excludes the client: REFUSED too.
 	server = startXfrZone(t, &ZoneResponder{
-		Apex: testApex, Store: s, XferACL: MustParseACL("10.0.0.0/8"),
+		Apex: testApex, Store: s, XferACL: mustACL("10.0.0.0/8"),
 	})
 	if res := transfer(t, server, dns.TypeAXFR, 0); res.RCode != dns.RCodeRefused {
 		t.Fatalf("AXFR from non-allowlisted source: rcode %s, want REFUSED", res.RCode)
@@ -401,6 +405,13 @@ func TestACLParse(t *testing.T) {
 	if nilACL, err := ParseACL("  "); err != nil || nilACL != nil {
 		t.Fatalf("blank ACL = %v, %v; want nil, nil", nilACL, err)
 	}
+	// A list that names no prefix must not parse to nil, which would open
+	// the zone or disable transfers.
+	for _, s := range []string{",", " , ", ",,"} {
+		if a, err := ParseACL(s); err == nil {
+			t.Errorf("ParseACL(%q) = %v, nil; want an error", s, a)
+		}
+	}
 	var none *ACL
 	if none.Contains(netip.MustParseAddr("127.0.0.1")) {
 		t.Fatal("nil ACL must contain nothing")
@@ -484,7 +495,7 @@ func TestAXFROverDoT(t *testing.T) {
 	}
 
 	refusing, err := transport.ServeDoT(&ZoneResponder{
-		Apex: testApex, Store: s, XferACL: MustParseACL("10.0.0.0/8"),
+		Apex: testApex, Store: s, XferACL: mustACL("10.0.0.0/8"),
 	}, "127.0.0.1:0", cert)
 	if err != nil {
 		t.Fatal(err)
@@ -520,16 +531,12 @@ func TestIXFRAcrossSharedGenerations(t *testing.T) {
 	s := NewStore()
 	s.SetPolicy(StalenessPolicy{SweepInterval: 30 * time.Second, MaxStaleness: 10 * time.Minute, Clock: clk.Now})
 	base := clk.Now()
-	seal := func(seq uint64, vs ...*Verdict) *Generation {
-		b := NewBuilder()
-		for _, v := range vs {
-			b.Add(v)
-		}
-		return b.Seal(seq, base)
+	seal := func(seq uint64, urs ...*core.UR) *Generation {
+		return SnapshotFromResult(&core.Result{URs: urs}, seq, base)
 	}
-	evil := mkVerdict("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")
-	shady := mkVerdict("shady.test", "192.0.2.2", core.CategoryUnknown, "203.0.113.9")
-	planted := mkVerdict("planted.test", "192.0.2.3", core.CategoryMalicious, "198.51.100.44")
+	evil := mkUR("evil.test", "192.0.2.1", core.CategoryMalicious, "198.51.100.7")
+	shady := mkUR("shady.test", "192.0.2.2", core.CategoryUnknown, "203.0.113.9")
+	planted := mkUR("planted.test", "192.0.2.3", core.CategoryMalicious, "198.51.100.44")
 
 	server := startXfrZone(t, xfrResponder(s))
 	s.Publish(seal(1, evil, shady))
@@ -575,7 +582,7 @@ feed.test.	30	IN	SOA	ns.feed.test. hostmaster.feed.test. 4 30 15 600 30
 	if err := fresh.Apply(transfer(t, server, dns.TypeAXFR, 0)); err != nil {
 		t.Fatalf("fresh AXFR: %v", err)
 	}
-	if mirror.Serial() != 4 || mirror.ZoneText() != fresh.ZoneText() {
-		t.Fatalf("IXFR-reconstructed zone (serial %d) differs from fresh AXFR:\n--- ixfr\n%s\n--- axfr\n%s", mirror.Serial(), mirror.ZoneText(), fresh.ZoneText())
+	if mirror.Serial() != 4 || zoneText(mirror) != zoneText(fresh) {
+		t.Fatalf("IXFR-reconstructed zone (serial %d) differs from fresh AXFR:\n--- ixfr\n%s\n--- axfr\n%s", mirror.Serial(), zoneText(mirror), zoneText(fresh))
 	}
 }
