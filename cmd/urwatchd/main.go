@@ -440,6 +440,17 @@ func runSmoke(ctx context.Context, watcher *urwatch.Watcher,
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
+	// stop reports whether a client that has made i requests is finished.
+	// Every client makes at least one, even when the sweeps were over before
+	// it started (a single sweep can be).
+	stop := func(i int) bool {
+		select {
+		case <-done:
+			return i > 0
+		default:
+			return false
+		}
+	}
 
 	var wg sync.WaitGroup
 	if httpAddr != "" {
@@ -450,12 +461,7 @@ func runSmoke(ctx context.Context, watcher *urwatch.Watcher,
 			go func(c int) {
 				defer wg.Done()
 				cli := &http.Client{Timeout: 5 * time.Second}
-				for i := 0; ; i++ {
-					select {
-					case <-done:
-						return
-					default:
-					}
+				for i := 0; !stop(i); i++ {
 					before := watcher.Store().Current().Seq
 					url := "http://" + httpAddr + paths[i%len(paths)]
 					resp, err := cli.Get(url)
@@ -501,12 +507,7 @@ func runSmoke(ctx context.Context, watcher *urwatch.Watcher,
 			go func(c int) {
 				defer wg.Done()
 				cli := dnsio.NewClient(&dnsio.NetTransport{})
-				for i := 0; ; i++ {
-					select {
-					case <-done:
-						return
-					default:
-					}
+				for i := 0; !stop(i); i++ {
 					q := names[i%len(names)]
 					qctx, qcancel := context.WithTimeout(context.Background(), 5*time.Second)
 					resp, err := cli.Query(qctx, server, q.name, q.t)

@@ -23,6 +23,10 @@ func main() {
 	zoneDomain := flag.String("zone", "", "dump hosted zones for this domain")
 	providerName := flag.String("provider", "", "restrict the -zone dump to one provider")
 	flag.Parse()
+	if *providerName != "" && *zoneDomain == "" {
+		fmt.Fprintln(os.Stderr, "worldgen: -provider restricts the -zone dump; give -zone too")
+		os.Exit(2)
+	}
 
 	scale, ok := repro.ScaleByName(*scaleName)
 	if !ok {
@@ -36,6 +40,13 @@ func main() {
 	}
 
 	if *zoneDomain != "" {
+		if _, ok := w.ProviderByName[*providerName]; *providerName != "" && !ok {
+			fmt.Fprintf(os.Stderr, "worldgen: unknown provider %q; available:\n", *providerName)
+			for _, p := range w.Providers {
+				fmt.Fprintf(os.Stderr, "  %s\n", p.Name)
+			}
+			os.Exit(2)
+		}
 		dumpZones(w, dns.CanonicalName(*zoneDomain), *providerName)
 		return
 	}

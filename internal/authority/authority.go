@@ -91,13 +91,6 @@ func (s *Server) HasZone(origin dns.Name) bool {
 	return ok
 }
 
-// ZoneCount returns the number of zones served.
-func (s *Server) ZoneCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.zones)
-}
-
 // Queries returns the number of queries handled.
 func (s *Server) Queries() int64 { return s.queries.Load() }
 

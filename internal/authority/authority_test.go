@@ -208,8 +208,8 @@ func TestDuplicateZoneRejected(t *testing.T) {
 	if err := s.AddZone(zone.New("example.com")); err == nil {
 		t.Error("duplicate origin accepted")
 	}
-	if s.ZoneCount() != 1 {
-		t.Errorf("ZoneCount = %d", s.ZoneCount())
+	if len(s.zones) != 1 {
+		t.Errorf("zones = %d", len(s.zones))
 	}
 	s.RemoveZone("example.com")
 	if s.HasZone("example.com") {

@@ -256,7 +256,9 @@ func mutate(t *testing.T, s *Server, raw []byte, kind uint8) (undo func()) {
 		z.RemoveRRset(name, qtype)
 		return func() { restore(qtype) }
 	default:
-		z.RemoveName(name)
+		for typ := range held {
+			z.RemoveRRset(name, typ)
+		}
 		return func() {
 			for typ := range held {
 				restore(typ)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"net/netip"
-	"sort"
 	"sync"
 
 	"repro/internal/dns"
@@ -39,33 +38,15 @@ func NewAnalyzer(cfg *Config) *Analyzer {
 // Alerts returns every alert fired over the sandbox corpus.
 func (a *Analyzer) Alerts() []idspkg.Alert { return a.alerts }
 
-// IDSFlaggedIPs returns the evidence set from sandbox traffic in canonical
-// (address) order, so callers see the same slice on every run instead of
-// one draw from the map iteration lottery.
-func (a *Analyzer) IDSFlaggedIPs() []netip.Addr {
-	out := make([]netip.Addr, 0, len(a.idsIPs))
-	for ip := range a.idsIPs {
-		out = append(out, ip)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
-// Analyze labels suspicious URs as malicious when a corresponding IP is
-// flagged by threat intelligence or carries IDS-alerted traffic. TXT records
-// first inherit corresponding IPs from same-server same-domain A records;
-// TXT records with no corresponding IP at all stay unknown (the paper
-// excludes them from the malicious determination).
-func (a *Analyzer) Analyze(suspicious []*UR) {
-	a.attachTXTCorrespondence(suspicious)
-	a.label(suspicious)
-}
-
-// AnalyzeParallel is Analyze with the per-record labeling fanned out over
-// workers. The TXT↔A correspondence index is the one genuine barrier — it
-// needs every A record before any TXT record can be finished — and runs
-// serially first; the label pass then touches each record exactly once, so
-// chunking it is order-independent.
+// AnalyzeParallel labels suspicious URs as malicious when a corresponding IP
+// is flagged by threat intelligence or carries IDS-alerted traffic. TXT
+// records first inherit corresponding IPs from same-server same-domain A
+// records; TXT records with no corresponding IP at all stay unknown (the
+// paper excludes them from the malicious determination). The TXT↔A
+// correspondence index is the one genuine barrier — it needs every A record
+// before any TXT record can be finished — and runs serially first; the label
+// pass then touches each record exactly once, so it is fanned out over
+// workers in chunks.
 func (a *Analyzer) AnalyzeParallel(suspicious []*UR, workers int) {
 	a.attachTXTCorrespondence(suspicious)
 	if workers <= 1 || len(suspicious) < 2*minLabelChunk {

@@ -54,7 +54,7 @@ func TestAnalyzeEvidencePaths(t *testing.T) {
 	cfg := analyzerConfig()
 	a := NewAnalyzer(cfg)
 	urs := []*UR{susA(intelIP), susA(idsIP), susA(bothIP), susA(cleanIP), susA(lowSevIP)}
-	a.Analyze(urs)
+	a.AnalyzeParallel(urs, 1)
 
 	if urs[0].Category != CategoryMalicious || !urs[0].MaliciousByIntel || urs[0].MaliciousByIDS {
 		t.Errorf("intel-only UR: %+v", urs[0])
@@ -83,7 +83,7 @@ func TestAnalyzeTXTCorrespondence(t *testing.T) {
 		Domain: "site.com", Type: dns.TypeTXT, RData: `"cmd=deadbeef"`,
 	}
 	aRec := susA(bothIP)
-	a.Analyze([]*UR{aRec, txt})
+	a.AnalyzeParallel([]*UR{aRec, txt}, 1)
 	if len(txt.CorrespondingIPs) != 1 || txt.CorrespondingIPs[0] != bothIP {
 		t.Fatalf("correspondence not attached: %v", txt.CorrespondingIPs)
 	}
@@ -97,7 +97,7 @@ func TestAnalyzeTXTCorrespondence(t *testing.T) {
 		Domain: "other.com", Type: dns.TypeTXT, RData: `"cmd=deadbeef"`,
 	}
 	a2 := NewAnalyzer(cfg)
-	a2.Analyze([]*UR{susA(bothIP), lone})
+	a2.AnalyzeParallel([]*UR{susA(bothIP), lone}, 1)
 	if len(lone.CorrespondingIPs) != 0 || lone.Category != CategoryUnknown {
 		t.Errorf("lone TXT: %v %v", lone.CorrespondingIPs, lone.Category)
 	}
@@ -108,7 +108,7 @@ func TestAnalyzeSkipsClassified(t *testing.T) {
 	a := NewAnalyzer(cfg)
 	u := susA(bothIP)
 	u.Category = CategoryCorrect
-	a.Analyze([]*UR{u})
+	a.AnalyzeParallel([]*UR{u}, 1)
 	if u.Category != CategoryCorrect {
 		t.Errorf("already-classified UR relabeled: %v", u.Category)
 	}
@@ -120,12 +120,12 @@ func TestAnalyzerAccessors(t *testing.T) {
 	if len(a.Alerts()) == 0 {
 		t.Error("no alerts recorded")
 	}
-	ids := a.IDSFlaggedIPs()
+	ids := a.idsIPs
 	want := map[netip.Addr]bool{idsIP: true, bothIP: true}
 	if len(ids) != 2 {
 		t.Fatalf("IDS IPs = %v", ids)
 	}
-	for _, ip := range ids {
+	for ip := range ids {
 		if !want[ip] {
 			t.Errorf("unexpected IDS IP %v", ip)
 		}
@@ -144,7 +144,7 @@ func TestReportAggregation(t *testing.T) {
 		enr:              &Enrichment{TXTClass: TXTSPF},
 	}
 	urs = append(urs, txt)
-	a.Analyze(urs)
+	a.AnalyzeParallel(urs, 1)
 	res := &Result{URs: urs, Suspicious: urs, Analyzer: a}
 
 	rows := res.Table1()
@@ -189,22 +189,5 @@ func TestReportAggregation(t *testing.T) {
 	counts := res.CategoryCounts()
 	if counts[CategoryMalicious] != 4 || counts[CategoryUnknown] != 1 {
 		t.Errorf("counts: %v", counts)
-	}
-}
-
-func TestURKeyUniqueness(t *testing.T) {
-	a := susA(intelIP)
-	b := susA(intelIP)
-	if a.Key() != b.Key() {
-		t.Error("identical URs have different keys")
-	}
-	c := susA(idsIP)
-	if a.Key() == c.Key() {
-		t.Error("different rdata shares a key")
-	}
-	d := susA(intelIP)
-	d.Server.Addr = netip.MustParseAddr("100.1.0.99")
-	if a.Key() == d.Key() {
-		t.Error("different server shares a key (§5.1 identity)")
 	}
 }

@@ -45,7 +45,7 @@ func TestSharedRDataCorrespondenceIsPerRecord(t *testing.T) {
 		t.Fatalf("the two TXT records do not share one memoized slice (%v, %v); the test proves nothing",
 			txt1.CorrespondingIPs, txt2.CorrespondingIPs)
 	}
-	NewAnalyzer(cfg).Analyze(urs)
+	NewAnalyzer(cfg).AnalyzeParallel(urs, 1)
 	embedded := []netip.Addr{
 		netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2"), netip.MustParseAddr("192.0.2.3"),
 	}
@@ -133,7 +133,7 @@ func TestSharedEnrichmentNeverWrittenThroughUR(t *testing.T) {
 	for _, u := range urs {
 		before[u] = snap(u)
 	}
-	NewAnalyzer(cfg).Analyze(urs)
+	NewAnalyzer(cfg).AnalyzeParallel(urs, 1)
 	for _, tc := range []struct {
 		u     *UR
 		extra []netip.Addr

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -32,7 +31,12 @@ func renderReport(res *Result) string {
 			row.Providers, row.MaliciousProviders,
 			row.URs, row.MaliciousURs, row.IPs, row.MaliciousIPs)
 	}
-	for _, ip := range res.Analyzer.IDSFlaggedIPs() {
+	ids := make([]netip.Addr, 0, len(res.Analyzer.idsIPs))
+	for ip := range res.Analyzer.idsIPs {
+		ids = append(ids, ip)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Compare(ids[j]) < 0 })
+	for _, ip := range ids {
 		fmt.Fprintf(&sb, "ids|%s\n", ip)
 	}
 	return sb.String()
@@ -140,7 +144,7 @@ func TestPipelineStageTimings(t *testing.T) {
 }
 
 // TestAnalyzeParallelMatchesSerial pins the fanned-out §4.3 labeling against
-// Analyze over a corpus large enough to actually chunk.
+// the one-worker pass over a corpus large enough to actually chunk.
 func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	cfg := analyzerConfig()
 	ips := []netip.Addr{intelIP, idsIP, bothIP, cleanIP, lowSevIP}
@@ -154,7 +158,7 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 		return urs
 	}
 	serial := build()
-	NewAnalyzer(cfg).Analyze(serial)
+	NewAnalyzer(cfg).AnalyzeParallel(serial, 1)
 	for _, workers := range []int{2, runtime.GOMAXPROCS(0) + 1, 32} {
 		urs := build()
 		NewAnalyzer(cfg).AnalyzeParallel(urs, workers)
@@ -164,24 +168,6 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 				urs[i].MaliciousByIDS != serial[i].MaliciousByIDS {
 				t.Fatalf("workers %d: record %d = %+v, want %+v", workers, i, urs[i], serial[i])
 			}
-		}
-	}
-}
-
-// TestIDSFlaggedIPsCanonical pins the satellite fix: the evidence set comes
-// back address-sorted and identical on every call, not in map-lottery order.
-func TestIDSFlaggedIPsCanonical(t *testing.T) {
-	a := NewAnalyzer(analyzerConfig())
-	ids := a.IDSFlaggedIPs()
-	if len(ids) == 0 {
-		t.Fatal("fixture produced no IDS evidence")
-	}
-	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i].Compare(ids[j]) < 0 }) {
-		t.Errorf("IDSFlaggedIPs not sorted: %v", ids)
-	}
-	for i := 0; i < 5; i++ {
-		if again := a.IDSFlaggedIPs(); !reflect.DeepEqual(ids, again) {
-			t.Fatalf("call %d returned different slice: %v vs %v", i, again, ids)
 		}
 	}
 }

@@ -146,11 +146,6 @@ func (u *UR) Enrichment() Enrichment {
 	return *u.enr
 }
 
-// Key returns the §5.1 uniqueness tuple.
-func (u *UR) Key() string {
-	return fmt.Sprintf("%s|%s|%d|%s", u.Server.Addr, u.Domain, uint16(u.Type), u.RData)
-}
-
 // DomainProfile aggregates a domain's legitimate footprint, built from open
 // resolvers — the database() of Appendix B. Collection workers funnel
 // observations for the same domain through mu; after collection the profile

@@ -167,11 +167,6 @@ func (m *Message) Pack() ([]byte, error) {
 	return append([]byte(nil), buf...), nil
 }
 
-// PackTruncated is AppendPackTruncated into a fresh buffer.
-func (m *Message) PackTruncated(maxSize int) ([]byte, error) {
-	return m.AppendPackTruncated(make([]byte, 0, 512), maxSize)
-}
-
 // AppendPackTruncated appends m's wire form to buf like AppendPack, and if the
 // message exceeds maxSize octets it appends instead the message with the
 // answer/authority/additional sections emptied and TC set, per the classic UDP

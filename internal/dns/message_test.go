@@ -165,7 +165,7 @@ func TestPackTruncated(t *testing.T) {
 	if len(full) <= MaxUDPSize {
 		t.Fatal("test message unexpectedly small")
 	}
-	buf, err := m.PackTruncated(MaxUDPSize)
+	buf, err := m.AppendPackTruncated(nil, MaxUDPSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,15 +182,15 @@ func TestPackTruncated(t *testing.T) {
 	if len(got.Answers) != 0 {
 		t.Error("truncated message should carry no answers")
 	}
-	// Under the limit, PackTruncated must be a no-op.
+	// Under the limit, AppendPackTruncated must be a no-op.
 	small := NewQuery(1, "a.test", TypeA)
 	b1, _ := small.Pack()
-	b2, err := small.PackTruncated(MaxUDPSize)
+	b2, err := small.AppendPackTruncated(nil, MaxUDPSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(b1, b2) {
-		t.Error("PackTruncated altered a small message")
+		t.Error("AppendPackTruncated altered a small message")
 	}
 }
 
@@ -297,7 +297,7 @@ func TestTypeAndClassStrings(t *testing.T) {
 	}
 }
 
-// TestQuickPackTruncatedBound: for any answer-section size, PackTruncated
+// TestQuickPackTruncatedBound: for any answer-section size, AppendPackTruncated
 // never exceeds the limit and parses back cleanly.
 func TestQuickPackTruncatedBound(t *testing.T) {
 	f := func(seed int64) bool {
@@ -310,7 +310,7 @@ func TestQuickPackTruncatedBound(t *testing.T) {
 			})
 		}
 		limit := 512
-		buf, err := m.PackTruncated(limit)
+		buf, err := m.AppendPackTruncated(nil, limit)
 		if err != nil || len(buf) > limit {
 			return false
 		}

@@ -165,28 +165,6 @@ func (n Name) Child(label string) Name {
 	return Name(label + "." + string(n))
 }
 
-// TLD returns the rightmost label of n, or the root for the root name.
-func (n Name) TLD() Name {
-	if n == Root {
-		return Root
-	}
-	if i := strings.LastIndexByte(string(n), '.'); i >= 0 {
-		return n[i+1:]
-	}
-	return n
-}
-
-// SLD returns the registrable-looking two-label suffix of n ("example.com"
-// for "www.example.com"). For shorter names it returns n itself. Callers that
-// need public-suffix-aware registrable domains should use internal/psl.
-func (n Name) SLD() Name {
-	labels := n.Labels()
-	if len(labels) <= 2 {
-		return n
-	}
-	return Name(strings.Join(labels[len(labels)-2:], "."))
-}
-
 // compressTableSize is the inline suffix-table capacity of a compressor.
 // Typical authoritative responses register well under 24 suffixes; larger
 // messages spill into a map.

@@ -73,12 +73,6 @@ func TestNameRelations(t *testing.T) {
 	if n.IsProperSubdomainOf("www.example.com") {
 		t.Error("a name is not a proper subdomain of itself")
 	}
-	if got := n.TLD(); got != "com" {
-		t.Errorf("TLD = %q", got)
-	}
-	if got := n.SLD(); got != "example.com" {
-		t.Errorf("SLD = %q", got)
-	}
 	if got := Name("example.com").Child("api"); got != "api.example.com" {
 		t.Errorf("Child = %q", got)
 	}

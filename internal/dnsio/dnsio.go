@@ -253,7 +253,7 @@ func (s *Scratch) Decode(wire []byte) (*dns.Message, error) {
 	return m, nil
 }
 
-// scratchPool lends Query, QueryWire and Exchange the buffers a caller of
+// scratchPool lends Query and QueryWire the buffers a caller of
 // QueryInto brings itself; their results are decoded into a fresh message and
 // never point into the pooled storage.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -317,30 +317,13 @@ func (c *Client) question(s *Scratch, name dns.Name, t dns.Type) *dns.Message {
 	return q
 }
 
-// Exchange sends a prepared query and returns the validated response, a
-// message of the caller's own. If the UDP response has TC set, the query is
-// retried over TCP, mirroring standard resolver behaviour.
-func (c *Client) Exchange(ctx context.Context, server netip.AddrPort, q *dns.Message) (*dns.Message, error) {
-	s := borrowScratch()
-	defer scratchPool.Put(s)
-	resp := new(dns.Message)
-	if _, _, err := c.exchange(ctx, s, server, q, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
 // exchange is the one exchange path: q packed into s, the attempts made with
 // s's response buffer lent to the transport, the accepted response decoded
 // into resp — unless s.Known holds it, when it is accepted undecoded and
 // known is true. The returned wire bytes are only valid until s is next used.
 func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort, q, resp *dns.Message) ([]byte, bool, error) {
-	// A query that comes without an ID gets one from s's stream, and a fresh
-	// one on every retry; an ID the caller chose is the caller's to keep.
-	drawID := q.Header.ID == 0
-	if drawID {
-		q.Header.ID = s.nextID(c)
-	}
+	// Every attempt goes out under a fresh ID from s's stream.
+	q.Header.ID = s.nextID(c)
 	packed, err := q.AppendPack(s.packed[:0])
 	if err != nil {
 		return nil, false, fmt.Errorf("dnsio: pack query: %w", err)
@@ -385,10 +368,8 @@ func (c *Client) exchange(ctx context.Context, s *Scratch, server netip.AddrPort
 			if err := c.sleep(ctx, c.Backoff.Delay(server, attempt)); err != nil {
 				break
 			}
-			if drawID {
-				q.Header.ID = s.nextID(c)
-				packed[0], packed[1] = byte(q.Header.ID>>8), byte(q.Header.ID)
-			}
+			q.Header.ID = s.nextID(c)
+			packed[0], packed[1] = byte(q.Header.ID>>8), byte(q.Header.ID)
 		}
 		raw, err := c.Transport.Exchange(ctx, s.wire, server, packed, false)
 		if err != nil {

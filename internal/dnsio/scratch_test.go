@@ -218,19 +218,9 @@ func TestScratchIDStreams(t *testing.T) {
 	if resp.Header.ID != rec.ids[2] {
 		t.Errorf("accepted response carries ID %d, the last attempt's was %d", resp.Header.ID, rec.ids[2])
 	}
-	// An ID the caller chose is kept across retries.
-	rec = &idRecorder{spoof: map[int]bool{0: true}}
-	c = NewClient(rec)
-	c.Backoff = BackoffPolicy{}
-	if _, err := c.Exchange(ctx, server, dns.NewQuery(4242, "a.example", dns.TypeA)); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(rec.ids, []uint16{4242, 4242}) {
-		t.Errorf("a caller's ID went out as %v, want 4242 twice", rec.ids)
-	}
 }
 
-// TestQueryResultsAreOwned: Query, QueryWire and Exchange hand out messages
+// TestQueryResultsAreOwned: Query and QueryWire hand out messages
 // (and bytes) no later exchange touches — the resolver caches what Query
 // returns.
 func TestQueryResultsAreOwned(t *testing.T) {
@@ -266,7 +256,7 @@ func TestQueryResultsAreOwned(t *testing.T) {
 		if _, err := c.Query(ctx, server, "four.example", dns.TypeA); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Exchange(ctx, server, dns.NewQuery(0, "five.example", dns.TypeA)); err != nil {
+		if _, _, err := c.QueryWire(ctx, server, "five.example", dns.TypeA); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +306,7 @@ func TestServeMessageLentReplyPacksAsFresh(t *testing.T) {
 				if via == ViaUDP {
 					maxSize = dns.MaxUDPSize
 				}
-				want, err := r.HandleQuery(src, q).PackTruncated(maxSize)
+				want, err := r.HandleQuery(src, q).AppendPackTruncated(nil, maxSize)
 				if err != nil {
 					t.Fatal(err)
 				}

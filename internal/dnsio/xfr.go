@@ -31,6 +31,8 @@ var ErrXfrProtocol = errors.New("dnsio: malformed zone transfer stream")
 
 // XfrResult is one completed transfer.
 type XfrResult struct {
+	// Type is the question's type, AXFR or IXFR.
+	Type dns.Type
 	// RCode is the response code of the first message. Records are only
 	// populated when it is NOERROR (a REFUSED transfer carries no data).
 	RCode dns.RCode
@@ -54,19 +56,29 @@ func (r *XfrResult) Serial() (uint32, bool) {
 	return soa.Serial, true
 }
 
-// Incremental reports whether the stream is an RFC 1995 incremental response
-// (second record is the client's old SOA) rather than a full AXFR-style body.
-// An up-to-date single-SOA response reports false.
+// Incremental is the one rule for a transfer's shape, read by Transfer to
+// end the stream and by a mirror to apply it. An AXFR is always a full body
+// (RFC 5936), even [SOA, SOA] for a zone holding only its SOA. Any other
+// answer may be either (RFC 1995 §4): it is incremental exactly when its
+// second record is an SOA whose serial differs from the opening one — the
+// client's old serial opening the first delta step. An up-to-date
+// single-SOA answer is not incremental.
 func (r *XfrResult) Incremental() bool {
-	return len(r.Records) >= 2 && r.Records[1].Type() == dns.TypeSOA
+	if r.Type == dns.TypeAXFR || len(r.Records) < 2 {
+		return false
+	}
+	first, _ := r.Records[0].Data.(*dns.SOA)
+	second, ok := r.Records[1].Data.(*dns.SOA)
+	return ok && first != nil && second.Serial != first.Serial
 }
 
 // Transfer runs one zone transfer over TCP. qtype selects AXFR or IXFR; for
 // IXFR, serial is the client's current zone serial (sent in the request's
 // authority SOA, per RFC 1995 §3). The stream terminates when the opening
-// SOA's serial re-appears the protocol-determined number of times: twice for
-// a full body, three times for an incremental one (opening SOA, final delta
-// block's new-SOA marker, trailing SOA), once for an up-to-date reply.
+// SOA's serial re-appears the number of times its shape (Incremental, fixed
+// by the second record) calls for: twice for a full body, three times for an
+// incremental one (opening SOA, final delta block's new-SOA marker, trailing
+// SOA), once for an up-to-date reply.
 func Transfer(ctx context.Context, server netip.AddrPort, zone dns.Name, qtype dns.Type, serial uint32) (*XfrResult, error) {
 	if qtype != dns.TypeAXFR && qtype != dns.TypeIXFR {
 		return nil, fmt.Errorf("dnsio: Transfer qtype must be AXFR or IXFR, got %s", qtype)
@@ -99,7 +111,7 @@ func Transfer(ctx context.Context, server netip.AddrPort, zone dns.Name, qtype d
 		return nil, err
 	}
 
-	res := &XfrResult{}
+	res := &XfrResult{Type: qtype}
 	var (
 		openSerial uint32 // serial of the leading SOA
 		termTarget = -1   // occurrences of openSerial-SOAs that end the stream
@@ -134,22 +146,18 @@ func Transfer(ctx context.Context, server netip.AddrPort, zone dns.Name, qtype d
 				}
 				openSerial = soa.Serial
 				termSeen = 1
-			} else {
-				if termTarget < 0 {
-					// The second record fixes the stream shape: another SOA
-					// means incremental (delta markers re-use the current
-					// serial once more), anything else means full body.
-					if rr.Type() == dns.TypeSOA {
-						termTarget = 3
-					} else {
-						termTarget = 2
-					}
-				}
-				if soa, ok := rr.Data.(*dns.SOA); ok && soa.Serial == openSerial {
-					termSeen++
-				}
+			} else if soa, ok := rr.Data.(*dns.SOA); ok && soa.Serial == openSerial {
+				termSeen++
 			}
 			res.Records = append(res.Records, rr)
+			if len(res.Records) == 2 {
+				// An incremental body's last delta marker re-uses the
+				// current serial once more.
+				termTarget = 2
+				if res.Incremental() {
+					termTarget = 3
+				}
+			}
 			if len(res.Records) > maxXfrRecords {
 				return nil, fmt.Errorf("%w: record cap exceeded", ErrXfrProtocol)
 			}

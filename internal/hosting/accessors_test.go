@@ -41,9 +41,6 @@ func TestProviderAccessors(t *testing.T) {
 	if len(p.NameserverAddrs()) != len(p.Nameservers()) {
 		t.Error("NameserverAddrs length mismatch")
 	}
-	if p.ASN() == 0 {
-		t.Error("ASN unset")
-	}
 	p.OpenAccount("a", false)
 	hz, err := p.CreateZone("a", "acc.com")
 	if err != nil {

@@ -402,7 +402,7 @@ func TestProtectiveRecords(t *testing.T) {
 	ns := p.Nameservers()[0]
 	resp := w.queryNS(t, ns, "unhosted-domain.com", dns.TypeA)
 	got := resp.AnswersOfType(dns.TypeA)
-	if len(got) != 1 || got[0].Data.(*dns.A).Addr != p.ProtectiveAddr() {
+	if len(got) != 1 || got[0].Data.(*dns.A).Addr != p.protectiveAddr {
 		t.Fatalf("protective A: %v", resp.Answers)
 	}
 	respTXT := w.queryNS(t, ns, "unhosted-domain.com", dns.TypeTXT)
@@ -411,7 +411,7 @@ func TestProtectiveRecords(t *testing.T) {
 		t.Fatalf("protective TXT: %v", respTXT.Answers)
 	}
 	// The protective site serves a warning page.
-	probe := w.web.Probe(w.src, p.ProtectiveAddr())
+	probe := w.web.Probe(w.src, p.protectiveAddr)
 	if !probe.Reachable || probe.StatusCode != 200 {
 		t.Errorf("protective site probe: %+v", probe)
 	}
@@ -464,8 +464,8 @@ func TestGeoDistributedAnswers(t *testing.T) {
 	if usEdge != wantUS {
 		t.Errorf("US edge = %v, want %v", usEdge, wantUS)
 	}
-	if len(cf.EdgeAddrs()) != len(ipam.Countries) {
-		t.Errorf("edge count = %d", len(cf.EdgeAddrs()))
+	if len(cf.edges) != len(ipam.Countries) {
+		t.Errorf("edge count = %d", len(cf.edges))
 	}
 }
 

@@ -96,9 +96,9 @@ func (f *memoFixture) ask(t *testing.T, step string) {
 }
 
 // TestZoneMemoFollowsMutation: after each change that can alter an answer —
-// a record added, an RRset or a name removed, a child zone attached and
-// detached, the zone marked geo-distributed — the next wire reply equals the
-// message path's. A sibling-zone CNAME and a referral are never memoized.
+// a record added, an RRset removed (a name's last one too), a child zone
+// attached and detached, the zone marked geo-distributed — the next wire
+// reply equals the message path's. A sibling-zone CNAME and a referral are never memoized.
 func TestZoneMemoFollowsMutation(t *testing.T) {
 	f := newMemoFixture(t)
 	z := f.hz.Zone
@@ -114,7 +114,7 @@ func TestZoneMemoFollowsMutation(t *testing.T) {
 		{"Add", func() { z.MustAddRR("cdn-site.com 300 IN A 99.99.99.98") }},
 		{"Add in a chain", func() { z.MustAddRR("missing.cdn-site.com 300 IN A 99.99.99.97") }},
 		{"RemoveRRset", func() { z.RemoveRRset("cdn-site.com", dns.TypeTXT) }},
-		{"RemoveName", func() { z.RemoveName("missing.cdn-site.com") }},
+		{"RemoveRRset of a name's last type", func() { z.RemoveRRset("missing.cdn-site.com", dns.TypeA) }},
 		{"AddZone", func() {
 			child := zone.New("child.cdn-site.com")
 			child.MustAddRR("a.child.cdn-site.com 300 IN A 192.0.2.90")

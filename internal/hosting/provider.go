@@ -98,7 +98,6 @@ type Provider struct {
 	Policy
 	deps Deps
 
-	asn         ipam.ASN
 	nameservers []*Nameserver
 	allNS       map[dns.Name]*Nameserver
 
@@ -169,11 +168,11 @@ func NewProvider(pol Policy, deps Deps) (*Provider, error) {
 		allNS:    make(map[dns.Name]*Nameserver),
 	}
 	blocks := pol.ServerCount/2000 + 2
-	p.asn = deps.IPDB.RegisterAS(fmt.Sprintf("%s-NET", pol.Name), deps.Country, blocks)
+	asn := deps.IPDB.RegisterAS(fmt.Sprintf("%s-NET", pol.Name), deps.Country, blocks)
 
 	infraGlue := make(map[dns.Name]netip.Addr)
 	for i := 0; i < pol.ServerCount; i++ {
-		addr, err := deps.IPDB.Allocate(p.asn)
+		addr, err := deps.IPDB.Allocate(asn)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +215,7 @@ func NewProvider(pol Policy, deps Deps) (*Provider, error) {
 
 	// Protective website: one IP serving the provider's warning page.
 	if pol.ProtectiveRecords {
-		addr, err := deps.IPDB.Allocate(p.asn)
+		addr, err := deps.IPDB.Allocate(asn)
 		if err != nil {
 			return nil, err
 		}
@@ -237,7 +236,7 @@ func NewProvider(pol Policy, deps Deps) (*Provider, error) {
 	if pol.CDNEdges {
 		p.edges = make(map[string]netip.Addr, len(ipam.Countries))
 		for _, c := range ipam.Countries {
-			addr, err := deps.IPDB.Allocate(p.asn)
+			addr, err := deps.IPDB.Allocate(asn)
 			if err != nil {
 				return nil, err
 			}
@@ -257,7 +256,7 @@ func NewProvider(pol Policy, deps Deps) (*Provider, error) {
 	}
 
 	if len(deps.Roots) > 0 {
-		src, err := deps.IPDB.Allocate(p.asn)
+		src, err := deps.IPDB.Allocate(asn)
 		if err != nil {
 			return nil, err
 		}
@@ -284,9 +283,6 @@ func (p *Provider) NameserverAddrs() []netip.Addr {
 	return out
 }
 
-// ProtectiveAddr returns the warning-site IP ({} when none).
-func (p *Provider) ProtectiveAddr() netip.Addr { return p.protectiveAddr }
-
 // EdgeAddr returns the CDN edge IP for a country (falls back to US).
 func (p *Provider) EdgeAddr(country string) (netip.Addr, bool) {
 	if p.edges == nil {
@@ -298,19 +294,6 @@ func (p *Provider) EdgeAddr(country string) (netip.Addr, bool) {
 	a, ok := p.edges["US"]
 	return a, ok
 }
-
-// EdgeAddrs returns every CDN edge IP.
-func (p *Provider) EdgeAddrs() []netip.Addr {
-	var out []netip.Addr
-	for _, a := range p.edges {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// ASN returns the provider's autonomous system number.
-func (p *Provider) ASN() ipam.ASN { return p.asn }
 
 // OpenAccount creates (or returns) an account.
 func (p *Provider) OpenAccount(id string, paid bool) *Account {

@@ -46,7 +46,7 @@ func TestURServedOverRealSockets(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = resp.AnswersOfType(dns.TypeA)
-	if len(got) != 1 || got[0].Data.(*dns.A).Addr != p.ProtectiveAddr() {
+	if len(got) != 1 || got[0].Data.(*dns.A).Addr != p.protectiveAddr {
 		t.Errorf("protective record over real socket: %v", resp.Answers)
 	}
 }

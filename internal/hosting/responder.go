@@ -63,16 +63,15 @@ func (p *Provider) fallbackFor(roots bool) authority.Fallback {
 		case dns.TypeTXT:
 			r.Answers = append(r.Answers, dns.RR{
 				Name: q.Question().Name, Class: dns.ClassINET, TTL: 300,
-				Data: dns.NewTXT("this domain is not configured on " + p.Name +
-					"; see https://" + string(p.InfraDomain) + "/unconfigured"),
+				Data: dns.NewTXT(p.ProtectiveTXT()),
 			})
 		}
 		return r
 	}
 }
 
-// ProtectiveTXT returns the protective TXT payload the provider serves, so
-// URHunter's protective-record collection can be validated in tests.
+// ProtectiveTXT returns the protective TXT payload the provider's
+// nameservers serve for a name they do not host.
 func (p *Provider) ProtectiveTXT() string {
 	return "this domain is not configured on " + p.Name +
 		"; see https://" + string(p.InfraDomain) + "/unconfigured"

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"sync"
 
 	"repro/internal/sandbox"
 )
@@ -75,9 +74,8 @@ func (a Alert) String() string {
 		a.Rule.Classtype, a.Rule.Severity, a.Flow)
 }
 
-// Engine is a rule set.
+// Engine is a rule set, fixed when NewEngine builds it.
 type Engine struct {
-	mu    sync.RWMutex
 	rules []*Rule
 }
 
@@ -86,24 +84,8 @@ func NewEngine(rules ...*Rule) *Engine {
 	return &Engine{rules: rules}
 }
 
-// AddRule appends a rule.
-func (e *Engine) AddRule(r *Rule) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rules = append(e.rules, r)
-}
-
-// RuleCount returns the number of loaded rules.
-func (e *Engine) RuleCount() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.rules)
-}
-
 // Inspect runs every rule over every flow.
 func (e *Engine) Inspect(flows []sandbox.Flow) []Alert {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	var out []Alert
 	for _, f := range flows {
 		for _, r := range e.rules {

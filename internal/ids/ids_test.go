@@ -21,8 +21,8 @@ func flow(proto sandbox.Proto, dst netip.Addr, payload string) sandbox.Flow {
 
 func TestDefaultRulesFire(t *testing.T) {
 	e := NewEngine(DefaultRules()...)
-	if e.RuleCount() != 10 {
-		t.Fatalf("rules = %d", e.RuleCount())
+	if len(e.rules) != 10 {
+		t.Fatalf("rules = %d", len(e.rules))
 	}
 	cases := []struct {
 		f     sandbox.Flow
@@ -102,9 +102,8 @@ func TestInspectReport(t *testing.T) {
 	}
 }
 
-func TestAddRule(t *testing.T) {
-	e := NewEngine()
-	e.AddRule(&Rule{SID: 9, Name: "custom", Classtype: ClassOther, Severity: SeverityHigh,
+func TestCustomRule(t *testing.T) {
+	e := NewEngine(&Rule{SID: 9, Name: "custom", Classtype: ClassOther, Severity: SeverityHigh,
 		Match: func(f sandbox.Flow) bool { return f.DstPort == 1337 }})
 	f := sandbox.Flow{Proto: sandbox.ProtoTCP, Dst: c2, DstPort: 1337}
 	if got := e.Inspect([]sandbox.Flow{f}); len(got) != 1 {

@@ -13,7 +13,6 @@ package ipam
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -165,15 +164,6 @@ func (db *DB) Lookup(addr netip.Addr) (Info, bool) {
 	return Info{Addr: addr, ASN: e.asn, ASName: e.name, Country: e.country}, true
 }
 
-// ASNOf is a convenience wrapper returning just the ASN (0 when unknown).
-func (db *DB) ASNOf(addr netip.Addr) ASN {
-	info, ok := db.Lookup(addr)
-	if !ok {
-		return 0
-	}
-	return info.ASN
-}
-
 // CountryOf returns the country code for an address ("" when unknown).
 func (db *DB) CountryOf(addr netip.Addr) string {
 	info, ok := db.Lookup(addr)
@@ -181,18 +171,6 @@ func (db *DB) CountryOf(addr netip.Addr) string {
 		return ""
 	}
 	return info.Country
-}
-
-// ASNs lists all registered AS numbers, sorted.
-func (db *DB) ASNs() []ASN {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]ASN, 0, len(db.byASN))
-	for a := range db.byASN {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Countries is the pool of country codes world generators draw from.

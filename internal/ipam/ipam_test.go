@@ -54,7 +54,9 @@ func TestDistinctASesGetDistinctSpace(t *testing.T) {
 	}
 	addrA := db.MustAllocate(a)
 	addrB := db.MustAllocate(b)
-	if db.ASNOf(addrA) != a || db.ASNOf(addrB) != b {
+	infoA, _ := db.Lookup(addrA)
+	infoB, _ := db.Lookup(addrB)
+	if infoA.ASN != a || infoB.ASN != b {
 		t.Error("ownership mixed up")
 	}
 	if db.CountryOf(addrA) != "US" || db.CountryOf(addrB) != "DE" {
@@ -91,9 +93,6 @@ func TestLookupUnknown(t *testing.T) {
 	if _, ok := db.Lookup(netip.MustParseAddr("2001:db8::1")); ok {
 		t.Error("IPv6 resolved in v4 db")
 	}
-	if db.ASNOf(netip.MustParseAddr("8.8.8.8")) != 0 {
-		t.Error("ASNOf unknown != 0")
-	}
 	if db.CountryOf(netip.MustParseAddr("8.8.8.8")) != "" {
 		t.Error("CountryOf unknown != empty")
 	}
@@ -119,22 +118,6 @@ func TestExhaustion(t *testing.T) {
 	}
 	if count != 254*256 {
 		t.Errorf("usable addresses = %d, want %d", count, 254*256)
-	}
-}
-
-func TestASNsSorted(t *testing.T) {
-	db := New()
-	db.RegisterAS("A", "US", 1)
-	db.RegisterAS("B", "US", 1)
-	db.RegisterAS("C", "US", 1)
-	asns := db.ASNs()
-	if len(asns) != 3 {
-		t.Fatalf("len = %d", len(asns))
-	}
-	for i := 1; i < len(asns); i++ {
-		if asns[i-1] >= asns[i] {
-			t.Fatal("not sorted")
-		}
 	}
 }
 

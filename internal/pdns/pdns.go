@@ -63,17 +63,6 @@ func (s *Store) ObserveRR(rr dns.RR, when time.Time) {
 	s.Observe(rr.Name, rr.Type(), rr.Data.String(), when)
 }
 
-// History returns all observations for a domain, oldest first.
-func (s *Store) History(domain dns.Name) []Observation {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	obs := s.byDomain[domain]
-	out := make([]Observation, len(obs))
-	copy(out, obs)
-	sort.Slice(out, func(i, j int) bool { return out[i].FirstSeen.Before(out[j].FirstSeen) })
-	return out
-}
-
 // Seen reports whether (domain, type, rdata) was ever observed with a
 // LastSeen at or after the cutoff — the paper uses a six-year window, so the
 // caller passes now.AddDate(-6, 0, 0) as the cutoff. A zero cutoff matches
@@ -87,32 +76,6 @@ func (s *Store) Seen(domain dns.Name, t dns.Type, rdata string, cutoff time.Time
 		}
 	}
 	return false
-}
-
-// SeenRR is Seen for a resource record.
-func (s *Store) SeenRR(rr dns.RR, cutoff time.Time) bool {
-	return s.Seen(rr.Name, rr.Type(), rr.Data.String(), cutoff)
-}
-
-// HistoricalNS returns every nameserver host the domain was ever delegated
-// to, according to observed NS records.
-func (s *Store) HistoricalNS(domain dns.Name) []dns.Name {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []dns.Name
-	seen := make(map[dns.Name]bool)
-	for _, o := range s.byDomain[domain] {
-		if o.Type != dns.TypeNS {
-			continue
-		}
-		n := dns.CanonicalName(o.RData)
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Subdomains returns every proper subdomain of domain that has resolution
@@ -129,22 +92,4 @@ func (s *Store) Subdomains(domain dns.Name) []dns.Name {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Domains returns the number of domains with history.
-func (s *Store) Domains() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.byDomain)
-}
-
-// Size returns the total observation count.
-func (s *Store) Size() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, obs := range s.byDomain {
-		n += len(obs)
-	}
-	return n
 }

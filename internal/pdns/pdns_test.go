@@ -49,7 +49,7 @@ func TestObserveMergesRanges(t *testing.T) {
 	s.Observe("example.com", dns.TypeA, "192.0.2.1", t2020)
 	s.Observe("example.com", dns.TypeA, "192.0.2.1", t2017)
 	s.Observe("example.com", dns.TypeA, "192.0.2.1", t2022)
-	h := s.History("example.com")
+	h := s.byDomain["example.com"]
 	if len(h) != 1 {
 		t.Fatalf("history entries = %d, want 1 (merged)", len(h))
 	}
@@ -58,56 +58,13 @@ func TestObserveMergesRanges(t *testing.T) {
 	}
 }
 
-func TestHistoryOrdering(t *testing.T) {
+func TestObserveRR(t *testing.T) {
 	s := NewStore()
-	s.Observe("example.com", dns.TypeA, "192.0.2.2", t2022)
-	s.Observe("example.com", dns.TypeA, "192.0.2.1", t2017)
-	h := s.History("example.com")
-	if len(h) != 2 || h[0].RData != "192.0.2.1" {
-		t.Errorf("history order: %+v", h)
+	s.ObserveRR(dns.MustParseRR("example.com 300 IN A 192.0.2.9"), t2020)
+	if !s.Seen("example.com", dns.TypeA, "192.0.2.9", time.Time{}) {
+		t.Error("Seen false for an observed record")
 	}
-}
-
-func TestObserveRRAndSeenRR(t *testing.T) {
-	s := NewStore()
-	rr := dns.MustParseRR("example.com 300 IN A 192.0.2.9")
-	s.ObserveRR(rr, t2020)
-	if !s.SeenRR(rr, time.Time{}) {
-		t.Error("SeenRR false for observed record")
-	}
-	other := dns.MustParseRR("example.com 300 IN A 192.0.2.10")
-	if s.SeenRR(other, time.Time{}) {
-		t.Error("SeenRR true for unobserved record")
-	}
-}
-
-func TestHistoricalNS(t *testing.T) {
-	s := NewStore()
-	s.Observe("example.com", dns.TypeNS, "ns1.old.net.", t2017)
-	s.Observe("example.com", dns.TypeNS, "ns1.new.io.", t2022)
-	s.Observe("example.com", dns.TypeNS, "ns1.old.net.", t2020) // dup
-	s.Observe("example.com", dns.TypeA, "192.0.2.1", t2020)     // not NS
-	ns := s.HistoricalNS("example.com")
-	if len(ns) != 2 {
-		t.Fatalf("historical NS = %v", ns)
-	}
-	if ns[0] != "ns1.new.io" || ns[1] != "ns1.old.net" {
-		t.Errorf("ns = %v", ns)
-	}
-}
-
-func TestCounters(t *testing.T) {
-	s := NewStore()
-	if s.Domains() != 0 || s.Size() != 0 {
-		t.Error("empty store has nonzero counters")
-	}
-	s.Observe("a.com", dns.TypeA, "192.0.2.1", t2020)
-	s.Observe("a.com", dns.TypeA, "192.0.2.2", t2020)
-	s.Observe("b.com", dns.TypeA, "192.0.2.3", t2020)
-	if s.Domains() != 2 {
-		t.Errorf("Domains = %d", s.Domains())
-	}
-	if s.Size() != 3 {
-		t.Errorf("Size = %d", s.Size())
+	if s.Seen("example.com", dns.TypeA, "192.0.2.10", time.Time{}) {
+		t.Error("Seen true for an unobserved record")
 	}
 }

@@ -6,34 +6,22 @@
 package psl
 
 import (
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/dns"
 )
 
-// List is a set of public suffixes with wildcard support ("*.ck" style
-// entries are expressed by adding the parent with AddWildcard).
+// List is a set of public suffixes. It is built once by Default and only
+// read after that.
 type List struct {
-	mu        sync.RWMutex
-	suffixes  map[dns.Name]bool
-	wildcards map[dns.Name]bool
-}
-
-// New creates an empty list.
-func New() *List {
-	return &List{
-		suffixes:  make(map[dns.Name]bool),
-		wildcards: make(map[dns.Name]bool),
-	}
+	suffixes map[dns.Name]bool
 }
 
 // Default returns a list preloaded with the generic TLDs and the
 // country-code suffixes used across the reproduction, including the
 // government/education eTLDs named in Appendix C.
 func Default() *List {
-	l := New()
+	l := &List{suffixes: make(map[dns.Name]bool)}
 	for _, s := range []string{
 		// generic TLDs
 		"com", "net", "org", "io", "dev", "app", "info", "biz", "xyz",
@@ -50,24 +38,9 @@ func Default() *List {
 		"com.au", "gov.au", "edu.au", "co.za", "gov.za",
 		"com.tr", "gov.tr", "com.mx", "gob.mx",
 	} {
-		l.Add(dns.MustParseName(s))
+		l.suffixes[dns.MustParseName(s)] = true
 	}
 	return l
-}
-
-// Add registers a public suffix.
-func (l *List) Add(suffix dns.Name) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.suffixes[suffix] = true
-}
-
-// AddWildcard registers a wildcard rule: every direct child of parent is a
-// public suffix (like "*.ck" in the real PSL).
-func (l *List) AddWildcard(parent dns.Name) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.wildcards[parent] = true
 }
 
 // IsPublicSuffix reports whether the name itself is a public suffix (an
@@ -76,23 +49,16 @@ func (l *List) IsPublicSuffix(name dns.Name) bool {
 	if name == dns.Root {
 		return false
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if l.suffixes[name] {
-		return true
-	}
-	return l.wildcards[name.Parent()]
+	return l.suffixes[name]
 }
 
 // PublicSuffix returns the longest public suffix of name and whether one was
 // found.
 func (l *List) PublicSuffix(name dns.Name) (dns.Name, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	// Walking from the most specific name upward, the first registered
 	// suffix encountered is the longest one.
 	for n := name; n != dns.Root; n = n.Parent() {
-		if l.suffixes[n] || l.wildcards[n.Parent()] {
+		if l.suffixes[n] {
 			return n, true
 		}
 	}
@@ -155,16 +121,4 @@ func (l *List) Classify(name dns.Name) Category {
 		return CategorySLD
 	}
 	return CategorySubdomain
-}
-
-// Suffixes returns all registered suffixes, sorted (for dumps and tests).
-func (l *List) Suffixes() []dns.Name {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]dns.Name, 0, len(l.suffixes))
-	for s := range l.suffixes {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

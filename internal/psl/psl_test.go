@@ -77,35 +77,9 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestWildcardRules(t *testing.T) {
-	l := New()
-	l.Add("ck")
-	l.AddWildcard("ck")
-	if !l.IsPublicSuffix("www.ck") {
-		t.Error("wildcard child should be a public suffix")
-	}
-	reg, ok := l.RegistrableDomain("shop.www.ck")
-	if !ok || reg != "shop.www.ck" {
-		t.Errorf("RegistrableDomain under wildcard = %v %v", reg, ok)
-	}
-}
-
 func TestCategoryString(t *testing.T) {
 	if CategoryETLD.String() != "eTLD" || CategorySLD.String() != "SLD" ||
 		CategorySubdomain.String() != "subdomain" || CategoryUnknown.String() != "unknown" {
 		t.Error("category names wrong")
-	}
-}
-
-func TestSuffixesSorted(t *testing.T) {
-	l := Default()
-	s := l.Suffixes()
-	if len(s) < 30 {
-		t.Fatalf("only %d suffixes", len(s))
-	}
-	for i := 1; i < len(s); i++ {
-		if s[i-1] >= s[i] {
-			t.Fatalf("not sorted at %d: %v >= %v", i, s[i-1], s[i])
-		}
 	}
 }

@@ -141,17 +141,6 @@ func (r *Registry) CreateTLD(tld dns.Name, servers int) error {
 	return nil
 }
 
-// TLDs returns the registered TLDs.
-func (r *Registry) TLDs() []dns.Name {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]dns.Name, 0, len(r.tlds))
-	for t := range r.tlds {
-		out = append(out, t)
-	}
-	return out
-}
-
 // tldFor returns the TLD entry responsible for a domain. Multi-label public
 // suffixes are registered as their own "TLDs" here (gov.cn has its own zone
 // in the real world too).
@@ -198,20 +187,6 @@ func (r *Registry) SetDelegation(domain dns.Name, nsHosts []dns.Name, glue map[d
 	return nil
 }
 
-// RemoveDelegation deletes a domain's delegation (domain expires or switches
-// to an unregistered state).
-func (r *Registry) RemoveDelegation(domain dns.Name) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, _, ok := r.tldFor(domain)
-	if !ok {
-		return fmt.Errorf("registry: no TLD serves %s", domain.String())
-	}
-	e.zone.RemoveRRset(domain, dns.TypeNS)
-	delete(r.delegations, domain)
-	return nil
-}
-
 // Delegation returns the current NS hosts for a domain.
 func (r *Registry) Delegation(domain dns.Name) []dns.Name {
 	r.mu.RLock()
@@ -241,15 +216,4 @@ func (r *Registry) IsDelegatedTo(domain dns.Name, nsHost dns.Name) bool {
 		}
 	}
 	return false
-}
-
-// RegisteredDomains returns all currently delegated domains.
-func (r *Registry) RegisteredDomains() []dns.Name {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]dns.Name, 0, len(r.delegations))
-	for d := range r.delegations {
-		out = append(out, d)
-	}
-	return out
 }

@@ -152,12 +152,3 @@ func NewPool(fabric *simnet.Fabric, ipdb *ipam.DB, roots []netip.Addr, n int) (*
 	}
 	return p, nil
 }
-
-// ByCountry groups the pool's resolvers by country code.
-func (p *Pool) ByCountry() map[string][]*OpenResolver {
-	out := make(map[string][]*OpenResolver)
-	for _, o := range p.Resolvers {
-		out[o.Country] = append(out[o.Country], o)
-	}
-	return out
-}

@@ -261,8 +261,15 @@ func TestOpenResolverOverWire(t *testing.T) {
 	// Iterative-only query is refused.
 	q := dns.NewQuery(5, "example.com", dns.TypeA)
 	q.Header.RecursionDesired = false
-	resp, err = c.Exchange(context.Background(), netip.AddrPortFrom(oAddr, dnsio.DNSPort), q)
+	packed, err := q.Pack()
 	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := w.fabric.Exchange(clientSrc, simnet.Endpoint{Addr: oAddr, Port: dnsio.DNSPort}, packed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = dns.Unpack(raw); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Header.RCode != dns.RCodeRefused {
@@ -279,13 +286,16 @@ func TestPoolSpreadsCountries(t *testing.T) {
 	if len(pool.Resolvers) != 60 {
 		t.Fatalf("pool size = %d", len(pool.Resolvers))
 	}
-	byCountry := pool.ByCountry()
+	byCountry := map[string]int{}
+	for _, o := range pool.Resolvers {
+		byCountry[o.Country]++
+	}
 	if len(byCountry) != 30 {
 		t.Errorf("countries = %d, want 30", len(byCountry))
 	}
-	for c, rs := range byCountry {
-		if len(rs) != 2 {
-			t.Errorf("country %s has %d resolvers", c, len(rs))
+	for c, n := range byCountry {
+		if n != 2 {
+			t.Errorf("country %s has %d resolvers", c, n)
 		}
 	}
 	// Every pool member can resolve.

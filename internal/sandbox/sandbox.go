@@ -145,9 +145,6 @@ func New(fabric *simnet.Fabric, victimAddr, defaultResolver netip.Addr) *Sandbox
 	}
 }
 
-// VictimAddr returns the sandboxed machine's IP.
-func (s *Sandbox) VictimAddr() netip.Addr { return s.victimAddr }
-
 // Run executes a sample and returns its traffic report.
 func (s *Sandbox) Run(sample *Sample) *Report {
 	rep := &Report{Sample: sample}

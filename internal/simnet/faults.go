@@ -60,11 +60,6 @@ func (f *Fabric) SetFault(ep Endpoint, p FaultProfile) {
 	hst.mu.Unlock()
 }
 
-// ClearFault removes the fault profile for one endpoint.
-func (f *Fabric) ClearFault(ep Endpoint) {
-	f.withService(ep, func(svc *service) { svc.fault = nil })
-}
-
 // ClearFaults removes every installed fault profile.
 func (f *Fabric) ClearFaults() {
 	f.eachHost(func(h *host) {

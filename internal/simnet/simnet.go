@@ -242,12 +242,6 @@ func (f *Fabric) withService(ep Endpoint, fn func(*service)) {
 	}
 }
 
-// Bound reports whether any service listens on the endpoint.
-func (f *Fabric) Bound(ep Endpoint) (bound bool) {
-	f.withService(ep, func(svc *service) { bound = svc.h != nil })
-	return bound
-}
-
 // Exchange performs a datagram request/response. maxResp > 0 truncates the
 // response payload to that many bytes, modelling a UDP read buffer; the DNS
 // layer on top handles the TC bit itself, so truncation here simply cuts the

@@ -69,13 +69,7 @@ func TestUnlisten(t *testing.T) {
 	if err := f.Listen(dst, echoHandler()); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Bound(dst) {
-		t.Error("Bound = false after Listen")
-	}
 	f.Unlisten(dst)
-	if f.Bound(dst) {
-		t.Error("Bound = true after Unlisten")
-	}
 	if _, err := f.Exchange(netip.MustParseAddr("10.0.0.1"), dst, nil, 0); !errors.Is(err, ErrUnreachable) {
 		t.Error("expected unreachable after Unlisten")
 	}

@@ -59,20 +59,6 @@ func (v *Vendor) Flag(addr netip.Addr, tags ...Tag) {
 	v.listed[addr] = have
 }
 
-// Listed reports whether the vendor flags the IP, with its tags.
-func (v *Vendor) Listed(addr netip.Addr) ([]Tag, bool) {
-	tags, ok := v.listed[addr]
-	if !ok {
-		return nil, false
-	}
-	return slices.Clone(tags), true
-}
-
-// Size returns the number of IPs on the vendor's list.
-func (v *Vendor) Size() int {
-	return len(v.listed)
-}
-
 // Report is the aggregated intelligence for one IP.
 type Report struct {
 	Addr netip.Addr
@@ -82,21 +68,8 @@ type Report struct {
 	Tags []Tag
 }
 
-// Malicious reports whether any vendor flags the IP.
-func (r Report) Malicious() bool { return len(r.Vendors) > 0 }
-
 // VendorCount is the number of flagging vendors (the Figure 3(b) statistic).
 func (r Report) VendorCount() int { return len(r.Vendors) }
-
-// HasTag reports whether any vendor applied the tag.
-func (r Report) HasTag(t Tag) bool {
-	for _, have := range r.Tags {
-		if have == t {
-			return true
-		}
-	}
-	return false
-}
 
 // Aggregator unions many vendor feeds, VirusTotal-style. The panel is fixed
 // when the aggregator is built; only the feeds change.

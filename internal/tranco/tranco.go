@@ -9,7 +9,6 @@ package tranco
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/dns"
 )
@@ -130,37 +129,4 @@ func (l *List) Domains(k int) []dns.Name {
 func (l *List) Rank(d dns.Name) (int, bool) {
 	r, ok := l.rank[d]
 	return r, ok
-}
-
-// Contains reports whether d is on the list.
-func (l *List) Contains(d dns.Name) bool {
-	_, ok := l.rank[d]
-	return ok
-}
-
-// SampleZipf draws k distinct domains with Zipf-like popularity weighting
-// (lower ranks drawn more often), deterministic in the provided rng. It
-// models attacker preference for popular domains when the world generator
-// plants undelegated records.
-func (l *List) SampleZipf(k int, r *rand.Rand) []dns.Name {
-	if k >= len(l.entries) {
-		return l.Domains(len(l.entries))
-	}
-	chosen := make(map[int]bool, k)
-	out := make([]dns.Name, 0, k)
-	for len(out) < k {
-		// Cheap heavy-head draw standing in for a truncated Zipf over [1, n].
-		u := r.Float64()
-		idx := int(float64(len(l.entries)) * (u * u * u)) // cubic skew toward the head
-		if idx >= len(l.entries) {
-			idx = len(l.entries) - 1
-		}
-		if chosen[idx] {
-			continue
-		}
-		chosen[idx] = true
-		out = append(out, l.entries[idx].Domain)
-	}
-	sort.Slice(out, func(i, j int) bool { return l.rank[out[i]] < l.rank[out[j]] })
-	return out
 }

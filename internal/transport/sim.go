@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"net/netip"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dnsio"
@@ -45,8 +44,7 @@ type simEncrypted struct {
 	handshakeRTTs int64
 	recordDiv     int64
 
-	seen       readmap.Map[netip.Addr, struct{}] // servers a session is set up with
-	handshakes atomic.Int64
+	seen readmap.Map[netip.Addr, struct{}] // servers a session is set up with
 }
 
 // Exchange implements dnsio.Transport: book the modeled costs, then carry the
@@ -54,7 +52,6 @@ type simEncrypted struct {
 func (t *simEncrypted) Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
 	base := t.inner.Fabric.BaseRTT()
 	if _, loaded := t.seen.LoadOrStore(server.Addr(), struct{}{}); !loaded {
-		t.handshakes.Add(1)
 		t.inner.Fabric.AdvanceVirtual(time.Duration(t.handshakeRTTs) * base)
 	}
 	t.inner.Fabric.AdvanceVirtual(base / time.Duration(t.recordDiv))
@@ -70,7 +67,3 @@ func (t *simEncrypted) Instant() bool { return true }
 func (t *simEncrypted) SleepVirtual(d time.Duration) {
 	t.inner.Fabric.AdvanceVirtual(d)
 }
-
-// Handshakes returns how many per-server session setups were booked — the
-// numerator of the amortization the TransportSweep benchmark reports.
-func (t *simEncrypted) Handshakes() int64 { return t.handshakes.Load() }

@@ -10,6 +10,7 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dns"
 	"repro/internal/dnsio"
@@ -304,29 +305,34 @@ func TestSimHandshakeAmortized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := fabric.VirtualRTT()
+		enc := tr.(*simEncrypted)
+		base := fabric.BaseRTT()
 		for round := 0; round < 5; round++ {
 			for _, s := range servers {
 				ap := netip.AddrPortFrom(s, dnsio.DNSPort)
-				enc, err := tr.Exchange(context.Background(), nil, ap, packedQuery(t), false)
+				v0 := fabric.VirtualRTT()
+				got, err := tr.Exchange(context.Background(), nil, ap, packedQuery(t), false)
 				if err != nil {
 					t.Fatalf("%s exchange: %v", k, err)
 				}
+				v1 := fabric.VirtualRTT()
 				want, err := plain.Exchange(context.Background(), nil, ap, packedQuery(t), false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(enc, want) {
+				if !bytes.Equal(got, want) {
 					t.Fatalf("%s answer differs from plain transport", k)
 				}
+				// Beyond the plain exchange's round trip: the record tax on
+				// every exchange, the handshake on a server's first only.
+				wantExtra := base / time.Duration(enc.recordDiv)
+				if round == 0 {
+					wantExtra += time.Duration(enc.handshakeRTTs) * base
+				}
+				if extra := (v1 - v0) - (fabric.VirtualRTT() - v1); extra != wantExtra {
+					t.Errorf("%s round %d, server %s: booked %v over plain, want %v", k, round, s, extra, wantExtra)
+				}
 			}
-		}
-		hs := tr.(interface{ Handshakes() int64 }).Handshakes()
-		if hs != int64(len(servers)) {
-			t.Errorf("%s: %d handshakes for %d servers over 5 rounds, want one each", k, hs, len(servers))
-		}
-		if fabric.VirtualRTT() <= before {
-			t.Errorf("%s: no modeled cost booked on the virtual clock", k)
 		}
 	}
 }

@@ -197,18 +197,26 @@ func TestLongDomainsServeAndTransfer(t *testing.T) {
 	defer cancel()
 
 	// By urbl name over UDP: NOERROR, the evidence intact once joined.
-	client := dnsio.NewClient(&dnsio.NetTransport{})
+	udp := &dnsio.NetTransport{}
 	for _, tc := range []struct {
 		ip     string
 		domain dns.Name
 		lines  int
 	}{{"198.51.100.28", d228, 2}, {"198.51.100.46", d246, 3}} {
 		name, _ := ReverseIPName(netip.MustParseAddr(tc.ip), testApex)
-		q := dns.NewQuery(0, name, dns.TypeTXT)
+		q := dns.NewQuery(7, name, dns.TypeTXT)
 		q.Additional = append(q.Additional, dns.RR{Class: dns.MaxEDNS0Size, Data: &dns.OPT{}})
-		resp, err := client.Exchange(ctx, srv.UDPAddr(), q)
+		packed, err := q.Pack()
 		if err != nil {
 			t.Fatal(err)
+		}
+		raw, err := udp.Exchange(ctx, nil, srv.UDPAddr(), packed, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := dns.Unpack(raw)
+		if err != nil || resp.Header.ID != q.Header.ID {
+			t.Fatalf("%s TXT: reply %v, %v", name, resp, err)
 		}
 		if resp.Header.RCode != dns.RCodeSuccess || resp.Header.Truncated {
 			t.Fatalf("%s TXT: rcode %s tc %v", name, resp.Header.RCode, resp.Header.Truncated)

@@ -400,7 +400,7 @@ func (m *Mirror) Apply(res *dnsio.XfrResult) error {
 		}
 		return nil
 	}
-	if second := rrSOA(recs[1]); second != nil && len(recs) >= 3 {
+	if res.Incremental() {
 		return m.applyIncremental(recs)
 	}
 	return m.applyFull(recs)

@@ -197,14 +197,6 @@ func (w *World) Install(s *Site) error {
 	return nil
 }
 
-// Site returns the installed site at an address, if any.
-func (w *World) Site(addr netip.Addr) (*Site, bool) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	s, ok := w.sites[addr]
-	return s, ok
-}
-
 // serveHTTP answers a minimal HTTP/1.0 GET.
 func (s *Site) serveHTTP(dst []byte, _ netip.Addr, req []byte) []byte {
 	line, _, _ := strings.Cut(string(req), "\r\n")

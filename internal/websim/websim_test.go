@@ -117,7 +117,7 @@ func TestInstallKindNoneNoop(t *testing.T) {
 	if err := w.Install(&Site{Addr: addr, Kind: KindNone}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := w.Site(addr); ok {
+	if _, ok := w.sites[addr]; ok {
 		t.Error("KindNone site registered")
 	}
 }
@@ -205,7 +205,7 @@ func TestCDNEdgeKindAndMailServer(t *testing.T) {
 	if !strings.Contains(res.Body, "Mail relay") {
 		t.Errorf("mail body: %q", res.Body)
 	}
-	if site, ok := w.Site(edge); !ok || site.Kind != KindCDNEdge {
-		t.Error("Site accessor failed")
+	if site, ok := w.sites[edge]; !ok || site.Kind != KindCDNEdge {
+		t.Error("edge site not installed")
 	}
 }

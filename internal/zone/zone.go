@@ -135,14 +135,6 @@ func (z *Zone) RemoveRRset(name dns.Name, t dns.Type) {
 	z.gen.Add(1)
 }
 
-// RemoveName deletes every record at a name.
-func (z *Zone) RemoveName(name dns.Name) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	delete(z.rrsets, name)
-	z.gen.Add(1)
-}
-
 // RRset returns the records of the given type at exactly name (no wildcard or
 // delegation processing).
 func (z *Zone) RRset(name dns.Name, t dns.Type) []dns.RR {
@@ -280,18 +272,6 @@ func (z *Zone) findCutLocked(name dns.Name) (dns.Name, bool) {
 		}
 	}
 	return "", false
-}
-
-// Names returns all owner names in the zone, sorted.
-func (z *Zone) Names() []dns.Name {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	names := make([]dns.Name, 0, len(z.rrsets))
-	for n := range z.rrsets {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	return names
 }
 
 // Records returns every record in the zone, sorted by owner then type.

@@ -184,11 +184,6 @@ func TestRemove(t *testing.T) {
 	if _, res := z.Lookup("api.example.com", dns.TypeA); res != NXDomain {
 		t.Errorf("after RemoveRRset: %v", res)
 	}
-	z.RemoveName("example.com")
-	if _, res := z.Lookup("example.com", dns.TypeSOA); res != NoData {
-		// Apex still "exists" as empty non-terminal because children remain.
-		t.Errorf("after RemoveName: %v", res)
-	}
 }
 
 func TestSOAAccessor(t *testing.T) {
@@ -388,15 +383,6 @@ func TestAccessorsAndStrings(t *testing.T) {
 	z := exampleZone(t)
 	if z.Origin() != "example.com" {
 		t.Errorf("Origin = %v", z.Origin())
-	}
-	names := z.Names()
-	if len(names) == 0 {
-		t.Fatal("Names empty")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("Names not sorted")
-		}
 	}
 	for res, want := range map[Result]string{
 		Hit: "Hit", CNAMEHit: "CNAME", NoData: "NoData", NXDomain: "NXDomain",
