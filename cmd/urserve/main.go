@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/netip"
 	"os"
 	"strconv"
 	"syscall"
@@ -31,9 +32,13 @@ func main() {
 	scaleName := flag.String("scale", "tiny", "world scale: tiny, small, or paper")
 	seed := flag.Int64("seed", 42, "world generation seed")
 	providerName := flag.String("provider", "ClouDNS", "provider whose nameservers to expose")
-	listen := flag.String("listen", "127.0.0.1:5533", "base listen address (port increments per server)")
+	listen := flag.String("listen", "127.0.0.1:5533", "base listen address (port increments per server; port 0 gives each server an ephemeral port)")
 	count := flag.Int("n", 1, "how many of the provider's nameservers to expose")
 	flag.Parse()
+	if *count < 1 {
+		fmt.Fprintf(os.Stderr, "urserve: -n %d: expose at least one nameserver\n", *count)
+		os.Exit(2)
+	}
 
 	scale, ok := repro.ScaleByName(*scaleName)
 	if !ok {
@@ -74,20 +79,27 @@ func main() {
 	// clean error instead of leaking them, and the shutdown path below
 	// drains in-flight queries before the process exits.
 	var group urwatch.ServeGroup
+	var first netip.AddrPort // what the dig hints name: -listen's port may be 0
 	for i := 0; i < *count; i++ {
 		ns := nameservers[i]
 		addr := net.JoinHostPort(host, strconv.Itoa(port+i))
+		if port == 0 {
+			addr = *listen // each server its own ephemeral port
+		}
 		srv, err := group.StartDNS(ns.Server(), addr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "urserve: %v\n", err)
 			os.Exit(1)
 		}
+		if i == 0 {
+			first = srv.UDPAddr()
+		}
 		fmt.Printf("%s (%s in the simulation) now answering on udp/tcp %s\n",
 			ns.Host.String(), ns.Addr, srv.UDPAddr())
 	}
 	fmt.Printf("\n%d hosted domains on %s; try:\n", len(provider.HostedDomains()), provider.Name)
-	fmt.Printf("  dig @%s -p %d ibm.com A\n", host, port)
-	fmt.Printf("  dig @%s -p %d speedtest.net TXT\n", host, port)
+	fmt.Printf("  dig @%s -p %d ibm.com A\n", first.Addr(), first.Port())
+	fmt.Printf("  dig @%s -p %d speedtest.net TXT\n", first.Addr(), first.Port())
 	fmt.Println("\nctrl-c to stop (drains in-flight queries; second ctrl-c hard-exits)")
 
 	urwatch.AwaitSignal(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -242,7 +242,12 @@ func (ri *replayIndex) failed(id int) (dnsio.FailClass, bool) {
 }
 
 // ReplayStats says where a resume went: what OpenJournal read and what it
-// made of it.
+// made of it. Segments, Frames and Bytes are the journal's layout: they
+// depend on how the workers split the plan, so two identical runs may differ
+// in them. Records, Empty, Duplicates, OutOfPlan and Torn — like
+// ReplayedAnswered and ReplayedFailures beside them — are its content, equal
+// for every uninterrupted journal of one plan and fault surface, whatever the
+// parallelism.
 type ReplayStats struct {
 	Segments   int           // segment files found
 	Frames     int           // CRC-clean frames decoded

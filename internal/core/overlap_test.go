@@ -1,7 +1,7 @@
-// Determinism pins for the overlapped pipeline: the streamed, sharded
-// dataflow must produce byte-identical reports at any parallelism — chaos
-// faults on or off, fresh or resumed from a journal — and the parallel determine/analyze entry points must match their
-// serial counterparts record for record.
+// The overlapped pipeline's report fingerprint, its stage timings, and the
+// parallel analyze entry point against its serial counterpart. That the
+// report is the same at any parallelism, fresh or resumed, is
+// TestJournaledSweepMatchesOracle's.
 package core
 
 import (
@@ -40,87 +40,6 @@ func renderReport(res *Result) string {
 		fmt.Fprintf(&sb, "ids|%s\n", ip)
 	}
 	return sb.String()
-}
-
-// TestPipelineDeterministicAcrossWorkers is the parallel-vs-serial pin: the
-// same world run fully serial (one sweep and one determine worker), at
-// GOMAXPROCS, and at worker counts past it must render the same report bytes
-// — with and without the deterministic chaos profile.
-func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
-	grid := []int{1, 4, runtime.GOMAXPROCS(0), 16}
-	for _, chaos := range []bool{false, true} {
-		name := "clean"
-		if chaos {
-			name = "chaos"
-		}
-		t.Run(name, func(t *testing.T) {
-			var want string
-			for i, par := range grid {
-				fx := newChaosFixture(t, 23)
-				if chaos {
-					applyDeterministicFaults(fx)
-				}
-				fx.cfg.Parallelism = par
-				res, err := NewPipeline(fx.cfg).Run(context.Background())
-				if err != nil {
-					t.Fatalf("parallelism %d: %v", par, err)
-				}
-				got := renderReport(res)
-				if i == 0 {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Errorf("parallelism %d report differs from serial:\n--- got ---\n%s--- want ---\n%s",
-						par, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestPipelineResumedStreamDeterministic extends the pin across a journal
-// cut: a run interrupted mid-sweep and resumed at a different worker count
-// must still render the uninterrupted run's bytes —
-// the replay path feeds the same determine stream the live sweep does.
-func TestPipelineResumedStreamDeterministic(t *testing.T) {
-	fx := newChaosFixture(t, 11)
-	applyDeterministicFaults(fx)
-	baseline, err := NewPipeline(fx.cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderReport(baseline)
-
-	dir := t.TempDir()
-	_, _, _, err = runJournaled(t, dir, applyDeterministicFaults, context.Background(),
-		func(j *Journal, cancel context.CancelFunc) {
-			j.AppendHook = func(total int64) {
-				if total == 60 {
-					cancel()
-				}
-			}
-		})
-	if err == nil {
-		t.Fatal("interrupted run reported no error")
-	}
-
-	fx2 := newChaosFixture(t, 11)
-	applyDeterministicFaults(fx2)
-	fx2.cfg.Parallelism = 2
-	j2, err := OpenJournal(dir, fx2.cfg, JournalOptions{CheckpointEvery: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	fx2.cfg.Journal = j2
-	res, err := NewPipeline(fx2.cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderReport(res); got != want {
-		t.Errorf("resumed run at a different worker count diverged:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
 }
 
 // TestPipelineStageTimings sanity-checks the observability surface: every

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,7 +204,8 @@ func checkAgainstModel(t *testing.T, dir string, cfg *Config, m *replayModel, re
 // answers with bytes and empty ones, failures — through the
 // real segment writer, several segments, several frames each, and holds the
 // index OpenJournal builds to the map model; then tears the last frame at
-// every byte and holds it to the model of everything before that frame.
+// every byte, and flips each of its bytes, and holds each to the model of
+// everything before that frame.
 func TestJournalIndexMatchesModel(t *testing.T) {
 	for _, tc := range []struct {
 		seed              int64
@@ -266,23 +268,23 @@ func TestJournalIndexMatchesModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frameStart := 0
-			for off := 0; off < len(whole); {
-				frameStart = off
-				off += frameHeader + int(binary.LittleEndian.Uint32(whole[off:]))
-			}
+			frameStart := lastFrame(whole)
 			before := runModel(cfg, head)
-			for cut := frameStart; cut < len(whole); cut++ {
-				if err := os.WriteFile(last, whole[:cut], 0o644); err != nil {
-					t.Fatal(err)
-				}
-				torn := 1
-				if cut == frameStart {
-					torn = 0 // the file ends on a frame boundary: short, not torn
-				}
-				checkAgainstModel(t, dir, cfg, before, len(head), torn)
-				if t.Failed() {
-					t.Fatalf("torn at byte %d of the last frame (%d bytes)", cut-frameStart, len(whole)-frameStart)
+			for at := frameStart; at < len(whole); at++ {
+				flipped := slices.Clone(whole)
+				flipped[at] ^= 0xFF
+				for _, seg := range [][]byte{whole[:at], flipped} { // torn at the byte, or the byte flipped
+					if err := os.WriteFile(last, seg, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					torn := 1
+					if len(seg) == frameStart {
+						torn = 0 // the file ends on a frame boundary: short, not torn
+					}
+					checkAgainstModel(t, dir, cfg, before, len(head), torn)
+					if t.Failed() {
+						t.Fatalf("byte %d of the last frame (%d bytes), %d of the segment's %d bytes left", at-frameStart, len(whole)-frameStart, len(seg), len(whole))
+					}
 				}
 			}
 		})

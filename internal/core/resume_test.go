@@ -1,7 +1,6 @@
-// Kill-and-resume equivalence: a sweep interrupted at any journal position —
-// checkpoint boundary, mid-segment, even with a torn tail — must, after
-// resume, produce a report byte-identical to an uninterrupted run, without
-// re-querying any probe the journal already answered.
+// Named regressions of an interrupted sweep: a cancelled run's partial
+// result, a journal that cannot be written, and a wedged exchange. Kill and
+// resume at any journal position, torn or not, is TestJournaledSweepMatchesOracle's.
 package core
 
 import (
@@ -10,7 +9,6 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -40,7 +38,9 @@ func renderRecords(res *Result) string {
 // the same way no matter how many exchanges preceded a probe, so an
 // interrupted-then-resumed run (whose per-endpoint sequence counters reset)
 // still sees the exact failure surface an uninterrupted run saw. Rate-based
-// loss or flapping would not satisfy that, by design.
+// loss or flapping would not satisfy that, by design, which is why
+// TestJournaledSweepMatchesOracle draws applyKitchenSink only for a run that
+// is never resumed.
 func applyDeterministicFaults(fx *chaosFixture) {
 	dnsio.SetSimFault(fx.fabric, fx.nsAddrs[1], simnet.FaultProfile{ServFail: true})
 	dnsio.SetSimFault(fx.fabric, fx.nsAddrs[0], simnet.FaultProfile{Blackhole: true})
@@ -70,208 +70,6 @@ func runJournaled(t *testing.T, dir string, faults func(*chaosFixture), ctx cont
 		t.Fatal(cerr)
 	}
 	return res, j, fx, err
-}
-
-// TestResumeByteIdenticalAcrossCuts kills the deterministic-fault chaos
-// pipeline at a spread of journal positions — checkpoint boundaries
-// (CheckpointEvery=8) and mid-segment cuts — resumes each from its journal,
-// and asserts the final report is byte-identical to the uninterrupted run.
-func TestResumeByteIdenticalAcrossCuts(t *testing.T) {
-	fx := newChaosFixture(t, 11)
-	applyDeterministicFaults(fx)
-	baseline, err := NewPipeline(fx.cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderRecords(baseline)
-
-	cuts := []int64{1, 3, 8, 16, 24, 40, 64, 100, 120, 150}
-	for _, cut := range cuts {
-		t.Run(fmt.Sprintf("cut-%d", cut), func(t *testing.T) {
-			dir := t.TempDir()
-			_, _, _, err := runJournaled(t, dir, applyDeterministicFaults, context.Background(),
-				func(j *Journal, cancel context.CancelFunc) {
-					j.AppendHook = func(total int64) {
-						if total == cut {
-							cancel()
-						}
-					}
-				})
-			if err == nil {
-				t.Fatalf("cut %d: interrupted run reported no error", cut)
-			}
-			res, j2, _, err := runJournaled(t, dir, applyDeterministicFaults, context.Background(), nil)
-			if err != nil {
-				t.Fatalf("cut %d: resume failed: %v", cut, err)
-			}
-			// The overlapped sweeps race for the journal's first appends, so a
-			// small cut may hold only failure records (the faulted nameservers
-			// fail fast while the correct sweep is still answering); replayed
-			// state of either kind proves the resume took.
-			if !j2.Resumed() || j2.ReplayedAnswered()+j2.ReplayedFailures() == 0 {
-				t.Fatalf("cut %d: resume replayed nothing (resumed=%v, answered=%d, failed=%d)",
-					cut, j2.Resumed(), j2.ReplayedAnswered(), j2.ReplayedFailures())
-			}
-			if got := renderRecords(res); got != want {
-				t.Errorf("cut %d: resumed report differs from uninterrupted run:\n--- resumed ---\n%s--- baseline ---\n%s",
-					cut, got, want)
-			}
-			checkCoverageConsistent(t, res.Coverage)
-			if res.Coverage.Attempted != chaosPlanSize {
-				t.Errorf("cut %d: resumed coverage attempted %d, want %d (replay must not double-count)",
-					cut, res.Coverage.Attempted, chaosPlanSize)
-			}
-		})
-	}
-}
-
-// TestResumeAtDifferentParallelism pins the plan-hash contract: parallelism
-// is not part of the sweep identity, so a run interrupted at 4 workers
-// resumes at 1 and at 16 with byte-identical output.
-func TestResumeAtDifferentParallelism(t *testing.T) {
-	fx := newChaosFixture(t, 11)
-	applyDeterministicFaults(fx)
-	baseline, err := NewPipeline(fx.cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderRecords(baseline)
-
-	for _, workers := range []int{1, 16} {
-		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			dir := t.TempDir()
-			_, _, _, err := runJournaled(t, dir, applyDeterministicFaults, context.Background(),
-				func(j *Journal, cancel context.CancelFunc) {
-					j.AppendHook = func(total int64) {
-						if total == 60 {
-							cancel()
-						}
-					}
-				})
-			if err == nil {
-				t.Fatal("interrupted run reported no error")
-			}
-			fx2 := newChaosFixture(t, 11)
-			applyDeterministicFaults(fx2)
-			fx2.cfg.Parallelism = workers
-			j2, err := OpenJournal(dir, fx2.cfg, JournalOptions{CheckpointEvery: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j2.Close()
-			fx2.cfg.Journal = j2
-			res, err := NewPipeline(fx2.cfg).Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := renderRecords(res); got != want {
-				t.Errorf("resume at parallelism %d diverged from baseline", workers)
-			}
-		})
-	}
-}
-
-// TestResumeTornTail corrupts the newest segment after an interrupted run —
-// the torn-write a hard kill leaves — and asserts the resume discards the
-// tail, re-queries what it covered, and still converges to the baseline.
-func TestResumeTornTail(t *testing.T) {
-	fx := newChaosFixture(t, 11)
-	applyDeterministicFaults(fx)
-	baseline, err := NewPipeline(fx.cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderRecords(baseline)
-
-	dir := t.TempDir()
-	_, _, _, err = runJournaled(t, dir, applyDeterministicFaults, context.Background(),
-		func(j *Journal, cancel context.CancelFunc) {
-			j.AppendHook = func(total int64) {
-				if total == 80 {
-					cancel()
-				}
-			}
-		})
-	if err == nil {
-		t.Fatal("interrupted run reported no error")
-	}
-	// Tear the tail of the newest non-empty segment (workers that had
-	// nothing left to probe leave empty segments behind).
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var newest string
-	var newestSize int64
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".wal") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Size() >= 16 && e.Name() > newest {
-			newest, newestSize = e.Name(), info.Size()
-		}
-	}
-	if newest == "" {
-		t.Fatal("no non-empty segments written")
-	}
-	if err := os.Truncate(filepath.Join(dir, newest), newestSize-7); err != nil {
-		t.Fatal(err)
-	}
-
-	res, j2, _, err := runJournaled(t, dir, applyDeterministicFaults, context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.ReplayStats().Torn == 0 {
-		t.Error("torn segment went undetected")
-	}
-	if got := renderRecords(res); got != want {
-		t.Errorf("resume over a torn tail diverged from baseline:\n--- resumed ---\n%s--- baseline ---\n%s", got, want)
-	}
-}
-
-// TestResumeZeroRequeries is the acceptance check on query accounting: in a
-// fault-free world, the resumed run's fabric sees exactly the probes the
-// journal did NOT already answer — zero re-queries of answered probes.
-func TestResumeZeroRequeries(t *testing.T) {
-	dir := t.TempDir()
-	_, _, fx1, err := runJournaled(t, dir, nil, context.Background(),
-		func(j *Journal, cancel context.CancelFunc) {
-			j.AppendHook = func(total int64) {
-				if total == 90 {
-					cancel()
-				}
-			}
-		})
-	if err == nil {
-		t.Fatal("interrupted run reported no error")
-	}
-	if fx1.fabric.Exchanges() == 0 {
-		t.Fatal("interrupted run never touched the fabric")
-	}
-
-	res, j2, fx2, err := runJournaled(t, dir, nil, context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := int64(j2.ReplayedAnswered())
-	if replayed == 0 {
-		t.Fatal("nothing replayed")
-	}
-	// Fault-free: every live probe answers on its first exchange, failures
-	// never file, so the resumed fabric's exchange count is exactly the
-	// unanswered remainder of the plan.
-	if got, want := fx2.fabric.Exchanges(), int64(chaosPlanSize)-replayed; got != want {
-		t.Errorf("resumed run issued %d exchanges, want %d (plan %d - %d replayed): answered probes were re-queried",
-			got, want, chaosPlanSize, replayed)
-	}
-	if res.Coverage.Attempted != chaosPlanSize || res.Coverage.Failed() != 0 {
-		t.Errorf("resumed coverage off: %+v", res.Coverage)
-	}
 }
 
 // TestGracefulDrainPartialResult pins the cancellation contract: a cancelled

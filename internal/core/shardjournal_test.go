@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"maps"
 	"net/netip"
@@ -148,7 +147,7 @@ func TestJournalMismatchErrors(t *testing.T) {
 
 // TestMergeShardJournalsValidation pins the merge preconditions: full
 // coverage of the unit range, one plan only, a known transport, and a fresh
-// destination.
+// destination. That overlapping shards merge is TestJournaledSweepMatchesOracle's.
 func TestMergeShardJournalsValidation(t *testing.T) {
 	fx := newChaosFixture(t, 11)
 	mkShard := func(t *testing.T, lo, hi, idx int) string {
@@ -205,25 +204,6 @@ func TestMergeShardJournalsValidation(t *testing.T) {
 		}
 	})
 
-	t.Run("overlap allowed", func(t *testing.T) {
-		// Work stealing produces overlapping shard ranges on purpose.
-		dirs := []string{mkShard(t, 0, 5, 0), mkShard(t, 3, 7, 1)}
-		dst := filepath.Join(t.TempDir(), "m")
-		st, err := MergeShardJournals(dst, fx.cfg, dirs)
-		if err != nil {
-			t.Fatalf("overlapping merge: %v", err)
-		}
-		if st.Dirs != 2 {
-			t.Errorf("merged %d dirs, want 2", st.Dirs)
-		}
-		// The merged directory is a plain whole-plan journal.
-		j, err := OpenJournal(dst, fx.cfg, JournalOptions{})
-		if err != nil {
-			t.Fatalf("open merged: %v", err)
-		}
-		j.Close()
-	})
-
 	t.Run("unknown transport refused", func(t *testing.T) {
 		bogus := *fx.cfg
 		bogus.TransportKind = "bogus"
@@ -244,101 +224,6 @@ func TestMergeShardJournalsValidation(t *testing.T) {
 			t.Fatalf("manifestless merge error = %v", err)
 		}
 	})
-}
-
-// TestShardYieldMidRun pins the shard value's cursor. A shard over the
-// nameserver units [1,7) is yielded down to 4 as its third unit completes:
-// its journal must hold every probe of units 1-3 and nothing of 4-6, and —
-// beside the resolver's shard and the thief's shard of the stolen tail — it
-// must still merge into a journal that replays the whole plan without one
-// live exchange, to the single-process report.
-func TestShardYieldMidRun(t *testing.T) {
-	const perNS = (12 + 1) * 2 // every target plus the canary, A and TXT
-	sweep := func(sd ShardDesc, arm func(*Shard)) (string, *Result, *Journal) {
-		t.Helper()
-		fx := newChaosFixture(t, 11)
-		// One worker, so the unit that finishes third is the third unit.
-		fx.cfg.Parallelism = 1
-		scfg := ShardConfig(fx.cfg, sd)
-		if arm != nil {
-			arm(scfg.Shard)
-		}
-		dir := filepath.Join(t.TempDir(), "shard")
-		j, err := OpenJournal(dir, scfg, JournalOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scfg.Journal = j
-		res, err := NewPipeline(scfg).Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir, res, j
-	}
-
-	var yielded *Shard
-	victimDir, res, j := sweep(ShardDesc{Index: 1, Lo: 1, Hi: 7, Units: 7}, func(sh *Shard) {
-		yielded = sh
-		sh.Progress = func(done int) {
-			if done == 3 && !sh.Yield(4) {
-				t.Error("Yield(4) did not move the cursor")
-			}
-		}
-	})
-	if yielded.Yield(5) {
-		t.Error("a yield moved the cursor back up")
-	}
-	if got := yielded.Done(); got != 3 {
-		t.Errorf("shard completed %d units, want 3", got)
-	}
-	if got := j.Appended(); got != 3*perNS {
-		t.Errorf("shard journal holds %d records, want %d (units 1-3 in full)", got, 3*perNS)
-	}
-	servers := newChaosFixture(t, 11).nsAddrs
-	if cov := res.Coverage; len(cov.PerServer) != 3 {
-		t.Errorf("swept %d servers, want 3: %+v", len(cov.PerServer), cov.PerServer)
-	} else {
-		for i, sc := range cov.PerServer {
-			if sc.Addr != servers[i] || sc.Answered != perNS {
-				t.Errorf("unit %d: swept %s with %d answers, want %s with %d", i+1, sc.Addr, sc.Answered, servers[i], perNS)
-			}
-		}
-	}
-	if len(res.Suspicious) != 0 {
-		t.Errorf("a shard run classified %d records", len(res.Suspicious))
-	}
-
-	resolverDir, _, _ := sweep(ShardDesc{Index: 0, Lo: 0, Hi: 1, Units: 7}, nil)
-	thiefDir, _, _ := sweep(ShardDesc{Index: 2, Lo: 4, Hi: 7, Units: 7}, nil)
-	merged := filepath.Join(t.TempDir(), "merged")
-	full := newChaosFixture(t, 11)
-	if _, err := MergeShardJournals(merged, full.cfg, []string{resolverDir, victimDir, thiefDir}); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	mj, err := OpenJournal(merged, full.cfg, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.cfg.Journal = mj
-	got, err := NewPipeline(full.cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mj.Close()
-	if mj.ReplayedAnswered() != chaosPlanSize || full.fabric.Exchanges() != 0 {
-		t.Errorf("merged run replayed %d of %d probes and issued %d live exchanges",
-			mj.ReplayedAnswered(), chaosPlanSize, full.fabric.Exchanges())
-	}
-	want, err := NewPipeline(newChaosFixture(t, 11).cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderRecords(got) != renderRecords(want) {
-		t.Error("merged report differs from the single-process run")
-	}
 }
 
 // sweepShard runs one shard of the chaos fixture's plan into a fresh shard
@@ -396,137 +281,6 @@ func TestMergeRefusesV1ShardJournal(t *testing.T) {
 	}
 	if after := dirBytes(t, v1Dir); !maps.Equal(after, before) {
 		t.Error("the refused merge and open changed the version 1 source")
-	}
-}
-
-// TestMergeShardJournalsKilledBetweenSegments stops a merge between two
-// segments — the second source ends in a "segment" that cannot be linked —
-// and leaves a torn stray file beside the links. Every merged segment must be
-// its source file, linked, not a copy. The directory the stopped merge
-// leaves must refuse to open, or resume to the single-process report; it must
-// never replay a partial merge as whole. Merging the intact sources again
-// into a fresh directory replays the whole plan.
-func TestMergeShardJournalsKilledBetweenSegments(t *testing.T) {
-	srcs := make([]string, 2)
-	srcs[0], _ = sweepShard(t, ShardDesc{Index: 0, Lo: 0, Hi: 3, Units: 7})
-	srcs[1], _ = sweepShard(t, ShardDesc{Index: 1, Lo: 3, Hi: 7, Units: 7})
-	var segs []string // every source segment, in merge order
-	for _, src := range srcs {
-		names, _, err := segmentNames(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range names {
-			segs = append(segs, filepath.Join(src, n))
-		}
-	}
-	// The second source again (its files linked, so its segments are still
-	// the ones in segs), ending in a "segment" that is a directory, which
-	// cannot be hard-linked.
-	broken := filepath.Join(t.TempDir(), "broken")
-	if err := os.MkdirAll(filepath.Join(broken, "seg-99999.wal"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(srcs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := os.Link(filepath.Join(srcs[1], e.Name()), filepath.Join(broken, e.Name())); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	full := newChaosFixture(t, 11)
-	killed := filepath.Join(t.TempDir(), "killed")
-	if _, err := MergeShardJournals(killed, full.cfg, []string{srcs[0], broken}); err == nil {
-		t.Fatal("a merge over a segment it cannot link reported success")
-	}
-	if _, err := os.Stat(filepath.Join(killed, manifestName)); !os.IsNotExist(err) {
-		t.Fatalf("the stopped merge wrote its manifest (stat: %v)", err)
-	}
-	copied, _, err := segmentNames(killed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(copied) != len(segs) {
-		t.Fatalf("the stopped merge left %d segments, want the %d before the unreadable one", len(copied), len(segs))
-	}
-	for i, n := range copied {
-		got, err := os.ReadFile(filepath.Join(killed, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(segs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s does not hold the bytes of %s", n, segs[i])
-		}
-		gi, err := os.Stat(filepath.Join(killed, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wi, err := os.Stat(segs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !os.SameFile(gi, wi) {
-			t.Errorf("%s is a copy of %s, not a link to it", n, segs[i])
-		}
-	}
-	// A stray, torn file no replay reads.
-	torn, err := os.ReadFile(segs[len(segs)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := filepath.Join(killed, "seg-99999.wal.tmp")
-	if err := os.WriteFile(tmp, torn[:len(torn)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := NewPipeline(newChaosFixture(t, 11).cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderRecords(ref)
-	resumeFrom := func(dir string) (string, *Journal, *chaosFixture, error) {
-		fx := newChaosFixture(t, 11)
-		j, err := OpenJournal(dir, fx.cfg, JournalOptions{})
-		if err != nil {
-			return "", nil, fx, err
-		}
-		fx.cfg.Journal = j
-		res, err := NewPipeline(fx.cfg).Run(context.Background())
-		if cerr := j.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderRecords(res), j, fx, nil
-	}
-	if got, _, _, err := resumeFrom(killed); err == nil && got != want {
-		t.Error("the directory a stopped merge left opened and resumed to a different report")
-	} else if err != nil && !strings.Contains(err.Error(), "no manifest") {
-		t.Errorf("the directory a stopped merge left was refused for the wrong reason: %v", err)
-	}
-
-	again := filepath.Join(t.TempDir(), "again")
-	if _, err := MergeShardJournals(again, full.cfg, srcs); err != nil {
-		t.Fatalf("merge of the intact sources: %v", err)
-	}
-	if names, _ := os.ReadDir(again); len(names) != len(segs)+1 {
-		t.Errorf("the completed merge left %d files, want %d segments and the manifest", len(names), len(segs))
-	}
-	got, j, fx, err := resumeFrom(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want || j.ReplayedAnswered() != chaosPlanSize || fx.fabric.Exchanges() != 0 {
-		t.Errorf("the completed merge replayed %d of %d probes with %d live exchanges; report equal: %v",
-			j.ReplayedAnswered(), chaosPlanSize, fx.fabric.Exchanges(), got == want)
 	}
 }
 

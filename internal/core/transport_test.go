@@ -1,8 +1,9 @@
-// Transport byte-identity: the ISSUE's acceptance criterion that a sweep's
-// report is a pure function of (world seed, fault surface) — never of the
-// wire transport carrying it. DoT and DoH route through the same fabric
-// endpoints as UDP, so chaos draws are identical and the modeled crypto
-// costs land exclusively on the virtual clock.
+// Transports: a sweep's report is a pure function of (world seed, fault
+// surface), never of the wire transport carrying it — which
+// TestJournaledSweepMatchesOracle draws — and the modeled crypto costs land
+// only on the virtual clock. DoT and DoH route through the same fabric
+// endpoints as UDP, so chaos draws are identical. A journal keeps one
+// transport for its life.
 package core
 
 import (
@@ -16,124 +17,6 @@ import (
 // transportSweepKinds are the sweep dimensions (plain TCP is a fallback
 // mechanism, not a sweep transport; see transport.SweepKinds).
 var transportSweepKinds = []string{"udp", "dot", "doh"}
-
-// TestTransportSweepByteIdentical pins the tentpole invariant across the
-// full grid: every transport x parallelism x fault surface yields a report
-// byte-identical to the plain-UDP baseline, coverage books included.
-func TestTransportSweepByteIdentical(t *testing.T) {
-	grids := []struct {
-		name   string
-		faults func(fx *chaosFixture)
-	}{
-		{"zero-fault", nil},
-		{"deterministic-faults", applyDeterministicFaults},
-		{"kitchen-sink", applyKitchenSink},
-	}
-	for _, g := range grids {
-		t.Run(g.name, func(t *testing.T) {
-			var want string
-			for _, kind := range transportSweepKinds {
-				for _, par := range []int{1, 4, 16} {
-					fx := newChaosFixture(t, 11)
-					if g.faults != nil {
-						g.faults(fx)
-					}
-					fx.cfg.TransportKind = kind
-					fx.cfg.Parallelism = par
-					res, err := NewPipeline(fx.cfg).Run(context.Background())
-					if err != nil {
-						t.Fatalf("%s/p%d: %v", kind, par, err)
-					}
-					checkCoverageConsistent(t, res.Coverage)
-					checkNoFalseRecords(t, fx, res)
-					got := renderReport(res)
-					if want == "" {
-						want = got
-						continue
-					}
-					if got != want {
-						t.Errorf("%s at parallelism %d diverged from the udp baseline", kind, par)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestTransportKillAndResume interrupts a journaled sweep mid-run on each
-// transport, resumes it from the same directory, and asserts byte-identity
-// with that transport's uninterrupted run — and with the udp baseline. The
-// udp-sync case journals with SyncEvery 1, an fsync after every checkpoint.
-func TestTransportKillAndResume(t *testing.T) {
-	fx := newChaosFixture(t, 11)
-	applyDeterministicFaults(fx)
-	baseline, err := NewPipeline(fx.cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderRecords(baseline)
-
-	type input struct {
-		name, kind string
-		opts       JournalOptions
-	}
-	var inputs []input
-	for _, kind := range transportSweepKinds {
-		inputs = append(inputs, input{kind, kind, JournalOptions{CheckpointEvery: 8}})
-	}
-	inputs = append(inputs, input{"udp-sync", "udp", JournalOptions{CheckpointEvery: 8, SyncEvery: 1}})
-	for _, in := range inputs {
-		kind := in.kind
-		t.Run(in.name, func(t *testing.T) {
-			dir := t.TempDir()
-			run := func(hook func(*Journal, context.CancelFunc)) (*Result, *Journal, error) {
-				fx := newChaosFixture(t, 11)
-				applyDeterministicFaults(fx)
-				fx.cfg.TransportKind = kind
-				j, err := OpenJournal(dir, fx.cfg, in.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				if hook != nil {
-					hook(j, cancel)
-				}
-				fx.cfg.Journal = j
-				res, err := NewPipeline(fx.cfg).Run(cctx)
-				if cerr := j.Close(); cerr != nil {
-					t.Fatal(cerr)
-				}
-				return res, j, err
-			}
-
-			_, _, err := run(func(j *Journal, cancel context.CancelFunc) {
-				j.AppendHook = func(total int64) {
-					if total == 60 {
-						cancel()
-					}
-				}
-			})
-			if err == nil {
-				t.Fatal("interrupted run reported no error")
-			}
-			res, j2, err := run(nil)
-			if err != nil {
-				t.Fatalf("resume failed: %v", err)
-			}
-			if !j2.Resumed() || j2.ReplayedAnswered()+j2.ReplayedFailures() == 0 {
-				t.Fatal("resume replayed nothing")
-			}
-			if got := renderRecords(res); got != want {
-				t.Errorf("%s kill-and-resume diverged from the udp baseline:\n--- resumed ---\n%s--- baseline ---\n%s",
-					kind, got, want)
-			}
-			if res.Coverage.Attempted != chaosPlanSize {
-				t.Errorf("resumed coverage attempted %d, want %d", res.Coverage.Attempted, chaosPlanSize)
-			}
-		})
-	}
-}
 
 // TestJournalRefusesCrossTransport pins the taxonomy: a journal checkpointed
 // on one transport refuses to resume under another, naming both.

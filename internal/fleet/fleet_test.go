@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/netip"
 	"strings"
@@ -153,7 +155,7 @@ func (l *logCapture) String() string {
 // fleetRun drives a full coordinator+workers round in-process and returns
 // the merged result's fingerprint. workers customises per-worker options
 // (parallelism).
-func fleetRun(t *testing.T, seed int64, chaos bool, dir string, co *Coordinator, workers []WorkerOptions) (*core.Result, []error) {
+func fleetRun(t *testing.T, seed int64, chaos bool, co *Coordinator, workers []WorkerOptions) (*core.Result, []error) {
 	t.Helper()
 	if err := co.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -254,71 +256,35 @@ func TestSplitPlan(t *testing.T) {
 	}
 }
 
-// TestFleetByteIdenticalAcrossShards is the re-shard determinism pin: the
-// merged report from 1, 2, 4, and 7 shards (uneven split), at parallelism 1
-// and 4, chaos on, must be byte-identical to the single-process run.
+// TestFleetByteIdenticalAcrossShards is the re-shard determinism pin: each
+// seed draws a world, a shard count (1-7, split unevenly), each worker's
+// parallelism and whether chaos faults are on, and the merged report must be
+// byte-identical to the single-process run of the same world.
 func TestFleetByteIdenticalAcrossShards(t *testing.T) {
-	const seed = 11
-	want := baselineRun(t, seed, true)
-	for _, shards := range []int{1, 2, 4, 7} {
-		for _, par := range []int{1, 4} {
-			t.Run(fmt.Sprintf("shards=%d/par=%d", shards, par), func(t *testing.T) {
-				dir := t.TempDir()
-				var lg logCapture
-				co, err := NewCoordinator(newFleetFixture(t, seed, true).cfg, CoordOptions{
-					Dir: dir, Shards: shards, CheckpointEvery: 8,
-					StealAfter: time.Minute, Logf: lg.logf,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				nWorkers := 2
-				if shards == 1 {
-					nWorkers = 1
-				}
-				workers := make([]WorkerOptions, nWorkers)
-				for i := range workers {
-					workers[i] = WorkerOptions{Name: fmt.Sprintf("w%d", i), Parallelism: par, CheckpointEvery: 8, Logf: lg.logf}
-				}
-				res, errs := fleetRun(t, seed, true, dir, co, workers)
-				for i, err := range errs {
-					if err != nil {
-						t.Errorf("worker %d: %v", i, err)
-					}
-				}
-				if got := renderRecords(res); got != want {
-					t.Errorf("merged report differs from single-process run (%d shards, par %d):\ngot  %d bytes\nwant %d bytes\nlog:\n%s",
-						shards, par, len(got), len(want), lg.String())
-				}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		world, shards, chaos := 11+12*rng.Int63n(2), 1+rng.Intn(7), rng.Intn(2) == 0
+		workers := make([]WorkerOptions, min(shards, 2))
+		for i := range workers {
+			workers[i] = WorkerOptions{Name: fmt.Sprintf("w%d", i), Parallelism: []int{1, 2, 4, 16}[rng.Intn(4)], CheckpointEvery: 8}
+		}
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Logf("world %d, %d shards, chaos %v, workers %+v", world, shards, chaos, workers)
+			var lg logCapture
+			co, err := NewCoordinator(newFleetFixture(t, world, chaos).cfg, CoordOptions{
+				Dir: t.TempDir(), Shards: shards, CheckpointEvery: 8, StealAfter: time.Minute, Logf: lg.logf,
 			})
-		}
-	}
-}
-
-// TestFleetByteIdenticalNoChaos covers the fault-free plan point of the
-// (shards × parallelism × chaos) grid.
-func TestFleetByteIdenticalNoChaos(t *testing.T) {
-	const seed = 23
-	want := baselineRun(t, seed, false)
-	var lg logCapture
-	co, err := NewCoordinator(newFleetFixture(t, seed, false).cfg, CoordOptions{
-		Dir: t.TempDir(), Shards: 4, CheckpointEvery: 8, StealAfter: time.Minute, Logf: lg.logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	workers := []WorkerOptions{
-		{Name: "w0", Parallelism: 4, CheckpointEvery: 8},
-		{Name: "w1", Parallelism: 4, CheckpointEvery: 8},
-	}
-	res, errs := fleetRun(t, seed, false, "", co, workers)
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("worker %d: %v", i, err)
-		}
-	}
-	if got := renderRecords(res); got != want {
-		t.Errorf("merged no-chaos report differs from single-process run\nlog:\n%s", lg.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, errs := fleetRun(t, world, chaos, co, workers)
+			if err := errors.Join(errs...); err != nil {
+				t.Error(err)
+			}
+			if got := renderRecords(res); got != baselineRun(t, world, chaos) {
+				t.Errorf("merged report differs from the single-process run\nlog:\n%s", lg.String())
+			}
+		})
 	}
 }
 
@@ -520,7 +486,7 @@ func TestFleetCoordinatorRestart(t *testing.T) {
 		{Name: "w0", Parallelism: 2, CheckpointEvery: 8},
 		{Name: "w1", Parallelism: 2, CheckpointEvery: 8},
 	}
-	res, errs := fleetRun(t, seed, true, dir, co2, workers)
+	res, errs := fleetRun(t, seed, true, co2, workers)
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("phase-2 worker %d: %v", i, err)
