@@ -34,7 +34,7 @@ var censusKeep = map[string]string{
 	"internal/dns.MustParseRR":               "tests of seven packages build records from zone-file text",
 	"internal/resolver.Recursive.LookupA":    "resolver and scenario tests resolve a name with it",
 	"internal/zone.Zone.MemoSize":            "authority and hosting tests check the zone memo's fill and cap",
-	"internal/resolver.Recursive.CacheSize":  "resolver tests check the answer cache stays within its cap",
+	"internal/resolver.Recursive.CacheSize":  "resolver tests count cached questions: none while caching is off, none added by a hit, none past the question cap",
 	"internal/authority.Server.Queries":      "authority and core tests count the queries a server answered",
 	"internal/dnsio.BreakerSet.Open":         "dnsio's breaker tests check which servers' breakers are open",
 	"internal/fleet.Coordinator.Addr":        "fleet tests dial the coordinator's listener",

@@ -288,7 +288,9 @@ func (j *sweepJob) fail(kind sweepKind, pos probePos, name dns.Name, qt dns.Type
 // was decoded from, for the caller to derive and answers.put.
 // Both are nil when the probe failed and now sits on j.fails, or was
 // replayed as an answer with nothing in it. A non-nil error is fatal to the
-// sweep (cancellation, journal write failure).
+// sweep (cancellation, journal write failure). A probe the sweep's
+// cancellation cut off is left for a resume: not attempted, filed or
+// journaled.
 //
 // On a resumed run the journal is asked first. An answered probe is booked
 // answered — one that had also failed books a recovery — and, unless it was
@@ -334,10 +336,13 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 		return nil, nil, nil, ctx.Err()
 	default:
 	}
-	j.attempted++
 	j.issued++
 	w.scratch.Known, w.kind, w.seen = w, kind, nil
 	resp, wire, err = j.c.client.QueryInto(ctx, &w.scratch, j.server, name, qt)
+	if err != nil && ctx.Err() != nil {
+		return nil, nil, nil, ctx.Err()
+	}
+	j.attempted++
 	if err != nil {
 		class := dnsio.Classify(err)
 		j.fail(kind, pos, name, qt, class)
@@ -484,7 +489,8 @@ func (c *Collector) requeueOn(ctx context.Context, kind sweepKind, onAnswer func
 // and handed to onAnswer; one that fails again takes its new failure class,
 // is journaled, and is kept. It returns the probes still unanswered and
 // the queries it issued. A cancellation or a journal write error stops it, and
-// still then also holds every probe it did not reach. Callers book
+// still then also holds every probe it did not reach; a probe the
+// cancellation cut off is kept as it was, not journaled. Callers book
 // len(fails)-len(still) recoveries, which counts a probe that answered but
 // whose answer could not be journaled: its recovery is booked as if before
 // the write. still reuses fails' storage.
@@ -497,6 +503,9 @@ func (c *Collector) retry(ctx context.Context, scratch *dnsio.Scratch, seg *segm
 		issued++
 		server := netip.AddrPortFrom(f.ns.Addr, dnsio.DNSPort)
 		resp, wire, qerr := c.client.QueryInto(ctx, scratch, server, f.domain, f.qtype)
+		if qerr != nil && ctx.Err() != nil {
+			return append(still, fails[i:]...), issued, ctx.Err()
+		}
 		if qerr != nil {
 			f.class = dnsio.Classify(qerr)
 			still = append(still, f)

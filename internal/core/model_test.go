@@ -199,8 +199,8 @@ type opening struct {
 // resume finds every record appended before unless a segment was torn,
 // nothing outside the plan, and no answered probe twice unless shards
 // overlap — and the run to booking each record it appends once; with no
-// faults, a leg that finishes must query exactly the probes the journal did
-// not answer.
+// faults, a leg that finishes must book no failure and no recovery, and
+// query exactly the probes the journal did not answer.
 func (m *modelRun) sweep(fx *chaosFixture, cfg *Config, dir string, l sweepLeg, want opening) (*Result, *Journal, bool) {
 	t := m.t
 	t.Helper()
@@ -244,6 +244,9 @@ func (m *modelRun) sweep(fx *chaosFixture, cfg *Config, dir string, l sweepLeg, 
 		t.Errorf("%s: %d records appended by the run's end, %d at Close; the hook saw %v", dir, released, j.Appended(), hooked)
 	}
 	m.census[fmt.Sprintf("sweep %s %s p%d", profileNames[m.d.profile], m.d.transport, l.par)] = true
+	if cov := res.Coverage; !killed && m.d.profile == 0 && (cov.Failed() != 0 || cov.RetriedRecovered != 0) {
+		t.Errorf("%s: a fault-free leg booked %d failures and %d recoveries", dir, cov.Failed(), cov.RetriedRecovered)
+	}
 	if !killed && m.d.profile == 0 && (cfg.Shard == nil || cfg.Shard.Done() == cfg.PlanUnits()) {
 		if got, want := fx.fabric.Exchanges(), int64(planProbes(cfg)-j.ReplayedAnswered()); got != want {
 			t.Errorf("%s: %d live exchanges, want %d (%d probes, %d replayed): an answered probe was queried again",

@@ -11,6 +11,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,5 +214,48 @@ func TestWatchdogUnwedgesStalledWorker(t *testing.T) {
 	// Every stalled probe recovers on retry, so coverage ends complete.
 	if cov.Failed() != 0 {
 		t.Errorf("unrecovered failures remain: %+v", cov.FailedByClass)
+	}
+}
+
+// cancelTransport wraps the sim transport and cancels the sweep from inside
+// its at-th exchange, which then fails with the cancellation, as a socket
+// read does when its context ends.
+type cancelTransport struct {
+	inner  dnsio.Transport
+	at     int64
+	n      atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelTransport) Exchange(ctx context.Context, buf []byte, server netip.AddrPort, packed []byte, tcp bool) ([]byte, error) {
+	if c.n.Add(1) == c.at {
+		c.cancel()
+		return nil, ctx.Err()
+	}
+	return c.inner.Exchange(ctx, buf, server, packed, tcp)
+}
+
+// TestResumeAfterCancelBooksNoRecovery: a probe the sweep's cancellation cuts
+// off inside its exchange is not a failure. The journal holds no failure
+// record for it, and the fault-free sweep's resume books no failure and no
+// recovery, as the uninterrupted run does.
+func TestResumeAfterCancelBooksNoRecovery(t *testing.T) {
+	dir := t.TempDir()
+	var ct *cancelTransport
+	_, _, _, err := runJournaled(t, dir, func(fx *chaosFixture) {
+		fx.cfg.Parallelism = 1
+		ct = &cancelTransport{inner: &dnsio.SimTransport{Fabric: fx.fabric, Src: fx.cfg.SrcAddr}, at: 100}
+		fx.cfg.Transport = ct
+	}, context.Background(), func(_ *Journal, cancel context.CancelFunc) { ct.cancel = cancel })
+	if !errors.Is(err, context.Canceled) || ct.n.Load() < ct.at {
+		t.Fatalf("the run ended after %d exchanges with %v, want a cancellation in exchange %d", ct.n.Load(), err, ct.at)
+	}
+	res, j, _, err := runJournaled(t, dir, nil, context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cov := res.Coverage; j.ReplayedFailures() != 0 || cov.Failed() != 0 || cov.RetriedRecovered != 0 || cov.Attempted != chaosPlanSize {
+		t.Errorf("the journal held %d failures; the resume attempted %d of %d probes, failed %d and recovered %d",
+			j.ReplayedFailures(), cov.Attempted, chaosPlanSize, cov.Failed(), cov.RetriedRecovered)
 	}
 }

@@ -1,10 +1,10 @@
 // Package readmap provides a typed concurrent map for tables that are read
 // far more often than they grow: the simulated fabric's hosts, the open
-// resolvers' zone cuts and upstream memo, the breakers of servers that
-// failed and the encrypted sim transports' handshake set. A lookup of a
-// published entry takes no lock and writes nothing, and neither does a lookup
-// that misses while no entry is waiting to be published; keys are hashed by
-// their own type, never as interfaces.
+// resolvers' zone cuts, question ids and upstream memo, the breakers of
+// servers that failed and the encrypted sim transports' handshake set. A
+// lookup of a published entry takes no lock and writes nothing, and neither
+// does a lookup that misses while no entry is waiting to be published; keys
+// are hashed by their own type, never as interfaces.
 //
 // It does not suit a table that several workers fill during one operation
 // and read back at once: until the next publish, every such read takes the

@@ -212,6 +212,45 @@ func TestPoolSharesCutsNotAnswers(t *testing.T) {
 	}
 }
 
+// TestPoolNumbersQuestionsOnce: two resolvers of a pool asked the same N
+// questions hold N entries each, under the N ids the pool gave them. Where the answer does not depend on who asked, both entries name one
+// stored answer; a geo-aware zone's two countries keep their different
+// answers under one id. The second resolver, asked after the pool numbered
+// every question, holds an array of exactly that many entries.
+func TestPoolNumbersQuestionsOnce(t *testing.T) {
+	w := buildWorld(t)
+	addGeoZone(t, w)
+	pool, err := NewPool(w.fabric, w.ipdb, []netip.Addr{w.reg.RootAddr()}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := pool.Resolvers[0], pool.Resolvers[1]
+	questions := []dns.Question{{Name: "example.com", Type: dns.TypeA}, {Name: "example.com", Type: dns.TypeTXT},
+		{Name: "www.example.com", Type: dns.TypeA}, {Name: "ext.example.com", Type: dns.TypeA},
+		{Name: "missing.example.com", Type: dns.TypeA}, {Name: "geo.com", Type: dns.TypeA}}
+	for _, o := range pool.Resolvers {
+		for _, q := range questions {
+			if _, err := o.rec.Resolve(context.Background(), q.Name, q.Type); err != nil {
+				t.Fatalf("%s resolving %v: %v", o.Country, q, err)
+			}
+		}
+	}
+	// The first resolver's walk also resolved example.com's NS host; the
+	// second started from the cut it left.
+	n := pool.Questions()
+	if n != len(questions)+1 || a.rec.CacheSize() != n || b.rec.CacheSize() != len(questions) || len(b.rec.cache) != n {
+		t.Errorf("pool numbered %d questions; the resolvers hold %d and %d entries, the second in %d slots",
+			n, a.rec.CacheSize(), b.rec.CacheSize(), len(b.rec.cache))
+	}
+	for _, q := range questions {
+		id := a.rec.questionID(questionKey(q.Name, q.Type))
+		ea, eb := a.rec.cache[id], b.rec.cache[id]
+		if geo := q.Name == "geo.com"; ea.answer == 0 || eb.answer == 0 || geo != (ea.answer != eb.answer) {
+			t.Errorf("%v under id %d: answers %d and %d (geo-aware: %v)", q, id, ea.answer, eb.answer, geo)
+		}
+	}
+}
+
 // TestCutDeadServersForgotten: when every server of a cached cut fails the
 // cut is dropped and the roots are asked again, once; a zone whose servers
 // are really gone ends in the ErrLame an uncached walk reports, and is found

@@ -28,7 +28,7 @@ func (s *shared) cutsByZone() map[dns.Name]*cut {
 
 // DisableCaches turns r's answer and zone-cut caches off, for the uncached
 // reference walk.
-func (r *Recursive) DisableCaches() { r.cacheLimit = 0 }
+func (r *Recursive) DisableCaches() { r.uncached = true }
 
 // KnownAnswers is the number of entries in the pool's upstream memo.
 func (p *Pool) KnownAnswers() int {
@@ -41,4 +41,17 @@ func SetUpstreamMemoCap(n int) (restore func()) {
 	old := upstreamMemoCap
 	upstreamMemoCap = n
 	return func() { upstreamMemoCap = old }
+}
+
+// Questions is the number of questions the pool has numbered.
+func (p *Pool) Questions() int {
+	return int(p.Resolvers[0].rec.shared.nIDs.Load())
+}
+
+// SetMaxQuestions sets the cap on the pool's question ids and returns the
+// function that restores it.
+func SetMaxQuestions(n int) (restore func()) {
+	old := maxQuestions
+	maxQuestions = n
+	return func() { maxQuestions = old }
 }

@@ -106,7 +106,7 @@ func TestUpstreamMemoKeysOnQuestion(t *testing.T) {
 		t.Fatal("y.same.com was answered with the response stored for x.same.com")
 	}
 	alone := NewRecursive(dnsio.NewClient(&dnsio.SimTransport{Fabric: w.fabric, Src: b.Addr}), roots)
-	alone.cacheLimit = 0
+	alone.DisableCaches()
 	want, err := alone.Resolve(context.Background(), "y.same.com", dns.TypeA)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestUpstreamMemoKeysOnQuestion(t *testing.T) {
 	}
 }
 
-// TestUpstreamMemoOffWithCacheOff: a cache limit of 0 turns the memo off
+// TestUpstreamMemoOffWithCacheOff: DisableCaches turns the memo off
 // with the caches. Such a resolver leaves no entry, and does not take the one
 // another resolver of its pool left.
 func TestUpstreamMemoOffWithCacheOff(t *testing.T) {
@@ -126,7 +126,7 @@ func TestUpstreamMemoOffWithCacheOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	off, on := pool.Resolvers[0], pool.Resolvers[1]
-	off.rec.cacheLimit = 0
+	off.rec.DisableCaches()
 	resolveCounting(t, w, off, "example.com")
 	if n := pool.KnownAnswers(); n != 0 {
 		t.Fatalf("a resolver with its caches off left %d entries in the memo", n)

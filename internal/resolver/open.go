@@ -45,14 +45,14 @@ func (o *OpenResolver) HandleQuery(_ netip.Addr, q *dns.Message) *dns.Message {
 
 // AppendWire implements dnsio.WireResponder for a plain query
 // (dns.ParseQuery) of class IN with RD set: it resolves the question once and
-// appends the reply HandleQuery builds and dnsio packs for it. The resolver's
-// cache is looked up by the key of the question's wire bytes, so a cached
-// answer is found without the name becoming a dns.Name. A resolved answer the
-// pool stores goes out as the query's ID, QR|RD|RA|RCODE, and the stored wire
-// form after its flags; one too long for the UDP payload size, and one a
-// resolver that caches nothing resolved, is built from the message and
-// packed, truncated over UDP. A failed resolution is SERVFAIL. Every other
-// shape is declined before anything is resolved.
+// appends the reply HandleQuery builds and dnsio packs for it. The question's
+// id is found by the key of its wire bytes, so a cached answer is found
+// without the name becoming a dns.Name. A resolved answer the pool stores
+// goes out as the query's ID, QR|RD|RA|RCODE, and the stored wire form after
+// its flags; one too long for the UDP payload size, and one a resolver that
+// caches nothing resolved, is built from the message and packed, truncated
+// over UDP. A failed resolution is SERVFAIL. Every other shape is declined
+// before anything is resolved.
 func (o *OpenResolver) AppendWire(dst []byte, _ netip.Addr, raw []byte, via string) ([]byte, bool) {
 	const qr, rd, ra = 1 << 15, 1 << 8, 1 << 7
 	var buf [255]byte
@@ -61,15 +61,15 @@ func (o *OpenResolver) AppendWire(dst []byte, _ netip.Addr, raw []byte, via stri
 		return dst, false
 	}
 	now := o.rec.seconds()
-	key := questionKey(q.Name, q.Type)
-	a, hit := o.rec.cacheGet(key, now)
+	id := o.rec.questionID(questionKey(q.Name, q.Type))
+	a, hit := o.rec.cacheGet(id, now)
 	if hit {
 		asked := a.msg.Questions[0]
 		hit = string(asked.Name) == string(q.Name) && asked.Type == q.Type
 	}
 	if !hit {
 		var err error
-		a, err = o.rec.walk(context.Background(), dns.Question{Name: dns.Name(q.Name), Type: q.Type, Class: q.Class}, key, 0, now)
+		a, err = o.rec.walk(context.Background(), dns.Question{Name: dns.Name(q.Name), Type: q.Type, Class: q.Class}, id, 0, now)
 		if err != nil {
 			return q.AppendReply(dst, qr|rd|ra|uint16(dns.RCodeServFail)), true
 		}
@@ -121,8 +121,8 @@ func newOpenResolver(fabric *simnet.Fabric, addr netip.Addr, country string, roo
 }
 
 // Pool is a set of open resolvers spread across countries. They share one
-// zone-cut cache and one store of response contents; each keeps its own
-// answers and their lifetimes.
+// zone-cut cache, one numbering of questions and one store of response
+// contents; each keeps its own answers and their lifetimes.
 type Pool struct {
 	Resolvers []*OpenResolver
 }

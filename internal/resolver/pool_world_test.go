@@ -58,15 +58,21 @@ func render(t *testing.T, msg *dns.Message, err error) []byte {
 // before they shared anything. The sweep runs once with the upstream memo at
 // its cap, where most answers are recognised, and once with a memo that
 // fills within the first walks, where concurrent resolutions race for its
-// last places and the rest decode as they would without it.
+// last places and the rest decode as they would without it. A third sweep
+// caps the pool's question ids at 16, far fewer than it is asked: every
+// question is still answered as without caches, and neither the ids nor any
+// resolver's cache grows past the cap.
 func TestPoolConcurrentMatchesUnshared(t *testing.T) {
 	for _, input := range []struct {
-		name    string
-		memoCap int
-	}{{"memo", -1}, {"memo full at 16", 16}} {
+		name                  string
+		memoCap, maxQuestions int
+	}{{"memo", -1, -1}, {"memo full at 16", 16, -1}, {"16 questions cached", -1, 16}} {
 		t.Run(input.name, func(t *testing.T) {
 			if input.memoCap >= 0 {
 				defer resolver.SetUpstreamMemoCap(input.memoCap)()
+			}
+			if input.maxQuestions >= 0 {
+				defer resolver.SetMaxQuestions(input.maxQuestions)()
 			}
 			w, err := scenario.Generate(scenario.Tiny(), 7)
 			if err != nil {
@@ -76,6 +82,21 @@ func TestPoolConcurrentMatchesUnshared(t *testing.T) {
 			if n := w.Resolvers.KnownAnswers(); n == 0 || input.memoCap >= 0 && n > input.memoCap {
 				t.Errorf("the sweep left %d entries in the upstream memo, cap %d", n, input.memoCap)
 			}
+			capped := func(step string) {
+				if input.maxQuestions < 0 {
+					return
+				}
+				largest := 0
+				for _, o := range w.Resolvers.Resolvers {
+					largest = max(largest, o.Resolver().CacheSize())
+				}
+				if n := w.Resolvers.Questions(); n != input.maxQuestions || largest == 0 || largest > n || len(w.Targets)*len(sweptTypes) <= n {
+					t.Errorf("%s: %d questions numbered, at most %d cached by a resolver, %d asked; cap %d",
+						step, n, largest, len(w.Targets)*len(sweptTypes), input.maxQuestions)
+				}
+			}
+			capped("after the sweep")
+			defer capped("after every question was asked again")
 			ctx := context.Background()
 			roots := []netip.Addr{w.Registry.RootAddr()}
 			for _, o := range w.Resolvers.Resolvers {

@@ -13,10 +13,11 @@
 // resolver has cached, and until when, stays its own (see shared). For the
 // same reason they share a memo of the upstream answers resolutions ended
 // on: a resolution that receives an answer's bytes again books the answer
-// stored for them, without decoding them. A resolver's answer cache is keyed
-// by a hash of the question (questionKey), which an open resolver takes from
-// the query's wire bytes, and replies to a plain query with the bytes its
-// answer is stored under, behind the query's own header word.
+// stored for them, without decoding them. A resolver's answer cache is an
+// array indexed by the pool's id for a question, numbered by a hash of the
+// question (questionKey), which an open resolver takes from the query's wire
+// bytes, and replies to a plain query with the bytes its answer is stored
+// under, behind the query's own header word.
 package resolver
 
 import (
@@ -61,20 +62,20 @@ type Recursive struct {
 	shared *shared
 
 	cacheMu sync.Mutex
-	cache   answerCache // by questionKey
-	// cacheLimit bounds the cache size (1<<16). Tests set 0, which disables
-	// caching, of answers and of zone cuts alike, for the uncached reference
-	// walk.
-	cacheLimit int
+	cache   []cached // by the pool's question id, see shared.questionID
+	// uncached disables caching, of answers and of zone cuts alike, for the
+	// uncached reference walk tests hold the cached one to.
+	uncached bool
 	// now is injectable for TTL tests.
 	now func() time.Time
 }
 
 // cached is one resolver's answer to one question: which stored response,
-// and until when this resolver may serve it. Questions whose keys collide
-// share an entry; the stored response's question says which one it answers.
+// and until when this resolver may serve it; the zero cached is empty.
+// Questions whose keys collide share an id, and so an entry; the stored
+// response's question says which one it answers.
 type cached struct {
-	answer  uint32 // index into shared.answers
+	answer  uint32 // 1 + index into shared.answers
 	expires uint32 // on the resolver's clock, see seconds
 }
 
@@ -89,7 +90,7 @@ type cut struct {
 // shared is the state resolvers can hold in common without changing what any
 // of them answers. Zone cuts: a downward referral is the same whoever asked.
 // Answers: the store holds content only — a resolver's cache maps a question
-// key to an answer id with its own expiry, so a geo-aware zone's per-region
+// id to an answer id with its own expiry, so a geo-aware zone's per-region
 // answers stay with the resolvers that received them while byte-identical
 // responses are stored once, with the wire form they are stored under, which
 // an open resolver replies with behind its own header word
@@ -100,23 +101,31 @@ type cut struct {
 // question that receives the same bytes — from any resolver of the pool,
 // since a geo-aware zone's regions receive different bytes — books the stored
 // answer, with no decode, no response built, packed or interned, and no mu.
-// Entries are immutable once published and never evicted; the tables are
-// bounded by the delegations and the distinct responses a world can produce,
-// the memo by upstreamMemoCap.
+// Question ids: every resolver of a pool is asked nearly every question the
+// pool is, so the pool numbers the questions once and each resolver's cache
+// is an array by that number. Entries are immutable once published and never
+// evicted; the tables are bounded by the delegations and the distinct
+// responses a world can produce, the memo by upstreamMemoCap, the ids by
+// maxQuestions.
 //
 // Every resolver of a pool answers every probe through these tables, so
-// reading them writes nothing: cuts and the memo are readmap.Maps, and
-// answers is a slice header republished on every append (the backing array is
-// only copied when it grows, and a reader never indexes past the header it
-// loaded). Only interning something new takes mu.
+// reading them writes nothing: cuts, the ids and the memo are readmap.Maps,
+// and answers is a slice header republished on every append (the backing
+// array is only copied when it grows, and a reader never indexes past the
+// header it loaded). Only interning or numbering something new takes mu.
 type shared struct {
 	// cuts holds a slot per zone a walk has learned a cut for; the slot holds
 	// the zone's current cut, nil once it is forgotten.
 	cuts    readmap.Map[dns.Name, *atomic.Pointer[cut]]
 	answers atomic.Pointer[[]storedAnswer]
 
-	mu        sync.Mutex        // serialises interning
+	mu        sync.Mutex        // serialises interning and numbering
 	answerIDs map[string]uint32 // wire form of a response to its index in answers
+
+	// ids numbers questions by questionKey, densely from 0; nIDs is how many
+	// it holds.
+	ids  readmap.Map[uint64, uint32]
+	nIDs atomic.Uint32
 
 	// known is the upstream memo, by the hash of an answer's wire form after
 	// the ID; nKnown counts its entries against upstreamMemoCap.
@@ -152,10 +161,39 @@ var (
 	upstreamMemoMaxKey = 512
 )
 
+// maxQuestions caps the pool's question ids, and so each resolver's cache: a
+// question past it is resolved and answered but not cached. At `paper` the
+// pool asks about 4,500 distinct questions. A variable only so a test can
+// reach the cap with a small world.
+var maxQuestions = 1 << 16
+
+// noID is the id of a question that is not cached: one past maxQuestions, or
+// asked of a resolver that caches nothing.
+const noID = math.MaxUint32
+
 func newShared() *shared {
 	s := &shared{answerIDs: make(map[string]uint32), knownSeed: maphash.MakeSeed()}
 	s.answers.Store(new([]storedAnswer))
 	return s
+}
+
+// questionID returns the id of the question whose key is key, numbering it
+// if the pool has not seen it, or noID when maxQuestions are numbered.
+func (s *shared) questionID(key uint64) uint32 {
+	if id, ok := s.ids.Load(key); ok {
+		return id
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.nIDs.Load()
+	if int(n) >= maxQuestions {
+		return noID
+	}
+	id, loaded := s.ids.LoadOrStore(key, n)
+	if !loaded {
+		s.nIDs.Store(n + 1)
+	}
+	return id
 }
 
 // recall returns the memo's entry for the upstream answer resp to q, or nil.
@@ -216,11 +254,10 @@ func NewRecursive(client *dnsio.Client, roots []netip.Addr) *Recursive {
 
 func newRecursive(client *dnsio.Client, roots []netip.Addr, s *shared) *Recursive {
 	return &Recursive{
-		client:     client,
-		root:       cut{zone: dns.Root, servers: roots},
-		shared:     s,
-		cacheLimit: 1 << 16,
-		now:        time.Now,
+		client: client,
+		root:   cut{zone: dns.Root, servers: roots},
+		shared: s,
+		now:    time.Now,
 	}
 }
 
@@ -275,22 +312,22 @@ func (r *Recursive) resolve(ctx context.Context, name dns.Name, qtype dns.Type, 
 		return storedAnswer{}, fmt.Errorf("%w: NS resolution too deep", ErrLoop)
 	}
 	q := dns.Question{Name: name, Type: qtype, Class: dns.ClassINET}
-	key := questionKey(name, qtype)
-	if a, ok := r.cacheGet(key, now); ok && a.msg.Questions[0] == q {
+	id := r.questionID(questionKey(name, qtype))
+	if a, ok := r.cacheGet(id, now); ok && a.msg.Questions[0] == q {
 		return a, nil
 	}
-	return r.walk(ctx, q, key, depth, now)
+	return r.walk(ctx, q, id, depth, now)
 }
 
-// walk resolves q, whose key is key, from the closest cut the resolver knows,
+// walk resolves q, whose id is id, from the closest cut the resolver knows,
 // chasing CNAMEs, and caches the answer.
-func (r *Recursive) walk(ctx context.Context, q dns.Question, key uint64, depth int, now uint32) (storedAnswer, error) {
+func (r *Recursive) walk(ctx context.Context, q dns.Question, id uint32, depth int, now uint32) (storedAnswer, error) {
 	u := resolutionPool.Get().(*resolution)
 	defer resolutionPool.Put(u)
 	// The memo is asked while the walk asks the resolution's own question,
 	// and only by a resolver that caches.
 	u.shared, u.hit, u.s.Known = r.shared, nil, nil
-	if r.cacheLimit > 0 {
+	if !r.uncached {
 		u.s.Known = u
 	}
 	var final *dns.Message
@@ -301,7 +338,7 @@ func (r *Recursive) walk(ctx context.Context, q dns.Question, key uint64, depth 
 			return storedAnswer{}, err
 		}
 		if u.hit != nil {
-			return r.book(key, *u.hit, now), nil
+			return r.book(id, *u.hit, now), nil
 		}
 		if final == nil {
 			final = &dns.Message{
@@ -316,7 +353,7 @@ func (r *Recursive) walk(ctx context.Context, q dns.Question, key uint64, depth 
 		// Done unless the terminal answer is an unchased CNAME.
 		last := lastCNAMETarget(resp.Answers, q.Type)
 		if last == dns.Root {
-			a, e, ok := r.cachePut(q, key, final, now)
+			a, e, ok := r.cachePut(q, id, final, now)
 			if !ok {
 				return storedAnswer{msg: final}, nil
 			}
@@ -433,7 +470,7 @@ func referralCut(resp *dns.Message) (zone dns.Name, ttl uint32, ok bool) {
 // closestCut returns the deepest fresh cached cut at or above name, or the
 // roots when there is none.
 func (r *Recursive) closestCut(name dns.Name, now uint32) (at *cut, fromCache bool) {
-	if r.cacheLimit == 0 {
+	if r.uncached {
 		return &r.root, false
 	}
 	for i := 0; i < len(name); {
@@ -455,7 +492,7 @@ func (r *Recursive) closestCut(name dns.Name, now uint32) (at *cut, fromCache bo
 // walks may both learn the same cut; they computed it from the same referral,
 // so whichever lands last replaces an equal entry.
 func (r *Recursive) learnCut(c *cut) {
-	if r.cacheLimit == 0 {
+	if r.uncached {
 		return
 	}
 	slot, ok := r.shared.cuts.Load(c.zone)
@@ -550,11 +587,11 @@ func (r *Recursive) queryAny(ctx context.Context, u *resolution, servers []netip
 	return nil, fmt.Errorf("%w: %v", ErrLame, lastErr)
 }
 
-// questionKey is what a resolver's answer cache is keyed by: FNV-1a over a
+// questionKey is what the pool numbers questions by: FNV-1a over a
 // question's name, in the lower-cased presentation form dns.Name and
 // dns.ParseQuery share, and its type. Questions of class IN are the only ones
-// a resolver resolves. Two questions may share a key, so an entry answers only
-// the question its stored answer carries.
+// a resolver resolves. Two questions may share a key, and so an id, so an
+// entry answers only the question its stored answer carries.
 func questionKey[N ~string | ~[]byte](name N, t dns.Type) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
@@ -565,23 +602,28 @@ func questionKey[N ~string | ~[]byte](name N, t dns.Type) uint64 {
 	return (h ^ uint64(t&0xFF)) * prime
 }
 
-// cacheGet returns the stored answer r caches under key, if it is fresh at
-// now. The caller checks that the answer's question is the one it asks.
-func (r *Recursive) cacheGet(key uint64, now uint32) (storedAnswer, bool) {
-	if r.cacheLimit == 0 {
-		return storedAnswer{}, false
+// questionID is the pool's id for the question whose key is key, or noID when
+// r caches nothing.
+func (r *Recursive) questionID(key uint64) uint32 {
+	if r.uncached {
+		return noID
 	}
+	return r.shared.questionID(key)
+}
+
+// cacheGet returns the stored answer r caches under id, if it is fresh at
+// now. The caller checks that the answer's question is the one it asks.
+func (r *Recursive) cacheGet(id uint32, now uint32) (storedAnswer, bool) {
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
-	e, ok := r.cache.get(key)
-	if !ok {
+	if uint(id) >= uint(len(r.cache)) { // noID included
 		return storedAnswer{}, false
 	}
-	if now >= e.expires {
-		r.cache.delete(key)
+	e := r.cache[id]
+	if e.answer == 0 || now >= e.expires {
 		return storedAnswer{}, false
 	}
-	return (*r.shared.answers.Load())[e.answer], true
+	return (*r.shared.answers.Load())[e.answer-1], true
 }
 
 // packBufPool holds the scratch buffers cachePut encodes responses into.
@@ -590,11 +632,11 @@ var packBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// cachePut stores msg as q's answer and caches it under key; ok is false when
-// it cached nothing, and otherwise a is the stored answer, equal to msg, and e
-// says what it booked.
-func (r *Recursive) cachePut(q dns.Question, key uint64, msg *dns.Message, now uint32) (a storedAnswer, e knownAnswer, ok bool) {
-	if r.cacheLimit == 0 {
+// cachePut stores msg as q's answer and caches it under id; ok is false when
+// it stored nothing, and otherwise a is the stored answer, equal to msg, and
+// e says what it booked.
+func (r *Recursive) cachePut(q dns.Question, id uint32, msg *dns.Message, now uint32) (a storedAnswer, e knownAnswer, ok bool) {
+	if r.uncached {
 		return a, e, false
 	}
 	// A response is stored under its wire form, so equal content is one
@@ -609,19 +651,24 @@ func (r *Recursive) cachePut(q dns.Question, key uint64, msg *dns.Message, now u
 	*bp = wire
 	e.q, e.ttl = q, messageTTL(msg)
 	e.answer = r.shared.intern(wire, msg)
-	return r.book(key, e, now), e, true
+	return r.book(id, e, now), e, true
 }
 
-// book caches e's stored answer under key, its question's, for e's TTL from
-// now, and returns it.
-func (r *Recursive) book(key uint64, e knownAnswer, now uint32) storedAnswer {
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	if r.cache.n >= r.cacheLimit {
-		// Drop an arbitrary entry; good enough for a measurement cache.
-		r.cache.evict()
+// book caches e's stored answer under id, its question's, for e's TTL from
+// now, and returns it. A question with no id is not cached.
+func (r *Recursive) book(id uint32, e knownAnswer, now uint32) storedAnswer {
+	if id != noID {
+		r.cacheMu.Lock()
+		if int(id) >= len(r.cache) {
+			// At least every id the pool has given out: a resolver asked
+			// after its pool has seen the questions grows once, to size.
+			grown := make([]cached, max(2*len(r.cache), int(r.shared.nIDs.Load()), int(id)+1))
+			copy(grown, r.cache)
+			r.cache = grown
+		}
+		r.cache[id] = cached{answer: e.answer + 1, expires: expiry(now, e.ttl)}
+		r.cacheMu.Unlock()
 	}
-	r.cache.put(key, cached{answer: e.answer, expires: expiry(now, e.ttl)})
 	return (*r.shared.answers.Load())[e.answer]
 }
 
@@ -669,5 +716,11 @@ func messageTTL(msg *dns.Message) uint32 {
 func (r *Recursive) CacheSize() int {
 	r.cacheMu.Lock()
 	defer r.cacheMu.Unlock()
-	return r.cache.n
+	n := 0
+	for _, e := range r.cache {
+		if e.answer != 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -75,7 +75,7 @@ func TestOpenResolverWireMatchesMessagePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached.Resolver().cacheLimit = 0
+	uncached.Resolver().DisableCaches()
 	query := func(name dns.Name, typ dns.Type, edns int) []byte {
 		q := dns.NewQuery(0x0B0B, name, typ)
 		q.Header.RecursionDesired = true
@@ -111,8 +111,8 @@ func TestOpenResolverWireMatchesMessagePath(t *testing.T) {
 					}
 					want := dnsio.ServeRaw(dnsio.ResponderFunc(o.HandleQuery), w.site, c.raw, c.via)
 					if !bytes.Equal(got, want) {
-						t.Errorf("%s, %s, cache limit %d, round %d:\n got: %x\nwant: %x",
-							step, c.name, o.Resolver().cacheLimit, round, got, want)
+						t.Errorf("%s, %s, uncached %v, round %d:\n got: %x\nwant: %x",
+							step, c.name, o.Resolver().uncached, round, got, want)
 					}
 				}
 			}
@@ -147,11 +147,11 @@ func wireQuery(t *testing.T, name dns.Name, typ dns.Type) []byte {
 	return raw
 }
 
-// TestQuestionKeyCollisionIsAMiss plants, under a question's cache key, an
-// entry that points at another question's stored answer — what two questions
-// whose keys collide leave behind. Resolve and AppendWire must both take it
-// for a miss, resolve, and answer the question asked, as a resolver that
-// caches nothing does.
+// TestQuestionKeyCollisionIsAMiss gives a question the pool id of another
+// question, whose answer the resolver caches under it — what two questions
+// whose keys collide leave behind. Resolve and AppendWire must both take the
+// entry for a miss, resolve, and answer the question asked, as a resolver
+// that caches nothing does.
 func TestQuestionKeyCollisionIsAMiss(t *testing.T) {
 	w := buildWorld(t)
 	ctx := context.Background()
@@ -165,21 +165,26 @@ func TestQuestionKeyCollisionIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Resolver().cacheLimit = 0
+	ref.Resolver().DisableCaches()
 	if _, err := o.Resolver().Resolve(ctx, "example.com", dns.TypeA); err != nil {
 		t.Fatal(err)
 	}
-	other, ok := o.rec.cache.get(questionKey(dns.Name("example.com"), dns.TypeA))
-	if !ok {
+	id := o.rec.questionID(questionKey(dns.Name("example.com"), dns.TypeA))
+	other := o.rec.cache[id]
+	if other.answer == 0 {
 		t.Fatal("example.com A not cached")
 	}
 	for _, asked := range []dns.Question{
 		{Name: "example.com", Type: dns.TypeTXT, Class: dns.ClassINET},   // same name, another type
 		{Name: "ext.example.com", Type: dns.TypeA, Class: dns.ClassINET}, // another name, same type
 	} {
+		if got, _ := o.rec.shared.ids.LoadOrStore(questionKey(asked.Name, asked.Type), id); got != id {
+			t.Fatalf("%v already has id %d", asked, got)
+		}
+		// Resolving asked caches its own answer under the shared id.
 		plant := func() {
 			o.rec.cacheMu.Lock()
-			o.rec.cache.put(questionKey(asked.Name, asked.Type), other)
+			o.rec.cache[id] = other
 			o.rec.cacheMu.Unlock()
 		}
 		want, err := ref.Resolver().Resolve(ctx, asked.Name, asked.Type)
