@@ -11,6 +11,7 @@
 //	dnsq -json @server:port name [type]
 //	                                  same, but emit the response as one
 //	                                  JSON document (for scripts and jq)
+//	dnsq @server:port zone AXFR       transfer the whole zone over TCP
 //	dnsq -demo [name [type]]          start an in-process authoritative
 //	                                  server on loopback, query it, exit
 //
@@ -31,11 +32,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/netip"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/authority"
 	"repro/internal/dns"
@@ -86,10 +89,41 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dnsq: %v\n", err)
 		os.Exit(2)
 	}
-	if err := query(clientTransport(), server, name, qtype); err != nil {
+	if qtype == dns.TypeAXFR {
+		err = transfer(os.Stdout, server, name)
+	} else {
+		err = query(clientTransport(), server, name, qtype)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dnsq: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// transfer pulls zone from server with an RFC 5936 AXFR, which runs over TCP
+// and may span many messages, and prints every record: one a line, or as
+// one JSON array with -json.
+func transfer(w io.Writer, server netip.AddrPort, zone dns.Name) error {
+	if transportName == "dot" || transportName == "doh" {
+		return fmt.Errorf("AXFR runs over tcp, not %s", transportName)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := dnsio.Transfer(ctx, server, zone, dns.TypeAXFR, 0)
+	if err != nil {
+		return err
+	}
+	if res.RCode != dns.RCodeSuccess {
+		return fmt.Errorf("AXFR %s: %s", zone, res.RCode)
+	}
+	if jsonOut {
+		return json.NewEncoder(w).Encode(jsonRRs(res.Records))
+	}
+	for _, rr := range res.Records {
+		fmt.Fprintln(w, rr)
+	}
+	_, err = fmt.Fprintf(w, ";; %d records in %d messages\n", len(res.Records), res.Messages)
+	return err
 }
 
 // defaultPort is the transport's conventional service port for bare @server

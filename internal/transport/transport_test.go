@@ -5,6 +5,8 @@ import (
 	"context"
 	"crypto/tls"
 	"errors"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -212,6 +214,24 @@ func TestDoHHandlerEndToEnd(t *testing.T) {
 	tr := &NetDoH{Path: "/nowhere"}
 	if _, err := tr.Exchange(context.Background(), nil, ap, packedQuery(t), false); !errors.Is(err, dnsio.ErrHTTPStatus) {
 		t.Errorf("404 exchange error = %v, want ErrHTTPStatus", err)
+	}
+
+	// Behind TLS: a client with no trust anchor fails the handshake as the
+	// permanent TLS failure class, and one trusting the server answers.
+	tsrv := httptest.NewUnstartedServer(mux)
+	tsrv.Config.ErrorLog = log.New(io.Discard, "", 0) // the refused handshake
+	tsrv.StartTLS()
+	defer tsrv.Close()
+	tap := netip.MustParseAddrPort(strings.TrimPrefix(tsrv.URL, "https://"))
+	if _, err := (&NetDoH{Scheme: "https"}).Exchange(context.Background(), nil, tap, packedQuery(t), false); !errors.Is(err, dnsio.ErrTLSHandshake) {
+		t.Errorf("untrusted https exchange error = %v, want ErrTLSHandshake", err)
+	}
+	out, err := (&NetDoH{Scheme: "https", Client: tsrv.Client()}).Exchange(context.Background(), nil, tap, packedQuery(t), false)
+	if err != nil {
+		t.Fatalf("trusted https exchange: %v", err)
+	}
+	if m, err := dns.Unpack(out); err != nil || len(m.Answers) != 1 {
+		t.Errorf("trusted https exchange: %v, %v", err, m)
 	}
 }
 

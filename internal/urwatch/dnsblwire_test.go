@@ -251,7 +251,7 @@ func TestLongDomainsServeAndTransfer(t *testing.T) {
 			t.Errorf("transfer has owner %.40s…: %v, want %v", name, owners[name], want)
 		}
 	}
-	m := NewMirror()
+	m := new(Mirror)
 	if err := m.Apply(res); err != nil {
 		t.Fatalf("mirror refused the transfer: %v", err)
 	}
@@ -268,7 +268,7 @@ func TestLongDomainsServeAndTransfer(t *testing.T) {
 	if err := m.Apply(transfer(t, srv.TCPAddr(), dns.TypeIXFR, m.Serial())); err != nil {
 		t.Fatalf("mirror refused the delta: %v", err)
 	}
-	fresh := NewMirror()
+	fresh := new(Mirror)
 	if err := fresh.Apply(transfer(t, srv.TCPAddr(), dns.TypeAXFR, 0)); err != nil {
 		t.Fatal(err)
 	}

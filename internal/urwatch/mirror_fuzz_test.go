@@ -47,7 +47,7 @@ func FuzzMirrorApply(f *testing.F) {
 	f.Add(full, transferMessage(f, dns.RCodeRefused))
 	f.Add([]byte{}, full)
 	f.Fuzz(func(t *testing.T, zone, transfer []byte) {
-		m := NewMirror()
+		m := new(Mirror)
 		for _, raw := range [][]byte{zone, transfer} {
 			msg, err := dns.Unpack(raw)
 			if err != nil {

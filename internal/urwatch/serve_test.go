@@ -84,7 +84,7 @@ func TestServeAcceptance(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	paths := []string{"/v1/providers", "/v1/health", "/v1/events?since=0&max=5",
-		"/v1/lookup?domain=ibm.com", "/v1/coverage"}
+		"/v1/lookup?domain=ibm.com", "/v1/coverage", "/v1/provider?name=ClouDNS"}
 	for c := 0; c < 3; c++ {
 		wg.Add(1)
 		go func(c int) { // HTTP clients
@@ -298,6 +298,20 @@ scan:
 	for i := 1; i < len(events); i++ {
 		if events[i].Seq <= events[i-1].Seq {
 			t.Fatalf("event log seq not increasing at %d", i)
+		}
+	}
+
+	// /v1/provider answers a provider of the generation, and refuses a
+	// missing name (400) and an unknown one (404).
+	for path, want := range map[string]int{"/v1/provider?name=ClouDNS": 200,
+		"/v1/provider": 400, "/v1/provider?name=NoSuchProvider": 404} {
+		resp, err := hs.Client().Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 

@@ -122,6 +122,23 @@ func TestStalenessUnsweptGeneration(t *testing.T) {
 	}
 }
 
+// TestRunCountsEarlierSweeps: Run's bound counts the sweeps SweepOnce made
+// before it, so a daemon whose first sweep ran before its listeners opened
+// sweeps no more under -sweeps 1, and once more under -sweeps 2.
+func TestRunCountsEarlierSweeps(t *testing.T) {
+	for bound, want := range map[int]int{1: 1, 2: 2} {
+		calls := 0
+		w := NewWatcher(WatcherConfig{Sweep: func(context.Context) (*core.Result, error) {
+			calls++
+			return &core.Result{}, nil
+		}})
+		w.SweepOnce(context.Background())
+		if err := w.Run(context.Background(), bound); err != nil || calls != want {
+			t.Errorf("SweepOnce, then Run(ctx, %d): %d sweeps (%v), want %d", bound, calls, err, want)
+		}
+	}
+}
+
 // TestSerialArithmetic covers the RFC 1982 comparisons across the uint32
 // wrap, where plain < inverts.
 func TestSerialArithmetic(t *testing.T) {

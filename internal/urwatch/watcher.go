@@ -155,22 +155,25 @@ func (w *Watcher) SweepOnce(ctx context.Context) (*GenDiff, error) {
 }
 
 // Run sweeps until ctx is cancelled or maxSweeps successful sweeps complete
-// (maxSweeps <= 0 means no bound). A failed sweep does not publish — the
-// previous generation keeps serving — and does not count toward maxSweeps;
-// the scheduler retries after the interval. Returns nil on a clean stop
-// (bound reached or ctx cancelled).
+// (maxSweeps <= 0 means no bound), counting those SweepOnce made before Run
+// was called. A failed sweep does not publish — the previous generation
+// keeps serving — and does not count toward maxSweeps; the scheduler
+// retries after the interval. Returns nil on a clean stop (bound reached or
+// ctx cancelled).
 func (w *Watcher) Run(ctx context.Context, maxSweeps int) error {
-	for {
+	done := func() bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return maxSweeps > 0 && w.sweeps >= maxSweeps
+	}
+	for !done() {
 		if err := ctx.Err(); err != nil {
 			return nil
 		}
 		if _, err := w.SweepOnce(ctx); err != nil && ctx.Err() != nil {
 			return nil
 		}
-		w.mu.Lock()
-		done := maxSweeps > 0 && w.sweeps >= maxSweeps
-		w.mu.Unlock()
-		if done {
+		if done() {
 			return nil
 		}
 		if w.cfg.Interval > 0 {
@@ -183,4 +186,5 @@ func (w *Watcher) Run(ctx context.Context, maxSweeps int) error {
 			}
 		}
 	}
+	return nil
 }

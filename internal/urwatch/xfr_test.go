@@ -105,7 +105,7 @@ func TestAXFRServesFullZone(t *testing.T) {
 	if !sawNS {
 		t.Fatal("AXFR body carries no apex NS record")
 	}
-	m := NewMirror()
+	m := new(Mirror)
 	if err := m.Apply(res); err != nil {
 		t.Fatalf("apply AXFR: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestIXFRChainReconstruction(t *testing.T) {
 
 	// Secondary AXFRs at generation 1.
 	s.Publish(seal(1, evil, shady))
-	mirror := NewMirror()
+	mirror := new(Mirror)
 	if err := mirror.Apply(transfer(t, server, dns.TypeAXFR, 0)); err != nil {
 		t.Fatalf("seed AXFR: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestIXFRChainReconstruction(t *testing.T) {
 	}
 
 	// Byte-identity against a fresh full transfer.
-	fresh4 := NewMirror()
+	fresh4 := new(Mirror)
 	if err := fresh4.Apply(transfer(t, server, dns.TypeAXFR, 0)); err != nil {
 		t.Fatalf("fresh AXFR: %v", err)
 	}
@@ -239,7 +239,7 @@ func TestIXFRUpToDate(t *testing.T) {
 	if serial, ok := res.Serial(); !ok || serial != 4 {
 		t.Fatalf("up-to-date IXFR serial = %d (ok=%v), want 4", serial, ok)
 	}
-	m := NewMirror()
+	m := new(Mirror)
 	if err := m.Apply(transfer(t, server, dns.TypeAXFR, 0)); err != nil {
 		t.Fatalf("AXFR: %v", err)
 	}
@@ -273,7 +273,7 @@ func TestIXFRFallbackToAXFR(t *testing.T) {
 	if res.Incremental() {
 		t.Fatal("IXFR for an evicted serial must fall back to a full body")
 	}
-	m := NewMirror()
+	m := new(Mirror)
 	if err := m.Apply(res); err != nil {
 		t.Fatalf("apply fallback body: %v", err)
 	}
@@ -540,7 +540,7 @@ func TestIXFRAcrossSharedGenerations(t *testing.T) {
 
 	server := startXfrZone(t, xfrResponder(s))
 	s.Publish(seal(1, evil, shady))
-	mirror := NewMirror()
+	mirror := new(Mirror)
 	if err := mirror.Apply(transfer(t, server, dns.TypeAXFR, 0)); err != nil {
 		t.Fatalf("seed AXFR: %v", err)
 	}
@@ -578,7 +578,7 @@ feed.test.	30	IN	SOA	ns.feed.test. hostmaster.feed.test. 4 30 15 600 30
 	if err := mirror.Apply(ires); err != nil {
 		t.Fatalf("apply IXFR chain: %v", err)
 	}
-	fresh := NewMirror()
+	fresh := new(Mirror)
 	if err := fresh.Apply(transfer(t, server, dns.TypeAXFR, 0)); err != nil {
 		t.Fatalf("fresh AXFR: %v", err)
 	}
