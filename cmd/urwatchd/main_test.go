@@ -54,15 +54,10 @@ func (l *lines) has(s string, wait time.Duration) bool {
 // listeners and serves it until stop (or cleanup); the drain must succeed.
 func runDaemon(t *testing.T, out *lines, wrap func(urwatch.SweepFunc) urwatch.SweepFunc, args ...string) (*daemon, func()) {
 	t.Helper()
-	// A truncated UDP answer is retried over TCP at the same address, so the
-	// DNS port must be free for both: take one the kernel just gave to TCP.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln.Close()
+	// A truncated UDP answer is retried over TCP at the same address, so
+	// the DNS listeners must share a port.
 	d, err := start(parseFlags(append([]string{"-scale", "tiny", "-seed", "7",
-		"-http", "127.0.0.1:0", "-dns", ln.Addr().String()}, args...)), out, wrap)
+		"-http", "127.0.0.1:0", "-dns", "127.0.0.1:0"}, args...)), out, wrap)
 	if err != nil || d.udp.Port() != d.tcp.Port() {
 		t.Fatalf("start: %v (%+v)", err, d)
 	}
@@ -98,7 +93,6 @@ func load(t *testing.T, d *daemon, clients int) {
 		go func() {
 			defer wg.Done()
 			cli := &http.Client{Timeout: 5 * time.Second}
-			defer cli.CloseIdleConnections() // or a spare dial holds up the drain 5 s
 			for i := 0; i == 0 || !swept(); i++ {
 				path, before := paths[i%len(paths)], seq()
 				resp, err := cli.Get("http://" + d.http.String() + path)

@@ -227,9 +227,12 @@ type sweepWorker struct {
 	order   []int32
 
 	// kind is the sweep kind of the live probe in flight, and seen the memo
-	// entry the client found its answer in, if it did.
+	// entry the client found its answer in, if it did. at is where the last
+	// probe's answer bytes were journaled in seg, 0 when they were not: the
+	// offset the memo entry made from that answer records.
 	kind sweepKind
 	seen *derivedAnswer
+	at   uint32
 }
 
 // Known implements dnsio.KnownAnswers over the worker's answer memo for the
@@ -304,6 +307,7 @@ func (j *sweepJob) fail(kind sweepKind, pos probePos, name dns.Name, qt dns.Type
 // take values).
 func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Name, qi int, qt dns.Type) (resp *dns.Message, wire []byte, seen *derivedAnswer, err error) {
 	w := j.w
+	w.at = 0
 	pos := probePos{j.unit, t*j.nq + qi}
 	if j.base >= 0 {
 		id := j.base + pos.slot
@@ -353,12 +357,36 @@ func (j *sweepJob) probe(ctx context.Context, kind sweepKind, t int, name dns.Na
 	}
 	j.answered++
 	if w.seg != nil {
-		empty := resp == nil && w.seen.empty || resp != nil && emptyAnswer(resp)
-		if jerr := w.seg.answer(pos, wire, empty); jerr != nil {
+		if jerr := w.journal(pos, resp, wire); jerr != nil {
 			return nil, nil, nil, jerr
 		}
 	}
 	return resp, wire, w.seen, nil
+}
+
+// journal writes a live answer to the worker's segment. The collector reads
+// only a NOERROR response's answer records (ursFromResponse,
+// addCorrectAnswers, addProtectiveAnswers; Coverage counts the probe answered
+// either way), so an empty answer (emptyAnswer) is its position alone, whether
+// the worker decoded it or the client recognised it from the memo. An answer
+// recognised from a memo entry whose bytes this segment holds is a reference
+// to them; any other keeps its bytes, and the entry made from it, or the one
+// it was recognised from — made from a replayed answer, whose bytes are in an
+// older segment — records where they are.
+func (w *sweepWorker) journal(pos probePos, resp *dns.Message, wire []byte) error {
+	d := w.seen
+	switch {
+	case d == nil && emptyAnswer(resp) || d != nil && d.empty:
+		return w.seg.empty(pos)
+	case d != nil && d.at != 0:
+		return w.seg.ref(pos, d.at)
+	}
+	at, err := w.seg.answered(pos, wire)
+	if d != nil {
+		d.at = at
+	}
+	w.at = at
+	return err
 }
 
 // sweepPool runs job once per server on the collection worker pool and
@@ -511,10 +539,13 @@ func (c *Collector) retry(ctx context.Context, scratch *dnsio.Scratch, seg *segm
 			still = append(still, f)
 		}
 		if seg != nil {
-			if qerr != nil {
+			switch {
+			case qerr != nil:
 				err = seg.failure(f.pos, f.class)
-			} else {
-				err = seg.answer(f.pos, wire, emptyAnswer(resp))
+			case emptyAnswer(resp):
+				err = seg.empty(f.pos)
+			default:
+				_, err = seg.answered(f.pos, wire)
 			}
 			if err != nil {
 				return append(still, fails[i+1:]...), issued, err
@@ -527,26 +558,85 @@ func (c *Collector) retry(ctx context.Context, scratch *dnsio.Scratch, seg *segm
 	return still, issued, nil
 }
 
-// sortURs puts a UR set into its canonical order: server address, then
-// domain, type, rdata, and TTL. Collection order depends on worker
-// scheduling; the canonical order does not. Records equal in all five are
-// equal in everything the report shows, so the sort need not be stable.
-func sortURs(urs []*UR) {
-	slices.SortFunc(urs, func(a, b *UR) int {
-		if c := a.Server.Addr.Compare(b.Server.Addr); c != 0 {
-			return c
+// sortURs puts a UR set into its canonical order (compareURs). Collection
+// order depends on worker scheduling; the canonical order does not. Records
+// equal in all five keys are equal in everything the report shows, so the
+// sort need not be stable.
+func sortURs(urs []*UR) { slices.SortFunc(urs, compareURs) }
+
+// compareURs is the canonical order: server address, then domain, type,
+// rdata, and TTL.
+func compareURs(a, b *UR) int {
+	if c := a.Server.Addr.Compare(b.Server.Addr); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Domain, b.Domain); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Type, b.Type); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.RData, b.RData); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.TTL, b.TTL)
+}
+
+// mergeURs merges batches, each in canonical order, into one slice in that
+// order, as sortURs over their concatenation would put it. A heap holds the
+// batches by their first record, and the top batch gives up records for as
+// long as they sort no later than the runner-up's first: a batch of one
+// server, which every sweep batch but the re-queue's is, moves in one run.
+func mergeURs(batches [][]*UR) []*UR {
+	h := make([][]*UR, 0, len(batches))
+	n := 0
+	for _, b := range batches {
+		if len(b) > 0 {
+			h = append(h, b)
+			n += len(b)
 		}
-		if c := cmp.Compare(a.Domain, b.Domain); c != 0 {
-			return c
+	}
+	if n == 0 {
+		return nil
+	}
+	less := func(i, k int) bool { return compareURs(h[i][0], h[k][0]) < 0 }
+	down := func(i int) {
+		for {
+			m := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(h) && less(c, m) {
+					m = c
+				}
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
 		}
-		if c := cmp.Compare(a.Type, b.Type); c != 0 {
-			return c
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]*UR, 0, n)
+	for len(h) > 1 {
+		next := h[1][0]
+		if len(h) > 2 && less(2, 1) {
+			next = h[2][0]
 		}
-		if c := cmp.Compare(a.RData, b.RData); c != 0 {
-			return c
+		b := h[0]
+		k := 1
+		for k < len(b) && compareURs(b[k], next) <= 0 {
+			k++
 		}
-		return cmp.Compare(a.TTL, b.TTL)
-	})
+		out = append(out, b[:k]...)
+		if h[0] = b[k:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return append(out, h[0]...)
 }
 
 // sweepTargets is a nameserver job's UR phase: every non-delegated target,
@@ -570,7 +660,7 @@ func (c *Collector) sweepTargets(ctx context.Context, j *sweepJob, out []*UR) ([
 			case resp != nil:
 				n := len(out)
 				out = ursFromResponse(&j.w.strs, j.ns, target, qt, resp, out)
-				j.w.answers.put(wire, resp, sweepURs, target, qt, out[n:])
+				j.w.answers.put(wire, resp, sweepURs, target, qt, out[n:], j.w.at)
 			}
 		}
 	}
@@ -744,7 +834,7 @@ func (c *Collector) collectCorrectVia(ctx context.Context, w *sweepWorker, unit 
 			}
 			if resp != nil {
 				c.addCorrectAnswers(profiles[t], resp)
-				w.answers.put(wire, resp, sweepCorrect, target, qt, nil)
+				w.answers.put(wire, resp, sweepCorrect, target, qt, nil, w.at)
 			}
 		}
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -394,5 +396,68 @@ func TestCanaryNameDeterministic(t *testing.T) {
 	}
 	if err := a.Validate(); err != nil {
 		t.Errorf("canary %s invalid: %v", a, err)
+	}
+}
+
+// TestMergeURsMatchesSort: merging batches that are each in canonical order
+// gives what sortURs gives over their concatenation — the same records, in
+// an order that agrees on every key. Records are drawn from two values per
+// key, so ties fall on every key and whole records tie; most batches are one
+// server's, as a nameserver job's are, and one spans every server, as the
+// re-queue's does.
+func TestMergeURsMatchesSort(t *testing.T) {
+	servers := []*NameserverInfo{
+		{Addr: netip.MustParseAddr("10.0.0.2")},
+		{Addr: netip.MustParseAddr("10.0.0.1")},
+		{Addr: netip.MustParseAddr("2001:db8::1")},
+	}
+	rng := rand.New(rand.NewSource(1))
+	draw := func(ns *NameserverInfo) *UR {
+		return &UR{
+			Server: ns,
+			Domain: []dns.Name{"b.example", "a.example"}[rng.Intn(2)],
+			Type:   []dns.Type{dns.TypeTXT, dns.TypeA}[rng.Intn(2)],
+			RData:  []string{"y", "x"}[rng.Intn(2)],
+			TTL:    []uint32{300, 60}[rng.Intn(2)],
+		}
+	}
+	for round := 0; round < 500; round++ {
+		var batches [][]*UR
+		for range rng.Intn(10) {
+			ns := servers[rng.Intn(len(servers))]
+			b := make([]*UR, rng.Intn(12))
+			for i := range b {
+				b[i] = draw(ns)
+			}
+			batches = append(batches, b)
+		}
+		requeue := make([]*UR, rng.Intn(12))
+		for i := range requeue {
+			requeue[i] = draw(servers[rng.Intn(len(servers))])
+		}
+		batches = append(batches, requeue)
+		rng.Shuffle(len(batches), func(i, k int) { batches[i], batches[k] = batches[k], batches[i] })
+		for _, b := range batches {
+			sortURs(b)
+		}
+		want := slices.Concat(batches...)
+		sortURs(want)
+		got := mergeURs(batches)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: merged %d records of %d", round, len(got), len(want))
+		}
+		count := map[*UR]int{}
+		for i := range want {
+			count[want[i]]++
+			count[got[i]]--
+			if compareURs(got[i], want[i]) != 0 {
+				t.Fatalf("round %d: record %d merges as %+v, sorts as %+v", round, i, *got[i], *want[i])
+			}
+		}
+		for u, n := range count {
+			if n != 0 {
+				t.Fatalf("round %d: %+v is merged %d times more than it was collected", round, *u, -n)
+			}
+		}
 	}
 }

@@ -40,10 +40,12 @@
 // tail rather than trusting it — the probes it covered are simply
 // re-queried.
 //
-// Records (version 2) name a probe by plan position — full-plan unit and
+// Records (version 3) name a probe by plan position — full-plan unit and
 // slot inside the unit — and keep response bytes only for answers the
 // collector reads records from; an answer with nothing in it (not NOERROR,
 // or no answer records) is its position alone and replays without a decode.
+// An answer whose bytes (after the ID) the same segment already holds is a
+// back-reference: its position and the segment offset of the first copy.
 // Replay feeds the bytes it does keep back through the validated decoder
 // (Message.UnpackFrom into the worker's scratch), so the decoder is fuzzed
 // (FuzzMessageUnpack) against exactly this attacker-influenceable surface.
@@ -77,11 +79,14 @@ import (
 const (
 	// journalVersion is what this binary writes and the only version it
 	// reads; OpenJournal and MergeShardJournals refuse any other.
-	journalVersion = 2
-	// version1Reader is the last commit whose binary reads a version 1 journal
-	// (records keyed by sweep kind, address, name and query type); a version
-	// 1 directory is refused with this commit named.
+	journalVersion = 3
+	// version1Reader and version2Reader are the last commits whose binaries
+	// read a version 1 journal (records keyed by sweep kind, address, name and
+	// query type) and a version 2 one (position records, every answer with
+	// its bytes); a directory of either version is refused with its commit
+	// named.
 	version1Reader = "aed264be753d"
+	version2Reader = "3e2bf3cd1087"
 	manifestName   = "manifest.json"
 	segmentPrefix  = "seg-"
 	segmentSuffix  = ".wal"
@@ -114,10 +119,11 @@ const (
 	recAnswered   byte = 4 // position + [u32 length][packed DNS response]
 	recEmpty      byte = 5 // position of an answer the collector reads nothing from
 	recFailure    byte = 6 // position + failure class
+	recRef        byte = 7 // position + [uvarint offset of an earlier recAnswered's response]
 )
 
-// probePos names a probe by its place in the plan, the way a version 2 record
-// does. unit is the server's unit in the full plan, in PlanUnits order — a
+// probePos names a probe by its place in the plan, the way a record does.
+// unit is the server's unit in the full plan, in PlanUnits order — a
 // shard adds its Desc.Lo to its local unit, so shard journals merge by
 // linking segments. slot is target position × |qtypes| + qtype position
 // inside the unit, the canary after the last target; the kind follows from
@@ -460,13 +466,17 @@ func parseManifest(data []byte) (manifest, error) {
 		return m, fmt.Errorf("manifest unreadable: %w", err)
 	}
 	switch {
-	case m.Version == 1:
-		return m, fmt.Errorf("manifest version 1, which this binary no longer reads: resume or merge it with a binary built at commit %s, the last that reads version 1, or sweep again into a fresh directory",
-			version1Reader)
-	case m.Version != journalVersion:
-		return m, fmt.Errorf("manifest version %d, this binary reads only version %d", m.Version, journalVersion)
+	case m.Version == journalVersion:
+		return m, nil
+	case m.Version == 1 || m.Version == 2:
+		reader := version1Reader
+		if m.Version == 2 {
+			reader = version2Reader
+		}
+		return m, fmt.Errorf("manifest version %d, which this binary no longer reads: resume or merge it with a binary built at commit %s, the last that reads version %d, or sweep again into a fresh directory",
+			m.Version, reader, m.Version)
 	}
-	return m, nil
+	return m, fmt.Errorf("manifest version %d, this binary reads only version %d", m.Version, journalVersion)
 }
 
 // readManifest reads dir's manifest and checks what resume and merge both
@@ -760,6 +770,8 @@ type segmentWriter struct {
 	pending int    // records in buf
 	count   uint64 // data records written to this segment overall
 	ckpts   int    // checkpoints written, for the SyncEvery cadence
+	// written is the file's length: buf[i] lands at offset written+i.
+	written uint64
 }
 
 // appendData counts one freshly appended data record and checkpoints at the
@@ -786,7 +798,12 @@ func (s *segmentWriter) checkpoint() error {
 	payload := s.buf[frameHeader:]
 	binary.LittleEndian.PutUint32(s.buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(s.buf[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := s.f.Write(s.buf); err != nil {
+	// A partial write leaves a torn frame, which ends replay of the segment
+	// before any record written after it, so what written counts past it is
+	// never read.
+	n, err := s.f.Write(s.buf)
+	s.written += uint64(n)
+	if err != nil {
 		return fmt.Errorf("journal: segment write: %w", err)
 	}
 	s.buf = s.buf[:frameHeader]
@@ -829,27 +846,28 @@ func (s *segmentWriter) position(rec byte, p probePos) {
 	s.buf = binary.AppendUvarint(s.buf, uint64(p.slot))
 }
 
-// answer journals one answered probe. The collector reads only a NOERROR
-// response's answer records (ursFromResponse, addCorrectAnswers,
-// addProtectiveAnswers; Coverage counts the probe answered either way), so an
-// empty answer (emptyAnswer) is journaled as its position alone, whether the
-// worker decoded it or the client recognised it from the worker's memo; any
-// other keeps its wire bytes.
-func (s *segmentWriter) answer(p probePos, wire []byte, empty bool) error {
-	if empty {
-		return s.empty(p)
-	}
-	return s.answered(p, wire)
-}
-
 // answered journals an answer with the response's wire bytes exactly as the
 // server sent them (no re-pack — at 36M records the pack cost would dwarf
 // the copy); replay feeds them back through the validated decoder, the same
-// bytes the live sweep decoded.
-func (s *segmentWriter) answered(p probePos, wire []byte) error {
+// bytes the live sweep decoded. It returns the segment offset of the bytes,
+// which a later reference to the same answer names; 0 when the offset is past
+// what a reference can name.
+func (s *segmentWriter) answered(p probePos, wire []byte) (uint32, error) {
 	s.position(recAnswered, p)
 	s.buf = binary.LittleEndian.AppendUint32(s.buf, uint32(len(wire)))
+	at := s.written + uint64(len(s.buf))
 	s.buf = append(s.buf, wire...)
+	if at > maxSegmentBytes {
+		at = 0
+	}
+	return uint32(at), s.appendData()
+}
+
+// ref journals an answer whose bytes after the ID this segment already holds
+// at offset at, where answered put them: it replays as that answer.
+func (s *segmentWriter) ref(p probePos, at uint32) error {
+	s.position(recRef, p)
+	s.buf = binary.AppendUvarint(s.buf, uint64(at))
 	return s.appendData()
 }
 
@@ -902,6 +920,10 @@ type indexer struct {
 	ri *replayIndex
 	st *ReplayStats
 
+	// wires has a bit per byte of the current segment, set where an
+	// answered record's bytes start: the offsets a reference may name.
+	wires []uint64
+
 	answered   int // distinct answered probes
 	failedOnly int // distinct probes with a failure record and no answer
 }
@@ -912,6 +934,12 @@ type indexer struct {
 // truncates the replay at that point: the tail is ignored, never trusted.
 func (ix *indexer) segment(seg uint32, data []byte) bool {
 	var count uint64
+	if n := (len(data) + 63) / 64; cap(ix.wires) < n {
+		ix.wires = make([]uint64, n)
+	} else {
+		ix.wires = ix.wires[:n]
+		clear(ix.wires)
+	}
 	for off := 0; off < len(data); {
 		if len(data)-off < frameHeader {
 			return false
@@ -940,11 +968,16 @@ func (ix *indexer) segment(seg uint32, data []byte) bool {
 // decoded so far — a cheap structural check on top of the CRC.
 //
 // Replay rules: the first answered record of a probe, in segment order, wins
-// — an empty one as much as one with bytes; a failure record never displaces
-// an answer, whichever came first; a record whose position is past the
-// config's units or the unit's span (a hostile or mis-merged directory) is
-// counted and ignored. A record type the reader does not know — version 1's
-// keyed types among them — ends the frame as corrupt.
+// — an empty one as much as one with bytes, a reference as much as either; a
+// failure record never displaces an answer, whichever came first; a record
+// whose position is past the config's units or the unit's span (a hostile or
+// mis-merged directory) is counted and ignored. A reference must name the
+// bytes of an earlier answered record of the same segment, whatever that
+// record's position, and replays as those bytes; one that names anything else
+// — a later offset, its own, the middle of a record, or an offset in another
+// segment or past a torn frame — ends the frame as corrupt. Replay never reads
+// the referenced bytes' ID. A record type the reader does not know — version
+// 1's keyed types among them — ends the frame as corrupt.
 func (ix *indexer) frame(seg uint32, data []byte, off, end int, count *uint64) bool {
 	ri := ix.ri
 	for off < end {
@@ -958,7 +991,7 @@ func (ix *indexer) frame(seg uint32, data []byte, off, end int, count *uint64) b
 			}
 			off += 8
 			continue
-		case recAnswered, recEmpty, recFailure:
+		case recAnswered, recEmpty, recFailure, recRef:
 			unit, n := binary.Uvarint(data[off:end])
 			if n <= 0 {
 				return false
@@ -992,8 +1025,16 @@ func (ix *indexer) frame(seg uint32, data []byte, off, end int, count *uint64) b
 				return false
 			}
 			off = wireOff + wireLen
+			ix.wires[wireOff/64] |= 1 << (wireOff % 64)
 		case recEmpty:
 			wireOff = emptyOff
+		case recRef:
+			at, n := binary.Uvarint(data[off:end])
+			if n <= 0 || at >= uint64(len(data)) || ix.wires[at/64]&(1<<(at%64)) == 0 {
+				return false
+			}
+			off += n
+			wireOff = int(at)
 		}
 		*count++
 		ix.st.Records++

@@ -89,7 +89,7 @@ func TestJournalCheckpointDurability(t *testing.T) {
 	names := []dns.Name{"a.example", "b.example", "c.example", "d.example", "e.example"}
 	for i, name := range names {
 		resp := testResponse(name, dns.TypeA, netip.AddrFrom4([4]byte{203, 0, 113, byte(i + 1)}).String())
-		if err := seg.answered(testPos(cfg, sweepURs, server, name, dns.TypeA), resp); err != nil {
+		if _, err := seg.answered(testPos(cfg, sweepURs, server, name, dns.TypeA), resp); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -67,6 +67,10 @@ type derivedAnswer struct {
 	// empty marks an answer the collector reads nothing from, which the
 	// journal keeps as its position alone.
 	empty bool
+	// at is the offset of the answer's bytes in the worker's journal
+	// segment, where a repeat of it is journaled as a reference to them; 0
+	// while the segment holds no copy.
+	at uint32
 }
 
 // emptyAnswer reports whether the collector reads nothing from resp: it is
@@ -115,16 +119,17 @@ func (am *answerMemo) get(wire []byte, kind sweepKind, name dns.Name, qt dns.Typ
 }
 
 // put remembers what the worker derived from resp, the decode of wire, for
-// the probe (kind, name, qt); an empty answer is remembered as empty. The key
+// the probe (kind, name, qt); an empty answer is remembered as empty, and at
+// is where wire sits in the worker's journal segment (0: not there). The key
 // is a copy — wire is lent and is overwritten by the worker's next probe.
-func (am *answerMemo) put(wire []byte, resp *dns.Message, kind sweepKind, name dns.Name, qt dns.Type, urs []*UR) {
+func (am *answerMemo) put(wire []byte, resp *dns.Message, kind sweepKind, name dns.Name, qt dns.Type, urs []*UR, at uint32) {
 	if len(wire) < 2 || len(wire)-2 > answerMemoMaxKey || len(am.m) >= answerMemoCap {
 		return
 	}
 	if len(am.slab) == cap(am.slab) {
 		am.slab = make([]derivedAnswer, 0, memoChunk)
 	}
-	am.slab = append(am.slab, derivedAnswer{kind: kind, name: name, qt: qt, empty: emptyAnswer(resp)})
+	am.slab = append(am.slab, derivedAnswer{kind: kind, name: name, qt: qt, empty: emptyAnswer(resp), at: at})
 	d := &am.slab[len(am.slab)-1]
 	if len(urs) > 0 {
 		if cap(am.recSlab)-len(am.recSlab) < len(urs) {

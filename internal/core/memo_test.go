@@ -188,7 +188,7 @@ func TestAnswerMemoAnswersOnlyItsProbe(t *testing.T) {
 	}
 	var am answerMemo
 	ur := &UR{Domain: "a.example", Type: dns.TypeA, RData: "192.0.2.7", TTL: 300}
-	am.put(wire, resp, sweepURs, "a.example", dns.TypeA, []*UR{ur})
+	am.put(wire, resp, sweepURs, "a.example", dns.TypeA, []*UR{ur}, 0)
 	wire[0], wire[1] = 0, 9 // another probe's ID: the memo keys past it
 	if d := am.get(wire, sweepURs, "a.example", dns.TypeA); d == nil || len(d.recs) != 1 || d.recs[0].rdata != ur.RData {
 		t.Fatalf("the probe the answer was derived for misses: %+v", d)
@@ -363,13 +363,15 @@ func TestAnswerMemoBoundedUnderUniqueAnswers(t *testing.T) {
 		}
 	}
 
-	// A live answer the client recognises from the memo journals as a
-	// decoded one does: with its wire bytes, or as empty. Over the fixture's
-	// own answers, which one sweep worker receives from all six nameservers
-	// alike, and a target none of them hosts, which all six answer NXDOMAIN
-	// alike, a journaled run and its resume with the memos off and at their
-	// default caps must read back the same records and empties, and report
-	// alike.
+	// A live answer the client recognises from the memo journals as the
+	// record a decoded one would be — empty, or answered — except that the
+	// bytes of an answered one are a reference to the copy the segment
+	// already holds. Over the fixture's own answers, which one sweep worker
+	// receives from all six nameservers alike, and a target none of them
+	// hosts, which all six answer NXDOMAIN alike, a journaled run and its
+	// resume with the memos off and at their default caps must read back the
+	// same records and empties, and report alike; with the memos, in fewer
+	// bytes.
 	journaled := func(answerCap, rdataCap int) (ReplayStats, string) {
 		answerMemoCap, rdataMemoCap = answerCap, rdataCap
 		dir := t.TempDir()
@@ -394,9 +396,9 @@ func TestAnswerMemoBoundedUnderUniqueAnswers(t *testing.T) {
 	}
 	offStats, offReport := journaled(0, 0)
 	onStats, onReport := journaled(defaultAnswerCap, defaultRDataCap)
-	if offStats.Records == 0 || onStats.Records != offStats.Records || onStats.Empty != offStats.Empty {
-		t.Errorf("the resume read %d records (%d empty) journaled with the memos, %d (%d empty) without",
-			onStats.Records, onStats.Empty, offStats.Records, offStats.Empty)
+	if offStats.Records == 0 || onStats.Records != offStats.Records || onStats.Empty != offStats.Empty || onStats.Bytes >= offStats.Bytes {
+		t.Errorf("the resume read %d records (%d empty) in %d bytes journaled with the memos, %d (%d empty) in %d bytes without",
+			onStats.Records, onStats.Empty, onStats.Bytes, offStats.Records, offStats.Empty, offStats.Bytes)
 	}
 	if onReport != offReport {
 		t.Error("the resumed report with the memos differs from the one without")

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"net/netip"
-	"slices"
 	"sync"
 	"time"
 
@@ -89,9 +88,9 @@ func (p *Pipeline) partial() *Result {
 // dataflow rather than five sequential barriers:
 //
 //	CollectCorrect ─────────┐ (gate: correct DB ready)
-//	                        ├─→ determine workers ──→ merge ─→ sort ─→ analyze
+//	                        ├─→ determine workers ──→ merge ─→ analyze
 //	fused NS sweep ── URs ──┘ (per-server batches)
-//	NewAnalyzer (IDS corpus) ───────────────────────────────────┘
+//	NewAnalyzer (IDS corpus) ────────────────────────────┘
 //
 // The correct-record sweep and the fused protective+UR nameserver sweep run
 // concurrently. They ask disjoint endpoint sets, but the open resolvers
@@ -99,9 +98,10 @@ func (p *Pipeline) partial() *Result {
 // exchange sequences (stream.go). Each nameserver's UR batch streams into a
 // pool of classification workers the moment the server's fused job finishes;
 // the workers block only on the correct DB, so classification overlaps the
-// sweep tail. Results land in per-worker slices and are merged through one
-// canonical sort, so reports are byte-identical at any Parallelism setting —
-// resumed or not — unless a probabilistic fault sits on a nameserver.
+// sweep tail. A worker puts each batch it classifies into the canonical order
+// (sortURs), and the sorted batches are merged in one pass (mergeURs), so
+// reports are byte-identical at any Parallelism setting — resumed or not —
+// unless a probabilistic fault sits on a nameserver.
 //
 // On error — including context cancellation mid-sweep — the returned Result
 // is non-nil and carries the partial query/coverage books accumulated before
@@ -196,6 +196,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 						det.classifyMemo(memo, u)
 					}
 				}
+				sortURs(batch)
 				local = append(local, batch)
 			}
 			shards[i] = local
@@ -213,8 +214,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	for _, s := range shards {
 		batches = append(batches, s...)
 	}
-	urs := slices.Concat(batches...)
-	sortURs(urs)
+	urs := mergeURs(batches)
 	var suspicious []*UR
 	if !collectOnly {
 		// Unclassified records default to CategoryUnknown, so a collect-only

@@ -25,13 +25,16 @@ import (
 )
 
 // modelRecord is one journal record as the model test generates it: at
-// pos, an answer with bytes, an empty answer, or a failure.
+// pos, an answer with bytes, a reference to an earlier answer's bytes, an
+// empty answer, or a failure.
 type modelRecord struct {
 	answered bool
 	empty    bool
 	pos      probePos
 	class    dnsio.FailClass
 	wire     []byte
+	// at is a reference's: the offset of the bytes it names, which wire holds.
+	at uint32
 }
 
 // replayModel is the reference the index is checked against: the replay
@@ -145,20 +148,48 @@ func drawRecord(rng *rand.Rand, cfg *Config, n int) modelRecord {
 	return r
 }
 
-func (r modelRecord) write(t testing.TB, seg *segmentWriter) {
+// write journals r through seg and returns where an answer written with its
+// bytes put them, 0 for any other record.
+func (r modelRecord) write(t testing.TB, seg *segmentWriter) uint32 {
 	t.Helper()
+	var at uint32
 	var err error
 	switch {
 	case r.empty:
 		err = seg.empty(r.pos)
+	case r.at != 0:
+		err = seg.ref(r.pos, r.at)
 	case r.answered:
-		err = seg.answered(r.pos, r.wire)
+		at, err = seg.answered(r.pos, r.wire)
 	default:
 		err = seg.failure(r.pos, r.class)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	return at
+}
+
+// segCopy is an answer's bytes and where the segment being written holds them.
+type segCopy struct {
+	at   uint32
+	wire []byte
+}
+
+// drawStep draws a segment's next record — drawRecord's, or one time in four
+// once the segment holds an answer's bytes, a reference to one of them at
+// drawRecord's position — and writes it through seg. copies gains the bytes
+// of an answer written with them.
+func drawStep(t testing.TB, rng *rand.Rand, cfg *Config, n int, seg *segmentWriter, copies *[]segCopy) modelRecord {
+	r := drawRecord(rng, cfg, n)
+	if len(*copies) > 0 && rng.Intn(4) == 0 {
+		c := (*copies)[rng.Intn(len(*copies))]
+		r = modelRecord{answered: true, pos: r.pos, wire: c.wire, at: c.at}
+	}
+	if at := r.write(t, seg); at != 0 {
+		*copies = append(*copies, segCopy{at, r.wire})
+	}
+	return r
 }
 
 // checkAgainstModel opens dir and compares index and counters with the model
@@ -201,8 +232,8 @@ func checkAgainstModel(t *testing.T, dir string, cfg *Config, m *replayModel, re
 }
 
 // TestJournalIndexMatchesModel writes seeded random record sequences —
-// answers with bytes and empty ones, failures — through the
-// real segment writer, several segments, several frames each, and holds the
+// answers with bytes, references to them and empty answers, failures —
+// through the real segment writer, several segments, several frames each, and holds the
 // index OpenJournal builds to the map model; then tears the last frame at
 // every byte, and flips each of its bytes, and holds each to the model of
 // everything before that frame.
@@ -233,6 +264,7 @@ func TestJournalIndexMatchesModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				head, tail = append(head, tail...), nil
+				var copies []segCopy
 				for i := 0; i < tc.records/tc.segments; i++ {
 					if len(tail) > 0 && rng.Intn(6) == 0 {
 						if err := seg.checkpoint(); err != nil {
@@ -240,9 +272,7 @@ func TestJournalIndexMatchesModel(t *testing.T) {
 						}
 						head, tail = append(head, tail...), nil
 					}
-					r := drawRecord(rng, cfg, len(head)+len(tail))
-					r.write(t, seg)
-					tail = append(tail, r)
+					tail = append(tail, drawStep(t, rng, cfg, len(head)+len(tail), seg, &copies))
 				}
 				if err := seg.Close(); err != nil {
 					t.Fatal(err)
@@ -252,14 +282,17 @@ func TestJournalIndexMatchesModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			all := append(append([]modelRecord(nil), head...), tail...)
-			empty := 0
+			empty, refs := 0, 0
 			for _, r := range all {
 				if r.empty {
 					empty++
 				}
+				if r.at != 0 {
+					refs++
+				}
 			}
-			if empty == 0 || empty == len(all) {
-				t.Fatalf("the draws cover %d empties of %d records", empty, len(all))
+			if empty == 0 || empty == len(all) || refs == 0 {
+				t.Fatalf("the draws cover %d empties and %d references of %d records", empty, refs, len(all))
 			}
 			checkAgainstModel(t, dir, cfg, runModel(cfg, all), len(all), 0)
 
@@ -573,7 +606,9 @@ func TestJournalReleasesReplayState(t *testing.T) {
 	// Pad the journal with out-of-plan records so the segment bytes dwarf any
 	// bound a leak could hide under. Zero-filled "wire" has nothing in it the
 	// collector reads, so the collector would journal it as its position
-	// alone; the pad goes through the bytes-keeping writer on purpose.
+	// alone; the pad goes through the bytes-keeping writer on purpose, and
+	// each pad differs from the others, so no writer could hold them as one
+	// copy and references to it.
 	fx := newChaosFixture(t, 11)
 	j, err := OpenJournal(dir, fx.cfg, JournalOptions{})
 	if err != nil {
@@ -586,7 +621,8 @@ func TestJournalReleasesReplayState(t *testing.T) {
 	pad := make([]byte, 32<<10)
 	const padRecords = 256 // 8 MiB
 	for i := 0; i < padRecords; i++ {
-		if err := seg.answered(probePos{unit: fx.cfg.PlanUnits(), slot: i}, pad); err != nil {
+		binary.LittleEndian.PutUint32(pad[2:], uint32(i))
+		if _, err := seg.answered(probePos{unit: fx.cfg.PlanUnits(), slot: i}, pad); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -672,7 +708,9 @@ func retiredFrame(segment []byte) int {
 // read back from the index as bytes of the input, and every empty one as
 // answered with no bytes. A CRC-clean frame that opens with a retired
 // version 1 record type — the seeds include testdata/journal-v1's segment —
-// ends the segment as torn, and nothing from it on is indexed.
+// ends the segment as torn, and nothing from it on is indexed. The seeds
+// also hold references, good ones and each kind of bad one badReferences
+// lays out.
 func FuzzJournalSegment(f *testing.F) {
 	cfg := modelConfig()
 	rng := rand.New(rand.NewSource(9))
@@ -697,8 +735,9 @@ func FuzzJournalSegment(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		var copies []segCopy
 		for i := 0; i < n; i++ {
-			drawRecord(rng, cfg, i).write(f, seg)
+			drawStep(f, rng, cfg, i, seg, &copies)
 		}
 		seg.Close()
 		j.Close()
@@ -715,6 +754,9 @@ func FuzzJournalSegment(f *testing.F) {
 	addCut(retired)
 	f.Add(append(bytes.Clone(clean), retired...)) // version 2 frames, then retired ones
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	for _, c := range badReferences() {
+		f.Add(c.segment)
+	}
 	f.Fuzz(func(t *testing.T, segment []byte) {
 		if err := os.WriteFile(path, segment, 0o644); err != nil {
 			t.Fatal(err)
@@ -768,7 +810,7 @@ func FuzzJournalSegment(f *testing.F) {
 
 // FuzzManifest feeds arbitrary bytes to OpenJournal as the manifest: whatever
 // they are, the open either binds to this plan or fails with an error. Only
-// version 2 opens, and no open rewrites the manifest: it stays byte for byte
+// version 3 opens, and no open rewrites the manifest: it stays byte for byte
 // what was written.
 func FuzzManifest(f *testing.F) {
 	cfg := modelConfig()
@@ -779,12 +821,13 @@ func FuzzManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	f.Add(bytes.Replace(good, []byte(`"version": 2`), []byte(`"version": 3`), 1))
+	f.Add(bytes.Replace(good, []byte(`"version": 3`), []byte(`"version": 4`), 1))
 	f.Add([]byte(`{"version":1,"plan_hash":"0","shard":{"index":-1,"lo":9,"hi":1,"units":0}}`))
 	f.Add([]byte(`{"version":1,"plan_hash":"` + fmt.Sprintf("%016x", cfg.PlanHash()) + `","transport":"doh"}`))
 	f.Add([]byte(`[`))
-	f.Add(bytes.Replace(good, []byte(`"version": 2`), []byte(`"version": 1`), 1))
-	f.Add(bytes.Replace(good, []byte(`"version": 2`), []byte(`"version": 0`), 1))
+	f.Add(bytes.Replace(good, []byte(`"version": 3`), []byte(`"version": 1`), 1))
+	f.Add(bytes.Replace(good, []byte(`"version": 3`), []byte(`"version": 0`), 1))
+	f.Add(bytes.Replace(good, []byte(`"version": 3`), []byte(`"version": 2`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -802,7 +845,7 @@ func FuzzManifest(f *testing.F) {
 			t.Fatalf("opened over a manifest that does not name this plan: %q", data)
 		}
 		var raw struct{ Version json.Number }
-		if json.Unmarshal(data, &raw) != nil || raw.Version != "2" {
+		if json.Unmarshal(data, &raw) != nil || raw.Version != "3" {
 			t.Fatalf("opened over a manifest of version %q", raw.Version)
 		}
 	})

@@ -2,6 +2,7 @@ package dnsio
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"runtime"
@@ -36,35 +37,24 @@ func NewServer(r Responder) *Server {
 	return &Server{responder: r, conns: make(map[net.Conn]struct{})}
 }
 
-// Start binds UDP and TCP sockets on the given address ("127.0.0.1:0" picks
-// ephemeral ports) and begins serving in background goroutines: the TCP
-// acceptor and runtime.GOMAXPROCS(0) UDP readers, read once here. Every
-// responder in the tree answers without waiting on I/O, so that many readers
-// keep every core answering; one whose answer blocks holds up its reader
-// alone.
+// Start binds UDP and TCP sockets on one port of the given address
+// ("127.0.0.1:0" picks one free for both; see listenPair) and begins serving
+// in background goroutines: the TCP acceptor and runtime.GOMAXPROCS(0) UDP
+// readers, read once here. Every responder in the tree answers without
+// waiting on I/O, so that many readers keep every core answering; one whose
+// answer blocks holds up its reader alone.
 func (s *Server) Start(addr string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.pc != nil || s.closed {
 		return errors.New("dnsio: server already started")
 	}
-	pc, err := net.ListenPacket("udp", addr)
+	pc, ln, err := listenPair(addr)
 	if err != nil {
 		return err
 	}
-	udpAP := pc.LocalAddr().(*net.UDPAddr).AddrPort()
-	// Bind TCP on the same host and port as UDP when possible.
-	ln, err := net.Listen("tcp", udpAP.String())
-	if err != nil {
-		// Ephemeral collision: fall back to any port on the same host.
-		ln, err = net.Listen("tcp", net.JoinHostPort(udpAP.Addr().String(), "0"))
-		if err != nil {
-			pc.Close()
-			return err
-		}
-	}
-	s.pc = pc.(*net.UDPConn)
-	s.udpAddr = udpAP
+	s.pc = pc
+	s.udpAddr = pc.LocalAddr().(*net.UDPAddr).AddrPort()
 	s.tcpAddr = ln.Addr().(*net.TCPAddr).AddrPort()
 
 	readers := runtime.GOMAXPROCS(0)
@@ -74,6 +64,37 @@ func (s *Server) Start(addr string) error {
 	}
 	s.acceptLocked(ln, ViaTCP)
 	return nil
+}
+
+// pairAttempts bounds how many ports Start asks the kernel for on port 0.
+const pairAttempts = 16
+
+// listenTCP is net.Listen, a variable so a test can take the TCP half of
+// the ports the kernel hands out.
+var listenTCP = net.Listen
+
+// listenPair binds UDP and TCP on addr's host and one port, where a client
+// retrying a truncated UDP answer over TCP looks for the server. A named port
+// whose TCP half is taken is an error; on port 0 the kernel picks the UDP
+// port, and one taken for TCP is given back for another, up to pairAttempts
+// times. On error nothing is left bound.
+func listenPair(addr string) (*net.UDPConn, net.Listener, error) {
+	_, port, _ := net.SplitHostPort(addr)
+	for attempt := 1; ; attempt++ {
+		pc, err := net.ListenPacket("udp", addr)
+		if err != nil {
+			return nil, nil, err
+		}
+		udp := pc.LocalAddr().(*net.UDPAddr).AddrPort()
+		ln, err := listenTCP("tcp", udp.String())
+		if err == nil {
+			return pc.(*net.UDPConn), ln, nil
+		}
+		pc.Close()
+		if port != "0" || attempt == pairAttempts {
+			return nil, nil, fmt.Errorf("dnsio: bind tcp beside udp %s: %w", udp, err)
+		}
+	}
 }
 
 // ServeStream serves two-octet-framed DNS on ln, labelling its queries via:

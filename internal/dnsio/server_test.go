@@ -541,3 +541,81 @@ func TestStreamFrameIsOneWrite(t *testing.T) {
 		t.Errorf("WriteFrame writes %v, want one per frame: %v", client.log.sizes, wantClient)
 	}
 }
+
+// TestStartNamedPortTCPTaken: a named port whose TCP half another socket
+// holds is an error, and the UDP half is given back: nothing stays bound.
+func TestStartNamedPortTCPTaken(t *testing.T) {
+	// A TCP port whose UDP half is free, so only the TCP half is taken.
+	var held net.Listener
+	for tries := 0; held == nil; tries++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil || tries == 16 {
+			t.Fatalf("no TCP port with its UDP half free: %v", err)
+		}
+		if pc, err := net.ListenPacket("udp", ln.Addr().String()); err == nil {
+			pc.Close()
+			held = ln
+		} else {
+			ln.Close()
+		}
+	}
+	defer held.Close()
+	addr := held.Addr().String()
+	s := NewServer(&markResponder{})
+	if err := s.Start(addr); err == nil {
+		s.Close()
+		t.Fatalf("Start(%s) with its TCP port taken succeeded on udp %s, tcp %s", addr, s.UDPAddr(), s.TCPAddr())
+	}
+	if s.UDPAddr().IsValid() || s.TCPAddr().IsValid() {
+		t.Errorf("the failed Start left udp %s, tcp %s", s.UDPAddr(), s.TCPAddr())
+	}
+	pc, err := net.ListenPacket("udp", addr)
+	if err != nil {
+		t.Fatalf("the failed Start kept udp %s bound: %v", addr, err)
+	}
+	pc.Close()
+}
+
+// TestStartEphemeralPairRetries: on port 0, a UDP port whose TCP half is
+// taken is given back for a fresh one, so UDP and TCP always share a port;
+// after pairAttempts taken ports Start gives up with nothing bound.
+func TestStartEphemeralPairRetries(t *testing.T) {
+	defer func() { listenTCP = net.Listen }()
+	for _, taken := range []int{3, pairAttempts} {
+		var calls int
+		var udpPorts []uint16
+		listenTCP = func(network, addr string) (net.Listener, error) {
+			calls++
+			if calls <= taken {
+				ap := netip.MustParseAddrPort(addr)
+				udpPorts = append(udpPorts, ap.Port())
+				return nil, fmt.Errorf("listen %s %s: address already in use", network, addr)
+			}
+			return net.Listen(network, addr)
+		}
+		s := NewServer(&markResponder{})
+		err := s.Start("127.0.0.1:0")
+		switch {
+		case taken < pairAttempts && err != nil:
+			t.Fatalf("%d ports taken: %v", taken, err)
+		case taken < pairAttempts:
+			if u, tc := s.UDPAddr(), s.TCPAddr(); u.Port() != tc.Port() || calls != taken+1 {
+				t.Errorf("%d ports taken: udp %s, tcp %s after %d TCP binds", taken, u, tc, calls)
+			}
+			s.Close()
+		case err == nil:
+			s.Close()
+			t.Fatalf("every port taken, yet Start bound udp %s, tcp %s", s.UDPAddr(), s.TCPAddr())
+		case calls != pairAttempts || s.UDPAddr().IsValid():
+			t.Errorf("every port taken: %d TCP binds, udp %s left", calls, s.UDPAddr())
+		}
+		for _, p := range udpPorts {
+			pc, err := net.ListenPacket("udp", fmt.Sprintf("127.0.0.1:%d", p))
+			if err != nil {
+				t.Errorf("udp port %d, whose TCP half was taken, stayed bound: %v", p, err)
+				continue
+			}
+			pc.Close()
+		}
+	}
+}

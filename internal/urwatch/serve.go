@@ -29,6 +29,40 @@ type ServeGroup struct {
 type httpEntry struct {
 	srv  *http.Server
 	done chan struct{}
+
+	// fresh holds the accepted connections that have carried no request
+	// yet; once draining is set, one the server accepts is closed on sight.
+	mu       sync.Mutex
+	fresh    map[net.Conn]struct{}
+	draining bool
+}
+
+// track is the server's ConnState hook.
+func (e *httpEntry) track(c net.Conn, st http.ConnState) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(e.fresh, c)
+	case e.draining:
+		c.Close()
+	default:
+		e.fresh[c] = struct{}{}
+	}
+}
+
+// closeFresh closes the connections that never carried a request, and every
+// one accepted from now on. Shutdown treats such a connection as idle only
+// once it is about 5 s old, so a client that dialled and sent nothing would
+// otherwise hold the drain that long.
+func (e *httpEntry) closeFresh() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.draining = true
+	for c := range e.fresh {
+		c.Close()
+	}
+	clear(e.fresh)
 }
 
 // AddDNS registers an already-started DNS server.
@@ -61,7 +95,8 @@ func (g *ServeGroup) StartHTTP(handler http.Handler, addr string) (net.Addr, err
 		return nil, fmt.Errorf("urwatch: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
-	e := &httpEntry{srv: srv, done: make(chan struct{})}
+	e := &httpEntry{srv: srv, done: make(chan struct{}), fresh: make(map[net.Conn]struct{})}
+	srv.ConnState = e.track
 	g.mu.Lock()
 	g.http = append(g.http, e)
 	g.mu.Unlock()
@@ -76,9 +111,10 @@ func (g *ServeGroup) StartHTTP(handler http.Handler, addr string) (net.Addr, err
 	return ln.Addr(), nil
 }
 
-// Drain closes every listener and waits for in-flight handlers. Safe to
-// call more than once. ctx bounds the HTTP shutdown wait; DNS servers'
-// Close already waits for their in-flight handlers.
+// Drain closes every listener and every HTTP connection that never carried a
+// request, and waits for in-flight handlers. Safe to call more than once. ctx
+// bounds the HTTP shutdown wait; DNS servers' Close already waits for their
+// in-flight handlers.
 func (g *ServeGroup) Drain(ctx context.Context) error {
 	g.mu.Lock()
 	dnsSrvs := g.dns
@@ -88,6 +124,7 @@ func (g *ServeGroup) Drain(ctx context.Context) error {
 
 	var firstErr error
 	for _, e := range httpSrvs {
+		e.closeFresh()
 		if err := e.srv.Shutdown(ctx); err != nil && firstErr == nil {
 			firstErr = err
 		}

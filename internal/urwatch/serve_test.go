@@ -3,10 +3,14 @@ package urwatch
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -320,5 +324,45 @@ scan:
 		dns.NewQuery(9, DomainName(planted, apex), dns.TypeA))
 	if g3.Domain(planted).Len() == 0 && resp.Header.RCode != dns.RCodeNXDomain {
 		t.Errorf("planted domain still listed after removal: rcode %s", resp.Header.RCode)
+	}
+}
+
+// TestDrainClosesSilentConnections: a client that dialled the HTTP listener
+// and sent nothing does not hold the drain. net/http's Shutdown counts such a
+// connection idle only once it is about 5 s old; Drain closes it and returns
+// at once, and the client reads its connection closed.
+func TestDrainClosesSilentConnections(t *testing.T) {
+	var g ServeGroup
+	addr, err := g.StartHTTP(http.NotFoundHandler(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	e := g.http[0]
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		e.mu.Lock()
+		accepted := len(e.fresh) == 1
+		e.mu.Unlock()
+		if accepted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the server never accepted the connection")
+		}
+	}
+	t0 := time.Now()
+	if err := g.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(t0); took > 500*time.Millisecond {
+		t.Errorf("Drain took %s with a silent client connected", took)
+	}
+	c.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := c.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("the silent client read %d bytes, %v; want its connection closed", n, err)
 	}
 }

@@ -139,6 +139,49 @@ func TestRunCountsEarlierSweeps(t *testing.T) {
 	}
 }
 
+// TestHealthPairsSweepsWithTheirGeneration: a sweep counts once its
+// generation is published, so a Health reading taken while sweeps run never
+// shows sweeps N beside generation N-1. A poller reads Health throughout 100
+// sweeps of a 500-record result, whose seal keeps each publish in reach.
+func TestHealthPairsSweepsWithTheirGeneration(t *testing.T) {
+	urs := make([]*core.UR, 500)
+	for i := range urs {
+		urs[i] = coldStartUR(fmt.Sprintf("d%d.test", i), fmt.Sprintf("203.0.113.%d", i%250+1), core.CategoryUnknown)
+	}
+	res := coldStartResult(urs...)
+	w := NewWatcher(WatcherConfig{Sweep: func(context.Context) (*core.Result, error) { return res, nil }})
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		readings := 0
+		for {
+			select {
+			case <-stop:
+				polled <- readings
+				return
+			default:
+			}
+			if h := w.Health(); uint64(h.Sweeps) != h.Generation {
+				t.Errorf("Health read %d sweeps beside generation %d", h.Sweeps, h.Generation)
+			}
+			readings++
+		}
+	}()
+	for range 100 {
+		if _, err := w.SweepOnce(context.Background()); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	if readings := <-polled; readings == 0 {
+		t.Error("the poller read nothing")
+	}
+	if h := w.Health(); h.Sweeps != 100 || h.Generation != 100 {
+		t.Errorf("after 100 sweeps Health reads %d sweeps, generation %d", h.Sweeps, h.Generation)
+	}
+}
+
 // TestSerialArithmetic covers the RFC 1982 comparisons across the uint32
 // wrap, where plain < inverts.
 func TestSerialArithmetic(t *testing.T) {

@@ -125,16 +125,11 @@ func (w *Watcher) SweepOnce(ctx context.Context) (*GenDiff, error) {
 	}
 	t0 := w.cfg.Clock()
 	res, err := w.cfg.Sweep(ctx)
-	took := w.cfg.Clock().Sub(t0)
-	w.mu.Lock()
-	w.lastAt = w.cfg.Clock()
-	w.took = took
-	w.lastErr = err
-	if err == nil {
-		w.sweeps++
-	}
-	w.mu.Unlock()
+	at := w.cfg.Clock()
 	if err != nil {
+		w.mu.Lock()
+		w.lastAt, w.took, w.lastErr = at, at.Sub(t0), err
+		w.mu.Unlock()
 		// Stale-on-error: the previous generation keeps serving. Record the
 		// failure so the health machine can degrade, and tell the observer.
 		// A sweep torn down by shutdown is not a degradation signal.
@@ -147,7 +142,13 @@ func (w *Watcher) SweepOnce(ctx context.Context) (*GenDiff, error) {
 		return nil, err
 	}
 	next := SnapshotFromResult(res, w.store.Current().Seq+1, w.cfg.Clock())
+	// The sweep counts once its generation is out, in the step Health reads
+	// both under, so no reading pairs a sweep with the generation before it.
+	w.mu.Lock()
 	d := w.store.Publish(next)
+	w.lastAt, w.took, w.lastErr = at, at.Sub(t0), nil
+	w.sweeps++
+	w.mu.Unlock()
 	if w.cfg.OnGeneration != nil {
 		w.cfg.OnGeneration(next, d)
 	}
