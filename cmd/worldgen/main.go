@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -47,7 +48,7 @@ func main() {
 			}
 			os.Exit(2)
 		}
-		dumpZones(w, dns.CanonicalName(*zoneDomain), *providerName)
+		dumpZones(os.Stdout, w, dns.CanonicalName(*zoneDomain), *providerName)
 		return
 	}
 
@@ -93,7 +94,9 @@ func main() {
 	}
 }
 
-func dumpZones(w *repro.World, domain dns.Name, providerName string) {
+// dumpZones writes every zone hosted for domain, at one provider or at all,
+// in master-file style.
+func dumpZones(out io.Writer, w *repro.World, domain dns.Name, providerName string) {
 	found := false
 	for _, p := range w.Providers {
 		if providerName != "" && p.Name != providerName {
@@ -101,13 +104,13 @@ func dumpZones(w *repro.World, domain dns.Name, providerName string) {
 		}
 		for _, hz := range p.ZonesFor(domain) {
 			found = true
-			fmt.Printf("; provider %s, account %s, served=%v, verified=%v\n",
+			fmt.Fprintf(out, "; provider %s, account %s, served=%v, verified=%v\n",
 				p.Name, hz.Account.ID, hz.Served(), hz.Verified)
-			fmt.Print(hz.Zone.Serialize())
-			fmt.Println()
+			fmt.Fprint(out, hz.Zone.Serialize())
+			fmt.Fprintln(out)
 		}
 	}
 	if !found {
-		fmt.Printf("no hosted zones for %s\n", domain.String())
+		fmt.Fprintf(out, "no hosted zones for %s\n", domain.String())
 	}
 }

@@ -136,3 +136,44 @@ func TestMustParseRRPanics(t *testing.T) {
 	}()
 	MustParseRR("garbage")
 }
+
+// TestRDataStringForms pins the presentation of the payloads no record
+// built from zone-file text exercises: AAAA and PTR (which ParseRR reads
+// back), OPT and an RFC 3597 unknown type. Zone.Serialize and dnsq print
+// records through these.
+func TestRDataStringForms(t *testing.T) {
+	cases := []struct {
+		rr       RR
+		want     string
+		reparses bool
+	}{
+		{RR{Name: "example.com", TTL: 300, Class: ClassINET, Data: &AAAA{Addr: mustAddr("2001:db8::1")}},
+			"example.com.\t300\tIN\tAAAA\t2001:db8::1", true},
+		{RR{Name: "1.2.0.192.in-addr.arpa", TTL: 60, Class: ClassINET, Data: &PTR{Target: "host.example.com"}},
+			"1.2.0.192.in-addr.arpa.\t60\tIN\tPTR\thost.example.com.", true},
+		{RR{Name: Root, TTL: 0, Class: 1232, Data: &OPT{Options: []byte{0, 10, 0, 0}}},
+			".\t0\tCLASS1232\tOPT\tOPT(4 bytes)", false},
+		{RR{Name: Root, TTL: 0, Class: 4096, Data: &OPT{}},
+			".\t0\tCLASS4096\tOPT\tOPT(0 bytes)", false},
+		{RR{Name: "example.com", TTL: 30, Class: ClassINET, Data: &Unknown{T: 99, Data: []byte{0xde, 0xad, 0x00, 0x0f}}},
+			"example.com.\t30\tIN\tTYPE99\t\\# 4 dead000f", false},
+		{RR{Name: "example.com", TTL: 30, Class: ClassINET, Data: &Unknown{T: 65280}},
+			"example.com.\t30\tIN\tTYPE65280\t\\# 0 ", false},
+	}
+	for _, c := range cases {
+		got := c.rr.String()
+		if got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+			continue
+		}
+		if !c.reparses {
+			continue
+		}
+		back, err := ParseRR(got)
+		if err != nil {
+			t.Errorf("ParseRR(%q): %v", got, err)
+		} else if !reflect.DeepEqual(back, c.rr) {
+			t.Errorf("ParseRR(%q) = %+v, want %+v", got, back, c.rr)
+		}
+	}
+}

@@ -113,8 +113,8 @@ func TestUndelegatedRecordEndToEnd(t *testing.T) {
 	if !hz.Served() {
 		t.Fatal("zone not served")
 	}
-	hz.Zone.MustAddRR("victim.com 300 IN A 66.66.1.1")
-	hz.Zone.MustAddRR(`victim.com 300 IN TXT "cmd:connect 66.66.1.1:443"`)
+	hz.Zone.MustAdd("victim.com", 300, &dns.A{Addr: netip.MustParseAddr("66.66.1.1")})
+	hz.Zone.MustAdd("victim.com", 300, dns.NewTXT("cmd:connect 66.66.1.1:443"))
 
 	// The UR is live on the provider's NS even though the TLD delegates the
 	// domain elsewhere.
@@ -320,8 +320,8 @@ func TestTXTChallengeVerification(t *testing.T) {
 	ownNS := w.ipdb.MustAllocate(ownASN)
 	ownSrv := authority.NewServer()
 	ownZone := zone.New("mydomain.com")
-	ownZone.MustAddRR("mydomain.com 3600 IN SOA ns1.mydomain.com h.mydomain.com 1 7200 3600 1209600 300")
-	ownZone.MustAddRR("ns1.mydomain.com 3600 IN A " + ownNS.String())
+	ownZone.MustAdd("mydomain.com", 3600, zone.StandardSOA("ns1.mydomain.com", "h.mydomain.com"))
+	ownZone.MustAdd("ns1.mydomain.com", 3600, &dns.A{Addr: ownNS})
 	if err := ownSrv.AddZone(ownZone); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestTXTChallengeVerification(t *testing.T) {
 		t.Fatal("zone served before TXT verification")
 	}
 	// Owner publishes the challenge in their REAL zone; verification passes.
-	ownZone.MustAddRR(`_urhunter-challenge.mydomain.com 60 IN TXT "` + hz.Challenge + `"`)
+	ownZone.MustAdd("_urhunter-challenge.mydomain.com", 60, dns.NewTXT(hz.Challenge))
 	ok, err := p.CompleteTXTVerification(context.Background(), hz)
 	if err != nil || !ok {
 		t.Fatalf("verification failed: %v %v", ok, err)
@@ -435,7 +435,7 @@ func TestGeoDistributedAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hz.Zone.MustAddRR("cdn-site.com 300 IN A 99.99.99.99") // placeholder origin
+	hz.Zone.MustAdd("cdn-site.com", 300, &dns.A{Addr: netip.MustParseAddr("99.99.99.99")}) // placeholder origin
 	cf.MarkGeoDistributed(hz)
 
 	// Clients in different countries see different edges.
@@ -477,9 +477,9 @@ func TestOpenRecursiveFallback(t *testing.T) {
 	siteIP := w.ipdb.MustAllocate(legitASN)
 	srv := authority.NewServer()
 	z := zone.New("realsite.com")
-	z.MustAddRR("realsite.com 3600 IN SOA ns1.realsite.com h.realsite.com 1 7200 3600 1209600 300")
-	z.MustAddRR("realsite.com 300 IN A " + siteIP.String())
-	z.MustAddRR("ns1.realsite.com 300 IN A " + legitNS.String())
+	z.MustAdd("realsite.com", 3600, zone.StandardSOA("ns1.realsite.com", "h.realsite.com"))
+	z.MustAdd("realsite.com", 300, &dns.A{Addr: siteIP})
+	z.MustAdd("ns1.realsite.com", 300, &dns.A{Addr: legitNS})
 	if err := srv.AddZone(z); err != nil {
 		t.Fatal(err)
 	}

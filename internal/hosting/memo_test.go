@@ -40,13 +40,15 @@ func newMemoFixture(t *testing.T) *memoFixture {
 		"deleg.cdn-site.com 300 IN NS ns.deleg.cdn-site.com",
 		"ns.deleg.cdn-site.com 300 IN A 192.0.2.53",
 	} {
-		hz.Zone.MustAddRR(rr)
+		if err := hz.Zone.Add(dns.MustParseRR(rr)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sib, err := p.CreateZone("owner", "sibling.com")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sib.Zone.MustAddRR("sibling.com 300 IN A 192.0.2.80")
+	sib.Zone.MustAdd("sibling.com", 300, &dns.A{Addr: netip.MustParseAddr("192.0.2.80")})
 	ns := hz.NS[0]
 	if !ns.srv.HasZone("sibling.com") {
 		t.Fatal("the account's zones do not share a nameserver")
@@ -111,20 +113,20 @@ func TestZoneMemoFollowsMutation(t *testing.T) {
 		name   string
 		mutate func()
 	}{
-		{"Add", func() { z.MustAddRR("cdn-site.com 300 IN A 99.99.99.98") }},
-		{"Add in a chain", func() { z.MustAddRR("missing.cdn-site.com 300 IN A 99.99.99.97") }},
+		{"Add", func() { z.MustAdd("cdn-site.com", 300, &dns.A{Addr: netip.MustParseAddr("99.99.99.98")}) }},
+		{"Add in a chain", func() { z.MustAdd("missing.cdn-site.com", 300, &dns.A{Addr: netip.MustParseAddr("99.99.99.97")}) }},
 		{"RemoveRRset", func() { z.RemoveRRset("cdn-site.com", dns.TypeTXT) }},
 		{"RemoveRRset of a name's last type", func() { z.RemoveRRset("missing.cdn-site.com", dns.TypeA) }},
 		{"AddZone", func() {
 			child := zone.New("child.cdn-site.com")
-			child.MustAddRR("a.child.cdn-site.com 300 IN A 192.0.2.90")
+			child.MustAdd("a.child.cdn-site.com", 300, &dns.A{Addr: netip.MustParseAddr("192.0.2.90")})
 			if err := f.ns.srv.AddZone(child); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"RemoveZone", func() { f.ns.srv.RemoveZone("child.cdn-site.com") }},
 		{"MarkGeoDistributed", func() { f.p.MarkGeoDistributed(f.hz) }},
-		{"Add while geo-distributed", func() { z.MustAddRR("cdn-site.com 300 IN A 99.99.99.96") }},
+		{"Add while geo-distributed", func() { z.MustAdd("cdn-site.com", 300, &dns.A{Addr: netip.MustParseAddr("99.99.99.96")}) }},
 		{"RemoveZone of the memoized zone", func() { f.ns.srv.RemoveZone("cdn-site.com") }},
 		{"AddZone of the memoized zone", func() {
 			if err := f.ns.srv.AddZone(z); err != nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -177,7 +178,7 @@ func NewProvider(pol Policy, deps Deps) (*Provider, error) {
 			return nil, err
 		}
 		ns := &Nameserver{
-			Host: dns.CanonicalName(fmt.Sprintf("ns%d.%s", i+1, string(pol.InfraDomain))),
+			Host: dns.CanonicalName("ns" + strconv.Itoa(i+1) + "." + string(pol.InfraDomain)),
 			Addr: addr,
 			srv:  authority.NewServer(),
 		}
@@ -195,12 +196,12 @@ func NewProvider(pol Policy, deps Deps) (*Provider, error) {
 	// Delegate the provider's infrastructure domain so NS hostnames resolve.
 	if deps.Registry != nil {
 		infraZone := zone.New(pol.InfraDomain)
-		infraZone.MustAddRR(fmt.Sprintf("%s 3600 IN SOA ns1.%s hostmaster.%s 1 7200 3600 1209600 300",
-			string(pol.InfraDomain), string(pol.InfraDomain), string(pol.InfraDomain)))
+		infraZone.MustAdd(pol.InfraDomain, 3600,
+			zone.StandardSOA("ns1."+pol.InfraDomain, "hostmaster."+pol.InfraDomain))
 		var hosts []dns.Name
 		for _, ns := range p.nameservers {
-			infraZone.MustAddRR(fmt.Sprintf("%s 3600 IN A %s", string(ns.Host), ns.Addr))
-			infraZone.MustAddRR(fmt.Sprintf("%s 3600 IN NS %s", string(pol.InfraDomain), string(ns.Host)))
+			infraZone.MustAdd(ns.Host, 3600, &dns.A{Addr: ns.Addr})
+			infraZone.MustAdd(pol.InfraDomain, 3600, &dns.NS{Host: ns.Host})
 			hosts = append(hosts, ns.Host)
 		}
 		for _, ns := range p.nameservers {
@@ -398,10 +399,9 @@ func (p *Provider) CreateZone(accountID string, domain dns.Name) (*HostedZone, e
 		Challenge: fmt.Sprintf("urhunter-verify-%08x", p.rng.Uint32()),
 		provider:  p,
 	}
-	hz.Zone.MustAddRR(fmt.Sprintf("%s 3600 IN SOA %s hostmaster.%s 1 7200 3600 1209600 300",
-		string(domain), string(ns[0].Host), string(p.InfraDomain)))
+	hz.Zone.MustAdd(domain, 3600, zone.StandardSOA(ns[0].Host, "hostmaster."+p.InfraDomain))
 	for _, n := range ns {
-		hz.Zone.MustAddRR(fmt.Sprintf("%s 3600 IN NS %s", string(domain), string(n.Host)))
+		hz.Zone.MustAdd(domain, 3600, &dns.NS{Host: n.Host})
 	}
 
 	// Ownership verification. The decisive behaviour for URs: with

@@ -22,7 +22,7 @@ func TestURServedOverRealSockets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hz.Zone.MustAddRR("victim.com 120 IN A 66.66.2.2")
+	hz.Zone.MustAdd("victim.com", 120, &dns.A{Addr: netip.MustParseAddr("66.66.2.2")})
 
 	// Expose the same authoritative engine on a real socket.
 	srv := dnsio.NewServer(hz.NS[0].Server())

@@ -58,7 +58,7 @@ func New(fabric *simnet.Fabric, ipdb *ipam.DB, store *pdns.Store) (*Registry, er
 	}
 	r.infraASN = ipdb.RegisterAS("ROOT-REGISTRY-INFRA", "US", 2)
 	r.rootZone = zone.New(dns.Root)
-	r.rootZone.MustAddRR(". 86400 IN SOA a.root-servers.test hostmaster.root-servers.test 1 7200 3600 1209600 300")
+	r.rootZone.MustAdd(dns.Root, 86400, zone.StandardSOA("a.root-servers.test", "hostmaster.root-servers.test"))
 	r.rootServer = authority.NewServer()
 	if err := r.rootServer.AddZone(r.rootZone); err != nil {
 		return nil, err
@@ -96,8 +96,7 @@ func (r *Registry) CreateTLD(tld dns.Name, servers int) error {
 		return fmt.Errorf("registry: TLD %s already exists", tld.String())
 	}
 	z := zone.New(tld)
-	z.MustAddRR(fmt.Sprintf("%s 86400 IN SOA ns0.nic.%s hostmaster.nic.%s 1 7200 3600 1209600 300",
-		tld, tld, tld))
+	z.MustAdd(tld, 86400, zone.StandardSOA("ns0.nic."+tld, "hostmaster.nic."+tld))
 	srv := authority.NewServer()
 	if err := srv.AddZone(z); err != nil {
 		return err

@@ -193,8 +193,8 @@ func TestEndToEndAuthoritativeResolution(t *testing.T) {
 	siteAddr := ipdb.MustAllocate(hostASN)
 	srv := authority.NewServer()
 	z := zone.New("example.com")
-	z.MustAddRR("example.com 3600 IN SOA ns1.hoster.net h.hoster.net 1 7200 3600 1209600 300")
-	z.MustAddRR("example.com 300 IN A " + siteAddr.String())
+	z.MustAdd("example.com", 3600, zone.StandardSOA("ns1.hoster.net", "h.hoster.net"))
+	z.MustAdd("example.com", 300, &dns.A{Addr: siteAddr})
 	if err := srv.AddZone(z); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 
 	"repro/internal/authority"
 	"repro/internal/core"
@@ -134,26 +135,25 @@ func (w *World) hostOneSite(domain dns.Name) error {
 	if err != nil {
 		return err
 	}
-	hz.Zone.MustAddRR(fmt.Sprintf("%s 300 IN A %s", string(domain), siteIP))
-	spf := fmt.Sprintf(`%s 300 IN TXT "v=spf1 ip4:%s -all"`, string(domain), siteIP)
-	hz.Zone.MustAddRR(spf)
+	hz.Zone.MustAdd(domain, 300, &dns.A{Addr: siteIP})
+	hz.Zone.MustAdd(domain, 300, dns.NewTXT("v=spf1 ip4:"+siteIP.String()+" -all"))
 	// A quarter of the sites have a www host that passive DNS observed —
 	// the raw material for the E17 subdomain-recovery experiment.
 	if w.rng.Float64() < 0.25 {
 		www := domain.Child("www")
-		hz.Zone.MustAddRR(fmt.Sprintf("%s 300 IN A %s", string(www), siteIP))
+		hz.Zone.MustAdd(www, 300, &dns.A{Addr: siteIP})
 		w.PDNS.Observe(www, dns.TypeA, siteIP.String(), Now.AddDate(0, -8, 0))
 	}
 	// A third of the sites run mail, for the MX extension sweep (E16).
 	if w.rng.Float64() < 0.33 {
-		mx := fmt.Sprintf("%s 300 IN MX 10 mail.%s", string(domain), string(domain))
-		hz.Zone.MustAddRR(mx)
-		w.PDNS.Observe(domain, dns.TypeMX, fmt.Sprintf("10 mail.%s.", string(domain)), Now.AddDate(-1, 0, 0))
+		mail := domain.Child("mail")
+		hz.Zone.MustAdd(domain, 300, &dns.MX{Preference: 10, Host: mail})
+		w.PDNS.Observe(domain, dns.TypeMX, "10 "+mail.String(), Now.AddDate(-1, 0, 0))
 	}
 	// Case-study SLDs carry the FQDNs the malware families masquerade as.
 	for _, f := range caseFQDNs {
 		if f.IsProperSubdomainOf(domain) {
-			hz.Zone.MustAddRR(fmt.Sprintf("%s 300 IN A %s", string(f), siteIP))
+			hz.Zone.MustAdd(f, 300, &dns.A{Addr: siteIP})
 		}
 	}
 
@@ -203,14 +203,15 @@ func (w *World) hostSelfOperated(domain dns.Name) error {
 		return err
 	}
 	d := string(domain)
+	nsHost := domain.Child("ns1")
 	z := zone.New(domain)
-	z.MustAddRR(fmt.Sprintf("%s 3600 IN SOA ns1.%s hostmaster.%s 1 7200 3600 1209600 300", d, d, d))
-	z.MustAddRR(fmt.Sprintf("ns1.%s 3600 IN A %s", d, nsAddr))
-	z.MustAddRR(fmt.Sprintf("%s 300 IN A %s", d, siteIP))
-	z.MustAddRR(fmt.Sprintf(`%s 300 IN TXT "v=spf1 ip4:%s -all"`, d, siteIP))
+	z.MustAdd(domain, 3600, zone.StandardSOA(nsHost, domain.Child("hostmaster")))
+	z.MustAdd(nsHost, 3600, &dns.A{Addr: nsAddr})
+	z.MustAdd(domain, 300, &dns.A{Addr: siteIP})
+	z.MustAdd(domain, 300, dns.NewTXT("v=spf1 ip4:"+siteIP.String()+" -all"))
 	for _, f := range caseFQDNs {
 		if f.IsProperSubdomainOf(domain) {
-			z.MustAddRR(fmt.Sprintf("%s 300 IN A %s", string(f), siteIP))
+			z.MustAdd(f, 300, &dns.A{Addr: siteIP})
 		}
 	}
 	srv := authority.NewServer()
@@ -226,7 +227,6 @@ func (w *World) hostSelfOperated(domain dns.Name) error {
 	}); err != nil {
 		return err
 	}
-	nsHost := dns.CanonicalName("ns1." + d)
 	if err := w.Registry.SetDelegation(domain, []dns.Name{nsHost},
 		map[dns.Name]netip.Addr{nsHost: nsAddr}, Now.AddDate(-1, 0, 0)); err != nil {
 		return err
@@ -252,7 +252,7 @@ func (w *World) hostPastDelegation(domain dns.Name) error {
 	if err != nil {
 		return err
 	}
-	hz.Zone.MustAddRR(fmt.Sprintf("%s 300 IN A %s", string(domain), oldIP))
+	hz.Zone.MustAdd(domain, 300, &dns.A{Addr: oldIP})
 	// Half the abandoned sites now park; the other half still serve the old
 	// page with the certificate of its era — for those, only passive DNS can
 	// explain the stale record (the E14 ablation leans on this).
@@ -409,8 +409,7 @@ func (w *World) plantURs() error {
 
 	for i := 0; i < w.Scale.PlantZones; i++ {
 		provider := weighted[w.rng.Intn(len(weighted))]
-		account := provider.OpenAccount(
-			fmt.Sprintf("mal-%s-%d", provider.Name, w.rng.Intn(10)), false)
+		account := provider.OpenAccount("mal-"+provider.Name+"-"+strconv.Itoa(w.rng.Intn(10)), false)
 
 		isA := w.rng.Float64() < fracAPlants
 		var evidenced bool
@@ -442,14 +441,14 @@ func (w *World) plantURs() error {
 
 		if isA {
 			ip := w.pickAttackerIP(evidenced)
-			hz.Zone.MustAddRR(fmt.Sprintf("%s 120 IN A %s", string(domain), ip))
+			hz.Zone.MustAdd(domain, 120, &dns.A{Addr: ip})
 			w.recordPlant(ip, hz, domain, dns.TypeA)
 			// Some attackers hide one level down: a www zone the top-domain
 			// sweep never queries. Only subdomain recovery (E17) finds it.
 			if provider.AllowSubdomain && w.rng.Float64() < 0.05 {
 				www := domain.Child("www")
 				if sub, err := provider.CreateZone(account.ID, www); err == nil {
-					sub.Zone.MustAddRR(fmt.Sprintf("%s 120 IN A %s", string(www), ip))
+					sub.Zone.MustAdd(www, 120, &dns.A{Addr: ip})
 					w.recordPlant(ip, sub, www, dns.TypeA)
 				}
 			}
@@ -457,8 +456,8 @@ func (w *World) plantURs() error {
 			// infrastructure — the record type the paper's future work
 			// singles out.
 			if w.rng.Float64() < 0.06 {
-				hz.Zone.MustAddRR(fmt.Sprintf("%s 120 IN MX 10 relay%d.bulk-mail.biz",
-					string(domain), w.rng.Intn(100)))
+				relay := dns.Name("relay" + strconv.Itoa(w.rng.Intn(100)) + ".bulk-mail.biz")
+				hz.Zone.MustAdd(domain, 120, &dns.MX{Preference: 10, Host: relay})
 			}
 		} else {
 			w.plantTXT(hz, domain, evidenced)
@@ -483,30 +482,41 @@ func (w *World) recordPlant(ip netip.Addr, hz *hosting.HostedZone, domain dns.Na
 // plantTXT writes the TXT payload mix: encrypted commands without IPs,
 // masquerading SPF/DMARC with attacker IPs, and verification-style tokens.
 func (w *World) plantTXT(hz *hosting.HostedZone, domain dns.Name, evidenced bool) {
-	d := string(domain)
+	add := func(s string) { hz.Zone.MustAdd(domain, 120, dns.NewTXT(s)) }
 	switch {
 	case evidenced:
 		ip := w.pickAttackerIP(true)
 		if w.rng.Float64() < fracMaliciousEmailTXT {
 			if w.rng.Float64() < 0.8 {
-				hz.Zone.MustAddRR(fmt.Sprintf(`%s 120 IN TXT "v=spf1 ip4:%s ~all"`, d, ip))
+				add("v=spf1 ip4:" + ip.String() + " ~all")
 			} else {
-				hz.Zone.MustAddRR(fmt.Sprintf(`%s 120 IN TXT "v=DMARC1; p=none; rua=mailto:ops@%s"`, d, ip))
+				add("v=DMARC1; p=none; rua=mailto:ops@" + ip.String())
 			}
 		} else {
-			hz.Zone.MustAddRR(fmt.Sprintf(`%s 120 IN TXT "cfg srv=%s port=443"`, d, ip))
+			add("cfg srv=" + ip.String() + " port=443")
 		}
 		w.recordPlant(ip, hz, domain, dns.TypeTXT)
 	case w.rng.Float64() < fracTXTNoIP:
 		// Encrypted command blobs: no IP, excluded from malicious analysis.
-		hz.Zone.MustAddRR(fmt.Sprintf(`%s 120 IN TXT "cmd=%08x%08x"`, d, w.rng.Uint32(), w.rng.Uint32()))
+		hi, lo := w.rng.Uint32(), w.rng.Uint32()
+		add("cmd=" + hex8(hi) + hex8(lo))
 	case w.rng.Float64() < 0.5:
 		ip := w.pickAttackerIP(false)
-		hz.Zone.MustAddRR(fmt.Sprintf(`%s 120 IN TXT "v=spf1 ip4:%s -all"`, d, ip))
+		add("v=spf1 ip4:" + ip.String() + " -all")
 		w.recordPlant(ip, hz, domain, dns.TypeTXT)
 	default:
-		hz.Zone.MustAddRR(fmt.Sprintf(`%s 120 IN TXT "xx-site-verification=%08x"`, d, w.rng.Uint32()))
+		add("xx-site-verification=" + hex8(w.rng.Uint32()))
 	}
+}
+
+// hex8 is v as eight lower-case hex digits, as %08x prints it.
+func hex8(v uint32) string {
+	var b [8]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = "0123456789abcdef"[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
 }
 
 // buildCaseStudies reproduces §5.3: the Dark.IoT and Specter URs on ClouDNS,
@@ -553,7 +563,7 @@ func (w *World) buildCaseStudies() error {
 		if err != nil {
 			return fmt.Errorf("scenario: case-study plant %s: %w", plant.domain.String(), err)
 		}
-		hz.Zone.MustAddRR(fmt.Sprintf("%s 120 IN A %s", string(plant.domain), plant.ip))
+		hz.Zone.MustAdd(plant.domain, 120, &dns.A{Addr: plant.ip})
 		w.recordPlant(plant.ip, hz, plant.domain, dns.TypeA)
 	}
 	cs.ClouDNSNS = cloudns.NameserverAddrs()[0]
@@ -585,8 +595,8 @@ func (w *World) buildCaseStudies() error {
 		w.intelIPs[ip] = true
 		w.idsIPs[ip] = true
 	}
-	spfTXT := fmt.Sprintf(`speedtest.net 120 IN TXT "v=spf1 ip4:%s ip4:%s ip4:%s -all"`,
-		cs.SPFServers[0], cs.SPFServers[1], cs.SPFServers[2])
+	spf := "v=spf1 ip4:" + cs.SPFServers[0].String() + " ip4:" + cs.SPFServers[1].String() +
+		" ip4:" + cs.SPFServers[2].String() + " -all"
 	for _, providerName := range []string{"Namecheap", "CSC"} {
 		p := w.ProviderByName[providerName]
 		acct := p.OpenAccount("spf-op", false)
@@ -594,7 +604,7 @@ func (w *World) buildCaseStudies() error {
 		if err != nil {
 			return fmt.Errorf("scenario: SPF plant at %s: %w", providerName, err)
 		}
-		hz.Zone.MustAddRR(spfTXT)
+		hz.Zone.MustAdd("speedtest.net", 120, dns.NewTXT(spf))
 		for _, ip := range cs.SPFServers {
 			w.recordPlant(ip, hz, "speedtest.net", dns.TypeTXT)
 		}
@@ -661,7 +671,7 @@ func (w *World) buildBulkSamples() {
 				continue
 			}
 		}
-		hz.Zone.MustAddRR(fmt.Sprintf("%s 120 IN A %s", string(domain), ip))
+		hz.Zone.MustAdd(domain, 120, &dns.A{Addr: ip})
 		w.recordPlant(ip, hz, domain, dns.TypeA)
 	}
 

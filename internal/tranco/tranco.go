@@ -7,8 +7,8 @@
 package tranco
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/dns"
 )
@@ -61,8 +61,8 @@ var nameParts = []string{
 // Generate builds a list of n ranked sites, deterministic in seed.
 func Generate(n int, seed int64) *List {
 	r := rand.New(rand.NewSource(seed))
-	l := &List{rank: make(map[dns.Name]int, n)}
-	used := make(map[dns.Name]bool)
+	l := &List{entries: make([]Entry, 0, n), rank: make(map[dns.Name]int, n)}
+	used := make(map[dns.Name]bool, n)
 
 	place := func(rank int, d dns.Name) {
 		l.entries = append(l.entries, Entry{Rank: rank, Domain: d})
@@ -72,11 +72,11 @@ func Generate(n int, seed int64) *List {
 
 	nextSynthetic := func() dns.Name {
 		for {
-			d := dns.Name(fmt.Sprintf("%s%s%d.%s",
-				nameParts[r.Intn(len(nameParts))],
-				nameParts[r.Intn(len(nameParts))],
-				r.Intn(1000),
-				syntheticTLDs[r.Intn(len(syntheticTLDs))]))
+			first := nameParts[r.Intn(len(nameParts))]
+			second := nameParts[r.Intn(len(nameParts))]
+			num := r.Intn(1000)
+			tld := syntheticTLDs[r.Intn(len(syntheticTLDs))]
+			d := dns.Name(first + second + strconv.Itoa(num) + "." + tld)
 			if !used[d] {
 				return d
 			}

@@ -106,6 +106,23 @@ func (z *Zone) Add(rr dns.RR) error {
 	return nil
 }
 
+// MustAdd adds a class-IN record built in code; it panics if the owner is
+// outside the zone or data is nil. World generation builds every record
+// this way, with no text formatted or parsed; the caller gives canonical
+// names (dns.ParseName's form).
+func (z *Zone) MustAdd(name dns.Name, ttl uint32, data dns.RData) {
+	if err := z.Add(dns.RR{Name: name, Class: dns.ClassINET, TTL: ttl, Data: data}); err != nil {
+		panic(err)
+	}
+}
+
+// StandardSOA is the SOA rdata of every zone the simulated Internet builds:
+// serial 1, refresh 7200, retry 3600, expire 1209600 and minimum 300.
+func StandardSOA(mname, rname dns.Name) *dns.SOA {
+	return &dns.SOA{MName: mname, RName: rname, Serial: 1,
+		Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300}
+}
+
 // AddRR parses a presentation-format record and adds it.
 func (z *Zone) AddRR(line string) error {
 	rr, err := dns.ParseRR(line)
@@ -274,7 +291,9 @@ func (z *Zone) findCutLocked(name dns.Name) (dns.Name, bool) {
 	return "", false
 }
 
-// Records returns every record in the zone, sorted by owner then type.
+// Records returns every record in the zone, sorted by owner then type; the
+// records of one RRset keep the order they were added in, so a zone's
+// listing (and Serialize) is the same on every call.
 func (z *Zone) Records() []dns.RR {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
@@ -284,7 +303,7 @@ func (z *Zone) Records() []dns.RR {
 			out = append(out, rrs...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name
 		}

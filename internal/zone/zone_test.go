@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"strings"
@@ -405,4 +406,27 @@ func TestMustAddRRPanics(t *testing.T) {
 		}
 	}()
 	z.MustAddRR("out-of.zone.org 60 IN A 192.0.2.1")
+}
+
+// TestSerializeDeterministic: an RRset of many records lists in the order
+// it was added, whatever order the zone's maps are walked in, so two
+// Serialize calls agree.
+func TestSerializeDeterministic(t *testing.T) {
+	z := New("example.com")
+	for i := 1; i <= 30; i++ {
+		z.MustAddRR(fmt.Sprintf("example.com 3600 IN NS ns%d.example.net", i))
+		z.MustAddRR(fmt.Sprintf("h%d.example.com 300 IN A 192.0.2.%d", i, i))
+	}
+	want := z.Serialize()
+	for i := 0; i < 20; i++ {
+		if got := z.Serialize(); got != want {
+			t.Fatalf("Serialize differs between calls:\n%s\n---\n%s", want, got)
+		}
+	}
+	ns := z.Records()
+	for i, rr := range ns[:30] {
+		if host := rr.Data.(*dns.NS).Host; host != dns.Name(fmt.Sprintf("ns%d.example.net", i+1)) {
+			t.Fatalf("record %d of the apex NS set is %s, want insertion order", i, host)
+		}
+	}
 }
